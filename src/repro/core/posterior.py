@@ -79,8 +79,8 @@ class SelectivityPosterior:
 
         Bit-identical to calling :meth:`ppf` per threshold
         (``betaincinv`` is a ufunc evaluated elementwise either way),
-        but amortized: the whole ``(n + 1) × |thresholds|`` table is
-        computed once per (sample size, prior, grid) and every
+        but amortized: a row of the ``(n + 1) × |thresholds|`` table is
+        computed once per (sample size, prior, grid, ``k``) and every
         subsequent inversion is a row lookup on the observed ``k``.
         """
         return quantile_table(self.n, self.prior, thresholds).row(self.k)
@@ -128,7 +128,7 @@ class SelectivityPosterior:
 
 
 class BetaQuantileTable:
-    """Precomputed beta quantiles for every possible sample count.
+    """Memoized beta quantiles for every possible sample count.
 
     For a fixed sample size ``n``, prior ``(a, b)``, and threshold grid
     ``(t_0, …, t_{m-1})``, the satisfying count ``k`` is an *integer*
@@ -138,11 +138,13 @@ class BetaQuantileTable:
         ``Q[k, j] = betaincinv(k + a, n − k + b, t_j)``,
 
     turning each posterior inversion into an O(1) row lookup instead
-    of a ``betaincinv`` call. ``betaincinv`` is a ufunc, so the bulk
-    evaluation produces bit-identical values to scalar calls.
+    of a ``betaincinv`` call. ``betaincinv`` is a ufunc, so a row
+    evaluated at once is bit-identical to scalar calls. Rows are
+    computed on first use: a query touches a handful of the ``n + 1``
+    counts, and a penalty policy's per-query grid never comes back.
     """
 
-    __slots__ = ("n", "thresholds", "table")
+    __slots__ = ("n", "thresholds", "_prior", "_grid", "_rows")
 
     def __init__(
         self, n: int, prior: Prior, thresholds: tuple[float, ...]
@@ -156,18 +158,24 @@ class BetaQuantileTable:
             raise EstimationError("confidence threshold must lie strictly in (0, 1)")
         self.n = int(n)
         self.thresholds = tuple(float(t) for t in grid)
-        k = np.arange(self.n + 1, dtype=float)
-        alpha = k + prior.alpha
-        beta = self.n - k + prior.beta
-        self.table = scipy_special.betaincinv(
-            alpha[:, None], beta[:, None], grid[None, :]
-        )
+        self._prior = prior
+        self._grid = grid
+        self._rows: dict[int, np.ndarray] = {}
 
     def row(self, k: int) -> np.ndarray:
         """Quantiles at every threshold for ``k`` satisfying tuples."""
         if not 0 <= k <= self.n:
             raise EstimationError(f"satisfying count k={k} outside [0, {self.n}]")
-        return self.table[int(k)]
+        k = int(k)
+        row = self._rows.get(k)
+        if row is None:
+            # Two threads may both compute a row; the values are equal.
+            row = self._rows[k] = scipy_special.betaincinv(
+                float(k) + self._prior.alpha,
+                self.n - float(k) + self._prior.beta,
+                self._grid,
+            )
+        return row
 
 
 #: Process-wide table cache. Tables depend only on (sample size, prior,

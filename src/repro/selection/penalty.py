@@ -91,14 +91,20 @@ def select_index(
 def penalty_summary(penalties: np.ndarray) -> list[dict]:
     """JSON-ready per-plan penalty distributions for trace spans."""
     penalties = np.asarray(penalties, dtype=float)
-    out = []
-    for row in penalties:
-        out.append(
-            {
-                "mean": float(row.mean()),
-                "p50": float(np.percentile(row, 50)),
-                "p90": float(np.percentile(row, 90)),
-                "max": float(row.max()),
-            }
+    # Interpolating between two infinite penalties is ``inf - inf``. A
+    # row that has any takes the sample above the percentile instead:
+    # no arithmetic, and what interpolating towards ``inf`` gives.
+    finite = np.isfinite(penalties).all(axis=1)
+    p50, p90 = np.empty((2, len(penalties)))
+    for rows, method in ((finite, "linear"), (~finite, "higher")):
+        if rows.any():
+            p50[rows], p90[rows] = np.percentile(
+                penalties[rows], [50, 90], axis=1, method=method
+            )
+    return [
+        {"mean": float(mean), "p50": float(q50), "p90": float(q90),
+         "max": float(worst)}
+        for mean, q50, q90, worst in zip(
+            penalties.mean(axis=1), p50, p90, penalties.max(axis=1)
         )
-    return out
+    ]

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -217,6 +218,8 @@ class PreparedQuery:
         statistics_version: int,
         from_cache: bool,
         degraded_reason: str | None = None,
+        *,
+        fingerprint: str | None = None,
     ) -> None:
         self.session = session
         self.query = query
@@ -239,7 +242,12 @@ class PreparedQuery:
         #: path after the configured estimator failed; such plans are
         #: never cached.
         self.degraded_reason = degraded_reason
-        self.fingerprint = query_fingerprint(query)
+        #: ``query_fingerprint(query)``; the session passes the one it
+        #: computed when it parsed the statement.
+        self.fingerprint = (
+            fingerprint if fingerprint is not None
+            else query_fingerprint(query)
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -364,12 +372,22 @@ class Session:
         self.plan_cache = PlanCache(
             capacity=base.plan_cache_size, stripes=base.cache_stripes
         )
-        # Parsed-statement cache (SQL text -> SPJQuery). Parsing is
-        # deterministic and the parse tree is treated as immutable, so
-        # repeat prepares of the same text skip the parser entirely.
-        # Follows the plan cache's capacity policy: size 0 disables it.
+        # Parsed-statement cache (SQL text -> (SPJQuery, fingerprint)).
+        # Parsing is deterministic and the parse tree is treated as
+        # immutable, so repeat prepares of the same text skip the
+        # parser and the canonical-SQL hash entirely. Follows the plan
+        # cache's capacity policy: size 0 disables it.
         self._parse_cache = PlanCache(
             capacity=base.plan_cache_size, stripes=base.cache_stripes
+        )
+        # The same memo for SPJQuery objects passed in directly
+        # (identity-keyed: SPJQuery compares by identity).
+        self._fingerprints: weakref.WeakKeyDictionary = (
+            weakref.WeakKeyDictionary()
+        )
+        self._prepares = self.metrics.counter(
+            "repro_session_prepares_total",
+            "Statements prepared, by plan-cache outcome.",
         )
         self._state = _StatsState(
             statistics,
@@ -753,16 +771,22 @@ class Session:
     # ------------------------------------------------------------------
     # Prepare
     # ------------------------------------------------------------------
-    def _coerce_query(self, query: str | SPJQuery) -> SPJQuery:
+    def _coerce_query(self, query: str | SPJQuery) -> tuple[SPJQuery, str]:
+        """The parsed statement and its fingerprint, each computed once
+        per distinct statement."""
         if isinstance(query, str):
-            cached = self._parse_cache.get(query)
-            if cached is not None:
-                return cached
-            parsed = parse_query(query, self.database)
-            self._parse_cache.put(query, parsed)
-            return parsed
+            entry = self._parse_cache.get(query)
+            if entry is None:
+                parsed = parse_query(query, self.database)
+                entry = (parsed, query_fingerprint(parsed))
+                self._parse_cache.put(query, entry)
+            return entry
         if isinstance(query, SPJQuery):
-            return query
+            fingerprint = self._fingerprints.get(query)
+            if fingerprint is None:
+                fingerprint = query_fingerprint(query)
+                self._fingerprints[query] = fingerprint
+            return query, fingerprint
         raise SessionError(
             f"expected SQL text or SPJQuery, got {type(query).__name__}"
         )
@@ -874,14 +898,13 @@ class Session:
         different selection policy with its own cache entry.
         """
         self._check_open()
-        parsed = self._coerce_query(query)
+        parsed, fingerprint = self._coerce_query(query)
         effective = self._effective_policy(parsed, threshold, policy)
         # One snapshot serves the whole prepare: the cache-key version
         # and the planning estimator both come from it, so a hot-swap
         # landing mid-prepare can't mix statistics generations.
         state = self._ensure_state()
         version = state.version
-        fingerprint = query_fingerprint(parsed)
         key = self._cache_key(fingerprint, effective, version)
 
         def plan() -> PlannedQuery:
@@ -898,15 +921,19 @@ class Session:
         try:
             planned, was_cached = self.plan_cache.get_or_create(key, plan)
         except (EstimationError, StatisticsError) as exc:
-            return self._prepare_degraded(parsed, effective, version, exc)
+            return self._prepare_degraded(
+                parsed, fingerprint, effective, version, exc
+            )
         self._count_prepare(was_cached)
         return PreparedQuery(
-            self, parsed, planned, effective, version, was_cached
+            self, parsed, planned, effective, version, was_cached,
+            fingerprint=fingerprint,
         )
 
     def _prepare_degraded(
         self,
         parsed: SPJQuery,
+        fingerprint: str,
         effective: SelectionPolicy | None,
         version: int,
         exc: ReproError,
@@ -940,7 +967,7 @@ class Session:
         self._count_prepare(False)
         return PreparedQuery(
             self, parsed, planned, effective, version, False,
-            degraded_reason=event.reason,
+            degraded_reason=event.reason, fingerprint=fingerprint,
         )
 
     def prepare_many(
@@ -961,11 +988,10 @@ class Session:
             )
         if not thresholds:
             raise SessionError("prepare_many needs at least one threshold")
-        parsed = self._coerce_query(query)
+        parsed, fingerprint = self._coerce_query(query)
         grid = [ThresholdPolicy(t) for t in thresholds]
         state = self._ensure_state()
         version = state.version
-        fingerprint = query_fingerprint(parsed)
 
         keyed = [
             (p, self._cache_key(fingerprint, p, version)) for p in grid
@@ -1000,16 +1026,13 @@ class Session:
             prepared.append(
                 PreparedQuery(
                     self, parsed, found[lane_policy], lane_policy, version,
-                    was_cached,
+                    was_cached, fingerprint=fingerprint,
                 )
             )
         return prepared
 
     def _count_prepare(self, was_cached: bool) -> None:
-        self.metrics.counter(
-            "repro_session_prepares_total",
-            "Statements prepared, by plan-cache outcome.",
-        ).inc(result="hit" if was_cached else "miss")
+        self._prepares.inc(result="hit" if was_cached else "miss")
 
     # ------------------------------------------------------------------
     # Execute
@@ -1099,10 +1122,9 @@ class Session:
         distributions (``optimizer.selection``).
         """
         self._check_open()
-        parsed = self._coerce_query(query)
+        parsed, fingerprint = self._coerce_query(query)
         effective = self._effective_policy(parsed, threshold, policy)
         state = self._ensure_state()
-        fingerprint = query_fingerprint(parsed)
         tracer = Tracer()
         optimizer = self._optimizer(state, tracer)
         started = time.perf_counter()

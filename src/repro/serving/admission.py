@@ -80,6 +80,15 @@ class AdmissionController:
     ) -> None:
         self.config = config or AdmissionConfig()
         self.metrics = metrics or MetricsRegistry()
+        self._admitted = self.metrics.counter(
+            "repro_serving_admitted_total",
+            "Operations admitted past admission control, by tenant.",
+        )
+        self._shed = self.metrics.counter(
+            "repro_serving_shed_total",
+            "Operations shed by admission control, "
+            "by tenant and binding limit.",
+        )
         self._lock = threading.Lock()
         self._global_outstanding = 0
         self._tenant_outstanding: dict[str, int] = {}
@@ -108,16 +117,9 @@ class AdmissionController:
                 self._tenant_outstanding[tenant] = tenant_outstanding + 1
                 reason = None
         if reason is None:
-            self.metrics.counter(
-                "repro_serving_admitted_total",
-                "Operations admitted past admission control, by tenant.",
-            ).inc(tenant=tenant)
+            self._admitted.inc(tenant=tenant)
         else:
-            self.metrics.counter(
-                "repro_serving_shed_total",
-                "Operations shed by admission control, "
-                "by tenant and binding limit.",
-            ).inc(tenant=tenant, reason=reason)
+            self._shed.inc(tenant=tenant, reason=reason)
         return reason
 
     def release(self, tenant: str) -> None:
@@ -142,15 +144,7 @@ class AdmissionController:
 
     def snapshot(self) -> dict:
         """Occupancy + decision counters, JSON-ready."""
-        admitted = self.metrics.counter(
-            "repro_serving_admitted_total",
-            "Operations admitted past admission control, by tenant.",
-        )
-        shed = self.metrics.counter(
-            "repro_serving_shed_total",
-            "Operations shed by admission control, "
-            "by tenant and binding limit.",
-        )
+        admitted, shed = self._admitted, self._shed
         with self._lock:
             tenants = sorted(self._tenants_seen)
         occupancy = self.occupancy()

@@ -11,13 +11,18 @@ runtime anyway: it records every statistics version it serves per
 tenant, and :meth:`QueryServer.isolation_report` cross-intersects
 them (the intersection must be empty).
 
-Request flow: ``submit`` passes admission control
+Request flow: an operation passes admission control
 (:class:`~repro.serving.admission.AdmissionController` — bounded
-per-tenant queue + global limit), then lands on a shared worker pool
-that drives prepare/execute through the tenant session's lock-striped
-plan cache. Shed requests raise :class:`ServerOverloaded` immediately;
-``serve`` wraps submit with deterministic exponential backoff so
-callers that prefer blocking semantics retry instead of failing.
+per-tenant queue + global limit), takes one of ``worker_threads``
+execution slots, and drives prepare/execute through the tenant
+session's lock-striped plan cache. ``serve`` does all of that on the
+calling thread — a blocking caller already owns one, and handing its
+work to a pool worker cost about three context switches per request
+(172 µs around a 78 µs cached prepare) for nothing. ``submit`` returns
+a future instead, so its operations run on a worker pool whose threads
+take the same slots: one bound on running operations, not two. Shed
+requests raise :class:`ServerOverloaded` immediately; ``serve`` backs
+off deterministically and retries instead of failing.
 
 Statistics hot-swap: :meth:`QueryServer.swap_statistics` attaches a
 new archive to a tenant's session *while that tenant is serving
@@ -34,7 +39,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.catalog import Database
 from repro.errors import ReproError
@@ -107,8 +112,9 @@ class ServedQuery:
     """One completed operation: result provenance + serving metadata."""
 
     tenant: str
-    #: Submit-to-completion wall time (queueing + planning + execution
-    #: + pacing), i.e. what a client of the server would observe.
+    #: Admission-to-completion wall time (waiting for an execution
+    #: slot + planning + execution), i.e. what a client of the server
+    #: would observe.
     latency_seconds: float
     plan_cached: bool
     statistics_version: int
@@ -143,7 +149,7 @@ class _Tenant:
 
 @dataclass
 class _Operation:
-    """One admitted unit of work, queued for the worker pool."""
+    """One admitted unit of work, waiting for an execution slot."""
 
     tenant: _Tenant
     query: str
@@ -152,18 +158,19 @@ class _Operation:
     execute: bool
     submitted_at: float
     version_floor: int
-    future: Future = field(default_factory=Future)
 
 
 class QueryServer:
-    """Admission-controlled, worker-pooled serving over N tenants.
+    """Admission-controlled serving over N tenants.
 
     Parameters
     ----------
     tenants:
         :class:`TenantSpec` per tenant (at least one; names unique).
     worker_threads:
-        Size of the shared executor pool driving prepare/execute.
+        Maximum number of operations running at once, whichever thread
+        runs them (``serve`` callers or the ``submit`` pool, which has
+        this many workers). Admission bounds queued *plus* running.
     admission:
         An :class:`AdmissionConfig` (a controller is built over the
         server registry) or a prebuilt :class:`AdmissionController`.
@@ -171,16 +178,6 @@ class QueryServer:
         Server-level registry (admission decisions, latency, staleness).
         Tenant *sessions* keep private registries — server metrics are
         about serving, session metrics are about planning.
-    service_time_floor / service_time_scale / service_time_cap:
-        When either knob is positive the worker sleeps
-        ``min(floor + simulated_seconds * scale, cap)`` after serving,
-        modeling the off-CPU service time a real engine spends waiting
-        on I/O (``floor`` is the constant per-operation share — result
-        streaming, round trips; ``scale`` converts the cost model's
-        simulated seconds into a data-dependent share). The sleep
-        releases the GIL, which is what lets the worker pool overlap
-        operations on a single core the way a real engine overlaps
-        I/O waits. Both default to 0 (no pacing).
     """
 
     def __init__(
@@ -190,9 +187,6 @@ class QueryServer:
         worker_threads: int = 4,
         admission: AdmissionConfig | AdmissionController | None = None,
         metrics: MetricsRegistry | None = None,
-        service_time_floor: float = 0.0,
-        service_time_scale: float = 0.0,
-        service_time_cap: float = 0.05,
     ) -> None:
         specs = list(tenants)
         if not specs:
@@ -212,9 +206,34 @@ class QueryServer:
                 admission or AdmissionConfig(), self.metrics
             )
         self.worker_threads = worker_threads
-        self.service_time_floor = service_time_floor
-        self.service_time_scale = service_time_scale
-        self.service_time_cap = service_time_cap
+        # Per-request metric handles, bound once: a registry lookup
+        # takes the registry lock.
+        self._retries = self.metrics.counter(
+            "repro_serving_retries_total",
+            "Resubmissions after an admission shed, by tenant.",
+        )
+        self._stale_served = self.metrics.counter(
+            "repro_serving_stale_served_total",
+            "Operations served below their tenant's statistics "
+            "version floor (must stay 0).",
+        )
+        self._latency = self.metrics.histogram(
+            "repro_serving_latency_seconds",
+            "Submit-to-completion latency of served operations.",
+            buckets=LATENCY_BUCKETS,
+        )
+        self._completed = self.metrics.counter(
+            "repro_serving_completed_total",
+            "Operations completed, by tenant and plan-cache outcome.",
+        )
+        self._errors = self.metrics.counter(
+            "repro_serving_errors_total",
+            "Operations that raised inside the worker, by tenant.",
+        )
+        self._swaps = self.metrics.counter(
+            "repro_serving_statistics_swaps_total",
+            "Statistics archives hot-swapped, by tenant.",
+        )
         self._tenants: dict[str, _Tenant] = {}
         for spec in specs:
             config = spec.config or SessionConfig()
@@ -232,11 +251,15 @@ class QueryServer:
                 version = session.attach_statistics(spec.statistics)
                 tenant.current_version = version
             self._tenants[spec.name] = tenant
+        # One bound on running operations: caller threads and pool
+        # workers alike hold a slot for the length of ``_run``.
+        self._slots = threading.BoundedSemaphore(worker_threads)
         self._pool = ThreadPoolExecutor(
             max_workers=worker_threads,
             thread_name_prefix="repro-serving",
         )
         self._closed = False
+        self._drained = False
 
     # ------------------------------------------------------------------
     # Submission
@@ -250,6 +273,40 @@ class QueryServer:
             )
         return tenant
 
+    def _admit(
+        self,
+        tenant: str,
+        query: str,
+        threshold: float | str | None,
+        policy: SelectionPolicy | float | str | None,
+        execute: bool,
+    ) -> _Operation:
+        """Pass admission control or raise; the caller owes a ``_run``."""
+        if self._closed:
+            raise ServingError("server is closed")
+        state = self._tenant(tenant)
+        reason = self.admission.try_admit(tenant)
+        if reason is not None:
+            raise ServerOverloaded(tenant, reason)
+        return _Operation(
+            tenant=state,
+            query=query,
+            threshold=threshold,
+            policy=policy,
+            execute=execute,
+            submitted_at=time.perf_counter(),
+            version_floor=state.current_version,
+        )
+
+    def _enqueue(self, op: _Operation) -> Future:
+        future: Future = Future()
+        try:
+            self._pool.submit(self._resolve, op, future)
+        except BaseException:
+            self.admission.release(op.tenant.name)
+            raise
+        return future
+
     def submit(
         self,
         tenant: str,
@@ -262,34 +319,18 @@ class QueryServer:
         """Admit and enqueue one operation; a future of
         :class:`ServedQuery`.
 
-        A per-operation ``policy`` (or legacy ``threshold``) overrides
-        the tenant session's default selection policy for this
-        statement only. Raises :class:`ServerOverloaded` immediately
-        when admission control sheds the request (per-tenant queue full
-        or global limit reached) — nothing is queued in that case. Use
+        The operation runs on a pool worker, which takes the same
+        execution slot a ``serve`` caller would. A per-operation
+        ``policy`` (or legacy ``threshold``) overrides the tenant
+        session's default selection policy for this statement only.
+        Raises :class:`ServerOverloaded` immediately when admission
+        control sheds the request (per-tenant queue full or global
+        limit reached) — nothing is queued in that case. Use
         :meth:`serve` for blocking shed-and-retry semantics.
         """
-        if self._closed:
-            raise ServingError("server is closed")
-        state = self._tenant(tenant)
-        reason = self.admission.try_admit(tenant)
-        if reason is not None:
-            raise ServerOverloaded(tenant, reason)
-        op = _Operation(
-            tenant=state,
-            query=query,
-            threshold=threshold,
-            policy=policy,
-            execute=execute,
-            submitted_at=time.perf_counter(),
-            version_floor=state.current_version,
+        return self._enqueue(
+            self._admit(tenant, query, threshold, policy, execute)
         )
-        try:
-            self._pool.submit(self._run, op)
-        except BaseException:
-            self.admission.release(tenant)
-            raise
-        return op.future
 
     def serve(
         self,
@@ -304,106 +345,83 @@ class QueryServer:
         backoff_cap: float = 0.05,
         timeout: float | None = None,
     ) -> ServedQuery:
-        """Blocking submit with shed-and-retry semantics.
+        """Admit and run one operation on the calling thread.
 
         On :class:`ServerOverloaded`, backs off deterministically
-        (exponential, capped at ``backoff_cap``) and resubmits, up to
+        (exponential, capped at ``backoff_cap``) and tries again, up to
         ``max_retries`` times; the final shed propagates. Retries are
-        counted in ``repro_serving_retries_total``.
+        counted in ``repro_serving_retries_total``. With a ``timeout``
+        the operation goes through the pool instead, because the caller
+        must be able to walk away from it.
         """
         attempt = 0
         while True:
             try:
-                future = self.submit(
-                    tenant,
-                    query,
-                    threshold=threshold,
-                    policy=policy,
-                    execute=execute,
-                )
+                op = self._admit(tenant, query, threshold, policy, execute)
             except ServerOverloaded:
                 if attempt >= max_retries:
                     raise
-                self.metrics.counter(
-                    "repro_serving_retries_total",
-                    "Resubmissions after an admission shed, by tenant.",
-                ).inc(tenant=tenant)
+                self._retries.inc(tenant=tenant)
                 time.sleep(min(backoff_seconds * (2 ** attempt), backoff_cap))
                 attempt += 1
                 continue
-            return future.result(timeout=timeout)
+            if timeout is None:
+                return self._run(op)
+            return self._enqueue(op).result(timeout=timeout)
 
     # ------------------------------------------------------------------
-    # Worker
+    # Execution
     # ------------------------------------------------------------------
-    def _run(self, op: _Operation) -> None:
+    def _resolve(self, op: _Operation, future: Future) -> None:
+        try:
+            future.set_result(self._run(op))
+        except BaseException as exc:
+            future.set_exception(exc)
+
+    def _run(self, op: _Operation) -> ServedQuery:
+        """Run one admitted operation on this thread, inside a slot."""
         tenant = op.tenant
         try:
-            prepared = tenant.session.prepare(
-                op.query, op.threshold, policy=op.policy
-            )
-            if op.execute:
-                result = prepared.execute()
-                rows = result.num_rows
-                simulated = result.simulated_seconds
-                plan_cached = result.plan_cached
-                served_version = result.prepared.statistics_version
-                degraded = result.prepared.degraded_reason
-            else:
-                rows = None
-                simulated = 0.0
-                plan_cached = prepared.from_cache
+            with self._slots:
+                if self._drained:
+                    # Admitted before close(), reached a slot after it.
+                    raise ServingError("server is closed")
+                prepared = tenant.session.prepare(
+                    op.query, op.threshold, policy=op.policy
+                )
+                if op.execute:
+                    result = prepared.execute()
+                    rows = result.num_rows
+                    simulated = result.simulated_seconds
+                else:
+                    rows = None
+                    simulated = 0.0
                 served_version = prepared.statistics_version
-                degraded = prepared.degraded_reason
-            pace = (
-                self.service_time_floor
-                + simulated * self.service_time_scale
-            )
-            if pace > 0.0:
-                # Model the off-CPU (I/O) share of service time; sleep
-                # releases the GIL, so the pool overlaps operations the
-                # way a real engine overlaps I/O waits.
-                time.sleep(min(pace, self.service_time_cap))
-            stale = served_version < op.version_floor
-            with tenant.lock:
-                tenant.served_versions.add(served_version)
-            if stale:
-                self.metrics.counter(
-                    "repro_serving_stale_served_total",
-                    "Operations served below their tenant's statistics "
-                    "version floor (must stay 0).",
-                ).inc(tenant=tenant.name)
-            latency = time.perf_counter() - op.submitted_at
-            self.metrics.histogram(
-                "repro_serving_latency_seconds",
-                "Submit-to-completion latency of served operations.",
-                buckets=LATENCY_BUCKETS,
-            ).observe(latency, tenant=tenant.name)
-            self.metrics.counter(
-                "repro_serving_completed_total",
-                "Operations completed, by tenant and plan-cache outcome.",
-            ).inc(
-                tenant=tenant.name,
-                cache="hit" if plan_cached else "miss",
-            )
-            op.future.set_result(
-                ServedQuery(
+                stale = served_version < op.version_floor
+                if served_version not in tenant.served_versions:
+                    with tenant.lock:
+                        tenant.served_versions.add(served_version)
+                if stale:
+                    self._stale_served.inc(tenant=tenant.name)
+                latency = time.perf_counter() - op.submitted_at
+                self._latency.observe(latency, tenant=tenant.name)
+                self._completed.inc(
+                    tenant=tenant.name,
+                    cache="hit" if prepared.from_cache else "miss",
+                )
+                return ServedQuery(
                     tenant=tenant.name,
                     latency_seconds=latency,
-                    plan_cached=plan_cached,
+                    plan_cached=prepared.from_cache,
                     statistics_version=served_version,
-                    degraded_reason=degraded,
+                    degraded_reason=prepared.degraded_reason,
                     rows=rows,
                     simulated_seconds=simulated,
                     stale=stale,
                 )
-            )
-        except BaseException as exc:
-            self.metrics.counter(
-                "repro_serving_errors_total",
-                "Operations that raised inside the worker, by tenant.",
-            ).inc(tenant=tenant.name)
-            op.future.set_exception(exc)
+        except BaseException:
+            self._errors.inc(tenant=tenant.name)
+            raise
         finally:
             self.admission.release(tenant.name)
 
@@ -417,7 +435,7 @@ class QueryServer:
 
         Delegates to the session's atomic attach, then raises the
         tenant's version floor: operations submitted *after* the swap
-        must be served at (at least) the new version, and the worker
+        must be served at (at least) the new version, and ``_run``
         counts any violation in ``repro_serving_stale_served_total``.
         Operations already in flight legitimately finish under the old
         snapshot — their floor was captured at submit time.
@@ -426,10 +444,7 @@ class QueryServer:
         with state.lock:
             version = state.session.attach_statistics(source)
             state.current_version = version
-        self.metrics.counter(
-            "repro_serving_statistics_swaps_total",
-            "Statistics archives hot-swapped, by tenant.",
-        ).inc(tenant=tenant)
+        self._swaps.inc(tenant=tenant)
         return version
 
     # ------------------------------------------------------------------
@@ -518,16 +533,12 @@ class QueryServer:
                 if feedback is not None
                 else None,
             }
-        stale = self.metrics.counter(
-            "repro_serving_stale_served_total",
-            "Operations served below their tenant's statistics "
-            "version floor (must stay 0).",
-        )
         return {
             "worker_threads": self.worker_threads,
             "admission": self.admission.snapshot(),
             "stale_served": sum(
-                stale.value(tenant=name) for name in self._tenants
+                self._stale_served.value(tenant=name)
+                for name in self._tenants
             ),
             "isolation": self.isolation_report(),
             "feedback_isolation": self.feedback_isolation_report(),
@@ -538,13 +549,24 @@ class QueryServer:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drain the pool and close every tenant session."""
+        """Refuse new operations, wait for the ones in flight, and
+        close every tenant session."""
         if self._closed:
             return
         self._closed = True
         self._pool.shutdown(wait=True)
-        for tenant in self._tenants.values():
-            tenant.session.close()
+        # Every running operation holds a slot, on whichever thread:
+        # owning all of them means none is left inside a session, and
+        # one admitted earlier that gets a slot later sees ``_drained``.
+        for _ in range(self.worker_threads):
+            self._slots.acquire()
+        self._drained = True
+        try:
+            for tenant in self._tenants.values():
+                tenant.session.close()
+        finally:
+            for _ in range(self.worker_threads):
+                self._slots.release()
 
     def __enter__(self) -> "QueryServer":
         return self

@@ -447,5 +447,6 @@ class TestServeBench:
         )
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "cached-prepare scaling (paced):" in out
+        assert "cached-prepare scaling (raw, clients = workers):" in out
+        assert "paced" not in out
         assert "1->8 speedup:" in out

@@ -172,8 +172,31 @@ class TestQuantileTable:
 
     def test_rows_monotone_in_k_and_threshold(self):
         table = quantile_table(50, JEFFREYS, self.GRID)
-        assert (np.diff(table.table, axis=0) > 0).all()  # more hits, more rows
-        assert (np.diff(table.table, axis=1) > 0).all()  # higher T, more rows
+        rows = np.array([table.row(k) for k in range(51)])
+        assert (np.diff(rows, axis=0) > 0).all()  # more hits, more rows
+        assert (np.diff(rows, axis=1) > 0).all()  # higher T, more rows
+
+    def test_rows_are_lazy_and_equal_the_eager_table(self):
+        """A never-seen grid materializes only the rows touched, and
+        each equals the whole-table ``betaincinv`` bit for bit."""
+        from scipy import special
+
+        n, grid = 500, tuple(np.linspace(0.013, 0.987, 32))
+        table = BetaQuantileTable(n, JEFFREYS, grid)
+        assert table._rows == {}
+        touched = (0, 3, 17, 250, 499, 500)
+        for k in touched:
+            table.row(k)
+        assert sorted(table._rows) == list(touched)
+        assert table.row(17) is table.row(17)
+        k = np.arange(n + 1, dtype=float)
+        eager = special.betaincinv(
+            (k + JEFFREYS.alpha)[:, None],
+            (n - k + JEFFREYS.beta)[:, None],
+            np.asarray(grid)[None, :],
+        )
+        for count in range(n + 1):
+            assert np.array_equal(table.row(count), eager[count])
 
     def test_cache_returns_same_object(self):
         a = quantile_table(64, JEFFREYS, (0.2, 0.8))

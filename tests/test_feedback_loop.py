@@ -330,7 +330,7 @@ class TestHarvestDeterminism:
         record["template"] = "join"
         record["seed"] = 0
         store = FeedbackStore()
-        query = session._coerce_query(JOIN)
+        query, _ = session._coerce_query(JOIN)
         count = harvest_traces(
             store, [record], query_for=lambda r: query
         )

@@ -220,9 +220,6 @@ class TestServingSignatures:
             ("worker_threads", "KEYWORD_ONLY", True),
             ("admission", "KEYWORD_ONLY", True),
             ("metrics", "KEYWORD_ONLY", True),
-            ("service_time_floor", "KEYWORD_ONLY", True),
-            ("service_time_scale", "KEYWORD_ONLY", True),
-            ("service_time_cap", "KEYWORD_ONLY", True),
         ]
 
     def test_submit(self):

@@ -11,6 +11,7 @@ The edge-case contract the PARQO arm pins down:
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -112,6 +113,30 @@ class TestPenaltySummary:
         assert [row["mean"] for row in out] == [2.0, 1.0]
         assert out[0]["max"] == 4.0
         assert set(out[1]) == {"mean", "p50", "p90", "max"}
+
+    def test_matches_per_row_percentiles(self):
+        rng = np.random.default_rng(3)
+        penalties = penalty_matrix(rng.random((7, 32)))
+        for row, summary in zip(penalties, penalty_summary(penalties)):
+            assert summary == {
+                "mean": float(row.mean()),
+                "p50": float(np.percentile(row, 50)),
+                "p90": float(np.percentile(row, 90)),
+                "max": float(row.max()),
+            }
+
+    def test_infinite_penalties_stay_infinite_without_warnings(self):
+        inf = np.inf
+        penalties = np.array(
+            [[inf, inf, inf, inf], [0.0, 0.0, 0.0, inf], [0.0, 1.0, 2.0, 3.0]]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            all_inf, mixed, finite = penalty_summary(penalties)
+        assert all_inf == {"mean": inf, "p50": inf, "p90": inf, "max": inf}
+        # The median sample is finite; the 90th percentile reaches inf.
+        assert mixed == {"mean": inf, "p50": 0.0, "p90": inf, "max": inf}
+        assert finite == {"mean": 1.5, "p50": 1.5, "p90": 2.7, "max": 3.0}
 
 
 class TestOptimizePenalty:

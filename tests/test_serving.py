@@ -1,8 +1,9 @@
 """Tests for the multi-tenant serving layer.
 
 Covers admission control (both limits, shed reasons, release pairing),
-the worker-pool server (submit/serve semantics, metrics, retry
-backoff), the seeded load generator (deterministic schedules,
+the server (caller-thread ``serve`` and pooled ``submit`` semantics, the
+shared execution-slot bound, metrics, retry backoff, close), the seeded
+load generator (deterministic schedules,
 percentile accounting), and the headline concurrency claim: archives
 hot-swapped into tenants *under live load* never produce a stale
 serving or a cross-tenant plan — asserted from the server's own
@@ -10,6 +11,8 @@ runtime evidence (version ledgers + stale counter), not from code
 inspection.
 """
 
+import dataclasses
+import sys
 import threading
 import time
 
@@ -59,6 +62,32 @@ def tenant_specs(tenant_dbs):
 def make_server(tenant_specs, **kwargs):
     kwargs.setdefault("worker_threads", 2)
     return QueryServer(tenant_specs, **kwargs)
+
+
+def gate_prepares(server, tenant, until_shed=False):
+    """Hold every prepare of ``tenant`` — and with it an execution slot
+    — at the returned event. ``until_shed`` opens it at the first shed.
+    """
+    gate = threading.Event()
+    session = server.session(tenant)
+    prepare = session.prepare
+
+    def gated_prepare(*args, **kwargs):
+        assert gate.wait(timeout=10), "gate never opened"
+        return prepare(*args, **kwargs)
+
+    session.prepare = gated_prepare
+    if until_shed:
+        try_admit = server.admission.try_admit
+
+        def observed_admit(name):
+            reason = try_admit(name)
+            if reason is not None:
+                gate.set()
+            return reason
+
+        server.admission.try_admit = observed_admit
+    return gate
 
 
 # ----------------------------------------------------------------------
@@ -201,9 +230,9 @@ class TestQueryServer:
             tenant_specs,
             worker_threads=1,
             admission=AdmissionConfig(global_limit=2, tenant_queue_depth=2),
-            service_time_floor=0.05,
         )
         with server:
+            gate = gate_prepares(server, "tenant-0")
             first = server.submit("tenant-0", QUERY, execute=False)
             second = server.submit("tenant-0", QUERY, execute=False)
             with pytest.raises(ServerOverloaded) as excinfo:
@@ -216,6 +245,7 @@ class TestQueryServer:
                 "by tenant and binding limit.",
             )
             assert shed.value(tenant="tenant-0", reason=SHED_TENANT) == 1
+            gate.set()
             assert first.result(timeout=5).tenant == "tenant-0"
             assert second.result(timeout=5).tenant == "tenant-0"
 
@@ -224,9 +254,11 @@ class TestQueryServer:
             tenant_specs,
             worker_threads=1,
             admission=AdmissionConfig(global_limit=1, tenant_queue_depth=1),
-            service_time_floor=0.005,
         )
         with server:
+            # The first client in holds the only slot until another
+            # has been shed.
+            gate_prepares(server, "tenant-0", until_shed=True)
             results = []
             errors = []
 
@@ -285,6 +317,199 @@ class TestQueryServer:
             assert tenant["statistics_version"] > 0
             assert tenant["health"] == "healthy"
             assert "hit_rate" in tenant["plan_cache"]
+
+
+# ----------------------------------------------------------------------
+# Caller-thread serving: one slot bound shared with the submit pool
+# ----------------------------------------------------------------------
+def reply_fields(served):
+    fields = dataclasses.asdict(served)
+    del fields["latency_seconds"]
+    return fields
+
+
+class TestCallerThreadServing:
+    def test_serve_runs_on_the_caller_submit_on_the_pool(self, tenant_specs):
+        with make_server(tenant_specs) as server:
+            session = server.session("tenant-0")
+            prepare = session.prepare
+            ran_on = []
+
+            def recording_prepare(*args, **kwargs):
+                ran_on.append(threading.current_thread())
+                return prepare(*args, **kwargs)
+
+            session.prepare = recording_prepare
+            server.serve("tenant-0", QUERY)
+            server.submit("tenant-0", QUERY).result(timeout=5)
+            server.serve("tenant-0", QUERY, timeout=5)
+            assert ran_on[0] is threading.current_thread()
+            assert ran_on[1].name.startswith("repro-serving")
+            assert ran_on[2].name.startswith("repro-serving")
+
+    def test_serve_and_submit_reply_alike(self, tenant_specs):
+        statements = list(QUERY_BATTERY.values())
+        with make_server(tenant_specs) as server:
+            for sql in statements:
+                server.serve("tenant-0", sql)
+            for index, sql in enumerate(statements):
+                execute = bool(index % 2)
+                direct = server.serve("tenant-0", sql, execute=execute)
+                pooled = server.submit(
+                    "tenant-0", sql, execute=execute
+                ).result(timeout=5)
+                assert reply_fields(direct) == reply_fields(pooled)
+                assert direct.plan_cached
+                assert (direct.rows is not None) == execute
+
+    def test_at_most_worker_threads_operations_run_at_once(
+        self, tenant_specs
+    ):
+        """6 threads (4 on ``serve``, 2 on ``submit``) into 2 slots."""
+        running = peak = 0
+        counter = threading.Lock()
+        errors = []
+
+        def instrument(session):
+            prepare = session.prepare
+
+            def counted_prepare(*args, **kwargs):
+                nonlocal running, peak
+                with counter:
+                    running += 1
+                    peak = max(peak, running)
+                try:
+                    time.sleep(0.001)  # widen the overlap window
+                    return prepare(*args, **kwargs)
+                finally:
+                    with counter:
+                        running -= 1
+
+            session.prepare = counted_prepare
+
+        def client(server, index):
+            tenant = f"tenant-{index % 2}"
+            try:
+                for _ in range(15):
+                    if index < 4:
+                        server.serve(tenant, QUERY, execute=False)
+                    else:
+                        server.submit(
+                            tenant, QUERY, execute=False
+                        ).result(timeout=10)
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with make_server(tenant_specs, worker_threads=2) as server:
+                for name in server.tenant_names:
+                    instrument(server.session(name))
+                threads = [
+                    threading.Thread(target=client, args=(server, i))
+                    for i in range(6)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert server.admission.occupancy()["global"] == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert peak == 2  # reached the bound, never passed it
+
+    def test_caller_thread_error_releases_admission_and_slot(
+        self, tenant_specs
+    ):
+        with make_server(tenant_specs, worker_threads=1) as server:
+            with pytest.raises(Exception, match="nowhere"):
+                server.serve("tenant-0", "SELECT nope FROM nowhere")
+            errors = server.metrics.counter(
+                "repro_serving_errors_total",
+                "Operations that raised inside the worker, by tenant.",
+            )
+            assert errors.value(tenant="tenant-0") == 1
+            assert server.admission.occupancy() == {
+                "global": 0, "tenants": {"tenant-0": 0},
+            }
+            # A leaked slot (there is only one) would hang both of these;
+            # the pooled one would time out.
+            assert server.serve("tenant-0", QUERY, timeout=5).rows == 1
+            assert server.serve("tenant-0", QUERY).rows == 1
+
+    def test_close_waits_for_caller_thread_operations(self, tenant_specs):
+        server = make_server(tenant_specs)
+        session = server.session("tenant-0")
+        prepare = session.prepare
+        entered = threading.Event()
+        gate = threading.Event()
+
+        def gated_prepare(*args, **kwargs):
+            entered.set()
+            assert gate.wait(timeout=10), "gate never opened"
+            return prepare(*args, **kwargs)
+
+        session.prepare = gated_prepare
+        replies = []
+        client = threading.Thread(
+            target=lambda: replies.append(server.serve("tenant-0", QUERY))
+        )
+        client.start()
+        assert entered.wait(timeout=5)
+        closer = threading.Thread(target=server.close)
+        closer.start()
+        closer.join(timeout=0.2)
+        assert closer.is_alive()  # an operation is still in flight
+        gate.set()
+        client.join(timeout=10)
+        closer.join(timeout=10)
+        assert not client.is_alive() and not closer.is_alive()
+        # The session was still open while the operation ran.
+        assert [reply.rows for reply in replies] == [1]
+        with pytest.raises(ServingError, match="closed"):
+            server.serve("tenant-0", QUERY)
+        with pytest.raises(ServingError, match="closed"):
+            server.submit("tenant-0", QUERY)
+
+    def test_admitted_before_close_is_refused_after_it(self, tenant_specs):
+        server = make_server(tenant_specs)
+        # Admitted, but close() wins the race to the execution slots.
+        op = server._admit("tenant-0", QUERY, None, None, True)
+        server.close()
+        with pytest.raises(ServingError, match="closed"):
+            server._run(op)
+        assert server.admission.occupancy()["global"] == 0
+
+    def test_warm_statement_is_fingerprinted_once(
+        self, tenant_specs, monkeypatch
+    ):
+        import repro.service.session as session_module
+        from repro.sql import parse_query
+
+        calls = []
+        fingerprint = session_module.query_fingerprint
+
+        def counting(query):
+            calls.append(query)
+            return fingerprint(query)
+
+        monkeypatch.setattr(session_module, "query_fingerprint", counting)
+        statements = list(QUERY_BATTERY.values())[:3]
+        with make_server(tenant_specs) as server:
+            for _ in range(5):
+                for sql in statements:
+                    server.serve("tenant-0", sql, execute=False)
+            assert len(calls) == len(statements)
+            # An SPJQuery handed in directly is memoized the same way.
+            session = server.session("tenant-0")
+            query = parse_query(QUERY, session.database)
+            handles = [session.prepare(query) for _ in range(4)]
+            assert len(calls) == len(statements) + 1
+            assert len({handle.fingerprint for handle in handles}) == 1
+            assert handles[0].fingerprint == fingerprint(query)
 
 
 # ----------------------------------------------------------------------
