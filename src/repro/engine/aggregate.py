@@ -124,12 +124,14 @@ class HashAggregate(PhysicalOperator):
             name: array[starts] for name, array in zip(self.group_by, sorted_keys)
         }
         for spec in self.aggregates:
-            values = self._agg_input(frame, spec)[order]
-            # Vectorized per-group reduction where it is exactness-
-            # preserving (counts, min/max, integer sums); the kernel
-            # returns None for the float-summation cases, which keep
-            # the reference per-group loop so results stay bit-
-            # identical to the historical path.
+            # ``count`` reads the group extents only: no input column,
+            # no gather. The kernel reduces every group in a few numpy
+            # calls wherever that is bit-identical to reducing each
+            # slice on its own, and returns None for the rest (``avg``
+            # over integers), which keeps the reference per-group loop.
+            values = (
+                None if spec.func == "count" else self._agg_input(frame, spec)[order]
+            )
             aggregated = kernels.grouped_aggregate(spec.func, values, starts, ends)
             if aggregated is None:
                 func = _AGG_FUNCS[spec.func]

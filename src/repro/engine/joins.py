@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine import kernels
 from repro.engine.base import PhysicalOperator
 from repro.engine.context import ExecutionContext
 from repro.engine.joinutil import match_keys
 from repro.errors import ExecutionError
 from repro.expressions import Expr, Frame
+from repro.indexes.sorted_index import expand_runs
 
 
 class HashJoin(PhysicalOperator):
@@ -150,7 +152,7 @@ class NonEquiJoin(PhysicalOperator):
 
         from repro.engine.sort import sort_work
 
-        order = np.argsort(right_values, kind="stable")
+        order = kernels.stable_order(right_values)
         sorted_right = right_values[order]
         ctx.counters.sort_comparisons += sort_work(n_right)
         ctx.counters.cpu_rows += n_left
@@ -167,13 +169,9 @@ class NonEquiJoin(PhysicalOperator):
             else np.searchsorted(sorted_right, left_values, side=end_side)
         )
         counts = np.maximum(ends - starts, 0)
-        total = int(counts.sum())
-        ctx.counters.interval_pairs += total
-
         left_idx = np.repeat(np.arange(n_left), counts)
-        # position of each pair within its left row's run: 0..count-1
-        offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        right_idx = order[np.repeat(starts, counts) + offsets]
+        right_idx = order[expand_runs(starts, counts)]
+        ctx.counters.interval_pairs += len(right_idx)
 
         result = left_frame.take(left_idx).merged_with(right_frame.take(right_idx))
         if self.residual is not None:
@@ -191,8 +189,10 @@ class IndexedNLJoin(PhysicalOperator):
     """For each outer row, probe a sorted index on the inner table.
 
     The risky join: one index lookup per outer row and one random I/O
-    per matching inner row (the inner index is nonclustered). An
-    optional residual predicate filters the joined rows.
+    per matching inner row (the inner index is nonclustered). The
+    probes go to the index ``create_index`` built — O(outer · log inner
+    + matches), as costed. An optional residual predicate filters the
+    joined rows.
     """
 
     def __init__(
@@ -223,8 +223,7 @@ class IndexedNLJoin(PhysicalOperator):
         outer_keys = outer_frame.column(self.outer_key)
         ctx.counters.index_lookups += len(outer_keys)
 
-        inner_column_values = inner.column(self.inner_column)
-        outer_idx, inner_idx = match_keys(outer_keys, inner_column_values)
+        outer_idx, inner_idx = index.match_many(outer_keys)
         ctx.counters.index_entries += len(inner_idx)
 
         clustered = ctx.database.clustering_column(self.inner_table) == self.inner_column
@@ -233,9 +232,7 @@ class IndexedNLJoin(PhysicalOperator):
         else:
             ctx.counters.random_ios += len(inner_idx)
 
-        inner_frame = Frame.from_table_rows(
-            inner, np.asarray(inner_idx), lazy=ctx.lazy_frames
-        )
+        inner_frame = Frame.from_table_rows(inner, inner_idx, lazy=ctx.lazy_frames)
         result = outer_frame.take(outer_idx).merged_with(inner_frame)
         if self.residual is not None:
             ctx.counters.cpu_rows += result.num_rows

@@ -24,8 +24,9 @@ Exactness contract: every kernel pair is bit-identical on the dtypes
 the engine produces. Where a faster formulation would change float
 rounding (e.g. ``np.add.reduceat`` accumulates sequentially while
 ``np.sum`` uses pairwise summation), the fast path is restricted to
-the exact cases (counts, min/max, integer sums) and the rest falls
-back to the reference implementation. The test suite asserts the
+the exact cases (counts, min/max, integer sums; float sums batched by
+group length, which keeps the pairwise order) and the rest falls back
+to the reference implementation. The test suite asserts the
 equivalence for every kernel.
 """
 
@@ -37,6 +38,7 @@ import os
 import numpy as np
 
 from repro.errors import ReproError
+from repro.indexes.sorted_index import expand_runs
 
 try:  # pragma: no cover - exercised only where numba is installed
     import numba
@@ -127,9 +129,14 @@ def stable_order(keys: np.ndarray) -> np.ndarray:
     for int64 — O(n log n), and the dominant cost of group-by at paper
     scale. Integer keys whose span fits two uint16 digits are LSD
     radix sorted here instead (measured ~3-6x faster at millions of
-    rows); everything else uses ``np.argsort(kind="stable")``.
+    rows); everything else uses ``np.argsort(kind="stable")``. Integer
+    keys already non-decreasing — clustered join inputs, group-bys over
+    sorted keys — are their own stable order: one comparison pass finds
+    that out and the sort is skipped.
     """
     if len(keys) > 1 and keys.dtype.kind in ("i", "u"):
+        if not (keys[1:] < keys[:-1]).any():
+            return np.arange(len(keys), dtype=np.intp)
         lo = keys.min()
         span = int(keys.max()) - int(lo)
         if span < 2**16:
@@ -180,24 +187,10 @@ def match_keys_numpy(
 
     order = stable_order(right_keys)
     sorted_right = right_keys[order]
-
     lo = np.searchsorted(sorted_right, left_keys, side="left")
-    hi = np.searchsorted(sorted_right, left_keys, side="right")
-    counts = hi - lo
-
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-
+    counts = np.searchsorted(sorted_right, left_keys, side="right") - lo
     left_idx = np.repeat(np.arange(len(left_keys), dtype=np.int64), counts)
-    # For each match, its offset within the left row's run of matches:
-    # arange(total) minus the (repeated) start of the run.
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-    right_sorted_pos = np.repeat(lo.astype(np.int64), counts) + within
-    right_idx = order[right_sorted_pos]
-    return left_idx, right_idx
+    return left_idx, order[expand_runs(lo, counts)]
 
 
 if numba is not None:  # pragma: no cover - requires numba
@@ -446,20 +439,19 @@ def eval_between(values: np.ndarray, low, high) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def grouped_aggregate(
-    func: str, values: np.ndarray, starts: np.ndarray, ends: np.ndarray
+    func: str, values: np.ndarray | None, starts: np.ndarray, ends: np.ndarray
 ) -> np.ndarray | None:
     """Vectorized per-group reduction over contiguous, covering groups.
 
     ``starts``/``ends`` describe adjacent non-empty slices partitioning
     ``values`` (the layout :class:`~repro.engine.aggregate.HashAggregate`
     produces after its group sort), so ``ufunc.reduceat(values, starts)``
-    reduces exactly slice ``[starts[i], ends[i])``.
+    reduces exactly slice ``[starts[i], ends[i])``. ``count`` reads the
+    extents only, so its ``values`` may be ``None``.
 
-    Returns ``None`` when no exactness-preserving fast path exists —
-    float sums and means accumulate in a different association order
-    under ``reduceat`` than under ``np.sum``'s pairwise summation, so
-    those stay on the reference per-group loop to keep results
-    bit-identical.
+    Returns ``None`` when no exactness-preserving fast path exists:
+    ``avg`` over integers, whose cast to float64 numpy sums in buffer-
+    sized chunks, stays on the reference per-group loop.
     """
     n_groups = len(starts)
     if n_groups == 0:
@@ -474,7 +466,41 @@ def grouped_aggregate(
         # Integer addition is associative (modulo the same int64
         # wraparound on both paths), so reduceat is exact here.
         return np.add.reduceat(values, starts).astype(np.float64)
+    if func in ("sum", "avg") and values.dtype.kind == "f":
+        return _grouped_float_reduce(func == "avg", values, starts, ends)
     return None
+
+
+#: Fewest groups of one length worth gathering into a block; rarer
+#: lengths are reduced one slice at a time (same result either way).
+_MIN_BLOCK_GROUPS = 4
+
+
+def _grouped_float_reduce(
+    mean: bool, values: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """Per-group float ``sum``/``mean``, batched by group length.
+
+    ``np.add.reduceat`` adds left to right where ``np.sum`` adds
+    pairwise, so it would change the low bits. Reducing a C-contiguous
+    ``(g, L)`` block along its rows runs ``np.sum``'s pairwise order
+    over each row, so groups of equal length are gathered into one
+    block and reduced in one call, bit-identical to the per-group loop.
+    """
+    reduce = np.ndarray.mean if mean else np.ndarray.sum
+    lengths = ends - starts
+    by_length = stable_order(lengths)
+    sorted_lengths = lengths[by_length]
+    cuts = np.flatnonzero(sorted_lengths[1:] != sorted_lengths[:-1]) + 1
+    out = np.empty(len(starts), dtype=np.float64)
+    for groups in np.split(by_length, cuts):
+        if len(groups) < _MIN_BLOCK_GROUPS:
+            for group in groups:
+                out[group] = reduce(values[starts[group] : ends[group]])
+        else:
+            within = np.arange(lengths[groups[0]])
+            out[groups] = reduce(values[starts[groups][:, None] + within], axis=1)
+    return out
 
 
 #: Hard cap on the bincount table for sort-free grouped counting

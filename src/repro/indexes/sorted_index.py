@@ -13,6 +13,17 @@ import numpy as np
 from repro.errors import IndexError_
 
 
+def expand_runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Positions ``starts[i] .. starts[i] + counts[i] - 1`` for every
+    ``i``, concatenated: each probe's run of sorted matches laid end to
+    end. The one run expansion behind every searchsorted-based join.
+    """
+    run_begin = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(
+        starts - run_begin, counts
+    )
+
+
 class SortedIndex:
     """Index over one column supporting equality and range lookup.
 
@@ -82,24 +93,29 @@ class SortedIndex:
             hi = int(np.searchsorted(self._keys, high, side=side))
         return max(0, hi - lo)
 
+    def match_many(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Equi-match probe ``values`` against the index (vectorized).
+
+        Returns ``(probe_idx, rids)``, pairs grouped by probe position
+        and each probe's RIDs ascending: element for element what
+        :func:`repro.engine.kernels.match_keys` returns for ``values``
+        against the indexed column, without sorting the column again.
+        """
+        if not len(values):
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        lo = np.searchsorted(self._keys, values, side="left")
+        counts = np.searchsorted(self._keys, values, side="right") - lo
+        probe_idx = np.repeat(np.arange(len(values), dtype=np.int64), counts)
+        return probe_idx, self._rids[expand_runs(lo, counts)]
+
     def lookup_many_eq(self, values: np.ndarray) -> np.ndarray:
         """Concatenated RIDs for every key in ``values`` (vectorized).
 
         Equivalent to concatenating :meth:`lookup_eq` over ``values``;
         used by semijoin plans that probe one index with many keys.
         """
-        if not len(values):
-            return np.empty(0, dtype=np.int64)
-        lo = np.searchsorted(self._keys, values, side="left")
-        hi = np.searchsorted(self._keys, values, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-        positions = np.repeat(lo.astype(np.int64), counts) + within
-        return self._rids[positions]
+        return self.match_many(values)[1]
 
     def min_key(self):
         """Smallest indexed key (raises on an empty index)."""

@@ -11,8 +11,9 @@ from repro.engine import (
     Project,
     SeqScan,
 )
+from repro.engine.base import PhysicalOperator
 from repro.errors import ExecutionError
-from repro.expressions import col
+from repro.expressions import Frame, col
 
 from tests.conftest import make_two_table_db
 
@@ -97,6 +98,32 @@ class TestGroupedAggregates:
         frame = plan.execute(ExecutionContext(db))
         total = db.table("lineitem").column("l_quantity").sum()
         assert frame.column("q").sum() == pytest.approx(total)
+
+    def test_float_sum_and_avg_bit_identical_to_one_reduction_per_group(self):
+        """Inexact float sums over unsorted keys with repeated group
+        sizes: the batched reduction equals ``np.sum`` per group."""
+        rng = np.random.default_rng(3)
+        keys = rng.permutation(np.repeat(np.arange(300), rng.integers(1, 12, 300)))
+        amounts = rng.uniform(0, 1e5, len(keys)) / 7
+
+        class Rows(PhysicalOperator):
+            def execute(self, ctx):
+                return Frame({"t.k": keys, "t.amount": amounts})
+
+        aggregates = [
+            AggregateSpec("sum", "t.amount", "total"),
+            AggregateSpec("avg", "t.amount", "mean"),
+            AggregateSpec("count", "*", "n"),
+            AggregateSpec("count", "t.amount", "n_amount"),
+        ]
+        plan = HashAggregate(Rows(), aggregates, group_by=["t.k"])
+        frame = plan.execute(ExecutionContext(make_two_table_db(5, 5)))
+        np.testing.assert_array_equal(frame.column("t.k"), np.arange(300))
+        groups = [amounts[keys == key] for key in range(300)]
+        assert np.array_equal(frame.column("total"), [float(g.sum()) for g in groups])
+        assert np.array_equal(frame.column("mean"), [float(g.mean()) for g in groups])
+        assert np.array_equal(frame.column("n"), [float(len(g)) for g in groups])
+        assert np.array_equal(frame.column("n"), frame.column("n_amount"))
 
     def test_multi_column_group(self, db):
         plan = HashAggregate(

@@ -12,7 +12,7 @@ from repro.engine import (
 )
 from repro.engine.joinutil import match_keys, semijoin_mask
 from repro.errors import ExecutionError
-from repro.expressions import col
+from repro.expressions import Frame, col
 
 from tests.conftest import make_two_table_db
 
@@ -175,6 +175,51 @@ class TestIndexedNLJoin:
         assert frame.num_rows == 10
         assert ctx.counters.random_ios == 0
         assert ctx.counters.seq_pages >= 1
+
+    @pytest.mark.parametrize("inner_column", ["l_partkey", "l_id"])
+    @pytest.mark.parametrize(
+        "residual", [None, col("lineitem.l_quantity") > 25], ids=["plain", "residual"]
+    )
+    def test_index_probe_equals_match_keys_over_inner_column(
+        self, db, inner_column, residual
+    ):
+        """Probing the prebuilt index returns the rows, the row order
+        and the work counters of matching against the whole inner column
+        (non-clustered ``l_partkey`` with duplicate keys; clustered
+        ``l_id``)."""
+        outer = SeqScan("part", col("part.p_size") <= 30)
+        inl = IndexedNLJoin(
+            outer, "lineitem", "part.p_partkey", inner_column, residual
+        )
+        ctx = ExecutionContext(db)
+        frame = inl.execute(ctx)
+
+        expected_ctx = ExecutionContext(db)
+        outer_frame = outer.execute(expected_ctx)
+        inner = db.table("lineitem")
+        outer_idx, inner_idx = match_keys(
+            outer_frame.column("part.p_partkey"), inner.column(inner_column)
+        )
+        counters = expected_ctx.counters
+        counters.index_lookups += outer_frame.num_rows
+        counters.index_entries += len(inner_idx)
+        if inner_column == "l_id":
+            counters.seq_pages += -(-len(inner_idx) // inner.rows_per_page)
+        else:
+            counters.random_ios += len(inner_idx)
+        expected = outer_frame.take(outer_idx).merged_with(
+            Frame.from_table_rows(inner, inner_idx)
+        )
+        if residual is not None:
+            counters.cpu_rows += expected.num_rows
+            expected = expected.mask(residual.evaluate(expected))
+        counters.rows_output += expected.num_rows
+
+        assert frame.num_rows == expected.num_rows > 0
+        assert frame.column_names == expected.column_names
+        for name in expected.column_names:
+            np.testing.assert_array_equal(frame.column(name), expected.column(name))
+        assert ctx.counters.as_dict() == counters.as_dict()
 
     def test_missing_index_raises(self, db):
         inl = IndexedNLJoin(

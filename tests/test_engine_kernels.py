@@ -151,11 +151,37 @@ class TestStableOrder:
             np.array([5], dtype=np.int64),
             np.array([3, 1, 3, 1, 3], dtype=np.int64),  # ties: stability
             np.array([-(2**62), 2**62, 0], dtype=np.int64),  # span fallback
+            np.arange(-5, 5000, dtype=np.int64),  # strictly increasing
+            np.repeat(np.arange(70_000, dtype=np.int32), 2),  # sorted, ties
+            np.full(300, 7, dtype=np.int64),  # constant
+            np.array([0, 2**63 + 5, 2**64 - 1], dtype=np.uint64),  # sorted unsigned
+            np.append(np.arange(1000), 998),  # one descent, at the end
+            np.insert(np.arange(1000), 0, 1),  # one descent, at the start
+            np.array([2, 1], dtype=np.int64),
         ],
     )
     def test_edge_cases(self, keys):
+        order = kernels.stable_order(keys)
+        expected = np.argsort(keys, kind="stable")
+        np.testing.assert_array_equal(order, expected)
+        assert order.dtype == expected.dtype
+
+    def test_sorted_integer_keys_skip_the_sort(self, monkeypatch):
+        def no_sort(*args, **kwargs):
+            raise AssertionError("sorted keys must not be sorted again")
+
+        monkeypatch.setattr(np, "argsort", no_sort)
+        keys = np.repeat(np.arange(100_000), 3)
         np.testing.assert_array_equal(
-            kernels.stable_order(keys), np.argsort(keys, kind="stable")
+            kernels.stable_order(keys), np.arange(len(keys))
+        )
+        # ... and so does everything layered on it: a PK-FK match whose
+        # probe side is clustered, and a group sort over sorted keys.
+        left_idx, right_idx = kernels.match_keys(np.arange(100_000), keys)
+        np.testing.assert_array_equal(left_idx, keys)
+        np.testing.assert_array_equal(right_idx, np.arange(len(keys)))
+        np.testing.assert_array_equal(
+            kernels.lexsort_stable([keys]), np.arange(len(keys))
         )
 
     @pytest.mark.parametrize(
@@ -370,11 +396,53 @@ class TestGroupedAggregate:
         )
         np.testing.assert_array_equal(out, expected)
 
-    def test_float_sum_declined(self):
-        values = np.random.default_rng(8).uniform(0, 1, 20)
+    def test_integer_avg_declined(self):
+        values = np.arange(20)
         starts, ends = self._groups(values, [10, 10])
-        assert kernels.grouped_aggregate("sum", values, starts, ends) is None
         assert kernels.grouped_aggregate("avg", values, starts, ends) is None
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e5])
+    @pytest.mark.parametrize("func", ["sum", "avg"])
+    def test_float_sum_and_avg_bit_identical_to_group_loop(
+        self, func, magnitude, dtype
+    ):
+        """Batched by group length == one ``np.sum`` per group, to the bit.
+
+        Lengths straddle numpy's pairwise-summation block sizes (8 and
+        128) and its 8192-element buffer; 1000 is held by one group
+        only and 129 by three, so the scalar arm runs too.
+        """
+        rng = np.random.default_rng(8)
+        common = [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 130, 257, 8193]
+        sizes = rng.permutation(
+            np.concatenate([np.repeat(common, 6), [1000, 131, 131, 131]])
+        )
+        values = (rng.standard_normal(sizes.sum()) * magnitude).astype(dtype)
+        values[rng.integers(0, len(values), 50)] = -0.0
+        starts, ends = self._groups(values, sizes)
+        out = kernels.grouped_aggregate(func, values, starts, ends)
+        reduce = np.mean if func == "avg" else np.sum
+        expected = np.array(
+            [float(reduce(values[s:e])) for s, e in zip(starts, ends)]
+        )
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+        assert out.dtype == expected.dtype
+
+    def test_float_sum_all_lengths_distinct(self):
+        rng = np.random.default_rng(9)
+        sizes = rng.permutation(np.arange(1, 60))
+        values = rng.uniform(-1, 1, sizes.sum())
+        starts, ends = self._groups(values, sizes)
+        out = kernels.grouped_aggregate("sum", values, starts, ends)
+        expected = np.array([float(values[s:e].sum()) for s, e in zip(starts, ends)])
+        assert np.array_equal(out, expected)
+
+    def test_count_ignores_values(self):
+        starts, ends = self._groups(None, [3, 1, 5])
+        out = kernels.grouped_aggregate("count", None, starts, ends)
+        np.testing.assert_array_equal(out, [3.0, 1.0, 5.0])
 
     def test_empty_input(self):
         empty = np.empty(0, dtype=np.int64)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine.kernels import match_keys
 from repro.errors import IndexError_
 from repro.indexes import (
     HashIndex,
@@ -58,6 +59,34 @@ class TestSortedIndex:
         index = SortedIndex(values)
         assert list(index.lookup_many_eq(np.array([], dtype=np.int64))) == []
         assert list(index.lookup_many_eq(np.array([1000]))) == []
+
+    def test_match_many_pairs_grouped_by_probe(self, values):
+        index = SortedIndex(values)
+        probe_idx, rids = index.match_many(np.array([3, 42, 9, 3]))
+        # probe 0 and probe 3 (both key 3) each get rows 1, 3, 6 in
+        # ascending order; probe 1 matches nothing; probe 2 gets row 5.
+        assert probe_idx.tolist() == [0, 0, 0, 2, 3, 3, 3]
+        assert rids.tolist() == [1, 3, 6, 5, 1, 3, 6]
+        assert probe_idx.dtype == rids.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "column, probes",
+        [
+            (np.array([5, 3, 8, 3]), np.array([], dtype=np.int64)),  # no probes
+            (np.array([], dtype=np.int64), np.array([1, 2])),  # empty index
+            (np.array([5, 3, 8, 3]), np.array([100, -1])),  # no matches
+            (np.array([5, 3, 8, 3]), np.array([3, 8], dtype=np.int32)),
+            (np.array(["pear", "fig", "fig"]), np.array(["fig", "kiwi", "pear"])),
+        ],
+    )
+    def test_match_many_equals_match_keys(self, column, probes):
+        probe_idx, rids = SortedIndex(column).match_many(probes)
+        expected_probe, expected_rids = match_keys(probes, column)
+        np.testing.assert_array_equal(probe_idx, expected_probe)
+        np.testing.assert_array_equal(rids, expected_rids)
+        np.testing.assert_array_equal(
+            SortedIndex(column).lookup_many_eq(probes), expected_rids
+        )
 
     def test_min_max(self, values):
         index = SortedIndex(values)

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as npst
 
 from repro.analysis import EstimationModel, selectivity_estimates
 from repro.core import JEFFREYS, UNIFORM, Prior, SelectivityPosterior
+from repro.engine import kernels
 from repro.engine.joinutil import match_keys
 from repro.expressions import Frame, col
 from repro.indexes import HashIndex, SortedIndex, intersect_rid_sets
@@ -124,6 +125,36 @@ class TestSortedIndexProperties:
             [index.lookup_eq(p) for p in probes]
         ) if len(probes) else np.array([], dtype=np.int64)
         assert sorted(combined) == sorted(manual)
+
+
+    @given(
+        column=npst.arrays(
+            np.int64, st.integers(0, 60), elements=st.integers(-8, 8)
+        ),
+        probes=npst.arrays(
+            st.sampled_from([np.int64, np.int32]),
+            st.integers(0, 40),
+            elements=st.integers(-10, 10),
+        ),
+    )
+    def test_match_many_is_match_keys_over_the_column(self, column, probes):
+        """Duplicates on both sides, empty sides, misses, int32 probes."""
+        probe_idx, rids = SortedIndex(column).match_many(probes)
+        for reference in (kernels.match_keys, kernels.match_keys_numpy):
+            expected_probe, expected_rids = reference(probes, column)
+            assert probe_idx.tolist() == expected_probe.tolist()
+            assert rids.tolist() == expected_rids.tolist()
+
+    @given(
+        column=st.lists(st.sampled_from(["a", "b", "bb", "c", ""]), max_size=30),
+        probes=st.lists(st.sampled_from(["a", "bb", "c", "zz", ""]), max_size=20),
+    )
+    def test_match_many_string_keys(self, column, probes):
+        column, probes = np.array(column, dtype="U2"), np.array(probes, dtype="U2")
+        probe_idx, rids = SortedIndex(column).match_many(probes)
+        expected_probe, expected_rids = kernels.match_keys(probes, column)
+        assert probe_idx.tolist() == expected_probe.tolist()
+        assert rids.tolist() == expected_rids.tolist()
 
 
 class TestRidSetProperties:

@@ -29,11 +29,13 @@ from repro.engine import (
     ScanCache,
     SeqScan,
 )
+from repro.engine import kernels
 from repro.engine.aggregate import AggregateSpec
 from repro.engine.scans import IndexCondition
 from repro.expressions import col
 from repro.faults import ChaosHarness, generate_fault_plans
 from repro.obs import execution_span, operator_spans
+from repro.workloads import TpchConfig, build_tpch_database
 
 from tests.conftest import make_two_table_db
 
@@ -47,6 +49,11 @@ JOIN_QUERY = (
 @pytest.fixture(scope="module")
 def db():
     return make_two_table_db(n_part=80, n_lineitem=4000)
+
+
+@pytest.fixture(scope="module")
+def tpch_10x():
+    return build_tpch_database(TpchConfig(num_lineitem=600_000, seed=1))
 
 
 def make_plans(db):
@@ -135,6 +142,43 @@ class TestOperatorSpanAttribution:
         assert span["total_work"] == ctx.counters.total_work()
         assert len(span["operators"]) == 3  # join + two scans
         assert span["time_breakdown"]
+
+
+class TestIndexedNLJoinProbesTheIndex:
+    """The INL join is costed as a few index probes; it must not pay
+    for a sort of the inner table. Counted, not timed: the longest array
+    handed to ``stable_order`` stays below the inner table's rows."""
+
+    @pytest.mark.parametrize(
+        "outer, outer_key, inner_column",
+        [
+            (SeqScan("part", col("part.p_size") <= 2), "part.p_partkey", "l_partkey"),
+            (
+                SeqScan("orders", col("orders.o_totalprice") <= 5000.0),
+                "orders.o_orderkey",
+                "l_orderkey",
+            ),
+        ],
+        ids=["nonclustered", "clustered"],
+    )
+    def test_no_sort_of_the_inner_table_at_10x(
+        self, monkeypatch, tpch_10x, outer, outer_key, inner_column
+    ):
+        database = tpch_10x
+        inner_rows = database.table("lineitem").num_rows
+        sorted_lengths = [0]
+        stable_order = kernels.stable_order
+
+        def recording(keys):
+            sorted_lengths.append(len(keys))
+            return stable_order(keys)
+
+        monkeypatch.setattr(kernels, "stable_order", recording)
+        plan = IndexedNLJoin(outer, "lineitem", outer_key, inner_column)
+        ctx = ExecutionContext(database)
+        frame = plan.execute(ctx)
+        assert 0 < frame.num_rows == ctx.counters.index_entries < inner_rows
+        assert max(sorted_lengths) < inner_rows
 
 
 class TestChaosOverZeroCopyOperators:
