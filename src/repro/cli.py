@@ -59,7 +59,6 @@ from repro.analysis import (
     threshold_sweep,
     tradeoff_curve,
 )
-from repro.engine import kernels
 from repro.experiments import (
     format_selectivity_table,
     format_tradeoff_table,
@@ -135,12 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="disable shared base-scan reuse across plan executions",
     )
     experiment.add_argument(
-        "--kernels",
-        choices=["auto", "numpy", "numba"],
-        default="auto",
-        help="execution kernel backend (auto picks numba when installed)",
-    )
-    experiment.add_argument(
         "--policy",
         action="append",
         default=None,
@@ -167,12 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="seed-parallel worker processes (default: all CPU cores)",
-    )
-    report.add_argument(
-        "--kernels",
-        choices=["auto", "numpy", "numba"],
-        default="auto",
-        help="execution kernel backend (auto picks numba when installed)",
     )
     report.set_defaults(handler=_cmd_report)
 
@@ -203,12 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sql.add_argument(
         "--explain-only", action="store_true", help="print the plan, don't run"
-    )
-    sql.add_argument(
-        "--kernels",
-        choices=["auto", "numpy", "numba"],
-        default="auto",
-        help="execution kernel backend (auto picks numba when installed)",
     )
     _add_observability_flags(sql, what="a query trace")
     sql.set_defaults(handler=_cmd_sql)
@@ -254,12 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--verbose", action="store_true", help="report passing plans too"
-    )
-    chaos.add_argument(
-        "--kernels",
-        choices=["auto", "numpy", "numba"],
-        default="auto",
-        help="execution kernel backend (auto picks numba when installed)",
     )
     chaos.set_defaults(handler=_cmd_chaos)
 
@@ -310,12 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--json-out", metavar="FILE", default=None,
         help="write the full benchmark report as JSON to FILE",
-    )
-    serve.add_argument(
-        "--kernels",
-        choices=["auto", "numpy", "numba"],
-        default="auto",
-        help="execution kernel backend (auto picks numba when installed)",
     )
     serve.set_defaults(handler=_cmd_serve_bench)
 
@@ -436,7 +405,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    kernels.set_backend(args.kernels)
     if args.name == "exp1":
         database = build_tpch_database(TpchConfig(num_lineitem=args.scale, seed=7))
         template = ShippingDatesTemplate()
@@ -503,7 +471,6 @@ def _cmd_experiment(args) -> int:
 def _cmd_report(args) -> int:
     from repro.experiments import ReportConfig, generate_report
 
-    kernels.set_backend(args.kernels)
     config = ReportConfig(
         lineitem_rows=args.scale,
         fact_rows=args.fact_rows,
@@ -516,7 +483,6 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_sql(args) -> int:
-    kernels.set_backend(args.kernels)
     database = _workload_database(args.workload, args.scale)
 
     selection = (
@@ -604,7 +570,6 @@ def _workload_database(workload: str, scale: int):
 def _cmd_chaos(args) -> int:
     from repro.faults import ChaosHarness, generate_fault_plans
 
-    kernels.set_backend(args.kernels)
     database = _workload_database(args.workload, args.scale)
     harness = ChaosHarness(
         database,
@@ -628,7 +593,6 @@ def _cmd_serve_bench(args) -> int:
 
     from repro.serving import LoadConfig, cached_prepare_scaling, run_load
 
-    kernels.set_backend(args.kernels)
     try:
         config = LoadConfig(
             tenants=args.tenants,

@@ -48,15 +48,9 @@ class HistogramCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
         names = set(tables)
         if not names:
             raise EstimationError("estimate requires at least one table")
-        if not self.memoize_estimates:
-            return self._estimate_impl(names, predicate)
-
-        key = (frozenset(names), expr_key(predicate))
-        cached = self._estimate_cache_get(key)
-        if cached is not None:
-            return cached
-        return self._estimate_cache_put(
-            key, self._estimate_impl(names, predicate)
+        return self._memoized(
+            (frozenset(names), expr_key(predicate)),
+            lambda: self._estimate_impl(names, predicate),
         )
 
     def estimate_many(

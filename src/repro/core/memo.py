@@ -9,16 +9,14 @@ mixin is the single home for it so the two cannot drift.
 
 from __future__ import annotations
 
-from typing import Any
-
 
 class EstimateCacheMixin:
     """Version-checked estimate memoization.
 
     Hosts expect ``self.statistics`` to be set before
     :meth:`_init_estimate_cache` is called, and route lookups through
-    :meth:`_estimate_cache_get` / :meth:`_estimate_cache_put` (which
-    maintain the hit/miss counters the experiment harness reports).
+    :meth:`_memoized` (which maintains the hit/miss counters the
+    experiment harness reports).
     """
 
     def _init_estimate_cache(self, memoize_estimates: bool) -> None:
@@ -37,8 +35,12 @@ class EstimateCacheMixin:
         """
         return getattr(self.statistics, "version", 0)
 
-    def _estimate_cache_get(self, key) -> Any | None:
-        """The cached value for ``key``, dropping stale generations."""
+    def _memoized(self, key, compute):
+        """``compute()``, served from the cache under ``key`` when
+        memoization is on, dropping stale generations first. Hits and
+        misses are counted only when memoizing."""
+        if not self.memoize_estimates:
+            return compute()
         token = self._estimate_cache_token()
         if token != self._estimate_cache_version:
             self._estimate_cache.clear()
@@ -46,10 +48,8 @@ class EstimateCacheMixin:
         cached = self._estimate_cache.get(key)
         if cached is not None:
             self.estimate_cache_hits += 1
-        return cached
-
-    def _estimate_cache_put(self, key, value):
-        """Record a miss and store ``value`` under ``key``."""
+            return cached
+        value = compute()
         self.estimate_cache_misses += 1
         self._estimate_cache[key] = value
         return value

@@ -16,16 +16,18 @@ Estimation error from fallback assumptions is confined to the
 subexpressions that actually lack statistics.
 
 The sample counts ``(k, n)`` are threshold-independent — only the
-final ``cdf⁻¹(T)`` inversion changes with ``T`` — so
-:meth:`RobustCardinalityEstimator.estimate_many` prices a whole
-threshold grid from one synopsis pass, reading the inversions out of a
-precomputed :class:`~repro.core.posterior.BetaQuantileTable` row.
+final ``cdf⁻¹(T)`` inversion changes with ``T`` — so the estimator
+gathers its evidence in one pass (:meth:`_gather`) and leaves the
+inversion to one of two finishers: ``estimate`` inverts at a single
+threshold with ``betaincinv``; ``estimate_many`` prices a whole
+threshold grid from the same evidence, reading the inversions out of
+a precomputed :class:`~repro.core.posterior.BetaQuantileTable` row.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from repro.core.estimate import CardinalityEstimate
 from repro.core.estimator import CardinalityEstimator
 from repro.core.magic import MagicDistribution, MagicNumbers
 from repro.core.memo import EstimateCacheMixin
-from repro.core.posterior import SelectivityPosterior, quantile_table
+from repro.core.posterior import SelectivityPosterior
 from repro.core.prior import JEFFREYS, Prior
 from repro.errors import EstimationError
 from repro.obs.trace import EstimationSpan
@@ -45,6 +47,37 @@ from repro.expressions import (
     split_conjuncts,
 )
 from repro.stats import StatisticsManager
+
+
+class _Factor(NamedTuple):
+    """One multiplicative term of an estimate, before inversion."""
+
+    #: What the evidence span is attributed to.
+    tables: Iterable[str]
+    #: Span label: ``synopsis`` / ``feedback`` / ``sample`` / ``magic``.
+    source: str
+    predicate: Expr | None
+    #: A Beta posterior, or (``magic``) one distribution per conjunct.
+    model: "SelectivityPosterior | list[MagicDistribution]"
+    #: The ``(k, n)`` the span reports.
+    counts: tuple = (None, None)
+
+
+class _Evidence(NamedTuple):
+    """Everything about an estimate that does not depend on the threshold."""
+
+    tables: frozenset
+    root: str
+    total: int
+    #: Label of the finished estimate.
+    source: str
+    #: Multiplied in order; AVI across them.
+    factors: list
+    #: Set when one statistic priced the whole expression (a covering
+    #: synopsis, or stored feedback): ``factors`` is that one posterior.
+    posterior: SelectivityPosterior | None = None
+    #: Feedback provenance, when observations folded into the prior.
+    attribution: dict | None = None
 
 
 class RobustCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
@@ -134,19 +167,13 @@ class RobustCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
         predicate: Expr | None,
         hint: float | str | None = None,
     ) -> CardinalityEstimate:
-        names = set(tables)
+        names = frozenset(tables)
         if not names:
             raise EstimationError("estimate requires at least one table")
         threshold = self.policy.threshold(hint)
-        if not self.memoize_estimates:
-            return self._estimate_impl(names, predicate, threshold)
-
-        key = (frozenset(names), expr_key(predicate), threshold)
-        cached = self._estimate_cache_get(key)
-        if cached is not None:
-            return cached
-        return self._estimate_cache_put(
-            key, self._estimate_impl(names, predicate, threshold)
+        return self._memoized(
+            (names, expr_key(predicate), threshold),
+            lambda: self._invert(self._gather(names, predicate), threshold),
         )
 
     def estimate_many(
@@ -163,25 +190,113 @@ class RobustCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
         bit for bit (``betaincinv`` is evaluated elementwise in both
         paths).
         """
-        names = set(tables)
+        names = frozenset(tables)
         if not names:
             raise EstimationError("estimate requires at least one table")
         if not thresholds:
             raise EstimationError("estimate_many requires at least one threshold")
         grid = tuple(resolve_threshold(t) for t in thresholds)
-        if not self.memoize_estimates:
-            return self._estimate_many_impl(names, predicate, grid)
-
-        key = (frozenset(names), expr_key(predicate), grid)
-        cached = self._estimate_cache_get(key)
-        if cached is not None:
-            return cached
-        return self._estimate_cache_put(
-            key, self._estimate_many_impl(names, predicate, grid)
+        return self._memoized(
+            (names, expr_key(predicate), grid),
+            lambda: self._invert_many(self._gather(names, predicate), grid),
         )
 
     # ------------------------------------------------------------------
-    def _feedback_fold(self, names: set[str], predicate: Expr | None, total):
+    # Evidence: the Section 3.3 lookup and the Section 3.5 fallbacks
+    # ------------------------------------------------------------------
+    def _gather(
+        self, names: frozenset[str], predicate: Expr | None
+    ) -> _Evidence:
+        """The threshold-independent half of an estimate.
+
+        With a covering synopsis, its ``(k, n)`` forms the posterior.
+        Without one, per-table estimates are AVI-combined, magic
+        distributions standing in where samples lack. For foreign-key
+        joins under referential integrity, the containment assumption
+        makes each join factor ``1 / |parent|``, so the combined
+        cardinality is ``|root| × ∏ per-table selectivities`` — the
+        error is confined to tables without samples and to the AVI
+        combination itself.
+
+        Stored feedback for exactly this ``(tables, expr_key)`` pair
+        folds into the synopsis posterior's prior, and replaces the
+        AVI combination outright: the observed joint cardinality is
+        strictly better evidence than independence across marginals,
+        so the posterior is built from the feedback pseudo-counts
+        alone (``Beta(a + m·s, b + m·(1−s))``).
+        """
+        root = self.statistics.database.root_relation(names)
+        total = self.statistics.table_rows(root)
+
+        synopsis = self.statistics.synopsis_covering(names)
+        counts = None
+        if synopsis is not None:
+            counts = (self._count_satisfying(synopsis, predicate), synopsis.size)
+        fold = self._feedback_fold(names, predicate, total)
+        if counts is not None or fold is not None:
+            prior, attribution = (self.prior, None) if fold is None else fold
+            # Without a synopsis, n=1/k=0 is the smallest posterior the
+            # math accepts; the single pseudo-failure is negligible
+            # against the feedback mass folded into the prior.
+            k, n = counts or (0, 1)
+            posterior = SelectivityPosterior(k, n, prior)
+            source = "synopsis" if fold is None else "feedback"
+            factor = _Factor(
+                names, source, predicate, posterior, counts or (None, None)
+            )
+            return _Evidence(
+                names, root, total, source, [factor], posterior, attribution
+            )
+
+        per_table = predicates_by_table(predicate)
+        unrouted = per_table.pop("", None)
+        factors = []
+        for name in sorted(names):
+            table_predicate = per_table.get(name)
+            if table_predicate is None:
+                continue
+            sample = self.statistics.sample_for(name)
+            if sample is not None:
+                k = sample.count_satisfying(table_predicate)
+                posterior = SelectivityPosterior(k, sample.size, self.prior)
+                factors.append(
+                    _Factor(
+                        {name}, "sample", table_predicate, posterior,
+                        (k, sample.size),
+                    )
+                )
+            else:
+                factors.append(self._magic_factor({name}, table_predicate))
+        if unrouted is not None:
+            # Cross-table or table-free conjuncts cannot be routed to a
+            # single-table sample; charge them at magic selectivity.
+            factors.append(self._magic_factor(names, unrouted))
+
+        kinds = {factor.source for factor in factors}
+        if kinds == {"magic", "sample"}:
+            source = "mixed"
+        else:
+            source = "magic" if "magic" in kinds else "sample-avi"
+        self._note_fallback(names, source)
+        return _Evidence(names, root, total, source, factors)
+
+    def _magic_factor(self, tables, predicate: Expr) -> _Factor:
+        """Magic distributions for an un-sampled predicate's conjuncts."""
+        return _Factor(
+            tables,
+            "magic",
+            predicate,
+            [
+                MagicDistribution(
+                    self.magic.for_predicate(conjunct), self.magic_concentration
+                )
+                for conjunct in split_conjuncts(predicate)
+            ],
+        )
+
+    def _feedback_fold(
+        self, names: frozenset[str], predicate: Expr | None, total
+    ):
         """``(adjusted prior, attribution)`` for a lookup, or ``None``.
 
         Consults the bound :class:`FeedbackProvider` for stored
@@ -205,131 +320,130 @@ class RobustCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
             attribution,
         )
 
-    def _feedback_attribution(
-        self, attribution: dict, prior_quantile: float, total
-    ) -> dict:
-        """The span's feedback dict: provenance + the uncorrected path."""
-        out = dict(attribution)
-        out["prior_quantile"] = float(prior_quantile)
-        out["prior_point_estimate"] = float(prior_quantile) * total
-        return out
+    def _note_fallback(self, names: frozenset[str], source: str) -> None:
+        """Attribute one §3.5 fallback pass (counter + optional hook)."""
+        self.fallback_counts[source] = self.fallback_counts.get(source, 0) + 1
+        if self.fallback_listener is not None:
+            self.fallback_listener(names, source)
 
-    def _estimate_impl(
-        self, names: set[str], predicate: Expr | None, threshold: float
-    ) -> CardinalityEstimate:
-        root = self.statistics.database.root_relation(names)
-        total = self.statistics.table_rows(root)
-
-        synopsis = self.statistics.synopsis_covering(names)
-        if synopsis is not None:
-            k = self._count_satisfying(synopsis, predicate)
-            fold = self._feedback_fold(names, predicate, total)
-            prior = self.prior if fold is None else fold[0]
-            posterior = SelectivityPosterior(k, synopsis.size, prior)
-            selectivity = posterior.ppf(threshold)
-            source = "synopsis" if fold is None else "feedback"
+    # ------------------------------------------------------------------
+    # Inversion: the two finishers. Both multiply the factors in the
+    # order gathered (the leading 1.0 is exact), so each lane of
+    # ``_invert_many`` reproduces ``_invert`` at that threshold.
+    # ------------------------------------------------------------------
+    def _invert(self, evidence: _Evidence, threshold: float) -> CardinalityEstimate:
+        """Collapse ``evidence`` at one threshold (one ``betaincinv``
+        per posterior or magic distribution)."""
+        tables, root, total, source, factors, posterior, attribution = evidence
+        selectivity = 1.0
+        for factor in factors:
+            if factor.source == "magic":
+                quantile = 1.0
+                for distribution in factor.model:
+                    quantile *= distribution.selectivity(threshold)
+            else:
+                quantile = factor.model.ppf(threshold)
+            selectivity *= quantile
             if self.tracer is not None:
-                feedback_info = None
-                if fold is not None:
-                    base = SelectivityPosterior(k, synopsis.size, self.prior)
-                    feedback_info = self._feedback_attribution(
-                        fold[1], base.ppf(threshold), total
+                feedback = None
+                if attribution is not None:
+                    base = float(self._unfolded(factor.model).ppf(threshold))
+                    feedback = dict(
+                        attribution,
+                        prior_quantile=base,
+                        prior_point_estimate=base * total,
                     )
                 self._trace_lookup(
-                    names, source, k, synopsis.size, threshold,
-                    selectivity, selectivity * total, False, predicate,
-                    prior_name=prior.name, feedback=feedback_info,
+                    factor, threshold, quantile,
+                    None if posterior is None else quantile * total,
+                    False, feedback,
                 )
-            return CardinalityEstimate(
-                tables=frozenset(names),
-                selectivity=selectivity,
-                cardinality=selectivity * total,
+        return CardinalityEstimate(
+            tables=tables,
+            selectivity=selectivity,
+            cardinality=selectivity * total,
+            root_table=root,
+            source=source,
+            posterior=posterior,
+            threshold=threshold,
+        )
+
+    def _invert_many(
+        self, evidence: _Evidence, grid: tuple[float, ...]
+    ) -> tuple[CardinalityEstimate, ...]:
+        """Collapse ``evidence`` at every threshold of ``grid`` (one
+        quantile-table row per posterior, ``selectivity_many`` per
+        magic distribution)."""
+        tables, root, total, source, factors, posterior, attribution = evidence
+        selectivity = None  # stands for all-ones: the first factor is exact
+        for factor in factors:
+            if factor.source == "magic":
+                quantiles = np.ones(len(grid))
+                for distribution in factor.model:
+                    quantiles = quantiles * distribution.selectivity_many(grid)
+            else:
+                quantiles = factor.model.ppf_vector(grid)
+                self.lut_hits += 1
+            selectivity = (
+                quantiles if selectivity is None else selectivity * quantiles
+            )
+            if self.tracer is not None:
+                feedback = None
+                if attribution is not None:
+                    base = self._unfolded(factor.model).ppf_vector(grid)
+                    feedback = dict(
+                        attribution,
+                        prior_quantile=[float(q) for q in base],
+                        prior_point_estimate=[float(q) * total for q in base],
+                    )
+                self._trace_lookup(
+                    factor, grid, tuple(float(q) for q in quantiles),
+                    None
+                    if posterior is None
+                    else tuple(float(q) * total for q in quantiles),
+                    factor.source != "magic", feedback,
+                )
+        if selectivity is None:
+            selectivity = np.ones(len(grid))
+        return tuple(
+            CardinalityEstimate(
+                tables=tables,
+                selectivity=float(s),
+                cardinality=float(s) * total,
                 root_table=root,
                 source=source,
                 posterior=posterior,
-                threshold=threshold,
+                threshold=t,
             )
+            for s, t in zip(selectivity, grid)
+        )
 
-        return self._estimate_fallback(names, predicate, threshold, root, total)
+    def _unfolded(self, posterior: SelectivityPosterior) -> SelectivityPosterior:
+        """``posterior`` without its feedback pseudo-counts: the
+        uncorrected path a feedback span records beside the estimate."""
+        return SelectivityPosterior(posterior.k, posterior.n, self.prior)
 
-    def _estimate_many_impl(
-        self, names: set[str], predicate: Expr | None, grid: tuple[float, ...]
-    ) -> tuple[CardinalityEstimate, ...]:
-        root = self.statistics.database.root_relation(names)
-        total = self.statistics.table_rows(root)
-
-        synopsis = self.statistics.synopsis_covering(names)
-        if synopsis is not None:
-            k = self._count_satisfying(synopsis, predicate)
-            fold = self._feedback_fold(names, predicate, total)
-            prior = self.prior if fold is None else fold[0]
-            posterior = SelectivityPosterior(k, synopsis.size, prior)
-            selectivities = quantile_table(
-                synopsis.size, prior, grid
-            ).row(k)
-            self.lut_hits += 1
-            source = "synopsis" if fold is None else "feedback"
-            if self.tracer is not None:
-                feedback_info = None
-                if fold is not None:
-                    base = quantile_table(
-                        synopsis.size, self.prior, grid
-                    ).row(k)
-                    feedback_info = dict(fold[1])
-                    feedback_info["prior_quantile"] = [
-                        float(q) for q in base
-                    ]
-                    feedback_info["prior_point_estimate"] = [
-                        float(q) * total for q in base
-                    ]
-                self._trace_lookup(
-                    names, source, k, synopsis.size, grid,
-                    tuple(float(s) for s in selectivities),
-                    tuple(float(s) * total for s in selectivities),
-                    True, predicate,
-                    prior_name=prior.name, feedback=feedback_info,
-                )
-            return tuple(
-                CardinalityEstimate(
-                    tables=frozenset(names),
-                    selectivity=float(s),
-                    cardinality=float(s) * total,
-                    root_table=root,
-                    source=source,
-                    posterior=posterior,
-                    threshold=t,
-                )
-                for s, t in zip(selectivities, grid)
-            )
-
-        return self._estimate_fallback_many(names, predicate, grid, root, total)
-
-    # ------------------------------------------------------------------
     def _trace_lookup(
         self,
-        tables,
-        source: str,
-        k: int | None,
-        n: int | None,
+        factor: _Factor,
         threshold,
         quantile,
         point_estimate,
         lut_hit: bool,
-        predicate: Expr | None,
-        *,
-        prior_name: str | None = None,
-        feedback: dict | None = None,
+        feedback: dict | None,
     ) -> None:
         """Record one estimation-evidence span (tracing path only)."""
-        if prior_name is None and source in ("synopsis", "sample"):
-            prior_name = self.prior.name
+        k, n = factor.counts
+        predicate = factor.predicate
         self.tracer.record_estimation(
             EstimationSpan(
-                tables=tuple(sorted(tables)),
-                source=source,
+                tables=tuple(sorted(factor.tables)),
+                source=factor.source,
                 k=None if k is None else int(k),
                 n=None if n is None else int(n),
-                prior=prior_name,
+                prior=None
+                if factor.source == "magic"
+                else factor.model.prior.name,
                 threshold=threshold,
                 quantile=quantile,
                 point_estimate=point_estimate,
@@ -368,255 +482,6 @@ class RobustCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
                 per_synopsis[key] = cached
             mask &= cached
         return int(mask.sum())
-
-    # ------------------------------------------------------------------
-    # Section 3.5 fallbacks
-    # ------------------------------------------------------------------
-    def _estimate_fallback(
-        self,
-        names: set[str],
-        predicate: Expr | None,
-        threshold: float,
-        root: str,
-        total: int,
-    ) -> CardinalityEstimate:
-        """AVI-combine per-table estimates; magic where samples lack.
-
-        For foreign-key joins under referential integrity, the
-        containment assumption makes each join factor ``1 / |parent|``,
-        so the combined cardinality is ``|root| × ∏ per-table
-        selectivities`` — the error is confined to tables without
-        samples and to the AVI combination itself.
-
-        Stored feedback for exactly this ``(tables, expr_key)`` pair
-        replaces the AVI combination outright: the observed joint
-        cardinality is strictly better evidence than independence
-        across marginals, so the posterior is built from the feedback
-        pseudo-counts alone (``Beta(a + m·s, b + m·(1−s))``).
-        """
-        fold = self._feedback_fold(names, predicate, total)
-        if fold is not None:
-            # n=1/k=0 is the smallest posterior the math accepts; the
-            # single pseudo-failure is negligible against the feedback
-            # mass folded into the prior.
-            prior, attribution = fold
-            posterior = SelectivityPosterior(0, 1, prior)
-            selectivity = posterior.ppf(threshold)
-            if self.tracer is not None:
-                base = SelectivityPosterior(0, 1, self.prior)
-                self._trace_lookup(
-                    names, "feedback", None, None, threshold,
-                    selectivity, selectivity * total, False, predicate,
-                    prior_name=prior.name,
-                    feedback=self._feedback_attribution(
-                        attribution, base.ppf(threshold), total
-                    ),
-                )
-            return CardinalityEstimate(
-                tables=frozenset(names),
-                selectivity=selectivity,
-                cardinality=selectivity * total,
-                root_table=root,
-                source="feedback",
-                posterior=posterior,
-                threshold=threshold,
-            )
-
-        per_table = predicates_by_table(predicate)
-        unrouted = per_table.pop("", None)
-
-        selectivity = 1.0
-        used_sample = False
-        used_magic = False
-        for name in sorted(names):
-            table_predicate = per_table.get(name)
-            if table_predicate is None:
-                continue
-            sample = self.statistics.sample_for(name)
-            if sample is not None:
-                k = sample.count_satisfying(table_predicate)
-                posterior = SelectivityPosterior(k, sample.size, self.prior)
-                quantile = posterior.ppf(threshold)
-                selectivity *= quantile
-                used_sample = True
-                if self.tracer is not None:
-                    self._trace_lookup(
-                        {name}, "sample", k, sample.size, threshold,
-                        quantile, None, False, table_predicate,
-                    )
-            else:
-                magic = self._magic_selectivity(table_predicate, threshold)
-                selectivity *= magic
-                used_magic = True
-                if self.tracer is not None:
-                    self._trace_lookup(
-                        {name}, "magic", None, None, threshold,
-                        magic, None, False, table_predicate,
-                    )
-        if unrouted is not None:
-            # Cross-table or table-free conjuncts cannot be routed to a
-            # single-table sample; charge them at magic selectivity.
-            magic = self._magic_selectivity(unrouted, threshold)
-            selectivity *= magic
-            used_magic = True
-            if self.tracer is not None:
-                self._trace_lookup(
-                    names, "magic", None, None, threshold,
-                    magic, None, False, unrouted,
-                )
-
-        source = self._fallback_source(used_sample, used_magic)
-        self._note_fallback(names, source)
-        return CardinalityEstimate(
-            tables=frozenset(names),
-            selectivity=selectivity,
-            cardinality=selectivity * total,
-            root_table=root,
-            source=source,
-            threshold=threshold,
-        )
-
-    def _estimate_fallback_many(
-        self,
-        names: set[str],
-        predicate: Expr | None,
-        grid: tuple[float, ...],
-        root: str,
-        total: int,
-    ) -> tuple[CardinalityEstimate, ...]:
-        """The Section 3.5 fallback over a whole threshold grid.
-
-        Each per-table sample is counted once; its ``n + 1``-row
-        quantile table supplies the selectivity at every threshold.
-        The multiplication order matches :meth:`_estimate_fallback`
-        exactly, so each vector lane reproduces the scalar result —
-        including the feedback short-circuit, evaluated lane-wise
-        through the quantile table of the folded prior.
-        """
-        fold = self._feedback_fold(names, predicate, total)
-        if fold is not None:
-            prior, attribution = fold
-            posterior = SelectivityPosterior(0, 1, prior)
-            selectivities = quantile_table(1, prior, grid).row(0)
-            self.lut_hits += 1
-            if self.tracer is not None:
-                base = quantile_table(1, self.prior, grid).row(0)
-                feedback_info = dict(attribution)
-                feedback_info["prior_quantile"] = [float(q) for q in base]
-                feedback_info["prior_point_estimate"] = [
-                    float(q) * total for q in base
-                ]
-                self._trace_lookup(
-                    names, "feedback", None, None, grid,
-                    tuple(float(s) for s in selectivities),
-                    tuple(float(s) * total for s in selectivities),
-                    True, predicate,
-                    prior_name=prior.name, feedback=feedback_info,
-                )
-            return tuple(
-                CardinalityEstimate(
-                    tables=frozenset(names),
-                    selectivity=float(s),
-                    cardinality=float(s) * total,
-                    root_table=root,
-                    source="feedback",
-                    posterior=posterior,
-                    threshold=t,
-                )
-                for s, t in zip(selectivities, grid)
-            )
-
-        per_table = predicates_by_table(predicate)
-        unrouted = per_table.pop("", None)
-
-        selectivity = np.ones(len(grid))
-        used_sample = False
-        used_magic = False
-        for name in sorted(names):
-            table_predicate = per_table.get(name)
-            if table_predicate is None:
-                continue
-            sample = self.statistics.sample_for(name)
-            if sample is not None:
-                k = sample.count_satisfying(table_predicate)
-                quantiles = quantile_table(sample.size, self.prior, grid).row(k)
-                selectivity = selectivity * quantiles
-                self.lut_hits += 1
-                used_sample = True
-                if self.tracer is not None:
-                    self._trace_lookup(
-                        {name}, "sample", k, sample.size, grid,
-                        tuple(float(q) for q in quantiles),
-                        None, True, table_predicate,
-                    )
-            else:
-                magic = self._magic_selectivity_many(table_predicate, grid)
-                selectivity = selectivity * magic
-                used_magic = True
-                if self.tracer is not None:
-                    self._trace_lookup(
-                        {name}, "magic", None, None, grid,
-                        tuple(float(q) for q in magic),
-                        None, False, table_predicate,
-                    )
-        if unrouted is not None:
-            magic = self._magic_selectivity_many(unrouted, grid)
-            selectivity = selectivity * magic
-            used_magic = True
-            if self.tracer is not None:
-                self._trace_lookup(
-                    names, "magic", None, None, grid,
-                    tuple(float(q) for q in magic),
-                    None, False, unrouted,
-                )
-
-        source = self._fallback_source(used_sample, used_magic)
-        self._note_fallback(names, source)
-        return tuple(
-            CardinalityEstimate(
-                tables=frozenset(names),
-                selectivity=float(s),
-                cardinality=float(s) * total,
-                root_table=root,
-                source=source,
-                threshold=t,
-            )
-            for s, t in zip(selectivity, grid)
-        )
-
-    def _note_fallback(self, names: set[str], source: str) -> None:
-        """Attribute one §3.5 fallback pass (counter + optional hook)."""
-        self.fallback_counts[source] = self.fallback_counts.get(source, 0) + 1
-        if self.fallback_listener is not None:
-            self.fallback_listener(frozenset(names), source)
-
-    @staticmethod
-    def _fallback_source(used_sample: bool, used_magic: bool) -> str:
-        if used_magic and used_sample:
-            return "mixed"
-        if used_magic:
-            return "magic"
-        return "sample-avi"
-
-    def _magic_selectivity(self, predicate: Expr, threshold: float) -> float:
-        """Magic-distribution selectivity for an un-sampled predicate."""
-        selectivity = 1.0
-        for conjunct in split_conjuncts(predicate):
-            mean = self.magic.for_predicate(conjunct)
-            distribution = MagicDistribution(mean, self.magic_concentration)
-            selectivity *= distribution.selectivity(threshold)
-        return selectivity
-
-    def _magic_selectivity_many(
-        self, predicate: Expr, grid: tuple[float, ...]
-    ) -> np.ndarray:
-        """Magic-distribution selectivities over the threshold grid."""
-        selectivity = np.ones(len(grid))
-        for conjunct in split_conjuncts(predicate):
-            mean = self.magic.for_predicate(conjunct)
-            distribution = MagicDistribution(mean, self.magic_concentration)
-            selectivity = selectivity * distribution.selectivity_many(grid)
-        return selectivity
 
     def describe(self) -> str:
         return f"robust(T={self.policy.default:.0%}, prior={self.prior.name})"

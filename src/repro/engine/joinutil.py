@@ -3,8 +3,8 @@
 :func:`match_keys` computes the row-index pairs of an inner equi-join
 between two key arrays with no per-row Python work; :func:`semijoin_mask`
 computes membership masks. Both delegate to
-:mod:`repro.engine.kernels`, which picks the fastest available backend
-(numba when installed, numpy otherwise) while guaranteeing output
+:mod:`repro.engine.kernels`, which picks the fastest numpy formulation
+for the input's size and key range while guaranteeing output
 bit-identical to the reference numpy implementations that used to live
 here.
 """
@@ -31,9 +31,9 @@ def semijoin_mask(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarray:
     """Boolean mask over ``left_keys`` marking rows with a match.
 
     Small inputs use ``np.isin`` exactly as before; large integer
-    inputs with a compact key range (the join-key case) use a hash
-    path — a numba hash set or a dense boolean table — instead of
-    sorting. Results are identical on every path.
+    inputs with a compact key range (the join-key case) use a dense
+    boolean table instead of sorting. Results are identical on every
+    path.
     """
     if not len(left_keys):
         return np.zeros(0, dtype=bool)

@@ -1,24 +1,12 @@
-"""Optional compiled kernels for the engine's hot paths.
+"""Numpy kernels for the engine's hot paths.
 
 The engine's inner loops — equi-join matching, predicate evaluation,
 membership tests, grouped aggregation — are all numpy already, but at
 paper scale (millions of rows) the remaining overheads matter: extra
 temporaries, concatenate-and-sort membership, per-group Python loops.
-This module concentrates those hot paths behind one dispatch point with
-two backends:
-
-* ``numpy`` — pure-numpy implementations, always available, and the
-  reference for bit-identical output;
-* ``numba`` — ``@njit``-compiled single-pass variants, used only when
-  numba is importable (it is an optional dependency and deliberately
-  not required; the container image may not carry it).
-
-Backend selection (``auto`` by default) resolves to numba when
-available, else numpy. It can be forced three ways, in priority order:
-:func:`set_backend` at runtime, the ``REPRO_KERNELS`` environment
-variable (read at import), or the CLI's ``--kernels`` flag (which calls
-:func:`set_backend`). Requesting ``numba`` without numba installed
-raises, so a benchmark can never silently measure the wrong backend.
+This module concentrates those hot paths behind one dispatch point.
+Each kernel has a reference formulation and faster ones chosen from
+the input (size, dtype, key range) — never from a setting.
 
 Exactness contract: every kernel pair is bit-identical on the dtypes
 the engine produces. Where a faster formulation would change float
@@ -32,84 +20,15 @@ equivalence for every kernel.
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
 from repro.errors import ReproError
 from repro.indexes.sorted_index import expand_runs
 
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba
-    from numba import njit
-except Exception:  # ImportError, or a broken numba install
-    numba = None
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        """No-op decorator so numba kernels stay importable."""
-        if args and callable(args[0]):
-            return args[0]
-        return lambda func: func
-
-
-_BACKENDS = ("auto", "numpy", "numba")
-
-#: Runtime override set by :func:`set_backend`; ``None`` defers to the
-#: environment variable / auto resolution.
-_forced: str | None = None
-
-#: Environment default, read once at import.
-_env_default = os.environ.get("REPRO_KERNELS", "auto").strip().lower() or "auto"
-
 #: Below this combined key count the membership fast path gains nothing
 #: over ``np.isin``; dispatching to numpy keeps small inputs on the
 #: exact code path they always used (hence trivially "no slower").
 SEMIJOIN_SMALL_N = 4096
-
-
-def available_backends() -> list[str]:
-    """Backends usable in this process."""
-    return ["numpy"] + (["numba"] if numba is not None else [])
-
-
-def set_backend(name: str | None) -> None:
-    """Force a kernel backend (``None`` or ``"auto"`` restores auto).
-
-    Raises :class:`~repro.errors.ReproError` for unknown names and for
-    ``"numba"`` when numba is not importable.
-    """
-    global _forced
-    if name is None:
-        _forced = None
-        return
-    name = name.strip().lower()
-    if name not in _BACKENDS:
-        raise ReproError(
-            f"unknown kernel backend {name!r}; choose from {_BACKENDS}"
-        )
-    if name == "numba" and numba is None:
-        raise ReproError("kernel backend 'numba' requested but numba is not installed")
-    _forced = None if name == "auto" else name
-
-
-def active_backend() -> str:
-    """The backend kernels will dispatch to right now."""
-    choice = _forced or _env_default
-    if choice == "numba" and numba is None:
-        # An impossible env request degrades to numpy rather than
-        # erroring at import time; set_backend() is the strict path.
-        choice = "auto"
-    if choice == "auto":
-        return "numba" if numba is not None else "numpy"
-    return choice
-
-
-def _use_numba(*arrays: np.ndarray) -> bool:
-    """Whether the numba path applies to these operands."""
-    if active_backend() != "numba":
-        return False
-    return all(array.dtype.kind in ("i", "u", "f", "b") for array in arrays)
 
 
 # ----------------------------------------------------------------------
@@ -193,60 +112,6 @@ def match_keys_numpy(
     return left_idx, order[expand_runs(lo, counts)]
 
 
-if numba is not None:  # pragma: no cover - requires numba
-
-    @njit(cache=True)
-    def _match_keys_numba(left_keys, right_keys):
-        """Hash-join matching: build a chained hash map on the right.
-
-        ``prev`` chains equal keys by original position (newest first);
-        filling each left row's run backwards restores ascending right
-        positions, matching the numpy reference order exactly.
-        """
-        n_right = len(right_keys)
-        last = {}
-        prev = np.empty(n_right, np.int64)
-        for j in range(n_right):
-            key = right_keys[j]
-            if key in last:
-                prev[j] = last[key]
-            else:
-                prev[j] = -1
-            last[key] = j
-
-        n_left = len(left_keys)
-        counts = np.zeros(n_left, np.int64)
-        total = 0
-        for i in range(n_left):
-            key = left_keys[i]
-            if key in last:
-                j = last[key]
-                c = 0
-                while j != -1:
-                    c += 1
-                    j = prev[j]
-                counts[i] = c
-                total += c
-
-        left_idx = np.empty(total, np.int64)
-        right_idx = np.empty(total, np.int64)
-        pos = 0
-        for i in range(n_left):
-            c = counts[i]
-            if c == 0:
-                continue
-            end = pos + c
-            t = end - 1
-            j = last[left_keys[i]]
-            while j != -1:
-                left_idx[t] = i
-                right_idx[t] = j
-                t -= 1
-                j = prev[j]
-            pos = end
-        return left_idx, right_idx
-
-
 def _match_keys_table(
     left_keys: np.ndarray, right_keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -290,13 +155,6 @@ def match_keys(
     left_keys: np.ndarray, right_keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-index pairs ``(left_idx, right_idx)`` where keys are equal."""
-    if (
-        len(left_keys)
-        and len(right_keys)
-        and left_keys.dtype == right_keys.dtype
-        and _use_numba(left_keys, right_keys)
-    ):
-        return _match_keys_numba(left_keys, right_keys)  # pragma: no cover
     if (
         len(left_keys) + len(right_keys) > SEMIJOIN_SMALL_N
         and left_keys.dtype.kind in ("i", "u")
@@ -361,27 +219,13 @@ def membership_table(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarra
     return table[left_keys - lo]
 
 
-if numba is not None:  # pragma: no cover - requires numba
-
-    @njit(cache=True)
-    def _membership_numba(left_keys, right_keys):
-        seen = set()
-        for j in range(len(right_keys)):
-            seen.add(right_keys[j])
-        result = np.empty(len(left_keys), np.bool_)
-        for i in range(len(left_keys)):
-            result[i] = left_keys[i] in seen
-        return result
-
-
 def membership(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarray:
     """Boolean mask over ``left_keys`` marking values present in
     ``right_keys``, with a size-based crossover.
 
     Small inputs stay on ``np.isin`` verbatim (identical cost to the
     historical implementation by construction). Large integer inputs
-    with a compact key range — the join-key case — switch to the hash
-    path: a numba hash set when that backend is active, else the dense
+    with a compact key range — the join-key case — switch to the dense
     boolean table. Everything else goes to ``np.isin``, whose
     merge-based fallback measured fastest for wide-range and float
     keys at scale.
@@ -395,8 +239,6 @@ def membership(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarray:
         left_keys.dtype.kind in ("i", "u") and right_keys.dtype.kind in ("i", "u")
     )
     if integral and left_keys.dtype == right_keys.dtype:
-        if _use_numba(left_keys, right_keys):
-            return _membership_numba(left_keys, right_keys)  # pragma: no cover
         lo = min(int(left_keys.min()), int(right_keys.min()))
         hi = max(int(left_keys.max()), int(right_keys.max()))
         if hi - lo + 1 <= TABLE_RANGE_FACTOR * total:
@@ -408,26 +250,13 @@ def membership(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarray:
 # Predicate evaluation
 # ----------------------------------------------------------------------
 
-if numba is not None:  # pragma: no cover - requires numba
-
-    @njit(cache=True)
-    def _between_numba(values, low, high):
-        out = np.empty(len(values), np.bool_)
-        for i in range(len(values)):
-            out[i] = (values[i] >= low) and (values[i] <= high)
-        return out
-
-
 def eval_between(values: np.ndarray, low, high) -> np.ndarray:
     """Fused inclusive-range predicate: ``(values >= low) & (values <= high)``.
 
-    The numpy path reuses the first comparison's buffer for the AND,
-    saving one temporary per evaluation; the numba path is a single
-    pass with no temporaries. Both are boolean-exact.
+    Numeric arrays reuse the first comparison's buffer for the AND,
+    saving one temporary per evaluation.
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in ("i", "u", "f"):
-        if _use_numba(values) and not isinstance(low, str) and not isinstance(high, str):
-            return _between_numba(values, low, high)  # pragma: no cover
         out = values >= low
         out &= values <= high
         return out
@@ -537,9 +366,4 @@ def grouped_count_compact(
 
 def describe() -> dict:
     """JSON-ready snapshot of the kernel configuration (for benches)."""
-    return {
-        "active_backend": active_backend(),
-        "available_backends": available_backends(),
-        "semijoin_small_n": SEMIJOIN_SMALL_N,
-        "numba_version": getattr(numba, "__version__", None) if numba else None,
-    }
+    return {"semijoin_small_n": SEMIJOIN_SMALL_N}

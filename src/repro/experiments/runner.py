@@ -52,7 +52,6 @@ from repro.selection import (
     SelectionPolicy,
     ThresholdPolicy,
     resolve_policy,
-    sample_quantiles,
 )
 from repro.service.fingerprint import query_fingerprint
 from repro.stats import StatisticsManager
@@ -469,20 +468,15 @@ def _run_seed(
             else:
                 query = template.instantiate(param)
                 started = time.perf_counter()
-                if isinstance(config.policy, PenaltyPolicy):
-                    quantiles = sample_quantiles(
-                        config.policy,
+                if config.policy is None:
+                    planned = optimizer.optimize(query)
+                else:
+                    planned = config.policy.plan(
+                        optimizer,
+                        query,
                         query_key=query_fingerprint(query),
                         statistics_token=statistics.sampling_token(),
                     )
-                    planned = optimizer.optimize_penalty(
-                        query,
-                        quantiles,
-                        risk=config.policy.risk,
-                        alpha=config.policy.alpha,
-                    )
-                else:
-                    planned = optimizer.optimize(query)
                 elapsed = time.perf_counter() - started
                 perf.optimize_seconds += elapsed
                 plan = planned.plan

@@ -12,12 +12,7 @@ component stays identical.
 
 from repro.optimizer.query import SPJQuery
 from repro.optimizer.candidates import PlanCandidate, keep_best, keep_best_vector
-from repro.optimizer.optimizer import (
-    Optimizer,
-    PlannedQuery,
-    PlanningContext,
-    VectorPlanningContext,
-)
+from repro.optimizer.optimizer import Optimizer, PlannedQuery, PlanningContext
 from repro.optimizer.costing import PlanCoster
 from repro.optimizer.lec import LeastExpectedCostOptimizer
 
@@ -29,7 +24,6 @@ __all__ = [
     "PlannedQuery",
     "PlanningContext",
     "SPJQuery",
-    "VectorPlanningContext",
     "keep_best",
     "keep_best_vector",
 ]

@@ -163,5 +163,5 @@ class LeastExpectedCostOptimizer:
             estimated_rows=rows,
             alternatives=ranked,
             estimation_calls=estimation_calls,
-            estimates=dict(ctx._cache),
+            estimates=ctx.estimates(),
         )

@@ -9,7 +9,8 @@ drops in without touching enumeration, costing, or search.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -27,7 +28,7 @@ from repro.cost import CostModel
 from repro.core.magic import MagicNumbers
 from repro.engine import HashAggregate, Limit, PhysicalOperator, Project, Sort
 from repro.engine.relops import Filter
-from repro.errors import OptimizationError
+from repro.errors import OptimizationError, ReproError
 from repro.expressions import (
     Expr,
     as_join_condition,
@@ -57,14 +58,6 @@ from repro.selection.penalty import (
 )
 
 
-def _lane(value, index: int) -> float:
-    """Scalar component of a threshold-axis vector (scalars pass through)."""
-    if isinstance(value, np.ndarray):
-        flat = value.reshape(-1)
-        return float(flat[0] if flat.size == 1 else flat[index])
-    return value
-
-
 def _lanes(value, width: int) -> list[float] | None:
     """Per-lane list of a threshold-axis annotation (``None`` if unset)."""
     if value is None:
@@ -83,6 +76,14 @@ class PlanningContext:
     Wraps the estimator behind a memoizing ``card`` oracle (the paper's
     "subroutine calls to the cardinality estimation module", Section
     3.4) and routes per-table predicates.
+
+    Without a ``grid`` every estimate is a scalar
+    :class:`CardinalityEstimate` at the query's hint. With one, each
+    estimate is a :class:`VectorCardinalityEstimate` whose
+    ``cardinality`` is a vector over the grid, produced by one
+    ``estimate_many`` call — the synopsis mask and sample counts are
+    gathered once and inverted at every threshold via the quantile
+    lookup table.
     """
 
     def __init__(
@@ -91,11 +92,13 @@ class PlanningContext:
         model: CostModel,
         estimator: CardinalityEstimator,
         query: SPJQuery,
+        grid: Sequence[float] | None = None,
     ) -> None:
         self.database = database
         self.model = model
         self.estimator = estimator
         self.query = query
+        self.grid = None if grid is None else tuple(grid)
         per_table = query.predicates_per_table()
         self.cross_predicate = per_table.pop("", None)
         self.per_table = per_table
@@ -151,10 +154,21 @@ class PlanningContext:
         key = (frozenset(tables), expr_key(predicate))
         if key not in self._cache:
             self.estimation_calls += 1
-            self._cache[key] = self.estimator.estimate(
-                tables, predicate, hint=self.query.hint
-            )
+            if self.grid is None:
+                self._cache[key] = self.estimator.estimate(
+                    tables, predicate, hint=self.query.hint
+                )
+            else:
+                self._cache[key] = VectorCardinalityEstimate.from_estimates(
+                    self.estimator.estimate_many(tables, predicate, self.grid)
+                )
         return self._cache[key]
+
+    def estimates(self, lane: int | None = None) -> dict:
+        """Every estimate made so far (under a grid: lane ``lane`` of each)."""
+        if self.grid is None:
+            return dict(self._cache)
+        return {key: value.at(lane) for key, value in self._cache.items()}
 
     def condition_selectivity(self, condition) -> float:
         """Memoized point selectivity of one join condition.
@@ -228,77 +242,24 @@ class PlanningContext:
         return components
 
 
-class VectorPlanningContext(PlanningContext):
-    """Planning context whose ``card`` oracle spans a threshold grid.
-
-    Each estimate is a :class:`VectorCardinalityEstimate` whose
-    ``cardinality`` is a vector over the grid, produced by one
-    ``estimate_many`` call — the synopsis mask and sample counts are
-    gathered once and inverted at every threshold via the quantile
-    lookup table.
-    """
-
-    def __init__(
-        self,
-        database: Database,
-        model: CostModel,
-        estimator: CardinalityEstimator,
-        query: SPJQuery,
-        thresholds: Sequence[float],
-    ) -> None:
-        super().__init__(database, model, estimator, query)
-        self.thresholds = tuple(thresholds)
-
-    def card(
-        self, tables: frozenset, predicate: Expr | None
-    ) -> VectorCardinalityEstimate:
-        key = (frozenset(tables), expr_key(predicate))
-        if key not in self._cache:
-            self.estimation_calls += 1
-            estimates = self.estimator.estimate_many(
-                tables, predicate, self.thresholds
-            )
-            self._cache[key] = VectorCardinalityEstimate.from_estimates(estimates)
-        return self._cache[key]
-
-
 class _ThresholdSlice:
-    """Scalar (single-threshold) view over a vector planning context.
+    """Scalar (single-lane) view over a grid planning context.
 
     Lets the unchanged scalar finalization code run against estimates
     computed by the vectorized DP pass: ``card`` answers with the
-    per-threshold estimate at one grid index.
+    per-threshold estimate at one grid index. Carries only what
+    :meth:`Optimizer.finalize_candidate` reads.
     """
 
-    def __init__(self, ctx: VectorPlanningContext, index: int) -> None:
+    def __init__(self, ctx: PlanningContext, index: int) -> None:
         self._ctx = ctx
         self._index = index
-        self.database = ctx.database
-        self.model = ctx.model
-        self.estimator = ctx.estimator
-        self.query = ctx.query
         self.cross_predicate = ctx.cross_predicate
-        self.per_table = ctx.per_table
         self.dp_conditions = ctx.dp_conditions
-
-    def pred_for(self, tables: frozenset) -> Expr | None:
-        return self._ctx.pred_for(tables)
+        self.cross_filtered_rows = ctx.cross_filtered_rows
 
     def card(self, tables: frozenset, predicate: Expr | None) -> CardinalityEstimate:
         return self._ctx.card(tables, predicate).at(self._index)
-
-    def condition_selectivity(self, condition) -> float:
-        return self._ctx.condition_selectivity(condition)
-
-    def cross_filtered_rows(self, rows):
-        return self._ctx.cross_filtered_rows(rows)
-
-    def estimates(self) -> dict:
-        """The vector cache sliced down to this threshold."""
-        return {
-            key: value.at(self._index)
-            for key, value in self._ctx._cache.items()
-        }
 
 
 @dataclass(eq=False)
@@ -330,6 +291,96 @@ class PlannedQuery:
     def explain(self) -> str:
         """Human-readable plan tree with estimates."""
         return self.plan.explain()
+
+
+@dataclass
+class _Selection:
+    """One selector decision over the finalists x lanes cost matrix."""
+
+    #: Trace label of the policy family that decided.
+    strategy: str
+    #: Grid lane the plan is finalized and annotated at (``None``
+    #: when there is no grid).
+    lane: int | None
+    #: Row of the winning finalist.
+    winner: int
+    #: Every row, best first: the order of ``PlannedQuery.alternatives``.
+    ranking: list[int]
+    #: Extra keys of the optimizer span's ``winner`` entry.
+    winner_fields: dict = field(default_factory=dict)
+    #: Per-row risk score, for selectors that rank by one.
+    scores: np.ndarray | None = None
+    #: ``PlannedQuery.selection`` provenance.
+    provenance: dict | None = None
+
+
+# A selector reads the finalists and their ``(len(finalists), len(grid))``
+# cost matrix (``None`` without a grid: the scalar pass stays on Python
+# floats, which is what keeps it ahead of a width-1 vector pass) and
+# yields one _Selection per plan to finalize.
+def _select_cheapest(finalists, costs, grid):
+    """No grid: the cheapest finalist at the query's own threshold."""
+    ranking = sorted(range(len(finalists)), key=lambda i: finalists[i].cost)
+    yield _Selection("scalar", None, ranking[0], ranking)
+
+
+def _select_per_lane(finalists, costs, grid):
+    """Threshold grid: each lane's argmin, one plan per lane."""
+    winners = np.argmin(costs, axis=0)
+    for lane in range(len(grid)):
+        # Stable argsort == Python's stable sorted(key=cost), so the
+        # alternatives ranking matches the scalar path per lane.
+        ranking = np.argsort(costs[:, lane], kind="stable").tolist()
+        yield _Selection(
+            "vectorized",
+            lane,
+            int(winners[lane]),
+            ranking,
+            {"lane": lane, "grid": [float(t) for t in grid]},
+        )
+
+
+def _select_by_risk(finalists, costs, grid, *, risk: str, alpha: float):
+    """Posterior samples: the plan minimizing a risk functional of its
+    regret against the per-sample optimum, ties broken by signature.
+
+    Column 0 is the reference lane: it never votes, but the plan is
+    finalized and annotated there; penalties live on the samples.
+    """
+    penalties = penalty_matrix(costs[:, 1:])
+    scores = risk_scores(penalties, risk=risk, alpha=alpha)
+    signatures = [c.operator.signature() for c in finalists]
+    winner = select_index(scores, signatures)
+    ranking = np.argsort(scores, kind="stable").tolist()
+    summaries = penalty_summary(penalties)
+    provenance = {
+        "strategy": "penalty",
+        "risk": risk,
+        "alpha": float(alpha),
+        "samples": len(grid) - 1,
+        "reference_quantile": grid[0],
+        "quantiles": list(grid[1:]),
+        "winner_index": int(winner),
+        "winner_score": float(scores[winner]),
+        "plans": [
+            {
+                "plan_shape": plan_shape(finalists[i].operator),
+                "score": float(scores[i]),
+                "penalty": summaries[i],
+                "reference_cost": float(costs[i, 0]),
+            }
+            for i in ranking
+        ],
+    }
+    yield _Selection(
+        "penalty",
+        0,
+        winner,
+        ranking,
+        {"score": float(scores[winner])},
+        scores,
+        provenance,
+    )
 
 
 class Optimizer:
@@ -366,63 +417,8 @@ class Optimizer:
     # ------------------------------------------------------------------
     def optimize(self, query: SPJQuery) -> PlannedQuery:
         """Choose the cheapest physical plan for ``query``."""
-        query.validate(self.database)
-        ctx = PlanningContext(self.database, self.cost_model, self.estimator, query)
-        tracing = self.tracer is not None
-        dp_stats: list[dict] | None = [] if tracing else None
-        started = time.perf_counter() if tracing else 0.0
+        return self._plan(query, None, _select_cheapest)[0]
 
-        full_set = frozenset(query.tables)
-        best_per_subset = self._enumerate_joins(ctx, query, dp_stats=dp_stats)
-        finalists = list(iter_candidates(best_per_subset[full_set]))
-
-        if self.enable_star_plans and not ctx.dp_conditions:
-            # (star detection assumes one FK component rooted at a fact
-            # table; condition-connected components are not star-shaped)
-            specs = detect_star(ctx, query)
-            if specs is not None:
-                out_rows = ctx.card(full_set, ctx.pred_for(full_set)).cardinality
-                finalists.extend(star_candidates(ctx, query, specs, out_rows))
-
-        finalists = self._dedupe(finalists)
-        finalists.sort(key=lambda candidate: candidate.cost)
-        if not finalists:
-            raise OptimizationError(f"no plan found for {query}")
-        best = finalists[0]
-
-        plan, cost, rows = self.finalize_candidate(ctx, query, best)
-        span = None
-        if tracing:
-            span = self._optimizer_span(
-                strategy="scalar",
-                threshold=query.hint,
-                estimation_calls=ctx.estimation_calls,
-                dp_stats=dp_stats,
-                finalists=finalists,
-                winner={
-                    "plan_shape": plan_shape(plan),
-                    "cost": float(cost),
-                    "rows": float(rows),
-                    "order": best.order,
-                },
-                alternatives=[
-                    {"plan_shape": plan_shape(c.operator), "cost": float(c.cost)}
-                    for c in finalists[:5]
-                ],
-                optimize_seconds=time.perf_counter() - started,
-            )
-        return PlannedQuery(
-            query=query,
-            plan=plan,
-            estimated_cost=cost,
-            estimated_rows=rows,
-            alternatives=finalists,
-            estimation_calls=ctx.estimation_calls,
-            estimates=dict(ctx._cache),
-            trace=span,
-        )
-
-    # ------------------------------------------------------------------
     def optimize_many(
         self, query: SPJQuery, thresholds: Sequence[float]
     ) -> list[PlannedQuery]:
@@ -438,94 +434,8 @@ class Optimizer:
         grid = tuple(thresholds)
         if not grid:
             raise OptimizationError("optimize_many needs at least one threshold")
-        query.validate(self.database)
-        ctx = VectorPlanningContext(
-            self.database, self.cost_model, self.estimator, query, grid
-        )
-        width = len(grid)
-        tracing = self.tracer is not None
-        dp_stats: list[dict] | None = [] if tracing else None
-        started = time.perf_counter() if tracing else 0.0
+        return self._plan(query, grid, _select_per_lane)
 
-        finalists = self._vector_finalists(ctx, query, width, dp_stats)
-
-        costs = lane_costs(finalists, width)
-        rows_matrix = lane_matrix((c.rows for c in finalists), width)
-        winners = np.argmin(costs, axis=0)
-
-        stamped = self._snapshot_lane_notes(finalists, width)
-
-        planned: list[PlannedQuery] = []
-        for index, threshold in enumerate(grid):
-            self._stamp_lane(stamped, index)
-            winner = int(winners[index])
-            best = finalists[winner]
-            scalar_best = PlanCandidate(
-                best.operator,
-                best.tables,
-                float(rows_matrix[winner, index]),
-                float(costs[winner, index]),
-                best.order,
-            )
-            query_at = replace(query, hint=threshold)
-            slice_ctx = _ThresholdSlice(ctx, index)
-            plan, cost, rows = self.finalize_candidate(
-                slice_ctx, query_at, scalar_best
-            )
-            # Stable argsort == Python's stable sorted(key=cost), so the
-            # alternatives ranking matches the scalar path per lane.
-            ranking = np.argsort(costs[:, index], kind="stable")
-            alternatives = [
-                PlanCandidate(
-                    finalists[i].operator,
-                    finalists[i].tables,
-                    float(rows_matrix[i, index]),
-                    float(costs[i, index]),
-                    finalists[i].order,
-                )
-                for i in ranking.tolist()
-            ]
-            span = None
-            if tracing:
-                span = self._optimizer_span(
-                    strategy="vectorized",
-                    threshold=float(threshold),
-                    estimation_calls=ctx.estimation_calls,
-                    dp_stats=dp_stats,
-                    finalists=finalists,
-                    winner={
-                        "plan_shape": plan_shape(plan),
-                        "cost": float(cost),
-                        "rows": float(rows),
-                        "order": best.order,
-                        "lane": index,
-                        "grid": [float(t) for t in grid],
-                        "cost_vector": [float(c) for c in costs[winner]],
-                    },
-                    alternatives=[
-                        {
-                            "plan_shape": plan_shape(finalists[i].operator),
-                            "cost": float(costs[i, index]),
-                        }
-                        for i in ranking.tolist()[:5]
-                    ],
-                    optimize_seconds=time.perf_counter() - started,
-                )
-            planned.append(
-                PlannedQuery(
-                    query=query_at,
-                    plan=plan,
-                    estimated_cost=cost,
-                    estimated_rows=rows,
-                    alternatives=alternatives,
-                    estimation_calls=ctx.estimation_calls,
-                    estimates=slice_ctx.estimates(),
-                    trace=span,
-                )
-            )
-        return planned
-
-    # ------------------------------------------------------------------
     def optimize_penalty(
         self,
         query: SPJQuery,
@@ -564,133 +474,130 @@ class Optimizer:
             raise OptimizationError(
                 "optimize_penalty needs at least one sample quantile"
             )
-        query.validate(self.database)
         grid = (float(reference),) + samples
-        ctx = VectorPlanningContext(
+        select = partial(_select_by_risk, risk=risk, alpha=alpha)
+        return self._plan(query, grid, select)[0]
+
+    # ------------------------------------------------------------------
+    def _plan(
+        self, query: SPJQuery, grid: tuple[float, ...] | None, select
+    ) -> list[PlannedQuery]:
+        """The one lattice-to-plan pass behind the three entry points.
+
+        Enumerate the lattice (on floats when ``grid`` is ``None``, on
+        vectors over ``grid`` otherwise), hand the finalists and their
+        per-lane cost matrix to ``select``, and finish every selection
+        the same way: stamp the chosen lane's annotations onto the
+        operators, finalize against that lane's scalar estimates, rank
+        the alternatives, assemble the span.
+        """
+        query.validate(self.database)
+        ctx = PlanningContext(
             self.database, self.cost_model, self.estimator, query, grid
         )
-        width = len(grid)
         tracing = self.tracer is not None
         dp_stats: list[dict] | None = [] if tracing else None
         started = time.perf_counter() if tracing else 0.0
 
-        finalists = self._vector_finalists(ctx, query, width, dp_stats)
+        finalists = self._finalists(ctx, query, dp_stats)
+        costs = rows_matrix = None
+        if grid is not None:
+            width = len(grid)
+            costs = lane_costs(finalists, width)
+            rows_matrix = lane_matrix((c.rows for c in finalists), width)
+            stamped = self._snapshot_lane_notes(finalists, width)
 
-        costs = lane_costs(finalists, width)
-        rows_matrix = lane_matrix((c.rows for c in finalists), width)
-
-        # Column 0 is the reference lane; penalties live on the samples.
-        penalties = penalty_matrix(costs[:, 1:])
-        scores = risk_scores(penalties, risk=risk, alpha=alpha)
-        signatures = [c.operator.signature() for c in finalists]
-        winner = select_index(scores, signatures)
-        best = finalists[winner]
-
-        # Annotate and finalize at the reference lane so the finished
-        # plan carries posterior-median estimates.
-        stamped = self._snapshot_lane_notes(finalists, width)
-        self._stamp_lane(stamped, 0)
-        scalar_best = PlanCandidate(
-            best.operator,
-            best.tables,
-            float(rows_matrix[winner, 0]),
-            float(costs[winner, 0]),
-            best.order,
-        )
-        query_at = replace(query, hint=float(reference))
-        slice_ctx = _ThresholdSlice(ctx, 0)
-        plan, cost, rows = self.finalize_candidate(slice_ctx, query_at, scalar_best)
-
-        ranking = np.argsort(scores, kind="stable")
-        summaries = penalty_summary(penalties)
-        selection = {
-            "strategy": "penalty",
-            "risk": risk,
-            "alpha": float(alpha),
-            "samples": len(samples),
-            "reference_quantile": float(reference),
-            "quantiles": [float(u) for u in samples],
-            "winner_index": int(winner),
-            "winner_score": float(scores[winner]),
-            "plans": [
-                {
-                    "plan_shape": plan_shape(finalists[i].operator),
-                    "score": float(scores[i]),
-                    "penalty": summaries[i],
-                    "reference_cost": float(costs[i, 0]),
-                }
-                for i in ranking.tolist()
-            ],
-        }
-        alternatives = [
-            PlanCandidate(
-                finalists[i].operator,
-                finalists[i].tables,
-                float(rows_matrix[i, 0]),
-                float(costs[i, 0]),
-                finalists[i].order,
+        def at_lane(row: int, lane: int | None) -> PlanCandidate:
+            """Finalist ``row`` with its scalar rows and cost at ``lane``."""
+            candidate = finalists[row]
+            if grid is None:
+                return candidate
+            return PlanCandidate(
+                candidate.operator,
+                candidate.tables,
+                float(rows_matrix[row, lane]),
+                float(costs[row, lane]),
+                candidate.order,
             )
-            for i in ranking.tolist()
-        ]
-        span = None
-        if tracing:
-            span = self._optimizer_span(
-                strategy="penalty",
-                threshold=float(reference),
-                estimation_calls=ctx.estimation_calls,
-                dp_stats=dp_stats,
-                finalists=finalists,
-                winner={
+
+        planned: list[PlannedQuery] = []
+        for choice in select(finalists, costs, grid):
+            lane = choice.lane
+            view, query_at = ctx, query
+            if grid is not None:
+                self._stamp_lane(stamped, lane)
+                view = _ThresholdSlice(ctx, lane)
+                query_at = replace(query, hint=grid[lane])
+            best = at_lane(choice.winner, lane)
+            plan, cost, rows = self.finalize_candidate(view, query_at, best)
+            alternatives = [at_lane(row, lane) for row in choice.ranking]
+            span = None
+            if tracing:
+                winner = {
                     "plan_shape": plan_shape(plan),
                     "cost": float(cost),
                     "rows": float(rows),
                     "order": best.order,
-                    "score": float(scores[winner]),
-                    "cost_vector": [float(c) for c in costs[winner]],
-                },
-                alternatives=[
-                    {
-                        "plan_shape": plan_shape(finalists[i].operator),
-                        "score": float(scores[i]),
-                        "cost": float(costs[i, 0]),
-                    }
-                    for i in ranking.tolist()[:5]
-                ],
-                optimize_seconds=time.perf_counter() - started,
+                    **choice.winner_fields,
+                }
+                if grid is not None:
+                    winner["cost_vector"] = [
+                        float(c) for c in costs[choice.winner]
+                    ]
+                span = self._optimizer_span(
+                    strategy=choice.strategy,
+                    threshold=query.hint if grid is None else float(grid[lane]),
+                    estimation_calls=ctx.estimation_calls,
+                    dp_stats=dp_stats,
+                    finalists=finalists,
+                    winner=winner,
+                    alternatives=[
+                        {
+                            "plan_shape": plan_shape(candidate.operator),
+                            **(
+                                {}
+                                if choice.scores is None
+                                else {"score": float(choice.scores[row])}
+                            ),
+                            "cost": float(candidate.cost),
+                        }
+                        for row, candidate in zip(
+                            choice.ranking[:5], alternatives
+                        )
+                    ],
+                    optimize_seconds=time.perf_counter() - started,
+                )
+                if choice.provenance is not None:
+                    span["selection"] = choice.provenance
+            planned.append(
+                PlannedQuery(
+                    query=query_at,
+                    plan=plan,
+                    estimated_cost=cost,
+                    estimated_rows=rows,
+                    alternatives=alternatives,
+                    estimation_calls=ctx.estimation_calls,
+                    estimates=ctx.estimates(lane),
+                    trace=span,
+                    selection=choice.provenance,
+                )
             )
-            span["selection"] = selection
-        return PlannedQuery(
-            query=query_at,
-            plan=plan,
-            estimated_cost=cost,
-            estimated_rows=rows,
-            alternatives=alternatives,
-            estimation_calls=ctx.estimation_calls,
-            estimates=slice_ctx.estimates(),
-            trace=span,
-            selection=selection,
-        )
+        return planned
 
-    # ------------------------------------------------------------------
-    def _vector_finalists(
-        self,
-        ctx: VectorPlanningContext,
-        query: SPJQuery,
-        width: int,
-        dp_stats: list[dict] | None,
+    def _finalists(
+        self, ctx: PlanningContext, query: SPJQuery, dp_stats: list[dict] | None
     ) -> list[PlanCandidate]:
-        """Full-coverage candidates from one vectorized DP pass.
+        """Full-coverage candidates from one DP pass over the lattice.
 
-        Shared by :meth:`optimize_many` and :meth:`optimize_penalty`:
-        Bellman enumeration with per-lane pruning, star-plan
+        Bellman enumeration (pruned per lane under a grid), star-plan
         augmentation, and dedupe. Raises if nothing covers the query.
         """
         full_set = frozenset(query.tables)
+        prune = keep_best
+        if ctx.grid is not None:
+            prune = partial(keep_best_vector, width=len(ctx.grid))
         best_per_subset = self._enumerate_joins(
-            ctx,
-            query,
-            prune=lambda cands: keep_best_vector(cands, width),
-            dp_stats=dp_stats,
+            ctx, query, prune=prune, dp_stats=dp_stats
         )
         finalists = list(iter_candidates(best_per_subset[full_set]))
 
@@ -1043,8 +950,12 @@ class Optimizer:
                     query.predicate,
                     hint=query.hint,
                 )
-            except Exception:
-                pass  # fall through to the histogram heuristic
+            except ReproError:
+                # What the estimator and the catalog raise (no covering
+                # synopsis, unresolvable column): fall through to the
+                # histogram heuristic. Anything else is a bug, not a
+                # missing statistic, and propagates.
+                pass
         distinct = 1.0
         statistics = getattr(self.estimator, "statistics", None)
         for column in query.group_by:

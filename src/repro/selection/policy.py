@@ -25,10 +25,11 @@ entry surface (kwargs, CLI flags, config fields) funnels through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.confidence import MODERATE, resolve_threshold
 from repro.errors import ReproError
+from repro.selection.sampler import sample_quantiles
 
 #: CVaR tail fractions and sample counts outside these bounds are
 #: configuration errors, not estimation ones.
@@ -47,6 +48,7 @@ class SelectionPolicy:
     family they require in ``estimator_kind``; ``cache_key()`` is the
     policy component of every plan-cache key, and ``spec()`` is the
     round-trippable string form (``resolve_policy(p.spec()) == p``).
+    ``plan()`` is the one place a policy turns into an optimizer call.
     """
 
     @property
@@ -66,6 +68,20 @@ class SelectionPolicy:
 
     def describe(self) -> str:
         return self.spec()
+
+    def hinted(self, query):
+        """``query`` carrying the confidence hint this policy plans a
+        scalar ``optimize`` pass at (unchanged for point estimators)."""
+        return query
+
+    def plan(self, optimizer, query, *, query_key: str, statistics_token: int):
+        """Plan ``query`` on ``optimizer`` the way this policy selects.
+
+        ``query_key`` (the query fingerprint) and ``statistics_token``
+        (:meth:`~repro.stats.StatisticsManager.sampling_token`) seed
+        policies that sample; the others ignore them.
+        """
+        return optimizer.optimize(self.hinted(query))
 
 
 @dataclass(frozen=True)
@@ -93,6 +109,9 @@ class ThresholdPolicy(SelectionPolicy):
 
     def cache_key(self) -> tuple:
         return ("threshold", self.q)
+
+    def hinted(self, query):
+        return replace(query, hint=self.q)
 
     def spec(self) -> str:
         return f"threshold:{self.q:g}"
@@ -149,6 +168,17 @@ class PenaltyPolicy(SelectionPolicy):
 
     def cache_key(self) -> tuple:
         return ("penalty", self.samples, self.risk, self.alpha)
+
+    def hinted(self, query):
+        return replace(query, hint=None)
+
+    def plan(self, optimizer, query, *, query_key: str, statistics_token: int):
+        quantiles = sample_quantiles(
+            self, query_key=query_key, statistics_token=statistics_token
+        )
+        return optimizer.optimize_penalty(
+            self.hinted(query), quantiles, risk=self.risk, alpha=self.alpha
+        )
 
     def spec(self) -> str:
         if self.risk == "cvar":

@@ -28,10 +28,14 @@ query plans against byte-identical samples.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.random_state import derive_rng
-from repro.selection.policy import PenaltyPolicy
+
+if TYPE_CHECKING:  # policy.py imports this module for PenaltyPolicy.plan
+    from repro.selection.policy import PenaltyPolicy
 
 #: Quantiles are clipped into the open unit interval;
 #: ``SelectivityPosterior.ppf`` rejects 0 and 1 (infinite tails).
@@ -39,7 +43,7 @@ _EPS = 1e-9
 
 
 def sample_quantiles(
-    policy: PenaltyPolicy,
+    policy: "PenaltyPolicy",
     *,
     query_key: str,
     statistics_token: int,

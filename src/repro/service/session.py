@@ -72,11 +72,9 @@ from repro.optimizer import Optimizer, PlannedQuery, SPJQuery
 from repro.selection import (
     BayesNetPolicy,
     HistogramPolicy,
-    PenaltyPolicy,
     SelectionPolicy,
     ThresholdPolicy,
     resolve_policy,
-    sample_quantiles,
 )
 from repro.service.cache import PlanCache
 from repro.service.fingerprint import canonical_sql, query_fingerprint
@@ -859,28 +857,17 @@ class Session:
         policy: SelectionPolicy | None,
         fingerprint: str,
     ) -> PlannedQuery:
-        """One planning pass under ``policy`` (the selection-mode fork).
-
-        Threshold policies plan the hinted scalar path; penalty
-        policies draw their deterministic posterior samples and run the
-        penalty-vectorized pass; histogram/exact plan unhinted.
-        """
-        if isinstance(policy, PenaltyPolicy):
-            quantiles = sample_quantiles(
-                policy,
-                query_key=fingerprint,
-                statistics_token=state.manager.sampling_token(),
-            )
-            return optimizer.optimize_penalty(
-                replace(parsed, hint=None),
-                quantiles,
-                risk=policy.risk,
-                alpha=policy.alpha,
-            )
-        target = parsed
-        if isinstance(policy, ThresholdPolicy):
-            target = replace(parsed, hint=policy.q)
-        return optimizer.optimize(target)
+        """One planning pass under ``policy`` (``None``: plain
+        ``optimize``); how a policy plans is the policy's own
+        :meth:`~repro.selection.SelectionPolicy.plan`."""
+        if policy is None:
+            return optimizer.optimize(parsed)
+        return policy.plan(
+            optimizer,
+            parsed,
+            query_key=fingerprint,
+            statistics_token=state.manager.sampling_token(),
+        )
 
     def prepare(
         self,
@@ -952,11 +939,7 @@ class Session:
             f"{type(exc).__name__}: {exc}",
             component="planner",
         )
-        target = parsed
-        if isinstance(effective, ThresholdPolicy):
-            target = replace(parsed, hint=effective.q)
-        elif isinstance(effective, PenaltyPolicy):
-            target = replace(parsed, hint=None)
+        target = parsed if effective is None else effective.hinted(parsed)
         optimizer = Optimizer(
             self.database,
             self._fallback_estimator(),

@@ -1,10 +1,7 @@
-"""Unit tests for repro.engine.kernels (backend dispatch + bit-identity).
+"""Unit tests for repro.engine.kernels (size dispatch + bit-identity).
 
-Every kernel has a pure-numpy reference; the dispatch layer must return
-bit-identical results no matter which backend is active. The numba
-variants only run where numba is installed (it is an optional
-dependency), so those assertions are conditional — the numpy fallback
-path is the one exercised everywhere.
+Every kernel has a pure-numpy reference; whichever formulation the
+dispatch layer picks for an input must return bit-identical results.
 """
 
 import numpy as np
@@ -13,12 +10,6 @@ import pytest
 from repro.engine import kernels
 from repro.engine.joinutil import match_keys, semijoin_mask
 from repro.errors import ReproError
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    yield
-    kernels.set_backend(None)
 
 
 def reference_match_keys(left, right):
@@ -36,36 +27,14 @@ def reference_match_keys(left, right):
 
 
 class TestBackendSelection:
-    def test_numpy_always_available(self):
-        assert "numpy" in kernels.available_backends()
-
-    def test_default_resolves(self):
-        assert kernels.active_backend() in ("numpy", "numba")
-
-    def test_force_numpy(self):
-        kernels.set_backend("numpy")
-        assert kernels.active_backend() == "numpy"
-
-    def test_auto_restores(self):
-        kernels.set_backend("numpy")
-        kernels.set_backend("auto")
-        assert kernels.active_backend() in ("numpy", "numba")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ReproError, match="unknown kernel backend"):
-            kernels.set_backend("cuda")
-
-    def test_numba_request_fails_loudly_when_missing(self):
-        if "numba" in kernels.available_backends():
-            pytest.skip("numba installed: strict request succeeds")
-        with pytest.raises(ReproError, match="not installed"):
-            kernels.set_backend("numba")
+    """One backend (numpy), dispatched by input size: ``describe``
+    reports the threshold so benchmark records carry it."""
 
     def test_describe_is_json_ready(self):
         import json
 
         snapshot = json.loads(json.dumps(kernels.describe()))
-        assert snapshot["active_backend"] in ("numpy", "numba")
+        assert snapshot == {"semijoin_small_n": kernels.SEMIJOIN_SMALL_N}
 
 
 class TestMatchKeys:

@@ -12,7 +12,10 @@ from repro.core import (
     HistogramCardinalityEstimator,
     RobustCardinalityEstimator,
 )
-from repro.expressions import col
+from repro.expressions import col, expr_key
+from repro.feedback.store import FeedbackProvider, FeedbackStore
+from repro.obs.tracer import Tracer
+from repro.stats import StatisticsManager
 
 
 def estimator_instances(tpch_db, tpch_stats):
@@ -144,34 +147,135 @@ class TestProtocolParity:
 GRID = (0.05, 0.50, 0.95)
 
 
+#: Statistics shapes that put the robust estimator on each rung of the
+#: Section 3.5 ladder, with the ``source`` the four-table CASES[5]
+#: (predicates on ``part`` and ``customer``) must come out as.
+ROBUST_SHAPES = {
+    "robust-samples-only": "sample-avi",
+    "robust-part-unsampled": "mixed",
+    "robust-no-statistics": "magic",
+    "robust-feedback": "feedback",
+    "robust-feedback-no-synopsis": "feedback",
+}
+
+
+@pytest.fixture(scope="module")
+def shaped_statistics(tpch_db, tpch_stats):
+    """One statistics manager per shape (estimators are built fresh)."""
+    samples_only = StatisticsManager(tpch_db)
+    samples_only.update_statistics(sample_size=500, seed=5)
+    part_unsampled = StatisticsManager(tpch_db)
+    part_unsampled.update_statistics(sample_size=500, seed=5)
+    for manager in (samples_only, part_unsampled):
+        for table in tpch_db.table_names:
+            manager.drop_synopsis(table)
+    part_unsampled.drop_sample("part")
+    return {
+        "robust-samples-only": samples_only,
+        "robust-part-unsampled": part_unsampled,
+        "robust-no-statistics": StatisticsManager(tpch_db),
+        "robust-feedback": tpch_stats,
+        "robust-feedback-no-synopsis": samples_only,
+    }
+
+
+def consistency_estimator(tpch_db, tpch_stats, shaped_statistics, name):
+    if name not in ROBUST_SHAPES:
+        return estimator_instances(tpch_db, tpch_stats)[name]
+    estimator = RobustCardinalityEstimator(shaped_statistics[name], policy=0.8)
+    if "feedback" in name:
+        # A stored observation for every case, so both the synopsis
+        # fold and the no-synopsis short-circuit are exercised.
+        store = FeedbackStore()
+        for tables, predicate in CASES:
+            store.record(
+                "contract",
+                tables=tables,
+                predicate_key=expr_key(predicate),
+                observed_rows=1234.0,
+            )
+        estimator.feedback = FeedbackProvider(store, "contract")
+    return estimator
+
+
+def _lane(span: dict, index: int) -> dict:
+    """Lane ``index`` of a grid evidence span, in scalar-span shape."""
+    out = dict(span)
+    for field in ("threshold", "quantile", "point_estimate"):
+        if out[field] is not None:
+            out[field] = out[field][index]
+    if out["feedback"] is not None:
+        out["feedback"] = dict(out["feedback"])
+        for field in ("prior_quantile", "prior_point_estimate"):
+            out["feedback"][field] = out["feedback"][field][index]
+    return out
+
+
 @pytest.mark.parametrize(
-    "name", ["exact", "robust", "histogram", "bayes", "fixed"]
+    "name", ["exact", "robust", "histogram", "bayes", "fixed", *ROBUST_SHAPES]
 )
 class TestEstimateManyConsistency:
-    """estimate_many == looping estimate with each threshold as hint."""
+    """estimate_many == looping estimate with each threshold as hint,
+    on every rung of the robust estimator's ladder."""
 
     @pytest.mark.parametrize("case_index", range(len(CASES)))
     def test_grid_matches_looped_estimates(
-        self, tpch_db, tpch_stats, name, case_index
+        self, tpch_db, tpch_stats, shaped_statistics, name, case_index
     ):
-        estimator = estimator_instances(tpch_db, tpch_stats)[name]
+        estimator = consistency_estimator(
+            tpch_db, tpch_stats, shaped_statistics, name
+        )
+        robust = isinstance(estimator, RobustCardinalityEstimator)
+        if robust:
+            estimator.tracer = Tracer()
         tables, predicate = CASES[case_index]
         many = estimator.estimate_many(tables, predicate, GRID)
         assert len(many) == len(GRID)
-        looped = [
-            estimator.estimate(tables, predicate, hint=t) for t in GRID
-        ]
-        for vectored, scalar in zip(many, looped):
+        grid_spans = estimator.tracer.drain_estimations() if robust else []
+        for index, (vectored, t) in enumerate(zip(many, GRID)):
+            scalar = estimator.estimate(tables, predicate, hint=t)
             assert vectored.selectivity == scalar.selectivity
             assert vectored.cardinality == scalar.cardinality
             assert vectored.root_table == scalar.root_table
+            assert vectored.source == scalar.source
+            assert vectored.threshold == scalar.threshold
+            assert (vectored.posterior is None) == (scalar.posterior is None)
+            if scalar.posterior is not None:
+                for field in ("k", "n", "alpha", "beta"):
+                    assert getattr(vectored.posterior, field) == getattr(
+                        scalar.posterior, field
+                    )
+            if robust:
+                # Evidence spans agree field by field; only ``lut_hit``
+                # differs by design (it says which finisher inverted).
+                scalar_spans = estimator.tracer.drain_estimations()
+                for span in scalar_spans:
+                    assert span.pop("lut_hit") is False
+                lanes = [_lane(span, index) for span in grid_spans]
+                for span in lanes:
+                    assert span.pop("lut_hit") is (span["source"] != "magic")
+                assert lanes == scalar_spans
 
-    def test_accepts_any_sequence(self, tpch_db, tpch_stats, name):
+    def test_accepts_any_sequence(
+        self, tpch_db, tpch_stats, shaped_statistics, name
+    ):
         """Grids arrive as lists, tuples, or arrays; all must work."""
-        estimator = estimator_instances(tpch_db, tpch_stats)[name]
+        estimator = consistency_estimator(
+            tpch_db, tpch_stats, shaped_statistics, name
+        )
         tables, predicate = CASES[1]
         as_tuple = estimator.estimate_many(tables, predicate, GRID)
         as_list = estimator.estimate_many(tables, predicate, list(GRID))
         assert [e.selectivity for e in as_tuple] == [
             e.selectivity for e in as_list
         ]
+
+
+@pytest.mark.parametrize("name", ROBUST_SHAPES)
+def test_shape_reaches_its_rung(tpch_db, tpch_stats, shaped_statistics, name):
+    """Each statistics shape lands on the ladder rung it is named for."""
+    estimator = consistency_estimator(tpch_db, tpch_stats, shaped_statistics, name)
+    tables, predicate = CASES[5]
+    sources = {e.source for e in estimator.estimate_many(tables, predicate, GRID)}
+    assert sources == {ROBUST_SHAPES[name]}
+    assert estimator.estimate(tables, predicate).source == ROBUST_SHAPES[name]

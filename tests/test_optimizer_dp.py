@@ -171,6 +171,46 @@ class TestFinalization:
         truth = len(np.unique(tpch_db.table("lineitem").column("l_partkey")))
         assert frame.num_rows == truth
 
+    @staticmethod
+    def _plan_group_by_with(monkeypatch, tpch_db, tpch_stats, error):
+        """Plan a GROUP BY while the sample-based group estimator raises."""
+        from repro.core import GroupCountEstimator
+
+        def failing(self, *args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(GroupCountEstimator, "estimate_groups", failing)
+        optimizer = Optimizer(tpch_db, RobustCardinalityEstimator(tpch_stats))
+        return optimizer.optimize(
+            SPJQuery(
+                ["lineitem"],
+                None,
+                aggregates=[AggregateSpec("count", "*", "n")],
+                group_by=["lineitem.l_partkey"],
+            )
+        )
+
+    def test_group_estimation_error_falls_back_to_histogram(
+        self, monkeypatch, tpch_db, tpch_stats
+    ):
+        from repro.errors import EstimationError
+
+        planned = self._plan_group_by_with(
+            monkeypatch, tpch_db, tpch_stats, EstimationError("no synopsis")
+        )
+        # The histogram heuristic: distinct l_partkey values (far fewer
+        # than lineitem rows, so the row cap does not bind).
+        histogram = tpch_stats.histogram("lineitem", "l_partkey")
+        assert planned.estimated_rows == histogram.distinct_values
+
+    def test_group_estimation_bug_propagates(
+        self, monkeypatch, tpch_db, tpch_stats
+    ):
+        with pytest.raises(TypeError, match="boom"):
+            self._plan_group_by_with(
+                monkeypatch, tpch_db, tpch_stats, TypeError("boom")
+            )
+
     def test_projection(self, optimizer, tpch_db):
         query = SPJQuery(
             ["lineitem"],
