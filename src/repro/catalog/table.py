@@ -55,6 +55,10 @@ class Table:
                 f"table {name!r} has ragged columns (lengths {sorted(lengths)})"
             )
         self._num_rows = lengths.pop()
+        # The schema and the row count are fixed from here on, so the
+        # page geometry the planner asks for per access path is too.
+        self._rows_per_page = max(1, PAGE_BYTES // schema.row_byte_width)
+        self._num_pages = max(1, -(-self._num_rows // self._rows_per_page))
 
         pk = schema.primary_key
         if pk is not None and self._num_rows > 0:
@@ -70,13 +74,12 @@ class Table:
     @property
     def num_pages(self) -> int:
         """Number of simulated disk pages occupied by the table."""
-        rows_per_page = max(1, PAGE_BYTES // self.schema.row_byte_width)
-        return max(1, -(-self._num_rows // rows_per_page))
+        return self._num_pages
 
     @property
     def rows_per_page(self) -> int:
         """Rows stored per simulated disk page."""
-        return max(1, PAGE_BYTES // self.schema.row_byte_width)
+        return self._rows_per_page
 
     def column(self, name: str) -> np.ndarray:
         """Return the (read-only) array for column ``name``."""

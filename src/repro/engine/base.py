@@ -2,10 +2,30 @@
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 from repro.expressions import Frame
 from repro.engine.context import ExecutionContext
+
+
+def _recording_rows(body):
+    """``body`` plus the operator's entry in ``ctx.operator_rows``.
+
+    The single place output row counts are captured. It wraps each
+    operator class's own ``execute`` when the class is created, so it
+    runs however a parent reaches its child — including through a
+    wrapper a tracer later puts on the class attribute.
+    """
+
+    @functools.wraps(body)
+    def execute(self, ctx):
+        frame = body(self, ctx)
+        if ctx.operator_rows is not None:
+            ctx.operator_rows[self] = frame.num_rows
+        return frame
+
+    return execute
 
 
 class PhysicalOperator:
@@ -25,6 +45,11 @@ class PhysicalOperator:
     est_rows: float | None = None
     #: Estimated cumulative cost (seconds), set by the optimizer.
     est_cost: float | None = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "execute" in cls.__dict__:
+            cls.execute = _recording_rows(cls.__dict__["execute"])
 
     def execute(self, ctx: ExecutionContext) -> Frame:
         """Run the operator, returning its output frame."""

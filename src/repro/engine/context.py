@@ -36,13 +36,23 @@ class ExecutionContext:
 
     Holds the database being queried, the work counters the operators
     charge into, and the execution options (frame laziness, shared scan
-    cache).
+    cache). A caller that wants each operator's output cardinality
+    passes a mapping as ``operator_rows``; the execution fills it with
+    ``{operator object: output row count}`` for every operator it runs.
+    Without one nothing is recorded.
     """
 
-    def __init__(self, database: Database, options: ExecOptions | None = None) -> None:
+    def __init__(
+        self,
+        database: Database,
+        options: ExecOptions | None = None,
+        *,
+        operator_rows: dict | None = None,
+    ) -> None:
         self.database = database
         self.counters = WorkCounters()
         self.options = options if options is not None else ExecOptions()
+        self.operator_rows = operator_rows
 
     @property
     def lazy_frames(self) -> bool:

@@ -142,10 +142,17 @@ class SessionFeedback:
         estimated_rows: float | None,
         actual_rows: int,
         statistics_version: int,
+        operator_rows=None,
     ) -> None:
-        """Harvest one executed plan and ledger its plan-level q-error."""
+        """Harvest one executed plan and ledger its plan-level q-error.
+
+        ``operator_rows`` is the ``{operator: output rows}`` mapping the
+        plan's execution captured (see :func:`harvest_plan`).
+        """
         namespace = self.namespace_for_version(statistics_version)
-        harvest_plan(self.store, namespace, query, plan, database)
+        harvest_plan(
+            self.store, namespace, query, plan, database, operator_rows
+        )
         self.observations += 1
         error = q_error(estimated_rows, actual_rows)
         if error is not None:

@@ -12,21 +12,26 @@ records are byte-identical to the lookups the next prepare performs.
 
 Two entry points:
 
-* :func:`harvest_plan` — re-executes the topmost relational operator
-  per distinct table set of an executed plan (the same deterministic
-  subtree re-execution the tracing layer's ``operator_spans`` uses)
-  and records each observed cardinality;
+* :func:`harvest_plan` — records the output cardinality of the topmost
+  relational operator per distinct table set of an executed plan. The
+  cardinalities are not computed here: they are the ``{operator: output
+  rows}`` mapping an execution fills when its
+  :class:`~repro.engine.ExecutionContext` was given one
+  (``operator_rows``). ``Session`` passes the mapping of the execution
+  that produced the statement's result, so harvesting executes nothing.
+  A standalone call without a mapping (tests, hand-built plans) obtains
+  it the same way — one capturing execution of the plan root, which
+  runs every operator ``plan.walk()`` yields exactly once;
 * :func:`harvest_traces` — replays archived trace records (the
   experiment runner's output) through the per-operator execution
-  spans, which since this release carry their covered ``tables``.
-  Aggregation in the store is commutative, so harvesting the same
-  records in any order — from any worker count — produces
-  byte-identical store contents.
+  spans, which carry their covered ``tables``. Aggregation in the store
+  is commutative, so harvesting the same records in any order — from
+  any worker count — produces byte-identical store contents.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -61,24 +66,37 @@ def predicate_for_tables(
     cross-table conjuncts exist, where the optimizer's final filter
     estimate uses the whole query predicate.
     """
-    per_table = predicates_by_table(query.predicate)
-    cross = per_table.pop("", None)
-    if cross is not None and set(tables) == set(query.tables):
+    return _predicate_for(query, predicates_by_table(query.predicate), tables)
+
+
+def _predicate_for(
+    query: SPJQuery, per_table: dict[str, Expr], tables: frozenset[str]
+) -> Expr | None:
+    """:func:`predicate_for_tables` over an already analysed predicate."""
+    if "" in per_table and set(tables) == set(query.tables):
         return query.predicate
     return conjunction([per_table.get(name) for name in sorted(tables)])
 
 
 def plan_observations(
-    query: SPJQuery, plan: PhysicalOperator, database: Database
+    query: SPJQuery,
+    plan: PhysicalOperator,
+    database: Database,
+    operator_rows: Mapping[PhysicalOperator, int] | None = None,
 ) -> list[dict]:
     """Observed cardinalities from one executed plan.
 
     Walks the plan pre-order and, for the *topmost* relational
-    operator of each distinct table set, re-executes the subtree in a
-    fresh context (deterministic, so "re-executing" is just reading
-    the true cardinality) and emits one observation dict:
+    operator of each distinct table set, emits one observation dict:
     ``{"tables", "predicate_key", "observed_rows", "estimated_rows"}``.
+    ``operator_rows`` is the mapping the plan's execution captured
+    (``ExecutionContext(..., operator_rows={})``); without one the plan
+    root is executed once here to capture it.
     """
+    if operator_rows is None:
+        operator_rows = {}
+        plan.execute(ExecutionContext(database, operator_rows=operator_rows))
+    per_table = predicates_by_table(query.predicate)
     observations: list[dict] = []
     seen: set[frozenset[str]] = set()
     for op in plan.walk():
@@ -88,20 +106,17 @@ def plan_observations(
         if not tables or tables in seen:
             continue
         seen.add(tables)
-        ctx = ExecutionContext(database)
-        observed = op.execute(ctx).num_rows
         estimated = op.est_rows
         if isinstance(estimated, np.ndarray):
             flat = estimated.reshape(-1)
             estimated = float(flat[0]) if flat.size == 1 else None
         elif estimated is not None:
             estimated = float(estimated)
-        predicate = predicate_for_tables(query, tables)
         observations.append(
             {
                 "tables": tuple(sorted(tables)),
-                "predicate_key": expr_key(predicate),
-                "observed_rows": float(observed),
+                "predicate_key": expr_key(_predicate_for(query, per_table, tables)),
+                "observed_rows": float(operator_rows[op]),
                 "estimated_rows": estimated,
             }
         )
@@ -114,9 +129,10 @@ def harvest_plan(
     query: SPJQuery,
     plan: PhysicalOperator,
     database: Database,
+    operator_rows: Mapping[PhysicalOperator, int] | None = None,
 ) -> int:
     """Record every observation of one executed plan; returns count."""
-    observations = plan_observations(query, plan, database)
+    observations = plan_observations(query, plan, database, operator_rows)
     for obs in observations:
         store.record(
             namespace,

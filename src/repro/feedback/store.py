@@ -100,6 +100,9 @@ class FeedbackStore:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._namespaces: dict[str, dict[str, dict]] = {}
+        #: key -> number of namespaces holding it, so "does any epoch
+        #: know this key" is one probe however many epochs exist.
+        self._holders: dict[str, int] = {}
         self._generation = 0
 
     # ------------------------------------------------------------------
@@ -133,8 +136,7 @@ class FeedbackStore:
         else:
             q = 1.0
         with self._lock:
-            slot = self._namespaces.setdefault(namespace, {})
-            record = slot.get(key)
+            record = self._namespaces.get(namespace, {}).get(key)
             if record is None:
                 record = {
                     "tables": list(tables),
@@ -146,7 +148,7 @@ class FeedbackStore:
                     "qerr_log_sum": 0.0,
                     "qerr_max": 1.0,
                 }
-                slot[key] = record
+                self._insert(namespace, key, record)
             record["observations"] += 1
             record["rows_sum"] += observed
             record["rows_min"] = min(record["rows_min"], observed)
@@ -156,6 +158,11 @@ class FeedbackStore:
             record["qerr_max"] = max(record["qerr_max"], q)
             self._generation += 1
         return key
+
+    def _insert(self, namespace: str, key: str, record: dict) -> None:
+        """Add a new record (lock held, or the store not yet shared)."""
+        self._namespaces.setdefault(namespace, {})[key] = record
+        self._holders[key] = self._holders.get(key, 0) + 1
 
     # ------------------------------------------------------------------
     def observation(
@@ -168,6 +175,12 @@ class FeedbackStore:
             if record is None:
                 return None
             return self._observation_from(record)
+
+    def has_key(self, tables: Iterable[str], predicate_key: str) -> bool:
+        """Whether any namespace holds this key."""
+        key = feedback_key(tables, predicate_key)
+        with self._lock:
+            return key in self._holders
 
     def lookup_any_namespace(
         self, tables: Iterable[str], predicate_key: str
@@ -224,8 +237,15 @@ class FeedbackStore:
                     len(slot) for slot in self._namespaces.values()
                 )
                 self._namespaces.clear()
+                self._holders.clear()
             else:
-                dropped = len(self._namespaces.pop(namespace, {}))
+                slot = self._namespaces.pop(namespace, {})
+                dropped = len(slot)
+                for key in slot:
+                    if self._holders[key] == 1:
+                        del self._holders[key]
+                    else:
+                        self._holders[key] -= 1
             if dropped:
                 self._generation += 1
             return dropped
@@ -345,7 +365,7 @@ class FeedbackStore:
                         f"feedback store {path}: record {key!r} in "
                         f"{namespace!r} has no observations"
                     )
-                store._namespaces.setdefault(namespace, {})[key] = clean
+                store._insert(namespace, key, clean)
         return store
 
     # ------------------------------------------------------------------
@@ -441,10 +461,8 @@ class FeedbackProvider:
         source_namespace = self.namespace
         if obs is None:
             if self.enforce_namespace:
-                foreign = self.store.lookup_any_namespace(
-                    tables, predicate_key
-                )
-                if foreign is not None:
+                # Missing here but held somewhere: a foreign epoch's.
+                if self.store.has_key(tables, predicate_key):
                     self.stale_refused += 1
                 else:
                     self.misses += 1

@@ -1046,18 +1046,22 @@ class Session:
                 "repro_session_replans_total",
                 "Transparent re-plans after a statistics version bump.",
             ).inc()
+        # Degraded (magic-only) plans are not harvested: their estimates
+        # say nothing about the configured estimator's accuracy.
+        harvest = self._feedback is not None and prepared.degraded_reason is None
         ctx = ExecutionContext(
-            self.database, ExecOptions(scan_cache=self._scan_cache)
+            self.database,
+            ExecOptions(scan_cache=self._scan_cache),
+            operator_rows={} if harvest else None,
         )
         started = time.perf_counter()
         frame = prepared.plan.execute(ctx)
         wall = time.perf_counter() - started
         simulated = self.cost_model.time_from_counters(ctx.counters)
-        if self._feedback is not None and prepared.degraded_reason is None:
-            # Harvest observed cardinalities into the epoch this plan
-            # was produced under and ledger its plan-level q-error.
-            # Degraded (magic-only) plans are skipped: their estimates
-            # say nothing about the configured estimator's accuracy.
+        if harvest:
+            # Record the cardinalities this execution observed into the
+            # epoch the plan was produced under and ledger its
+            # plan-level q-error.
             self._feedback.observe(
                 prepared.query,
                 prepared.plan,
@@ -1065,6 +1069,7 @@ class Session:
                 estimated_rows=prepared.estimated_rows,
                 actual_rows=frame.num_rows,
                 statistics_version=prepared.statistics_version,
+                operator_rows=ctx.operator_rows,
             )
         self.metrics.counter(
             "repro_session_executes_total", "Statements executed."

@@ -37,39 +37,32 @@ class EquiDepthHistogram:
         self.total_rows = len(values)
         buckets = min(num_buckets, self.total_rows)
         # Split positions at equi-depth quantiles, then snap each upper
-        # boundary outward so equal values never straddle buckets.
+        # boundary outward so equal values never straddle buckets. A
+        # raw edge that falls inside the duplicate run an earlier edge
+        # already snapped to has the same snapped end, so the buckets
+        # are the first occurrence of each snapped end.
         raw_edges = np.linspace(0, self.total_rows, buckets + 1).astype(np.int64)
-        uppers: list[float] = []
-        counts: list[int] = []
-        distincts: list[int] = []
-        boundary_counts: list[int] = []
-        start = 0
-        for edge in raw_edges[1:]:
-            end = int(edge)
-            if end <= start:
-                continue
-            boundary_value = sorted_values[end - 1]
-            # extend to include all duplicates of the boundary value
-            end = int(np.searchsorted(sorted_values, boundary_value, side="right"))
-            chunk = sorted_values[start:end]
-            if len(chunk) == 0:
-                continue
-            uppers.append(float(boundary_value))
-            counts.append(len(chunk))
-            distincts.append(int(len(np.unique(chunk))))
-            boundary_counts.append(
-                int(np.searchsorted(chunk, boundary_value, side="right")
-                    - np.searchsorted(chunk, boundary_value, side="left"))
-            )
-            start = end
+        boundary_values = sorted_values[raw_edges[1:] - 1]
+        ends = np.searchsorted(sorted_values, boundary_values, side="right")
+        keep = np.ones(len(ends), dtype=bool)
+        keep[1:] = ends[1:] != ends[:-1]
+        ends = ends[keep].astype(np.int64, copy=False)
+        boundary_values = boundary_values[keep]
+        # Buckets end where a run of equal values ends, so a bucket's
+        # distinct count is the number of runs starting inside it.
+        run_starts = np.ones(self.total_rows, dtype=bool)
+        run_starts[1:] = sorted_values[1:] != sorted_values[:-1]
+        runs_through = np.cumsum(run_starts, dtype=np.int64)[ends - 1]
         self.minimum = float(sorted_values[0])
-        self.uppers = np.asarray(uppers, dtype=np.float64)
-        self.counts = np.asarray(counts, dtype=np.int64)
-        self.distincts = np.asarray(distincts, dtype=np.int64)
+        self.uppers = boundary_values.astype(np.float64)
+        self.counts = np.diff(ends, prepend=0)
+        self.distincts = np.diff(runs_through, prepend=0)
         #: Exact frequency of each bucket's upper-boundary value (the
         #: EQ_ROWS of a SQL Server histogram step) — boundaries snap to
         #: duplicate runs, so heavy hitters always sit on a boundary.
-        self.boundary_counts = np.asarray(boundary_counts, dtype=np.int64)
+        self.boundary_counts = ends - np.searchsorted(
+            sorted_values, boundary_values, side="left"
+        )
 
     @property
     def num_buckets(self) -> int:

@@ -1,0 +1,310 @@
+"""Harvest reads cardinalities off the execution that ran.
+
+``plan_observations`` used to learn each observed cardinality by
+executing the topmost operator of every table set again in a fresh
+context. It now reads the ``{operator: output rows}`` mapping the one
+real execution filled (``ExecutionContext(operator_rows={})``). The old
+procedure lives on here as ``reexecuted_observations`` — the reference
+every captured result must equal, dict for dict — together with the
+counting wrappers that show nothing runs twice.
+"""
+
+from __future__ import annotations
+
+import collections
+
+import numpy as np
+import pytest
+
+import repro.engine
+from repro.core import RobustCardinalityEstimator
+from repro.engine import (
+    ExecOptions,
+    ExecutionContext,
+    HashAggregate,
+    Limit,
+    PhysicalOperator,
+    ScanCache,
+    Sort,
+)
+from repro.expressions import expr_key
+from repro.feedback import FeedbackStore, plan_observations
+from repro.feedback.harvest import predicate_for_tables
+from repro.obs.execution import operator_tables
+from repro.optimizer import Optimizer
+from repro.service import Session
+from repro.sql import parse_query
+from repro.workloads import (
+    QUERY_BATTERY,
+    PartCorrelationTemplate,
+    PriceMarkupTemplate,
+    PromotionBandTemplate,
+    ShippingDatesTemplate,
+    SnowflakeChainTemplate,
+    StarJoinTemplate,
+)
+
+#: Statements the TPC-H battery lacks: an indexed IN-list (IndexUnionSeek)
+#: and an inequality join condition over the FK chain (NonEquiJoin).
+EXTRA_TPCH = (
+    "SELECT COUNT(*) FROM lineitem WHERE lineitem.l_shipdate IN "
+    "('1997-01-03', '1997-02-04', '1997-03-05')",
+    "SELECT COUNT(*) FROM lineitem, orders "
+    "WHERE orders.o_orderdate < '1993-01-15' "
+    "AND lineitem.l_shipdate > orders.o_orderdate",
+)
+
+#: Every operator class the engine exports (what ``bench/layers.py``
+#: wraps), discovered rather than listed so a new one is covered.
+OPERATOR_CLASSES = sorted(
+    (
+        cls
+        for cls in vars(repro.engine).values()
+        if isinstance(cls, type)
+        and issubclass(cls, PhysicalOperator)
+        and cls is not PhysicalOperator
+    ),
+    key=lambda cls: cls.__name__,
+)
+
+
+def _spread(template, count=3):
+    low, high = template.param_range()
+    return [
+        template.instantiate(low + (high - low) * i // (count + 1))
+        for i in range(1, count + 1)
+    ]
+
+
+def _queries(family: str, database) -> list:
+    if family == "tpch":
+        return (
+            [parse_query(sql, database) for sql in QUERY_BATTERY.values()]
+            + [parse_query(sql, database) for sql in EXTRA_TPCH]
+            + _spread(ShippingDatesTemplate())
+            + _spread(PartCorrelationTemplate())
+        )
+    if family == "star":
+        return _spread(StarJoinTemplate(num_dim=1000))
+    return (
+        _spread(SnowflakeChainTemplate())
+        + _spread(PriceMarkupTemplate())
+        + _spread(PromotionBandTemplate())
+    )
+
+
+@pytest.fixture(scope="module")
+def families(
+    tpch_db, tpch_stats, star_db, star_stats, snowflake_db, snowflake_stats
+):
+    return {
+        "tpch": (tpch_db, tpch_stats),
+        "star": (star_db, star_stats),
+        "snowflake": (snowflake_db, snowflake_stats),
+    }
+
+
+@pytest.fixture(scope="module")
+def planned_trees(families):
+    """``family -> [(query, plan root)]``: every alternative of every
+    statement at three thresholds, plus the chosen plan (which carries
+    the aggregate / sort / limit the alternatives do not)."""
+    trees = {}
+    for family, (database, statistics) in families.items():
+        entries = []
+        for threshold in (0.05, 0.5, 0.95):
+            optimizer = Optimizer(
+                database, RobustCardinalityEstimator(statistics, policy=threshold)
+            )
+            for query in _queries(family, database):
+                planned = optimizer.optimize(query)
+                entries.append((query, planned.plan))
+                entries.extend(
+                    (query, candidate.operator)
+                    for candidate in planned.alternatives
+                )
+        trees[family] = entries
+    return trees
+
+
+def reexecuted_observations(query, plan, database) -> list[dict]:
+    """The procedure harvest replaced: one fresh execution per subtree."""
+    observations = []
+    seen = set()
+    for op in plan.walk():
+        if isinstance(op, (HashAggregate, Limit, Sort)):
+            continue
+        tables = operator_tables(op)
+        if not tables or tables in seen:
+            continue
+        seen.add(tables)
+        observed = op.execute(ExecutionContext(database)).num_rows
+        estimated = op.est_rows
+        if isinstance(estimated, np.ndarray):
+            flat = estimated.reshape(-1)
+            estimated = float(flat[0]) if flat.size == 1 else None
+        elif estimated is not None:
+            estimated = float(estimated)
+        observations.append(
+            {
+                "tables": tuple(sorted(tables)),
+                "predicate_key": expr_key(predicate_for_tables(query, tables)),
+                "observed_rows": float(observed),
+                "estimated_rows": estimated,
+            }
+        )
+    return observations
+
+
+class TestCapturedRowsEqualReexecutedRows:
+    def test_batteries_reach_every_operator(self, planned_trees):
+        reached = {
+            type(op).__name__
+            for entries in planned_trees.values()
+            for _, plan in entries
+            for op in plan.walk()
+        }
+        assert reached >= {
+            "SeqScan", "IndexSeek", "IndexUnionSeek", "IndexIntersect",
+            "HashJoin", "MergeJoin", "IndexedNLJoin", "NonEquiJoin",
+            "StarSemiJoin", "HashAggregate", "Sort", "Limit",
+        }
+
+    @pytest.mark.parametrize("family", ["tpch", "star", "snowflake"])
+    def test_capturing_execution(self, family, families, planned_trees):
+        database = families[family][0]
+        for query, plan in planned_trees[family]:
+            rows = {}
+            frame = plan.execute(ExecutionContext(database, operator_rows=rows))
+            # one entry per node of the tree, no more (an INL join's
+            # inner side and a star join's dimensions are not nodes)
+            assert set(rows) == set(plan.walk())
+            assert rows[plan] == frame.num_rows
+            expected = reexecuted_observations(query, plan, database)
+            assert plan_observations(query, plan, database, rows) == expected
+
+    @pytest.mark.parametrize("family", ["tpch", "star", "snowflake"])
+    def test_standalone_call_captures_for_itself(
+        self, family, families, planned_trees
+    ):
+        database = families[family][0]
+        for query, plan in planned_trees[family][::4]:
+            assert plan_observations(
+                query, plan, database
+            ) == reexecuted_observations(query, plan, database)
+
+    @pytest.mark.parametrize("family", ["tpch", "star", "snowflake"])
+    def test_through_a_warm_scan_cache(self, family, families, planned_trees):
+        database = families[family][0]
+        cache = ScanCache()
+        options = ExecOptions(scan_cache=cache)
+        for query, plan in planned_trees[family]:
+            plan.execute(ExecutionContext(database, options))
+            hits_before = cache.hits
+            rows = {}
+            plan.execute(ExecutionContext(database, options, operator_rows=rows))
+            assert cache.hits > hits_before
+            assert plan_observations(
+                query, plan, database, rows
+            ) == reexecuted_observations(query, plan, database)
+
+    def test_context_that_did_not_ask_records_nothing(self, tpch_db, tpch_stats):
+        optimizer = Optimizer(tpch_db, RobustCardinalityEstimator(tpch_stats))
+        query = parse_query(QUERY_BATTERY["shipping_priority"], tpch_db)
+        ctx = ExecutionContext(tpch_db)
+        optimizer.optimize(query).plan.execute(ctx)
+        assert ctx.operator_rows is None
+
+
+@pytest.fixture()
+def execute_calls(monkeypatch):
+    """Count ``execute`` calls per operator object through wrappers put
+    on the class attributes after import, as ``bench/layers.py`` does."""
+    calls = collections.Counter()
+
+    def counting(function):
+        def execute(self, ctx):
+            calls[self] += 1
+            return function(self, ctx)
+
+        return execute
+
+    for cls in OPERATOR_CLASSES:
+        monkeypatch.setattr(cls, "execute", counting(cls.__dict__["execute"]))
+    return calls
+
+
+class TestNothingRunsTwice:
+    STATEMENTS = (
+        QUERY_BATTERY["shipping_priority"],
+        QUERY_BATTERY["promo_parts"],
+        QUERY_BATTERY["top_customers"],
+        EXTRA_TPCH[1],
+    )
+
+    def test_feedback_enabled_execute_runs_each_operator_once(
+        self, tpch_db, execute_calls
+    ):
+        with Session(tpch_db, sample_size=300, statistics_seed=3) as session:
+            feedback = session.enable_feedback()
+            for sql in self.STATEMENTS:
+                prepared = session.prepare(sql)
+                execute_calls.clear()
+                generation_before = feedback.store.generation
+                prepared.execute()
+                operators = list(prepared.plan.walk())
+                assert len(operators) > 1
+                assert execute_calls == {op: 1 for op in operators}
+                # ... and the capture worked through the wrappers
+                assert feedback.store.generation > generation_before
+
+    def test_session_without_feedback_asks_for_no_capture(
+        self, tpch_db, monkeypatch
+    ):
+        contexts = []
+        original = ExecutionContext.__init__
+
+        def recording_init(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            contexts.append(self)
+
+        monkeypatch.setattr(ExecutionContext, "__init__", recording_init)
+        with Session(tpch_db, sample_size=300, statistics_seed=3) as session:
+            session.execute(self.STATEMENTS[0])
+        assert contexts and all(ctx.operator_rows is None for ctx in contexts)
+
+
+class TestStoreBytes:
+    HOT_SET = (
+        QUERY_BATTERY["shipping_priority"],
+        QUERY_BATTERY["promo_parts"],
+        QUERY_BATTERY["forecast_revenue"],
+        QUERY_BATTERY["correlated_dates"],
+        QUERY_BATTERY["top_customers"],
+        EXTRA_TPCH[0],
+        EXTRA_TPCH[1],
+    )
+
+    def test_churn_replay_equals_standalone_harvest(self, tpch_db):
+        """200 requests with a refresh every 50: the session's store and
+        one fed by standalone ``plan_observations`` calls on the same
+        plans hold the same bytes."""
+        standalone = FeedbackStore()
+        with Session(tpch_db, sample_size=300, statistics_seed=3) as session:
+            feedback = session.enable_feedback()
+            for request in range(200):
+                if request and request % 50 == 0:
+                    session.refresh_statistics(seed=request)
+                prepared = session.prepare(
+                    self.HOT_SET[request * 3 % len(self.HOT_SET)]
+                )
+                prepared.execute()
+                namespace = feedback.namespace_for_version(
+                    prepared.statistics_version
+                )
+                for obs in plan_observations(
+                    prepared.query, prepared.plan, tpch_db
+                ):
+                    standalone.record(namespace, **obs)
+            assert len(feedback.store.namespaces()) == 4
+            assert feedback.store.to_bytes() == standalone.to_bytes()

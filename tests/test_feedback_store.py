@@ -218,6 +218,47 @@ class TestProviderFence:
         assert provider.counters()["misses"] == 1
         assert provider.counters()["stale_refused"] == 0
 
+    def test_has_key_tracks_record_reset_and_load(self, tmp_path):
+        """The one-probe miss classifier agrees with the scan of every
+        namespace after each kind of mutation."""
+        probes = [
+            (("lineitem",), "k1"), (("lineitem", "part"), "k2"),
+            (("part",), "k3"), (("orders",), "k9"),
+        ]
+
+        def agrees(store):
+            for tables, key in probes:
+                scanned = store.lookup_any_namespace(tables, key) is not None
+                assert store.has_key(tables, key) == scanned, (tables, key)
+
+        store = FeedbackStore()
+        agrees(store)
+        fill(store)
+        agrees(store)
+        assert store.has_key(("lineitem",), "k1")
+        store.reset("epoch=1")  # k1 survives in epoch=2; k2, k3 do not
+        agrees(store)
+        assert store.has_key(("lineitem",), "k1")
+        assert not store.has_key(("part",), "k3")
+        store.reset("epoch=2")
+        agrees(store)
+        assert not store.has_key(("lineitem",), "k1")
+        reloaded = FeedbackStore.load(fill(store).save(tmp_path / "fb.json"))
+        agrees(reloaded)
+        reloaded.reset()
+        agrees(reloaded)
+        assert not reloaded.has_key(("lineitem",), "k1")
+
+    def test_refusal_ends_when_the_foreign_namespace_is_dropped(self):
+        store = fill(FeedbackStore())
+        provider = FeedbackProvider(store, "epoch=3")
+        provider.pseudo_counts(("part",), "k3", 1000.0)
+        store.reset("epoch=1")
+        provider.pseudo_counts(("part",), "k3", 1000.0)
+        assert provider.counters() == {
+            "folds": 0, "misses": 1, "stale_refused": 1, "stale_hits": 0,
+        }
+
     def test_unenforced_provider_serves_stale_and_counts_it(self):
         store = fill(FeedbackStore())
         provider = FeedbackProvider(
