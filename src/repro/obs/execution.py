@@ -40,15 +40,18 @@ def _scalar(value) -> float | None:
 def operator_tables(op: PhysicalOperator) -> frozenset[str]:
     """Base tables covered by an operator's subtree.
 
-    Scans and seeks carry ``table_name``; a star semi-join contributes
-    its fact table and every dimension spec. This is the attribution
-    the feedback harvester keys observed cardinalities on.
+    Scans and seeks carry ``table_name``; an indexed nested-loop join
+    contributes its ``inner_table`` (probed through the index, so not
+    an operator of the tree); a star semi-join contributes its fact
+    table and every dimension spec. This is the attribution the
+    feedback harvester keys observed cardinalities on.
     """
     tables: set[str] = set()
     for node in op.walk():
-        name = getattr(node, "table_name", None)
-        if name is not None:
-            tables.add(name)
+        for attribute in ("table_name", "inner_table"):
+            name = getattr(node, attribute, None)
+            if name is not None:
+                tables.add(name)
         fact = getattr(node, "fact_table", None)
         if fact is not None:
             tables.add(fact)
