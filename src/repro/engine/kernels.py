@@ -6,7 +6,18 @@ paper scale (millions of rows) the remaining overheads matter: extra
 temporaries, concatenate-and-sort membership, per-group Python loops.
 This module concentrates those hot paths behind one dispatch point.
 Each kernel has a reference formulation and faster ones chosen from
-the input (size, dtype, key range) — never from a setting.
+the input (size, dtype, key range, which side's keys are unique) —
+never from a setting.
+
+The sort-free paths for integer keys — membership, equi-join matching,
+COUNT grouping — all index a dense table by ``key - min``. They share
+one rule for when the table is worth building (its span against
+``TABLE_RANGE_FACTOR`` x the rows it serves) and one shift,
+:func:`_table_offsets`, which cannot wrap in a narrow dtype. An
+equi-join with a unique side (every PK–FK join) sorts neither input:
+the table goes on the unique side and the other side is gathered
+through it; :func:`match_keys_numpy` remains the only sort-based
+matcher, for everything else.
 
 Exactness contract: every kernel pair is bit-identical on the dtypes
 the engine produces. Where a faster formulation would change float
@@ -29,6 +40,25 @@ from repro.indexes.sorted_index import expand_runs
 #: over ``np.isin``; dispatching to numpy keeps small inputs on the
 #: exact code path they always used (hence trivially "no slower").
 SEMIJOIN_SMALL_N = 4096
+
+#: Use a dense key-indexed table while the key range is at most this
+#: many times the combined input size. 4× keeps the table well inside
+#: cache for typical join-key universes while bounding worst-case memory.
+TABLE_RANGE_FACTOR = 4
+
+
+def _table_offsets(keys: np.ndarray, lo: int) -> np.ndarray:
+    """``keys - lo`` as int64 positions into a dense table starting at ``lo``.
+
+    The one place integer keys are shifted. The keys' own dtype would
+    wrap (``int16`` keys spanning −30 000…30 000 shift to negatives), so
+    narrow keys are widened first; 64-bit keys subtract modulo 2**64,
+    which is exact for every key within ``2**63`` of ``lo`` — any key a
+    table can hold — and sends no key outside the table into it.
+    """
+    if keys.dtype == np.uint64:
+        return (keys - np.uint64(lo)).view(np.int64)
+    return np.subtract(keys, lo, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -112,49 +142,92 @@ def match_keys_numpy(
     return left_idx, order[expand_runs(lo, counts)]
 
 
+def _unique_key_table(
+    keys: np.ndarray, max_span: int
+) -> tuple[int, np.ndarray] | None:
+    """``(lo, table)`` with ``table[key - lo]`` the row holding ``key``,
+    or ``None`` unless ``keys`` are unique over a span of at most
+    ``max_span``.
+
+    Rows are scattered into the table and the occupied slots counted: a
+    duplicate key overwrites its earlier row, so exactly ``len(keys)``
+    occupied slots proves uniqueness (more keys than slots disproves it
+    before any pass). One extra slot past the span stays −1 — where
+    :func:`_probe_key_table` sends every key the table does not cover.
+    """
+    lo = int(keys.min())
+    span = int(keys.max()) - lo + 1
+    if not len(keys) <= span <= max_span:
+        return None
+    table = np.full(span + 1, -1, dtype=np.int64)
+    table[_table_offsets(keys, lo)] = np.arange(len(keys), dtype=np.int64)
+    if np.count_nonzero(table >= 0) != len(keys):
+        return None
+    return lo, table
+
+
+def _probe_key_table(lo: int, table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The table row of each key, −1 where the table has none.
+
+    Offsets below the table wrap to huge values when read as unsigned,
+    so one ``minimum`` folds both out-of-range sides onto the trailing
+    −1 slot: subtract, clamp in place, gather — no masks.
+    """
+    slots = _table_offsets(keys, lo)
+    unsigned = slots.view(np.uint64)
+    np.minimum(unsigned, np.uint64(len(table) - 1), out=unsigned)
+    return table[slots]
+
+
 def _match_keys_table(
     left_keys: np.ndarray, right_keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """PK–FK matching through a key → left-row lookup table.
+    """PK–FK matching through a dense key → row table, no sort of a side.
 
-    Applies when the left keys are *unique* integers over a compact
-    range (the build side of a primary-key join). The reference path
-    stable-sorts every right key; here a bincount proves uniqueness,
-    a dense table maps each right key to its left row in one streaming
-    gather, and only the *matched* pairs are sorted — by left row,
-    stably, so right positions stay ascending within each left row.
-    The stable permutation is unique, so output order is bit-identical
-    to :func:`match_keys_numpy`. Returns ``None`` when the
-    preconditions fail and the caller should use the reference path.
+    Applies when either side's keys are *unique* integers whose span is
+    at most ``TABLE_RANGE_FACTOR`` x the combined row count (the rule
+    :func:`membership` uses); the table is built on that side and the
+    other side's keys are gathered through it in one streaming pass.
+
+    Right side unique (a filtered FK side building against its PK side,
+    every clustered merge join): each left row has at most one partner,
+    so the matched left rows in their own order *are* the output order
+    and nothing is sorted. Left side unique (a filtered PK build side
+    probed by its FK side): only the *matched* pairs are ordered — by
+    left row, stably, so right positions stay ascending within each left
+    row. The stable permutation is unique, so either way the output is
+    bit-identical to :func:`match_keys_numpy`. Returns ``None`` when
+    neither side qualifies (duplicates on both sides, or a wide key
+    range) and the caller should use the reference path.
     """
-    lo = int(left_keys.min())
-    span = int(left_keys.max()) - lo + 1
-    if span > TABLE_RANGE_FACTOR * len(left_keys):
-        return None
-    shifted_left = left_keys - lo
-    counts = np.bincount(shifted_left, minlength=span)
-    if counts.max() > 1:
-        return None  # duplicate build keys: cross products need the sort
-    table = np.full(span, -1, dtype=np.int64)
-    table[shifted_left] = np.arange(len(left_keys), dtype=np.int64)
-    if int(right_keys.min()) >= lo and int(right_keys.max()) < lo + span:
-        # FK range covered by the table (the usual PK-FK case): one
-        # streaming gather, no masking passes.
-        lrow = table[right_keys - lo]
-    else:
-        idx = right_keys - lo
-        in_range = (idx >= 0) & (idx < span)
-        lrow = np.where(in_range, table[np.where(in_range, idx, 0)], -1)
-    matched = np.flatnonzero(lrow >= 0)
-    lrows = lrow[matched]
-    perm = stable_order(lrows)
-    return lrows[perm], matched[perm]
+    max_span = TABLE_RANGE_FACTOR * (len(left_keys) + len(right_keys))
+    right_table = _unique_key_table(right_keys, max_span)
+    if right_table is not None:
+        right_rows = _probe_key_table(*right_table, left_keys)
+        left_idx = np.flatnonzero(right_rows >= 0)
+        return left_idx, right_rows[left_idx]
+    left_table = _unique_key_table(left_keys, max_span)
+    if left_table is not None:
+        left_rows = _probe_key_table(*left_table, right_keys)
+        matched = np.flatnonzero(left_rows >= 0)
+        left_rows = left_rows[matched]
+        perm = stable_order(left_rows)
+        return left_rows[perm], matched[perm]
+    return None
 
 
 def match_keys(
     left_keys: np.ndarray, right_keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-index pairs ``(left_idx, right_idx)`` where keys are equal."""
+    """Row-index pairs ``(left_idx, right_idx)`` where keys are equal.
+
+    Pairs are grouped by left row, right positions ascending within one
+    — :func:`match_keys_numpy`'s output, element for element. Large
+    same-dtype integer inputs with a unique side over a compact range
+    (every PK–FK join) go through :func:`_match_keys_table` and sort
+    neither side; everything else — small, non-integer, wide-range,
+    duplicates on both sides — is the reference itself.
+    """
     if (
         len(left_keys) + len(right_keys) > SEMIJOIN_SMALL_N
         and left_keys.dtype.kind in ("i", "u")
@@ -196,12 +269,6 @@ def membership_sorted(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarr
     return result
 
 
-#: Use the boolean-table path while the key range is at most this many
-#: times the combined input size. 4× keeps the table well inside cache
-#: for typical join-key universes while bounding worst-case memory.
-TABLE_RANGE_FACTOR = 4
-
-
 def membership_table(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarray:
     """Integer membership through a dense boolean table (open-address
     hashing degenerated to a perfect hash): mark every right key, then
@@ -215,8 +282,8 @@ def membership_table(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarra
     lo = min(int(left_keys.min()), int(right_keys.min()))
     hi = max(int(left_keys.max()), int(right_keys.max()))
     table = np.zeros(hi - lo + 1, dtype=bool)
-    table[right_keys - lo] = True
-    return table[left_keys - lo]
+    table[_table_offsets(right_keys, lo)] = True
+    return table[_table_offsets(left_keys, lo)]
 
 
 def membership(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarray:
@@ -358,9 +425,10 @@ def grouped_count_compact(
         return None
     if span + 1 > TABLE_RANGE_FACTOR * max(len(keys), 2**16):
         return None
-    counts = np.bincount(keys - lo, minlength=span + 1)
+    counts = np.bincount(_table_offsets(keys, lo), minlength=span + 1)
     present = np.flatnonzero(counts)
-    group_keys = (present + lo).astype(keys.dtype, copy=False)
+    # In the keys' own dtype, where wrapping undoes the shift's widening.
+    group_keys = present.astype(keys.dtype, copy=False) + keys.dtype.type(lo)
     return group_keys, counts[present]
 
 

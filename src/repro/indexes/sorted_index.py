@@ -3,10 +3,14 @@
 The index keeps the column values in sorted order together with the
 row ids (RIDs) that produced them. Range and equality lookups are two
 binary searches followed by a slice — the same leaf-scan behaviour a
-B-tree gives, which is what the cost model charges for.
+B-tree gives, which is what the cost model charges for. A batch of
+equality probes (:meth:`SortedIndex.match_many`) is one binary search
+each: the index knows how long the run it lands on is.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +26,16 @@ def expand_runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(
         starts - run_begin, counts
     )
+
+
+def _same_key(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise key equality as the sort order sees it: NaNs, which
+    sort (and ``searchsorted``) as one key past every number, are equal.
+    """
+    same = a == b
+    if a.dtype.kind == "f":
+        same |= (a != a) & (b != b)
+    return same
 
 
 class SortedIndex:
@@ -100,14 +114,44 @@ class SortedIndex:
         and each probe's RIDs ascending: element for element what
         :func:`repro.engine.kernels.match_keys` returns for ``values``
         against the indexed column, without sorting the column again.
+
+        One index descent per probe: ``searchsorted(side="left")`` lands
+        on the first entry not below the probe, which is a hit exactly
+        when that entry's key equals it. Over unique keys a hit is the
+        whole match; otherwise the run's length is read from
+        :attr:`_run_lengths` rather than found by a second search.
         """
-        if not len(values):
+        if not len(values) or not len(self._keys):
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
         lo = np.searchsorted(self._keys, values, side="left")
-        counts = np.searchsorted(self._keys, values, side="right") - lo
+        # A probe past every key lands one beyond the end: clip it onto
+        # the last entry, whose smaller key cannot equal it.
+        hit = _same_key(self._keys.take(lo, mode="clip"), values)
+        if self._run_lengths is None:
+            probe_idx = np.flatnonzero(hit)
+            return probe_idx, self._rids[lo[probe_idx]]
+        counts = self._run_lengths.take(lo, mode="clip").astype(np.int64)
+        counts[~hit] = 0
         probe_idx = np.repeat(np.arange(len(values), dtype=np.int64), counts)
         return probe_idx, self._rids[expand_runs(lo, counts)]
+
+    @cached_property
+    def _run_lengths(self) -> np.ndarray | None:
+        """Per sorted position, the length of the run of equal keys that
+        *starts* there (0 elsewhere) in the narrowest unsigned dtype that
+        holds the longest run; ``None`` — nothing stored — when the keys
+        are unique. Built on the first probe, not with the index, so an
+        index that is only ever range-scanned never pays for it.
+        """
+        starts = np.flatnonzero(~_same_key(self._keys[1:], self._keys[:-1])) + 1
+        if len(starts) + 1 == len(self._keys):
+            return None
+        starts = np.concatenate(([0], starts))
+        lengths = np.diff(starts, append=len(self._keys))
+        table = np.zeros(len(self._keys), dtype=np.min_scalar_type(lengths.max()))
+        table[starts] = lengths
+        return table
 
     def lookup_many_eq(self, values: np.ndarray) -> np.ndarray:
         """Concatenated RIDs for every key in ``values`` (vectorized).

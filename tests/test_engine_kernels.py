@@ -457,3 +457,49 @@ class TestGroupedCountCompact:
         np.testing.assert_array_equal(group_keys, expected_keys)
         np.testing.assert_array_equal(counts, expected_counts)
         assert counts.sum() == len(keys)
+
+
+class TestNarrowIntegerKeys:
+    """The dense-table kernels shift keys by their minimum. In the keys'
+    own dtype that wraps once the span passes the dtype's positive half
+    (``int16`` keys spanning −30 000…30 000, ``int8`` keys spanning
+    −100…100): ``membership`` then indexed its table from the
+    wrong end and returned a wrong mask, ``match_keys`` and
+    ``grouped_count_compact`` handed ``bincount`` negative positions.
+    """
+
+    @pytest.fixture(
+        params=[(np.int16, -30_000, 30_000), (np.int8, -100, 100)],
+        ids=["int16", "int8"],
+    )
+    def keys(self, request):
+        """``(unique, duplicated)`` over the whole ``[low, high]`` range,
+        both long enough to leave the small-input paths."""
+        dtype, low, high = request.param
+        rng = np.random.default_rng(5)
+        universe = np.arange(low, high + 1).astype(dtype)
+        return rng.permutation(universe), rng.choice(universe, 20_000)
+
+    def test_membership_equals_isin(self, keys):
+        unique, duplicated = keys
+        present = unique[: len(unique) // 2]
+        np.testing.assert_array_equal(
+            kernels.membership(duplicated, present), np.isin(duplicated, present)
+        )
+
+    @pytest.mark.parametrize("unique_side", ["left", "right"])
+    def test_match_keys_equals_reference(self, keys, unique_side):
+        pair = keys if unique_side == "left" else keys[::-1]
+        for got, want in zip(
+            kernels.match_keys(*pair), kernels.match_keys_numpy(*pair), strict=True
+        ):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_grouped_count_equals_unique(self, keys):
+        _, duplicated = keys
+        group_keys, counts = kernels.grouped_count_compact(duplicated)
+        expected_keys, expected_counts = np.unique(duplicated, return_counts=True)
+        assert group_keys.dtype == expected_keys.dtype
+        np.testing.assert_array_equal(group_keys, expected_keys)
+        np.testing.assert_array_equal(counts, expected_counts)

@@ -121,6 +121,40 @@ class TestClosedLoop:
         fourth = session.prepare(SELECTION)
         assert fourth.from_cache is True
 
+    def test_own_harvest_moves_the_folds_a_plan_reads_until_the_cap(
+        self, session, monkeypatch
+    ):
+        """Why a plan cache validated against the folds the plan *read*
+        cannot hit on a hot set between refreshes (ROADMAP item 2): each
+        execution's own harvest raises the mass ``weight x
+        min(observations, max_observations)`` of every fold its next
+        plan reads, so the read values differ after each of the first
+        ``max_observations`` executions in an epoch — and only from then
+        on, on unchanged data, are they bit-identical."""
+        feedback = session.enable_feedback()
+        cap = feedback.config.max_observations
+        reads = {}
+        pseudo_counts = FeedbackProvider.pseudo_counts
+
+        def recording(provider, tables, predicate_key, total_rows):
+            folded = pseudo_counts(provider, tables, predicate_key, total_rows)
+            key = (provider.namespace, tuple(sorted(tables)), predicate_key)
+            reads[key] = None if folded is None else folded[:2]
+            return folded
+
+        monkeypatch.setattr(FeedbackProvider, "pseudo_counts", recording)
+        read_sets = []
+        for _ in range(cap + 4):
+            reads.clear()
+            session.execute(JOIN)
+            read_sets.append(dict(reads))
+        # Plan k (0-based) read the folds of k harvested executions.
+        assert all(read_sets)
+        for executions in range(cap):
+            assert read_sets[executions] != read_sets[executions + 1], executions
+        for later in read_sets[cap + 1 :]:
+            assert later == read_sets[cap]
+
     def test_ledger_tracks_query_class(self, session):
         feedback = session.enable_feedback()
         session.execute(SELECTION)

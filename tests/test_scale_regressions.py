@@ -17,6 +17,7 @@ Neither may disturb the observability layer:
 import numpy as np
 import pytest
 
+from repro.core import ExactCardinalityEstimator
 from repro.cost import CostModel
 from repro.engine import (
     ExecOptions,
@@ -34,8 +35,11 @@ from repro.engine.aggregate import AggregateSpec
 from repro.engine.scans import IndexCondition
 from repro.expressions import col
 from repro.faults import ChaosHarness, generate_fault_plans
+from repro.indexes import SortedIndex
+from repro.indexes.sorted_index import expand_runs
 from repro.obs import execution_span, operator_spans
-from repro.workloads import TpchConfig, build_tpch_database
+from repro.optimizer import Optimizer
+from repro.workloads import TpchConfig, build_tpch_database, parse_battery
 
 from tests.conftest import make_two_table_db
 
@@ -144,10 +148,26 @@ class TestOperatorSpanAttribution:
         assert span["time_breakdown"]
 
 
+@pytest.fixture
+def sorted_lengths(monkeypatch):
+    """The length of every array handed to ``kernels.stable_order``
+    while the test runs (seeded with 0 so ``max`` is always defined)."""
+    lengths = [0]
+    stable_order = kernels.stable_order
+
+    def recording(keys):
+        lengths.append(len(keys))
+        return stable_order(keys)
+
+    monkeypatch.setattr(kernels, "stable_order", recording)
+    return lengths
+
+
 class TestIndexedNLJoinProbesTheIndex:
     """The INL join is costed as a few index probes; it must not pay
     for a sort of the inner table. Counted, not timed: the longest array
-    handed to ``stable_order`` stays below the inner table's rows."""
+    handed to ``stable_order`` stays below the inner table's rows, and
+    each batch of probes is one ``searchsorted`` into the index."""
 
     @pytest.mark.parametrize(
         "outer, outer_key, inner_column",
@@ -162,23 +182,129 @@ class TestIndexedNLJoinProbesTheIndex:
         ids=["nonclustered", "clustered"],
     )
     def test_no_sort_of_the_inner_table_at_10x(
-        self, monkeypatch, tpch_10x, outer, outer_key, inner_column
+        self, sorted_lengths, tpch_10x, outer, outer_key, inner_column
     ):
         database = tpch_10x
         inner_rows = database.table("lineitem").num_rows
-        sorted_lengths = [0]
-        stable_order = kernels.stable_order
-
-        def recording(keys):
-            sorted_lengths.append(len(keys))
-            return stable_order(keys)
-
-        monkeypatch.setattr(kernels, "stable_order", recording)
         plan = IndexedNLJoin(outer, "lineitem", outer_key, inner_column)
         ctx = ExecutionContext(database)
         frame = plan.execute(ctx)
         assert 0 < frame.num_rows == ctx.counters.index_entries < inner_rows
         assert max(sorted_lengths) < inner_rows
+
+    @pytest.mark.parametrize(
+        "table, column",
+        [("orders", "o_orderkey"), ("lineitem", "l_partkey")],
+        ids=["unique-keys", "duplicated-keys"],
+    )
+    def test_match_many_searches_the_index_once(
+        self, monkeypatch, tpch_10x, table, column
+    ):
+        """One descent per probe: the run a probe lands on is read from
+        the index, not found by a second search — on the first batch,
+        which builds the run lengths, as on every later one."""
+        index = tpch_10x.sorted_index(table, column)
+        values = tpch_10x.table(table).column(column)
+        probes = np.concatenate((values[::97], [values.max() + 1, values.min() - 1]))
+        calls = []
+        searchsorted = np.searchsorted
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("side", "left"))
+            return searchsorted(*args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counting)
+        for batch in range(1, 4):
+            probe_idx, rids = index.match_many(probes)
+            assert calls == ["left"] * batch
+            np.testing.assert_array_equal(values[rids], probes[probe_idx])
+
+
+class TestEquiJoinsSortNoInputSide:
+    """Hash and merge joins are costed linear in their inputs, so the
+    matcher may order the pairs it found but never an input side.
+    Counted, not timed: nothing longer than the join's output reaches
+    ``stable_order`` (on the sort-the-probe-side path it was the whole
+    600 k-row ``lineitem`` / 150 k-row ``orders`` side)."""
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            # A filtered PK side building against its whole FK side: the
+            # build keys are unique but sparse over their own range.
+            HashJoin(
+                SeqScan("part", col("part.p_size") <= 2),
+                SeqScan("lineitem"),
+                "part.p_partkey",
+                "lineitem.l_partkey",
+            ),
+            # The clustered merge join: filtered FK side, unique PK side.
+            MergeJoin(
+                SeqScan("lineitem", col("lineitem.l_quantity") > 45),
+                SeqScan("orders"),
+                "lineitem.l_orderkey",
+                "orders.o_orderkey",
+            ),
+        ],
+        ids=["hashjoin-filtered-build", "mergejoin-clustered"],
+    )
+    def test_longest_sort_is_the_matched_pairs_at_10x(
+        self, sorted_lengths, tpch_10x, plan
+    ):
+        frame = plan.execute(ExecutionContext(tpch_10x))
+        larger_side = max(
+            child.execute(ExecutionContext(tpch_10x)).num_rows
+            for child in plan.children()
+        )
+        assert 0 < frame.num_rows < larger_side
+        assert max(sorted_lengths) <= frame.num_rows
+
+
+def _two_search_match_many(index, values):
+    """``match_many`` as it was before the index knew its run lengths:
+    both ends of each probe's run found by binary search."""
+    lo = np.searchsorted(index._keys, values, side="left")
+    counts = np.searchsorted(index._keys, values, side="right") - lo
+    probe_idx = np.repeat(np.arange(len(values), dtype=np.int64), counts)
+    return probe_idx, index._rids[expand_runs(lo, counts)]
+
+
+class TestJoinMatchersAreWallClockOnly:
+    """Plan-level identity: which formulation matches the keys is
+    invisible above the kernels. Every plan the optimizer considered for
+    the TPC-H battery returns the same columns and charges the same
+    ``WorkCounters`` with the sort-based reference matcher and the
+    two-search index probe swapped in."""
+
+    @staticmethod
+    def _run(plan, database):
+        ctx = ExecutionContext(database)
+        frame = plan.execute(ctx)
+        return {c: frame.column(c) for c in frame.column_names}, ctx.counters
+
+    def test_battery_alternatives_identical_under_reference_matchers(
+        self, monkeypatch, tpch_10x
+    ):
+        optimizer = Optimizer(tpch_10x, ExactCardinalityEstimator(tpch_10x))
+        joins = 0
+        for query in parse_battery(tpch_10x).values():
+            for candidate in optimizer.optimize(query).alternatives:
+                plan = candidate.operator
+                columns, counters = self._run(plan, tpch_10x)
+                with monkeypatch.context() as patched:
+                    patched.setattr(kernels, "match_keys", kernels.match_keys_numpy)
+                    patched.setattr(SortedIndex, "match_many", _two_search_match_many)
+                    expected, expected_counters = self._run(plan, tpch_10x)
+                label = plan.explain()
+                assert list(columns) == list(expected), label
+                for name, values in columns.items():
+                    assert values.dtype == expected[name].dtype, (label, name)
+                    np.testing.assert_array_equal(
+                        values, expected[name], err_msg=f"{label}: {name}"
+                    )
+                assert counters.as_dict() == expected_counters.as_dict(), label
+                joins += "Join" in label
+        assert joins >= 8  # the battery's join queries were really in there
 
 
 class TestChaosOverZeroCopyOperators:
