@@ -132,7 +132,7 @@ class SortedIndex:
             probe_idx = np.flatnonzero(hit)
             return probe_idx, self._rids[lo[probe_idx]]
         counts = self._run_lengths.take(lo, mode="clip").astype(np.int64)
-        counts[~hit] = 0
+        counts *= hit
         probe_idx = np.repeat(np.arange(len(values), dtype=np.int64), counts)
         return probe_idx, self._rids[expand_runs(lo, counts)]
 

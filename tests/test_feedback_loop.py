@@ -6,7 +6,9 @@ Covers the tentpole's integration contracts:
   epoch's namespace and the next prepare folds them into the
   posterior (``source="feedback"`` in traced evidence);
 * the plan cache keys on the feedback generation, so new evidence
-  re-plans instead of serving the pre-feedback plan;
+  re-plans instead of serving the pre-feedback plan — and a statement's
+  own harvest *is* new evidence for its next plan until the
+  observation cap is reached;
 * threshold routing slots below hints and per-call overrides;
 * the epoch fence: across a statistics hot-swap, zero stale-feedback
   folds — with a pre-fix demonstration of the corruption an
