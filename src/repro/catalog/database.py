@@ -28,6 +28,9 @@ class Database:
         self._sorted_indexes: dict[tuple[str, str], SortedIndex] = {}
         self._hash_indexes: dict[tuple[str, str], HashIndex] = {}
         self._clustered_on: dict[str, str] = {}
+        #: ``root_relation`` answers by table set; tables are the FK
+        #: graph's only mutable part, so ``add_table`` drops them.
+        self._roots: dict[frozenset, str] = {}
         for table in tables:
             self.add_table(table)
 
@@ -39,6 +42,7 @@ class Database:
         if table.name in self._tables:
             raise CatalogError(f"table {table.name!r} already exists")
         self._tables[table.name] = table
+        self._roots.clear()
 
     def table(self, name: str) -> Table:
         """Return the table named ``name``."""
@@ -91,8 +95,17 @@ class Database:
 
         The root is the relation whose primary key is not referenced by
         any other relation in the set (paper Section 3.2). Raises if the
-        set is not a single FK-connected tree with a unique root.
+        set is not a single FK-connected tree with a unique root. A
+        ``frozenset`` is answered from memory once its root is known.
         """
+        if isinstance(tables, frozenset):
+            root = self._roots.get(tables)
+            if root is None:
+                root = self._roots[tables] = self._find_root(tables)
+            return root
+        return self._find_root(tables)
+
+    def _find_root(self, tables: Iterable[str]) -> str:
         names = list(dict.fromkeys(tables))
         if not names:
             raise CatalogError("root_relation requires at least one table")

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -61,18 +62,28 @@ class VectorCardinalityEstimate(CardinalityEstimate):
     ``selectivity`` and ``cardinality`` are numpy vectors over the
     threshold axis (the sample counts ``(k, n)`` behind them are
     threshold-independent, so they are computed once); ``threshold``
-    holds the grid. The per-threshold scalar views in
-    ``per_threshold`` are exactly what the scalar estimator would have
-    returned for each threshold.
+    holds the grid. The value also reads as the sequence of its lanes
+    (``len``, indexing, iteration, :meth:`at`): lane ``i`` is exactly
+    what the scalar estimator would have returned at ``threshold[i]``,
+    built on first read and kept — a planner reads the lanes it
+    finalizes at, not the whole grid.
     """
 
-    per_threshold: tuple[CardinalityEstimate, ...] = ()
+    #: Lane ``i``'s scalar estimate once read, ``None`` until then.
+    _lanes: list = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self._lanes is None:
+            object.__setattr__(self, "_lanes", [None] * len(self.threshold))
 
     @classmethod
     def from_estimates(
-        cls, estimates: "tuple[CardinalityEstimate, ...]"
+        cls, estimates: "Sequence[CardinalityEstimate]"
     ) -> "VectorCardinalityEstimate":
-        """Bundle per-threshold scalar estimates into one vector view."""
+        """Bundle per-threshold scalar estimates into one vector view
+        (a value that already is one passes through)."""
+        if isinstance(estimates, cls):
+            return estimates
         first = estimates[0]
         return cls(
             tables=first.tables,
@@ -82,15 +93,38 @@ class VectorCardinalityEstimate(CardinalityEstimate):
             source=first.source,
             posterior=first.posterior,
             threshold=tuple(e.threshold for e in estimates),
-            per_threshold=tuple(estimates),
+            _lanes=list(estimates),
         )
 
     def at(self, index: int) -> CardinalityEstimate:
         """The scalar estimate at threshold position ``index``."""
-        return self.per_threshold[index]
+        lane = self._lanes[index]
+        if lane is None:
+            # Two threads may both build a lane; the values are equal.
+            lane = self._lanes[index] = CardinalityEstimate(
+                tables=self.tables,
+                selectivity=float(self.selectivity[index]),
+                cardinality=float(self.cardinality[index]),
+                root_table=self.root_table,
+                source=self.source,
+                posterior=self.posterior,
+                threshold=self.threshold[index],
+            )
+        return lane
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.at, range(*index.indices(len(self)))))
+        return self.at(index)
+
+    def __len__(self) -> int:
+        return len(self._lanes)
+
+    def __iter__(self) -> Iterator[CardinalityEstimate]:
+        return map(self.at, range(len(self._lanes)))
 
     def __str__(self) -> str:
         return (
             f"{'⋈'.join(sorted(self.tables))}: "
-            f"{len(self.per_threshold)} thresholds, {self.source}"
+            f"{len(self)} thresholds, {self.source}"
         )

@@ -13,6 +13,8 @@ Jeffreys prior this is the paper's equation (2),
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 from scipy import special as scipy_special
 from scipy import stats as scipy_stats
@@ -68,11 +70,19 @@ class SelectivityPosterior:
         This is the paper's estimate: with confidence threshold ``T%``,
         the returned selectivity ``s`` satisfies ``Pr[p ≤ s | X] = T%``.
         """
-        t_array = np.asarray(t, dtype=float)
-        if np.any((t_array <= 0) | (t_array >= 1)):
+        scalar = isinstance(t, (int, float, np.integer, np.floating))
+        if scalar:
+            # A float is checked as a float: the array reduction below
+            # costs about as much as the inversion it guards.
+            t = float(t)
+            outside = t <= 0 or t >= 1
+        else:
+            t = np.asarray(t, dtype=float)
+            outside = np.any((t <= 0) | (t >= 1))
+        if outside:
             raise EstimationError("confidence threshold must lie strictly in (0, 1)")
-        result = scipy_special.betaincinv(self.alpha, self.beta, t_array)
-        return float(result) if np.isscalar(t) or t_array.ndim == 0 else result
+        result = scipy_special.betaincinv(self.alpha, self.beta, t)
+        return float(result) if scalar or t.ndim == 0 else result
 
     def ppf_vector(self, thresholds: tuple[float, ...]) -> np.ndarray:
         """``ppf`` over a threshold grid via the shared quantile table.
@@ -170,19 +180,25 @@ class BetaQuantileTable:
         row = self._rows.get(k)
         if row is None:
             # Two threads may both compute a row; the values are equal.
-            row = self._rows[k] = scipy_special.betaincinv(
+            row = scipy_special.betaincinv(
                 float(k) + self._prior.alpha,
                 self.n - float(k) + self._prior.beta,
                 self._grid,
             )
+            # Estimates hand this very array out as their selectivity.
+            row.setflags(write=False)
+            self._rows[k] = row
         return row
 
 
-#: Process-wide table cache. Tables depend only on (sample size, prior,
-#: threshold grid) — never on the data — so they are shared across
-#: statistics rebuilds, seeds, and estimator instances.
+#: Process-wide table cache, least recently used first. Tables depend
+#: only on (sample size, prior, threshold grid) — never on the data — so
+#: they are shared across statistics rebuilds, seeds, and estimator
+#: instances; a penalty policy's one-shot grids age out past the lane
+#: grids every plan reuses.
 _TABLE_CACHE: dict[tuple, BetaQuantileTable] = {}
 _TABLE_CACHE_MAX = 64
+_TABLE_CACHE_LOCK = threading.Lock()
 
 
 def quantile_table(
@@ -190,10 +206,11 @@ def quantile_table(
 ) -> BetaQuantileTable:
     """The memoized :class:`BetaQuantileTable` for one configuration."""
     key = (int(n), prior.alpha, prior.beta, tuple(thresholds))
-    table = _TABLE_CACHE.get(key)
-    if table is None:
-        if len(_TABLE_CACHE) >= _TABLE_CACHE_MAX:
-            _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
-        table = BetaQuantileTable(n, prior, thresholds)
-        _TABLE_CACHE[key] = table
+    with _TABLE_CACHE_LOCK:
+        table = _TABLE_CACHE.pop(key, None)
+        if table is None:
+            if len(_TABLE_CACHE) >= _TABLE_CACHE_MAX:
+                _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
+            table = BetaQuantileTable(n, prior, thresholds)
+        _TABLE_CACHE[key] = table  # (re)inserted last: most recently used
     return table

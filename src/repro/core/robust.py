@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from repro.core.confidence import ConfidencePolicy, MODERATE, resolve_threshold
-from repro.core.estimate import CardinalityEstimate
+from repro.core.estimate import CardinalityEstimate, VectorCardinalityEstimate
 from repro.core.estimator import CardinalityEstimator
 from repro.core.magic import MagicDistribution, MagicNumbers
 from repro.core.memo import EstimateCacheMixin
@@ -150,6 +150,9 @@ class RobustCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
         #: ``source="feedback"`` and their spans record the
         #: unadjusted prior quantile beside the corrected one.
         self.feedback = None
+        #: The last threshold grid ``estimate_many`` resolved, as
+        #: ``(given, resolved)``: a planner sends one grid per plan.
+        self._resolved_grid: tuple = ((), ())
 
     def _estimate_cache_token(self):
         # getattr: the mixin initializes (and probes) the token during
@@ -181,21 +184,27 @@ class RobustCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
         tables: Iterable[str],
         predicate: Expr | None,
         thresholds: Sequence[float],
-    ) -> tuple[CardinalityEstimate, ...]:
+    ) -> VectorCardinalityEstimate:
         """One estimate per threshold from a single evidence pass.
 
         The synopsis mask and the ``(k, n)`` counts are computed once;
         every posterior inversion is a quantile-table row lookup. The
-        returned estimates match :meth:`estimate` at each threshold
-        bit for bit (``betaincinv`` is evaluated elementwise in both
-        paths).
+        returned lanes match :meth:`estimate` at each threshold bit for
+        bit (``betaincinv`` is evaluated elementwise in both paths).
         """
         names = frozenset(tables)
         if not names:
             raise EstimationError("estimate requires at least one table")
         if not thresholds:
             raise EstimationError("estimate_many requires at least one threshold")
-        grid = tuple(resolve_threshold(t) for t in thresholds)
+        given = tuple(thresholds)
+        resolved = self._resolved_grid
+        if resolved[0] != given:
+            resolved = self._resolved_grid = (
+                given,
+                tuple(resolve_threshold(t) for t in given),
+            )
+        grid = resolved[1]
         return self._memoized(
             (names, expr_key(predicate), grid),
             lambda: self._invert_many(self._gather(names, predicate), grid),
@@ -370,7 +379,7 @@ class RobustCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
 
     def _invert_many(
         self, evidence: _Evidence, grid: tuple[float, ...]
-    ) -> tuple[CardinalityEstimate, ...]:
+    ) -> VectorCardinalityEstimate:
         """Collapse ``evidence`` at every threshold of ``grid`` (one
         quantile-table row per posterior, ``selectivity_many`` per
         magic distribution)."""
@@ -405,17 +414,16 @@ class RobustCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
                 )
         if selectivity is None:
             selectivity = np.ones(len(grid))
-        return tuple(
-            CardinalityEstimate(
-                tables=tables,
-                selectivity=float(s),
-                cardinality=float(s) * total,
-                root_table=root,
-                source=source,
-                posterior=posterior,
-                threshold=t,
-            )
-            for s, t in zip(selectivity, grid)
+        # ``selectivity * total`` is, lane by lane, the float64 product
+        # ``_invert`` computes at that lane's threshold.
+        return VectorCardinalityEstimate(
+            tables=tables,
+            selectivity=selectivity,
+            cardinality=selectivity * total,
+            root_table=root,
+            source=source,
+            posterior=posterior,
+            threshold=grid,
         )
 
     def _unfolded(self, posterior: SelectivityPosterior) -> SelectivityPosterior:

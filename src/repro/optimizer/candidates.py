@@ -130,9 +130,16 @@ def keep_best_vector(
 def iter_candidates(
     best: "dict[str | None, PlanCandidate | list[PlanCandidate]]",
 ) -> Iterator[PlanCandidate]:
-    """Iterate a pruned-slot mapping from either ``keep_best`` flavor."""
+    """Each survivor of a pruned-slot mapping from either ``keep_best``
+    flavor, once, in first-occurrence order.
+
+    Both flavors file a winner under its own order slot *and* under
+    ``None``; joining that alias again would only add exact twins (same
+    inputs, same cost, same slot) that first-wins pruning can never keep.
+    """
+    seen: set[int] = set()
     for value in best.values():
-        if isinstance(value, list):
-            yield from value
-        else:
-            yield value
+        for candidate in value if isinstance(value, list) else (value,):
+            if id(candidate) not in seen:
+                seen.add(id(candidate))
+                yield candidate

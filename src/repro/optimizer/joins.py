@@ -17,95 +17,73 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def join_candidates(
     ctx: "PlanningContext",
-    left: PlanCandidate,
-    right: PlanCandidate,
+    lefts: list[PlanCandidate],
+    rights: list[PlanCandidate],
     edge: JoinEdge,
     out_rows: float,
 ) -> list[PlanCandidate]:
-    """All join methods combining ``left`` and ``right`` along ``edge``."""
-    tables = left.tables | right.tables
-    left_key, right_key = _keys_for(edge, left, right)
-    candidates: list[PlanCandidate] = []
+    """All join methods over one partition, along ``edge``.
+
+    ``lefts`` and ``rights`` are the surviving candidates of the two
+    halves. Every candidate of a half carries that half's ``rows``, so
+    the keys, the cost-model terms and the INL facts are worked out
+    once here; only input costs and orders vary per pair. Hash and
+    merge joins are emitted per pair, an INL join once per *outer*
+    candidate (of the inner it reads only the table), each where a
+    pair-at-a-time walk would first meet it — pruning is first-wins, so
+    the order is part of the result.
+    """
+    left_set, right_set = lefts[0].tables, rights[0].tables
+    left_rows, right_rows = lefts[0].rows, rights[0].rows
+    tables = left_set | right_set
+    if edge.child in left_set:
+        left_key, right_key = edge.child_column, edge.parent_column
+    else:
+        left_key, right_key = edge.parent_column, edge.child_column
     model = ctx.model
 
-    # Hash join: build on the smaller estimated input. On the
-    # threshold-vectorized path the smaller side can differ per
-    # threshold, so emit both orientations and mask each one to the
-    # thresholds where the scalar rule would pick it (``np.inf``
-    # elsewhere keeps the masked lanes from ever winning an argmin).
-    vector_rows = isinstance(left.rows, np.ndarray) or isinstance(
-        right.rows, np.ndarray
+    hash_sides = _hash_sides(
+        model, left_rows, right_rows, left_key, right_key, out_rows
     )
-    if vector_rows:
-        left_builds = np.asarray(left.rows <= right.rows)
-        if left_builds.all():
-            orientations = [(left, right, left_key, right_key, None)]
-        elif not left_builds.any():
-            orientations = [(right, left, right_key, left_key, None)]
-        else:
-            orientations = [
-                (left, right, left_key, right_key, left_builds),
-                (right, left, right_key, left_key, ~left_builds),
-            ]
-        for build, probe, build_key, probe_key, active in orientations:
-            cost = (
-                build.cost
-                + probe.cost
-                + model.hash_join(build.rows, probe.rows, out_rows)
-            )
-            if active is not None:
-                # The build side flips somewhere on the grid: mask each
-                # orientation to the thresholds where the scalar rule
-                # picks it (inf lanes never win an argmin).
-                cost = np.where(active, cost, np.inf)
-            operator = HashJoin(
-                build.operator, probe.operator, build_key, probe_key
-            )
-            candidates.append(
-                PlanCandidate(operator, tables, out_rows, cost, None).annotated()
-            )
-    else:
-        if left.rows <= right.rows:
-            build, probe, build_key, probe_key = left, right, left_key, right_key
-        else:
-            build, probe, build_key, probe_key = right, left, right_key, left_key
-        cost = (
-            build.cost
-            + probe.cost
-            + model.hash_join(build.rows, probe.rows, out_rows)
-        )
-        operator = HashJoin(build.operator, probe.operator, build_key, probe_key)
-        candidates.append(
-            PlanCandidate(operator, tables, out_rows, cost, None).annotated()
-        )
-
-    # Merge join: both inputs already ordered on their join keys.
-    if left.order == left_key and right.order == right_key:
-        cost = left.cost + right.cost + model.merge_join(left.rows, right.rows, out_rows)
-        operator = MergeJoin(left.operator, right.operator, left_key, right_key)
-        candidates.append(
-            PlanCandidate(operator, tables, out_rows, cost, left_key).annotated()
-        )
-    else:
-        # Sort-merge: explicitly sort whichever side is out of order.
-        left_op, left_sort_cost = _sorted_input(model, left, left_key)
-        right_op, right_sort_cost = _sorted_input(model, right, right_key)
-        cost = (
-            left.cost
-            + right.cost
-            + left_sort_cost
-            + right_sort_cost
-            + model.merge_join(left.rows, right.rows, out_rows)
-        )
-        operator = MergeJoin(left_op, right_op, left_key, right_key)
-        candidates.append(
-            PlanCandidate(operator, tables, out_rows, cost, left_key).annotated()
-        )
-
+    merge_term = model.merge_join(left_rows, right_rows, out_rows)
+    left_sorted = _sorted_inputs(model, lefts, left_key)
+    right_sorted = _sorted_inputs(model, rights, right_key)
     # Indexed nested-loop joins: either side can be the inner base
     # table if it has an index on its join column.
-    candidates.extend(_indexed_nl(ctx, left, right, left_key, right_key, out_rows))
-    candidates.extend(_indexed_nl(ctx, right, left, right_key, left_key, out_rows))
+    inl_left_outer = _indexed_nl(
+        ctx, left_set, left_rows, left_key, right_set, right_key, out_rows
+    )
+    inl_right_outer = _indexed_nl(
+        ctx, right_set, right_rows, right_key, left_set, left_key, out_rows
+    )
+
+    candidates: list[PlanCandidate] = []
+    for left, (left_op, left_sort) in zip(lefts, left_sorted):
+        for right, (right_op, right_sort) in zip(rights, right_sorted):
+            for left_builds, build_key, probe_key, term, active in hash_sides:
+                build, probe = (left, right) if left_builds else (right, left)
+                cost = build.cost + probe.cost + term
+                if active is not None:
+                    cost = np.where(active, cost, np.inf)
+                operator = HashJoin(
+                    build.operator, probe.operator, build_key, probe_key
+                )
+                candidates.append(
+                    PlanCandidate(operator, tables, out_rows, cost, None).annotated()
+                )
+
+            # Merge join over inputs ordered on their join keys (adding
+            # an ordered side's 0.0 sort cost is exact).
+            cost = left.cost + right.cost + left_sort + right_sort + merge_term
+            operator = MergeJoin(left_op, right_op, left_key, right_key)
+            candidates.append(
+                PlanCandidate(operator, tables, out_rows, cost, left_key).annotated()
+            )
+
+            if inl_left_outer is not None and right is rights[0]:
+                candidates.append(inl_left_outer(left))
+            if inl_right_outer is not None and left is lefts[0]:
+                candidates.append(inl_right_outer(right))
     return candidates
 
 
@@ -149,63 +127,84 @@ def nonequi_candidates(
     return candidates
 
 
-def _sorted_input(ctx_model, side: PlanCandidate, key: str):
-    """Wrap ``side`` in a Sort when it is not already ordered on ``key``."""
-    if side.order == key:
-        return side.operator, 0.0
-    return Sort(side.operator, key), ctx_model.sort(side.rows)
+def _hash_sides(model, left_rows, right_rows, left_key, right_key, out_rows):
+    """``(left builds?, build key, probe key, model term, active lanes)``
+    per hash-join orientation of a partition.
+
+    Build on the smaller estimated input. On the threshold-vectorized
+    path the smaller side can differ per threshold, so both
+    orientations are emitted, each masked to the thresholds where the
+    scalar rule would pick it (``np.inf`` elsewhere keeps the masked
+    lanes from ever winning an argmin).
+    """
+    def side(left_builds: bool, active):
+        if left_builds:
+            term = model.hash_join(left_rows, right_rows, out_rows)
+            return True, left_key, right_key, term, active
+        term = model.hash_join(right_rows, left_rows, out_rows)
+        return False, right_key, left_key, term, active
+
+    left_smaller = np.asarray(left_rows <= right_rows)
+    if left_smaller.all():
+        return [side(True, None)]
+    if not left_smaller.any():
+        return [side(False, None)]
+    return [side(True, left_smaller), side(False, ~left_smaller)]
 
 
-def _keys_for(
-    edge: JoinEdge, left: PlanCandidate, right: PlanCandidate
-) -> tuple[str, str]:
-    """Qualified join columns of the edge, matched to each side."""
-    if edge.child in left.tables:
-        return edge.child_column, edge.parent_column
-    return edge.parent_column, edge.child_column
+def _sorted_inputs(model, sides: list[PlanCandidate], key: str) -> list[tuple]:
+    """Each candidate's operator ordered on ``key`` and what that costs:
+    itself at 0.0 when already ordered, else wrapped in a Sort."""
+    sort_cost = None
+    inputs = []
+    for side in sides:
+        if side.order == key:
+            inputs.append((side.operator, 0.0))
+        else:
+            if sort_cost is None:
+                sort_cost = model.sort(side.rows)
+            inputs.append((Sort(side.operator, key), sort_cost))
+    return inputs
 
 
 def _indexed_nl(
     ctx: "PlanningContext",
-    outer: PlanCandidate,
-    inner: PlanCandidate,
+    outer_set: frozenset,
+    outer_rows,
     outer_key: str,
+    inner_set: frozenset,
     inner_key: str,
-    out_rows: float,
-) -> list[PlanCandidate]:
-    """An indexed NL join with ``inner`` as the probed base table."""
-    if len(inner.tables) != 1:
-        return []
-    inner_table = next(iter(inner.tables))
+    out_rows,
+):
+    """Maker of the indexed NL join of one outer candidate, probing the
+    base table ``inner_set`` holds; ``None`` when that cannot be done."""
+    if len(inner_set) != 1:
+        return None
+    (inner_table,) = inner_set
     inner_column = inner_key.split(".", 1)[1]
     if not ctx.database.has_index(inner_table, inner_column):
-        return []
+        return None
 
     # Rows fetched through the index: the join of the outer result with
     # the raw inner table — the inner predicate has not yet applied.
-    matched = ctx.card(
-        outer.tables | inner.tables, ctx.pred_for(outer.tables)
-    ).cardinality
-    residual = ctx.pred_for(frozenset([inner_table]))
-    table = ctx.database.table(inner_table)
-    clustered = ctx.database.clustering_column(inner_table) == inner_column
-    cost = outer.cost + ctx.model.indexed_nl_join(
-        outer.rows,
+    tables = outer_set | inner_set
+    matched = ctx.card(tables, ctx.pred_for(outer_set)).cardinality
+    residual = ctx.pred_for(inner_set)
+    term = ctx.model.indexed_nl_join(
+        outer_rows,
         matched,
         out_rows,
-        clustered,
-        table.rows_per_page,
+        ctx.database.clustering_column(inner_table) == inner_column,
+        ctx.database.table(inner_table).rows_per_page,
         residual is not None,
     )
-    operator = IndexedNLJoin(
-        outer.operator, inner_table, outer_key, inner_column, residual
-    )
-    return [
-        PlanCandidate(
-            operator,
-            outer.tables | inner.tables,
-            out_rows,
-            cost,
-            outer.order,
+
+    def candidate(outer: PlanCandidate) -> PlanCandidate:
+        operator = IndexedNLJoin(
+            outer.operator, inner_table, outer_key, inner_column, residual
+        )
+        return PlanCandidate(
+            operator, tables, out_rows, outer.cost + term, outer.order
         ).annotated()
-    ]
+
+    return candidate

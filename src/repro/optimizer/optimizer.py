@@ -103,6 +103,9 @@ class PlanningContext:
         self.cross_predicate = per_table.pop("", None)
         self.per_table = per_table
         self._cache: dict[tuple[frozenset, str], CardinalityEstimate] = {}
+        #: One predicate object per table set, so its ``expr_key`` is
+        #: rendered once however often the lattice asks.
+        self._predicates: dict[frozenset, Expr | None] = {}
         self.estimation_calls = 0
 
         # Join-condition support. Conditions between tables of one FK
@@ -147,22 +150,30 @@ class PlanningContext:
 
     def pred_for(self, tables: frozenset) -> Expr | None:
         """Conjunction of the per-table predicates of ``tables``."""
-        return conjunction([self.per_table.get(name) for name in sorted(tables)])
+        try:
+            return self._predicates[tables]
+        except KeyError:
+            predicate = self._predicates[tables] = conjunction(
+                [self.per_table.get(name) for name in sorted(tables)]
+            )
+            return predicate
 
     def card(self, tables: frozenset, predicate: Expr | None) -> CardinalityEstimate:
         """Memoized cardinality estimate for an SPJ subexpression."""
-        key = (frozenset(tables), expr_key(predicate))
-        if key not in self._cache:
+        key = (tables, expr_key(predicate))
+        estimate = self._cache.get(key)
+        if estimate is None:
             self.estimation_calls += 1
             if self.grid is None:
-                self._cache[key] = self.estimator.estimate(
+                estimate = self.estimator.estimate(
                     tables, predicate, hint=self.query.hint
                 )
             else:
-                self._cache[key] = VectorCardinalityEstimate.from_estimates(
+                estimate = VectorCardinalityEstimate.from_estimates(
                     self.estimator.estimate_many(tables, predicate, self.grid)
                 )
-        return self._cache[key]
+            self._cache[key] = estimate
+        return estimate
 
     def estimates(self, lane: int | None = None) -> dict:
         """Every estimate made so far (under a grid: lane ``lane`` of each)."""
@@ -589,8 +600,8 @@ class Optimizer:
     ) -> list[PlanCandidate]:
         """Full-coverage candidates from one DP pass over the lattice.
 
-        Bellman enumeration (pruned per lane under a grid), star-plan
-        augmentation, and dedupe. Raises if nothing covers the query.
+        Bellman enumeration (pruned per lane under a grid) and star-plan
+        augmentation. Raises if nothing covers the query.
         """
         full_set = frozenset(query.tables)
         prune = keep_best
@@ -609,7 +620,6 @@ class Optimizer:
                 out_rows = ctx.card(full_set, ctx.pred_for(full_set)).cardinality
                 finalists.extend(star_candidates(ctx, query, specs, out_rows))
 
-        finalists = self._dedupe(finalists)
         if not finalists:
             raise OptimizationError(f"no plan found for {query}")
         return finalists
@@ -717,115 +727,35 @@ class Optimizer:
             adjacency[condition.left_table].add(condition.right_table)
             adjacency[condition.right_table].add(condition.left_table)
 
-        level_started = time.perf_counter() if dp_stats is not None else 0.0
-        generated = kept = subsets = 0
-        plans: dict[frozenset, dict[str | None, PlanCandidate]] = {}
-        for name in tables:
-            singleton = frozenset([name])
-            candidates = access_paths(
-                self.database,
-                self.cost_model,
-                ctx.card,
-                name,
-                ctx.pred_for(singleton),
-            )
-            plans[singleton] = prune(candidates)
-            if dp_stats is not None:
-                subsets += 1
-                generated += len(candidates)
-                kept += len({id(c) for c in iter_candidates(plans[singleton])})
-        if dp_stats is not None:
-            dp_stats.append(
-                {
-                    "level": 1,
-                    "subsets": subsets,
-                    "generated": generated,
-                    "kept": kept,
-                    "seconds": time.perf_counter() - level_started,
-                }
-            )
-
-        for size in range(2, len(tables) + 1):
-            if dp_stats is not None:
-                level_started = time.perf_counter()
-                generated = kept = subsets = 0
+        plans: dict[frozenset, dict] = {}
+        # Each subset's pruned mapping, flattened once: what the levels
+        # above join (a winner sits under two slots of its mapping).
+        survivors: dict[frozenset, list[PlanCandidate]] = {}
+        for size in range(1, len(tables) + 1):
+            level_started = time.perf_counter() if dp_stats is not None else 0.0
+            generated = kept = subsets = 0
             for subset_tuple in combinations(tables, size):
                 subset = frozenset(subset_tuple)
-                if not self._connected(subset, adjacency):
+                if size == 1:
+                    candidates = access_paths(
+                        self.database,
+                        self.cost_model,
+                        ctx.card,
+                        subset_tuple[0],
+                        ctx.pred_for(subset),
+                    )
+                elif self._connected(subset, adjacency):
+                    candidates = self._join_subset(
+                        ctx, subset, survivors, edges, conditions
+                    )
+                else:
                     continue
-                out_rows = ctx.rows(subset)
-                candidates: list[PlanCandidate] = []
-                for left_set, right_set in self._partitions(subset):
-                    if left_set not in plans or right_set not in plans:
-                        continue
-                    crossing = [
-                        e
-                        for e in edges
-                        if (e.child in left_set and e.parent in right_set)
-                        or (e.child in right_set and e.parent in left_set)
-                    ]
-                    crossing_conditions = [
-                        c for c in conditions if c.crosses(left_set, right_set)
-                    ]
-                    if len(crossing) > 1:
-                        continue  # tree partitions cross at most one FK edge
-                    if not crossing and not crossing_conditions:
-                        continue  # nothing joins the halves
-                    if not crossing:
-                        # Pure condition join across FK components.
-                        for left in iter_candidates(plans[left_set]):
-                            for right in iter_candidates(plans[right_set]):
-                                candidates.extend(
-                                    nonequi_candidates(
-                                        ctx,
-                                        left,
-                                        right,
-                                        crossing_conditions,
-                                        out_rows,
-                                    )
-                                )
-                        continue
-                    edge = crossing[0]
-                    if crossing_conditions:
-                        # The partition crosses one FK edge *and* some
-                        # conditions: join along the FK edge, then
-                        # filter the crossing conditions. The FK join's
-                        # own output (before that filter) is the
-                        # subset's rows with the conditions undone.
-                        selectivity = 1.0
-                        for c in crossing_conditions:
-                            selectivity *= ctx.condition_selectivity(c)
-                        pre_rows = out_rows / selectivity
-                        residual = conjunction(
-                            [c.expr for c in crossing_conditions]
-                        )
-                        filter_cost = self.cost_model.filter(pre_rows, out_rows)
-                        for left in iter_candidates(plans[left_set]):
-                            for right in iter_candidates(plans[right_set]):
-                                for cand in join_candidates(
-                                    ctx, left, right, edge, pre_rows
-                                ):
-                                    candidates.append(
-                                        PlanCandidate(
-                                            Filter(cand.operator, residual),
-                                            subset,
-                                            out_rows,
-                                            cand.cost + filter_cost,
-                                            cand.order,
-                                        ).annotated()
-                                    )
-                        continue
-                    for left in iter_candidates(plans[left_set]):
-                        for right in iter_candidates(plans[right_set]):
-                            candidates.extend(
-                                join_candidates(ctx, left, right, edge, out_rows)
-                            )
                 if candidates:
                     plans[subset] = prune(candidates)
-                    if dp_stats is not None:
-                        subsets += 1
-                        generated += len(candidates)
-                        kept += len({id(c) for c in iter_candidates(plans[subset])})
+                    survivors[subset] = list(iter_candidates(plans[subset]))
+                    subsets += 1
+                    generated += len(candidates)
+                    kept += len(survivors[subset])
             if dp_stats is not None:
                 dp_stats.append(
                     {
@@ -843,6 +773,74 @@ class Optimizer:
                 f"could not connect tables {sorted(full_set)} by FK joins"
             )
         return plans
+
+    def _join_subset(
+        self,
+        ctx: PlanningContext,
+        subset: frozenset,
+        survivors: dict[frozenset, list[PlanCandidate]],
+        edges: list,
+        conditions: list,
+    ) -> list[PlanCandidate]:
+        """Every join producing ``subset`` from two planned halves, in
+        partition order."""
+        out_rows = ctx.rows(subset)
+        candidates: list[PlanCandidate] = []
+        for left_set, right_set in self._partitions(subset):
+            lefts, rights = survivors.get(left_set), survivors.get(right_set)
+            if lefts is None or rights is None:
+                continue
+            crossing = [
+                e
+                for e in edges
+                if (e.child in left_set and e.parent in right_set)
+                or (e.child in right_set and e.parent in left_set)
+            ]
+            crossing_conditions = [
+                c for c in conditions if c.crosses(left_set, right_set)
+            ]
+            if len(crossing) > 1:
+                continue  # tree partitions cross at most one FK edge
+            if not crossing and not crossing_conditions:
+                continue  # nothing joins the halves
+            if not crossing:
+                # Pure condition join across FK components.
+                for left in lefts:
+                    for right in rights:
+                        candidates.extend(
+                            nonequi_candidates(
+                                ctx, left, right, crossing_conditions, out_rows
+                            )
+                        )
+            elif crossing_conditions:
+                # The partition crosses one FK edge *and* some
+                # conditions: join along the FK edge, then filter the
+                # crossing conditions. The FK join's own output (before
+                # that filter) is the subset's rows with the conditions
+                # undone.
+                selectivity = 1.0
+                for c in crossing_conditions:
+                    selectivity *= ctx.condition_selectivity(c)
+                pre_rows = out_rows / selectivity
+                residual = conjunction([c.expr for c in crossing_conditions])
+                filter_cost = self.cost_model.filter(pre_rows, out_rows)
+                for cand in join_candidates(
+                    ctx, lefts, rights, crossing[0], pre_rows
+                ):
+                    candidates.append(
+                        PlanCandidate(
+                            Filter(cand.operator, residual),
+                            subset,
+                            out_rows,
+                            cand.cost + filter_cost,
+                            cand.order,
+                        ).annotated()
+                    )
+            else:
+                candidates.extend(
+                    join_candidates(ctx, lefts, rights, crossing[0], out_rows)
+                )
+        return candidates
 
     def _partitions(self, subset: frozenset):
         """Unordered two-way partitions, with connected halves only."""
@@ -866,16 +864,6 @@ class Optimizer:
             seen.add(name)
             frontier.extend((adjacency[name] & subset) - seen)
         return seen == subset
-
-    def _dedupe(self, candidates: list[PlanCandidate]) -> list[PlanCandidate]:
-        seen: set[int] = set()
-        unique = []
-        for candidate in candidates:
-            if id(candidate.operator) in seen:
-                continue
-            seen.add(id(candidate.operator))
-            unique.append(candidate)
-        return unique
 
     # ------------------------------------------------------------------
     # Finalization: cross-table filters, aggregation, projection

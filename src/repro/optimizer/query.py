@@ -157,7 +157,8 @@ class SPJQuery:
             edges = self.join_edges(database)
             conditions = classify_conjuncts(self.predicate).join_conditions
             if not conditions:
-                database.root_relation(self.tables)  # raises if not a rooted tree
+                # raises if not a rooted tree
+                database.root_relation(frozenset(self.tables))
                 self._check_connected(edges)
             else:
                 for component in fk_components(self.tables, edges):

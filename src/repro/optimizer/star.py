@@ -28,7 +28,7 @@ def detect_star(ctx: "PlanningContext", query: SPJQuery) -> list[DimensionSpec] 
     parent of the fact table and a leaf within the query, and every
     fact FK column involved has a sorted index.
     """
-    names = set(query.tables)
+    names = frozenset(query.tables)
     if len(names) < 3:
         return None
     fact = ctx.database.root_relation(names)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from repro.errors import ReproError
@@ -50,8 +51,35 @@ KEYWORDS = {
     "CONFIDENCE",
 }
 
-_OPERATORS = ("<=", ">=", "<>", "!=", "=", "<", ">", "+", "-", "*", "/")
-_PUNCTUATION = "(),."
+#: What ``str.isdigit`` accepts: the decimal digits ``\\d`` matches plus
+#: the superscript, subscript, circled and similar digits it does not.
+_DIGIT = (
+    r"[\d\u00b2\u00b3\u00b9\u1369-\u1371\u19da\u2070\u2074-\u2079\u2080-\u2089"
+    r"\u2460-\u2468\u2474-\u247c\u2488-\u2490\u24ea\u24f5-\u24fd\u24ff"
+    r"\u2776-\u277e\u2780-\u2788\u278a-\u2792\U00010a40-\U00010a43"
+    r"\U00010e60-\U00010e68\U00011052-\U0001105a\U0001f100-\U0001f10a]"
+)
+
+#: One alternative per token kind, tried in this order at each position;
+#: the group that matched names the kind. A dot belongs to a number only
+#: between digits or before one (``1.`` and ``a.b`` split), two-character
+#: operators come before their prefixes, and ``illegal`` takes whatever
+#: nothing else did — a stray quote or a character outside the grammar.
+_SCANNER = re.compile(
+    r"\s*(?:"
+    r"'(?P<string>[^']*)'"
+    rf"|(?P<number>{_DIGIT}+(?:\.{_DIGIT}+)?|\.{_DIGIT}+)"
+    r"|(?P<word>[^\W\d]\w*)"
+    r"|(?P<operator><=|>=|<>|!=|[=<>+\-*/])"
+    r"|(?P<punctuation>[(),.])"
+    r"|(?P<illegal>\S))"
+)
+
+_KINDS = {
+    "number": TokenKind.NUMBER,
+    "operator": TokenKind.OPERATOR,
+    "punctuation": TokenKind.PUNCTUATION,
+}
 
 
 @dataclass(frozen=True)
@@ -69,60 +97,33 @@ class Token:
 def tokenize(sql: str) -> list[Token]:
     """Split ``sql`` into tokens; raises :class:`SqlSyntaxError`."""
     tokens: list[Token] = []
-    i = 0
-    length = len(sql)
-    while i < length:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "'":
-            end = sql.find("'", i + 1)
-            if end < 0:
-                raise SqlSyntaxError(f"unterminated string literal at {i}")
-            tokens.append(Token(TokenKind.STRING, sql[i + 1 : end], i))
-            i = end + 1
-            continue
-        if ch.isdigit() or (
-            ch == "." and i + 1 < length and sql[i + 1].isdigit()
-        ):
-            j = i
-            seen_dot = False
-            while j < length and (sql[j].isdigit() or (sql[j] == "." and not seen_dot)):
-                if sql[j] == ".":
-                    # a dot followed by a non-digit is punctuation
-                    if j + 1 >= length or not sql[j + 1].isdigit():
-                        break
-                    seen_dot = True
-                j += 1
-            tokens.append(Token(TokenKind.NUMBER, sql[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < length and (sql[j].isalnum() or sql[j] == "_"):
-                j += 1
-            word = sql[i:j]
-            upper = word.upper()
+    for match in _SCANNER.finditer(sql):
+        group = match.lastgroup
+        text = match.group(group)
+        position = match.start(group)
+        if group == "word":
+            # Numeric letters (``½``, ``Ⅷ``) continue a word, as
+            # ``str.isalnum`` has it; only a letter or ``_`` starts one.
+            if not (text[0].isalpha() or text[0] == "_"):
+                _reject(text[0], position)
+            upper = text.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(TokenKind.KEYWORD, upper, i))
+                tokens.append(Token(TokenKind.KEYWORD, upper, position))
             else:
-                tokens.append(Token(TokenKind.IDENTIFIER, word, i))
-            i = j
-            continue
-        matched = False
-        for operator in _OPERATORS:
-            if sql.startswith(operator, i):
-                tokens.append(Token(TokenKind.OPERATOR, operator, i))
-                i += len(operator)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in _PUNCTUATION:
-            tokens.append(Token(TokenKind.PUNCTUATION, ch, i))
-            i += 1
-            continue
-        raise SqlSyntaxError(f"unexpected character {ch!r} at position {i}")
-    tokens.append(Token(TokenKind.END, "", length))
+                tokens.append(Token(TokenKind.IDENTIFIER, text, position))
+        elif group == "illegal":
+            _reject(text, position)
+        elif group == "string":
+            tokens.append(Token(TokenKind.STRING, text, position - 1))
+        else:
+            tokens.append(Token(_KINDS[group], text, position))
+    tokens.append(Token(TokenKind.END, "", len(sql)))
     return tokens
+
+
+def _reject(character: str, position: int):
+    if character == "'":
+        raise SqlSyntaxError(f"unterminated string literal at {position}")
+    raise SqlSyntaxError(
+        f"unexpected character {character!r} at position {position}"
+    )

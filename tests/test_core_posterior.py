@@ -75,6 +75,42 @@ class TestDistributionBasics:
         with pytest.raises(EstimationError):
             posterior.ppf(1.0)
 
+    def test_ppf_checks_a_scalar_as_the_array_check_would(self):
+        """A scalar threshold is range-checked as a float; every input
+        is accepted or refused — and inverted — exactly as when it was
+        boxed into an array first."""
+        from scipy import special
+
+        posterior = SelectivityPosterior(3, 100)
+        message = r"confidence threshold must lie strictly in \(0, 1\)"
+        scalars = [
+            0.0, 1.0, -0.25, 1.5, 0, 1, True, False, np.float64(1.0),
+            np.float32(0.0), np.int64(1), float("inf"), float("-inf"),
+            5e-324, 0.3, 1 - 2**-53, np.float64(0.8), np.float32(0.3),
+            np.longdouble(0.65), float("nan"),
+        ]
+        for t in scalars:
+            boxed = np.asarray(t, dtype=float)
+            if np.any((boxed <= 0) | (boxed >= 1)):
+                with pytest.raises(EstimationError, match=message):
+                    posterior.ppf(t)
+            else:
+                out = posterior.ppf(t)
+                expected = float(
+                    special.betaincinv(posterior.alpha, posterior.beta, boxed)
+                )
+                assert type(out) is float
+                assert np.array([out]).tobytes() == np.array([expected]).tobytes()
+        # NaN passes the range check today (both comparisons are false)
+        assert np.isnan(posterior.ppf(float("nan")))
+        # arrays, 0-d included, keep the vector check
+        assert type(posterior.ppf(np.array(0.3))) is float
+        assert posterior.ppf(np.array(0.3)) == posterior.ppf(0.3)
+        assert posterior.ppf([0.2, 0.8]).shape == (2,)
+        for bad in (np.array(0.0), [0.5, 1.0], np.array([[-0.1, 0.5]])):
+            with pytest.raises(EstimationError, match=message):
+                posterior.ppf(bad)
+
 
 class TestSummaries:
     def test_mean_formula(self):
@@ -203,6 +239,30 @@ class TestQuantileTable:
         b = quantile_table(64, JEFFREYS, (0.2, 0.8))
         assert a is b
         assert a is not quantile_table(64, UNIFORM, (0.2, 0.8))
+
+    def test_cache_evicts_the_least_recently_used_table(self):
+        """A grid that keeps being read outlives any number of one-shot
+        grids (a penalty policy brings one per request) inserted around
+        it — same object, rows intact."""
+        from repro.core.posterior import _TABLE_CACHE_MAX
+
+        lanes = (0.31, 0.62, 0.93)
+        table = quantile_table(77, JEFFREYS, lanes)
+        row = table.row(5)
+        unread = quantile_table(77, JEFFREYS, (0.0005,))
+        for i in range(3 * _TABLE_CACHE_MAX):
+            quantile_table(77, JEFFREYS, (0.001 + i * 1e-4,))
+            if i % (_TABLE_CACHE_MAX - 1) == 0:
+                assert quantile_table(77, JEFFREYS, lanes) is table
+        assert quantile_table(77, JEFFREYS, lanes) is table
+        assert table.row(5) is row
+        assert quantile_table(77, JEFFREYS, (0.0005,)) is not unread  # aged out
+
+    def test_rows_cannot_be_written(self):
+        """Estimates hand a table row out as their selectivity."""
+        row = quantile_table(40, JEFFREYS, (0.2, 0.8)).row(3)
+        with pytest.raises(ValueError):
+            row[0] = 0.0
 
     def test_validation(self):
         with pytest.raises(EstimationError):

@@ -46,7 +46,7 @@ class TestJoinCandidates:
             frozenset(["lineitem", "orders"]),
             ctx.pred_for(frozenset(["lineitem", "orders"])),
         ).cardinality
-        candidates = join_candidates(ctx, left, right, edge, out_rows)
+        candidates = join_candidates(ctx, [left], [right], edge, out_rows)
         kinds = {type(c.operator) for c in candidates}
         assert HashJoin in kinds
         assert MergeJoin in kinds  # direct or via explicit sorts
@@ -55,7 +55,7 @@ class TestJoinCandidates:
     def test_hash_builds_on_smaller(self, ctx, edge):
         left = best_paths(ctx, "lineitem")[None]
         right = best_paths(ctx, "orders")[None]
-        candidates = join_candidates(ctx, left, right, edge, 1000.0)
+        candidates = join_candidates(ctx, [left], [right], edge, 1000.0)
         hash_joins = [c for c in candidates if isinstance(c.operator, HashJoin)]
         for candidate in hash_joins:
             build_rows = candidate.operator.build.est_rows
@@ -66,7 +66,7 @@ class TestJoinCandidates:
         # clustered scans carry the join-key order on both sides
         left = best_paths(ctx, "lineitem")["lineitem.l_orderkey"]
         right = best_paths(ctx, "orders")["orders.o_orderkey"]
-        candidates = join_candidates(ctx, left, right, edge, 1000.0)
+        candidates = join_candidates(ctx, [left], [right], edge, 1000.0)
         merges = [c for c in candidates if isinstance(c.operator, MergeJoin)]
         assert merges
         for candidate in merges:
@@ -76,14 +76,14 @@ class TestJoinCandidates:
     def test_merge_order_propagates(self, ctx, edge):
         left = best_paths(ctx, "lineitem")["lineitem.l_orderkey"]
         right = best_paths(ctx, "orders")["orders.o_orderkey"]
-        candidates = join_candidates(ctx, left, right, edge, 1000.0)
+        candidates = join_candidates(ctx, [left], [right], edge, 1000.0)
         merge = next(c for c in candidates if isinstance(c.operator, MergeJoin))
         assert merge.order == "lineitem.l_orderkey"
 
     def test_inl_directions(self, ctx, edge):
         left = best_paths(ctx, "lineitem")[None]
         right = best_paths(ctx, "orders")[None]
-        candidates = join_candidates(ctx, left, right, edge, 1000.0)
+        candidates = join_candidates(ctx, [left], [right], edge, 1000.0)
         inl = [c for c in candidates if isinstance(c.operator, IndexedNLJoin)]
         inner_tables = {c.operator.inner_table for c in inl}
         # orders has a PK index; lineitem has an FK index on l_orderkey:
@@ -93,7 +93,7 @@ class TestJoinCandidates:
     def test_inl_preserves_outer_order(self, ctx, edge):
         left = best_paths(ctx, "lineitem")["lineitem.l_orderkey"]
         right = best_paths(ctx, "orders")[None]
-        candidates = join_candidates(ctx, left, right, edge, 1000.0)
+        candidates = join_candidates(ctx, [left], [right], edge, 1000.0)
         inl = [
             c
             for c in candidates
@@ -106,11 +106,11 @@ class TestJoinCandidates:
     def test_all_candidates_cover_both_tables(self, ctx, edge):
         left = best_paths(ctx, "lineitem")[None]
         right = best_paths(ctx, "orders")[None]
-        for candidate in join_candidates(ctx, left, right, edge, 1000.0):
+        for candidate in join_candidates(ctx, [left], [right], edge, 1000.0):
             assert candidate.tables == frozenset(["lineitem", "orders"])
 
     def test_costs_include_children(self, ctx, edge):
         left = best_paths(ctx, "lineitem")[None]
         right = best_paths(ctx, "orders")[None]
-        for candidate in join_candidates(ctx, left, right, edge, 1000.0):
+        for candidate in join_candidates(ctx, [left], [right], edge, 1000.0):
             assert candidate.cost >= max(left.cost, right.cost)

@@ -3,12 +3,15 @@
 Whatever predicate is thrown at it — and whichever access path or join
 method wins — the optimizer's chosen plan must return exactly the rows
 a brute-force evaluation returns, and its estimated cost must equal
-the simulated execution time when the estimator is exact.
+the simulated execution time when the estimator is exact. And however
+the join lattice is walked, it prunes to the same plans: the last
+property holds it to the pair-at-a-time lattice kept in
+``tests/reference_lattice.py`` on generated equi + band-join queries.
 """
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ExactCardinalityEstimator
@@ -171,3 +174,181 @@ def test_every_alternative_recosts_to_its_dp_cost(two_table_db, conjuncts):
         cost, rows = coster.cost(candidate.operator)
         assert cost == pytest.approx(candidate.cost, rel=1e-9)
         assert rows == pytest.approx(candidate.rows, rel=1e-9)
+
+
+# ----------------------------------------------------------------------
+# The lattice against the pair-at-a-time lattice it replaced
+# ----------------------------------------------------------------------
+#: Snowflake tables along the FK chain; ``promotion`` shares no FK edge
+#: with any of them and joins through band conditions only.
+CHAIN = ("sales", "item", "brand", "category")
+BAND_CONDITIONS = {
+    "sales": (
+        ("promotion.p_lo", "<=", "sales.s_price"),
+        ("sales.s_price", "<", "promotion.p_hi"),
+    ),
+    "item": (
+        ("promotion.p_lo", "<=", "item.i_price"),
+        ("item.i_price", "<", "promotion.p_hi"),
+    ),
+}
+RANGES = {
+    "sales": ("sales.s_datekey", 0, 729),
+    "item": ("item.i_attr", 0, 999),
+    "category": ("category.c_attr", 0, 19),
+    "promotion": ("promotion.p_kind", 0, 4),
+}
+
+
+@st.composite
+def snowflake_queries(draw):
+    """SPJ queries over a stretch of the snowflake chain, optionally
+    band-joined to ``promotion`` from one or two chain tables (two put
+    a condition *and* an FK edge across one partition), with range
+    filters and optionally the FK-internal markup inequality."""
+    start = draw(st.integers(0, 2))
+    tables = list(CHAIN[start : draw(st.integers(start + 1, len(CHAIN)))])
+    conjuncts = []
+    anchors = [name for name in tables if name in BAND_CONDITIONS]
+    if anchors and draw(st.booleans()):
+        tables.append("promotion")
+        chosen = draw(
+            st.lists(st.sampled_from(anchors), min_size=1, max_size=2, unique=True)
+        )
+        for anchor in chosen:
+            pool = BAND_CONDITIONS[anchor]
+            picked = draw(
+                st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True)
+            )
+            conjuncts.extend(
+                {"<=": col(left) <= col(right), "<": col(left) < col(right)}[op]
+                for left, op, right in picked
+            )
+    if {"sales", "item"} <= set(tables) and draw(st.booleans()):
+        conjuncts.append(col("sales.s_price") < col("item.i_price"))
+    for name in tables:
+        if name in RANGES and draw(st.booleans()):
+            column, low, high = RANGES[name]
+            start_value = draw(st.integers(low, high))
+            width = draw(st.integers(0, (high - low) // 3))
+            conjuncts.append(col(column).between(start_value, start_value + width))
+    draw(st.randoms(use_true_random=False)).shuffle(tables)
+    predicate = None
+    for conjunct in conjuncts:
+        predicate = conjunct if predicate is None else predicate & conjunct
+    return SPJQuery(tables, predicate)
+
+
+FILTER_BRANCH_QUERY = SPJQuery(
+    ["sales", "item", "promotion"],
+    (col("promotion.p_lo") <= col("sales.s_price"))
+    & (col("item.i_price") < col("promotion.p_hi"))
+    & col("promotion.p_kind").between(1, 2)
+    & col("sales.s_datekey").between(100, 400),
+)
+
+
+@pytest.fixture(scope="module")
+def snowflake_worlds(snowflake_db, snowflake_stats):
+    """``indexed``: the generated snowflake database. ``unkeyed``: the
+    same tables with the attribute indexes but none on a join key, so no
+    indexed NL join applies.
+
+    The second world is what lets an FK join *over* a band join plan at
+    all: pricing an indexed NL join whose outer side spans two FK
+    components asks the estimator for a table set that is no rooted FK
+    tree, and planning stops with a ``CatalogError`` — on both lattices,
+    which the property below holds to the same outcome either way.
+    """
+    from repro.catalog import Database
+    from repro.stats import StatisticsManager
+
+    unkeyed = Database(list(snowflake_db))
+    unkeyed.create_index("item", "i_attr")
+    unkeyed.create_index("sales", "s_datekey")
+    unkeyed.create_index("sales", "s_price")
+    statistics = StatisticsManager(unkeyed)
+    statistics.update_statistics(sample_size=300, seed=11)
+    return {
+        "indexed": (snowflake_db, snowflake_stats),
+        "unkeyed": (unkeyed, statistics),
+    }
+
+
+def planning_error(optimizer_class, database, statistics, query, grid):
+    """What stops ``optimizer_class``'s lattice on ``query``, if anything."""
+    from repro.errors import ReproError
+    from tests.reference_lattice import enumerate_with
+
+    try:
+        enumerate_with(optimizer_class, database, statistics, query, grid)
+    except ReproError as error:
+        return type(error), str(error)
+    return None
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    world=st.sampled_from(["indexed", "unkeyed"]),
+    query=snowflake_queries(),
+    grid=st.sampled_from([None, (0.5, 0.8, 0.95)]),
+)
+@example(world="unkeyed", query=FILTER_BRANCH_QUERY, grid=None)
+@example(world="unkeyed", query=FILTER_BRANCH_QUERY, grid=(0.2, 0.5, 0.8, 0.99))
+@example(world="indexed", query=FILTER_BRANCH_QUERY, grid=None)
+def test_lattice_equals_the_pairwise_lattice(snowflake_worlds, world, query, grid):
+    """Partition-at-a-time enumeration prunes every subset to the
+    mapping pair-at-a-time enumeration does and plans the same query —
+    or, where the pairwise lattice cannot plan, stops the same way."""
+    from tests.reference_lattice import (
+        PairwiseOptimizer,
+        assert_lattices_agree,
+        assert_plans_agree,
+    )
+
+    database, statistics = snowflake_worlds[world]
+    error = planning_error(PairwiseOptimizer, database, statistics, query, grid)
+    if error is not None:
+        event("neither lattice can plan")
+        assert error == planning_error(Optimizer, database, statistics, query, grid)
+        return
+    event(f"planned, {len(query.tables)} tables")
+    assert_lattices_agree(database, statistics, query, grid)
+
+    def plan(optimizer, q):
+        if grid is None:
+            return [optimizer.optimize(q)]
+        return optimizer.optimize_many(q, grid)
+
+    assert_plans_agree(database, statistics, query, plan)
+
+
+def test_the_pinned_example_reaches_both_condition_branches(snowflake_worlds):
+    """``FILTER_BRANCH_QUERY`` has partitions joined by conditions alone
+    (``NonEquiJoin``) and by an FK edge plus a condition (a ``Filter``
+    over an equi-join), each with several survivors on a side, so the
+    property above does run both branches."""
+    from repro.core import RobustCardinalityEstimator
+    from repro.engine import NonEquiJoin
+    from repro.engine.relops import Filter
+    from repro.optimizer.candidates import iter_candidates, keep_best
+    from repro.optimizer.optimizer import PlanningContext
+
+    database, statistics = snowflake_worlds["unkeyed"]
+    estimator = RobustCardinalityEstimator(statistics)
+    ctx = PlanningContext(database, CostModel(), estimator, FILTER_BRANCH_QUERY)
+    seen = []
+
+    def prune(candidates):
+        seen.extend(type(c.operator) for c in candidates)
+        return keep_best(candidates)
+
+    mappings = Optimizer(database, estimator)._enumerate_joins(
+        ctx, FILTER_BRANCH_QUERY, prune=prune
+    )
+    assert Filter in seen and NonEquiJoin in seen
+    assert max(len(list(iter_candidates(m))) for m in mappings.values()) > 1
