@@ -258,6 +258,39 @@ class TestQuantileTable:
         assert table.row(5) is row
         assert quantile_table(77, JEFFREYS, (0.0005,)) is not unread  # aged out
 
+    def test_cache_survives_concurrent_hits_and_evictions(self):
+        """Every hit re-inserts and every one-shot grid evicts: four
+        threads doing both must neither raise (a dict resized under
+        ``next(iter(...))``) nor lose the table they all keep reading."""
+        import sys
+        import threading
+
+        lanes = (0.11, 0.52, 0.93)
+        table = quantile_table(91, JEFFREYS, lanes)
+        failures: list[BaseException] = []
+
+        def hammer(worker: int) -> None:
+            try:
+                for i in range(400):
+                    quantile_table(91, JEFFREYS, (0.001 + worker * 0.1 + i * 1e-4,))
+                    if quantile_table(91, JEFFREYS, lanes) is not table:
+                        raise AssertionError("the shared table was evicted")
+            except BaseException as error:  # reported by the main thread
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(w,)) for w in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
     def test_rows_cannot_be_written(self):
         """Estimates hand a table row out as their selectivity."""
         row = quantile_table(40, JEFFREYS, (0.2, 0.8)).row(3)
