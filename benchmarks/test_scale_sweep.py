@@ -9,7 +9,8 @@ lazy selection-vector engine and the historical eager engine.
 
 Recorded per (scale, plan): best-of-k wall seconds for both arms,
 input rows/sec, the per-operator :class:`WorkCounters` breakdown
-(collected untimed via ``operator_spans``), and the process peak RSS
+(``operator_spans`` over one untimed recording execution), and the
+process peak RSS
 (``resource.getrusage`` — scales run ascending so the monotone
 ``ru_maxrss`` is attributable to the largest completed scale).
 
@@ -213,7 +214,9 @@ def run_sweep(scales) -> dict:
             _assert_frames_identical(
                 lazy_frame.eager(), eager_frame, f"{name}@{scale}x"
             )
-            spans, root_counters, _ = operator_spans(plan, db)
+            ctx = ExecutionContext(db, operator_rows={}, operator_work={})
+            plan.execute(ctx)
+            spans = operator_spans(plan, ctx.operator_record(plan))
             entry["plans"][name] = {
                 "lazy_seconds": lazy_s,
                 "eager_seconds": eager_s,
@@ -221,7 +224,7 @@ def run_sweep(scales) -> dict:
                 "rows_per_sec": num_rows / lazy_s,
                 "per_row_ns": lazy_s / num_rows * 1e9,
                 "output_rows": lazy_frame.num_rows,
-                "counters": root_counters.as_dict(),
+                "counters": ctx.counters.as_dict(),
                 "operators": [
                     {
                         "operator": s["operator"],

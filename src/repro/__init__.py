@@ -41,8 +41,6 @@ Quick tour
 See ``examples/session_service.py`` for an end-to-end walkthrough.
 """
 
-import warnings
-
 from repro.catalog import (
     Column,
     ColumnType,
@@ -167,37 +165,3 @@ __all__ = [
     "lit",
     "__version__",
 ]
-
-#: Former top-level names, now served with a deprecation warning.
-#: They remain first-class citizens of :mod:`repro.core` — only the
-#: top-level re-export is deprecated (one release of grace), keeping
-#: ``from repro import MODERATE``-style imports working while the
-#: curated ``__all__`` stays small enough to be a real contract.
-_DEPRECATED_REEXPORTS = {
-    "AGGRESSIVE": "repro.core",
-    "CONSERVATIVE": "repro.core",
-    "MODERATE": "repro.core",
-    "JEFFREYS": "repro.core",
-    "UNIFORM": "repro.core",
-    "ConfidencePolicy": "repro.core",
-    "SelectivityPosterior": "repro.core",
-}
-
-
-def __getattr__(name: str):
-    home = _DEPRECATED_REEXPORTS.get(name)
-    if home is not None:
-        warnings.warn(
-            f"importing {name!r} from 'repro' is deprecated and will be "
-            f"removed in a future release; import it from {home!r} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import importlib
-
-        return getattr(importlib.import_module(home), name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def __dir__() -> list:
-    return sorted(set(__all__) | set(_DEPRECATED_REEXPORTS))

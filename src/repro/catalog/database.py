@@ -9,7 +9,7 @@ import numpy as np
 from repro.catalog.schema import ForeignKey
 from repro.catalog.table import Table
 from repro.errors import CatalogError
-from repro.indexes import HashIndex, SortedIndex
+from repro.indexes import SortedIndex
 
 
 class Database:
@@ -26,7 +26,6 @@ class Database:
     def __init__(self, tables: Iterable[Table] = ()) -> None:
         self._tables: dict[str, Table] = {}
         self._sorted_indexes: dict[tuple[str, str], SortedIndex] = {}
-        self._hash_indexes: dict[tuple[str, str], HashIndex] = {}
         self._clustered_on: dict[str, str] = {}
         #: ``root_relation`` answers by table set; tables are the FK
         #: graph's only mutable part, so ``add_table`` drops them.
@@ -198,20 +197,9 @@ class Database:
             table.column(column)
         )
 
-    def create_hash_index(self, table_name: str, column: str) -> None:
-        """Build a hash index on ``table.column`` (equality lookups)."""
-        table = self.table(table_name)
-        if column not in table:
-            raise CatalogError(f"cannot index missing column {table_name}.{column}")
-        self._hash_indexes[(table_name, column)] = HashIndex(table.column(column))
-
     def sorted_index(self, table_name: str, column: str) -> SortedIndex | None:
         """The sorted index on ``table.column``, or ``None``."""
         return self._sorted_indexes.get((table_name, column))
-
-    def hash_index(self, table_name: str, column: str) -> HashIndex | None:
-        """The hash index on ``table.column``, or ``None``."""
-        return self._hash_indexes.get((table_name, column))
 
     def has_index(self, table_name: str, column: str) -> bool:
         """Whether a sorted index exists on ``table.column``."""

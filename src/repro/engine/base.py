@@ -9,18 +9,27 @@ from repro.expressions import Frame
 from repro.engine.context import ExecutionContext
 
 
-def _recording_rows(body):
-    """``body`` plus the operator's entry in ``ctx.operator_rows``.
+def _recording(body):
+    """``body`` plus the operator's entries in the context's capture.
 
-    The single place output row counts are captured. It wraps each
-    operator class's own ``execute`` when the class is created, so it
-    runs however a parent reaches its child — including through a
-    wrapper a tracer later puts on the class attribute.
+    The single place per-operator facts are captured: the output row
+    count into ``ctx.operator_rows`` and the work charged between the
+    operator's entry and exit — its whole subtree's, counters being
+    additive — into ``ctx.operator_work``, each only when the context
+    was given that mapping. It wraps each operator class's own
+    ``execute`` when the class is created, so it runs however a parent
+    reaches its child — including through a wrapper a tracer later puts
+    on the class attribute.
     """
 
     @functools.wraps(body)
     def execute(self, ctx):
-        frame = body(self, ctx)
+        if ctx.operator_work is None:
+            frame = body(self, ctx)
+        else:
+            entry = ctx.counters.copy()
+            frame = body(self, ctx)
+            ctx.operator_work[self] = ctx.counters - entry
         if ctx.operator_rows is not None:
             ctx.operator_rows[self] = frame.num_rows
         return frame
@@ -49,7 +58,7 @@ class PhysicalOperator:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         if "execute" in cls.__dict__:
-            cls.execute = _recording_rows(cls.__dict__["execute"])
+            cls.execute = _recording(cls.__dict__["execute"])
 
     def execute(self, ctx: ExecutionContext) -> Frame:
         """Run the operator, returning its output frame."""

@@ -36,10 +36,13 @@ class ExecutionContext:
 
     Holds the database being queried, the work counters the operators
     charge into, and the execution options (frame laziness, shared scan
-    cache). A caller that wants each operator's output cardinality
-    passes a mapping as ``operator_rows``; the execution fills it with
-    ``{operator object: output row count}`` for every operator it runs.
-    Without one nothing is recorded.
+    cache). A caller that wants to know what each operator did passes
+    mappings the execution fills, keyed by operator object, for every
+    operator it runs: ``operator_rows`` with the operator's output row
+    count, ``operator_work`` with the :class:`WorkCounters` charged
+    between its entry and exit (its subtree's total; a snapshot
+    difference, so it costs a counter copy and a subtraction per
+    operator). Without a mapping that fact is not recorded.
     """
 
     def __init__(
@@ -48,11 +51,26 @@ class ExecutionContext:
         options: ExecOptions | None = None,
         *,
         operator_rows: dict | None = None,
+        operator_work: dict | None = None,
     ) -> None:
         self.database = database
         self.counters = WorkCounters()
         self.options = options if options is not None else ExecOptions()
         self.operator_rows = operator_rows
+        self.operator_work = operator_work
+
+    def operator_record(self, plan) -> list[tuple[int, WorkCounters]]:
+        """``(output rows, subtree work)`` per operator of ``plan``, in
+        ``plan.walk()`` order, from an execution given both mappings.
+
+        Addressed by position, the record also describes any other plan
+        object with the same ``signature()`` — which is how a cached
+        execution is attributed to the plan in hand.
+        """
+        return [
+            (self.operator_rows[op], self.operator_work[op])
+            for op in plan.walk()
+        ]
 
     @property
     def lazy_frames(self) -> bool:

@@ -42,12 +42,18 @@ class WorkCounters:
 
     def add(self, other: "WorkCounters") -> None:
         """Accumulate ``other`` into this counter set, in place."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _NAMES:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+    def __sub__(self, other: "WorkCounters") -> "WorkCounters":
+        """The work charged since ``other`` was copied off this set."""
+        return WorkCounters(
+            *[getattr(self, name) - getattr(other, name) for name in _NAMES]
+        )
 
     def as_dict(self) -> dict[str, int]:
         """The counters as a plain dict (for reports and tests)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _NAMES}
 
     def total_work(self) -> float:
         """Sum of all counters — raw work units, not seconds.
@@ -56,8 +62,13 @@ class WorkCounters:
         1), so it orders operators by activity; the cost model's
         coefficients turn the same fields into simulated time.
         """
-        return float(sum(getattr(self, f.name) for f in fields(self)))
+        return float(sum(getattr(self, name) for name in _NAMES))
 
     def copy(self) -> "WorkCounters":
         """An independent copy of the current totals."""
-        return WorkCounters(**self.as_dict())
+        return WorkCounters(*[getattr(self, name) for name in _NAMES])
+
+
+#: Field names in declaration order, read once: an execution that records
+#: per-operator work copies and subtracts a counter set per operator.
+_NAMES = tuple(f.name for f in fields(WorkCounters))

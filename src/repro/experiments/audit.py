@@ -1,10 +1,11 @@
 """Cardinality auditing: estimated vs. actual rows per plan operator.
 
 The paper's whole premise is that estimates are uncertain; this module
-makes the error observable. :func:`audit_plan` executes every subtree
-of a planned query and reports, per operator, the optimizer's estimate
-next to the actual output cardinality and their q-error — an
-``EXPLAIN ANALYZE`` for the simulated engine.
+makes the error observable. :func:`audit_plan` executes a planned query
+once and reports, per operator, the optimizer's estimate next to the
+actual output cardinality and their q-error — the row columns of the
+execution spans :func:`repro.obs.operator_spans` builds from that one
+execution's record.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.catalog import Database
-from repro.engine import ExecutionContext, PhysicalOperator
-from repro.obs.trace import QERROR_FLOOR
+from repro.engine import ExecutionContext
+from repro.obs.execution import operator_spans
+from repro.obs.summarize import operator_table
+from repro.obs.trace import q_error
 from repro.optimizer import PlannedQuery
 
 
@@ -29,51 +32,45 @@ class AuditEntry:
     @property
     def q_error(self) -> float | None:
         """Symmetric ratio error (≥ 1); ``None`` without an estimate."""
-        if self.estimated_rows is None:
-            return None
-        estimated = max(self.estimated_rows, QERROR_FLOOR)
-        actual = max(float(self.actual_rows), QERROR_FLOOR)
-        return max(estimated / actual, actual / estimated)
+        return q_error(self.estimated_rows, self.actual_rows)
 
 
 def audit_plan(planned: PlannedQuery, database: Database) -> list[AuditEntry]:
-    """Execute every subtree of ``planned`` and collect audit entries.
+    """Execute ``planned`` once and collect one entry per operator.
 
-    Subtrees are re-executed independently (cheap for the shallow SPJ
-    plans this optimizer emits), so the plan itself is not modified.
     Entries are returned in pre-order, matching ``explain()`` layout.
     """
-    entries: list[AuditEntry] = []
-
-    def visit(operator: PhysicalOperator, depth: int) -> None:
-        frame = operator.execute(ExecutionContext(database))
-        entries.append(
-            AuditEntry(
-                label=operator.label(),
-                depth=depth,
-                estimated_rows=operator.est_rows,
-                actual_rows=frame.num_rows,
-            )
+    ctx = ExecutionContext(database, operator_rows={}, operator_work={})
+    planned.plan.execute(ctx)
+    return [
+        AuditEntry(
+            label=span["operator"],
+            depth=span["depth"],
+            estimated_rows=span["estimated_rows"],
+            actual_rows=span["actual_rows"],
         )
-        for child in operator.children():
-            visit(child, depth + 1)
-
-    visit(planned.plan, 0)
-    return entries
+        for span in operator_spans(
+            planned.plan, ctx.operator_record(planned.plan)
+        )
+    ]
 
 
 def format_audit(entries: list[AuditEntry]) -> str:
     """Render audit entries as an EXPLAIN-ANALYZE-style text tree."""
-    lines = [f"{'operator':<64} {'est rows':>10} {'actual':>8} {'q-err':>6}"]
-    for entry in entries:
-        label = "  " * entry.depth + entry.label
-        estimated = (
-            f"{entry.estimated_rows:10.1f}" if entry.estimated_rows is not None
-            else f"{'-':>10}"
+    return "\n".join(
+        operator_table(
+            [
+                {
+                    "operator": entry.label,
+                    "depth": entry.depth,
+                    "estimated_rows": entry.estimated_rows,
+                    "actual_rows": entry.actual_rows,
+                    "q_error": entry.q_error,
+                }
+                for entry in entries
+            ]
         )
-        q = f"{entry.q_error:6.2f}" if entry.q_error is not None else f"{'-':>6}"
-        lines.append(f"{label:<64} {estimated} {entry.actual_rows:8d} {q}")
-    return "\n".join(lines)
+    )
 
 
 def worst_q_error(entries: list[AuditEntry]) -> float:

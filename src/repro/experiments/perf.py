@@ -7,8 +7,9 @@ layer here is where we claw that back at experiment scale:
 * :class:`PlanExecutionCache` — simulated execution time is a pure
   function of (database, physical plan, query parameter), so within
   one statistics seed every distinct ``(param, plan signature)`` pair
-  is executed once and the ``(time, actual_rows)`` result reused
-  across estimator configurations that chose the same plan.
+  is executed once and the ``(time, actual_rows, per-operator
+  record)`` result reused across estimator configurations that chose
+  the same plan.
 * :class:`PerfStats` — cache hit/miss counters and per-phase
   wall-clock timers (``stats_build``, ``optimize``, ``execute``),
   merged across seeds/workers and exposed on ``ExperimentResult`` so
@@ -215,8 +216,15 @@ class PlanExecutionCache:
         cost_model: CostModel,
         key,
         plan: PhysicalOperator,
-    ) -> tuple[float, int]:
-        """Execute ``plan`` (or reuse), returning ``(time, rows)``."""
+    ) -> tuple[float, int, list]:
+        """Execute ``plan`` (or reuse), returning ``(time, rows,
+        record)``.
+
+        ``record`` is the execution's
+        :meth:`~repro.engine.ExecutionContext.operator_record`; it is
+        addressed by ``walk()`` position, so on a hit it describes the
+        plan in hand although another plan object was the one executed.
+        """
         if self.enabled:
             cache_key = (key, plan.signature())
             cached = self._store.get(cache_key)
@@ -226,9 +234,18 @@ class PlanExecutionCache:
         self.misses += 1
         if self.scan_cache and self._scans is None:
             self._scans = ScanCache()
-        ctx = ExecutionContext(database, ExecOptions(scan_cache=self._scans))
+        ctx = ExecutionContext(
+            database,
+            ExecOptions(scan_cache=self._scans),
+            operator_rows={},
+            operator_work={},
+        )
         frame = plan.execute(ctx)
-        result = (cost_model.time_from_counters(ctx.counters), frame.num_rows)
+        result = (
+            cost_model.time_from_counters(ctx.counters),
+            frame.num_rows,
+            ctx.operator_record(plan),
+        )
         if self.enabled:
             self._store[cache_key] = result
         return result

@@ -387,8 +387,9 @@ def _run_seed(
     estimation, optimizer, and execution spans, and the JSON-ready
     trace records ride back to the coordinator alongside the run
     records (sinks never enter worker processes). Tracing does not
-    change the records: the spans are read-only observations, and the
-    per-operator work breakdown re-executes subtrees in fresh contexts.
+    change the records or execute anything more: the execution span is
+    read off the per-operator record the plan-execution cache keeps
+    beside each ``(time, rows)``, hits included.
     """
     perf = PerfStats(execution_cache=execution_cache, scan_cache=scan_cache)
     tracer = Tracer() if trace else None
@@ -491,7 +492,7 @@ def _run_seed(
 
             hits_before = cache.hits
             started = time.perf_counter()
-            simulated, actual_rows = cache.execute(
+            simulated, actual_rows, operator_record = cache.execute(
                 database, cost_model, param, plan
             )
             exec_elapsed = time.perf_counter() - started
@@ -519,10 +520,8 @@ def _run_seed(
                         optimizer=pending["optimizer"],
                         execution=execution_span(
                             plan,
-                            database,
+                            operator_record,
                             cost_model,
-                            simulated_seconds=simulated,
-                            actual_rows=actual_rows,
                             estimated_rows=pending["estimated_rows"],
                             estimated_cost=pending["estimated_cost"],
                             cache_hit=cache.hits > hits_before,

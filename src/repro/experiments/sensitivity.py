@@ -101,7 +101,7 @@ def sensitivity_sweep(
     for param in params:
         query = template.instantiate(param)
         planned = oracle.optimize(query)
-        simulated, _ = cache.execute(database, model, param, planned.plan)
+        simulated = cache.execute(database, model, param, planned.plan)[0]
         oracle_results[param] = (
             plan_shape(planned.plan),
             simulated,
@@ -115,7 +115,7 @@ def sensitivity_sweep(
         for param in params:
             query = template.instantiate(param)
             planned = optimizer.optimize(query)
-            simulated, _ = cache.execute(database, model, param, planned.plan)
+            simulated = cache.execute(database, model, param, planned.plan)[0]
             oracle_plan, oracle_time, selectivity = oracle_results[param]
             report.points.append(
                 SweepPoint(

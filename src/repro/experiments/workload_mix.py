@@ -109,7 +109,7 @@ def run_workload_mix(
         times = []
         for index, query in enumerate(queries):
             planned = optimizer.optimize(query)
-            simulated, _ = cache.execute(database, model, index, planned.plan)
+            simulated = cache.execute(database, model, index, planned.plan)[0]
             times.append(simulated)
         profiles[config.name] = LatencyProfile.from_times(config.name, times)
     return profiles

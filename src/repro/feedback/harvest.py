@@ -33,8 +33,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping
 
-import numpy as np
-
 from repro.catalog import Database
 from repro.engine import (
     ExecutionContext,
@@ -45,7 +43,7 @@ from repro.engine import (
 )
 from repro.expressions import Expr, conjunction, expr_key, predicates_by_table
 from repro.feedback.store import FeedbackStore
-from repro.obs.execution import operator_tables
+from repro.obs.execution import annotation_scalar, operator_tables
 from repro.optimizer import SPJQuery
 
 #: Operators whose output cardinality is not the SPJ result over their
@@ -106,18 +104,12 @@ def plan_observations(
         if not tables or tables in seen:
             continue
         seen.add(tables)
-        estimated = op.est_rows
-        if isinstance(estimated, np.ndarray):
-            flat = estimated.reshape(-1)
-            estimated = float(flat[0]) if flat.size == 1 else None
-        elif estimated is not None:
-            estimated = float(estimated)
         observations.append(
             {
                 "tables": tuple(sorted(tables)),
                 "predicate_key": expr_key(_predicate_for(query, per_table, tables)),
                 "observed_rows": float(operator_rows[op]),
-                "estimated_rows": estimated,
+                "estimated_rows": annotation_scalar(op.est_rows),
             }
         )
     return observations

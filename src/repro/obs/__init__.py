@@ -12,9 +12,10 @@ decision a first-class, inspectable artifact:
   default, so tracing costs nothing when off);
 * :mod:`repro.obs.sink` — :class:`TraceSink` implementations
   (null / in-memory / JSONL file) plus strict readback validation;
-* :mod:`repro.obs.execution` — post-hoc execution provenance: the
-  per-operator :class:`~repro.engine.counters.WorkCounters` breakdown
-  and the plan-level Q-error accounting;
+* :mod:`repro.obs.execution` — execution provenance read off the
+  record an execution kept of itself: the per-operator
+  :class:`~repro.engine.counters.WorkCounters` breakdown and the
+  plan-level Q-error accounting;
 * :mod:`repro.obs.registry` — a :class:`MetricsRegistry`
   (counter / gauge / histogram with Prometheus-text and JSON export)
   that the harness, estimators, and engine all report through;

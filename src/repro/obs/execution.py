@@ -2,26 +2,26 @@
 
 The engine charges all work into one shared
 :class:`~repro.engine.counters.WorkCounters`, which keeps execution
-fast but loses attribution. When tracing is on we can afford to buy
-the attribution back: the simulated engine is deterministic, so
-executing each subtree in its own fresh context and subtracting the
-children's totals yields each operator's *own* work exactly — an
-``EXPLAIN ANALYZE`` with a physical-work breakdown instead of just
-row counts. This re-execution only happens on the tracing path; the
-measured run that produces the experiment's records is untouched.
+fast but loses attribution. An execution that was asked to
+(``ExecutionContext(operator_rows={}, operator_work={})``) records, per
+operator, its output rows and the work charged between its entry and
+exit; counters are additive, so an operator's *own* work is its
+subtree's minus its children's — an ``EXPLAIN ANALYZE`` with a
+physical-work breakdown instead of just row counts. The functions here
+are pure over ``(plan, that record)``: they execute nothing, so the
+execution that produced the result is the only one that runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.catalog import Database
-from repro.engine import ExecutionContext, PhysicalOperator
+from repro.engine import PhysicalOperator
 from repro.engine.counters import WorkCounters
 from repro.obs.trace import plan_shape, q_error
 
 
-def _scalar(value) -> float | None:
+def annotation_scalar(value) -> float | None:
     """JSON-safe scalar from an operator annotation.
 
     The vector planning pass may leave numpy scalars (or, on shared
@@ -63,24 +63,24 @@ def operator_tables(op: PhysicalOperator) -> frozenset[str]:
 
 
 def operator_spans(
-    plan: PhysicalOperator, database: Database
-) -> tuple[list[dict], WorkCounters, int]:
-    """Per-operator provenance for one plan, in pre-order.
+    plan: PhysicalOperator, record: list[tuple[int, WorkCounters]]
+) -> list[dict]:
+    """Per-operator provenance for one executed plan, in pre-order.
 
-    Returns ``(spans, root_counters, root_rows)``. Each span carries
-    the operator's label, depth, the base tables its subtree covers,
-    estimated vs. actual rows with per-operator Q-error, and its
-    **own** work — the counters of its subtree minus its children's
-    subtrees, so summing ``counters`` over all spans reproduces the
-    plan's total work.
+    ``record`` is :meth:`ExecutionContext.operator_record` of the
+    execution — of ``plan`` or of any plan with the same signature; the
+    estimates are read off ``plan``. Each span carries the operator's
+    label, depth, the base tables its subtree covers, estimated vs.
+    actual rows with per-operator Q-error, and its **own** work — the
+    counters of its subtree minus its children's subtrees, so summing
+    ``counters`` over all spans reproduces the plan's total work.
     """
     spans: list[dict] = []
+    entries = iter(record)
 
-    def visit(op: PhysicalOperator, depth: int) -> tuple[WorkCounters, int]:
-        ctx = ExecutionContext(database)
-        rows = op.execute(ctx).num_rows
-        total = ctx.counters
-        estimated = _scalar(op.est_rows)
+    def visit(op: PhysicalOperator, depth: int) -> WorkCounters:
+        rows, total = next(entries)
+        estimated = annotation_scalar(op.est_rows)
         span = {
             "operator": op.label(),
             "depth": depth,
@@ -90,50 +90,46 @@ def operator_spans(
             "q_error": q_error(estimated, rows),
         }
         spans.append(span)
-        own = total.copy()
+        own = total
         for child in op.children():
-            child_total, _ = visit(child, depth + 1)
-            for name, value in child_total.as_dict().items():
-                setattr(own, name, getattr(own, name) - value)
+            own = own - visit(child, depth + 1)
         span["counters"] = own.as_dict()
         span["own_work"] = own.total_work()
-        return total, rows
+        return total
 
-    root_counters, root_rows = visit(plan, 0)
-    return spans, root_counters, root_rows
+    visit(plan, 0)
+    return spans
 
 
 def execution_span(
     plan: PhysicalOperator,
-    database: Database,
+    record: list[tuple[int, WorkCounters]],
     cost_model,
     *,
-    simulated_seconds: float,
-    actual_rows: int,
     estimated_rows: float | None = None,
     estimated_cost: float | None = None,
     cache_hit: bool = False,
-    wall_seconds: float | None = None,
 ) -> dict:
     """The execution span of one query trace.
 
-    Joins the optimizer's estimates against the observed
-    ``actual_rows`` for the plan-level accuracy verdict: the Q-error
-    ``max(est/actual, actual/est)`` plus explicit under/over flags
-    (both ``False`` when the estimate was exact or absent).
+    The plan-level actuals are the root's entry of ``record`` — its
+    work is the execution's whole accumulator. Joins the optimizer's
+    estimates against the observed rows for the plan-level accuracy
+    verdict: the Q-error ``max(est/actual, actual/est)`` plus explicit
+    under/over flags (both ``False`` when the estimate was exact or
+    absent).
     """
-    spans, counters, _ = operator_spans(plan, database)
-    estimated_rows = _scalar(estimated_rows)
-    estimated_cost = _scalar(estimated_cost)
-    error = q_error(estimated_rows, actual_rows)
-    span = {
+    actual_rows, counters = record[0]
+    estimated_rows = annotation_scalar(estimated_rows)
+    estimated_cost = annotation_scalar(estimated_cost)
+    return {
         "plan_shape": plan_shape(plan),
         "signature": plan.signature(),
-        "simulated_seconds": simulated_seconds,
+        "simulated_seconds": cost_model.time_from_counters(counters),
         "actual_rows": actual_rows,
         "estimated_rows": estimated_rows,
         "estimated_cost": estimated_cost,
-        "q_error": error,
+        "q_error": q_error(estimated_rows, actual_rows),
         "underestimate": (
             estimated_rows is not None and estimated_rows < actual_rows
         ),
@@ -144,8 +140,5 @@ def execution_span(
         "counters": counters.as_dict(),
         "total_work": counters.total_work(),
         "time_breakdown": cost_model.time_breakdown(counters),
-        "operators": spans,
+        "operators": operator_spans(plan, record),
     }
-    if wall_seconds is not None:
-        span["timing"] = {"wall_seconds": wall_seconds}
-    return span

@@ -222,18 +222,30 @@ def explain_trace(records: list[dict], query: str) -> str:
     if operators:
         lines.append("")
         lines.append("execution breakdown (own work per operator):")
-        lines.append(
-            f"  {'operator':<56} {'est rows':>10} {'actual':>8} "
-            f"{'q-err':>6} {'work':>12}"
-        )
-        for op in operators:
-            label = "  " * op.get("depth", 0) + op.get("operator", "?")
-            est = op.get("estimated_rows")
-            est_text = f"{est:10.1f}" if est is not None else f"{'-':>10}"
-            err = op.get("q_error")
-            err_text = f"{err:6.2f}" if err is not None else f"{'-':>6}"
-            lines.append(
-                f"  {label:<56} {est_text} {op.get('actual_rows', 0):>8} "
-                f"{err_text} {op.get('own_work', 0):>12.1f}"
-            )
+        lines.extend(f"  {line}" for line in operator_table(operators))
     return "\n".join(lines)
+
+
+def operator_table(operators: list[dict]) -> list[str]:
+    """Estimated vs. actual rows per operator, as an indented tree.
+
+    ``operators`` are per-operator execution spans in pre-order (or any
+    dicts with their ``operator``/``depth``/row fields); the ``work``
+    column appears when they carry ``own_work``.
+    """
+    with_work = bool(operators) and "own_work" in operators[0]
+    lines = [
+        f"{'operator':<56} {'est rows':>10} {'actual':>8} {'q-err':>6}"
+        + (f" {'work':>12}" if with_work else "")
+    ]
+    for op in operators:
+        label = "  " * op.get("depth", 0) + op.get("operator", "?")
+        est = op.get("estimated_rows")
+        est_text = f"{est:10.1f}" if est is not None else f"{'-':>10}"
+        err = op.get("q_error")
+        err_text = f"{err:6.2f}" if err is not None else f"{'-':>6}"
+        line = f"{label:<56} {est_text} {op.get('actual_rows', 0):>8} {err_text}"
+        if with_work:
+            line += f" {op.get('own_work', 0):>12.1f}"
+        lines.append(line)
+    return lines

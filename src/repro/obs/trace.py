@@ -70,9 +70,8 @@ def strip_timing(value: Any) -> Any:
 def q_error(estimated: float | None, actual: float) -> float | None:
     """Symmetric ratio error ``max(est/actual, actual/est)`` (≥ 1).
 
-    Both sides are floored at :data:`QERROR_FLOOR` rows (the
-    convention of :mod:`repro.experiments.audit`) so empty results
-    don't divide by zero; ``None`` estimates yield ``None``.
+    Both sides are floored at :data:`QERROR_FLOOR` rows so empty
+    results don't divide by zero; ``None`` estimates yield ``None``.
     """
     if estimated is None:
         return None

@@ -41,19 +41,3 @@ class Tracer:
         spans = self._estimations
         self._estimations = []
         return spans
-
-    # ------------------------------------------------------------------
-    def observe_execution(self, simulated_seconds: float, counters) -> None:
-        """Publish one plan execution's work into the registry."""
-        if self.registry is None:
-            return
-        self.registry.histogram(
-            "repro_simulated_seconds",
-            help="Simulated plan execution time.",
-        ).observe(simulated_seconds)
-        work = self.registry.counter(
-            "repro_engine_work_total",
-            "Physical work charged by the engine, by counter.",
-        )
-        for name, value in counters.as_dict().items():
-            work.inc(value, counter=name)

@@ -1107,8 +1107,16 @@ class Session:
         Traced planning bypasses the plan cache — the point is fresh
         estimation-evidence spans — and never pollutes it. Under a
         penalty policy the optimizer span carries the per-plan penalty
-        distributions (``optimizer.selection``).
+        distributions (``optimizer.selection``). With ``execute`` the
+        plan runs once, and the execution span is read off that run.
         """
+        return self._traced(query, threshold, execute, label, policy)[1]
+
+    def _traced(
+        self, query, threshold, execute, label, policy
+    ) -> tuple[PlannedQuery, dict]:
+        """One traced planning pass (and execution): the plan and its
+        trace record."""
         self._check_open()
         parsed, fingerprint = self._coerce_query(query)
         effective = self._effective_policy(parsed, threshold, policy)
@@ -1122,19 +1130,18 @@ class Session:
         optimize_seconds = time.perf_counter() - started
         execution = None
         if execute:
-            ctx = ExecutionContext(self.database)
-            frame = planned.plan.execute(ctx)
-            simulated = self.cost_model.time_from_counters(ctx.counters)
+            ctx = ExecutionContext(
+                self.database, operator_rows={}, operator_work={}
+            )
+            planned.plan.execute(ctx)
             execution = execution_span(
                 planned.plan,
-                self.database,
+                ctx.operator_record(planned.plan),
                 self.cost_model,
-                simulated_seconds=simulated,
-                actual_rows=frame.num_rows,
                 estimated_rows=planned.estimated_rows,
                 estimated_cost=planned.estimated_cost,
             )
-        return QueryTrace(
+        record = QueryTrace(
             template=label or "session",
             config=optimizer.estimator.describe(),
             seed=self.config.statistics_seed
@@ -1145,6 +1152,7 @@ class Session:
             execution=execution,
             timing={"optimize_seconds": optimize_seconds},
         ).as_dict()
+        return planned, record
 
     def explain(
         self,
@@ -1157,17 +1165,14 @@ class Session:
         """The "why this plan" explanation for one statement.
 
         Combines the plan tree with the traced provenance (estimation
-        evidence, DP statistics, winner vs. runner-up); ``analyze=True``
-        also executes the plan and appends the per-operator work
-        breakdown, EXPLAIN-ANALYZE style.
+        evidence, DP statistics, winner vs. runner-up) of one traced
+        planning pass, which like :meth:`trace_query` leaves the plan
+        cache alone; ``analyze=True`` also executes the plan and appends
+        the per-operator work breakdown, EXPLAIN-ANALYZE style.
         """
-        record = self.trace_query(
-            query, threshold, execute=analyze, policy=policy
-        )
-        prepared = self.prepare(query, threshold, policy=policy)
-        plan_tree = prepared.explain()
+        planned, record = self._traced(query, threshold, analyze, None, policy)
         provenance = explain_trace([record], record["trace_id"])
-        return f"{plan_tree}\n\n{provenance}"
+        return f"{planned.explain()}\n\n{provenance}"
 
     # ------------------------------------------------------------------
     # Experiments

@@ -6,14 +6,28 @@ that need to mutate a database (e.g. add indexes) build their own.
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 import pytest
 
+import repro.engine
 from repro.catalog import Column, ColumnType, Database, ForeignKey, Schema, Table
+from repro.core import RobustCardinalityEstimator
+from repro.engine import ExecutionContext, PhysicalOperator
+from repro.optimizer import Optimizer
+from repro.sql import parse_query
 from repro.stats import StatisticsManager
 from repro.workloads import (
+    QUERY_BATTERY,
+    PartCorrelationTemplate,
+    PriceMarkupTemplate,
+    PromotionBandTemplate,
+    ShippingDatesTemplate,
+    SnowflakeChainTemplate,
     SnowflakeConfig,
     StarConfig,
+    StarJoinTemplate,
     TpchConfig,
     build_snowflake_database,
     build_star_database,
@@ -73,6 +87,16 @@ def make_two_table_db(
     return database
 
 
+def execute_recorded(plan, database, options=None):
+    """One capturing execution of ``plan``: ``(context, record)`` with
+    the record ``repro.obs.operator_spans`` reads."""
+    ctx = ExecutionContext(
+        database, options, operator_rows={}, operator_work={}
+    )
+    plan.execute(ctx)
+    return ctx, ctx.operator_record(plan)
+
+
 @pytest.fixture(scope="session")
 def two_table_db() -> Database:
     """A small part/lineitem database (treat as immutable)."""
@@ -128,3 +152,120 @@ def star_stats(star_db) -> StatisticsManager:
     manager = StatisticsManager(star_db)
     manager.update_statistics(sample_size=500, seed=5)
     return manager
+
+
+#: Statements the TPC-H battery lacks: an indexed IN-list (IndexUnionSeek)
+#: and an inequality join condition over the FK chain (NonEquiJoin).
+EXTRA_TPCH = (
+    "SELECT COUNT(*) FROM lineitem WHERE lineitem.l_shipdate IN "
+    "('1997-01-03', '1997-02-04', '1997-03-05')",
+    "SELECT COUNT(*) FROM lineitem, orders "
+    "WHERE orders.o_orderdate < '1993-01-15' "
+    "AND lineitem.l_shipdate > orders.o_orderdate",
+)
+
+
+def _spread(template, count=3):
+    low, high = template.param_range()
+    return [
+        template.instantiate(low + (high - low) * i // (count + 1))
+        for i in range(1, count + 1)
+    ]
+
+
+def battery_queries(family: str, database) -> list:
+    if family == "tpch":
+        return (
+            [parse_query(sql, database) for sql in QUERY_BATTERY.values()]
+            + [parse_query(sql, database) for sql in EXTRA_TPCH]
+            + _spread(ShippingDatesTemplate())
+            + _spread(PartCorrelationTemplate())
+        )
+    if family == "star":
+        return _spread(StarJoinTemplate(num_dim=1000))
+    return (
+        _spread(SnowflakeChainTemplate())
+        + _spread(PriceMarkupTemplate())
+        + _spread(PromotionBandTemplate())
+    )
+
+
+@pytest.fixture(scope="session")
+def families(
+    tpch_db, tpch_stats, star_db, star_stats, snowflake_db, snowflake_stats
+):
+    return {
+        "tpch": (tpch_db, tpch_stats),
+        "star": (star_db, star_stats),
+        "snowflake": (snowflake_db, snowflake_stats),
+    }
+
+
+@pytest.fixture(scope="session")
+def planned_trees(families):
+    """``family -> [(query, plan root)]``: every alternative of every
+    statement at three thresholds, plus the chosen plan (which carries
+    the aggregate / sort / limit the alternatives do not)."""
+    trees = {}
+    for family, (database, statistics) in families.items():
+        entries = []
+        for threshold in (0.05, 0.5, 0.95):
+            optimizer = Optimizer(
+                database, RobustCardinalityEstimator(statistics, policy=threshold)
+            )
+            for query in battery_queries(family, database):
+                planned = optimizer.optimize(query)
+                entries.append((query, planned.plan))
+                entries.extend(
+                    (query, candidate.operator)
+                    for candidate in planned.alternatives
+                )
+        trees[family] = entries
+    return trees
+
+
+#: Every operator class the engine exports (what ``bench/layers.py``
+#: wraps), discovered rather than listed so a new one is covered.
+OPERATOR_CLASSES = sorted(
+    (
+        cls
+        for cls in vars(repro.engine).values()
+        if isinstance(cls, type)
+        and issubclass(cls, PhysicalOperator)
+        and cls is not PhysicalOperator
+    ),
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.fixture()
+def execute_calls(monkeypatch):
+    """Count ``execute`` calls per operator object through wrappers put
+    on the class attributes after import, as ``bench/layers.py`` does."""
+    calls = collections.Counter()
+
+    def counting(function):
+        def execute(self, ctx):
+            calls[self] += 1
+            return function(self, ctx)
+
+        return execute
+
+    for cls in OPERATOR_CLASSES:
+        monkeypatch.setattr(cls, "execute", counting(cls.__dict__["execute"]))
+    return calls
+
+
+@pytest.fixture()
+def built_contexts(monkeypatch):
+    """Every ``ExecutionContext`` constructed while the test runs — one
+    per plan execution, whoever starts it."""
+    contexts = []
+    original = ExecutionContext.__init__
+
+    def recording_init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        contexts.append(self)
+
+    monkeypatch.setattr(ExecutionContext, "__init__", recording_init)
+    return contexts

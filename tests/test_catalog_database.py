@@ -166,13 +166,6 @@ class TestIndexes:
         assert db.sorted_index("a", "ak") is None
         assert db.indexed_columns("a") == ["a_bk"]
 
-    def test_hash_index(self):
-        db = chain_db()
-        db.create_hash_index("b", "bk")
-        index = db.hash_index("b", "bk")
-        assert index is not None
-        assert list(index.lookup(2)) == [2]
-
     def test_clustering_column(self):
         db = chain_db()
         db.create_index("a", "ak", clustered=True)

@@ -11,12 +11,9 @@ counting wrappers that show nothing runs twice.
 
 from __future__ import annotations
 
-import collections
-
 import numpy as np
 import pytest
 
-import repro.engine
 from repro.core import ExactCardinalityEstimator, RobustCardinalityEstimator
 from repro.engine import (
     ExecOptions,
@@ -25,7 +22,6 @@ from repro.engine import (
     HashJoin,
     IndexedNLJoin,
     Limit,
-    PhysicalOperator,
     ScanCache,
     SeqScan,
     Sort,
@@ -37,98 +33,9 @@ from repro.obs.execution import operator_spans, operator_tables
 from repro.optimizer import Optimizer, SPJQuery
 from repro.service import Session
 from repro.sql import parse_query
-from repro.workloads import (
-    QUERY_BATTERY,
-    PartCorrelationTemplate,
-    PriceMarkupTemplate,
-    PromotionBandTemplate,
-    ShippingDatesTemplate,
-    SnowflakeChainTemplate,
-    StarJoinTemplate,
-)
+from repro.workloads import QUERY_BATTERY
 
-#: Statements the TPC-H battery lacks: an indexed IN-list (IndexUnionSeek)
-#: and an inequality join condition over the FK chain (NonEquiJoin).
-EXTRA_TPCH = (
-    "SELECT COUNT(*) FROM lineitem WHERE lineitem.l_shipdate IN "
-    "('1997-01-03', '1997-02-04', '1997-03-05')",
-    "SELECT COUNT(*) FROM lineitem, orders "
-    "WHERE orders.o_orderdate < '1993-01-15' "
-    "AND lineitem.l_shipdate > orders.o_orderdate",
-)
-
-#: Every operator class the engine exports (what ``bench/layers.py``
-#: wraps), discovered rather than listed so a new one is covered.
-OPERATOR_CLASSES = sorted(
-    (
-        cls
-        for cls in vars(repro.engine).values()
-        if isinstance(cls, type)
-        and issubclass(cls, PhysicalOperator)
-        and cls is not PhysicalOperator
-    ),
-    key=lambda cls: cls.__name__,
-)
-
-
-def _spread(template, count=3):
-    low, high = template.param_range()
-    return [
-        template.instantiate(low + (high - low) * i // (count + 1))
-        for i in range(1, count + 1)
-    ]
-
-
-def _queries(family: str, database) -> list:
-    if family == "tpch":
-        return (
-            [parse_query(sql, database) for sql in QUERY_BATTERY.values()]
-            + [parse_query(sql, database) for sql in EXTRA_TPCH]
-            + _spread(ShippingDatesTemplate())
-            + _spread(PartCorrelationTemplate())
-        )
-    if family == "star":
-        return _spread(StarJoinTemplate(num_dim=1000))
-    return (
-        _spread(SnowflakeChainTemplate())
-        + _spread(PriceMarkupTemplate())
-        + _spread(PromotionBandTemplate())
-    )
-
-
-@pytest.fixture(scope="module")
-def families(
-    tpch_db, tpch_stats, star_db, star_stats, snowflake_db, snowflake_stats
-):
-    return {
-        "tpch": (tpch_db, tpch_stats),
-        "star": (star_db, star_stats),
-        "snowflake": (snowflake_db, snowflake_stats),
-    }
-
-
-@pytest.fixture(scope="module")
-def planned_trees(families):
-    """``family -> [(query, plan root)]``: every alternative of every
-    statement at three thresholds, plus the chosen plan (which carries
-    the aggregate / sort / limit the alternatives do not)."""
-    trees = {}
-    for family, (database, statistics) in families.items():
-        entries = []
-        for threshold in (0.05, 0.5, 0.95):
-            optimizer = Optimizer(
-                database, RobustCardinalityEstimator(statistics, policy=threshold)
-            )
-            for query in _queries(family, database):
-                planned = optimizer.optimize(query)
-                entries.append((query, planned.plan))
-                entries.extend(
-                    (query, candidate.operator)
-                    for candidate in planned.alternatives
-                )
-        trees[family] = entries
-    return trees
-
+from tests.conftest import EXTRA_TPCH, execute_recorded
 
 def reexecuted_observations(query, plan, database) -> list[dict]:
     """The procedure harvest replaced: one fresh execution per subtree."""
@@ -219,24 +126,6 @@ class TestCapturedRowsEqualReexecutedRows:
         assert ctx.operator_rows is None
 
 
-@pytest.fixture()
-def execute_calls(monkeypatch):
-    """Count ``execute`` calls per operator object through wrappers put
-    on the class attributes after import, as ``bench/layers.py`` does."""
-    calls = collections.Counter()
-
-    def counting(function):
-        def execute(self, ctx):
-            calls[self] += 1
-            return function(self, ctx)
-
-        return execute
-
-    for cls in OPERATOR_CLASSES:
-        monkeypatch.setattr(cls, "execute", counting(cls.__dict__["execute"]))
-    return calls
-
-
 class TestNothingRunsTwice:
     STATEMENTS = (
         QUERY_BATTERY["shipping_priority"],
@@ -262,19 +151,25 @@ class TestNothingRunsTwice:
                 assert feedback.store.generation > generation_before
 
     def test_session_without_feedback_asks_for_no_capture(
-        self, tpch_db, monkeypatch
+        self, tpch_db, built_contexts
     ):
-        contexts = []
-        original = ExecutionContext.__init__
-
-        def recording_init(self, *args, **kwargs):
-            original(self, *args, **kwargs)
-            contexts.append(self)
-
-        monkeypatch.setattr(ExecutionContext, "__init__", recording_init)
         with Session(tpch_db, sample_size=300, statistics_seed=3) as session:
             session.execute(self.STATEMENTS[0])
-        assert contexts and all(ctx.operator_rows is None for ctx in contexts)
+        assert built_contexts and all(
+            ctx.operator_rows is None and ctx.operator_work is None
+            for ctx in built_contexts
+        )
+
+    def test_harvest_asks_for_rows_but_no_counter_snapshots(
+        self, tpch_db, built_contexts
+    ):
+        with Session(tpch_db, sample_size=300, statistics_seed=3) as session:
+            session.enable_feedback()
+            session.execute(self.STATEMENTS[0])
+        assert built_contexts and all(
+            ctx.operator_rows and ctx.operator_work is None
+            for ctx in built_contexts
+        )
 
 
 class TestStoreBytes:
@@ -383,6 +278,6 @@ class TestHarvestKeysNameTheTablesJoined:
         plan = IndexedNLJoin(
             SeqScan("orders"), "lineitem", "orders.o_orderkey", "l_orderkey"
         )
-        spans, _, _ = operator_spans(plan, tpch_db)
+        spans = operator_spans(plan, execute_recorded(plan, tpch_db)[1])
         assert spans[0]["tables"] == ["lineitem", "orders"]
         assert spans[1]["tables"] == ["orders"]

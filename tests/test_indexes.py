@@ -1,4 +1,4 @@
-"""Unit tests for repro.indexes (sorted, hash, RID algebra)."""
+"""Unit tests for repro.indexes (sorted, RID algebra)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.engine.kernels import match_keys
 from repro.errors import IndexError_
 from repro.indexes import (
-    HashIndex,
     SortedIndex,
     intersect_rid_sets,
     union_rid_lists,
@@ -108,42 +107,6 @@ class TestSortedIndex:
 
     def test_num_entries(self, values):
         assert SortedIndex(values).num_entries == 8
-
-
-class TestHashIndex:
-    def test_lookup(self, values):
-        index = HashIndex(values)
-        assert sorted(index.lookup(3)) == [1, 3, 6]
-        assert list(index.lookup(42)) == []
-
-    def test_lookup_many(self, values):
-        index = HashIndex(values)
-        rids = index.lookup_many(np.array([3, 3, 9]))
-        # duplicates in input contribute their matches twice
-        assert len(rids) == 7
-
-    def test_contains(self, values):
-        index = HashIndex(values)
-        assert 5 in index
-        assert 55 not in index
-
-    def test_counts(self, values):
-        index = HashIndex(values)
-        assert index.num_entries == 8
-        assert index.num_keys == 6
-
-    def test_numpy_scalar_lookup(self, values):
-        index = HashIndex(values)
-        assert sorted(index.lookup(np.int64(3))) == [1, 3, 6]
-
-    def test_empty(self):
-        index = HashIndex(np.array([], dtype=np.int64))
-        assert index.num_entries == 0
-        assert list(index.lookup(1)) == []
-
-    def test_2d_input_raises(self):
-        with pytest.raises(IndexError_):
-            HashIndex(np.zeros((2, 2)))
 
 
 class TestRidAlgebra:

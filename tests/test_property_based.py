@@ -11,7 +11,7 @@ from repro.core import JEFFREYS, UNIFORM, Prior, SelectivityPosterior
 from repro.engine import kernels
 from repro.engine.joinutil import match_keys
 from repro.expressions import Frame, col
-from repro.indexes import HashIndex, SortedIndex, intersect_rid_sets
+from repro.indexes import SortedIndex, intersect_rid_sets
 from repro.stats import EquiDepthHistogram
 
 int_arrays = npst.arrays(
@@ -108,12 +108,6 @@ class TestSortedIndexProperties:
         index = SortedIndex(values)
         assert sorted(index.lookup_eq(key)) == sorted(
             np.flatnonzero(values == key)
-        )
-
-    @given(values=int_arrays, key=st.integers(-60, 60))
-    def test_hash_and_sorted_agree(self, values, key):
-        assert sorted(SortedIndex(values).lookup_eq(key)) == sorted(
-            HashIndex(values).lookup(key)
         )
 
     @given(values=int_arrays)

@@ -84,7 +84,8 @@ PUBLIC_API = sorted(
     ]
 )
 
-#: Former top-level names now behind a deprecation shim.
+#: Former top-level names: served by a deprecation shim for its release
+#: of grace, now importable from ``repro.core`` only.
 DEPRECATED = sorted(
     [
         "AGGRESSIVE",
@@ -117,8 +118,10 @@ class TestAllSnapshot:
 
     def test_dir_covers_exports_and_deprecated(self):
         listing = dir(repro)
-        for name in PUBLIC_API + DEPRECATED:
+        for name in PUBLIC_API:
             assert name in listing
+        for name in DEPRECATED:
+            assert name not in listing
 
     def test_version_is_a_string(self):
         assert isinstance(repro.__version__, str)
@@ -126,14 +129,16 @@ class TestAllSnapshot:
 
 
 class TestDeprecatedShims:
+    """The shim is retired; the test ids are those of its grace release."""
+
     @pytest.mark.parametrize("name", DEPRECATED)
     def test_warns_and_resolves(self, name):
-        with pytest.warns(DeprecationWarning, match=name):
-            value = getattr(repro, name)
-        assert value is not None
-        # The shim serves the same object the new home exports.
+        # No warning left to give: the top level no longer has the name,
+        # which resolves from its home package alone.
+        with pytest.raises(AttributeError, match=name):
+            getattr(repro, name)
         core = importlib.import_module("repro.core")
-        assert value is getattr(core, name)
+        assert getattr(core, name) is not None
 
     def test_deprecated_names_stay_out_of_all(self):
         assert not set(DEPRECATED) & set(repro.__all__)

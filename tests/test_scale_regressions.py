@@ -4,11 +4,12 @@ The zero-copy refactor changed how operators build their output frames
 (selection vectors instead of copies) and added a shared scan cache.
 Neither may disturb the observability layer:
 
-1. ``operator_spans`` re-executes each subtree in a fresh context to
-   attribute work per operator; with lazy frames the subtraction
-   arithmetic must still be exact — own-work non-negative everywhere
-   and the spans summing to the root totals — and the attribution must
-   be identical whether the *measured* run used a scan cache or not.
+1. ``operator_spans`` attributes work per operator by subtracting
+   each child's recorded subtree total from its parent's; with lazy
+   frames the subtraction arithmetic must still be exact — own-work
+   non-negative everywhere and the spans summing to the root totals —
+   and the attribution must be identical whether the recorded run used
+   a scan cache or not.
 2. The ``ChaosHarness`` invariants (executable-plan, fallback-envelope,
    cache-versioning, degradation-attributed) must keep passing with
    zero-copy operators as the engine default.
@@ -51,7 +52,7 @@ from repro.obs import execution_span, operator_spans
 from repro.optimizer import Optimizer
 from repro.workloads import TpchConfig, build_tpch_database, parse_battery
 
-from tests.conftest import make_two_table_db
+from tests.conftest import execute_recorded, make_two_table_db
 
 QUERY = "SELECT COUNT(*) FROM lineitem WHERE lineitem.l_quantity > 45"
 JOIN_QUERY = (
@@ -110,7 +111,9 @@ class TestOperatorSpanAttribution:
                                       "indexednl", "seek-agg"])
     def test_spans_sum_to_root_and_own_work_nonnegative(self, db, name):
         plan = make_plans(db)[name]
-        spans, root_counters, root_rows = operator_spans(plan, db)
+        _, record = execute_recorded(plan, db)
+        spans = operator_spans(plan, record)
+        root_rows, root_counters = record[0]
         assert root_rows == plan.execute(ExecutionContext(db)).num_rows
         totals = {k: 0 for k in root_counters.as_dict()}
         for span in spans:
@@ -123,35 +126,32 @@ class TestOperatorSpanAttribution:
     @pytest.mark.parametrize("name", ["hashjoin", "seek-agg"])
     def test_attribution_independent_of_scan_cache(self, db, name):
         plan = make_plans(db)[name]
-        # Measured run with a warm scan cache: execute twice so the
-        # second pass is served from the cache, then trace.
+        # Recorded run with a warm scan cache: execute twice so the
+        # second pass is served from the cache.
         cache = ScanCache()
         options = ExecOptions(scan_cache=cache)
         plan.execute(ExecutionContext(db, options))
-        warm_ctx = ExecutionContext(db, options)
-        plan.execute(warm_ctx)
+        warm_ctx, warm_record = execute_recorded(plan, db, options)
         assert cache.hits > 0
-        cold_ctx = ExecutionContext(db)
-        plan.execute(cold_ctx)
+        cold_ctx, cold_record = execute_recorded(plan, db)
         # Unit of account: cached and uncached runs charge identically.
         assert warm_ctx.counters.as_dict() == cold_ctx.counters.as_dict()
-        # And the traced attribution reproduces those same totals.
-        spans, root_counters, _ = operator_spans(plan, db)
-        assert root_counters.as_dict() == cold_ctx.counters.as_dict()
+        # And the attribution reproduces those same totals either way.
+        assert warm_record[0][1].as_dict() == cold_ctx.counters.as_dict()
+        assert operator_spans(plan, warm_record) == operator_spans(
+            plan, cold_record
+        )
 
     def test_execution_span_over_lazy_plan(self, db):
         plan = make_plans(db)["hashjoin"]
         cost_model = CostModel()
         ctx = ExecutionContext(db)
         frame = plan.execute(ctx)
-        span = execution_span(
-            plan,
-            db,
-            cost_model,
-            simulated_seconds=cost_model.time_from_counters(ctx.counters),
-            actual_rows=frame.num_rows,
-        )
+        span = execution_span(plan, execute_recorded(plan, db)[1], cost_model)
         assert span["actual_rows"] == frame.num_rows
+        assert span["simulated_seconds"] == cost_model.time_from_counters(
+            ctx.counters
+        )
         assert span["counters"] == ctx.counters.as_dict()
         assert span["total_work"] == ctx.counters.total_work()
         assert len(span["operators"]) == 3  # join + two scans

@@ -256,6 +256,18 @@ class TestExecuteAndExplain:
         assert len(session.plan_cache) == 0
         assert session.prepare(QUERY).from_cache is False
 
+    def test_explain_does_not_pollute_the_plan_cache(self, session):
+        plain = session.explain(QUERY)
+        analyzed = session.explain(QUERY, analyze=True)
+        assert len(session.plan_cache) == 0
+        prepares = session.metrics.counter("repro_session_prepares_total", "")
+        assert prepares.value(result="miss") == 0
+        assert prepares.value(result="hit") == 0
+        # ... and the tree it prints is the plan a prepare would cache
+        tree = session.prepare(QUERY).explain()
+        assert plain.startswith(tree) and analyzed.startswith(tree)
+        assert "execution breakdown" in analyzed
+
 
 class TestLifecycle:
     def test_closed_session_rejects_use(self, session):

@@ -13,9 +13,10 @@ import pytest
 from repro.core import ExactCardinalityEstimator
 from repro.core.estimate import CardinalityEstimate
 from repro.cost import CostModel
-from repro.engine import ExecutionContext
 from repro.obs import execution_span, operator_spans
 from repro.optimizer import Optimizer, SPJQuery
+
+from tests.conftest import execute_recorded
 
 
 class ScaledEstimator(ExactCardinalityEstimator):
@@ -44,17 +45,14 @@ def plan_and_span(database, factor):
     planned = Optimizer(
         database, ScaledEstimator(database, factor), cost_model
     ).optimize(query)
-    ctx = ExecutionContext(database)
-    frame = planned.plan.execute(ctx)
+    _, record = execute_recorded(planned.plan, database)
     return execution_span(
         planned.plan,
-        database,
+        record,
         cost_model,
-        simulated_seconds=cost_model.time_from_counters(ctx.counters),
-        actual_rows=frame.num_rows,
         estimated_rows=planned.estimated_rows,
         estimated_cost=planned.estimated_cost,
-    ), frame.num_rows
+    ), record[0][0]
 
 
 class TestPlanLevelQError:
@@ -103,11 +101,15 @@ class TestOperatorAttribution:
         )
 
     def test_root_actual_rows_from_reexecution(self, two_table_db):
+        # (the name predates the capture: the rows are now read off the
+        # one execution's record instead of a second run of the root)
         query = SPJQuery(["part", "lineitem"], None)
         planned = Optimizer(
             two_table_db, ExactCardinalityEstimator(two_table_db), CostModel()
         ).optimize(query)
-        spans, counters, rows = operator_spans(planned.plan, two_table_db)
+        _, record = execute_recorded(planned.plan, two_table_db)
+        spans = operator_spans(planned.plan, record)
+        rows, counters = record[0]
         assert rows == 2000
         assert spans[0]["depth"] == 0
         assert spans[0]["actual_rows"] == 2000
