@@ -29,11 +29,24 @@ Frames are immutable by contract: no caller may write into an array
 obtained from :meth:`column`. Lazy frames additionally share base
 arrays (and possibly selection vectors) with their inputs, so the
 contract is what makes sharing safe.
+
+A memoized gather is memory the frame holds for as long as the frame
+lives, and a frame a cache keeps lives long: the join and the aggregate
+above a cached scan read their columns *from the cached frame*, after it
+was stored. So exactly one party may observe a gather: whoever stored
+the frame (:class:`repro.engine.scancache.ScanCache`, through
+:meth:`Frame.watch_gathers`) is told the size of each array the frame
+comes to retain, once, when it is first gathered through a selection
+vector. Identity sources return the base array itself and report
+nothing, and every frame derived by ``mask`` / ``take`` / ``select`` /
+``merged_with`` is a new, unwatched object: arrays it shares with a
+watched frame are that frame's. A frame nobody stored pays one
+``is not None`` per first read.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -60,6 +73,11 @@ class _Source:
 
 class Frame:
     """An ordered mapping of qualified column names to numpy arrays."""
+
+    #: Whoever stored this frame and answers for its memory; see
+    #: :meth:`watch_gathers`. A class default, so building a frame
+    #: costs nothing for it.
+    _on_gather: Callable[[int], None] | None = None
 
     def __init__(self, columns: Mapping[str, np.ndarray], *, lazy: bool = False) -> None:
         sources: dict[str, _Source] = {}
@@ -179,9 +197,48 @@ class Frame:
         key = self._resolve(qualified_name)
         array = self._cache.get(key)
         if array is None:
-            array = self._sources[key].gather()
-            self._cache[key] = array
+            source = self._sources[key]
+            gathered = source.gather()
+            # Two readers may race here; the frame keeps one array, and
+            # only the reader whose array it kept reports it.
+            array = self._cache.setdefault(key, gathered)
+            if (
+                self._on_gather is not None
+                and array is gathered
+                and source.sel is not None
+            ):
+                self._on_gather(array.nbytes)
         return array
+
+    def owned_nbytes(self) -> int:
+        """Bytes of the arrays reachable only through this frame.
+
+        Its distinct selection vectors (all columns of one scan share
+        one) plus the gathers memoized through one. An identity source
+        aliases its base array, which the table owns, and weighs
+        nothing.
+        """
+        total = 0
+        counted: set[int] = set()
+        for name, source in self._sources.items():
+            sel = source.sel
+            if sel is None:
+                continue
+            if id(sel) not in counted:
+                counted.add(id(sel))
+                total += sel.nbytes
+            gathered = self._cache.get(name)
+            if gathered is not None:
+                total += gathered.nbytes
+        return total
+
+    def watch_gathers(self, on_gather: Callable[[int], None] | None) -> None:
+        """Report the size of each array this frame memoizes from now on
+        to ``on_gather`` (``None`` stops it). For the one owner that
+        stored the frame and budgets its memory; what the frame already
+        holds is :meth:`owned_nbytes`.
+        """
+        self._on_gather = on_gather
 
     def __contains__(self, qualified_name: str) -> bool:
         try:

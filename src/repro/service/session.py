@@ -1222,7 +1222,8 @@ class Session:
     # Introspection / lifecycle
     # ------------------------------------------------------------------
     def cache_stats(self) -> dict:
-        """Plan-cache counters, also mirrored into ``metrics``."""
+        """Plan-cache counters; mirrors them and the scan cache's into
+        ``metrics``."""
         stats = self.plan_cache.stats()
         gauge = self.metrics.gauge(
             "repro_session_plan_cache",
@@ -1231,6 +1232,12 @@ class Session:
         for name in ("size", "hits", "misses", "evictions"):
             gauge.set(float(stats[name]), stat=name)
         gauge.set(stats["hit_rate"], stat="hit_rate")
+        scan_gauge = self.metrics.gauge(
+            "repro_session_scan_cache",
+            "Scan-cache occupancy (entries, bytes held) and counters.",
+        )
+        for name, value in self._scan_cache.stats().items():
+            scan_gauge.set(float(value), stat=name)
         return stats
 
     def describe(self) -> str:
@@ -1257,10 +1264,12 @@ class Session:
             raise SessionError("session is closed")
 
     def close(self) -> None:
-        """Release cached plans; further use raises ``SessionError``."""
+        """Release cached plans and scans; further use raises
+        ``SessionError``."""
         self.cache_stats()  # final metrics snapshot
         self.plan_cache.clear()
         self._parse_cache.clear()
+        self._scan_cache.clear()
         self._closed = True
 
     def __enter__(self) -> "Session":

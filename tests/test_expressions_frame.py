@@ -1,10 +1,13 @@
 """Unit tests for repro.expressions.frame."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.errors import ExpressionError
 from repro.expressions import Frame
+from repro.expressions.frame import _Source
 
 
 @pytest.fixture
@@ -99,3 +102,91 @@ class TestTransforms:
     def test_merge_duplicate_column_raises(self, frame):
         with pytest.raises(ExpressionError, match="duplicate"):
             frame.merged_with(Frame({"t.a": np.arange(4)}))
+
+
+class TestGatherObservation:
+    """Whoever stores a frame (the scan cache) is told what the frame
+    comes to retain: each array first gathered through a selection."""
+
+    @pytest.fixture
+    def filtered(self, two_table_db):
+        table = two_table_db.table("lineitem")
+        return Frame.from_table_rows(table, np.arange(0, 100, 2), lazy=True)
+
+    def test_owned_nbytes_is_selections_plus_gathers_through_one(self, filtered):
+        assert filtered.owned_nbytes() == 50 * 8  # one shared selection
+        quantity = filtered.column("lineitem.l_quantity")
+        assert filtered.owned_nbytes() == 50 * 8 + quantity.nbytes
+
+    def test_identity_and_eager_frames_own_nothing(self, two_table_db, frame):
+        whole = Frame.from_table(two_table_db.table("lineitem"), lazy=True)
+        whole.column("lineitem.l_quantity")
+        assert whole.owned_nbytes() == 0
+        assert frame.owned_nbytes() == 0
+
+    def test_first_gather_reports_its_size_once(self, filtered):
+        reported = []
+        filtered.watch_gathers(reported.append)
+        quantity = filtered.column("lineitem.l_quantity")
+        assert reported == [quantity.nbytes]
+        assert filtered.column("l_quantity") is quantity
+        assert reported == [quantity.nbytes]
+
+    def test_derived_frames_report_nothing(self, filtered):
+        reported = []
+        filtered.watch_gathers(reported.append)
+        for derived in (
+            filtered.mask(np.arange(50) % 2 == 0),
+            filtered.take(np.array([3, 1])),
+            filtered.select(["lineitem.l_quantity"]),
+            filtered.take(np.array([3, 1])).merged_with(Frame({"x.y": np.arange(2)})),
+        ):
+            derived.column("lineitem.l_quantity")
+        assert reported == []
+
+    def test_identity_source_reports_nothing(self, two_table_db):
+        whole = Frame.from_table(two_table_db.table("lineitem"), lazy=True)
+        reported = []
+        whole.watch_gathers(reported.append)
+        whole.column("lineitem.l_quantity")
+        assert reported == []
+
+    def test_unwatching_stops_the_reports(self, filtered):
+        reported = []
+        filtered.watch_gathers(reported.append)
+        filtered.watch_gathers(None)
+        filtered.column("lineitem.l_quantity")
+        assert reported == []
+
+    def test_a_frame_nobody_stored_pays_no_callback(self, filtered):
+        assert Frame._on_gather is None
+        filtered.column("lineitem.l_quantity")
+        filtered.mask(np.ones(50, dtype=bool)).column("lineitem.l_quantity")
+        assert "_on_gather" not in vars(filtered)
+
+    def test_racing_readers_keep_one_array_and_report_it_once(
+        self, filtered, monkeypatch
+    ):
+        both_gathering = threading.Barrier(2)
+        gather = _Source.gather
+
+        def gather_together(source):
+            both_gathering.wait(timeout=10)
+            return gather(source)
+
+        monkeypatch.setattr(_Source, "gather", gather_together)
+        reported, arrays = [], []
+        filtered.watch_gathers(reported.append)
+        threads = [
+            threading.Thread(
+                target=lambda: arrays.append(filtered.column("lineitem.l_quantity"))
+            )
+            for _ in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert arrays[0] is arrays[1]
+        assert reported == [arrays[0].nbytes]

@@ -10,11 +10,13 @@ produces from the same statistics.
 
 import threading
 import time
+import weakref
 
 import pytest
 
 from repro.core import RobustCardinalityEstimator
 from repro.cost import CostModel
+from repro.engine import scancache
 from repro.optimizer import Optimizer
 from repro.service import (
     Session,
@@ -282,6 +284,43 @@ class TestLifecycle:
         with Session(db, sample_size=200) as session:
             session.prepare(QUERY)
         assert session._closed
+
+    def test_close_releases_the_scan_cache(self, session):
+        session.execute(QUERY)
+        cache = session._scan_cache
+        frame = next(
+            entry.frame
+            for entry in cache._entries.values()
+            if entry.frame.owned_nbytes()
+        )
+        selection = weakref.ref(frame._sources["lineitem.l_quantity"].sel)
+        del frame
+        assert cache.stats()["bytes"] > 0
+        session.close()
+        stats = cache.stats()
+        assert stats["entries"] == 0 and stats["bytes"] == 0
+        assert stats["misses"] > 0  # counters survive the clear
+        assert selection() is None
+
+    @pytest.mark.parametrize("budget, evicts", [(None, False), (4 << 10, True)])
+    def test_cache_stats_mirrors_the_scan_cache(
+        self, session, monkeypatch, budget, evicts
+    ):
+        if budget is not None:
+            monkeypatch.setattr(scancache, "SCAN_CACHE_BYTES", budget)
+        for quantity in (5, 15, 25, 35, 45, 15):
+            session.execute(QUERY.replace("45", str(quantity)))
+        returned = session.cache_stats()
+        assert returned == session.plan_cache.stats()  # the plan cache's, as ever
+        gauge = session.metrics.gauge("repro_session_scan_cache", "")
+        stats = session._scan_cache.stats()
+        assert sorted(stats) == ["bytes", "entries", "evictions", "hits", "misses"]
+        for name, value in stats.items():
+            assert gauge.value(stat=name) == value
+        assert (stats["evictions"] > 0) == evicts
+        assert stats["bytes"] > 0
+        session.close()  # the final snapshot is taken before the clear
+        assert gauge.value(stat="bytes") == stats["bytes"]
 
     def test_metrics_track_prepares_by_outcome(self, session):
         session.prepare(QUERY)
