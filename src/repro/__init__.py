@@ -66,7 +66,6 @@ from repro.expressions import col, lit
 from repro.feedback import FeedbackConfig, FeedbackStore, SessionFeedback
 from repro.obs import MetricsRegistry, Tracer
 from repro.optimizer import (
-    LeastExpectedCostOptimizer,
     Optimizer,
     PlannedQuery,
     SPJQuery,
@@ -139,7 +138,6 @@ __all__ = [
     "resolve_policy",
     # optimization & costing
     "CostModel",
-    "LeastExpectedCostOptimizer",
     "Optimizer",
     "PlannedQuery",
     "SPJQuery",

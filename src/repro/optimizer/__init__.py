@@ -13,14 +13,10 @@ component stays identical.
 from repro.optimizer.query import SPJQuery
 from repro.optimizer.candidates import PlanCandidate, keep_best, keep_best_vector
 from repro.optimizer.optimizer import Optimizer, PlannedQuery, PlanningContext
-from repro.optimizer.costing import PlanCoster
-from repro.optimizer.lec import LeastExpectedCostOptimizer
 
 __all__ = [
-    "LeastExpectedCostOptimizer",
     "Optimizer",
     "PlanCandidate",
-    "PlanCoster",
     "PlannedQuery",
     "PlanningContext",
     "SPJQuery",

@@ -23,11 +23,18 @@ class PlanCandidate:
     rows:
         Estimated output cardinality.
     cost:
-        Estimated cumulative cost, in simulated seconds.
+        Estimated cumulative cost, in simulated seconds — what this
+        physical plan costs, at every lane of a threshold grid.
     order:
         Qualified column the output is sorted on (``None`` when the
         order is unknown/uninteresting) — the System-R "interesting
         order" used to admit merge joins without a sort operator.
+    active:
+        Threshold-grid lanes at which the scalar pass would have built
+        this plan (``None``: every lane; the scalar pass never sets
+        it). A hash join builds on the smaller input, which can differ
+        per lane; the mask keeps that rule without touching ``cost``.
+        Only the per-lane argmins read it (:func:`eligible_costs`).
     """
 
     operator: PhysicalOperator
@@ -35,6 +42,7 @@ class PlanCandidate:
     rows: float
     cost: float
     order: str | None = None
+    active: np.ndarray | None = None
 
     def annotated(self) -> "PlanCandidate":
         """Copy estimates onto the operator tree for ``explain`` output."""
@@ -58,6 +66,15 @@ def keep_best(candidates: list[PlanCandidate]) -> dict[str | None, PlanCandidate
         if None not in best or candidate.cost < best[None].cost:
             best[None] = candidate
     return best
+
+
+def both_active(first, second):
+    """Lanes where two ``PlanCandidate.active`` masks both hold."""
+    if first is None:
+        return second
+    if second is None:
+        return first
+    return first & second
 
 
 def lane_matrix(values, width: int) -> np.ndarray:
@@ -85,6 +102,18 @@ def lane_costs(candidates: list[PlanCandidate], width: int) -> np.ndarray:
     return lane_matrix((candidate.cost for candidate in candidates), width)
 
 
+def eligible_costs(candidates: list[PlanCandidate], width: int) -> np.ndarray:
+    """:func:`lane_costs` with ``inf`` where a candidate is not
+    ``active``, so a per-lane argmin over it picks what the scalar pass
+    would have picked at that lane. For choosing only — an ``inf`` here
+    is not a cost."""
+    costs = lane_costs(candidates, width)
+    for row, candidate in enumerate(candidates):
+        if candidate.active is not None:
+            costs[row] = np.where(candidate.active, costs[row], np.inf)
+    return costs
+
+
 def keep_best_vector(
     candidates: list[PlanCandidate], width: int
 ) -> dict[str | None, list[PlanCandidate]]:
@@ -92,16 +121,17 @@ def keep_best_vector(
 
     Candidate costs are vectors over the ``width``-point threshold
     grid. Per interesting-order slot we keep every candidate that is
-    the per-threshold minimum for at least one grid point, so the
-    surviving set is exactly the union of the scalar ``keep_best``
-    winners across thresholds. ``np.argmin`` takes the first index on
-    ties, matching the scalar loop's strict-``<`` first-wins rule, and
-    the ``None`` slot holds the per-threshold global winners just as
-    the scalar version holds the globally cheapest plan.
+    the per-threshold minimum, among those ``active`` there, for at
+    least one grid point, so the surviving set is exactly the union of
+    the scalar ``keep_best`` winners across thresholds. ``np.argmin``
+    takes the first index on ties, matching the scalar loop's
+    strict-``<`` first-wins rule, and the ``None`` slot holds the
+    per-threshold global winners just as the scalar version holds the
+    globally cheapest plan.
     """
     if not candidates:
         return {}
-    costs = lane_costs(candidates, width)
+    costs = eligible_costs(candidates, width)
 
     slot_members: dict[str | None, list[int]] = {}
     key_order: list[str | None] = []

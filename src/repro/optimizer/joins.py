@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.engine import HashJoin, IndexedNLJoin, MergeJoin, NonEquiJoin, Sort
 from repro.expressions import conjunction
-from repro.optimizer.candidates import PlanCandidate
+from repro.optimizer.candidates import PlanCandidate, both_active
 from repro.optimizer.query import JoinEdge
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -27,7 +27,8 @@ def join_candidates(
     ``lefts`` and ``rights`` are the surviving candidates of the two
     halves. Every candidate of a half carries that half's ``rows``, so
     the keys, the cost-model terms and the INL facts are worked out
-    once here; only input costs and orders vary per pair. Hash and
+    once here; only input costs, orders and ``active`` lanes vary per
+    pair (a join is active where both its inputs are). Hash and
     merge joins are emitted per pair, an INL join once per *outer*
     candidate (of the inner it reads only the table), each where a
     pair-at-a-time walk would first meet it — pruning is first-wins, so
@@ -60,16 +61,22 @@ def join_candidates(
     candidates: list[PlanCandidate] = []
     for left, (left_op, left_sort) in zip(lefts, left_sorted):
         for right, (right_op, right_sort) in zip(rights, right_sorted):
-            for left_builds, build_key, probe_key, term, active in hash_sides:
+            active = both_active(left.active, right.active)
+            for left_builds, build_key, probe_key, term, side_active in hash_sides:
                 build, probe = (left, right) if left_builds else (right, left)
                 cost = build.cost + probe.cost + term
-                if active is not None:
-                    cost = np.where(active, cost, np.inf)
                 operator = HashJoin(
                     build.operator, probe.operator, build_key, probe_key
                 )
                 candidates.append(
-                    PlanCandidate(operator, tables, out_rows, cost, None).annotated()
+                    PlanCandidate(
+                        operator,
+                        tables,
+                        out_rows,
+                        cost,
+                        None,
+                        both_active(active, side_active),
+                    ).annotated()
                 )
 
             # Merge join over inputs ordered on their join keys (adding
@@ -77,7 +84,9 @@ def join_candidates(
             cost = left.cost + right.cost + left_sort + right_sort + merge_term
             operator = MergeJoin(left_op, right_op, left_key, right_key)
             candidates.append(
-                PlanCandidate(operator, tables, out_rows, cost, left_key).annotated()
+                PlanCandidate(
+                    operator, tables, out_rows, cost, left_key, active
+                ).annotated()
             )
 
             if inl_left_outer is not None and right is rights[0]:
@@ -121,7 +130,12 @@ def nonequi_candidates(
         )
         candidates.append(
             PlanCandidate(
-                operator, outer.tables | inner.tables, out_rows, cost, outer.order
+                operator,
+                outer.tables | inner.tables,
+                out_rows,
+                cost,
+                outer.order,
+                both_active(outer.active, inner.active),
             ).annotated()
         )
     return candidates
@@ -133,9 +147,9 @@ def _hash_sides(model, left_rows, right_rows, left_key, right_key, out_rows):
 
     Build on the smaller estimated input. On the threshold-vectorized
     path the smaller side can differ per threshold, so both
-    orientations are emitted, each masked to the thresholds where the
-    scalar rule would pick it (``np.inf`` elsewhere keeps the masked
-    lanes from ever winning an argmin).
+    orientations are emitted, each ``active`` only at the thresholds
+    where the scalar rule would pick it. The term itself is priced at
+    every lane: an orientation costs what it costs wherever it runs.
     """
     def side(left_builds: bool, active):
         if left_builds:
@@ -204,7 +218,7 @@ def _indexed_nl(
             outer.operator, inner_table, outer_key, inner_column, residual
         )
         return PlanCandidate(
-            operator, tables, out_rows, outer.cost + term, outer.order
+            operator, tables, out_rows, outer.cost + term, outer.order, outer.active
         ).annotated()
 
     return candidate

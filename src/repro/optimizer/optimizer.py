@@ -41,6 +41,7 @@ from repro.obs.trace import plan_shape
 from repro.optimizer.access import access_paths
 from repro.optimizer.candidates import (
     PlanCandidate,
+    eligible_costs,
     iter_candidates,
     keep_best,
     keep_best_vector,
@@ -281,7 +282,9 @@ class PlannedQuery:
     plan: PhysicalOperator
     estimated_cost: float
     estimated_rows: float
-    #: Every full-coverage candidate considered, cheapest first.
+    #: Every full-coverage candidate considered, cheapest first (from
+    #: ``optimize_many``: those the scalar pass would have built at this
+    #: lane cheapest first, then the rest).
     alternatives: list[PlanCandidate]
     #: Number of estimator invocations during planning.
     estimation_calls: int
@@ -336,12 +339,15 @@ def _select_cheapest(finalists, costs, grid):
 
 
 def _select_per_lane(finalists, costs, grid):
-    """Threshold grid: each lane's argmin, one plan per lane."""
-    winners = np.argmin(costs, axis=0)
+    """Threshold grid: each lane's argmin, one plan per lane — among
+    the finalists the scalar pass would have built at that lane, so lane
+    ``i`` is what ``optimize(hint=grid[i])`` returns; the rest rank last."""
+    eligible = eligible_costs(finalists, len(grid))
+    winners = np.argmin(eligible, axis=0)
     for lane in range(len(grid)):
         # Stable argsort == Python's stable sorted(key=cost), so the
         # alternatives ranking matches the scalar path per lane.
-        ranking = np.argsort(costs[:, lane], kind="stable").tolist()
+        ranking = np.argsort(eligible[:, lane], kind="stable").tolist()
         yield _Selection(
             "vectorized",
             lane,
@@ -473,12 +479,21 @@ class Optimizer:
         scalar estimates the finished plan is annotated and finalized
         with, so explain output and cached estimates stay meaningful.
 
+        With ``risk="expected"`` this is least-expected-cost selection
+        (Chu et al.): each sample's optimum is subtracted from every
+        plan alike, so mean penalty is mean cost minus a constant.
+        ``(np.arange(q) + 0.5) / q`` is the midpoint grid the
+        multi-invocation recipe of that literature averages over.
+
         The candidate pool is the union of per-lane DP winners (the
         same Bellman pruning ``optimize_many`` uses). Every per-sample
-        optimum survives pruning, so penalties are exact; a "hedge"
-        plan that is optimal at *no* sample could in principle be
-        pruned before scoring — the standard price of reusing the
-        threshold-vectorized lattice.
+        optimum (what ``optimize(hint=u)`` returns) survives pruning
+        and every finalist's cost is its own
+        at every sample — where the scalar pass would have built a
+        plan is ``PlanCandidate.active``, which no risk functional
+        reads — so penalties are exact; a "hedge" plan that is optimal
+        at *no* sample could in principle be pruned before scoring —
+        the standard price of reusing the threshold-vectorized lattice.
         """
         samples = tuple(float(u) for u in quantiles)
         if not samples:
@@ -834,6 +849,7 @@ class Optimizer:
                             out_rows,
                             cand.cost + filter_cost,
                             cand.order,
+                            cand.active,
                         ).annotated()
                     )
             else:

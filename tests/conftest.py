@@ -165,12 +165,14 @@ EXTRA_TPCH = (
 )
 
 
-def _spread(template, count=3):
+def spread_params(template, count=3):
+    """``count`` parameters evenly inside the template's range."""
     low, high = template.param_range()
-    return [
-        template.instantiate(low + (high - low) * i // (count + 1))
-        for i in range(1, count + 1)
-    ]
+    return [low + (high - low) * i // (count + 1) for i in range(1, count + 1)]
+
+
+def _spread(template, count=3):
+    return [template.instantiate(p) for p in spread_params(template, count)]
 
 
 def battery_queries(family: str, database) -> list:

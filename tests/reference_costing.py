@@ -1,16 +1,21 @@
 """Re-costing of existing physical plans under a cardinality oracle.
 
-The DP optimizer costs plans while it builds them. Some analyses need
-the reverse: given a *finished* plan tree, what would it cost if the
-cardinalities were different? This powers the least-expected-cost
-baseline (cost the same plan at many posterior quantiles) and
-selectivity-sensitivity reports.
+The DP optimizer costs plans while it builds them. This module does the
+reverse, from the finished tree alone: given a plan, what does it cost
+under these cardinalities? It lived in ``src/`` as
+``repro.optimizer.costing`` while the multi-invocation
+least-expected-cost optimizer needed it; both are now references —
+this one is what the differential tests hold the lattice's incremental
+costing to (``test_optimizer_costing.py``,
+``test_every_alternative_recosts_to_its_dp_cost``) and what
+``tests/reference_lec.py`` prices its pooled candidates with.
 
 The re-coster reconstructs each operator's *logical footprint* — the
 tables it covers and the predicates applied within it — and prices the
 operator with the same :class:`~repro.cost.CostModel` formulas used at
 construction time, so re-costing a plan under the estimates it was
-built with reproduces its original cost.
+built with reproduces its original cost. It shares no code with the
+lattice: a drift between the two is a finding, not a maintenance chore.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from repro.engine import (
     IndexUnionSeek,
     IndexedNLJoin,
     MergeJoin,
+    NonEquiJoin,
     PhysicalOperator,
     Project,
     Limit,
@@ -39,10 +45,20 @@ from repro.engine import (
 )
 from repro.engine.scans import IndexCondition
 from repro.errors import OptimizationError
-from repro.expressions import Expr, col, conjunction
+from repro.expressions import (
+    Expr,
+    as_join_condition,
+    col,
+    conjunction,
+    split_conjuncts,
+)
+from repro.expressions.expr import Comparison
+from repro.optimizer.query import SPJQuery, fk_components
 
 #: Cardinality oracle: (tables, predicate) -> estimated rows.
 CardFn = Callable[[frozenset, Expr | None], float]
+#: Join-condition oracle: JoinCondition -> point selectivity.
+ConditionFn = Callable[[object], float]
 
 
 def _minimum(a, b):
@@ -85,12 +101,24 @@ def condition_to_expr(table_name: str, condition: IndexCondition) -> Expr:
 
 
 class PlanCoster:
-    """Prices a physical plan tree under a cardinality oracle."""
+    """Prices a physical plan tree under a cardinality oracle.
 
-    def __init__(self, database: Database, model: CostModel, card: CardFn) -> None:
+    ``condition_selectivity`` is needed only by plans that join FK
+    components through conditions (band joins); it is clamped at 1e-9
+    as the planner clamps it.
+    """
+
+    def __init__(
+        self,
+        database: Database,
+        model: CostModel,
+        card: CardFn,
+        condition_selectivity: ConditionFn | None = None,
+    ) -> None:
         self.database = database
         self.model = model
         self.card = card
+        self._condition_selectivity = condition_selectivity
 
     def cost(self, plan: PhysicalOperator) -> tuple[float, float]:
         """Return ``(cumulative cost seconds, estimated output rows)``."""
@@ -126,11 +154,47 @@ class PlanCoster:
             return self._merge_join(op)
         if isinstance(op, IndexedNLJoin):
             return self._indexed_nl(op)
+        if isinstance(op, NonEquiJoin):
+            return self._nonequi_join(op)
         if isinstance(op, StarSemiJoin):
             return self._star(op)
         if isinstance(op, HashAggregate):
             return self._aggregate(op)
         raise OptimizationError(f"cannot re-cost operator {type(op).__name__}")
+
+    # ------------------------------------------------------------------
+    def condition_selectivity(self, conjunct: Expr) -> float:
+        """Selectivity of a conjunct joining two FK components."""
+        condition = as_join_condition(conjunct)
+        if condition is None or self._condition_selectivity is None:
+            raise OptimizationError(
+                f"cannot price {conjunct!r} across FK components"
+            )
+        return max(float(self._condition_selectivity(condition)), 1e-9)
+
+    def _rows(self, tables: frozenset, predicate: Expr | None):
+        """Output rows of ``tables`` under ``predicate``.
+
+        One FK component: the oracle's answer. Several (no synopsis
+        spans them): the product of the components' rows and of the
+        selectivity of every applied conjunct that joins two of them.
+        """
+        edges = SPJQuery(sorted(tables)).join_edges(self.database)
+        components = fk_components(tables, edges)
+        if len(components) == 1:
+            return self.card(tables, predicate)
+        within: dict[frozenset, list[Expr]] = {c: [] for c in components}
+        across: list[Expr] = []
+        for conjunct in split_conjuncts(predicate):
+            referenced = conjunct.tables()
+            home = [c for c in components if referenced <= c]
+            (within[home[0]] if home else across).append(conjunct)
+        rows = 1.0
+        for component in components:
+            rows = rows * self.card(component, conjunction(within[component]))
+        for conjunct in across:
+            rows = rows * self.condition_selectivity(conjunct)
+        return rows
 
     def _seq_scan(self, op: SeqScan):
         table = self.database.table(op.table_name)
@@ -155,11 +219,9 @@ class PlanCoster:
         return cost, rows, tables, predicate
 
     def _index_union(self, op: IndexUnionSeek):
-        from repro.expressions import col as col_ref
-
         table = self.database.table(op.table_name)
         tables = frozenset([op.table_name])
-        in_expr = col_ref(f"{op.table_name}.{op.column}").isin(op.values)
+        in_expr = col(f"{op.table_name}.{op.column}").isin(op.values)
         entries = self.card(tables, in_expr)
         predicate = conjunction([in_expr, op.residual])
         rows = self.card(tables, predicate)
@@ -191,7 +253,7 @@ class PlanCoster:
     def _filter(self, op: Filter):
         child_cost, child_rows, tables, applied = self._visit(op.child)
         predicate = conjunction([applied, op.predicate])
-        rows = self.card(tables, predicate)
+        rows = self._rows(tables, predicate)
         cost = child_cost + self.model.filter(child_rows, rows)
         return cost, rows, tables, predicate
 
@@ -200,7 +262,7 @@ class PlanCoster:
         probe_cost, probe_rows, probe_tables, probe_pred = self._visit(op.probe)
         tables = build_tables | probe_tables
         predicate = conjunction([build_pred, probe_pred])
-        rows = self.card(tables, predicate)
+        rows = self._rows(tables, predicate)
         cost = (
             build_cost
             + probe_cost
@@ -213,11 +275,30 @@ class PlanCoster:
         right_cost, right_rows, right_tables, right_pred = self._visit(op.right)
         tables = left_tables | right_tables
         predicate = conjunction([left_pred, right_pred])
-        rows = self.card(tables, predicate)
+        rows = self._rows(tables, predicate)
         cost = (
             left_cost
             + right_cost
             + self.model.merge_join(left_rows, right_rows, rows)
+        )
+        return cost, rows, tables, predicate
+
+    def _nonequi_join(self, op: NonEquiJoin):
+        """Sort the right input, probe it per left row on the primary
+        condition, filter the pairs by the residual (band joins)."""
+        left_cost, left_rows, left_tables, left_pred = self._visit(op.left)
+        right_cost, right_rows, right_tables, right_pred = self._visit(op.right)
+        tables = left_tables | right_tables
+        primary = Comparison(col(op.left_column), col(op.right_column), op.op)
+        predicate = conjunction([left_pred, right_pred, primary, op.residual])
+        rows = self._rows(tables, predicate)
+        pairs = left_rows * right_rows * self.condition_selectivity(primary)
+        cost = (
+            left_cost
+            + right_cost
+            + self.model.nonequi_join(
+                left_rows, right_rows, pairs, rows, op.residual is not None
+            )
         )
         return cost, rows, tables, predicate
 

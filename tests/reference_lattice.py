@@ -23,7 +23,12 @@ from repro.errors import OptimizationError
 from repro.expressions import conjunction, expr_key
 from repro.optimizer import Optimizer
 from repro.optimizer.access import access_paths
-from repro.optimizer.candidates import PlanCandidate, keep_best, keep_best_vector
+from repro.optimizer.candidates import (
+    PlanCandidate,
+    both_active,
+    keep_best,
+    keep_best_vector,
+)
 from repro.optimizer.joins import nonequi_candidates
 from repro.optimizer.optimizer import PlanningContext
 
@@ -46,6 +51,7 @@ def pair_join_candidates(ctx, left, right, edge, out_rows):
         left_key, right_key = edge.parent_column, edge.child_column
     candidates = []
     model = ctx.model
+    pair_active = both_active(left.active, right.active)
 
     vector_rows = isinstance(left.rows, np.ndarray) or isinstance(
         right.rows, np.ndarray
@@ -67,13 +73,14 @@ def pair_join_candidates(ctx, left, right, edge, out_rows):
                 + probe.cost
                 + model.hash_join(build.rows, probe.rows, out_rows)
             )
-            if active is not None:
-                cost = np.where(active, cost, np.inf)
             operator = HashJoin(
                 build.operator, probe.operator, build_key, probe_key
             )
             candidates.append(
-                PlanCandidate(operator, tables, out_rows, cost, None).annotated()
+                PlanCandidate(
+                    operator, tables, out_rows, cost, None,
+                    both_active(pair_active, active),
+                ).annotated()
             )
     else:
         if left.rows <= right.rows:
@@ -105,7 +112,9 @@ def pair_join_candidates(ctx, left, right, edge, out_rows):
         )
         operator = MergeJoin(left_op, right_op, left_key, right_key)
     candidates.append(
-        PlanCandidate(operator, tables, out_rows, cost, left_key).annotated()
+        PlanCandidate(
+            operator, tables, out_rows, cost, left_key, pair_active
+        ).annotated()
     )
 
     candidates.extend(_indexed_nl(ctx, left, right, left_key, right_key, out_rows))
@@ -145,7 +154,8 @@ def _indexed_nl(ctx, outer, inner, outer_key, inner_key, out_rows):
     )
     return [
         PlanCandidate(
-            operator, outer.tables | inner.tables, out_rows, cost, outer.order
+            operator, outer.tables | inner.tables, out_rows, cost, outer.order,
+            outer.active,
         ).annotated()
     ]
 
@@ -239,6 +249,7 @@ class PairwiseOptimizer(Optimizer):
                                             out_rows,
                                             cand.cost + filter_cost,
                                             cand.order,
+                                            cand.active,
                                         ).annotated()
                                     )
                         continue
@@ -295,6 +306,7 @@ def fingerprint(candidate: PlanCandidate) -> tuple:
         candidate.order,
         _bits(candidate.cost),
         _bits(candidate.rows),
+        None if candidate.active is None else candidate.active.tobytes(),
     )
 
 

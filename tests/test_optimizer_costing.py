@@ -1,4 +1,10 @@
-"""Tests for plan re-costing (PlanCoster)."""
+"""The lattice's incremental costing against the independent re-coster.
+
+``tests/reference_costing.py`` prices a finished plan tree from its
+operators alone; re-costing a plan under the estimates it was built
+with must reproduce the cost the DP assigned it, for every operator the
+optimizer can emit — band joins included.
+"""
 
 import pytest
 
@@ -6,9 +12,10 @@ from repro.core import ExactCardinalityEstimator
 from repro.cost import CostModel
 from repro.engine import ExecutionContext
 from repro.expressions import col
-from repro.optimizer import Optimizer, PlanCoster, SPJQuery
-from repro.optimizer.costing import condition_to_expr
+from repro.optimizer import Optimizer, SPJQuery
 from repro.engine.scans import IndexCondition
+
+from tests.reference_costing import PlanCoster, condition_to_expr
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import JEFFREYS, RobustCardinalityEstimator
+from repro.cost import CostModel
 from repro.errors import OptimizationError
 from repro.experiments import ExperimentRunner, default_configs
 from repro.optimizer import Optimizer, keep_best, keep_best_vector
@@ -166,6 +167,82 @@ class TestOptimizeManyEquivalence:
         optimizer = Optimizer(tpch_db, estimator)
         optimizer.optimize_many(ShippingDatesTemplate().instantiate(30), PAPER_GRID)
         assert estimator.lut_hits > 0
+
+
+class TestHashBuildSideEligibility:
+    """A hash join builds on the *smaller* input, whatever that costs.
+
+    The vector lattice emits both build sides where the smaller one
+    flips across the grid and keeps each eligible (``active``) only at
+    the lanes the scalar rule would pick it — beside the cost, not in
+    it. With the default coefficients building costs more per row than
+    probing, so an unmasked argmin would find the rule by itself; invert
+    them (cheaper != smaller) and only the mask keeps ``optimize_many``
+    lane-for-lane what ``optimize(hint=t)`` returns.
+    """
+
+    GRID = tuple((np.arange(33) + 0.5) / 33)
+    INVERTED = CostModel(hash_build_cost=2e-6, hash_probe_cost=8e-6)
+
+    @staticmethod
+    def _cand(cost, active=None, order=None):
+        return PlanCandidate(
+            None, frozenset({"t"}), 1.0, np.array(cost), order,
+            None if active is None else np.array(active),
+        )
+
+    def test_pruning_reads_the_mask_and_leaves_the_cost(self):
+        cheap_but_elsewhere = self._cand([1.0, 1.0], active=[True, False])
+        dear = self._cand([2.0, 2.0])
+        best = keep_best_vector([cheap_but_elsewhere, dear], 2)
+        assert best[None] == [cheap_but_elsewhere, dear]  # one lane each
+        assert cheap_but_elsewhere.cost.tolist() == [1.0, 1.0]
+        (only,) = keep_best_vector(
+            [self._cand([1.0, 1.0], active=[False, False]), dear], 2
+        )[None]
+        assert only is dear
+
+    def test_per_lane_selection_reads_the_mask(self):
+        from repro.optimizer.candidates import lane_costs
+        from repro.optimizer.optimizer import _select_per_lane
+
+        finalists = [
+            self._cand([1.0, 1.0], active=[False, True]),
+            self._cand([3.0, 3.0]),
+            self._cand([2.0, 2.0]),
+        ]
+        lanes = list(
+            _select_per_lane(finalists, lane_costs(finalists, 2), (0.2, 0.8))
+        )
+        # lane 0: the cheapest plan is one the scalar pass would not
+        # have built there — it cannot win and ranks last.
+        assert (lanes[0].winner, lanes[0].ranking) == (2, [2, 1, 0])
+        assert (lanes[1].winner, lanes[1].ranking) == (0, [0, 2, 1])
+
+    def test_lanes_match_scalar_under_inverted_coefficients(
+        self, snowflake_db, snowflake_stats
+    ):
+        from repro.optimizer import PlanningContext
+        from tests.conftest import battery_queries
+
+        estimator = RobustCardinalityEstimator(snowflake_stats)
+        optimizer = Optimizer(snowflake_db, estimator, self.INVERTED)
+        flipping = 0
+        for query in battery_queries("snowflake", snowflake_db):
+            vector = optimizer.optimize_many(query, self.GRID)
+            scalar = scalar_plans(optimizer, query, self.GRID)
+            assert_equivalent(vector, scalar)
+            assert all(
+                np.isfinite(c.cost) for lane in vector for c in lane.alternatives
+            )
+            ctx = PlanningContext(
+                snowflake_db, self.INVERTED, estimator, query, self.GRID
+            )
+            flipping += any(
+                c.active is not None for c in optimizer._finalists(ctx, query, None)
+            )
+        # (the guard is vacuous unless some finalist's build side flips)
+        assert flipping > 0
 
 
 class TestRunnerVectorization:

@@ -56,7 +56,6 @@ PUBLIC_API = sorted(
         "resolve_policy",
         # optimization & costing
         "CostModel",
-        "LeastExpectedCostOptimizer",
         "Optimizer",
         "PlannedQuery",
         "SPJQuery",

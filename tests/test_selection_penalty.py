@@ -219,3 +219,71 @@ class TestOptimizePenalty:
         )
         assert first.plan.signature() == second.plan.signature()
         assert first.selection == second.selection
+
+
+class TestMaskIsNotACost:
+    """Where the scalar pass would build a hash orientation travels
+    beside the cost vector, never inside it as ``inf`` — so the risk
+    selectors average what each plan costs at every sample."""
+
+    POLICIES = ("cvar:0.9:32", "expected:24")
+
+    @pytest.mark.parametrize("family", ["tpch", "star", "snowflake"])
+    def test_everything_emitted_is_finite(self, families, family):
+        import json
+
+        from repro.obs import Tracer
+        from repro.optimizer import PlanningContext
+        from repro.optimizer.candidates import lane_costs
+        from repro.selection import resolve_policy
+        from tests.conftest import battery_queries
+
+        database, statistics = families[family]
+        estimator = RobustCardinalityEstimator(statistics)
+        optimizer = Optimizer(database, estimator, tracer=Tracer())
+        grid = (0.05, 0.2, 0.5, 0.8, 0.95)
+        for number, query in enumerate(battery_queries(family, database)):
+            planned = [
+                resolve_policy(spec).plan(
+                    optimizer, query, query_key=str(number), statistics_token=3
+                )
+                for spec in self.POLICIES
+            ]
+            for one in planned:
+                json.dumps(one.selection, allow_nan=False)
+            planned += optimizer.optimize_many(query, grid)
+            for one in planned:
+                json.dumps(one.trace, allow_nan=False)
+                assert "inf" not in one.explain()
+                assert all(np.isfinite(c.cost) for c in one.alternatives)
+            ctx = PlanningContext(
+                database, optimizer.cost_model, estimator, query, grid
+            )
+            finalists = optimizer._finalists(ctx, query, None)
+            assert np.isfinite(lane_costs(finalists, len(grid))).all()
+
+    def test_flipping_build_side_can_win(self, snowflake_db, snowflake_stats):
+        """Pinned from the differential against the multi-invocation
+        recipe: across five quantiles the smaller input of this hash
+        join flips, each orientation used to score ``inf`` wherever the
+        other was the scalar pass's choice, and a merge join over a
+        sort won at a score of 0.0286."""
+        from repro.obs.trace import plan_shape
+        from tests.conftest import battery_queries
+
+        (query,) = [
+            q
+            for q in battery_queries("snowflake", snowflake_db)
+            if "s_discount <= 0.03" in repr(q.predicate)
+        ]
+        optimizer = Optimizer(
+            snowflake_db, RobustCardinalityEstimator(snowflake_stats)
+        )
+        planned = optimizer.optimize_penalty(query, (np.arange(5) + 0.5) / 5)
+        winner = planned.alternatives[0].operator
+        assert plan_shape(winner) == "HashJoin>SeqScan>SeqScan"
+        score = planned.selection["winner_score"]
+        assert np.isfinite(score) and score < 1e-3
+        assert all(
+            np.isfinite(plan["score"]) for plan in planned.selection["plans"]
+        )
