@@ -4,11 +4,10 @@ The paper's TPC-H testbed is scale factor 1 — 6 M ``lineitem`` rows.
 This sweep dials ``TpchConfig(scale=...)`` from the repo's default
 60 k up to that size and measures four hand-built physical plans
 (scan, index seek, hash join, merge join — each topped with an
-aggregate so every arm must actually gather its columns) under the
-lazy selection-vector engine and the historical eager engine.
+aggregate so the plan must actually gather its columns).
 
-Recorded per (scale, plan): best-of-k wall seconds for both arms,
-input rows/sec, the per-operator :class:`WorkCounters` breakdown
+Recorded per (scale, plan): best-of-k wall seconds, input rows/sec,
+the per-operator :class:`WorkCounters` breakdown
 (``operator_spans`` over one untimed recording execution), and the
 process peak RSS
 (``resource.getrusage`` — scales run ascending so the monotone
@@ -26,9 +25,9 @@ Gates:
   ``JOIN_PER_ROW_BUDGET`` cache-residency allowance (at 1x the whole
   working set is cache-resident, at 100x random gathers pay DRAM
   latency — see DESIGN.md §13);
-* at 100x the lazy engine beats eager by at least ``LAZY_SPEEDUP``
-  (perf-marked full sweep);
-* lazy and eager results are bit-identical at every scale.
+* at every scale each plan's input rows are the base tables' rows
+  (``tests/conftest.py:assert_rows_from_base_tables``, the same
+  provenance oracle tier-1 holds every operator to).
 
 The default run sweeps 1x/10x (CI's ``scale-smoke`` budget); the
 ``perf``-marked run adds 100x and writes the full
@@ -47,7 +46,6 @@ import pytest
 from benchmarks.conftest import RESULTS_DIR
 from repro.catalog import date_ordinal
 from repro.engine import (
-    ExecOptions,
     ExecutionContext,
     HashAggregate,
     HashJoin,
@@ -61,6 +59,7 @@ from repro.engine.scans import IndexCondition
 from repro.expressions import col
 from repro.obs import operator_spans
 from repro.workloads import TpchConfig, build_tpch_database
+from tests.conftest import assert_rows_from_base_tables
 
 #: Streaming plans (scan/seek + count aggregation touch every byte
 #: once, in order): per-row wall-clock at the top scale, *normalized
@@ -76,15 +75,12 @@ PER_ROW_BUDGET = 1.2
 #: Join plans gather through permutation arrays, so their per-element
 #: cost is DRAM-latency-bound at 100x while the 1x working set is
 #: cache-resident — a hardware effect, not superlinear work (the
-#: growth *exponent* gate below proves the work stays ~linear, and the
-#: eager arm degrades faster, which is what the speedup gate rewards).
+#: growth *exponent* gate below proves the work stays ~linear).
 #: Measured ≈2.4-3.1x on a single-core runner; budget with headroom.
 JOIN_PER_ROW_BUDGET = 3.5
 #: Wall-clock must stay ~linear in rows for every plan:
 #: log(wall_top/wall_base) / log(scale_top/scale_base) at most this.
 GROWTH_EXPONENT_BUDGET = 1.25
-#: Required lazy-over-eager speedup at 100x.
-LAZY_SPEEDUP = 1.5
 #: Plans whose hot loop is sequential (held to PER_ROW_BUDGET).
 STREAMING_PLANS = ("seqscan-agg", "indexseek-agg")
 
@@ -138,15 +134,6 @@ def _make_plans():
     }
 
 
-def _assert_frames_identical(a, b, context):
-    assert a.column_names == b.column_names, context
-    assert a.num_rows == b.num_rows, context
-    for name in a.column_names:
-        x, y = a.column(name), b.column(name)
-        assert x.dtype == y.dtype, f"{context}: {name}"
-        np.testing.assert_array_equal(x, y, err_msg=f"{context}: {name}")
-
-
 def _bandwidth_floor(db, rounds=5):
     """Hardware streaming floor, ns/row: raw numpy, no engine code.
 
@@ -168,11 +155,11 @@ def _bandwidth_floor(db, rounds=5):
     return best / len(quantity) * 1e9
 
 
-def _time_plan(plan, db, options, rounds):
+def _time_plan(plan, db, rounds):
     """Best-of-``rounds`` wall seconds; returns (frame, seconds)."""
     best, frame = float("inf"), None
     for _ in range(rounds):
-        ctx = ExecutionContext(db, options)
+        ctx = ExecutionContext(db)
         started = time.perf_counter()
         frame = plan.execute(ctx)
         best = min(best, time.perf_counter() - started)
@@ -189,7 +176,6 @@ def run_sweep(scales) -> dict:
         "join_per_row_budget": JOIN_PER_ROW_BUDGET,
         "growth_exponent_budget": GROWTH_EXPONENT_BUDGET,
         "streaming_plans": list(STREAMING_PLANS),
-        "lazy_speedup_gate": LAZY_SPEEDUP,
         "runs": [],
     }
     for scale in scales:
@@ -205,25 +191,18 @@ def run_sweep(scales) -> dict:
             "plans": {},
         }
         for name, plan in _make_plans().items():
-            lazy_frame, lazy_s = _time_plan(
-                plan, db, ExecOptions(lazy_frames=True), rounds
-            )
-            eager_frame, eager_s = _time_plan(
-                plan, db, ExecOptions.eager(), rounds
-            )
-            _assert_frames_identical(
-                lazy_frame.eager(), eager_frame, f"{name}@{scale}x"
+            frame, seconds = _time_plan(plan, db, rounds)
+            assert_rows_from_base_tables(
+                plan.child.execute(ExecutionContext(db)), db
             )
             ctx = ExecutionContext(db, operator_rows={}, operator_work={})
             plan.execute(ctx)
             spans = operator_spans(plan, ctx.operator_record(plan))
             entry["plans"][name] = {
-                "lazy_seconds": lazy_s,
-                "eager_seconds": eager_s,
-                "speedup": eager_s / lazy_s,
-                "rows_per_sec": num_rows / lazy_s,
-                "per_row_ns": lazy_s / num_rows * 1e9,
-                "output_rows": lazy_frame.num_rows,
+                "seconds": seconds,
+                "rows_per_sec": num_rows / seconds,
+                "per_row_ns": seconds / num_rows * 1e9,
+                "output_rows": frame.num_rows,
                 "counters": ctx.counters.as_dict(),
                 "operators": [
                     {
@@ -245,7 +224,7 @@ def run_sweep(scales) -> dict:
 
 
 def _check_linear_scaling(payload):
-    """Wall-clock scaling gates on the lazy arm.
+    """Wall-clock scaling gates.
 
     Every plan must keep its growth *exponent* near 1 (work linear in
     rows); streaming plans additionally hold their absolute per-row
@@ -260,7 +239,7 @@ def _check_linear_scaling(payload):
     for name in base["plans"]:
         base_plan, top_plan = base["plans"][name], top["plans"][name]
         exponent = math.log(
-            top_plan["lazy_seconds"] / base_plan["lazy_seconds"]
+            top_plan["seconds"] / base_plan["seconds"]
         ) / math.log(hi_scale / lo_scale)
         assert exponent <= GROWTH_EXPONENT_BUDGET, (
             f"{name}: wall-clock grows as rows^{exponent:.2f} "
@@ -315,11 +294,5 @@ def test_scale_sweep_full():
     """1x/10x/100x — the paper-scale sweep with the acceptance gates."""
     payload = run_sweep([1, 10, 100])
     _check_linear_scaling(payload)
-    top = payload["runs"][-1]
-    assert top["lineitem_rows"] == 6_000_000
-    for name, plan in top["plans"].items():
-        assert plan["speedup"] >= LAZY_SPEEDUP, (
-            f"{name}: lazy only {plan['speedup']:.2f}x faster than eager "
-            f"at 100x (gate {LAZY_SPEEDUP}x)"
-        )
+    assert payload["runs"][-1]["lineitem_rows"] == 6_000_000
     _write(payload)

@@ -11,7 +11,7 @@ Section 5 of the paper.
 
 from repro.engine import kernels
 from repro.engine.counters import WorkCounters
-from repro.engine.context import ExecOptions, ExecutionContext
+from repro.engine.context import ExecutionContext
 from repro.engine.scancache import ScanCache
 from repro.engine.base import PhysicalOperator
 from repro.engine.scans import IndexIntersect, IndexSeek, IndexUnionSeek, SeqScan
@@ -23,7 +23,6 @@ from repro.engine.aggregate import AggregateSpec, HashAggregate
 
 __all__ = [
     "AggregateSpec",
-    "ExecOptions",
     "ExecutionContext",
     "Filter",
     "HashAggregate",

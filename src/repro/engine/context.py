@@ -2,41 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.catalog import Database
 from repro.engine.counters import WorkCounters
 from repro.engine.scancache import ScanCache
-
-
-@dataclass
-class ExecOptions:
-    """Per-execution knobs for the physical operators.
-
-    ``lazy_frames`` turns on the zero-copy selection-vector frame path
-    (the default): scans and joins compose row selections instead of
-    materializing every column at every operator. ``eager`` mode keeps
-    the historical copy-per-operator behaviour for A/B comparison —
-    both produce bit-identical query results.
-
-    ``scan_cache`` optionally shares base-scan results across plan
-    executions (see :mod:`repro.engine.scancache`).
-    """
-
-    lazy_frames: bool = True
-    scan_cache: ScanCache | None = None
-
-    @classmethod
-    def eager(cls) -> "ExecOptions":
-        return cls(lazy_frames=False)
 
 
 class ExecutionContext:
     """State shared by all operators of one plan execution.
 
     Holds the database being queried, the work counters the operators
-    charge into, and the execution options (frame laziness, shared scan
-    cache). A caller that wants to know what each operator did passes
+    charge into and, optionally, a ``scan_cache`` sharing base-scan
+    results across plan executions (see :mod:`repro.engine.scancache`).
+    A caller that wants to know what each operator did passes
     mappings the execution fills, keyed by operator object, for every
     operator it runs: ``operator_rows`` with the operator's output row
     count, ``operator_work`` with the :class:`WorkCounters` charged
@@ -48,14 +25,14 @@ class ExecutionContext:
     def __init__(
         self,
         database: Database,
-        options: ExecOptions | None = None,
         *,
+        scan_cache: ScanCache | None = None,
         operator_rows: dict | None = None,
         operator_work: dict | None = None,
     ) -> None:
         self.database = database
         self.counters = WorkCounters()
-        self.options = options if options is not None else ExecOptions()
+        self.scan_cache = scan_cache
         self.operator_rows = operator_rows
         self.operator_work = operator_work
 
@@ -72,17 +49,13 @@ class ExecutionContext:
             for op in plan.walk()
         ]
 
-    @property
-    def lazy_frames(self) -> bool:
-        return self.options.lazy_frames
-
     def scan_memo(self, key: tuple, compute):
         """Memoize ``compute()`` under ``key`` in the shared scan cache.
 
         Falls back to calling ``compute()`` directly when no cache is
         configured or the cache is pinned to a different database.
         """
-        cache = self.options.scan_cache
+        cache = self.scan_cache
         if cache is None or not cache.valid_for(self.database):
             return compute()
         return cache.get_or_compute(key, compute)

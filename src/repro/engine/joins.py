@@ -232,7 +232,7 @@ class IndexedNLJoin(PhysicalOperator):
         else:
             ctx.counters.random_ios += len(inner_idx)
 
-        inner_frame = Frame.from_table_rows(inner, inner_idx, lazy=ctx.lazy_frames)
+        inner_frame = Frame.from_table_rows(inner, inner_idx)
         result = outer_frame.take(outer_idx).merged_with(inner_frame)
         if self.residual is not None:
             ctx.counters.cpu_rows += result.num_rows

@@ -22,7 +22,7 @@ Correctness rules:
   carrying a cache pinned to a *different* database silently bypasses
   it rather than serving wrong rows.
 * **Immutability.** Cached values include frames; frames are immutable
-  by contract, and lazy frames share (never mutate) base arrays, so
+  by contract and share (never mutate) base arrays, so
   handing the same frame to many plan executions is safe. Callers that
   re-mask or take from a cached frame get fresh frames.
 * **Concurrency.** One cache may be shared by many executor threads
@@ -57,9 +57,8 @@ Correctness rules:
   until the next insertion displaces it. A value the cache cannot size
   is an error, not zero.
 
-Keys are plain tuples built by the operators from table names,
-``expr_key`` predicate signatures, and the laziness flag (an eager
-caller must not receive a lazy frame or vice versa).
+Keys are plain tuples built by the operators from table names and
+``expr_key`` predicate signatures.
 """
 
 from __future__ import annotations

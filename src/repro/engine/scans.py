@@ -7,9 +7,9 @@ at low selectivity, agonizingly slow at high selectivity.
 
 Two scale features live here (added with the zero-copy execution work):
 
-* When ``ctx.lazy_frames`` is set (the default), the operators build
-  selection-vector frames — filtering composes row selections instead
-  of gathering every column, so untouched columns are never copied.
+* The operators build selection-vector frames — filtering composes
+  row selections instead of gathering every column, so untouched
+  columns are never copied.
 * Results are memoized through ``ctx.scan_memo`` when the context
   carries a :class:`~repro.engine.scancache.ScanCache`. The counter
   arithmetic stays *outside* the memoized computation, replayed from
@@ -57,6 +57,25 @@ class IndexCondition:
         )
 
 
+def scan_table(
+    ctx: ExecutionContext, table_name: str, predicate: Expr | None
+) -> Frame:
+    """One sequential read: charge every page, keep the rows passing
+    ``predicate``. :class:`SeqScan` and ``StarSemiJoin``'s dimension
+    scans both come here, so they share one scan-cache key space."""
+    table = ctx.database.table(table_name)
+    ctx.counters.seq_pages += table.num_pages
+    ctx.counters.cpu_rows += table.num_rows
+
+    def compute() -> Frame:
+        frame = Frame.from_table(table)
+        if predicate is not None:
+            frame = frame.mask(predicate.evaluate(frame))
+        return frame
+
+    return ctx.scan_memo(("seq-scan", table_name, expr_key(predicate)), compute)
+
+
 class SeqScan(PhysicalOperator):
     """Scan a whole table, optionally filtering rows.
 
@@ -69,20 +88,7 @@ class SeqScan(PhysicalOperator):
         self.predicate = predicate
 
     def execute(self, ctx: ExecutionContext) -> Frame:
-        table = ctx.database.table(self.table_name)
-        ctx.counters.seq_pages += table.num_pages
-        ctx.counters.cpu_rows += table.num_rows
-        lazy = ctx.lazy_frames
-
-        def compute() -> Frame:
-            frame = Frame.from_table(table, lazy=lazy)
-            if self.predicate is not None:
-                frame = frame.mask(self.predicate.evaluate(frame))
-            return frame
-
-        frame = ctx.scan_memo(
-            ("seq-scan", self.table_name, expr_key(self.predicate), lazy), compute
-        )
+        frame = scan_table(ctx, self.table_name, self.predicate)
         ctx.counters.rows_output += frame.num_rows
         return frame
 
@@ -117,7 +123,6 @@ class IndexSeek(PhysicalOperator):
             raise ExecutionError(
                 f"no index on {self.table_name}.{self.condition.column}"
             )
-        lazy = ctx.lazy_frames
 
         def compute() -> tuple[int, Frame]:
             rids = index.lookup_range(
@@ -126,7 +131,7 @@ class IndexSeek(PhysicalOperator):
                 self.condition.low_inclusive,
                 self.condition.high_inclusive,
             )
-            frame = Frame.from_table_rows(table, rids, lazy=lazy)
+            frame = Frame.from_table_rows(table, rids)
             if self.residual is not None:
                 frame = frame.mask(self.residual.evaluate(frame))
             return len(rids), frame
@@ -137,7 +142,6 @@ class IndexSeek(PhysicalOperator):
                 self.table_name,
                 self.condition.cache_key(),
                 expr_key(self.residual),
-                lazy,
             ),
             compute,
         )
@@ -191,13 +195,12 @@ class IndexUnionSeek(PhysicalOperator):
         index = ctx.database.sorted_index(self.table_name, self.column)
         if index is None:
             raise ExecutionError(f"no index on {self.table_name}.{self.column}")
-        lazy = ctx.lazy_frames
 
         def compute() -> tuple[int, int, Frame]:
             rid_lists = [index.lookup_eq(value) for value in self.values]
             entries = sum(len(rids) for rids in rid_lists)
             final = union_rid_lists(rid_lists)
-            frame = Frame.from_table_rows(table, final, lazy=lazy)
+            frame = Frame.from_table_rows(table, final)
             if self.residual is not None:
                 frame = frame.mask(self.residual.evaluate(frame))
             return entries, len(final), frame
@@ -209,7 +212,6 @@ class IndexUnionSeek(PhysicalOperator):
                 self.column,
                 tuple(self.values),
                 expr_key(self.residual),
-                lazy,
             ),
             compute,
         )
@@ -261,7 +263,6 @@ class IndexIntersect(PhysicalOperator):
                     f"no index on {self.table_name}.{condition.column}"
                 )
             indexes.append(index)
-        lazy = ctx.lazy_frames
 
         def compute() -> tuple[int, int, Frame]:
             rid_sets: list[np.ndarray] = []
@@ -276,7 +277,7 @@ class IndexIntersect(PhysicalOperator):
                 entries += len(rids)
                 rid_sets.append(rids)
             final = intersect_rid_sets(rid_sets)
-            frame = Frame.from_table_rows(table, final, lazy=lazy)
+            frame = Frame.from_table_rows(table, final)
             if self.residual is not None:
                 frame = frame.mask(self.residual.evaluate(frame))
             return entries, len(final), frame
@@ -287,7 +288,6 @@ class IndexIntersect(PhysicalOperator):
                 self.table_name,
                 tuple(c.cache_key() for c in self.conditions),
                 expr_key(self.residual),
-                lazy,
             ),
             compute,
         )

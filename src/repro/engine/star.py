@@ -19,6 +19,7 @@ import numpy as np
 from repro.engine.base import PhysicalOperator
 from repro.engine.context import ExecutionContext
 from repro.engine.joinutil import match_keys
+from repro.engine.scans import scan_table
 from repro.errors import ExecutionError
 from repro.expressions import Expr, Frame, expr_key
 from repro.indexes import intersect_rid_sets
@@ -71,7 +72,7 @@ class StarSemiJoin(PhysicalOperator):
         rid_sets: list[np.ndarray] = []
         semi_frames: list[tuple[DimensionSpec, Frame]] = []
         for spec in self.semi_dims:
-            dim_frame = self._scan_dimension(ctx, spec)
+            dim_frame = scan_table(ctx, spec.dim_table, spec.predicate)
             semi_frames.append((spec, dim_frame))
             index = database.sorted_index(self.fact_table, spec.fact_fk_column)
             if index is None:
@@ -99,7 +100,7 @@ class StarSemiJoin(PhysicalOperator):
         # Phase 2: intersect RID sets, fetch surviving fact rows.
         final_rids = intersect_rid_sets(rid_sets)
         ctx.counters.random_ios += len(final_rids)
-        result = Frame.from_table_rows(fact, final_rids, lazy=ctx.lazy_frames)
+        result = Frame.from_table_rows(fact, final_rids)
         if self.fact_predicate is not None:
             ctx.counters.cpu_rows += result.num_rows
             result = result.mask(self.fact_predicate.evaluate(result))
@@ -112,30 +113,11 @@ class StarSemiJoin(PhysicalOperator):
         # Phase 4: hybrid — hash join the remaining dimensions, which
         # filters as well as attaches columns.
         for spec in self.hash_dims:
-            dim_frame = self._scan_dimension(ctx, spec)
+            dim_frame = scan_table(ctx, spec.dim_table, spec.predicate)
             result = self._attach_dimension(ctx, result, spec, dim_frame)
 
         ctx.counters.rows_output += result.num_rows
         return result
-
-    def _scan_dimension(self, ctx: ExecutionContext, spec: DimensionSpec) -> Frame:
-        dim = ctx.database.table(spec.dim_table)
-        ctx.counters.seq_pages += dim.num_pages
-        ctx.counters.cpu_rows += dim.num_rows
-        lazy = ctx.lazy_frames
-
-        def compute() -> Frame:
-            frame = Frame.from_table(dim, lazy=lazy)
-            if spec.predicate is not None:
-                frame = frame.mask(spec.predicate.evaluate(frame))
-            return frame
-
-        # Shares the key space with SeqScan on purpose: a dimension
-        # scanned by a SeqScan in one plan and by StarSemiJoin in
-        # another is the same physical work.
-        return ctx.scan_memo(
-            ("seq-scan", spec.dim_table, expr_key(spec.predicate), lazy), compute
-        )
 
     def _attach_dimension(
         self,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.catalog import Database
 from repro.cost import CostModel
-from repro.engine import ExecOptions, ExecutionContext, PhysicalOperator, ScanCache
+from repro.engine import ExecutionContext, PhysicalOperator, ScanCache
 
 
 @dataclass
@@ -236,7 +236,7 @@ class PlanExecutionCache:
             self._scans = ScanCache()
         ctx = ExecutionContext(
             database,
-            ExecOptions(scan_cache=self._scans),
+            scan_cache=self._scans,
             operator_rows={},
             operator_work={},
         )

@@ -4,31 +4,24 @@ A frame maps *qualified* column names (``table.column``) to arrays of
 equal length. Frames are produced by scans, joins, samples, and join
 synopses; expressions evaluate against them.
 
-Frames come in two flavours sharing one class:
+A frame represents each column as a *source*: a base array plus an
+optional selection vector of row positions. ``mask`` and ``take``
+merely compose selection vectors — O(result rows) total, independent of
+column count — and a column is gathered (``base[sel]``) only the first
+time something actually reads it, after which the materialized array is
+memoized. Projection pruning falls out for free: columns no operator
+touches are never copied.
 
-* **Eager** frames (the default, and the only kind that existed before
-  the scale work) materialize a fresh copy of every column on every
-  ``mask``/``take``. Simple, but a ``SeqScan → join → join`` chain
-  gathers each column once per operator whether or not anything ever
-  reads it.
-* **Lazy** frames (``lazy=True``) represent each column as a *source*:
-  a base array plus an optional selection vector of row positions.
-  ``mask`` and ``take`` merely compose selection vectors — O(result
-  rows) total, independent of column count — and a column is gathered
-  (``base[sel]``) only the first time something actually reads it,
-  after which the materialized array is memoized. Projection pruning
-  falls out for free: columns no operator touches are never copied.
-
-The two paths are bit-identical: ``base[sel][rows]`` and
-``base[sel[rows]]`` are the same exact gather, and boolean masks are
-converted to position vectors with ``np.flatnonzero`` (``a[keep]`` and
-``a[np.flatnonzero(keep)]`` agree element-for-element and dtype-for-
-dtype). The engine asserts this equivalence in its test suite.
+What a column reads back is exactly numpy's own gather:
+``base[sel][rows]`` and ``base[sel[rows]]`` are the same elements, and
+boolean masks are converted to position vectors with ``np.flatnonzero``
+(``a[keep]`` and ``a[np.flatnonzero(keep)]`` agree element-for-element
+and dtype-for-dtype). The test suite checks frames against that.
 
 Frames are immutable by contract: no caller may write into an array
-obtained from :meth:`column`. Lazy frames additionally share base
-arrays (and possibly selection vectors) with their inputs, so the
-contract is what makes sharing safe.
+obtained from :meth:`column`. Frames share base arrays (and possibly
+selection vectors) with their inputs, so the contract is what makes
+sharing safe.
 
 A memoized gather is memory the frame holds for as long as the frame
 lives, and a frame a cache keeps lives long: the join and the aggregate
@@ -79,7 +72,7 @@ class Frame:
     #: costs nothing for it.
     _on_gather: Callable[[int], None] | None = None
 
-    def __init__(self, columns: Mapping[str, np.ndarray], *, lazy: bool = False) -> None:
+    def __init__(self, columns: Mapping[str, np.ndarray]) -> None:
         sources: dict[str, _Source] = {}
         cache: dict[str, np.ndarray] = {}
         lengths = set()
@@ -92,68 +85,50 @@ class Frame:
         self._sources = sources
         self._cache = cache
         self._num_rows = lengths.pop() if lengths else 0
-        self._lazy = lazy
 
     @classmethod
     def _from_sources(
         cls,
         sources: dict[str, _Source],
         num_rows: int,
-        lazy: bool,
         cache: dict[str, np.ndarray] | None = None,
     ) -> "Frame":
         frame = cls.__new__(cls)
         frame._sources = sources
         frame._cache = cache if cache is not None else {}
         frame._num_rows = num_rows
-        frame._lazy = lazy
         return frame
 
     @classmethod
-    def from_table(cls, table, *, lazy: bool = False) -> "Frame":
+    def from_table(cls, table) -> "Frame":
         """Build a frame over a whole table with qualified names.
 
-        Never copies (columns reference the table's arrays); ``lazy``
-        only affects how later ``mask``/``take`` calls behave.
+        Never copies (columns reference the table's arrays).
         """
         sources = {
             table.qualified(name): _Source(table.column(name), None)
             for name in table.schema.column_names
         }
-        return cls._from_sources(sources, table.num_rows, lazy)
+        return cls._from_sources(sources, table.num_rows)
 
     @classmethod
-    def from_table_rows(cls, table, row_ids: np.ndarray, *, lazy: bool = False) -> "Frame":
+    def from_table_rows(cls, table, row_ids: np.ndarray) -> "Frame":
         """Build a frame over selected rows of a table.
 
-        The eager flavour gathers every column immediately (the
-        historical behaviour); the lazy flavour wraps the table's
-        arrays with ``row_ids`` as a shared selection vector, copying
-        nothing until a column is read.
+        Wraps the table's arrays with ``row_ids`` as a shared selection
+        vector, copying nothing until a column is read.
         """
-        if lazy:
-            sel = np.asarray(row_ids, dtype=np.int64)
-            sources = {
-                table.qualified(name): _Source(table.column(name), sel)
-                for name in table.schema.column_names
-            }
-            return cls._from_sources(sources, len(sel), True)
-        return cls(
-            {
-                table.qualified(name): array
-                for name, array in table.take(row_ids).items()
-            }
-        )
+        sel = np.asarray(row_ids, dtype=np.int64)
+        sources = {
+            table.qualified(name): _Source(table.column(name), sel)
+            for name in table.schema.column_names
+        }
+        return cls._from_sources(sources, len(sel))
 
     @property
     def num_rows(self) -> int:
         """Number of rows."""
         return self._num_rows
-
-    @property
-    def is_lazy(self) -> bool:
-        """Whether ``mask``/``take`` compose selection vectors."""
-        return self._lazy
 
     @property
     def column_names(self) -> list[str]:
@@ -164,10 +139,9 @@ class Frame:
     def materialized_columns(self) -> list[str]:
         """Names of columns whose arrays exist in memory right now.
 
-        On an eager frame this is every column; on a lazy frame, only
-        the columns something has read. Used by tests and benchmarks to
-        assert projection pruning ("untouched columns are never
-        gathered").
+        Only the columns something has read (or that the frame was built
+        from as arrays). Used by tests and benchmarks to assert
+        projection pruning ("untouched columns are never gathered").
         """
         return [name for name in self._sources if name in self._cache]
 
@@ -191,8 +165,8 @@ class Frame:
         """Return the array stored under ``qualified_name``.
 
         As a convenience, an unqualified name resolves when exactly one
-        frame column has that suffix. On lazy frames the first read of
-        a column gathers and memoizes it.
+        frame column has that suffix. The first read of a column
+        gathers and memoizes it.
         """
         key = self._resolve(qualified_name)
         array = self._cache.get(key)
@@ -251,21 +225,17 @@ class Frame:
         """Return a new frame with only the rows where ``keep`` is True."""
         if keep.dtype != np.bool_ or len(keep) != self._num_rows:
             raise ExpressionError("mask must be a boolean array of frame length")
-        if not self._lazy:
-            return Frame(
-                {name: self.column(name)[keep] for name in self._sources}
-            )
         return self._compose(np.flatnonzero(keep))
 
     def take(self, row_ids: np.ndarray) -> "Frame":
         """Return a new frame with rows gathered by position."""
-        if not self._lazy:
-            return Frame(
-                {name: self.column(name)[row_ids] for name in self._sources}
-            )
         rows = np.asarray(row_ids)
         if rows.dtype == np.bool_:
             raise ExpressionError("take() requires positions; use mask() for booleans")
+        if rows.dtype.kind not in "iu" and len(rows):
+            raise ExpressionError(
+                f"take() requires integer positions, got dtype {rows.dtype}"
+            )
         return self._compose(rows.astype(np.int64, copy=False))
 
     def _compose(self, row_ids: np.ndarray) -> "Frame":
@@ -285,14 +255,14 @@ class Frame:
                 sel = row_ids if src.sel is None else src.sel[row_ids]
                 composed[sel_id] = sel
             sources[name] = _Source(src.base, sel)
-        return Frame._from_sources(sources, len(row_ids), True)
+        return Frame._from_sources(sources, len(row_ids))
 
     def select(self, names: list[str]) -> "Frame":
         """Return a new frame with only the listed (qualified) columns.
 
-        On lazy frames this also drops the pruned columns' source
-        references, releasing their base arrays for garbage collection
-        once no other frame shares them.
+        This also drops the pruned columns' source references, releasing
+        their base arrays for garbage collection once no other frame
+        shares them.
         """
         sources: dict[str, _Source] = {}
         cache: dict[str, np.ndarray] = {}
@@ -302,7 +272,7 @@ class Frame:
             if key in self._cache:
                 cache[name] = self._cache[key]
         num_rows = self._num_rows if sources else 0
-        return Frame._from_sources(sources, num_rows, self._lazy, cache)
+        return Frame._from_sources(sources, num_rows, cache)
 
     def merged_with(self, other: "Frame") -> "Frame":
         """Column-wise concatenation of two row-aligned frames."""
@@ -317,14 +287,7 @@ class Frame:
         sources.update(other._sources)
         cache = dict(self._cache)
         cache.update(other._cache)
-        return Frame._from_sources(
-            sources, self._num_rows, self._lazy or other._lazy, cache
-        )
-
-    def eager(self) -> "Frame":
-        """A fully-materialized copy of this frame (for comparisons)."""
-        return Frame({name: self.column(name) for name in self._sources})
+        return Frame._from_sources(sources, self._num_rows, cache)
 
     def __repr__(self) -> str:
-        kind = "lazy, " if self._lazy else ""
-        return f"Frame({kind}rows={self._num_rows}, columns={self.column_names})"
+        return f"Frame(rows={self._num_rows}, columns={self.column_names})"

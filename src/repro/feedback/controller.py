@@ -64,9 +64,6 @@ class FeedbackConfig:
     )
     #: Query → class-name function (defaults to the sorted table set).
     classifier: Callable | None = None
-    #: The namespace fence. Leave on; ``False`` exists only to
-    #: demonstrate the stale-feedback corruption in regression tests.
-    enforce_namespace: bool = True
 
 
 class SessionFeedback:
@@ -118,7 +115,6 @@ class SessionFeedback:
                     namespace,
                     weight=self.config.weight,
                     max_observations=self.config.max_observations,
-                    enforce_namespace=self.config.enforce_namespace,
                 )
                 self._providers[namespace] = provider
             return provider

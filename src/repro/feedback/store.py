@@ -182,24 +182,6 @@ class FeedbackStore:
         with self._lock:
             return key in self._holders
 
-    def lookup_any_namespace(
-        self, tables: Iterable[str], predicate_key: str
-    ) -> tuple[str, FeedbackObservation] | None:
-        """The key's aggregate from *any* namespace (first sorted hit).
-
-        This deliberately ignores the namespace fence. It exists only
-        so tests can demonstrate the corruption that un-namespaced
-        feedback causes across a statistics hot-swap; production
-        callers go through :meth:`observation`.
-        """
-        key = feedback_key(tables, predicate_key)
-        with self._lock:
-            for namespace in sorted(self._namespaces):
-                record = self._namespaces[namespace].get(key)
-                if record is not None:
-                    return namespace, self._observation_from(record)
-        return None
-
     @staticmethod
     def _observation_from(record: dict) -> FeedbackObservation:
         return FeedbackObservation(
@@ -409,15 +391,9 @@ class FeedbackProvider:
     observations: observed selectivity ``s = mean_rows / total`` with
     mass ``min(observations, max_observations) * weight``.
 
-    Namespace enforcement is the stale-feedback fence. With
-    ``enforce_namespace=True`` (the default, and the only mode the
-    session layer constructs), a lookup consults exactly the bound
-    namespace and counts any key that exists *only* under foreign
-    namespaces as ``stale_refused``. ``enforce_namespace=False``
-    reproduces the pre-fence behaviour — serving whatever namespace
-    has the key, counting ``stale_hits`` — and exists solely for the
-    regression test that shows a hot-swap corrupting a fresh
-    posterior.
+    The namespace is the stale-feedback fence: a lookup consults
+    exactly the bound namespace and counts any key that exists *only*
+    under foreign namespaces as ``stale_refused``.
     """
 
     def __init__(
@@ -427,7 +403,6 @@ class FeedbackProvider:
         *,
         weight: float = 64.0,
         max_observations: int = 8,
-        enforce_namespace: bool = True,
     ) -> None:
         if weight <= 0:
             raise FeedbackError("feedback weight must be positive")
@@ -435,11 +410,9 @@ class FeedbackProvider:
         self.namespace = namespace
         self.weight = float(weight)
         self.max_observations = int(max_observations)
-        self.enforce_namespace = bool(enforce_namespace)
         self.folds = 0
         self.misses = 0
         self.stale_refused = 0
-        self.stale_hits = 0
 
     @property
     def generation(self) -> int:
@@ -458,21 +431,13 @@ class FeedbackProvider:
         if total_rows <= 0:
             return None
         obs = self.store.observation(self.namespace, tables, predicate_key)
-        source_namespace = self.namespace
         if obs is None:
-            if self.enforce_namespace:
-                # Missing here but held somewhere: a foreign epoch's.
-                if self.store.has_key(tables, predicate_key):
-                    self.stale_refused += 1
-                else:
-                    self.misses += 1
-                return None
-            foreign = self.store.lookup_any_namespace(tables, predicate_key)
-            if foreign is None:
+            # Missing here but held somewhere: a foreign epoch's.
+            if self.store.has_key(tables, predicate_key):
+                self.stale_refused += 1
+            else:
                 self.misses += 1
-                return None
-            source_namespace, obs = foreign
-            self.stale_hits += 1
+            return None
         selectivity = min(max(obs.mean_rows / float(total_rows), 0.0), 1.0)
         mass = self.weight * min(obs.observations, self.max_observations)
         extra_alpha = mass * selectivity
@@ -482,7 +447,7 @@ class FeedbackProvider:
             extra_alpha,
             extra_beta,
             {
-                "namespace": source_namespace,
+                "namespace": self.namespace,
                 "observations": obs.observations,
                 "observed_selectivity": selectivity,
                 "pseudo_mass": mass,
@@ -502,5 +467,9 @@ class FeedbackProvider:
             "folds": self.folds,
             "misses": self.misses,
             "stale_refused": self.stale_refused,
-            "stale_hits": self.stale_hits,
+            # No path serves a foreign namespace any more, so this is 0
+            # by construction; the key and SessionFeedback.stale_hits()
+            # stay because bench/traced.py and the BENCH_feedback.json
+            # gate read them.
+            "stale_hits": 0,
         }

@@ -56,7 +56,7 @@ from repro.core import (
     resolve_threshold,
 )
 from repro.cost import CostModel
-from repro.engine import ExecOptions, ExecutionContext, ScanCache
+from repro.engine import ExecutionContext, ScanCache
 from repro.errors import EstimationError, ReproError, StatisticsError
 from repro.expressions import Frame
 from repro.feedback import FeedbackConfig, FeedbackStore, SessionFeedback
@@ -1051,7 +1051,7 @@ class Session:
         harvest = self._feedback is not None and prepared.degraded_reason is None
         ctx = ExecutionContext(
             self.database,
-            ExecOptions(scan_cache=self._scan_cache),
+            scan_cache=self._scan_cache,
             operator_rows={} if harvest else None,
         )
         started = time.perf_counter()

@@ -87,14 +87,49 @@ def make_two_table_db(
     return database
 
 
-def execute_recorded(plan, database, options=None):
+def execute_recorded(plan, database, scan_cache=None):
     """One capturing execution of ``plan``: ``(context, record)`` with
     the record ``repro.obs.operator_spans`` reads."""
     ctx = ExecutionContext(
-        database, options, operator_rows={}, operator_work={}
+        database, scan_cache=scan_cache, operator_rows={}, operator_work={}
     )
     plan.execute(ctx)
     return ctx, ctx.operator_record(plan)
+
+
+def assert_rows_from_base_tables(frame, database) -> None:
+    """Row provenance: every column of every output row equals, dtype
+    included, the base-table row its table's primary-key column names,
+    and the rows of two FK-joined tables sit beside each other only
+    where the foreign key says they belong.
+
+    A frame of base rows carries each column as ``base[positions]``; the
+    one way that can go wrong is positions misaligned between columns,
+    and that puts a value next to a key it does not belong to.
+    """
+    tables = {name.split(".")[0] for name in frame.column_names}
+    for table_name in sorted(tables):
+        table = database.table(table_name)
+        primary = table.schema.primary_key
+        base_keys = table.column(primary)
+        order = np.argsort(base_keys, kind="stable")
+        positions = order[
+            np.searchsorted(
+                base_keys[order], frame.column(f"{table_name}.{primary}")
+            )
+        ]
+        for column in table.schema.column_names:
+            name = table.qualified(column)
+            actual, expected = frame.column(name), table.column(column)[positions]
+            assert actual.dtype == expected.dtype, name
+            np.testing.assert_array_equal(actual, expected, err_msg=name)
+        for fk in table.schema.foreign_keys:
+            if fk.parent_table in tables:
+                np.testing.assert_array_equal(
+                    frame.column(f"{table_name}.{fk.column}"),
+                    frame.column(f"{fk.parent_table}.{fk.parent_column}"),
+                    err_msg=f"{table_name}.{fk}",
+                )
 
 
 @pytest.fixture(scope="session")

@@ -3,21 +3,28 @@ and the shared scan cache.
 
 Three contracts under test:
 
-1. Lazy (selection-vector) frames are bit-identical to the historical
-   eager frames — same values, same dtypes — across every operator,
-   including the >1M-row and all-duplicate-key edge cases.
-2. Laziness actually prunes work: columns nothing reads are never
-   materialized.
+1. What a frame reads back is the data: ``base[name][positions]``,
+   same values, same dtypes — for the frame transforms (against plain
+   numpy; the generated chains are in ``test_expressions_frame.py``)
+   and for every operator (row provenance: each output row's every
+   column is the base-table row its key column names), including the
+   >1M-row and all-duplicate-position edge cases.
+2. Columns are gathered on first read, so columns nothing reads are
+   never materialized.
 3. The scan cache reuses base scans across plan executions while
    charging the exact same :class:`WorkCounters` — the simulation's
    unit of account — so experiment records don't depend on the cache.
+
+The comparand used to be a second, copy-per-operator ``Frame``
+implementation ("eager"); it is deleted. Test ids that name it
+(``test_lazy_matches_eager[...]``) are kept, as the floor of test names
+wants, and check the same outputs against the base tables instead.
 """
 
 import numpy as np
 import pytest
 
 from repro.engine import (
-    ExecOptions,
     ExecutionContext,
     HashAggregate,
     HashJoin,
@@ -38,7 +45,7 @@ from repro.engine.star import DimensionSpec
 from repro.errors import ExpressionError
 from repro.expressions import Frame, col
 
-from tests.conftest import make_two_table_db
+from tests.conftest import assert_rows_from_base_tables, make_two_table_db
 
 
 @pytest.fixture(scope="module")
@@ -46,85 +53,59 @@ def db():
     return make_two_table_db(n_part=60, n_lineitem=3000)
 
 
-def assert_frames_identical(a: Frame, b: Frame):
-    assert a.column_names == b.column_names
-    assert a.num_rows == b.num_rows
-    for name in a.column_names:
-        x, y = a.column(name), b.column(name)
-        assert x.dtype == y.dtype, name
-        np.testing.assert_array_equal(x, y, err_msg=name)
-
-
-def run_both(op, db):
-    """Execute one plan eagerly and lazily; return both (frame, counters)."""
-    lazy_ctx = ExecutionContext(db, ExecOptions(lazy_frames=True))
-    eager_ctx = ExecutionContext(db, ExecOptions.eager())
-    return (
-        op.execute(lazy_ctx),
-        lazy_ctx.counters,
-        op.execute(eager_ctx),
-        eager_ctx.counters,
-    )
+def assert_reads_back(frame: Frame, base: dict, positions: np.ndarray):
+    """``frame`` holds exactly ``base[name][positions]``, dtype included."""
+    assert frame.column_names == list(base)
+    assert frame.num_rows == len(positions)
+    for name, array in base.items():
+        column = frame.column(name)
+        assert column.dtype == array.dtype, name
+        np.testing.assert_array_equal(column, array[positions], err_msg=name)
 
 
 class TestLazyFrameBasics:
     def test_mask_composes_without_materializing(self):
-        frame = Frame.from_table_rows(
-            _table(), np.arange(50), lazy=True
-        )
+        frame = Frame.from_table_rows(_table(), np.arange(50))
         out = frame.mask(np.arange(50) % 2 == 0)
-        assert out.is_lazy
         assert out.num_rows == 25
         assert out.materialized_columns == []
 
     def test_column_read_memoizes_and_matches_eager(self):
-        frame = _lazy_pair()[0]
-        eager = _lazy_pair()[1]
-        out = frame.take(np.array([5, 3, 3, 0]))
-        expected = eager.take(np.array([5, 3, 3, 0]))
+        base = _columns()
+        rows = np.array([5, 3, 3, 0])
+        out = Frame(base).take(rows)
         assert out.materialized_columns == []
-        np.testing.assert_array_equal(out.column("t.a"), expected.column("t.a"))
+        np.testing.assert_array_equal(out.column("t.a"), base["t.a"][rows])
         assert out.materialized_columns == ["t.a"]
         # Second read returns the memoized array object.
         assert out.column("t.a") is out.column("t.a")
 
     def test_take_rejects_boolean_row_ids(self):
-        frame = _lazy_pair()[0]
+        frame = Frame(_columns())
         with pytest.raises(ExpressionError, match="positions"):
             frame.take(np.array([True] * frame.num_rows))
 
     def test_empty_selection(self):
-        lazy, eager = _lazy_pair()
-        keep = np.zeros(lazy.num_rows, dtype=bool)
-        assert_frames_identical(lazy.mask(keep).eager(), eager.mask(keep))
+        base = _columns()
+        keep = np.zeros(400, dtype=bool)
+        assert_reads_back(Frame(base).mask(keep), base, np.flatnonzero(keep))
 
     def test_all_duplicate_positions(self):
-        lazy, eager = _lazy_pair()
+        base = _columns()
         rows = np.zeros(1000, dtype=np.int64)
-        assert_frames_identical(lazy.take(rows).eager(), eager.take(rows))
+        assert_reads_back(Frame(base).take(rows), base, rows)
 
     def test_chained_compositions_match(self):
-        lazy, eager = _lazy_pair()
+        base = _columns()
         rng = np.random.default_rng(0)
-        keep = rng.random(lazy.num_rows) < 0.5
-        l1, e1 = lazy.mask(keep), eager.mask(keep)
-        rows = rng.integers(0, l1.num_rows, 37)
-        assert_frames_identical(l1.take(rows).eager(), e1.take(rows))
+        keep = rng.random(400) < 0.5
+        masked = Frame(base).mask(keep)
+        rows = rng.integers(0, masked.num_rows, 37)
+        assert_reads_back(masked.take(rows), base, np.arange(400)[keep][rows])
 
     def test_select_prunes_sources(self):
-        lazy = _lazy_pair()[0]
-        out = lazy.select(["t.b"])
+        out = Frame(_columns()).select(["t.b"])
         assert out.column_names == ["t.b"]
-        assert out.is_lazy
-
-    def test_merge_of_lazy_and_eager_is_lazy(self):
-        lazy = _lazy_pair()[0]
-        other = Frame({"v.x": np.arange(lazy.num_rows)})
-        merged = lazy.merged_with(other)
-        assert merged.is_lazy
-        # The eager side's columns are already materialized, the lazy
-        # side's are not.
-        assert "v.x" in merged.materialized_columns
 
     def test_million_row_mask_bit_identical(self):
         n = 1_200_000
@@ -133,24 +114,21 @@ class TestLazyFrameBasics:
             "t.x": rng.integers(0, 1000, n),
             "t.y": rng.uniform(0, 1, n),
         }
-        lazy = Frame(base, lazy=True)
-        eager = Frame(base)
         keep = base["t.x"] % 3 == 0
-        assert_frames_identical(lazy.mask(keep).eager(), eager.mask(keep))
+        assert_reads_back(Frame(base).mask(keep), base, np.flatnonzero(keep))
 
 
 def _table():
     return make_two_table_db(n_part=50, n_lineitem=200).table("part")
 
 
-def _lazy_pair():
+def _columns():
     rng = np.random.default_rng(42)
-    columns = {
+    return {
         "t.a": rng.integers(0, 100, 400),
         "t.b": rng.uniform(0, 1, 400),
         "u.c": rng.choice(["x", "y", "z"], 400),
     }
-    return Frame(columns, lazy=True), Frame(columns)
 
 
 def scan_part(pred=True):
@@ -208,40 +186,94 @@ OPERATORS = {
 }
 
 
+def assert_groups_from_base_table(frame: Frame, database):
+    """``OPERATORS["aggregate"]``'s output, each group recomputed from
+    ``lineitem`` with plain numpy."""
+    lineitem = database.table("lineitem")
+    keep = lineitem.column("l_quantity") > 20
+    partkey = lineitem.column("l_partkey")[keep]
+    quantity = lineitem.column("l_quantity")[keep]
+    shipdate = lineitem.column("l_shipdate")[keep]
+    keys = frame.column("lineitem.l_partkey")
+    assert keys.dtype == partkey.dtype
+    np.testing.assert_array_equal(keys, np.unique(partkey))
+    for i, key in enumerate(keys):
+        rows = partkey == key
+        assert frame.column("qty")[i] == quantity[rows].sum()
+        assert frame.column("n")[i] == rows.sum()
+        assert frame.column("first_ship")[i] == shipdate[rows].min()
+        assert frame.column("last_ship")[i] == shipdate[rows].max()
+        assert frame.column("avg_qty")[i] == quantity[rows].mean()
+
+
+def run_cold(op, db):
+    ctx = ExecutionContext(db)
+    return op.execute(ctx), ctx.counters.as_dict()
+
+
 class TestOperatorBitIdentity:
+    """Row provenance: what an operator emits is rows of the base tables.
+
+    Selection vectors can fail one way — columns of one row gathered
+    through different positions — and that is checked against the data:
+    each output row's every column equals the base row its key column
+    (``l_id``, ``p_partkey``, the star's ``f_id`` / ``d_key``) names.
+    """
+
     @pytest.mark.parametrize("name", sorted(OPERATORS))
     def test_lazy_matches_eager(self, db, name):
-        lazy_frame, lazy_counters, eager_frame, eager_counters = run_both(
-            OPERATORS[name](), db
-        )
-        assert_frames_identical(lazy_frame.eager(), eager_frame)
-        assert lazy_counters.as_dict() == eager_counters.as_dict()
+        frame, counters = run_cold(OPERATORS[name](), db)
+        assert frame.num_rows > 0
+        if name == "aggregate":
+            assert_groups_from_base_table(frame, db)
+        else:
+            assert_rows_from_base_tables(frame, db)
+        assert run_cold(OPERATORS[name](), db)[1] == counters
 
     def test_star_semijoin_lazy_matches_eager(self, star_db):
         window = 100
-        op = StarSemiJoin(
-            "fact",
-            semi_dims=[
-                DimensionSpec(
-                    "dim1", "f_dim1key", col("dim1.d_attr") <= window - 1
-                ),
-                DimensionSpec(
-                    "dim2",
-                    "f_dim2key",
-                    (col("dim2.d_attr") >= 10) & (col("dim2.d_attr") <= window + 9),
-                ),
-            ],
-            hash_dims=[
-                DimensionSpec(
-                    "dim3", "f_dim3key", col("dim3.d_attr") <= window - 1
-                )
-            ],
+
+        def make():
+            return StarSemiJoin(
+                "fact",
+                semi_dims=[
+                    DimensionSpec(
+                        "dim1", "f_dim1key", col("dim1.d_attr") <= window - 1
+                    ),
+                    DimensionSpec(
+                        "dim2",
+                        "f_dim2key",
+                        (col("dim2.d_attr") >= 10)
+                        & (col("dim2.d_attr") <= window + 9),
+                    ),
+                ],
+                hash_dims=[
+                    DimensionSpec(
+                        "dim3", "f_dim3key", col("dim3.d_attr") <= window - 1
+                    )
+                ],
+            )
+
+        frame, counters = run_cold(make(), star_db)
+        assert frame.num_rows > 0
+        assert_rows_from_base_tables(frame, star_db)
+        assert run_cold(make(), star_db)[1] == counters
+
+    def test_oracle_rejects_a_misaligned_selection_vector(self, db):
+        lineitem = db.table("lineitem")
+        rows = np.arange(10, 60)
+        aligned = Frame.from_table_rows(lineitem, rows)
+        assert_rows_from_base_tables(aligned, db)
+        # l_quantity gathered one row off from the key beside it.
+        misaligned = aligned.select(
+            ["lineitem.l_id", "lineitem.l_partkey"]
+        ).merged_with(
+            Frame.from_table_rows(lineitem, rows + 1).select(
+                ["lineitem.l_quantity"]
+            )
         )
-        lazy_frame, lazy_counters, eager_frame, eager_counters = run_both(
-            op, star_db
-        )
-        assert_frames_identical(lazy_frame.eager(), eager_frame)
-        assert lazy_counters.as_dict() == eager_counters.as_dict()
+        with pytest.raises(AssertionError, match="lineitem.l_quantity"):
+            assert_rows_from_base_tables(misaligned, db)
 
 
 class TestProjectionPruning:
@@ -250,7 +282,6 @@ class TestProjectionPruning:
         frame = scan_lineitem().execute(ctx)
         # The predicate read l_quantity on the *input* frame; the
         # output is a fresh composition with no gathered columns.
-        assert frame.is_lazy
         assert frame.materialized_columns == []
 
     def test_join_gathers_only_touched_columns(self, db):
@@ -265,66 +296,45 @@ class TestProjectionPruning:
         result.column("lineitem.l_quantity")
         assert result.materialized_columns == ["lineitem.l_quantity"]
 
-    def test_eager_mode_still_materializes_everything(self, db):
-        ctx = ExecutionContext(db, ExecOptions.eager())
-        frame = scan_lineitem().execute(ctx)
-        assert not frame.is_lazy
-        assert set(frame.materialized_columns) == set(frame.column_names)
-
 
 class TestScanCache:
     def test_repeat_scans_hit(self, db):
         cache = ScanCache()
-        options = ExecOptions(scan_cache=cache)
         op = scan_lineitem()
-        first = op.execute(ExecutionContext(db, options))
-        second = op.execute(ExecutionContext(db, options))
+        first = op.execute(ExecutionContext(db, scan_cache=cache))
+        second = op.execute(ExecutionContext(db, scan_cache=cache))
         assert cache.hits == 1 and cache.misses == 1
         assert second is first  # the memoized frame itself
 
     def test_counters_identical_hot_and_cold(self, db):
         cache = ScanCache()
-        options = ExecOptions(scan_cache=cache)
         for make in OPERATORS.values():
             op = make()
-            cold = ExecutionContext(db, options)
+            cold = ExecutionContext(db, scan_cache=cache)
             op.execute(cold)
-            warm = ExecutionContext(db, options)
+            warm = ExecutionContext(db, scan_cache=cache)
             op.execute(warm)
             assert cold.counters.as_dict() == warm.counters.as_dict(), op.label()
         assert cache.hits > 0
 
     def test_different_predicates_do_not_collide(self, db):
         cache = ScanCache()
-        options = ExecOptions(scan_cache=cache)
         a = SeqScan("lineitem", col("lineitem.l_quantity") > 20)
         b = SeqScan("lineitem", col("lineitem.l_quantity") > 30)
-        fa = a.execute(ExecutionContext(db, options))
-        fb = b.execute(ExecutionContext(db, options))
+        fa = a.execute(ExecutionContext(db, scan_cache=cache))
+        fb = b.execute(ExecutionContext(db, scan_cache=cache))
         assert cache.hits == 0 and cache.misses == 2
         assert fa.num_rows != fb.num_rows
-
-    def test_lazy_and_eager_entries_are_distinct(self, db):
-        cache = ScanCache()
-        op = scan_lineitem()
-        lazy = op.execute(
-            ExecutionContext(db, ExecOptions(lazy_frames=True, scan_cache=cache))
-        )
-        eager = op.execute(
-            ExecutionContext(db, ExecOptions(lazy_frames=False, scan_cache=cache))
-        )
-        assert cache.misses == 2 and cache.hits == 0
-        assert lazy.is_lazy and not eager.is_lazy
 
     def test_cache_pinned_to_first_database(self, db):
         cache = ScanCache()
         op = scan_lineitem()
-        op.execute(ExecutionContext(db, ExecOptions(scan_cache=cache)))
+        op.execute(ExecutionContext(db, scan_cache=cache))
         other = make_two_table_db(n_part=60, n_lineitem=3000)
         # Same content, different Database object: the cache must not
         # serve (it cannot prove the data is the same), and must not
         # poison itself either.
-        frame = op.execute(ExecutionContext(other, ExecOptions(scan_cache=cache)))
+        frame = op.execute(ExecutionContext(other, scan_cache=cache))
         assert cache.hits == 0
         assert frame.num_rows > 0
 
@@ -332,11 +342,10 @@ class TestScanCache:
         from repro.errors import ExecutionError
 
         cache = ScanCache()
-        options = ExecOptions(scan_cache=cache)
         bad = IndexSeek("lineitem", IndexCondition("l_quantity", 0, 10))
         for _ in range(2):
             with pytest.raises(ExecutionError, match="no index"):
-                bad.execute(ExecutionContext(db, options))
+                bad.execute(ExecutionContext(db, scan_cache=cache))
         assert len(cache) == 0
 
 
@@ -385,5 +394,9 @@ class TestExperimentRecordsUnchanged:
         first = prepared.execute()
         second = prepared.execute()
         assert first.simulated_seconds == second.simulated_seconds
-        assert_frames_identical(first.frame.eager(), second.frame.eager())
+        assert first.frame.column_names == second.frame.column_names
+        for name in first.frame.column_names:
+            np.testing.assert_array_equal(
+                first.frame.column(name), second.frame.column(name)
+            )
         assert session._scan_cache.hits > 0

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.cost import CostModel
-from repro.engine import ExecOptions, ExecutionContext, ScanCache, SeqScan, scancache
+from repro.engine import ExecutionContext, ScanCache, SeqScan, scancache
 from repro.errors import ExecutionError
 from repro.expressions import Frame, col
 
@@ -57,7 +57,7 @@ def run_battery(plans, database, cache):
     """``[(result frame, counters)]`` of every plan, through ``cache``."""
     out = []
     for _, plan in plans:
-        ctx = ExecutionContext(database, ExecOptions(scan_cache=cache))
+        ctx = ExecutionContext(database, scan_cache=cache)
         out.append((plan.execute(ctx), ctx.counters))
     return out
 
@@ -284,7 +284,7 @@ class TestAccountingIsExact:
         monkeypatch.setattr(scancache, "SCAN_CACHE_BYTES", budget)
         database, cache = families[family][0], ScanCache()
         for _, plan in planned_trees[family]:
-            plan.execute(ExecutionContext(database, ExecOptions(scan_cache=cache)))
+            plan.execute(ExecutionContext(database, scan_cache=cache))
             held = cache.stats()["bytes"]
             assert held == walk_bytes(cache)
             latest = next(reversed(cache._entries.values()))
@@ -293,7 +293,7 @@ class TestAccountingIsExact:
 
     def test_a_gather_is_charged_once_at_the_cached_frame(self, two_table_db):
         cache = ScanCache()
-        ctx = ExecutionContext(two_table_db, ExecOptions(scan_cache=cache))
+        ctx = ExecutionContext(two_table_db, scan_cache=cache)
         frame = filtered_scan(20).execute(ctx)
         # The predicate read l_quantity from the whole table's frame;
         # the filtered one so far holds its selection vector alone.
@@ -318,7 +318,7 @@ class TestAccountingIsExact:
 
     def test_an_unfiltered_scan_weighs_nothing(self, two_table_db):
         cache = ScanCache()
-        ctx = ExecutionContext(two_table_db, ExecOptions(scan_cache=cache))
+        ctx = ExecutionContext(two_table_db, scan_cache=cache)
         frame = SeqScan("lineitem").execute(ctx)
         frame.column("lineitem.l_shipdate")
         assert cache.stats()["entries"] == 1
@@ -327,9 +327,12 @@ class TestAccountingIsExact:
     def test_an_evicted_frame_stops_reporting(self, two_table_db, monkeypatch):
         monkeypatch.setattr(scancache, "SCAN_CACHE_BYTES", 0)
         cache = ScanCache()
-        options = ExecOptions(scan_cache=cache)
-        first = filtered_scan(20).execute(ExecutionContext(two_table_db, options))
-        second = filtered_scan(30).execute(ExecutionContext(two_table_db, options))
+        first, second = (
+            filtered_scan(quantity).execute(
+                ExecutionContext(two_table_db, scan_cache=cache)
+            )
+            for quantity in (20, 30)
+        )
         assert cache.stats()["evictions"] == 1
         assert first._on_gather is None and second._on_gather is not None
         first.column("lineitem.l_shipdate")  # still valid, nobody's
@@ -355,7 +358,7 @@ class TestAccountingIsExact:
         self, two_table_db
     ):
         cache = ScanCache()
-        ctx = ExecutionContext(two_table_db, ExecOptions(scan_cache=cache))
+        ctx = ExecutionContext(two_table_db, scan_cache=cache)
         frame = filtered_scan(20).execute(ctx)
         selection = weakref.ref(frame._sources["lineitem.l_partkey"].sel)
         del frame, cache, ctx
@@ -369,7 +372,6 @@ class TestBudgetUnderContention:
         # several threads at once.
         monkeypatch.setattr(scancache, "SCAN_CACHE_BYTES", 32 << 10)
         cache = ScanCache()
-        options = ExecOptions(scan_cache=cache)
         n_threads, iters = 8, 150
         barrier = threading.Barrier(n_threads)
         errors, negative = [], []
@@ -381,7 +383,7 @@ class TestBudgetUnderContention:
                     # Shared keys (every thread) and distinct ones (its own).
                     threshold = i % 5 if i % 2 else 5 + idx
                     frame = filtered_scan(threshold).execute(
-                        ExecutionContext(two_table_db, options)
+                        ExecutionContext(two_table_db, scan_cache=cache)
                     )
                     assert frame is not None
                     frame.column("lineitem.l_shipdate")

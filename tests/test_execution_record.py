@@ -31,7 +31,7 @@ import pytest
 
 from repro.cost import CostModel
 from repro.core import RobustCardinalityEstimator
-from repro.engine import ExecOptions, MergeJoin, ScanCache, SeqScan, Sort
+from repro.engine import MergeJoin, ScanCache, SeqScan, Sort
 from repro.experiments import (
     ExperimentRunner,
     PlanExecutionCache,
@@ -86,10 +86,9 @@ class TestRecordedSpansEqualReexecutedSpans:
         database = families[family][0]
         for (_, plan), expected in zip(planned_trees[family], reference[family]):
             cache = ScanCache()
-            options = ExecOptions(scan_cache=cache)
-            _, filling = execute_recorded(plan, database, options)
+            _, filling = execute_recorded(plan, database, cache)
             assert cache.hits == 0 and cache.misses > 0
-            _, hitting = execute_recorded(plan, database, options)
+            _, hitting = execute_recorded(plan, database, cache)
             assert cache.hits > 0
             assert_record_matches(plan, filling, expected)
             assert_record_matches(plan, hitting, expected)

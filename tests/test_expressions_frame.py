@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ExpressionError
 from repro.expressions import Frame
@@ -85,15 +87,32 @@ class TestTransforms:
         out = frame.take(np.array([3, 0, 0]))
         assert list(out.column("t.a")) == [4, 1, 1]
 
+    def test_take_empty_of_any_dtype(self, frame):
+        assert frame.take([]).num_rows == 0
+        assert frame.take(np.empty(0, dtype=np.float64)).column("t.a").dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "positions",
+        [np.array([1.7, 2.2]), np.array([1.0, 2.0]), np.array(["1", "2"])],
+        ids=["fractional", "whole-floats", "strings"],
+    )
+    def test_take_rejects_non_integer_positions(self, frame, positions):
+        # astype(int64) would truncate 1.7 to row 1 and answer.
+        with pytest.raises(ExpressionError, match="integer positions"):
+            frame.take(positions)
+
     def test_select(self, frame):
         out = frame.select(["t.b"])
         assert out.column_names == ["t.b"]
 
     def test_merge(self, frame):
         other = Frame({"v.x": np.arange(4)})
-        merged = frame.merged_with(other)
+        merged = frame.take(np.array([3, 2, 1, 0])).merged_with(other)
         assert merged.num_rows == 4
         assert "v.x" in merged.column_names
+        # Arrays a frame was built from are already in memory; columns
+        # behind a selection vector are not until read.
+        assert merged.materialized_columns == ["v.x"]
 
     def test_merge_length_mismatch_raises(self, frame):
         with pytest.raises(ExpressionError):
@@ -104,6 +123,94 @@ class TestTransforms:
             frame.merged_with(Frame({"t.a": np.arange(4)}))
 
 
+def _base(prefix: str, n: int, seed: int) -> dict[str, np.ndarray]:
+    """One "table" of every dtype the engine stores."""
+    rng = np.random.default_rng(seed)
+    return {
+        f"{prefix}.i": rng.integers(-50, 50, n),
+        f"{prefix}.f": rng.uniform(0, 1, n),
+        f"{prefix}.s": rng.choice(np.array(["x", "yy", "zzz"]), n),
+        f"{prefix}.narrow": rng.integers(0, 100, n).astype(np.int32),
+        f"{prefix}.flag": rng.random(n) < 0.5,
+    }
+
+
+#: Steps of a generated chain; each draws its arrays from its own seed
+#: once the frame's current length is known.
+STEPS = (
+    "mask", "mask-none", "mask-all", "take", "take-one-row", "take-empty",
+    "select", "merge", "read",
+)
+
+
+class TestReadsBackBasePositions:
+    """The comparand is numpy: after any chain of transforms, column
+    ``name`` is ``base[name][positions]`` — same elements, same dtype —
+    where ``positions`` is what the same chain does to ``arange(n)``."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(0, 120),
+        steps=st.lists(
+            st.tuples(st.sampled_from(STEPS), st.integers(0, 2**31 - 1)),
+            max_size=8,
+        ),
+    )
+    @example(n=1_200_000, steps=[("mask", 1), ("read", 0), ("take", 2)])
+    @example(n=400, steps=[("take-one-row", 3), ("mask", 4)])
+    @example(n=400, steps=[("mask-none", 0), ("take", 1), ("merge", 2)])
+    @example(n=400, steps=[("take-empty", 0), ("select", 1)])
+    @example(n=50, steps=[("merge", 5), ("read", 6), ("select", 7), ("mask", 8)])
+    def test_chain_reads_back_base_positions(self, n, steps):
+        bases = {"t": _base("t", n, seed=0)}
+        frame = Frame(bases["t"])
+        # Model: per column, which base it came from and which positions.
+        model = {name: ("t", np.arange(n)) for name in bases["t"]}
+        length = n
+        for index, (step, seed) in enumerate(steps):
+            rng = np.random.default_rng(seed)
+            if step.startswith("mask"):
+                keep = {
+                    "mask": rng.random(length) < 0.5,
+                    "mask-none": np.zeros(length, dtype=bool),
+                    "mask-all": np.ones(length, dtype=bool),
+                }[step]
+                frame = frame.mask(keep)
+                model = {k: (b, pos[keep]) for k, (b, pos) in model.items()}
+            elif step.startswith("take"):
+                if step == "take-empty" or length == 0:
+                    rows = np.empty(0, dtype=np.int64)
+                elif step == "take-one-row":
+                    rows = np.full(int(rng.integers(1, 300)), rng.integers(length))
+                else:
+                    rows = rng.integers(0, length, int(rng.integers(0, 2 * length + 1)))
+                frame = frame.take(rows)
+                model = {k: (b, pos[rows]) for k, (b, pos) in model.items()}
+            elif step == "select":
+                names = list(model)
+                order = rng.permutation(len(names))[: max(1, len(names) // 2)]
+                kept = [names[i] for i in order]
+                frame = frame.select(kept)
+                model = {k: model[k] for k in kept}
+            elif step == "merge":
+                prefix = f"m{index}"
+                bases[prefix] = other = _base(prefix, 7, seed)
+                rows = rng.integers(0, 7, length)
+                frame = frame.merged_with(Frame(other).take(rows))
+                model.update({name: (prefix, rows) for name in other})
+            else:  # read: memoize one column mid-chain
+                frame.column(list(model)[int(rng.integers(len(model)))])
+            length = len(next(iter(model.values()))[1])
+
+        assert frame.column_names == list(model)
+        assert frame.num_rows == length
+        for name, (prefix, positions) in model.items():
+            expected = bases[prefix][name][positions]
+            column = frame.column(name)
+            assert column.dtype == expected.dtype, name
+            np.testing.assert_array_equal(column, expected, err_msg=name)
+
+
 class TestGatherObservation:
     """Whoever stores a frame (the scan cache) is told what the frame
     comes to retain: each array first gathered through a selection."""
@@ -111,7 +218,7 @@ class TestGatherObservation:
     @pytest.fixture
     def filtered(self, two_table_db):
         table = two_table_db.table("lineitem")
-        return Frame.from_table_rows(table, np.arange(0, 100, 2), lazy=True)
+        return Frame.from_table_rows(table, np.arange(0, 100, 2))
 
     def test_owned_nbytes_is_selections_plus_gathers_through_one(self, filtered):
         assert filtered.owned_nbytes() == 50 * 8  # one shared selection
@@ -119,7 +226,7 @@ class TestGatherObservation:
         assert filtered.owned_nbytes() == 50 * 8 + quantity.nbytes
 
     def test_identity_and_eager_frames_own_nothing(self, two_table_db, frame):
-        whole = Frame.from_table(two_table_db.table("lineitem"), lazy=True)
+        whole = Frame.from_table(two_table_db.table("lineitem"))
         whole.column("lineitem.l_quantity")
         assert whole.owned_nbytes() == 0
         assert frame.owned_nbytes() == 0
@@ -145,7 +252,7 @@ class TestGatherObservation:
         assert reported == []
 
     def test_identity_source_reports_nothing(self, two_table_db):
-        whole = Frame.from_table(two_table_db.table("lineitem"), lazy=True)
+        whole = Frame.from_table(two_table_db.table("lineitem"))
         reported = []
         whole.watch_gathers(reported.append)
         whole.column("lineitem.l_quantity")

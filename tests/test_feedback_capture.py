@@ -16,7 +16,6 @@ import pytest
 
 from repro.core import ExactCardinalityEstimator, RobustCardinalityEstimator
 from repro.engine import (
-    ExecOptions,
     ExecutionContext,
     HashAggregate,
     HashJoin,
@@ -107,12 +106,13 @@ class TestCapturedRowsEqualReexecutedRows:
     def test_through_a_warm_scan_cache(self, family, families, planned_trees):
         database = families[family][0]
         cache = ScanCache()
-        options = ExecOptions(scan_cache=cache)
         for query, plan in planned_trees[family]:
-            plan.execute(ExecutionContext(database, options))
+            plan.execute(ExecutionContext(database, scan_cache=cache))
             hits_before = cache.hits
             rows = {}
-            plan.execute(ExecutionContext(database, options, operator_rows=rows))
+            plan.execute(
+                ExecutionContext(database, scan_cache=cache, operator_rows=rows)
+            )
             assert cache.hits > hits_before
             assert plan_observations(
                 query, plan, database, rows

@@ -11,8 +11,8 @@ Covers the tentpole's integration contracts:
   observation cap is reached;
 * threshold routing slots below hints and per-call overrides;
 * the epoch fence: across a statistics hot-swap, zero stale-feedback
-  folds — with a pre-fix demonstration of the corruption an
-  unfenced provider causes (``enforce_namespace=False``);
+  folds — a record that would drag its own epoch's estimate 5x off is
+  refused by a provider bound to the next epoch;
 * per-tenant isolation of the loop in the serving layer.
 """
 
@@ -262,31 +262,27 @@ class TestEpochFence:
         predicate = predicate_for_tables(query, frozenset(query.tables))
         return estimator.estimate(("lineitem",), predicate).cardinality
 
-    def test_prefix_unfenced_provider_corrupts_posterior(
+    def test_fenced_provider_refuses_a_foreign_epochs_poison(
         self, two_table_db
     ):
-        """The bug the namespace fence exists to prevent.
+        """What the namespace fence prevents.
 
         Feedback harvested under a *different* statistics epoch (here:
-        a poisoned ``epoch=1`` record claiming ~all rows match) folds
-        into a provider bound to ``epoch=2`` when the fence is off,
-        dragging the estimate far from the unfed posterior.
+        a poisoned ``epoch=1`` record claiming ~all rows match) drags
+        that epoch's own estimate far from the unfed posterior; a
+        provider bound to ``epoch=2`` refuses it and estimates as if
+        the store were empty.
         """
         query = self.make_query()
         store = self.poisoned_store(query)
-        clean = FeedbackProvider(store, "epoch=2")  # fenced: refuses
-        unfenced = FeedbackProvider(
-            store, "epoch=2", enforce_namespace=False, weight=400.0
-        )
+        clean = FeedbackProvider(store, "epoch=2")
+        same_epoch = FeedbackProvider(store, "epoch=1", weight=400.0)
         base = self.estimate(two_table_db, None)
-        fenced = self.estimate(two_table_db, clean)
-        corrupted = self.estimate(two_table_db, unfenced)
-        assert fenced == base
+        assert self.estimate(two_table_db, clean) == base
         assert clean.counters()["stale_refused"] == 1
-        assert unfenced.counters()["stale_hits"] == 1
-        # The stale fold drags the estimate toward the poisoned
-        # observation (~1900 rows) — at least 5x off the clean answer.
-        assert corrupted > 5 * base
+        assert clean.counters()["folds"] == 0
+        # The record is poison where it is served (~1900 rows observed).
+        assert self.estimate(two_table_db, same_epoch) > 5 * base
 
     def test_session_hot_swap_has_zero_stale_hits(self, two_table_db):
         with Session(

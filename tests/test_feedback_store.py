@@ -6,9 +6,7 @@ The store's two contracts under test here:
   canonical, so recording the same observations in any order (from
   any worker count) produces byte-identical store contents;
 * **The fence** — a provider bound to one namespace never serves
-  observations from another; the only way around it is the explicit
-  ``enforce_namespace=False`` escape hatch the hot-swap regression
-  test uses.
+  observations from another, and there is no way around it.
 """
 
 from __future__ import annotations
@@ -228,7 +226,10 @@ class TestProviderFence:
 
         def agrees(store):
             for tables, key in probes:
-                scanned = store.lookup_any_namespace(tables, key) is not None
+                scanned = any(
+                    store.observation(namespace, tables, key) is not None
+                    for namespace in store.namespaces()
+                )
                 assert store.has_key(tables, key) == scanned, (tables, key)
 
         store = FeedbackStore()
@@ -258,16 +259,6 @@ class TestProviderFence:
         assert provider.counters() == {
             "folds": 0, "misses": 1, "stale_refused": 1, "stale_hits": 0,
         }
-
-    def test_unenforced_provider_serves_stale_and_counts_it(self):
-        store = fill(FeedbackStore())
-        provider = FeedbackProvider(
-            store, "epoch=3", enforce_namespace=False
-        )
-        result = provider.pseudo_counts(("lineitem",), "k1", 1000.0)
-        assert result is not None
-        assert result[2]["namespace"] == "epoch=1"
-        assert provider.counters()["stale_hits"] == 1
 
     def test_selectivity_clamped_to_unit_interval(self):
         store = FeedbackStore()

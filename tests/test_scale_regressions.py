@@ -31,7 +31,6 @@ import pytest
 from repro.core import ExactCardinalityEstimator
 from repro.cost import CostModel
 from repro.engine import (
-    ExecOptions,
     ExecutionContext,
     HashAggregate,
     HashJoin,
@@ -129,9 +128,8 @@ class TestOperatorSpanAttribution:
         # Recorded run with a warm scan cache: execute twice so the
         # second pass is served from the cache.
         cache = ScanCache()
-        options = ExecOptions(scan_cache=cache)
-        plan.execute(ExecutionContext(db, options))
-        warm_ctx, warm_record = execute_recorded(plan, db, options)
+        plan.execute(ExecutionContext(db, scan_cache=cache))
+        warm_ctx, warm_record = execute_recorded(plan, db, cache)
         assert cache.hits > 0
         cold_ctx, cold_record = execute_recorded(plan, db)
         # Unit of account: cached and uncached runs charge identically.
