@@ -100,7 +100,7 @@ def _run_workload(session: Session, rounds: int = ROUNDS) -> dict:
 def _build_session(db, threshold: float) -> Session:
     return Session(
         db,
-        threshold=threshold,
+        policy=threshold,
         sample_size=SAMPLE_SIZE,
         statistics_seed=STATISTICS_SEED,
     )

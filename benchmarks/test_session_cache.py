@@ -59,7 +59,7 @@ ROUNDS = 3
 def one_pass(session: Session) -> int:
     for query in QUERIES:
         for threshold in THRESHOLDS:
-            session.prepare(query, threshold=threshold)
+            session.prepare(query, policy=threshold)
     return len(QUERIES) * len(THRESHOLDS)
 
 
@@ -104,8 +104,8 @@ def test_session_prepare_throughput(bench_tpch_db):
     # Correctness bar: the cached arm serves byte-identical plans.
     for query in QUERIES:
         for threshold in THRESHOLDS:
-            a = cached["session"].prepare(query, threshold=threshold)
-            b = uncached["session"].prepare(query, threshold=threshold)
+            a = cached["session"].prepare(query, policy=threshold)
+            b = uncached["session"].prepare(query, policy=threshold)
             assert a.explain().encode() == b.explain().encode()
             assert a.from_cache and not b.from_cache
 

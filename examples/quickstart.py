@@ -115,7 +115,7 @@ def main():
     with Session(database, statistics=statistics) as session:
         query = SPJQuery(["sales"], predicate)
         for policy in ("aggressive", "conservative"):
-            result = session.execute(query, threshold=policy)
+            result = session.execute(query, policy=policy)
             print(f"\n[{policy}]  rows={result.num_rows}  "
                   f"simulated time={result.simulated_seconds:.4f}s")
             print(result.prepared.explain())

@@ -29,7 +29,7 @@ def main():
     print("generating TPC-H-shaped data (30k lineitem rows)...")
     database = build_tpch_database(TpchConfig(num_lineitem=30_000, seed=13))
 
-    with Session(database, threshold="moderate", statistics_seed=0) as session:
+    with Session(database, policy="moderate", statistics_seed=0) as session:
         print(f"session: {session.describe()}\n")
 
         # -- 1. prepare once, execute --------------------------------

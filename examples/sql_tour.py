@@ -40,7 +40,7 @@ STATEMENTS = [
 def main():
     print("generating TPC-H-shaped data (30k lineitem rows)...")
     database = build_tpch_database(TpchConfig(num_lineitem=30_000, seed=13))
-    session = Session(database, threshold="80", statistics_seed=0)
+    session = Session(database, policy="80", statistics_seed=0)
 
     for sql in STATEMENTS:
         print("\n" + "=" * 72)

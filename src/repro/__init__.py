@@ -7,7 +7,7 @@ The stable public surface is the **session service**::
 
     from repro import Session
 
-    session = Session(database, threshold="moderate")      # T = 80 %
+    session = Session(database, policy="moderate")         # T = 80 %
     prepared = session.prepare("SELECT COUNT(*) FROM lineitem "
                                "WHERE lineitem.l_quantity > 45")
     result = prepared.execute()          # cached plan, re-plans on

@@ -9,7 +9,7 @@ Three subcommands::
         Run a Section 6 experiment grid and print the paper's tables.
 
     python -m repro sql "SELECT COUNT(*) FROM lineitem WHERE ..." \
-            --workload tpch --threshold 80
+            --workload tpch --policy 80
         Parse, optimize, and execute a query against a generated
         workload, printing the plan and the simulated execution time.
 
@@ -172,21 +172,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sql.add_argument("--sample-size", type=int, default=500)
     sql.add_argument("--seed", type=int, default=0)
     sql.add_argument(
-        "--estimator",
-        choices=["robust", "histogram", "bayes", "exact"],
-        default="robust",
-    )
-    sql.add_argument(
-        "--threshold",
-        default="80",
-        help="confidence threshold (percentage or named level)",
-    )
-    sql.add_argument(
         "--policy",
         default=None,
         metavar="SPEC",
-        help="selection policy (e.g. threshold:0.8, expected:24,"
-        " cvar:0.9, histogram); overrides --estimator/--threshold",
+        help="selection policy: a confidence threshold (percentage or"
+        " named level, e.g. 95), expected:24, cvar:0.9, histogram,"
+        " bayes, or exact (default: the moderate threshold, 80)",
     )
     sql.add_argument(
         "--explain-only", action="store_true", help="print the plan, don't run"
@@ -485,17 +476,12 @@ def _cmd_report(args) -> int:
 def _cmd_sql(args) -> int:
     database = _workload_database(args.workload, args.scale)
 
-    selection = (
-        {"policy": args.policy}
-        if args.policy is not None
-        else {"estimator": args.estimator, "threshold": args.threshold}
-    )
     try:
         session = Session(
             database,
             sample_size=args.sample_size,
             statistics_seed=args.seed,
-            **selection,
+            policy=args.policy,
         )
     except PolicyError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,6 +36,7 @@ from repro.catalog import Database
 from repro.core import (
     BayesNetCardinalityEstimator,
     CardinalityEstimator,
+    ExactCardinalityEstimator,
     FixedSelectivityEstimator,
     HistogramCardinalityEstimator,
     RobustCardinalityEstimator,
@@ -101,6 +102,10 @@ def _build_bayes(statistics: StatisticsManager) -> CardinalityEstimator:
     return BayesNetCardinalityEstimator(statistics)
 
 
+def _build_exact(statistics: StatisticsManager) -> CardinalityEstimator:
+    return ExactCardinalityEstimator(statistics.database)
+
+
 def _build_fixed(
     statistics: StatisticsManager, default: float
 ) -> CardinalityEstimator:
@@ -111,24 +116,10 @@ def default_configs(
     thresholds: Sequence[float] = PAPER_THRESHOLDS,
     include_histogram: bool = True,
 ) -> list[EstimatorConfig]:
-    """Robust estimators at the paper's thresholds + histogram baseline.
-
-    Builders are partials of module-level functions (not lambdas) so
-    the configs pickle cleanly into worker processes.
-    """
-    configs = [
-        EstimatorConfig(
-            name=f"T={threshold:.0%}",
-            build=functools.partial(_build_robust, threshold=threshold),
-            threshold=threshold,
-            group="robust",
-        )
-        for threshold in thresholds
-    ]
+    """Robust estimators at the paper's thresholds + histogram baseline."""
+    configs = [policy_arm(threshold) for threshold in thresholds]
     if include_histogram:
-        configs.append(
-            EstimatorConfig(name="Histograms", build=_build_histogram)
-        )
+        configs.append(policy_arm("histogram"))
     return configs
 
 
@@ -145,14 +136,9 @@ def scenario_configs(
     (only robust sees it), and estimation-free planning (fixed).
     """
     return [
-        EstimatorConfig(
-            name=f"T={threshold:.0%}",
-            build=functools.partial(_build_robust, threshold=threshold),
-            threshold=threshold,
-            group="robust",
-        ),
-        EstimatorConfig(name="Histograms", build=_build_histogram),
-        EstimatorConfig(name="BayesNet", build=_build_bayes),
+        policy_arm(threshold),
+        policy_arm("histogram"),
+        policy_arm("bayes"),
         EstimatorConfig(
             name="Fixed",
             build=functools.partial(_build_fixed, default=fixed_default),
@@ -170,17 +156,11 @@ def penalty_configs(
     estimator is built at the median (the reference lane's quantile);
     the policy, not the estimator default, decides the plan.
     """
-    policies = (
-        PenaltyPolicy(samples=samples),
-        PenaltyPolicy(samples=samples, risk="cvar", alpha=cvar_alpha),
-    )
     return [
-        EstimatorConfig(
-            name=policy.describe(),
-            build=functools.partial(_build_robust, threshold=0.5),
-            policy=policy,
-        )
-        for policy in policies
+        policy_arm(PenaltyPolicy(samples=samples)),
+        policy_arm(
+            PenaltyPolicy(samples=samples, risk="cvar", alpha=cvar_alpha)
+        ),
     ]
 
 
@@ -191,7 +171,9 @@ def policy_arm(policy) -> EstimatorConfig:
     :class:`~repro.selection.SelectionPolicy`, a bare threshold, or a
     spec string like ``"cvar:0.9:24"``. Threshold arms join the
     ``"robust"`` group so they ride the vectorized multi-threshold
-    pass alongside :func:`default_configs`.
+    pass together. Builders are module-level functions (or partials of
+    them, not lambdas) so the arms pickle cleanly into worker
+    processes.
     """
     policy = resolve_policy(policy)
     if isinstance(policy, PenaltyPolicy):
@@ -207,7 +189,12 @@ def policy_arm(policy) -> EstimatorConfig:
             threshold=policy.q,
             group="robust",
         )
-    return EstimatorConfig(name="Histograms", build=_build_histogram)
+    name, build = {
+        "histogram": ("Histograms", _build_histogram),
+        "bayes": ("BayesNet", _build_bayes),
+        "exact": ("Exact", _build_exact),
+    }[policy.estimator_kind]
+    return EstimatorConfig(name=name, build=build)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import pathlib
 import shutil
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from repro.faults.injectors import FaultyEstimator, apply_archive_fault
 from repro.faults.invariants import span_violations
 from repro.faults.plan import FaultPlan
 from repro.obs import DegradationEvent
+from repro.selection import ThresholdPolicy
 from repro.service import DEGRADED, Session
 from repro.sql import parse_query
 from repro.stats import StatisticsManager, save_statistics
@@ -156,7 +157,7 @@ class ChaosHarness:
             injected.append("cache-pressure: plan cache capacity 2")
         session = Session(
             self.database,
-            threshold=self.threshold,
+            policy=ThresholdPolicy(self.threshold),
             sample_size=self.sample_size,
             statistics_seed=self.statistics_seed,
             plan_cache_size=2 if pressure else 64,
@@ -271,10 +272,9 @@ class ChaosHarness:
         # A cached plan must be indistinguishable from planning fresh
         # under the statistics in force right now.
         try:
-            parsed = prepared.query
-            if session.config.estimator == "robust":
-                parsed = replace(parsed, hint=prepared.threshold)
-            fresh = session._optimizer(session._ensure_state()).optimize(parsed)
+            fresh = session._optimizer(session._ensure_state()).optimize(
+                prepared.policy.hinted(prepared.query)
+            )
         except ReproError:
             return  # injected estimator fault during the probe: skip
         if fresh.estimated_cost != prepared.estimated_cost or (

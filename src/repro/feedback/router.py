@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.core.confidence import AGGRESSIVE, CONSERVATIVE, MODERATE
 from repro.obs.ledger import AccuracyLedger, SEVERITY_ORDER
-from repro.selection import SelectionPolicy, ThresholdPolicy, resolve_policy
+from repro.selection import SelectionPolicy, resolve_policy
 
 #: Severity band → confidence threshold. Accurate classes plan at the
 #: aggressive (near-median) end; anything at major severity or worse
@@ -34,7 +34,7 @@ class ThresholdRouter:
 
     ``route`` returns ``None`` until the ledger has evidence for the
     class, so the session's normal default policy applies to cold
-    classes; explicit per-call policies/thresholds and query hints
+    classes; explicit per-call policies and query hints
     always win over the router (precedence is enforced by the
     session). Band values are normalized through
     :func:`~repro.selection.resolve_policy`, so a bare float routes as
@@ -57,8 +57,6 @@ class ThresholdRouter:
                 f"band_thresholds missing severity bands: {sorted(missing)}"
             )
         self.ledger = ledger
-        #: Raw band values as configured (back-compat view).
-        self.band_thresholds = bands
         #: Band → :class:`~repro.selection.SelectionPolicy` actually
         #: emitted by :meth:`route`.
         self.band_policies = {
@@ -78,25 +76,14 @@ class ThresholdRouter:
         return self.band_policies[severity]
 
     def routing_table(self) -> dict:
-        """Current class → (severity, policy) view for reports.
-
-        ``threshold`` is kept beside ``policy`` for threshold bands
-        (``None`` for penalty/histogram bands) so report consumers
-        predating the policy API keep reading.
-        """
+        """Current class → (severity, policy spec) view for reports."""
         table = {}
         for query_class in self.ledger.classes():
             severity = self.ledger.severity(query_class)
             if severity is None:
                 continue
-            routed = self.band_policies[severity]
             table[query_class] = {
                 "severity": severity,
-                "policy": routed.spec(),
-                "threshold": (
-                    routed.q
-                    if isinstance(routed, ThresholdPolicy)
-                    else None
-                ),
+                "policy": self.band_policies[severity].spec(),
             }
         return table

@@ -20,6 +20,7 @@ from repro.selection.penalty import (
 )
 from repro.selection.policy import (
     BayesNetPolicy,
+    ExactPolicy,
     HistogramPolicy,
     PenaltyPolicy,
     PolicyError,
@@ -35,6 +36,7 @@ __all__ = [
     "PenaltyPolicy",
     "HistogramPolicy",
     "BayesNetPolicy",
+    "ExactPolicy",
     "PolicyError",
     "resolve_policy",
     "sample_quantiles",

@@ -1,9 +1,8 @@
 """The unified plan-selection policy surface.
 
-One value object answers "how should the session pick a plan?" —
-replacing the scattered ``estimator=``/``threshold=`` knobs with a
-single ``policy=`` accepted by :class:`~repro.service.Session`,
-:class:`~repro.serving.TenantSpec`, the experiment configs, and the
+One value object answers "how should the session pick a plan?": the
+single ``policy=`` accepted by :class:`~repro.service.Session` /
+:class:`~repro.service.SessionConfig`, the experiment arms, and the
 CLI:
 
 * :class:`ThresholdPolicy` — the paper's selection rule: collapse the
@@ -15,7 +14,9 @@ CLI:
   minimizing *expected penalty* (regret vs. the per-sample optimum) or
   its CVaR-α tail average.
 * :class:`HistogramPolicy` — the AVI baseline: plan from equi-depth
-  histogram point estimates (no posterior, no threshold).
+  histogram point estimates (no posterior, no threshold);
+  :class:`BayesNetPolicy` and :class:`ExactPolicy` are the other two
+  point-estimate arms (Chow–Liu tree, ground truth).
 
 Policies are frozen, hashable, and round-trip through a compact string
 ``spec`` (``"threshold:0.80"``, ``"cvar:0.9:32"``, ``"histogram"``)
@@ -230,6 +231,26 @@ class BayesNetPolicy(SelectionPolicy):
         return "bayes"
 
 
+@dataclass(frozen=True)
+class ExactPolicy(SelectionPolicy):
+    """Plan from ground-truth cardinalities — the oracle arm; there is
+    nothing to select *by* when estimates are exact."""
+
+    @property
+    def kind(self) -> str:
+        return "exact"
+
+    @property
+    def estimator_kind(self) -> str:
+        return "exact"
+
+    def cache_key(self) -> tuple:
+        return ("exact",)
+
+    def spec(self) -> str:
+        return "exact"
+
+
 def resolve_policy(
     value: SelectionPolicy | float | str,
 ) -> SelectionPolicy:
@@ -243,6 +264,7 @@ def resolve_policy(
     * ``"threshold[:Q]"`` → :class:`ThresholdPolicy`;
     * ``"histogram"`` → :class:`HistogramPolicy`;
     * ``"bayes"`` → :class:`BayesNetPolicy`;
+    * ``"exact"`` → :class:`ExactPolicy`;
     * ``"penalty"`` / ``"expected[:SAMPLES]"`` →
       :class:`PenaltyPolicy` with ``risk="expected"``;
     * ``"cvar:ALPHA[:SAMPLES]"`` → :class:`PenaltyPolicy` with
@@ -261,14 +283,15 @@ def resolve_policy(
     head, _, tail = text.partition(":")
     head = head.lower()
     try:
-        if head == "histogram":
+        point = {
+            "histogram": HistogramPolicy,
+            "bayes": BayesNetPolicy,
+            "exact": ExactPolicy,
+        }.get(head)
+        if point is not None:
             if tail:
-                raise PolicyError(f"histogram takes no arguments: {text!r}")
-            return HistogramPolicy()
-        if head == "bayes":
-            if tail:
-                raise PolicyError(f"bayes takes no arguments: {text!r}")
-            return BayesNetPolicy()
+                raise PolicyError(f"{head} takes no arguments: {text!r}")
+            return point()
         if head == "threshold":
             return ThresholdPolicy(tail) if tail else ThresholdPolicy()
         if head in ("penalty", "expected"):
@@ -297,7 +320,7 @@ def resolve_policy(
     except ReproError:
         raise PolicyError(
             f"cannot parse selection policy {value!r}; expected a "
-            "threshold, 'histogram', 'expected[:SAMPLES]', "
+            "threshold, 'histogram', 'bayes', 'exact', 'expected[:SAMPLES]', "
             "'cvar:ALPHA[:SAMPLES]', or 'threshold:Q'"
         ) from None
 

@@ -7,7 +7,7 @@ the engine) stays wired exactly as the paper prescribes — callers just
 stop re-wiring it by hand.
 
 >>> from repro import Session
->>> session = Session(database, threshold="moderate")
+>>> session = Session(database, policy="moderate")
 >>> prepared = session.prepare("SELECT COUNT(*) FROM lineitem")
 >>> result = prepared.execute()
 >>> print(session.explain("SELECT COUNT(*) FROM lineitem"))

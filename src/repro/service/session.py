@@ -53,7 +53,6 @@ from repro.core import (
     MODERATE,
     Prior,
     RobustCardinalityEstimator,
-    resolve_threshold,
 )
 from repro.cost import CostModel
 from repro.engine import ExecutionContext, ScanCache
@@ -70,8 +69,6 @@ from repro.obs import (
 from repro.obs.summarize import explain_trace
 from repro.optimizer import Optimizer, PlannedQuery, SPJQuery
 from repro.selection import (
-    BayesNetPolicy,
-    HistogramPolicy,
     SelectionPolicy,
     ThresholdPolicy,
     resolve_policy,
@@ -85,9 +82,6 @@ from repro.stats import StatisticsManager, load_statistics
 class SessionError(ReproError):
     """The session was configured or used inconsistently."""
 
-
-#: Estimator kinds a session can be configured with.
-ESTIMATOR_KINDS = ("robust", "histogram", "bayes", "exact")
 
 #: Session health states (the degraded-mode state machine).
 HEALTHY = "healthy"
@@ -104,8 +98,6 @@ class SessionConfig:
     interchangeable.
     """
 
-    estimator: str = "robust"
-    threshold: float | str = MODERATE
     prior: Prior = JEFFREYS
     sample_size: int = 500
     histogram_buckets: int = 250
@@ -113,55 +105,25 @@ class SessionConfig:
     plan_cache_size: int = 256
     cache_stripes: int = 8
     enable_star_plans: bool = True
-    #: Unified selection policy (:class:`~repro.selection.SelectionPolicy`
-    #: or a spec string like ``"cvar:0.9:32"``). When set it *wins*:
-    #: ``estimator`` is forced to the policy's estimator family and, for
-    #: threshold policies, ``threshold`` follows ``policy.q``. The
-    #: legacy ``estimator=``/``threshold=`` pair keeps working and is
-    #: equivalent to the matching :class:`ThresholdPolicy` /
-    #: :class:`HistogramPolicy`.
+    #: The default selection policy: a
+    #: :class:`~repro.selection.SelectionPolicy`, a bare threshold, or a
+    #: spec string (``"95"``, ``"cvar:0.9:32"``, ``"histogram"``,
+    #: ``"bayes"``, ``"exact"``); ``None`` is the paper's moderate
+    #: threshold. Resolved at construction, so it always reads back as a
+    #: :class:`~repro.selection.SelectionPolicy`.
     policy: SelectionPolicy | float | str | None = None
 
     def __post_init__(self) -> None:
-        if self.policy is not None:
-            resolved = resolve_policy(self.policy)
-            object.__setattr__(self, "policy", resolved)
-            object.__setattr__(self, "estimator", resolved.estimator_kind)
-            if isinstance(resolved, ThresholdPolicy):
-                object.__setattr__(self, "threshold", resolved.q)
-        if self.estimator not in ESTIMATOR_KINDS:
-            raise SessionError(
-                f"unknown estimator {self.estimator!r}; "
-                f"choose from {ESTIMATOR_KINDS}"
-            )
+        object.__setattr__(
+            self,
+            "policy",
+            resolve_policy(MODERATE if self.policy is None else self.policy),
+        )
 
     @property
-    def resolved_threshold(self) -> float | None:
-        """The default threshold as a fraction (``None`` when the
-        estimator has no notion of thresholds)."""
-        if self.estimator != "robust":
-            return None
-        return resolve_threshold(self.threshold)
-
-    @property
-    def resolved_policy(self) -> SelectionPolicy | None:
-        """The default selection policy this config plans under.
-
-        Derived from the legacy knobs when ``policy`` was not given:
-        robust sessions default to ``ThresholdPolicy(threshold)``,
-        histogram sessions to ``HistogramPolicy()``. Exact sessions
-        have no selection policy (``None``) — there is nothing to
-        select *by* when estimates are ground truth.
-        """
-        if self.policy is not None:
-            return self.policy
-        if self.estimator == "robust":
-            return ThresholdPolicy(self.threshold)
-        if self.estimator == "histogram":
-            return HistogramPolicy()
-        if self.estimator == "bayes":
-            return BayesNetPolicy()
-        return None
+    def estimator(self) -> str:
+        """The estimator family the policy plans through."""
+        return self.policy.estimator_kind
 
     def cache_key(self) -> tuple:
         """The config component of every plan-cache key."""
@@ -212,7 +174,7 @@ class PreparedQuery:
         session: "Session",
         query: SPJQuery,
         planned: PlannedQuery,
-        policy: SelectionPolicy | None,
+        policy: SelectionPolicy,
         statistics_version: int,
         from_cache: bool,
         degraded_reason: str | None = None,
@@ -223,15 +185,8 @@ class PreparedQuery:
         self.query = query
         self.planned = planned
         #: Effective :class:`~repro.selection.SelectionPolicy` the plan
-        #: was selected under (``None`` for exact sessions).
+        #: was selected under.
         self.policy = policy
-        #: Effective confidence threshold the plan was produced under
-        #: (``None`` for threshold-blind selection — histogram, exact,
-        #: and penalty policies). Kept for back-compat with pre-policy
-        #: callers.
-        self.threshold = (
-            policy.q if isinstance(policy, ThresholdPolicy) else None
-        )
         #: ``StatisticsManager.version`` the plan was produced against.
         self.statistics_version = statistics_version
         #: Whether this handle was served from the session plan cache.
@@ -252,6 +207,13 @@ class PreparedQuery:
     def sql(self) -> str:
         """Canonical (hint-free) SQL of the prepared statement."""
         return canonical_sql(self.query)
+
+    @property
+    def threshold(self) -> float | None:
+        """``policy.q`` when the plan was selected at a confidence
+        threshold, ``None`` under every other policy."""
+        policy = self.policy
+        return policy.q if isinstance(policy, ThresholdPolicy) else None
 
     @property
     def plan(self):
@@ -284,9 +246,8 @@ class PreparedQuery:
         return self.session._execute_prepared(self)
 
     def __repr__(self) -> str:
-        policy = self.policy.spec() if self.policy is not None else None
         return (
-            f"PreparedQuery({self.sql!r}, policy={policy}, "
+            f"PreparedQuery({self.sql!r}, policy={self.policy.spec()}, "
             f"stats_v{self.statistics_version})"
         )
 
@@ -326,6 +287,13 @@ class _StatsState:
     def version(self) -> int:
         return self.manager.version if self.manager is not None else 0
 
+    @property
+    def sampling_token(self) -> int:
+        """What seeds a sampling policy's draws (0 with no manager,
+        i.e. on exact sessions, whose policy never samples)."""
+        manager = self.manager
+        return manager.sampling_token() if manager is not None else 0
+
 
 class Session:
     """The public facade: parse, plan, cache, execute, explain.
@@ -339,14 +307,14 @@ class Session:
         (e.g. with another session over the same database). By default
         the session builds its own, lazily, on first use.
     config / keyword overrides:
-        Estimator kind, default confidence threshold, prior, sample
-        size, plan-cache bound — see :class:`SessionConfig`. Keyword
-        arguments override the corresponding ``config`` field.
+        Default selection policy, prior, sample size, plan-cache bound
+        — see :class:`SessionConfig`. Keyword arguments override the
+        corresponding ``config`` field.
     metrics:
         A :class:`~repro.obs.MetricsRegistry` to report into; the
         session creates a private one by default (``session.metrics``).
 
-    >>> session = Session(database, threshold="conservative")
+    >>> session = Session(database, policy="conservative")
     >>> result = session.execute("SELECT COUNT(*) FROM lineitem")
     """
 
@@ -451,7 +419,7 @@ class Session:
         lock until exactly one thread finishes the build.
         """
         state = self._state
-        if self.config.estimator == "exact" or state.ready:
+        if state.ready or self.config.estimator == "exact":
             return state
         with self._statistics_lock:
             state = self._state
@@ -631,8 +599,8 @@ class Session:
         feeds the plan-level q-error to the accuracy ledger. The next
         prepare folds matching observations into the Beta posterior as
         extra pseudo-counts, and — when neither a hint nor a per-call
-        threshold was given — routes the confidence threshold by the
-        query class's observed q-error severity. Drift events surface
+        policy was given — routes the selection policy by the query
+        class's observed q-error severity. Drift events surface
         through the session degradation log (reason
         ``"estimation-drift"``) without changing serving behaviour
         beyond the routed threshold.
@@ -693,7 +661,7 @@ class Session:
                 estimator = RobustCardinalityEstimator(
                     statistics,
                     prior=self.config.prior,
-                    policy=self.config.resolved_threshold,
+                    policy=self._hintless_threshold(),
                 )
                 estimator.fallback_listener = self._note_fallback_estimate
                 if self._feedback is not None:
@@ -712,6 +680,13 @@ class Session:
         elif self.estimator_decorator is not None:
             estimator = self.estimator_decorator(estimator)
         return estimator
+
+    def _hintless_threshold(self) -> float:
+        """What an estimate without a confidence hint prices at
+        (penalty passes, the degraded path): the default policy's ``q``
+        when it has one, else the paper's moderate level."""
+        policy = self.config.policy
+        return policy.q if isinstance(policy, ThresholdPolicy) else MODERATE
 
     def _note_fallback_estimate(self, tables, source: str) -> None:
         """§3.5 fallback attribution hook wired into robust estimators."""
@@ -733,9 +708,7 @@ class Session:
         estimator = RobustCardinalityEstimator(
             StatisticsManager(self.database),
             prior=self.config.prior,
-            policy=self.config.resolved_threshold
-            if self.config.estimator == "robust"
-            else MODERATE,
+            policy=self._hintless_threshold(),
         )
         estimator.fallback_listener = self._note_fallback_estimate
         return estimator
@@ -792,48 +765,35 @@ class Session:
     def _effective_policy(
         self,
         query: SPJQuery,
-        threshold: float | str | None = None,
         policy: SelectionPolicy | float | str | None = None,
-    ) -> SelectionPolicy | None:
+    ) -> SelectionPolicy:
         """Hint > per-call override > routed > session default.
 
-        Returns the :class:`~repro.selection.SelectionPolicy` this
-        statement plans under (``None`` for exact sessions). A per-call
-        ``policy`` must match the session's estimator family — the
-        estimator is session state, not per-statement state. The legacy
-        per-call ``threshold`` is sugar for ``ThresholdPolicy`` and,
-        as before, is ignored by threshold-blind estimators.
+        A per-call ``policy`` must match the session's estimator family
+        — the estimator is session state, not per-statement state.
+        Confidence hints only mean something to the robust estimator.
         """
-        if threshold is not None and policy is not None:
-            raise SessionError(
-                "pass either threshold= or policy=, not both "
-                "(threshold is shorthand for a ThresholdPolicy)"
-            )
         if policy is not None:
-            resolved = resolve_policy(policy)
-            if resolved.estimator_kind != self.config.estimator:
+            policy = resolve_policy(policy)
+            if policy.estimator_kind != self.config.estimator:
                 raise SessionError(
-                    f"policy {resolved.spec()!r} needs a "
-                    f"{resolved.estimator_kind!r} session, this one is "
+                    f"policy {policy.spec()!r} needs a "
+                    f"{policy.estimator_kind!r} session, this one is "
                     f"{self.config.estimator!r}"
                 )
-            if self.config.estimator == "robust" and query.hint is not None:
-                return ThresholdPolicy(query.hint)
-            return resolved
-        if self.config.estimator != "robust":
-            return self.config.resolved_policy
-        if query.hint is not None:
+        if query.hint is not None and self.config.estimator == "robust":
             return ThresholdPolicy(query.hint)
-        if threshold is not None:
-            return ThresholdPolicy(threshold)
+        if policy is not None:
+            return policy
+        # Only robust sessions can enable feedback.
         if self._feedback is not None:
             routed = self._feedback.route(query)
             if routed is not None:
                 return routed
-        return self.config.resolved_policy
+        return self.config.policy
 
     def _cache_key(
-        self, fingerprint: str, policy: SelectionPolicy | None, version: int
+        self, fingerprint: str, policy: SelectionPolicy, version: int
     ) -> tuple:
         # The feedback generation keys the cache alongside the
         # statistics version: a new observation invalidates exactly the
@@ -844,35 +804,14 @@ class Session:
         return (
             fingerprint,
             self.config.cache_key(),
-            policy.cache_key() if policy is not None else None,
+            policy.cache_key(),
             version,
             generation,
-        )
-
-    def _plan_with_policy(
-        self,
-        optimizer: Optimizer,
-        state: _StatsState,
-        parsed: SPJQuery,
-        policy: SelectionPolicy | None,
-        fingerprint: str,
-    ) -> PlannedQuery:
-        """One planning pass under ``policy`` (``None``: plain
-        ``optimize``); how a policy plans is the policy's own
-        :meth:`~repro.selection.SelectionPolicy.plan`."""
-        if policy is None:
-            return optimizer.optimize(parsed)
-        return policy.plan(
-            optimizer,
-            parsed,
-            query_key=fingerprint,
-            statistics_token=state.manager.sampling_token(),
         )
 
     def prepare(
         self,
         query: str | SPJQuery,
-        threshold: float | str | None = None,
         *,
         policy: SelectionPolicy | float | str | None = None,
     ) -> PreparedQuery:
@@ -880,13 +819,13 @@ class Session:
 
         Preparing the same statement twice is a cache hit — the
         returned handle carries the *same* plan object. A per-call
-        ``policy`` (or legacy ``threshold``, or an ``OPTION
-        (CONFIDENCE …)`` hint in the SQL) plans that statement under a
-        different selection policy with its own cache entry.
+        ``policy`` (or an ``OPTION (CONFIDENCE …)`` hint in the SQL)
+        plans that statement under a different selection policy with
+        its own cache entry.
         """
         self._check_open()
         parsed, fingerprint = self._coerce_query(query)
-        effective = self._effective_policy(parsed, threshold, policy)
+        effective = self._effective_policy(parsed, policy)
         # One snapshot serves the whole prepare: the cache-key version
         # and the planning estimator both come from it, so a hot-swap
         # landing mid-prepare can't mix statistics generations.
@@ -896,8 +835,11 @@ class Session:
 
         def plan() -> PlannedQuery:
             started = time.perf_counter()
-            planned = self._plan_with_policy(
-                self._optimizer(state), state, parsed, effective, fingerprint
+            planned = effective.plan(
+                self._optimizer(state),
+                parsed,
+                query_key=fingerprint,
+                statistics_token=state.sampling_token,
             )
             self.metrics.gauge(
                 "repro_session_last_plan_seconds",
@@ -921,7 +863,7 @@ class Session:
         self,
         parsed: SPJQuery,
         fingerprint: str,
-        effective: SelectionPolicy | None,
+        effective: SelectionPolicy,
         version: int,
         exc: ReproError,
     ) -> PreparedQuery:
@@ -939,14 +881,13 @@ class Session:
             f"{type(exc).__name__}: {exc}",
             component="planner",
         )
-        target = parsed if effective is None else effective.hinted(parsed)
         optimizer = Optimizer(
             self.database,
             self._fallback_estimator(),
             self.cost_model,
             enable_star_plans=self.config.enable_star_plans,
         )
-        planned = optimizer.optimize(target)
+        planned = optimizer.optimize(effective.hinted(parsed))
         self._count_prepare(False)
         return PreparedQuery(
             self, parsed, planned, effective, version, False,
@@ -962,7 +903,7 @@ class Session:
         :meth:`~repro.optimizer.Optimizer.optimize_many` pass (per-lane
         plans are bit-identical to scalar ``optimize`` at the same
         threshold, see PR 2), then cached individually — so a later
-        ``prepare(query, threshold=t)`` hits any lane planted here.
+        ``prepare(query, policy=t)`` hits any lane planted here.
         """
         self._check_open()
         if self.config.estimator != "robust":
@@ -996,7 +937,7 @@ class Session:
             except (EstimationError, StatisticsError):
                 # Degrade lane by lane through the scalar path (which
                 # attributes the failure and plans uncached via §3.5).
-                return [self.prepare(hintless, p.q) for p in grid]
+                return [self.prepare(hintless, policy=p) for p in grid]
             for lane_policy, planned in zip(missing, planned_grid):
                 key = self._cache_key(fingerprint, lane_policy, version)
                 self.plan_cache.put(key, planned)
@@ -1022,16 +963,13 @@ class Session:
     # ------------------------------------------------------------------
     def execute(
         self, query: str | SPJQuery | PreparedQuery,
-        threshold: float | str | None = None,
         *,
         policy: SelectionPolicy | float | str | None = None,
     ) -> QueryResult:
         """Plan (through the cache) and run one statement."""
         if isinstance(query, PreparedQuery):
             return self._execute_prepared(query)
-        return self._execute_prepared(
-            self.prepare(query, threshold, policy=policy)
-        )
+        return self._execute_prepared(self.prepare(query, policy=policy))
 
     def _execute_prepared(self, prepared: PreparedQuery) -> QueryResult:
         self._check_open()
@@ -1095,10 +1033,9 @@ class Session:
     def trace_query(
         self,
         query: str | SPJQuery,
-        threshold: float | str | None = None,
+        *,
         execute: bool = False,
         label: str | None = None,
-        *,
         policy: SelectionPolicy | float | str | None = None,
     ) -> dict:
         """Plan (and optionally run) with full tracing, returning the
@@ -1110,22 +1047,25 @@ class Session:
         distributions (``optimizer.selection``). With ``execute`` the
         plan runs once, and the execution span is read off that run.
         """
-        return self._traced(query, threshold, execute, label, policy)[1]
+        return self._traced(query, execute, label, policy)[1]
 
     def _traced(
-        self, query, threshold, execute, label, policy
+        self, query, execute, label, policy
     ) -> tuple[PlannedQuery, dict]:
         """One traced planning pass (and execution): the plan and its
         trace record."""
         self._check_open()
         parsed, fingerprint = self._coerce_query(query)
-        effective = self._effective_policy(parsed, threshold, policy)
+        effective = self._effective_policy(parsed, policy)
         state = self._ensure_state()
         tracer = Tracer()
         optimizer = self._optimizer(state, tracer)
         started = time.perf_counter()
-        planned = self._plan_with_policy(
-            optimizer, state, parsed, effective, fingerprint
+        planned = effective.plan(
+            optimizer,
+            parsed,
+            query_key=fingerprint,
+            statistics_token=state.sampling_token,
         )
         optimize_seconds = time.perf_counter() - started
         execution = None
@@ -1157,9 +1097,8 @@ class Session:
     def explain(
         self,
         query: str | SPJQuery,
-        threshold: float | str | None = None,
-        analyze: bool = False,
         *,
+        analyze: bool = False,
         policy: SelectionPolicy | float | str | None = None,
     ) -> str:
         """The "why this plan" explanation for one statement.
@@ -1170,7 +1109,7 @@ class Session:
         cache alone; ``analyze=True`` also executes the plan and appends
         the per-operator work breakdown, EXPLAIN-ANALYZE style.
         """
-        planned, record = self._traced(query, threshold, analyze, None, policy)
+        planned, record = self._traced(query, analyze, None, policy)
         provenance = explain_trace([record], record["trace_id"])
         return f"{planned.explain()}\n\n{provenance}"
 
@@ -1242,11 +1181,9 @@ class Session:
 
     def describe(self) -> str:
         """One-line session summary for logs and reports."""
-        default_policy = self.config.resolved_policy
         knob = (
-            f", {default_policy.describe()}"
-            if default_policy is not None
-            and not isinstance(default_policy, (HistogramPolicy, BayesNetPolicy))
+            f", {self.config.policy.describe()}"
+            if self.config.estimator == "robust"
             else ""
         )
         if self._feedback is not None:

@@ -245,9 +245,9 @@ def build_tenants(
                 config=SessionConfig(
                     sample_size=config.sample_size,
                     statistics_seed=config.seed + i,
+                    policy=config.policy,
                 ),
                 statistics=statistics,
-                policy=config.policy,
             )
         )
     return specs

@@ -39,7 +39,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.catalog import Database
 from repro.errors import ReproError
@@ -93,10 +93,7 @@ class TenantSpec:
     into another tenant's posteriors — the same isolation contract the
     plan cache gets from disjoint statistics versions.
 
-    ``policy`` sets the tenant session's default
-    :class:`~repro.selection.SelectionPolicy` (a policy object or spec
-    string like ``"cvar:0.9"``); it overlays ``config.policy`` when
-    both are given.
+    The tenant session's default selection policy is ``config.policy``.
     """
 
     name: str
@@ -104,7 +101,6 @@ class TenantSpec:
     config: SessionConfig | None = None
     statistics: StatisticsManager | str | None = None
     feedback: bool | FeedbackConfig = False
-    policy: SelectionPolicy | float | str | None = None
 
 
 @dataclass
@@ -153,7 +149,6 @@ class _Operation:
 
     tenant: _Tenant
     query: str
-    threshold: float | str | None
     policy: SelectionPolicy | float | str | None
     execute: bool
     submitted_at: float
@@ -236,10 +231,7 @@ class QueryServer:
         )
         self._tenants: dict[str, _Tenant] = {}
         for spec in specs:
-            config = spec.config or SessionConfig()
-            if spec.policy is not None:
-                config = replace(config, policy=spec.policy)
-            session = Session(spec.database, config=config)
+            session = Session(spec.database, config=spec.config)
             if spec.feedback:
                 session.enable_feedback(
                     config=spec.feedback
@@ -277,7 +269,6 @@ class QueryServer:
         self,
         tenant: str,
         query: str,
-        threshold: float | str | None,
         policy: SelectionPolicy | float | str | None,
         execute: bool,
     ) -> _Operation:
@@ -291,7 +282,6 @@ class QueryServer:
         return _Operation(
             tenant=state,
             query=query,
-            threshold=threshold,
             policy=policy,
             execute=execute,
             submitted_at=time.perf_counter(),
@@ -312,7 +302,6 @@ class QueryServer:
         tenant: str,
         query: str,
         *,
-        threshold: float | str | None = None,
         policy: SelectionPolicy | float | str | None = None,
         execute: bool = True,
     ) -> Future:
@@ -321,23 +310,20 @@ class QueryServer:
 
         The operation runs on a pool worker, which takes the same
         execution slot a ``serve`` caller would. A per-operation
-        ``policy`` (or legacy ``threshold``) overrides the tenant
-        session's default selection policy for this statement only.
+        ``policy`` overrides the tenant session's default selection
+        policy for this statement only.
         Raises :class:`ServerOverloaded` immediately when admission
         control sheds the request (per-tenant queue full or global
         limit reached) — nothing is queued in that case. Use
         :meth:`serve` for blocking shed-and-retry semantics.
         """
-        return self._enqueue(
-            self._admit(tenant, query, threshold, policy, execute)
-        )
+        return self._enqueue(self._admit(tenant, query, policy, execute))
 
     def serve(
         self,
         tenant: str,
         query: str,
         *,
-        threshold: float | str | None = None,
         policy: SelectionPolicy | float | str | None = None,
         execute: bool = True,
         max_retries: int = 50,
@@ -357,7 +343,7 @@ class QueryServer:
         attempt = 0
         while True:
             try:
-                op = self._admit(tenant, query, threshold, policy, execute)
+                op = self._admit(tenant, query, policy, execute)
             except ServerOverloaded:
                 if attempt >= max_retries:
                     raise
@@ -386,9 +372,7 @@ class QueryServer:
                 if self._drained:
                     # Admitted before close(), reached a slot after it.
                     raise ServingError("server is closed")
-                prepared = tenant.session.prepare(
-                    op.query, op.threshold, policy=op.policy
-                )
+                prepared = tenant.session.prepare(op.query, policy=op.policy)
                 if op.execute:
                     result = prepared.execute()
                     rows = result.num_rows

@@ -41,11 +41,16 @@ class TestExperiment:
                 "3",
                 "--sample-size",
                 "200",
+                "--policy",
+                "bayes",
+                "--policy",
+                "exact",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "Histograms" in out
+        assert "BayesNet" in out and "Exact" in out
         assert "performance vs predictability" in out
 
     def test_exp3_small(self, capsys):
@@ -90,7 +95,7 @@ class TestSql:
                 "WHERE lineitem.l_quantity > 45",
                 "--scale",
                 "5000",
-                "--estimator",
+                "--policy",
                 "exact",
             ]
         )
@@ -106,7 +111,7 @@ class TestSql:
                 "SELECT COUNT(*) FROM lineitem, part WHERE part.p_size < 5",
                 "--scale",
                 "5000",
-                "--estimator",
+                "--policy",
                 "histogram",
                 "--sample-size",
                 "100",
@@ -125,12 +130,18 @@ class TestSql:
                 "5000",
                 "--sample-size",
                 "100",
-                "--threshold",
+                "--policy",
                 "conservative",
                 "--explain-only",
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("flag", ["--threshold", "--estimator"])
+    def test_retired_flags_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sql", "SELECT COUNT(*) FROM lineitem", flag, "95"])
+        assert exit_info.value.code == 2
 
     def test_star_workload(self, capsys):
         code = main(
@@ -141,7 +152,7 @@ class TestSql:
                 "star",
                 "--scale",
                 "5000",
-                "--estimator",
+                "--policy",
                 "exact",
             ]
         )

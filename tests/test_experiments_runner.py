@@ -1,5 +1,7 @@
 """Tests for the experiment harness."""
 
+import pickle
+
 import pytest
 
 from repro.experiments import (
@@ -8,8 +10,17 @@ from repro.experiments import (
     default_configs,
     format_selectivity_table,
     format_tradeoff_table,
+    penalty_configs,
+    policy_arm,
+    scenario_configs,
 )
-from repro.core import RobustCardinalityEstimator
+from repro.core import (
+    BayesNetCardinalityEstimator,
+    ExactCardinalityEstimator,
+    HistogramCardinalityEstimator,
+    RobustCardinalityEstimator,
+)
+from repro.selection import PenaltyPolicy
 from repro.errors import ReproError
 from repro.workloads import ShippingDatesTemplate
 
@@ -40,6 +51,49 @@ class TestDefaultConfigs:
         b = configs[1].build(tpch_stats)
         assert a.policy.default == 0.05
         assert b.policy.default == 0.95
+
+    def test_factories_keep_their_arm_fields(self):
+        """Every factory goes through policy_arm; the fields the runner
+        groups and vectorizes by are what they always were."""
+
+        def fields(configs):
+            return [(c.name, c.threshold, c.group, c.policy) for c in configs]
+
+        assert fields(default_configs(thresholds=(0.05, 0.95))) == [
+            ("T=5%", 0.05, "robust", None),
+            ("T=95%", 0.95, "robust", None),
+            ("Histograms", None, None, None),
+        ]
+        assert fields(scenario_configs()) == [
+            ("T=80%", 0.8, "robust", None),
+            ("Histograms", None, None, None),
+            ("BayesNet", None, None, None),
+            ("Fixed", None, None, None),
+        ]
+        expected = PenaltyPolicy(samples=8)
+        cvar = PenaltyPolicy(samples=8, risk="cvar", alpha=0.9)
+        assert fields(penalty_configs(samples=8)) == [
+            ("E[penalty](m=8)", None, None, expected),
+            ("CVaR(α=0.9, m=8)", None, None, cvar),
+        ]
+
+    @pytest.mark.parametrize(
+        "spec, name, estimator_class",
+        [
+            ("histogram", "Histograms", HistogramCardinalityEstimator),
+            ("bayes", "BayesNet", BayesNetCardinalityEstimator),
+            ("exact", "Exact", ExactCardinalityEstimator),
+        ],
+    )
+    def test_policy_arm_builds_the_named_estimator(
+        self, tpch_stats, spec, name, estimator_class
+    ):
+        """Regression: every non-robust spec used to come back as the
+        histogram arm, which the CLI's name de-dup then dropped."""
+        arm = policy_arm(spec)
+        assert arm.name == name
+        assert type(arm.build(tpch_stats)) is estimator_class
+        pickle.loads(pickle.dumps(arm))  # fans out to worker processes
 
 
 class TestRunner:

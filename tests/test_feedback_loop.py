@@ -73,7 +73,7 @@ class TestEnableFeedback:
             session.enable_feedback(store=FeedbackStore())
 
     def test_non_robust_session_rejected(self, two_table_db):
-        with Session(two_table_db, estimator="exact") as session:
+        with Session(two_table_db, policy="exact") as session:
             with pytest.raises(SessionError, match="robust"):
                 session.enable_feedback()
 
@@ -208,7 +208,7 @@ class TestThresholdRouting:
     def test_per_call_threshold_beats_routing(self, session):
         feedback = session.enable_feedback()
         self.seed_class(feedback, "lineitem", 5000.0)
-        prepared = session.prepare(SELECTION, threshold="50")
+        prepared = session.prepare(SELECTION, policy="50")
         assert prepared.threshold == 0.5
 
     def test_hint_beats_routing(self, session):
@@ -222,7 +222,7 @@ class TestThresholdRouting:
     def test_cold_class_uses_session_default(self, session):
         session.enable_feedback()
         prepared = session.prepare(SELECTION)
-        assert prepared.threshold == session.config.resolved_threshold
+        assert prepared.policy == session.config.policy
 
 
 class TestEpochFence:

@@ -184,7 +184,6 @@ class TestThresholdRouter:
         assert routed == PenaltyPolicy(samples=16, risk="cvar", alpha=0.9)
         table = router.routing_table()
         assert table["q"]["policy"] == "cvar:0.9:16"
-        assert table["q"]["threshold"] is None
 
     def test_default_map_covers_every_band(self):
         assert set(DEFAULT_BAND_THRESHOLDS) == set(SEVERITY_ORDER)
@@ -203,6 +202,5 @@ class TestThresholdRouter:
         assert table["a"] == {
             "severity": "accurate",
             "policy": f"threshold:{AGGRESSIVE:g}",
-            "threshold": AGGRESSIVE,
         }
         assert table["b"]["severity"] == "major"

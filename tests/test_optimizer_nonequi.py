@@ -172,7 +172,7 @@ class TestSessionNonEqui:
 
         session = Session(
             snowflake_db,
-            estimator="bayes",
+            policy="bayes",
             sample_size=300,
             statistics_seed=11,
         )

@@ -163,7 +163,6 @@ class TestSessionSignatures:
     def test_prepare(self):
         assert _params(repro.Session.prepare) == [
             ("query", "POSITIONAL_OR_KEYWORD", False),
-            ("threshold", "POSITIONAL_OR_KEYWORD", True),
             ("policy", "KEYWORD_ONLY", True),
         ]
 
@@ -176,24 +175,21 @@ class TestSessionSignatures:
     def test_execute(self):
         assert _params(repro.Session.execute) == [
             ("query", "POSITIONAL_OR_KEYWORD", False),
-            ("threshold", "POSITIONAL_OR_KEYWORD", True),
             ("policy", "KEYWORD_ONLY", True),
         ]
 
     def test_explain(self):
         assert _params(repro.Session.explain) == [
             ("query", "POSITIONAL_OR_KEYWORD", False),
-            ("threshold", "POSITIONAL_OR_KEYWORD", True),
-            ("analyze", "POSITIONAL_OR_KEYWORD", True),
+            ("analyze", "KEYWORD_ONLY", True),
             ("policy", "KEYWORD_ONLY", True),
         ]
 
     def test_trace_query(self):
         assert _params(repro.Session.trace_query) == [
             ("query", "POSITIONAL_OR_KEYWORD", False),
-            ("threshold", "POSITIONAL_OR_KEYWORD", True),
-            ("execute", "POSITIONAL_OR_KEYWORD", True),
-            ("label", "POSITIONAL_OR_KEYWORD", True),
+            ("execute", "KEYWORD_ONLY", True),
+            ("label", "KEYWORD_ONLY", True),
             ("policy", "KEYWORD_ONLY", True),
         ]
 
@@ -202,8 +198,6 @@ class TestSessionSignatures:
 
         fields = [f.name for f in dataclasses.fields(repro.SessionConfig)]
         assert fields == [
-            "estimator",
-            "threshold",
             "prior",
             "sample_size",
             "histogram_buckets",
@@ -230,7 +224,6 @@ class TestServingSignatures:
         assert _params(repro.QueryServer.submit) == [
             ("tenant", "POSITIONAL_OR_KEYWORD", False),
             ("query", "POSITIONAL_OR_KEYWORD", False),
-            ("threshold", "KEYWORD_ONLY", True),
             ("policy", "KEYWORD_ONLY", True),
             ("execute", "KEYWORD_ONLY", True),
         ]
@@ -239,7 +232,6 @@ class TestServingSignatures:
         assert _params(repro.QueryServer.serve) == [
             ("tenant", "POSITIONAL_OR_KEYWORD", False),
             ("query", "POSITIONAL_OR_KEYWORD", False),
-            ("threshold", "KEYWORD_ONLY", True),
             ("policy", "KEYWORD_ONLY", True),
             ("execute", "KEYWORD_ONLY", True),
             ("max_retries", "KEYWORD_ONLY", True),
@@ -264,7 +256,6 @@ class TestServingSignatures:
             "config",
             "statistics",
             "feedback",
-            "policy",
         ]
 
     def test_admission_config_fields(self):

@@ -6,6 +6,8 @@ import pytest
 
 from repro.core import AGGRESSIVE, MODERATE
 from repro.selection import (
+    BayesNetPolicy,
+    ExactPolicy,
     HistogramPolicy,
     PenaltyPolicy,
     PolicyError,
@@ -110,15 +112,19 @@ class TestResolvePolicy:
             ("cvar:0.9:16", PenaltyPolicy(samples=16, risk="cvar", alpha=0.9)),
             ("80", ThresholdPolicy(0.8)),
             ("moderate", ThresholdPolicy(MODERATE)),
+            ("bayes", BayesNetPolicy()),
+            ("exact", ExactPolicy()),
         ],
     )
     def test_spec_strings(self, spec, policy):
         assert resolve_policy(spec) == policy
+        assert resolve_policy(resolve_policy(spec).spec()) == policy
 
     @pytest.mark.parametrize(
         "spec",
         [
             "histogram:5",
+            "exact:1",
             "cvar",
             "cvar:abc",
             "expected:many",

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import CONSERVATIVE
+from repro.core import CONSERVATIVE, MODERATE
 from repro.feedback import DEFAULT_BAND_THRESHOLDS, FeedbackConfig
 from repro.selection import (
-    HistogramPolicy,
+    ExactPolicy,
     PenaltyPolicy,
+    SelectionPolicy,
     ThresholdPolicy,
+    resolve_policy,
 )
 from repro.service import Session, SessionConfig, SessionError
 
@@ -44,26 +46,48 @@ def penalty_session(two_table_db):
         yield session
 
 
-class TestSessionConfigPolicy:
-    def test_policy_forces_estimator_family(self, two_table_db):
-        with Session(two_table_db, policy="histogram") as session:
-            assert session.config.estimator == "histogram"
-            assert session.config.resolved_policy == HistogramPolicy()
+class TestPolicyIsTotal:
+    """Every session has a policy; ``None`` only ever means "default"."""
 
-    def test_threshold_policy_backfills_threshold(self):
-        config = SessionConfig(policy=0.2)
-        assert config.estimator == "robust"
-        assert config.threshold == 0.2
-        assert config.resolved_policy == ThresholdPolicy(0.2)
+    def test_none_is_the_moderate_threshold(self):
+        assert SessionConfig().policy == ThresholdPolicy(MODERATE)
+        assert SessionConfig(policy=None) == SessionConfig()
 
-    def test_legacy_knobs_resolve_to_a_policy(self):
-        # Old estimator=/threshold= spellings still describe a policy.
-        assert SessionConfig(threshold=0.8).resolved_policy == ThresholdPolicy(0.8)
-        assert (
-            SessionConfig(estimator="histogram").resolved_policy
-            == HistogramPolicy()
-        )
-        assert SessionConfig(estimator="exact").resolved_policy is None
+    @pytest.mark.parametrize(
+        "spec", ["threshold:0.9", "cvar:0.9:8", "histogram", "bayes", "exact"]
+    )
+    def test_every_kind_plans_under_its_policy(self, two_table_db, spec):
+        expected = resolve_policy(spec)
+        with Session(
+            two_table_db, policy=spec, sample_size=300, statistics_seed=3
+        ) as session:
+            assert session.config.policy == expected
+            assert session.config.estimator == expected.estimator_kind
+            parsed, _ = session._coerce_query(SELECTION)
+            effective = session._effective_policy(parsed)
+            assert isinstance(effective, SelectionPolicy)
+            assert effective == expected
+            prepared = session.prepare(SELECTION)
+            assert prepared.policy == expected
+            assert f"policy={spec}" in repr(prepared)
+
+    def test_exact_session_has_a_policy(self, two_table_db, session):
+        with Session(two_table_db, policy="exact") as exact:
+            first = exact.execute(SELECTION)
+            assert first.prepared.policy == ExactPolicy()
+            assert first.prepared.threshold is None
+            assert first.prepared.from_cache is False
+            # Its own cache entry, keyed by the policy like any other.
+            assert exact.prepare(SELECTION).from_cache is True
+            assert exact.statistics is None
+            assert first.num_rows == session.execute(SELECTION).num_rows
+
+    def test_exact_session_traces_an_execution(self, two_table_db):
+        # No statistics manager to read a sampling token from.
+        with Session(two_table_db, policy="exact") as exact:
+            record = exact.trace_query(SELECTION, execute=True)
+            assert record["execution"] is not None
+            assert exact.explain(SELECTION, analyze=True)
 
 
 class TestPenaltySessions:
@@ -90,17 +114,29 @@ class TestPenaltySessions:
 
 
 class TestConflictsAndCompatibility:
-    def test_threshold_and_policy_together_rejected(self, session):
-        with pytest.raises(SessionError, match="both"):
-            session.prepare(SELECTION, 0.5, policy="cvar:0.9")
-
-    def test_estimator_family_mismatch_rejected(self, session):
+    def test_estimator_family_mismatch_rejected(self, session, two_table_db):
         with pytest.raises(SessionError, match="histogram"):
             session.prepare(SELECTION, policy="histogram")
+        with pytest.raises(SessionError, match="exact"):
+            session.execute(SELECTION, policy="exact")
+        with Session(two_table_db, policy="exact") as exact:
+            with pytest.raises(SessionError, match="robust"):
+                exact.prepare(SELECTION, policy="threshold:0.9")
 
-    def test_execute_surfaces_the_same_conflict(self, session):
-        with pytest.raises(SessionError):
-            session.execute(SELECTION, 0.5, policy="expected:8")
+    def test_retired_spellings_are_type_errors(self, session, two_table_db):
+        with pytest.raises(TypeError):
+            Session(two_table_db, estimator="histogram")
+        with pytest.raises(TypeError):
+            Session(two_table_db, threshold=0.9)
+        with pytest.raises(TypeError):
+            session.prepare(SELECTION, threshold=0.9)
+        with pytest.raises(TypeError):
+            session.execute(SELECTION, 0.9)
+        # A stale positional threshold must not read as analyze=True.
+        with pytest.raises(TypeError):
+            session.explain(SELECTION, 0.95)
+        with pytest.raises(TypeError):
+            session.trace_query(SELECTION, 0.95)
 
 
 class TestPrecedence:
@@ -140,7 +176,8 @@ class TestPrecedence:
 
     def test_default_policy_when_nothing_overrides(self, session):
         prepared = session.prepare(SELECTION)
-        assert prepared.policy == ThresholdPolicy(session.config.threshold)
+        assert prepared.policy == session.config.policy
+        assert prepared.policy == ThresholdPolicy(MODERATE)
 
 
 class TestCacheSeparation:

@@ -18,6 +18,7 @@ from repro.core import RobustCardinalityEstimator
 from repro.cost import CostModel
 from repro.engine import scancache
 from repro.optimizer import Optimizer
+from repro.selection import PolicyError
 from repro.service import (
     Session,
     SessionConfig,
@@ -49,17 +50,14 @@ def session(db):
 
 class TestConfig:
     def test_unknown_estimator_rejected(self):
-        with pytest.raises(SessionError):
-            SessionConfig(estimator="oracle")
+        # An unknown spec is resolve_policy's error, not the session's.
+        with pytest.raises(PolicyError):
+            SessionConfig(policy="oracle")
 
     def test_keyword_overrides(self, db):
-        session = Session(db, estimator="histogram", plan_cache_size=16)
+        session = Session(db, policy="histogram", plan_cache_size=16)
         assert session.config.estimator == "histogram"
         assert session.config.plan_cache_size == 16
-
-    def test_resolved_threshold_none_for_threshold_blind(self):
-        assert SessionConfig(estimator="histogram").resolved_threshold is None
-        assert SessionConfig(estimator="robust", threshold="95").resolved_threshold == 0.95
 
     def test_describe(self, session):
         text = session.describe()
@@ -83,15 +81,15 @@ class TestPrepareCaching:
         assert "OPTION" not in canonical_sql(hinted)
 
     def test_distinct_thresholds_get_distinct_entries(self, session):
-        moderate = session.prepare(QUERY, threshold="80")
-        conservative = session.prepare(QUERY, threshold="95")
+        moderate = session.prepare(QUERY, policy="80")
+        conservative = session.prepare(QUERY, policy="95")
         assert conservative.from_cache is False
         assert moderate.threshold == 0.8
         assert conservative.threshold == 0.95
 
     def test_hint_overrides_call_and_session_threshold(self, session):
         prepared = session.prepare(
-            QUERY + " OPTION (CONFIDENCE 95)", threshold="50"
+            QUERY + " OPTION (CONFIDENCE 95)", policy="50"
         )
         assert prepared.threshold == 0.95
 
@@ -155,7 +153,7 @@ class TestStatisticsVersioning:
         assert replans == 1
 
     def test_exact_sessions_have_no_statistics(self, db):
-        session = Session(db, estimator="exact")
+        session = Session(db, policy="exact")
         prepared = session.prepare(QUERY)
         assert prepared.threshold is None
         assert session.statistics_version() == 0
@@ -206,7 +204,7 @@ class TestPrepareMany:
         lanes = session.prepare_many(QUERY, self.GRID)
         assert [p.threshold for p in lanes] == list(self.GRID)
         # A later scalar prepare at any lane threshold is a cache hit.
-        again = session.prepare(QUERY, threshold=0.5)
+        again = session.prepare(QUERY, policy=0.5)
         assert again.from_cache is True
         assert again.planned is lanes[1].planned
 
@@ -215,14 +213,14 @@ class TestPrepareMany:
         scalar_session = Session(db, sample_size=400, statistics_seed=11)
         lanes = vector_session.prepare_many(JOIN_QUERY, self.GRID)
         for threshold, lane in zip(self.GRID, lanes):
-            scalar = scalar_session.prepare(JOIN_QUERY, threshold=threshold)
+            scalar = scalar_session.prepare(JOIN_QUERY, policy=threshold)
             assert lane.plan.signature() == scalar.plan.signature()
             assert lane.estimated_cost == pytest.approx(
                 scalar.estimated_cost
             )
 
     def test_requires_robust_session(self, db):
-        session = Session(db, estimator="histogram")
+        session = Session(db, policy="histogram")
         with pytest.raises(SessionError):
             session.prepare_many(QUERY, self.GRID)
         robust = Session(db)

@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from repro.service import SessionConfig
+from repro.service import SessionConfig, SessionError
 from repro.serving import (
     AdmissionConfig,
     AdmissionController,
@@ -210,6 +210,21 @@ class TestQueryServer:
             # Second serving of the same statement is a plan-cache hit.
             again = server.serve("tenant-0", QUERY)
             assert again.plan_cached
+
+    def test_exact_tenant_serves_under_its_policy(self, tenant_dbs):
+        spec = TenantSpec(
+            "oracle", tenant_dbs[0], config=SessionConfig(policy="exact")
+        )
+        with make_server([spec]) as server:
+            served = server.serve("oracle", QUERY, policy="exact")
+            assert served.rows == 1
+            assert served.statistics_version == 0
+            assert not served.stale
+            assert server.serve("oracle", QUERY).plan_cached
+            # A mismatched per-call policy is an error here as anywhere.
+            with pytest.raises(SessionError, match="robust"):
+                server.serve("oracle", QUERY, policy="threshold:0.9")
+            assert server.admission.occupancy()["global"] == 0
 
     def test_prepare_only(self, tenant_specs):
         with make_server(tenant_specs) as server:
@@ -477,7 +492,7 @@ class TestCallerThreadServing:
     def test_admitted_before_close_is_refused_after_it(self, tenant_specs):
         server = make_server(tenant_specs)
         # Admitted, but close() wins the race to the execution slots.
-        op = server._admit("tenant-0", QUERY, None, None, True)
+        op = server._admit("tenant-0", QUERY, None, True)
         server.close()
         with pytest.raises(ServingError, match="closed"):
             server._run(op)
