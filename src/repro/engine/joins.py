@@ -13,7 +13,7 @@ import numpy as np
 from repro.engine import kernels
 from repro.engine.base import PhysicalOperator
 from repro.engine.context import ExecutionContext
-from repro.engine.joinutil import match_keys
+from repro.engine.joinutil import match_frames
 from repro.errors import ExecutionError
 from repro.expressions import Expr, Frame
 from repro.indexes.sorted_index import expand_runs
@@ -46,8 +46,8 @@ class HashJoin(PhysicalOperator):
         probe_frame = self.probe.execute(ctx)
         ctx.counters.hash_build_rows += build_frame.num_rows
         ctx.counters.hash_probe_rows += probe_frame.num_rows
-        build_idx, probe_idx = match_keys(
-            build_frame.column(self.build_key), probe_frame.column(self.probe_key)
+        build_idx, probe_idx = match_frames(
+            ctx.database, build_frame, self.build_key, probe_frame, self.probe_key
         )
         result = build_frame.take(build_idx).merged_with(probe_frame.take(probe_idx))
         ctx.counters.rows_output += result.num_rows
@@ -85,8 +85,8 @@ class MergeJoin(PhysicalOperator):
         left_frame = self.left.execute(ctx)
         right_frame = self.right.execute(ctx)
         ctx.counters.merge_rows += left_frame.num_rows + right_frame.num_rows
-        left_idx, right_idx = match_keys(
-            left_frame.column(self.left_key), right_frame.column(self.right_key)
+        left_idx, right_idx = match_frames(
+            ctx.database, left_frame, self.left_key, right_frame, self.right_key
         )
         result = left_frame.take(left_idx).merged_with(right_frame.take(right_idx))
         ctx.counters.rows_output += result.num_rows

@@ -10,14 +10,19 @@ the input (size, dtype, key range, which side's keys are unique) —
 never from a setting.
 
 The sort-free paths for integer keys — membership, equi-join matching,
-COUNT grouping — all index a dense table by ``key - min``. They share
-one rule for when the table is worth building (its span against
-``TABLE_RANGE_FACTOR`` x the rows it serves) and one shift,
-:func:`_table_offsets`, which cannot wrap in a narrow dtype. An
-equi-join with a unique side (every PK–FK join) sorts neither input:
-the table goes on the unique side and the other side is gathered
-through it; :func:`match_keys_numpy` remains the only sort-based
-matcher, for everything else.
+COUNT grouping, and a sorted index's equality probes — all index a
+dense table by ``key - min``. They share one rule for when the table is
+worth building (its span against ``TABLE_RANGE_FACTOR`` x the rows it
+serves), one shift, :func:`_table_offsets`, which cannot wrap in a
+narrow dtype, and one clamped probe, :func:`_probe_key_table`; all three
+live in :mod:`repro.indexes.sorted_index`, below this module, so
+:class:`~repro.indexes.SortedIndex` builds its position table by the
+same rule. An equi-join with a unique side (every PK–FK join) sorts
+neither input: the table goes on the unique side and the other side is
+gathered through it; :func:`match_keys_numpy` remains the only
+sort-based matcher, for everything else. (A join over a whole indexed
+base column does not come here at all: the engine probes that column's
+index, see :func:`repro.engine.joinutil.match_frames`.)
 
 Exactness contract: every kernel pair is bit-identical on the dtypes
 the engine produces. Where a faster formulation would change float
@@ -34,31 +39,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ReproError
-from repro.indexes.sorted_index import expand_runs
+from repro.indexes.sorted_index import (
+    TABLE_RANGE_FACTOR,
+    _key_table,
+    _probe_key_table,
+    _table_offsets,
+    expand_runs,
+)
 
 #: Below this combined key count the membership fast path gains nothing
 #: over ``np.isin``; dispatching to numpy keeps small inputs on the
 #: exact code path they always used (hence trivially "no slower").
 SEMIJOIN_SMALL_N = 4096
-
-#: Use a dense key-indexed table while the key range is at most this
-#: many times the combined input size. 4× keeps the table well inside
-#: cache for typical join-key universes while bounding worst-case memory.
-TABLE_RANGE_FACTOR = 4
-
-
-def _table_offsets(keys: np.ndarray, lo: int) -> np.ndarray:
-    """``keys - lo`` as int64 positions into a dense table starting at ``lo``.
-
-    The one place integer keys are shifted. The keys' own dtype would
-    wrap (``int16`` keys spanning −30 000…30 000 shift to negatives), so
-    narrow keys are widened first; 64-bit keys subtract modulo 2**64,
-    which is exact for every key within ``2**63`` of ``lo`` — any key a
-    table can hold — and sends no key outside the table into it.
-    """
-    if keys.dtype == np.uint64:
-        return (keys - np.uint64(lo)).view(np.int64)
-    return np.subtract(keys, lo, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -152,31 +144,16 @@ def _unique_key_table(
     Rows are scattered into the table and the occupied slots counted: a
     duplicate key overwrites its earlier row, so exactly ``len(keys)``
     occupied slots proves uniqueness (more keys than slots disproves it
-    before any pass). One extra slot past the span stays −1 — where
-    :func:`_probe_key_table` sends every key the table does not cover.
+    before any pass).
     """
     lo = int(keys.min())
     span = int(keys.max()) - lo + 1
     if not len(keys) <= span <= max_span:
         return None
-    table = np.full(span + 1, -1, dtype=np.int64)
-    table[_table_offsets(keys, lo)] = np.arange(len(keys), dtype=np.int64)
+    table = _key_table(keys, np.arange(len(keys)), lo, span)
     if np.count_nonzero(table >= 0) != len(keys):
         return None
     return lo, table
-
-
-def _probe_key_table(lo: int, table: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The table row of each key, −1 where the table has none.
-
-    Offsets below the table wrap to huge values when read as unsigned,
-    so one ``minimum`` folds both out-of-range sides onto the trailing
-    −1 slot: subtract, clamp in place, gather — no masks.
-    """
-    slots = _table_offsets(keys, lo)
-    unsigned = slots.view(np.uint64)
-    np.minimum(unsigned, np.uint64(len(table) - 1), out=unsigned)
-    return table[slots]
 
 
 def _match_keys_table(

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.engine.base import PhysicalOperator
 from repro.engine.context import ExecutionContext
-from repro.engine.joinutil import match_keys
+from repro.engine.joinutil import match_frames
 from repro.engine.scans import scan_table
 from repro.errors import ExecutionError
 from repro.expressions import Expr, Frame, expr_key
@@ -131,9 +131,7 @@ class StarSemiJoin(PhysicalOperator):
         fk = f"{self.fact_table}.{spec.fact_fk_column}"
         ctx.counters.hash_build_rows += dim_frame.num_rows
         ctx.counters.hash_probe_rows += result.num_rows
-        dim_idx, fact_idx = match_keys(
-            dim_frame.column(pk), result.column(fk)
-        )
+        dim_idx, fact_idx = match_frames(ctx.database, dim_frame, pk, result, fk)
         return dim_frame.take(dim_idx).merged_with(result.take(fact_idx))
 
     def label(self) -> str:

@@ -4,8 +4,17 @@ The index keeps the column values in sorted order together with the
 row ids (RIDs) that produced them. Range and equality lookups are two
 binary searches followed by a slice — the same leaf-scan behaviour a
 B-tree gives, which is what the cost model charges for. A batch of
-equality probes (:meth:`SortedIndex.match_many`) is one binary search
-each: the index knows how long the run it lands on is.
+equality probes (:meth:`SortedIndex.match_many`) finds where each
+probe's run of equal keys starts — through a dense position table when
+the keys are compact integers, else by one binary search — and reads
+the run's length from the index.
+
+The dense key tables of this module and of :mod:`repro.engine.kernels`
+are one kind of object: an array indexed by ``key - lo`` with one
+trailing −1 slot. They share the shift (:func:`_table_offsets`), the
+build (:func:`_key_table`), the probe (:func:`_probe_key_table`) and the
+rule for when a table is worth its span (``TABLE_RANGE_FACTOR``), which
+live here because the engine's kernels import this module.
 """
 
 from __future__ import annotations
@@ -15,6 +24,48 @@ from functools import cached_property
 import numpy as np
 
 from repro.errors import IndexError_
+
+#: Use a dense key-indexed table while the key range is at most this
+#: many times the rows it serves. 4× keeps the table well inside cache
+#: for typical join-key universes while bounding worst-case memory.
+TABLE_RANGE_FACTOR = 4
+
+
+def _table_offsets(keys: np.ndarray, lo: int) -> np.ndarray:
+    """``keys - lo`` as int64 positions into a dense table starting at ``lo``.
+
+    The one place integer keys are shifted. The keys' own dtype would
+    wrap (``int16`` keys spanning −30 000…30 000 shift to negatives), so
+    narrow keys are widened first; 64-bit keys subtract modulo 2**64,
+    which is exact for every key within ``2**63`` of ``lo`` — any key a
+    table can hold — and sends no key outside the table into it.
+    """
+    if keys.dtype == np.uint64:
+        return (keys - np.uint64(lo)).view(np.int64)
+    return np.subtract(keys, lo, dtype=np.int64)
+
+
+def _key_table(keys: np.ndarray, rows: np.ndarray, lo: int, span: int) -> np.ndarray:
+    """A dense table over ``[lo, lo + span)`` holding ``rows[i]`` at
+    ``keys[i] - lo`` and −1 elsewhere, plus one trailing −1 slot — where
+    :func:`_probe_key_table` sends every key the table does not cover.
+    """
+    table = np.full(span + 1, -1, dtype=np.int64)
+    table[_table_offsets(keys, lo)] = rows
+    return table
+
+
+def _probe_key_table(lo: int, table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The table row of each key, −1 where the table has none.
+
+    Offsets below the table wrap to huge values when read as unsigned,
+    so one ``minimum`` folds both out-of-range sides onto the trailing
+    −1 slot: subtract, clamp in place, gather — no masks.
+    """
+    slots = _table_offsets(keys, lo)
+    unsigned = slots.view(np.uint64)
+    np.minimum(unsigned, np.uint64(len(table) - 1), out=unsigned)
+    return table[slots]
 
 
 def expand_runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -115,19 +166,29 @@ class SortedIndex:
         :func:`repro.engine.kernels.match_keys` returns for ``values``
         against the indexed column, without sorting the column again.
 
-        One index descent per probe: ``searchsorted(side="left")`` lands
-        on the first entry not below the probe, which is a hit exactly
-        when that entry's key equals it. Over unique keys a hit is the
-        whole match; otherwise the run's length is read from
-        :attr:`_run_lengths` rather than found by a second search.
+        Each probe first finds the sorted position where its run of
+        equal keys starts. Probes of the keys' own integer dtype read it
+        from :attr:`_position_table` — one gather, no search — when the
+        index has one; everything else (floats, strings, a sparse key
+        span, a probe dtype of its own) descends the index once:
+        ``searchsorted(side="left")`` lands on the first entry not below
+        the probe, which is a hit exactly when that entry's key equals
+        it. Over unique keys a hit is the whole match; otherwise the
+        run's length is read from :attr:`_run_lengths` rather than found
+        by a second search.
         """
         if not len(values) or not len(self._keys):
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        lo = np.searchsorted(self._keys, values, side="left")
-        # A probe past every key lands one beyond the end: clip it onto
-        # the last entry, whose smaller key cannot equal it.
-        hit = _same_key(self._keys.take(lo, mode="clip"), values)
+        table = self._position_table if values.dtype == self._keys.dtype else None
+        if table is not None:
+            lo = _probe_key_table(*table, values)
+            hit = lo >= 0
+        else:
+            lo = np.searchsorted(self._keys, values, side="left")
+            # A probe past every key lands one beyond the end: clip it
+            # onto the last entry, whose smaller key cannot equal it.
+            hit = _same_key(self._keys.take(lo, mode="clip"), values)
         if self._run_lengths is None:
             probe_idx = np.flatnonzero(hit)
             return probe_idx, self._rids[lo[probe_idx]]
@@ -152,6 +213,26 @@ class SortedIndex:
         table = np.zeros(len(self._keys), dtype=np.min_scalar_type(lengths.max()))
         table[starts] = lengths
         return table
+
+    @cached_property
+    def _position_table(self) -> tuple[int, np.ndarray] | None:
+        """``(lo, table)`` with ``table[key - lo]`` the sorted position
+        where ``key``'s run starts, −1 where no key is — for integer keys
+        spanning at most ``TABLE_RANGE_FACTOR`` x the entries; ``None``
+        (floats, strings, a sparse span) otherwise. Built on the first
+        probe, like :attr:`_run_lengths`, whose run starts it stores.
+        """
+        keys = self._keys
+        if keys.dtype.kind not in ("i", "u"):
+            return None
+        lo = int(keys[0])
+        span = int(keys[-1]) - lo + 1
+        if span > TABLE_RANGE_FACTOR * len(keys):
+            return None
+        if self._run_lengths is None:
+            return lo, _key_table(keys, np.arange(len(keys)), lo, span)
+        starts = np.flatnonzero(self._run_lengths)
+        return lo, _key_table(keys[starts], starts, lo, span)
 
     def lookup_many_eq(self, values: np.ndarray) -> np.ndarray:
         """Concatenated RIDs for every key in ``values`` (vectorized).

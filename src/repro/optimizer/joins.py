@@ -202,7 +202,7 @@ def _indexed_nl(
     # Rows fetched through the index: the join of the outer result with
     # the raw inner table — the inner predicate has not yet applied.
     tables = outer_set | inner_set
-    matched = ctx.card(tables, ctx.pred_for(outer_set)).cardinality
+    matched = ctx.rows(tables, filtered=outer_set)
     residual = ctx.pred_for(inner_set)
     term = ctx.model.indexed_nl_join(
         outer_rows,

@@ -197,27 +197,33 @@ class PlanningContext:
             )
         return self._condition_sels[key]
 
-    def rows(self, tables: frozenset):
-        """Estimated output rows of the joins covering ``tables``.
+    def rows(self, tables: frozenset, filtered: frozenset | None = None):
+        """Estimated output rows of the joins covering ``tables``, with
+        the per-table predicates and conditions of ``filtered`` (default:
+        all of ``tables``) applied — an indexed NL join fetches its inner
+        rows before the inner predicate, so it asks with its outer side.
 
         Single FK component (every query before join conditions
         existed): exactly the estimator's cardinality, as always.
         Several components: the estimators' rooted-tree protocol
         cannot span them, so the estimate is the product of per
         FK-component cardinalities times the selectivity of every
-        condition internal to ``tables`` — the independence assumption
-        for condition joins.
+        condition internal to ``filtered`` — the independence
+        assumption for condition joins.
         """
+        if filtered is None:
+            filtered = tables
         if not self.dp_conditions:
-            return self.card(tables, self.pred_for(tables)).cardinality
+            return self.card(tables, self.pred_for(filtered)).cardinality
         components = self._components_within(tables)
         if len(components) == 1:
-            return self.card(tables, self.pred_for(tables)).cardinality
+            return self.card(tables, self.pred_for(filtered)).cardinality
         rows = 1.0
         for component in components:
-            rows = rows * self.card(component, self.pred_for(component)).cardinality
+            predicate = self.pred_for(component & filtered)
+            rows = rows * self.card(component, predicate).cardinality
         for condition in self.dp_conditions:
-            if condition.left_table in tables and condition.right_table in tables:
+            if condition.left_table in filtered and condition.right_table in filtered:
                 rows = rows * self.condition_selectivity(condition)
         return rows
 

@@ -305,9 +305,9 @@ class PlanCoster:
     def _indexed_nl(self, op: IndexedNLJoin):
         outer_cost, outer_rows, outer_tables, outer_pred = self._visit(op.outer)
         tables = outer_tables | {op.inner_table}
-        matched = self.card(tables, outer_pred)
+        matched = self._rows(tables, outer_pred)
         predicate = conjunction([outer_pred, op.residual])
-        rows = self.card(tables, predicate)
+        rows = self._rows(tables, predicate)
         inner = self.database.table(op.inner_table)
         clustered = (
             self.database.clustering_column(op.inner_table) == op.inner_column

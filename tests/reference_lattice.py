@@ -31,6 +31,7 @@ from repro.optimizer.candidates import (
 )
 from repro.optimizer.joins import nonequi_candidates
 from repro.optimizer.optimizer import PlanningContext
+from repro.optimizer.query import fk_components
 
 
 def walk_slots(best):
@@ -135,9 +136,7 @@ def _indexed_nl(ctx, outer, inner, outer_key, inner_key, out_rows):
     inner_column = inner_key.split(".", 1)[1]
     if not ctx.database.has_index(inner_table, inner_column):
         return []
-    matched = ctx.card(
-        outer.tables | inner.tables, ctx.pred_for(outer.tables)
-    ).cardinality
+    matched = _fetched_rows(ctx, outer.tables | inner.tables, outer.tables)
     residual = ctx.pred_for(frozenset([inner_table]))
     table = ctx.database.table(inner_table)
     clustered = ctx.database.clustering_column(inner_table) == inner_column
@@ -158,6 +157,25 @@ def _indexed_nl(ctx, outer, inner, outer_key, inner_key, out_rows):
             outer.active,
         ).annotated()
     ]
+
+
+def _fetched_rows(ctx, tables, outer_tables):
+    """Rows an INL join fetches: ``tables`` joined with only the outer
+    side's per-table predicates applied. One FK component: the
+    estimator's answer. Several: the product of each component's rows
+    under the outer predicates inside it, times the selectivity of every
+    condition joining two outer tables."""
+    components = fk_components(tables, ctx.query.join_edges(ctx.database))
+    if len(components) == 1:
+        return ctx.card(tables, ctx.pred_for(outer_tables)).cardinality
+    rows = 1.0
+    for component in components:
+        predicate = ctx.pred_for(component & outer_tables)
+        rows = rows * ctx.card(component, predicate).cardinality
+    for condition in ctx.dp_conditions:
+        if {condition.left_table, condition.right_table} <= outer_tables:
+            rows = rows * ctx.condition_selectivity(condition)
+    return rows
 
 
 class PairwiseOptimizer(Optimizer):

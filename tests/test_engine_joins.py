@@ -10,7 +10,8 @@ from repro.engine import (
     MergeJoin,
     SeqScan,
 )
-from repro.engine.joinutil import match_keys, semijoin_mask
+from repro.engine.joinutil import semijoin_mask
+from repro.engine.kernels import match_keys
 from repro.errors import ExecutionError
 from repro.expressions import Frame, col
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.engine import kernels
-from repro.engine.joinutil import match_keys, semijoin_mask
+from repro.engine.joinutil import semijoin_mask
+from repro.engine.kernels import match_keys
 from repro.errors import ReproError
 
 

@@ -182,6 +182,56 @@ class TestSessionNonEqui:
         assert session.describe()
 
 
+class TestFKJoinOverABandJoin:
+    """An FK join on top of a band join, on the indexed snowflake: the
+    indexed NL candidate probing ``item.i_key`` has an outer side that
+    spans two FK components (``sales`` and ``promotion``), and its
+    fetched rows are priced per component instead of asking the
+    estimator for a table set that is no rooted FK tree."""
+
+    SQL = (
+        "SELECT SUM(sales.s_price) AS r, COUNT(*) AS n "
+        "FROM sales, item, promotion "
+        "WHERE promotion.p_lo <= sales.s_price AND sales.s_price < promotion.p_hi "
+        "AND promotion.p_kind = 1 AND item.i_attr BETWEEN 10 AND 40"
+    )
+
+    @staticmethod
+    def truth(database):
+        """``(sum of s_price in cents, pair count)`` by brute force."""
+        sales, item = database.table("sales"), database.table("item")
+        promotion = database.table("promotion")
+        attrs = item.column("i_attr")[sales.column("s_itemkey")]  # i_key = row
+        prices = sales.column("s_price")[(attrs >= 10) & (attrs <= 40)]
+        cents = np.round(prices * 100).astype(np.int64)
+        kind_1 = promotion.column("p_kind") == 1
+        bands = zip(promotion.column("p_lo")[kind_1], promotion.column("p_hi")[kind_1])
+        total = count = 0
+        for lo, hi in bands:
+            inside = (lo <= prices) & (prices < hi)
+            total += int(cents[inside].sum())
+            count += int(inside.sum())
+        return total, count
+
+    def test_plans_and_executes_to_the_exact_sum_and_count(self, snowflake_db):
+        from repro.service import Session
+
+        from tests.conftest import assert_rows_from_base_tables
+
+        session = Session(snowflake_db, sample_size=300, statistics_seed=11)
+        prepared = session.prepare(self.SQL)
+        result = prepared.execute()
+        total, count = self.truth(snowflake_db)
+        assert count > 0
+        assert int(result.column("n")[0]) == count
+        assert round(float(result.column("r")[0]) * 100) == total
+
+        (join,) = prepared.planned.plan.children()
+        frame = join.execute(ExecutionContext(snowflake_db))
+        assert frame.num_rows == count
+        assert_rows_from_base_tables(frame, snowflake_db)
+
+
 class TestCostModel:
     def test_nonequi_join_monotone_in_pairs(self):
         model = CostModel()

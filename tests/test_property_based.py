@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as npst
 from repro.analysis import EstimationModel, selectivity_estimates
 from repro.core import JEFFREYS, UNIFORM, Prior, SelectivityPosterior
 from repro.engine import kernels
-from repro.engine.joinutil import match_keys
+from repro.engine.kernels import match_keys
 from repro.expressions import Frame, col
 from repro.indexes import SortedIndex, intersect_rid_sets
 from repro.stats import EquiDepthHistogram

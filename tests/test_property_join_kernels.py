@@ -8,14 +8,26 @@ arrays: hypothesis draws the shape (dtype, sizes straddling
 ``SEMIJOIN_SMALL_N``, unique or duplicated and sorted or not per side,
 how the two ranges sit relative to each other and to the dtype's limits)
 and a seeded numpy generator fills it in. Every property is equality
-with the reference — values *and* dtypes.
+with the reference — values *and* dtypes. The last one lifts it to the
+operators: a hash or merge join that matches through a base table's
+index returns the frame and the counters of the kernel path.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import kernels
+from repro.catalog import Column, ColumnType, Database, Schema, Table
+from repro.engine import (
+    ExecutionContext,
+    HashJoin,
+    MergeJoin,
+    SeqScan,
+    joinutil,
+    kernels,
+)
+from repro.expressions import col
 from repro.indexes import SortedIndex
 
 INTEGER_DTYPES = [
@@ -147,3 +159,93 @@ def test_match_many_string_columns(pair):
         SortedIndex(column).match_many(probes),
         kernels.match_keys_numpy(probes, column),
     )
+
+
+#: The widths a sorted index is probed in, narrowest of each kind to
+#: the widest: where a position table's shift would wrap if it were
+#: done in the keys' own dtype.
+INDEX_DTYPES = [np.int8, np.int16, np.uint8, np.uint64, np.int64]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=key_pairs(dtypes=INDEX_DTYPES))
+def test_match_many_probes_past_both_ends(pair):
+    """Probes one step past either end of the indexed keys miss on the
+    position table as they miss on the search, and probes at the dtype's
+    own limits (keys or not) agree with it too — compact columns take
+    the table, sparse ones the search."""
+    probes, column = pair
+    info = np.iinfo(column.dtype)
+    outside = [info.min, info.max]
+    if len(column):
+        outside += [int(column.min()) - 1, int(column.max()) + 1]
+    outside = [value for value in outside if info.min <= value <= info.max]
+    probes = np.concatenate((probes, np.array(outside, dtype=column.dtype)))
+    index = SortedIndex(column)
+    got = index.match_many(probes)
+    if len(column):
+        event("position table" if index._position_table is not None else "search")
+    assert_same_pairs(got, kernels.match_keys_numpy(probes, column))
+
+
+def _keyed_table(name: str, keys: np.ndarray, rng) -> Table:
+    """``keys`` as an indexed base column beside a row id and a random
+    flag a scan can filter on."""
+    schema = Schema(
+        [
+            Column("id", ColumnType.INT64),
+            Column("k", ColumnType.INT64),
+            Column("flag", ColumnType.INT64),
+        ]
+    )
+    data = {
+        "id": np.arange(len(keys)),
+        "k": keys,
+        "flag": rng.integers(0, 2, len(keys)),
+    }
+    return Table(name, schema, data)
+
+
+def _run(plan, database):
+    ctx = ExecutionContext(database)
+    frame = plan.execute(ctx)
+    return {name: frame.column(name) for name in frame.column_names}, ctx.counters
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pair=key_pairs(dtypes=[np.int64]),
+    # (left, right) scan filtered; a base left side alone is the kernel
+    # path on both sides of the comparison, so it is not drawn.
+    filtered=st.sampled_from([(True, False), (False, False), (True, True)]),
+    operator=st.sampled_from([HashJoin, MergeJoin]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_joins_over_base_indexes_equal_the_kernel_path(pair, filtered, operator, seed):
+    """The base side right, both or neither (an unfiltered scan hands
+    out the indexed column itself; a filtered one does not): the join's
+    frame equals, column by column and dtype by dtype, the one the
+    kernels' ``match_keys`` path builds, and charges equal
+    ``WorkCounters``."""
+    rng = np.random.default_rng(seed)
+    database = Database(
+        [_keyed_table("l", pair[0], rng), _keyed_table("r", pair[1], rng)]
+    )
+    database.create_index("l", "k")
+    database.create_index("r", "k")
+    scans = [
+        SeqScan(name, col(f"{name}.flag") == 1 if keep_some else None)
+        for name, keep_some in zip(("l", "r"), filtered)
+    ]
+    plan = operator(*scans, "l.k", "r.k")
+    event(f"{operator.__name__}, filtered (left, right) = {filtered}")
+
+    columns, counters = _run(plan, database)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(joinutil, "_base_column_index", lambda *args: None)
+        expected, expected_counters = _run(plan, database)
+    assert list(columns) == list(expected)
+    for name, values in columns.items():
+        assert values.dtype == expected[name].dtype, name
+        np.testing.assert_array_equal(values, expected[name], err_msg=name)
+    assert counters.as_dict() == expected_counters.as_dict()

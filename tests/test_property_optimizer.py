@@ -228,11 +228,10 @@ def snowflake_worlds(snowflake_db, snowflake_stats):
     same tables with the attribute indexes but none on a join key, so no
     indexed NL join applies.
 
-    The second world is what lets an FK join *over* a band join plan at
-    all: pricing an indexed NL join whose outer side spans two FK
-    components asks the estimator for a table set that is no rooted FK
-    tree, and planning stops with a ``CatalogError`` — on both lattices,
-    which the property below holds to the same outcome either way.
+    In the first world an FK join *over* a band join has an indexed NL
+    candidate whose outer side spans two FK components; its fetched
+    rows are priced per component (``PlanningContext.rows``), as every
+    other multi-component row count is.
     """
     from repro.catalog import Database
     from repro.stats import StatisticsManager
@@ -269,6 +268,7 @@ def snowflake_worlds(snowflake_db, snowflake_stats):
     )
 )
 @example(case=("unkeyed", FILTER_BRANCH_QUERY))
+@example(case=("indexed", FILTER_BRANCH_QUERY))
 def test_every_alternative_recosts_to_its_dp_cost(
     two_table_db, snowflake_worlds, case
 ):
@@ -277,21 +277,14 @@ def test_every_alternative_recosts_to_its_dp_cost(
     access paths, and snowflake equi + band joins (``NonEquiJoin`` in
     both orientations, with and without a residual, and the ``Filter``
     over an FK join that a partition crossing an edge *and* a condition
-    builds)."""
-    from repro.errors import CatalogError
+    builds, and the indexed NL join whose outer side spans two FK
+    components)."""
     from tests.reference_costing import PlanCoster
 
     world, query = case
     database = two_table_db if world == "two_table" else snowflake_worlds[world][0]
     exact = ExactCardinalityEstimator(database)
-    try:
-        planned = Optimizer(database, exact).optimize(query)
-    except CatalogError:
-        # ROADMAP 2(i): an indexed NL join whose outer side spans two FK
-        # components cannot be priced; the lattice property below pins
-        # that both lattices stop there.
-        event("cannot plan")
-        return
+    planned = Optimizer(database, exact).optimize(query)
     event(f"{world}, {len(query.tables)} tables")
     coster = PlanCoster(
         database,
@@ -355,6 +348,20 @@ def test_lattice_equals_the_pairwise_lattice(snowflake_worlds, world, query, gri
         return optimizer.optimize_many(q, grid)
 
     assert_plans_agree(database, statistics, query, plan)
+
+
+@pytest.mark.parametrize("world", ["indexed", "unkeyed"])
+def test_the_pinned_example_plans_on_both_lattices(snowflake_worlds, world):
+    """``FILTER_BRANCH_QUERY`` plans in both worlds, so its explicit
+    examples above compare two plans, not two errors (in the indexed
+    world both lattices used to stop at the two-component INL join)."""
+    from tests.reference_lattice import PairwiseOptimizer
+
+    database, statistics = snowflake_worlds[world]
+    for optimizer_class in (Optimizer, PairwiseOptimizer):
+        assert planning_error(
+            optimizer_class, database, statistics, FILTER_BRANCH_QUERY, None
+        ) is None
 
 
 def test_the_pinned_example_reaches_both_condition_branches(snowflake_worlds):

@@ -19,8 +19,10 @@ scale where it shows (600 k-row ``lineitem``). Counted, not timed:
 
 3. No equi-join sorts an input side — the longest array handed to
    ``stable_order`` is bounded by the matched pairs (hash, merge) or
-   stays below the inner table (indexed NL), and a batch of index
-   probes is one ``searchsorted`` — while every plan the optimizer
+   stays below the inner table (indexed NL), a batch of index probes is
+   at most one ``searchsorted`` (none on a compact integer index), and a
+   hash join whose right side is the whole indexed ``lineitem`` probes
+   its index rather than reading the column — while every plan the optimizer
    considered returns the same columns and ``WorkCounters`` as under the
    sort-based reference matchers.
 """
@@ -45,7 +47,7 @@ from repro.engine.aggregate import AggregateSpec
 from repro.engine.scans import IndexCondition
 from repro.expressions import col
 from repro.faults import ChaosHarness, generate_fault_plans
-from repro.indexes import SortedIndex
+from repro.indexes import SortedIndex, sorted_index
 from repro.indexes.sorted_index import expand_runs
 from repro.obs import execution_span, operator_spans
 from repro.optimizer import Optimizer
@@ -175,7 +177,8 @@ class TestIndexedNLJoinProbesTheIndex:
     """The INL join is costed as a few index probes; it must not pay
     for a sort of the inner table. Counted, not timed: the longest array
     handed to ``stable_order`` stays below the inner table's rows, and
-    each batch of probes is one ``searchsorted`` into the index."""
+    a batch of probes is at most one ``searchsorted`` into the index —
+    none where the index holds a position table."""
 
     @pytest.mark.parametrize(
         "outer, outer_key, inner_column",
@@ -201,18 +204,27 @@ class TestIndexedNLJoinProbesTheIndex:
         assert max(sorted_lengths) < inner_rows
 
     @pytest.mark.parametrize(
-        "table, column",
-        [("orders", "o_orderkey"), ("lineitem", "l_partkey")],
-        ids=["unique-keys", "duplicated-keys"],
+        "table, column, spread, descents",
+        [
+            ("orders", "o_orderkey", 1, 0),
+            ("lineitem", "l_partkey", 1, 0),
+            ("orders", "o_totalprice", 1, 1),
+            ("orders", "o_orderkey", 8, 1),
+        ],
+        ids=["unique-keys", "duplicated-keys", "float-keys", "sparse-keys"],
     )
     def test_match_many_searches_the_index_once(
-        self, monkeypatch, tpch_10x, table, column
+        self, monkeypatch, tpch_10x, table, column, spread, descents
     ):
-        """One descent per probe: the run a probe lands on is read from
-        the index, not found by a second search — on the first batch,
-        which builds the run lengths, as on every later one."""
-        index = tpch_10x.sorted_index(table, column)
-        values = tpch_10x.table(table).column(column)
+        """At most one descent per probe: compact integer keys (both join
+        key indexes) are looked up in the index's position table and not
+        searched at all; float keys, and integer keys spread over eight
+        times their count, are searched once — the run a probe lands on
+        is read from the index, not found by a second search. On the
+        first batch, which builds the run lengths and the table, as on
+        every later one."""
+        values = tpch_10x.table(table).column(column) * spread
+        index = SortedIndex(values)
         probes = np.concatenate((values[::97], [values.max() + 1, values.min() - 1]))
         calls = []
         searchsorted = np.searchsorted
@@ -224,7 +236,7 @@ class TestIndexedNLJoinProbesTheIndex:
         monkeypatch.setattr(np, "searchsorted", counting)
         for batch in range(1, 4):
             probe_idx, rids = index.match_many(probes)
-            assert calls == ["left"] * batch
+            assert calls == ["left"] * batch * descents
             np.testing.assert_array_equal(values[rids], probes[probe_idx])
 
 
@@ -266,6 +278,60 @@ class TestEquiJoinsSortNoInputSide:
         )
         assert 0 < frame.num_rows < larger_side
         assert max(sorted_lengths) <= frame.num_rows
+
+
+@pytest.fixture
+def matcher_lengths(monkeypatch):
+    """The length of every array handed to a key-matching primitive —
+    the dense key tables' build and probe, ``stable_order``,
+    ``np.searchsorted`` — while the test runs (seeded with 0)."""
+    lengths = [0]
+
+    def recording(function):
+        def wrapper(*args, **kwargs):
+            lengths.extend(len(a) for a in args if isinstance(a, np.ndarray))
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in [
+        (kernels, "_unique_key_table"),
+        (kernels, "_probe_key_table"),
+        (sorted_index, "_probe_key_table"),
+        (kernels, "stable_order"),
+        (np, "searchsorted"),
+    ]:
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    return lengths
+
+
+class TestEquiJoinsProbeTheBaseSidesIndex:
+    """A hash join whose right side is the whole indexed ``lineitem``
+    (an unfiltered scan) looks the left side's keys up in that index.
+    Counted, not timed: no array as long as ``lineitem`` reaches a dense
+    key table, ``stable_order`` or ``searchsorted`` (on the kernel path
+    the whole key column was gathered through the other side's table)."""
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            # The base side probes: a filtered PK side builds.
+            HashJoin(
+                SeqScan("part", col("part.p_size") <= 2),
+                SeqScan("lineitem"),
+                "part.p_partkey",
+                "lineitem.l_partkey",
+            ),
+        ],
+        ids=["hashjoin-base-probe"],
+    )
+    def test_no_lineitem_long_array_is_matched_at_10x(
+        self, matcher_lengths, tpch_10x, plan
+    ):
+        frame = plan.execute(ExecutionContext(tpch_10x))
+        lineitem_rows = tpch_10x.table("lineitem").num_rows
+        assert 0 < frame.num_rows < lineitem_rows
+        assert max(matcher_lengths) < lineitem_rows
 
 
 def _two_search_match_many(index, values):
