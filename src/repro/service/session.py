@@ -450,7 +450,9 @@ class Session:
 
         Returns the new statistics version. The plan cache needs no
         explicit flush: keys embed the version, so old entries can
-        never be served again and age out of the LRU.
+        never be served again and age out of the LRU. The rebuild
+        re-draws samples and join synopses; the tables are immutable,
+        so it reuses the histograms already built over them.
 
         The rebuild is copy-on-refresh: it builds a *new* manager and
         swaps it in atomically, so a prepare racing the refresh plans

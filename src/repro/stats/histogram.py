@@ -63,6 +63,10 @@ class EquiDepthHistogram:
         self.boundary_counts = ends - np.searchsorted(
             sorted_values, boundary_values, side="left"
         )
+        # One histogram is shared by every statistics manager over the
+        # same table, so nobody may edit it in place.
+        for array in (self.uppers, self.counts, self.distincts, self.boundary_counts):
+            array.setflags(write=False)
 
     @property
     def num_buckets(self) -> int:

@@ -5,15 +5,21 @@ AVI baseline, and single-table samples plus join synopses for the
 robust estimator — and answers lookup queries from the estimators.
 Individual statistics can be dropped to exercise the paper's
 "no statistics available" fallback paths (Section 3.5).
+
+A rebuild re-draws samples and synopses, because their quality depends
+on the random choice of tuples (Section 6.2). Histograms depend on the
+table data alone, and tables are immutable, so each one is built once
+per process and shared by every manager over the same table.
 """
 
 from __future__ import annotations
 
 import operator
 import threading
+import weakref
 from typing import Iterable
 
-from repro.catalog import ColumnType, Database
+from repro.catalog import ColumnType, Database, Table
 from repro.errors import CatalogError, StatisticsError
 from repro.random_state import RngLike, derive_seed, spawn_rngs
 from repro.stats.histogram import EquiDepthHistogram
@@ -41,6 +47,27 @@ def next_statistics_epoch(floor: int = 0) -> int:
     with _EPOCH_LOCK:
         _EPOCH = max(_EPOCH, floor) + 1
         return _EPOCH
+
+
+# Every histogram built in this process, by table and then by (column,
+# bucket count). Tables never change, so no entry needs invalidating;
+# the weak key frees a table's histograms with the table.
+_HISTOGRAM_LOCK = threading.Lock()
+_HISTOGRAMS: weakref.WeakKeyDictionary[
+    Table, dict[tuple[str, int], EquiDepthHistogram]
+] = weakref.WeakKeyDictionary()
+
+
+def _shared_histogram(table: Table, column: str, buckets: int) -> EquiDepthHistogram:
+    """The histogram on ``table.column``, built on the first request."""
+    with _HISTOGRAM_LOCK:
+        built = _HISTOGRAMS.setdefault(table, {})
+        histogram = built.get((column, buckets))
+        if histogram is None:
+            histogram = built[(column, buckets)] = EquiDepthHistogram(
+                table.column(column), buckets
+            )
+        return histogram
 
 
 class StatisticsManager:
@@ -100,7 +127,12 @@ class StatisticsManager:
         ``seed`` controls the random choice of sample tuples; the
         paper's experiments average over 12–20 different seeds because
         estimation quality "can vary depending on the particular random
-        choice of tuples" (Section 6.2).
+        choice of tuples" (Section 6.2). Samples and synopses are
+        re-drawn on every call; histograms are deterministic in the
+        (immutable) table, so a table whose histograms this process
+        already built reuses them. A table with no rows gets no
+        statistics: there is nothing to sample, and the estimator's
+        Section 3.5 path answers its zero rows exactly.
         """
         names = list(tables) if tables is not None else self.database.table_names
         self.sample_size = sample_size
@@ -118,6 +150,8 @@ class StatisticsManager:
         rngs = spawn_rngs(seed, 2 * len(names))
         for i, name in enumerate(names):
             table = self.database.table(name)
+            if table.num_rows == 0:
+                continue
             self._samples[name] = TableSample(table, sample_size, rngs[2 * i])
             self._synopses[name] = build_join_synopsis(
                 self.database, name, sample_size, rngs[2 * i + 1]
@@ -125,8 +159,8 @@ class StatisticsManager:
             for column in table.schema.columns:
                 if column.column_type in (ColumnType.STRING,):
                     continue
-                self._histograms[(name, column.name)] = EquiDepthHistogram(
-                    table.column(column.name), histogram_buckets
+                self._histograms[(name, column.name)] = _shared_histogram(
+                    table, column.name, histogram_buckets
                 )
 
     # ------------------------------------------------------------------
@@ -195,7 +229,8 @@ class StatisticsManager:
 
         Returns human-readable issue strings, empty when healthy.
         Missing statistics are reported (they route estimates through
-        the Section 3.5 fallbacks) but internally inconsistent ones —
+        the Section 3.5 fallbacks), except on empty tables, which have
+        none to build; internally inconsistent ones —
         row ids outside their table, a synopsis whose root positions
         were lost — are too, so callers can decide whether to degrade
         or rebuild.
@@ -206,6 +241,8 @@ class StatisticsManager:
             return issues
         for name in self.database.table_names:
             rows = self.database.table(name).num_rows
+            if rows == 0:
+                continue
             sample = self._samples.get(name)
             if sample is None:
                 issues.append(f"table {name!r}: no sample")

@@ -241,6 +241,8 @@ def _histogram_from_state(
     histogram.counts = counts
     histogram.distincts = distincts
     histogram.boundary_counts = boundary_counts
+    for array in (uppers, counts, distincts, boundary_counts):
+        array.setflags(write=False)
     histogram.minimum = minimum
     histogram.total_rows = total_rows
     return histogram
