@@ -155,6 +155,30 @@ def _bandwidth_floor(db, rounds=5):
     return best / len(quantity) * 1e9
 
 
+#: Size of the buffer :func:`_settle_allocator` frees: above the ~12 MiB
+#: of temporaries a 10x join allocates, below glibc's 32 MiB cap on its
+#: dynamic mmap threshold.
+ALLOCATOR_SETTLE_BYTES = 16 << 20
+
+
+def _settle_allocator():
+    """Free one ``ALLOCATOR_SETTLE_BYTES`` buffer before anything is timed.
+
+    glibc returns the top of its heap to the kernel once more than its
+    trim threshold is free there, and it raises that threshold (to twice
+    the chunk) only when a large mapped chunk is freed. A 10x hash or
+    merge join allocates ~12 MiB of temporaries; under a low threshold
+    they go back to the kernel when the plan ends and come back as 3 148
+    minor faults (~5 ms) on every timed round, which reads as rows^1.3
+    growth with no change in the work. Whether the threshold was low
+    depended on what the database build happened to free — a build that
+    de-duplicated keys with a hash table freed a buffer big enough to
+    raise it — so the sweep settles it itself, the same way on every
+    commit. Other allocators ignore this.
+    """
+    np.empty(ALLOCATOR_SETTLE_BYTES // 8)
+
+
 def _time_plan(plan, db, rounds):
     """Best-of-``rounds`` wall seconds; returns (frame, seconds)."""
     best, frame = float("inf"), None
@@ -178,6 +202,7 @@ def run_sweep(scales) -> dict:
         "streaming_plans": list(STREAMING_PLANS),
         "runs": [],
     }
+    _settle_allocator()
     for scale in scales:
         # Small scales finish in sub-millisecond wall-clock, where
         # scheduler noise dominates; buy precision with more rounds.

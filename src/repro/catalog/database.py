@@ -181,7 +181,11 @@ class Database:
 
         A clustered index additionally records that the table is stored
         in ``column`` order, which the cost model rewards with
-        sequential rather than random row fetches.
+        sequential rather than random row fetches and the optimizer
+        relies on to skip an ORDER BY's sort. That is checked, not
+        trusted: the column must be stored non-decreasing (the index's
+        stable order is the identity), or ``CatalogError`` is raised
+        and nothing is recorded.
         """
         table = self.table(table_name)
         if column not in table:
@@ -192,10 +196,15 @@ class Database:
                 raise CatalogError(
                     f"{table_name} is already clustered on {existing!r}"
                 )
+        index = SortedIndex(table.column(column))
+        if clustered:
+            if not index.in_storage_order:
+                raise CatalogError(
+                    f"{table_name} is not stored in {column!r} order, so it "
+                    "cannot be clustered on it"
+                )
             self._clustered_on[table_name] = column
-        self._sorted_indexes[(table_name, column)] = SortedIndex(
-            table.column(column)
-        )
+        self._sorted_indexes[(table_name, column)] = index
 
     def sorted_index(self, table_name: str, column: str) -> SortedIndex | None:
         """The sorted index on ``table.column``, or ``None``."""

@@ -9,6 +9,7 @@ import numpy as np
 from repro.catalog.schema import Schema
 from repro.catalog.types import coerce_array
 from repro.errors import CatalogError
+from repro.indexes.sorted_index import sorted_unique
 
 #: Simulated disk page size in bytes; the cost model charges I/O in pages.
 PAGE_BYTES = 8192
@@ -19,6 +20,8 @@ class Table:
 
     Tables are immutable once constructed, which keeps precomputed
     statistics (histograms, samples, join synopses) trivially valid.
+    A declared primary key is checked for duplicates once, here, by
+    sorting it (:func:`~repro.indexes.sorted_index.sorted_unique`).
 
     Parameters
     ----------
@@ -63,7 +66,7 @@ class Table:
         pk = schema.primary_key
         if pk is not None and self._num_rows > 0:
             keys = self._columns[pk]
-            if len(np.unique(keys)) != self._num_rows:
+            if len(sorted_unique(keys)) != self._num_rows:
                 raise CatalogError(f"primary key {name}.{pk} contains duplicates")
 
     @property

@@ -37,6 +37,7 @@ from repro.core.magic import MagicNumbers
 from repro.core.memo import EstimateCacheMixin
 from repro.errors import EstimationError
 from repro.expressions import Expr, classify_conjuncts, expr_key, split_conjuncts
+from repro.indexes.sorted_index import sorted_unique
 from repro.stats import StatisticsManager
 
 #: Upper bound on quantile bins per column. Small on purpose: with n
@@ -289,7 +290,7 @@ class BayesNetCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
     def _discretize(self, values: np.ndarray) -> tuple[np.ndarray, int]:
         """Quantile-bin ``values``; returns (bin ids, bin count)."""
         quantiles = np.linspace(0.0, 1.0, self.max_bins + 1)[1:-1]
-        edges = np.unique(np.quantile(values, quantiles))
+        edges = sorted_unique(np.quantile(values, quantiles))
         bins = np.searchsorted(edges, values, side="right")
         return bins.astype(np.intp), len(edges) + 1
 

@@ -17,12 +17,14 @@ serves), one shift, :func:`_table_offsets`, which cannot wrap in a
 narrow dtype, and one clamped probe, :func:`_probe_key_table`; all three
 live in :mod:`repro.indexes.sorted_index`, below this module, so
 :class:`~repro.indexes.SortedIndex` builds its position table by the
-same rule. An equi-join with a unique side (every PK–FK join) sorts
-neither input: the table goes on the unique side and the other side is
-gathered through it; :func:`match_keys_numpy` remains the only
-sort-based matcher, for everything else. (A join over a whole indexed
-base column does not come here at all: the engine probes that column's
-index, see :func:`repro.engine.joinutil.match_frames`.)
+same rule. :func:`stable_order`, the one stable sort, lives there too:
+that module builds every index with it. An equi-join with a unique
+side (every PK–FK join) sorts neither input: the table goes on the
+unique side and the other side is gathered through it;
+:func:`match_keys_numpy` remains the only sort-based matcher, for
+everything else. (A join over a whole indexed base column does not
+come here at all: the engine probes that column's index, see
+:func:`repro.engine.joinutil.match_frames`.)
 
 Exactness contract: every kernel pair is bit-identical on the dtypes
 the engine produces. Where a faster formulation would change float
@@ -45,6 +47,7 @@ from repro.indexes.sorted_index import (
     _probe_key_table,
     _table_offsets,
     expand_runs,
+    stable_order,
 )
 
 #: Below this combined key count the membership fast path gains nothing
@@ -56,41 +59,6 @@ SEMIJOIN_SMALL_N = 4096
 # ----------------------------------------------------------------------
 # Stable ordering (group-by, ORDER BY, and join-side sorts)
 # ----------------------------------------------------------------------
-
-#: Widest integer key span the radix path handles (two uint16 digits).
-RADIX_MAX_SPAN = 2**32
-
-
-def stable_order(keys: np.ndarray) -> np.ndarray:
-    """Indices that stable-sort ``keys`` ascending.
-
-    The stable permutation of an array is unique, so any stable
-    algorithm returns bit-identical output. numpy applies its O(n)
-    radix sort only to <=16-bit integers and falls back to mergesort
-    for int64 — O(n log n), and the dominant cost of group-by at paper
-    scale. Integer keys whose span fits two uint16 digits are LSD
-    radix sorted here instead (measured ~3-6x faster at millions of
-    rows); everything else uses ``np.argsort(kind="stable")``. Integer
-    keys already non-decreasing — clustered join inputs, group-bys over
-    sorted keys — are their own stable order: one comparison pass finds
-    that out and the sort is skipped.
-    """
-    if len(keys) > 1 and keys.dtype.kind in ("i", "u"):
-        if not (keys[1:] < keys[:-1]).any():
-            return np.arange(len(keys), dtype=np.intp)
-        lo = keys.min()
-        span = int(keys.max()) - int(lo)
-        if span < 2**16:
-            return np.argsort((keys - lo).astype(np.uint16), kind="stable")
-        if span < RADIX_MAX_SPAN:
-            shifted = (keys - lo).astype(np.uint64)
-            order = np.argsort(
-                (shifted & np.uint64(0xFFFF)).astype(np.uint16), kind="stable"
-            )
-            high = (shifted >> np.uint64(16)).astype(np.uint16)
-            return order[np.argsort(high[order], kind="stable")]
-    return np.argsort(keys, kind="stable")
-
 
 def lexsort_stable(key_arrays) -> np.ndarray:
     """Drop-in for ``np.lexsort``: the *last* array is the primary key.

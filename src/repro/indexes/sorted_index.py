@@ -15,6 +15,13 @@ trailing −1 slot. They share the shift (:func:`_table_offsets`), the
 build (:func:`_key_table`), the probe (:func:`_probe_key_table`) and the
 rule for when a table is worth its span (``TABLE_RANGE_FACTOR``), which
 live here because the engine's kernels import this module.
+
+Sort, don't hash: every uniqueness, intersection and index-order job of
+the package sorts. :func:`stable_order` builds an index (and the
+engine's group-by, ORDER BY and join-side orders), and
+:func:`sorted_unique` answers what numpy's set routine ``unique`` would
+— whose hash-based implementation (numpy 2.4) costs 20–80x a sort of
+8 k–1 M int64 keys.
 """
 
 from __future__ import annotations
@@ -89,8 +96,66 @@ def _same_key(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return same
 
 
+#: Widest integer key span the radix path handles (two uint16 digits).
+RADIX_MAX_SPAN = 2**32
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """Indices that stable-sort ``keys`` ascending.
+
+    The stable permutation of an array is unique, so any stable
+    algorithm returns bit-identical output. numpy applies its O(n)
+    radix sort only to <=16-bit integers and falls back to mergesort
+    for int64 — O(n log n), and the dominant cost of group-by at paper
+    scale. Integer keys whose span fits two uint16 digits are LSD
+    radix sorted here instead (measured ~3-6x faster at millions of
+    rows); everything else uses ``np.argsort(kind="stable")``. Integer
+    keys already non-decreasing — clustered columns and join inputs,
+    group-bys over sorted keys — are their own stable order: one
+    comparison pass finds that out and the sort is skipped.
+    """
+    if len(keys) > 1 and keys.dtype.kind in ("i", "u"):
+        if not (keys[1:] < keys[:-1]).any():
+            return np.arange(len(keys), dtype=np.intp)
+        lo = keys.min()
+        span = int(keys.max()) - int(lo)
+        if span < 2**16:
+            return np.argsort((keys - lo).astype(np.uint16), kind="stable")
+        if span < RADIX_MAX_SPAN:
+            shifted = (keys - lo).astype(np.uint64)
+            order = np.argsort(
+                (shifted & np.uint64(0xFFFF)).astype(np.uint16), kind="stable"
+            )
+            high = (shifted >> np.uint64(16)).astype(np.uint16)
+            return order[np.argsort(high[order], kind="stable")]
+    return np.argsort(keys, kind="stable")
+
+
+def sorted_unique(values: np.ndarray, return_counts: bool = False):
+    """numpy's ``unique(values[, return_counts=True])``, by sorting.
+
+    The sorted values, one per run of equal keys as :func:`_same_key`
+    sees them — so NaNs collapse to one, as ``unique`` collapses them —
+    in ``values``' dtype (flattened), and with ``return_counts`` the run
+    lengths as ``intp``. Values and counts equal ``unique``'s; a zero
+    may keep either sign, which no comparison can tell apart.
+    """
+    keys = np.sort(values, axis=None)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = ~_same_key(keys[1:], keys[:-1])
+    unique = keys[first]
+    if not return_counts:
+        return unique
+    return unique, np.diff(np.flatnonzero(first), append=len(keys))
+
+
 class SortedIndex:
     """Index over one column supporting equality and range lookup.
+
+    The index holds the column's stable sort order — ``np.argsort(values,
+    kind="stable")``, computed by :func:`stable_order`, so compact
+    integer keys take the radix path and already-sorted (clustered)
+    keys one comparison pass — and the keys in that order.
 
     Parameters
     ----------
@@ -102,14 +167,21 @@ class SortedIndex:
     def __init__(self, values: np.ndarray) -> None:
         if values.ndim != 1:
             raise IndexError_("SortedIndex requires a 1-D column")
-        order = np.argsort(values, kind="stable")
+        order = stable_order(values)
         self._keys = values[order]
-        self._rids = order.astype(np.int64)
+        self._rids = order.astype(np.int64, copy=False)
 
     @property
     def num_entries(self) -> int:
         """Number of indexed rows."""
         return len(self._keys)
+
+    @cached_property
+    def in_storage_order(self) -> bool:
+        """Whether the column is stored in key order: its stable order
+        is the identity, so a scan of the table reads the keys sorted —
+        what a clustered index promises."""
+        return bool(np.array_equal(self._rids, np.arange(len(self._rids))))
 
     def lookup_eq(self, value) -> np.ndarray:
         """RIDs of rows whose key equals ``value`` (sorted by key order)."""

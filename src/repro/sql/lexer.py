@@ -62,13 +62,15 @@ _DIGIT = (
 
 #: One alternative per token kind, tried in this order at each position;
 #: the group that matched names the kind. A dot belongs to a number only
-#: between digits or before one (``1.`` and ``a.b`` split), two-character
-#: operators come before their prefixes, and ``illegal`` takes whatever
-#: nothing else did — a stray quote or a character outside the grammar.
+#: between digits or before one (``1.`` and ``a.b`` split), an exponent
+#: only with decimal digits after it (``1e5``, ``2.5E-3``; ``1e`` and
+#: ``1ex`` split before the ``e``), two-character operators come before
+#: their prefixes, and ``illegal`` takes whatever nothing else did — a
+#: stray quote or a character outside the grammar.
 _SCANNER = re.compile(
     r"\s*(?:"
     r"'(?P<string>[^']*)'"
-    rf"|(?P<number>{_DIGIT}+(?:\.{_DIGIT}+)?|\.{_DIGIT}+)"
+    rf"|(?P<number>(?:{_DIGIT}+(?:\.{_DIGIT}+)?|\.{_DIGIT}+)(?:[eE][+-]?\d+)?)"
     r"|(?P<word>[^\W\d]\w*)"
     r"|(?P<operator><=|>=|<>|!=|[=<>+\-*/])"
     r"|(?P<punctuation>[(),.])"

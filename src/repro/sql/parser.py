@@ -119,7 +119,7 @@ class _Parser:
         limit = None
         if self.accept_keyword("LIMIT"):
             token = self.advance()
-            if token.kind is not TokenKind.NUMBER or "." in token.text:
+            if token.kind is not TokenKind.NUMBER or not token.text.isdecimal():
                 raise SqlSyntaxError(
                     f"LIMIT expects an integer at position {token.position}"
                 )
@@ -429,7 +429,10 @@ class _Parser:
 
     @staticmethod
     def _number(text: str):
-        return float(text) if "." in text else int(text)
+        """An integer literal is all digits; a dot or an exponent
+        (``1e-05``, the form ``repr`` gives small and large floats)
+        makes a float."""
+        return int(text) if text.isdecimal() else float(text)
 
 
 def parse_predicate(sql: str) -> Expr:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import StatisticsError
+from repro.indexes.sorted_index import sorted_unique
 
 
 def sample_distinct_counts(values: np.ndarray) -> dict[int, int]:
@@ -21,8 +22,8 @@ def sample_distinct_counts(values: np.ndarray) -> dict[int, int]:
         raise StatisticsError("expected a 1-D sample column")
     if len(values) == 0:
         return {}
-    _, counts = np.unique(values, return_counts=True)
-    frequencies, occurrences = np.unique(counts, return_counts=True)
+    _, counts = sorted_unique(values, return_counts=True)
+    frequencies, occurrences = sorted_unique(counts, return_counts=True)
     return {int(j): int(m) for j, m in zip(frequencies, occurrences)}
 
 

@@ -181,3 +181,51 @@ class TestIndexes:
     def test_missing_column_raises(self):
         with pytest.raises(CatalogError):
             chain_db().create_index("a", "zzz")
+
+    def test_clustering_is_checked_against_storage_order(self):
+        """A clustered index promises the table is stored in key order:
+        the optimizer then reads a SeqScan as ordered and drops an ORDER
+        BY's sort. A column stored out of order is refused — declared
+        clustered, ``ORDER BY t.t_c LIMIT 5`` answered five rows in
+        storage order — and indexed nonclustered it sorts."""
+        from repro.core import ExactCardinalityEstimator
+        from repro.engine import ExecutionContext
+        from repro.optimizer import Optimizer
+        from repro.sql import parse_query
+
+        shuffled = np.random.default_rng(0).permutation(5000)
+        db = Database(
+            [
+                table(
+                    "t",
+                    [Column("t_id", ColumnType.INT64), Column("t_c", ColumnType.INT64)],
+                    {"t_id": np.arange(5000), "t_c": shuffled},
+                    primary_key="t_id",
+                )
+            ]
+        )
+        with pytest.raises(CatalogError, match="not stored in 't_c' order"):
+            db.create_index("t", "t_c", clustered=True)
+        assert db.clustering_column("t") is None
+        assert not db.has_index("t", "t_c")
+
+        db.create_index("t", "t_id", clustered=True)
+        db.create_index("t", "t_c")
+        query = parse_query("SELECT t.t_c FROM t ORDER BY t.t_c LIMIT 5", db)
+        plan = Optimizer(db, ExactCardinalityEstimator(db)).optimize(query).plan
+        frame = plan.execute(ExecutionContext(db))
+        assert frame.column("t.t_c").tolist() == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1, 1, 2, 5], [0.5, 2.0, np.nan, np.nan], ["a", "a", "b"], [7]],
+        ids=["int-runs", "float-nan-last", "strings", "one-row"],
+    )
+    def test_clustering_accepts_non_decreasing_columns(self, values):
+        values = np.array(values)
+        ctype = {"i": ColumnType.INT64, "f": ColumnType.FLOAT64}.get(
+            values.dtype.kind, ColumnType.STRING
+        )
+        db = Database([table("t", [Column("t_c", ctype)], {"t_c": values})])
+        db.create_index("t", "t_c", clustered=True)
+        assert db.clustering_column("t") == "t_c"

@@ -141,6 +141,15 @@ class TestSqlOrderLimit:
         with pytest.raises(SqlSyntaxError, match="integer"):
             parse_query("SELECT * FROM t LIMIT 2.5")
 
+    @pytest.mark.parametrize("limit", ["1e3", "1E+2", "5e0"])
+    def test_exponent_limit_rejected(self, limit):
+        """An exponent makes a float literal, even one with an integral
+        value."""
+        from repro.sql.lexer import SqlSyntaxError
+
+        with pytest.raises(SqlSyntaxError, match="integer"):
+            parse_query(f"SELECT * FROM t LIMIT {limit}")
+
     def test_sql_executes_end_to_end(self, tpch_db):
         query = parse_query(
             "SELECT * FROM lineitem WHERE lineitem.l_quantity > 48 "

@@ -60,6 +60,14 @@ def reference_tokenize(sql: str) -> list[Token]:
                         break
                     seen_dot = True
                 j += 1
+            # an exponent needs decimal digits after its optional sign
+            k = j + 1
+            if k < length and sql[j] in "eE" and sql[k] in "+-":
+                k += 1
+            if j < length and sql[j] in "eE" and k < length and sql[k].isdecimal():
+                j = k
+                while j < length and sql[j].isdecimal():
+                    j += 1
             tokens.append(Token(TokenKind.NUMBER, sql[i:j], i))
             i = j
             continue
@@ -124,6 +132,12 @@ class TestTokenize:
         assert texts("42 3.14 .5") == ["42", "3.14", ".5"]
         assert kinds("42 3.14") == [TokenKind.NUMBER, TokenKind.NUMBER]
 
+    def test_exponent_numbers(self):
+        assert texts("1e-05 1E+20 2.5e-300 .5e3") == [
+            "1e-05", "1E+20", "2.5e-300", ".5e3",
+        ]
+        assert texts("1e 1ex") == ["1", "e", "1", "ex"]
+
     def test_qualified_column_dots(self):
         assert texts("a.b") == ["a", ".", "b"]
 
@@ -185,6 +199,7 @@ class TestAgainstCharacterLoop:
             st.sampled_from(
                 [
                     "1", "12", ".", "..", "1.", ".5", "1.2.3", "a.b", "t1.x",
+                    "e", "E", "e5", "e+", "e-3", "1e5", "2.5E-300",
                     "<", ">", "=", "!", "<>", "!=", "<=", ">=", "=<", "+", "-",
                     "*", "/", "(", ")", ",", "'", "''", "'a b'", "'it", " ",
                     "\n", "\t", "\x1c", "\xa0", "\u2003", "_", "_x", "select",
@@ -211,6 +226,7 @@ class TestAgainstCharacterLoop:
         every = "".join(map(chr, range(sys.maxunicode + 1)))
         for pattern, predicate in (
             (lexer._DIGIT, str.isdigit),
+            (r"\d", str.isdecimal),  # an exponent's digits
             (r"\s", str.isspace),
             (r"\w", lambda c: c.isalnum() or c == "_"),
         ):
@@ -236,7 +252,9 @@ class TestAgainstCharacterLoop:
             "1.", ".5", "1.2.3", "1..5", "a.b", "t1.x", "1.x", "1x", "x1",
             "a<>b", "a!=b", "a<=b", "a=<b", "a<=>b", "a!b", "''", "'a''b'",
             "'oops", "a ; b", "x'", "²", ".²", "½", "a½", "1½", "Ⅷa",
-            "  ", "", "x\u2003y", "SELECT\xa0x",
+            "  ", "", "x\u2003y", "SELECT\xa0x", "1e5", "1E-05", "1e+20",
+            ".5e3", "2.5e-300", "1e", "1e+", "1ex", "1e5x", "1.e5", "e5",
+            "1e\u0663", "1e\u00b2", "1\u00b2e3",
         ],
     )
     def test_hand_picked(self, sql):

@@ -26,7 +26,14 @@ def predicates(draw, depth=0):
     if kind == "cmp":
         column = draw(st.sampled_from(["t.a", "t.b"]))
         op = draw(st.sampled_from(["==", "!=", "<", "<=", ">", ">="]))
-        value = draw(st.integers(-20, 20))
+        # Floats of every magnitude: repr writes exponent form outside
+        # 1e-4 <= |x| < 1e16, and the parser must read it back.
+        value = draw(
+            st.one_of(
+                st.integers(-20, 20),
+                st.floats(allow_nan=False, allow_infinity=False),
+            )
+        )
         reference = col(column)
         return {
             "==": reference == value,
@@ -104,6 +111,36 @@ class TestRenderEdgeCases:
     def test_quoted_string_rejected(self):
         with pytest.raises(ExpressionError):
             to_sql(col("t.s") == "don't")
+
+    @pytest.mark.parametrize("value", [1e-05, 1e20, 2.5e-300, -3e10])
+    def test_exponent_float_literal(self, value):
+        """``repr`` writes these in exponent form (or, for ``-3e10``,
+        with a sign the parser reads as unary minus); each parses back
+        to the same float."""
+        predicate = col("t.a") > value
+        reparsed = parse_predicate(to_sql(predicate))
+        assert to_sql(reparsed) == to_sql(predicate)
+        assert reparsed.right.value == value
+        assert type(reparsed.right.value) is float
+
+    def test_exponent_literal_through_session(self, tpch_db):
+        from repro import Session
+
+        session = Session(tpch_db, sample_size=200, statistics_seed=3)
+        try:
+            exponent = session.execute(
+                "SELECT COUNT(*) AS n FROM customer "
+                "WHERE customer.c_acctbal > 1e3"
+            )
+            decimal = session.execute(
+                "SELECT COUNT(*) AS n FROM customer "
+                "WHERE customer.c_acctbal > 1000.0"
+            )
+        finally:
+            session.close()
+        count = exponent.column("n")[0]
+        assert 0 < count < tpch_db.table("customer").num_rows
+        assert count == decimal.column("n")[0]
 
 
 INEQUALITY_OPS = ["<", "<=", ">", ">=", "="]
