@@ -1,57 +1,53 @@
-"""Harness performance benchmark: caching and parallelism trajectory.
+"""Harness performance benchmark: what the runner's layers buy.
 
-Runs the Figure-9 experiment grid through three harness arms —
+Runs experiment grids through three arms —
 
-* ``serial_uncached`` — ``workers=1``, plan-execution cache off and
-  estimator memoization off: the pre-optimization baseline;
-* ``serial_cached`` — ``workers=1`` with both caches on;
-* ``serial_vectorized`` — ``workers=1``, caches on, plus
-  threshold-vectorized planning (one ``optimize_many`` per param
-  instead of one ``optimize`` per threshold);
-* ``parallel_cached`` — every core, caches and vectorization on
+* ``reference`` — ``tests/reference_runner.py``: every arm planned as a
+  scalar, every plan executed afresh in a context without caches, one
+  seed after another;
+* ``serial`` — ``ExperimentRunner(workers=1)``: the threshold arms
+  share one ``optimize_many`` per param, and executions and base-table
+  scans are reused across arms;
+* ``parallel`` — the same runner with a worker per core
 
-— asserts they produce bit-identical records, and writes the counters
-and wall-clock numbers to ``benchmarks/results/BENCH_runner.json`` so
-later PRs can diff the perf trajectory against this baseline.
+— asserts the three produce identical records, and writes the counters
+and wall-clock numbers to ``benchmarks/results/BENCH_runner.json``.
+
+Two questions, two kinds of grid. The Figure-9 grid with the default
+arms (the paper's five thresholds plus the histogram baseline) gives
+the runner's execution-cache hit rate and its end-to-end speedup over
+the reference. The Figure-9 and Figure-10 grids with the five
+threshold arms alone give the planning speedup of the vectorized pass
+over scalar planning (the reference's ``optimize`` seconds over the
+serial arm's); the histogram arm is planned as a scalar by both, so
+leaving it out keeps it from diluting that ratio.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import time
 
 import pytest
 
 from benchmarks.conftest import RESULTS_DIR
-from repro.core import HistogramCardinalityEstimator, RobustCardinalityEstimator
-from repro.experiments import EstimatorConfig, ExperimentRunner
-from repro.experiments.runner import PAPER_THRESHOLDS
+from repro.experiments import ExperimentRunner, default_configs
+from repro.workloads import PartCorrelationTemplate, ShippingDatesTemplate
+from tests.reference_runner import reference_run
 
 pytestmark = pytest.mark.perf
 
+#: Loose floor on the threshold arms' planning speedup; the recorded
+#: JSON carries the real ratio.
+MIN_PLANNING_SPEEDUP = 1.5
 
-def _build_robust_nomemo(statistics, threshold: float):
-    return RobustCardinalityEstimator(
-        statistics, policy=threshold, memoize_estimates=False
-    )
-
-
-def _build_histogram_nomemo(statistics):
-    return HistogramCardinalityEstimator(statistics, memoize_estimates=False)
-
-
-def uncached_configs(thresholds=PAPER_THRESHOLDS) -> list[EstimatorConfig]:
-    """The default configs with estimate memoization switched off."""
-    configs = [
-        EstimatorConfig(
-            name=f"T={threshold:.0%}",
-            build=functools.partial(_build_robust_nomemo, threshold=threshold),
-        )
-        for threshold in thresholds
-    ]
-    configs.append(EstimatorConfig("Histograms", _build_histogram_nomemo))
-    return configs
+#: The phase timers: all the reference measures (it keeps no caches).
+_TIMERS = (
+    "stats_build_seconds",
+    "optimize_seconds",
+    "execute_seconds",
+    "wall_seconds",
+)
 
 
 def run_perf_comparison(
@@ -59,90 +55,107 @@ def run_perf_comparison(
     template,
     params,
     seeds,
+    configs=None,
     sample_size: int = 500,
     rounds: int = 3,
 ) -> dict:
     """Run the three arms and return a JSON-ready comparison payload.
 
-    Wall-clock is the best of ``rounds`` runs per arm (the counters are
-    deterministic, so only the first round's perf object is kept for
-    them).
+    ``configs`` defaults to :func:`default_configs`. Per arm the first
+    round's result is kept (counters are deterministic) with the
+    best-of-``rounds`` wall-clock and planning time, so one slow round
+    skews no ratio.
     """
+    configs = list(configs) if configs is not None else default_configs()
+    seeds = list(seeds)
 
-    def best_of(runner, configs) -> tuple:
-        result, best_wall = None, float("inf")
+    def best_of(run) -> tuple:
+        result, best_wall, best_optimize = None, float("inf"), float("inf")
         for _ in range(rounds):
             started = time.perf_counter()
-            candidate = runner.run(params, configs)
+            candidate = run()
             best_wall = min(best_wall, time.perf_counter() - started)
+            best_optimize = min(best_optimize, candidate.perf.optimize_seconds)
             result = result or candidate
-        return result, best_wall
+        return result, best_wall, best_optimize
 
-    def runner(**kwargs) -> ExperimentRunner:
+    def runner(workers):
         return ExperimentRunner(
-            database, template, sample_size=sample_size, seeds=seeds, **kwargs
+            database,
+            template,
+            sample_size=sample_size,
+            seeds=seeds,
+            workers=workers,
+        ).run(params, configs)
+
+    reference = best_of(
+        lambda: reference_run(
+            database,
+            template,
+            params,
+            configs,
+            seeds=seeds,
+            sample_size=sample_size,
         )
+    )
+    serial = best_of(lambda: runner(1))
+    parallel = best_of(lambda: runner(None))
 
-    uncached, uncached_wall = best_of(
-        runner(workers=1, execution_cache=False, vectorize_thresholds=False),
-        uncached_configs(),
-    )
-    cached, cached_wall = best_of(
-        runner(workers=1, execution_cache=True, vectorize_thresholds=False),
-        None,
-    )
-    vectorized, vectorized_wall = best_of(
-        runner(workers=1, execution_cache=True, vectorize_thresholds=True),
-        None,
-    )
-    parallel, parallel_wall = best_of(
-        runner(workers=None, execution_cache=True, vectorize_thresholds=True),
-        None,
-    )
+    assert reference[0].records == serial[0].records == parallel[0].records
+    assert serial[0].perf.vector_passes == len(params) * len(seeds)
 
-    assert (
-        uncached.records
-        == cached.records
-        == vectorized.records
-        == parallel.records
-    )
-    assert vectorized.perf.vector_passes > 0
-
-    def arm(result, wall: float) -> dict:
+    def arm(result, wall: float, optimize: float, counters=True) -> dict:
         payload = result.perf.as_dict()
+        if not counters:
+            payload = {key: payload[key] for key in _TIMERS}
         payload["best_wall_seconds"] = round(wall, 4)
+        payload["best_optimize_seconds"] = round(optimize, 4)
         return payload
 
     return {
-        "benchmark": "runner_perf",
         "template": template.name,
         "grid": {
-            "configs": len(uncached.config_names),
+            "configs": [config.name for config in configs],
             "params": len(params),
-            "seeds": len(list(seeds)),
-            "records": len(uncached.records),
+            "seeds": len(seeds),
+            "records": len(serial[0].records),
         },
         "identical_records": True,
-        "serial_uncached": arm(uncached, uncached_wall),
-        "serial_cached": arm(cached, cached_wall),
-        "serial_vectorized": arm(vectorized, vectorized_wall),
-        "parallel_cached": arm(parallel, parallel_wall),
-        "cached_speedup": round(uncached_wall / cached_wall, 4),
-        "vectorized_planning_speedup": round(
-            cached.perf.optimize_seconds / vectorized.perf.optimize_seconds, 4
-        ),
+        "reference": arm(*reference, counters=False),
+        "serial": arm(*serial),
+        "parallel": arm(*parallel),
+        "planning_speedup": round(reference[2] / serial[2], 4),
+        "wall_speedup": round(reference[1] / serial[1], 4),
     }
 
 
 def test_perf_runner(bench_tpch_db):
-    from repro.workloads import ShippingDatesTemplate
+    fig9 = ShippingDatesTemplate()
+    fig9_targets = [0.0, 0.001, 0.002, 0.003, 0.004, 0.006, 0.008, 0.010, 0.012]
+    fig9_params = fig9.params_for_targets(bench_tpch_db, fig9_targets, step=2)
 
-    template = ShippingDatesTemplate()
-    targets = [0.0, 0.001, 0.002, 0.003, 0.004, 0.006, 0.008, 0.010, 0.012]
-    params = template.params_for_targets(bench_tpch_db, targets, step=2)
-    payload = run_perf_comparison(
-        bench_tpch_db, template, params, seeds=range(5)
-    )
+    fig10 = PartCorrelationTemplate()
+    lo, hi = fig10.param_range()
+    step = max(1, (hi - lo) // 7)
+    fig10_params = [
+        (param, fig10.true_selectivity(bench_tpch_db, param))
+        for param in range(lo, hi + 1, step)
+    ]
+
+    thresholds = default_configs(include_histogram=False)
+    payload = {
+        "benchmark": "runner_perf",
+        "min_planning_speedup": MIN_PLANNING_SPEEDUP,
+        "fig9_default_arms": run_perf_comparison(
+            bench_tpch_db, fig9, fig9_params, seeds=range(5)
+        ),
+        "fig9_threshold_arms": run_perf_comparison(
+            bench_tpch_db, fig9, fig9_params, seeds=range(5), configs=thresholds
+        ),
+        "fig10_threshold_arms": run_perf_comparison(
+            bench_tpch_db, fig10, fig10_params, seeds=range(3), configs=thresholds
+        ),
+    }
 
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_runner.json").write_text(
@@ -150,7 +163,12 @@ def test_perf_runner(bench_tpch_db):
     )
     print(json.dumps(payload, indent=2))
 
-    # Acceptance: the fig-09 grid reuses at least half its executions,
-    # and the cached arm beats the uncached serial baseline end to end.
-    assert payload["serial_cached"]["exec_cache_hit_rate"] >= 0.5
-    assert payload["cached_speedup"] > 1.0
+    # Acceptance: the fig-09 grid reuses at least half its executions
+    # and beats the uncached scalar loop end to end; the vectorized
+    # pass plans the threshold arms faster than one optimize per arm on
+    # both grids (records already proven identical above).
+    harness = payload["fig9_default_arms"]
+    assert harness["serial"]["exec_cache_hit_rate"] >= 0.5
+    assert harness["wall_speedup"] > 1.0
+    for grid in ("fig9_threshold_arms", "fig10_threshold_arms"):
+        assert payload[grid]["planning_speedup"] >= MIN_PLANNING_SPEEDUP

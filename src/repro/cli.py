@@ -124,16 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="seed-parallel worker processes (default: all CPU cores)",
     )
     experiment.add_argument(
-        "--no-exec-cache",
-        action="store_true",
-        help="disable plan-execution reuse across estimator configs",
-    )
-    experiment.add_argument(
-        "--no-scan-cache",
-        action="store_true",
-        help="disable shared base-scan reuse across plan executions",
-    )
-    experiment.add_argument(
         "--policy",
         action="append",
         default=None,
@@ -419,14 +409,17 @@ def _cmd_experiment(args) -> int:
     if args.policy:
         from repro.experiments import default_configs, policy_arm
 
-        configs = default_configs()
-        names = {config.name for config in configs}
         try:
             arms = [policy_arm(spec) for spec in args.policy]
         except PolicyError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        configs.extend(arm for arm in arms if arm.name not in names)
+        # One arm per name: a spec the default grid already has, or one
+        # given twice, adds nothing.
+        by_name = {config.name: config for config in default_configs()}
+        for arm in arms:
+            by_name.setdefault(arm.name, arm)
+        configs = list(by_name.values())
 
     tracing = args.trace or args.trace_out is not None
     session = Session(database, sample_size=args.sample_size)
@@ -436,8 +429,6 @@ def _cmd_experiment(args) -> int:
         configs,
         seeds=range(args.seeds),
         workers=args.workers,
-        execution_cache=not args.no_exec_cache,
-        scan_cache=not args.no_scan_cache,
         trace=tracing,
     )
     print(format_selectivity_table(result))

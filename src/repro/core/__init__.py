@@ -33,6 +33,7 @@ from repro.core.magic import MagicDistribution, MagicNumbers
 from repro.core.histogram_estimator import HistogramCardinalityEstimator
 from repro.core.bayesnet import BayesNetCardinalityEstimator
 from repro.core.robust import RobustCardinalityEstimator
+from repro.core.factory import estimator_for
 from repro.core.sketch import InequalitySketch, pair_fraction
 from repro.core.distinct_extension import GroupCountEstimator
 
@@ -58,6 +59,7 @@ __all__ = [
     "SelectivityPosterior",
     "UNIFORM",
     "VectorCardinalityEstimate",
+    "estimator_for",
     "pair_fraction",
     "quantile_table",
     "resolve_threshold",

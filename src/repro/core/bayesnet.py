@@ -77,7 +77,6 @@ class BayesNetCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
         statistics: StatisticsManager,
         magic: MagicNumbers | None = None,
         max_bins: int = MAX_BINS,
-        memoize_estimates: bool = True,
     ) -> None:
         self.statistics = statistics
         self.magic = magic or MagicNumbers()
@@ -86,7 +85,7 @@ class BayesNetCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
         # (update_statistics rebuilds the samples the trees are fit to).
         self._trees: dict = {}
         self._trees_version = getattr(statistics, "version", 0)
-        self._init_estimate_cache(memoize_estimates)
+        self._init_estimate_cache()
 
     # ------------------------------------------------------------------
     # estimator protocol

@@ -30,14 +30,13 @@ class HistogramCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
         self,
         statistics: StatisticsManager,
         magic: MagicNumbers | None = None,
-        memoize_estimates: bool = True,
     ) -> None:
         self.statistics = statistics
         self.magic = magic or MagicNumbers()
         # Same whole-estimate memoization as the robust estimator,
         # minus the threshold key (histograms ignore the hint). Keyed
         # on the statistics version so rebuilds invalidate the cache.
-        self._init_estimate_cache(memoize_estimates)
+        self._init_estimate_cache()
 
     def estimate(
         self,

@@ -1,26 +1,25 @@
 """Whole-estimate memoization shared by the cardinality estimators.
 
-Both the robust and the histogram estimators memoize finished
-estimates keyed on the statistics manager's ``version`` counter, so
+The robust, histogram and Bayes-net estimators memoize finished
+estimates keyed behind the statistics manager's ``version`` counter, so
 ``update_statistics``/``drop_*`` invalidate the cache automatically.
-The check/clear logic used to be duplicated in both classes; this
-mixin is the single home for it so the two cannot drift.
+This mixin is the single home for the check/clear logic so the three
+cannot drift.
 """
 
 from __future__ import annotations
 
 
 class EstimateCacheMixin:
-    """Version-checked estimate memoization.
+    """Version-checked estimate memoization, always on.
 
     Hosts expect ``self.statistics`` to be set before
     :meth:`_init_estimate_cache` is called, and route lookups through
-    :meth:`_memoized` (which maintains the hit/miss counters the
-    experiment harness reports).
+    :meth:`_memoized`, which maintains the hit/miss counters the
+    experiment harness reports.
     """
 
-    def _init_estimate_cache(self, memoize_estimates: bool) -> None:
-        self.memoize_estimates = memoize_estimates
+    def _init_estimate_cache(self) -> None:
         self._estimate_cache: dict = {}
         self._estimate_cache_version = self._estimate_cache_token()
         self.estimate_cache_hits = 0
@@ -36,11 +35,8 @@ class EstimateCacheMixin:
         return getattr(self.statistics, "version", 0)
 
     def _memoized(self, key, compute):
-        """``compute()``, served from the cache under ``key`` when
-        memoization is on, dropping stale generations first. Hits and
-        misses are counted only when memoizing."""
-        if not self.memoize_estimates:
-            return compute()
+        """``compute()``, served from the cache under ``key``, dropping
+        stale generations first."""
         token = self._estimate_cache_token()
         if token != self._estimate_cache_version:
             self._estimate_cache.clear()

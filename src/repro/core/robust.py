@@ -107,7 +107,6 @@ class RobustCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
         magic: MagicNumbers | None = None,
         magic_concentration: float = 4.0,
         cache_conjunct_masks: bool = True,
-        memoize_estimates: bool = True,
     ) -> None:
         self.statistics = statistics
         self.prior = prior
@@ -130,7 +129,7 @@ class RobustCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
         # triple across queries of a grid, and each hit skips a
         # ``betaincinv`` inversion. Keyed on the statistics version so
         # ``update_statistics``/``drop_*`` invalidate the cache.
-        self._init_estimate_cache(memoize_estimates)
+        self._init_estimate_cache()
         #: Posterior inversions served from a quantile-table row
         #: instead of per-threshold ``betaincinv`` calls.
         self.lut_hits = 0

@@ -36,9 +36,6 @@ class PerfStats:
     """
 
     workers: int = 1
-    execution_cache: bool = True
-    vectorize_thresholds: bool = True
-    scan_cache: bool = True
     exec_cache_hits: int = 0
     exec_cache_misses: int = 0
     estimate_cache_hits: int = 0
@@ -104,10 +101,7 @@ class PerfStats:
         est_total = self.estimate_cache_hits + self.estimate_cache_misses
         lines = [
             "perf summary:",
-            f"  workers: {self.workers}  "
-            f"(execution cache {'on' if self.execution_cache else 'off'}, "
-            f"threshold vectorization "
-            f"{'on' if self.vectorize_thresholds else 'off'})",
+            f"  workers: {self.workers}",
             f"  execution cache: {self.exec_cache_hits} hits / "
             f"{self.exec_cache_misses} misses over {exec_total} lookups "
             f"({self.exec_cache_hit_rate:.1%} hit rate)",
@@ -116,8 +110,7 @@ class PerfStats:
             f"({self.estimate_cache_hit_rate:.1%} hit rate)",
             f"  scan cache: {self.scan_cache_hits} hits / "
             f"{self.scan_cache_misses} misses "
-            f"({self.scan_cache_hit_rate:.1%} hit rate, "
-            f"{'on' if self.scan_cache else 'off'})",
+            f"({self.scan_cache_hit_rate:.1%} hit rate)",
             f"  quantile-table hits: {self.lut_hits}  "
             f"vectorized planning passes: {self.vector_passes}",
             f"  phases: stats {self.stats_build_seconds:.3f}s | "
@@ -163,15 +156,12 @@ class PerfStats:
         """JSON-ready snapshot (used by ``BENCH_runner.json``)."""
         return {
             "workers": self.workers,
-            "execution_cache": self.execution_cache,
-            "vectorize_thresholds": self.vectorize_thresholds,
             "exec_cache_hits": self.exec_cache_hits,
             "exec_cache_misses": self.exec_cache_misses,
             "exec_cache_hit_rate": round(self.exec_cache_hit_rate, 4),
             "estimate_cache_hits": self.estimate_cache_hits,
             "estimate_cache_misses": self.estimate_cache_misses,
             "estimate_cache_hit_rate": round(self.estimate_cache_hit_rate, 4),
-            "scan_cache": self.scan_cache,
             "scan_cache_hits": self.scan_cache_hits,
             "scan_cache_misses": self.scan_cache_misses,
             "scan_cache_hit_rate": round(self.scan_cache_hit_rate, 4),
@@ -198,17 +188,14 @@ class PlanExecutionCache:
     lifetime.
     """
 
-    enabled: bool = True
-    #: Share base-table scan results across the plan executions this
-    #: cache performs (two *different* plans for one parameter still
-    #: share their leaves). Counter-neutral: operators replay the same
-    #: :class:`WorkCounters` arithmetic on hits, so ``(time, rows)``
-    #: results — the experiment records — are bit-identical either way.
-    scan_cache: bool = True
     hits: int = 0
     misses: int = 0
     _store: dict = field(default_factory=dict, repr=False)
-    _scans: ScanCache | None = field(default=None, repr=False)
+    #: Base-table scans shared across the plan executions this cache
+    #: performs, so two *different* plans for one key still share their
+    #: leaves. Counter-neutral: operators replay the same
+    #: :class:`WorkCounters` arithmetic on hits.
+    _scans: ScanCache = field(default_factory=ScanCache, repr=False)
 
     def execute(
         self,
@@ -225,15 +212,12 @@ class PlanExecutionCache:
         addressed by ``walk()`` position, so on a hit it describes the
         plan in hand although another plan object was the one executed.
         """
-        if self.enabled:
-            cache_key = (key, plan.signature())
-            cached = self._store.get(cache_key)
-            if cached is not None:
-                self.hits += 1
-                return cached
+        cache_key = (key, plan.signature())
+        cached = self._store.get(cache_key)
+        if cached is not None:
+            self.hits += 1
+            return cached
         self.misses += 1
-        if self.scan_cache and self._scans is None:
-            self._scans = ScanCache()
         ctx = ExecutionContext(
             database,
             scan_cache=self._scans,
@@ -246,12 +230,9 @@ class PlanExecutionCache:
             frame.num_rows,
             ctx.operator_record(plan),
         )
-        if self.enabled:
-            self._store[cache_key] = result
+        self._store[cache_key] = result
         return result
 
     def scan_stats(self) -> tuple[int, int]:
-        """``(hits, misses)`` of the shared scan cache (zeros if off)."""
-        if self._scans is None:
-            return (0, 0)
+        """``(hits, misses)`` of the shared scan cache."""
         return (self._scans.hits, self._scans.misses)

@@ -34,12 +34,9 @@ import numpy as np
 from repro.analysis.tradeoff import TradeoffPoint, tradeoff_from_times
 from repro.catalog import Database
 from repro.core import (
-    BayesNetCardinalityEstimator,
     CardinalityEstimator,
-    ExactCardinalityEstimator,
     FixedSelectivityEstimator,
-    HistogramCardinalityEstimator,
-    RobustCardinalityEstimator,
+    estimator_for,
 )
 from repro.cost import CostModel
 from repro.errors import ReproError
@@ -47,7 +44,7 @@ from repro.experiments.perf import PerfStats, PlanExecutionCache
 from repro.obs.execution import execution_span
 from repro.obs.trace import QueryTrace, plan_shape
 from repro.obs.tracer import Tracer
-from repro.optimizer import Optimizer
+from repro.optimizer import Optimizer, PlannedQuery, SPJQuery
 from repro.selection import (
     PenaltyPolicy,
     SelectionPolicy,
@@ -64,46 +61,62 @@ PAPER_THRESHOLDS = (0.05, 0.20, 0.50, 0.80, 0.95)
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """A named way to build an estimator from fresh statistics.
+    """One experiment arm: a name and how it picks a plan.
 
-    ``threshold``/``group`` mark configurations that differ only in
-    their confidence threshold: configs sharing a ``group`` (with
-    ``threshold`` set) are planned together by one threshold-vectorized
-    ``optimize_many`` pass instead of one ``optimize`` per config.
-    Either field left ``None`` keeps the scalar per-config path.
+    ``policy`` is the :class:`~repro.selection.SelectionPolicy` that
+    plans every query. With ``build`` left ``None`` the arm's estimator
+    is the family the policy names: a threshold arm prices at its
+    ``q``, a penalty arm at the median (its reference lane; the policy,
+    not the estimator default, decides the plan).
 
-    ``policy`` switches the config to policy-driven selection: a
-    :class:`~repro.selection.PenaltyPolicy` plans every query through
-    ``optimize_penalty`` with its deterministic posterior samples
-    (seeded per query from the statistics build, so records are
-    bit-identical across worker counts). Penalty configs are never
-    threshold-grouped — the penalty pass is already vectorized over its
-    own sample grid.
+    ``build`` maps fresh statistics to an estimator no policy names —
+    a different prior, the fixed-selectivity strawman. A build-only arm
+    plans with a plain ``optimize``. An arm needs at least one of the
+    two.
     """
 
     name: str
-    build: Callable[[StatisticsManager], CardinalityEstimator]
-    threshold: float | None = None
-    group: str | None = None
+    build: Callable[[StatisticsManager], CardinalityEstimator] | None = None
     policy: SelectionPolicy | None = None
 
+    def __post_init__(self) -> None:
+        if self.build is None and self.policy is None:
+            raise ReproError(
+                f"arm {self.name!r} needs a policy or a build function"
+            )
 
-def _build_robust(
-    statistics: StatisticsManager, threshold: float
-) -> CardinalityEstimator:
-    return RobustCardinalityEstimator(statistics, policy=threshold)
+    def estimator(self, statistics: StatisticsManager) -> CardinalityEstimator:
+        """A fresh estimator for this arm over ``statistics``."""
+        if self.build is not None:
+            return self.build(statistics)
+        return estimator_for(
+            self.policy, statistics.database, statistics, default_threshold=0.5
+        )
 
+    def plan(
+        self,
+        optimizer: Optimizer,
+        query: SPJQuery,
+        statistics: StatisticsManager,
+    ) -> PlannedQuery:
+        """Plan ``query`` the way this arm selects: through its policy,
+        or a plain ``optimize`` for a build-only arm.
 
-def _build_histogram(statistics: StatisticsManager) -> CardinalityEstimator:
-    return HistogramCardinalityEstimator(statistics)
-
-
-def _build_bayes(statistics: StatisticsManager) -> CardinalityEstimator:
-    return BayesNetCardinalityEstimator(statistics)
-
-
-def _build_exact(statistics: StatisticsManager) -> CardinalityEstimator:
-    return ExactCardinalityEstimator(statistics.database)
+        A penalty policy's draws are seeded by the query fingerprint
+        and the statistics build, so bit-identical across worker
+        counts. Every other policy plans one scalar pass at its hint,
+        which reads neither seed, so the query is not hashed for it.
+        """
+        if self.policy is None:
+            return optimizer.optimize(query)
+        if not isinstance(self.policy, PenaltyPolicy):
+            return optimizer.optimize(self.policy.hinted(query))
+        return self.policy.plan(
+            optimizer,
+            query,
+            query_key=query_fingerprint(query),
+            statistics_token=statistics.sampling_token(),
+        )
 
 
 def _build_fixed(
@@ -152,9 +165,7 @@ def penalty_configs(
     """The PARQO-style penalty-selection arms.
 
     One expected-penalty arm and one CVaR-α arm, both drawing
-    ``samples`` deterministic posterior samples per query. The robust
-    estimator is built at the median (the reference lane's quantile);
-    the policy, not the estimator default, decides the plan.
+    ``samples`` deterministic posterior samples per query.
     """
     return [
         policy_arm(PenaltyPolicy(samples=samples)),
@@ -164,37 +175,26 @@ def penalty_configs(
     ]
 
 
+#: Arm names of the point-estimate policies (threshold and penalty
+#: arms are named by the policy's ``describe()``).
+_POINT_ARM_NAMES = {
+    "histogram": "Histograms",
+    "bayes": "BayesNet",
+    "exact": "Exact",
+}
+
+
 def policy_arm(policy) -> EstimatorConfig:
     """One experiment arm for an arbitrary selection policy.
 
     Accepts anything :func:`~repro.selection.resolve_policy` does — a
     :class:`~repro.selection.SelectionPolicy`, a bare threshold, or a
-    spec string like ``"cvar:0.9:24"``. Threshold arms join the
-    ``"robust"`` group so they ride the vectorized multi-threshold
-    pass together. Builders are module-level functions (or partials of
-    them, not lambdas) so the arms pickle cleanly into worker
-    processes.
+    spec string like ``"cvar:0.9:24"``. The arm carries no builder, so
+    it pickles cleanly into worker processes.
     """
     policy = resolve_policy(policy)
-    if isinstance(policy, PenaltyPolicy):
-        return EstimatorConfig(
-            name=policy.describe(),
-            build=functools.partial(_build_robust, threshold=0.5),
-            policy=policy,
-        )
-    if isinstance(policy, ThresholdPolicy):
-        return EstimatorConfig(
-            name=f"T={policy.q:.0%}",
-            build=functools.partial(_build_robust, threshold=policy.q),
-            threshold=policy.q,
-            group="robust",
-        )
-    name, build = {
-        "histogram": ("Histograms", _build_histogram),
-        "bayes": ("BayesNet", _build_bayes),
-        "exact": ("Exact", _build_exact),
-    }[policy.estimator_kind]
-    return EstimatorConfig(name=name, build=build)
+    name = _POINT_ARM_NAMES.get(policy.estimator_kind, policy.describe())
+    return EstimatorConfig(name=name, policy=policy)
 
 
 @dataclass(frozen=True)
@@ -336,22 +336,20 @@ class ExperimentResult:
         return dict(self._plans.get(config, {}))
 
 
-def _threshold_groups(
-    configs: Sequence[EstimatorConfig],
-) -> dict[str, list[EstimatorConfig]]:
-    """Config groups eligible for one vectorized planning pass each.
+def _vector_arms(configs: Sequence[EstimatorConfig]) -> list[EstimatorConfig]:
+    """The threshold arms on the stock estimator, planned together.
 
-    A group qualifies when at least two configs share its name and all
-    carry an explicit threshold — a single-member "group" gains nothing
-    over the scalar path.
+    One ``optimize_many`` over their thresholds replaces one
+    ``optimize`` per arm, lane for lane the same plans. Fewer than two
+    such arms gain nothing: a width-1 vector pass is slower than the
+    scalar one.
     """
-    groups: dict[str, list[EstimatorConfig]] = {}
-    for config in configs:
-        if config.group is not None and config.threshold is not None:
-            groups.setdefault(config.group, []).append(config)
-    return {
-        name: members for name, members in groups.items() if len(members) >= 2
-    }
+    arms = [
+        config
+        for config in configs
+        if config.build is None and isinstance(config.policy, ThresholdPolicy)
+    ]
+    return arms if len(arms) >= 2 else []
 
 
 def _run_seed(
@@ -362,13 +360,17 @@ def _run_seed(
     histogram_buckets: int,
     params: Sequence[tuple[int, float]],
     configs: Sequence[EstimatorConfig],
-    execution_cache: bool,
     seed: int,
-    vectorize_thresholds: bool = True,
     trace: bool = False,
-    scan_cache: bool = True,
 ) -> tuple[list[RunRecord], PerfStats, list[dict]]:
     """One seed's slice of the grid — the unit of parallelism.
+
+    Records come out in config order, then param order. Every arm's
+    plans come from :meth:`EstimatorConfig.plan`, except that the
+    threshold arms :func:`_vector_arms` picks share one
+    ``optimize_many`` per param, run when the first of them reaches
+    that param. Every execution goes through one
+    :class:`~repro.experiments.perf.PlanExecutionCache`.
 
     With ``trace=True`` a per-seed :class:`~repro.obs.Tracer` collects
     estimation, optimizer, and execution spans, and the JSON-ready
@@ -378,8 +380,9 @@ def _run_seed(
     read off the per-operator record the plan-execution cache keeps
     beside each ``(time, rows)``, hits included.
     """
-    perf = PerfStats(execution_cache=execution_cache, scan_cache=scan_cache)
+    perf = PerfStats()
     tracer = Tracer() if trace else None
+    drain = tracer.drain_estimations if tracer is not None else lambda: None
     traces: list[dict] = []
     started = time.perf_counter()
     statistics = StatisticsManager(database)
@@ -390,97 +393,59 @@ def _run_seed(
     )
     perf.stats_build_seconds += time.perf_counter() - started
 
-    # Threshold-vectorized planning: configs that differ only in their
-    # threshold are planned together — one optimize_many per (group,
-    # param) replaces |group| optimize passes. The plans are stashed by
-    # (config, param) and the execution loop below consumes them in the
-    # original order, so the records are identical to the scalar path.
-    groups = _threshold_groups(configs) if vectorize_thresholds else {}
-    grouped_names = {
-        config.name for members in groups.values() for config in members
-    }
-    group_plans: dict[tuple[str, int], object] = {}
-    group_traces: dict[tuple[str, int], dict] = {}
-    for members in groups.values():
-        grid = tuple(config.threshold for config in members)
-        estimator = members[0].build(statistics)
+    estimators: list[CardinalityEstimator] = []
+
+    def optimizer_for(config: EstimatorConfig) -> Optimizer:
+        estimator = config.estimator(statistics)
         if tracer is not None:
             estimator.tracer = tracer
-        optimizer = Optimizer(database, estimator, cost_model, tracer=tracer)
-        for param, _selectivity in params:
-            query = template.instantiate(param)
-            started = time.perf_counter()
-            planned_grid = optimizer.optimize_many(query, grid)
-            elapsed = time.perf_counter() - started
-            perf.optimize_seconds += elapsed
-            perf.vector_passes += 1
-            shared_spans = (
-                tracer.drain_estimations() if tracer is not None else None
-            )
-            for config, planned in zip(members, planned_grid):
-                group_plans[(config.name, param)] = planned.plan
-                if tracer is not None:
-                    # One vectorized pass gathered the evidence for the
-                    # whole threshold group: each lane's trace links the
-                    # same estimation spans plus its own optimizer span.
-                    group_traces[(config.name, param)] = {
-                        "estimation": shared_spans,
-                        "optimizer": planned.trace,
-                        "estimated_rows": planned.estimated_rows,
-                        "estimated_cost": planned.estimated_cost,
-                        "optimize_seconds": elapsed,
-                    }
-        perf.lut_hits += getattr(estimator, "lut_hits", 0)
-        perf.estimate_cache_hits += getattr(estimator, "estimate_cache_hits", 0)
-        perf.estimate_cache_misses += getattr(
-            estimator, "estimate_cache_misses", 0
-        )
+        estimators.append(estimator)
+        return Optimizer(database, estimator, cost_model, tracer=tracer)
 
-    cache = PlanExecutionCache(enabled=execution_cache, scan_cache=scan_cache)
+    vector = _vector_arms(configs)
+    vector_optimizer = optimizer_for(vector[0]) if vector else None
+    grid = tuple(config.policy.q for config in vector)
+    # (lane, position in params) → (planned, optimize seconds,
+    # estimation spans) for the vector lanes not yet consumed. Keyed by
+    # position, so each entry of ``params`` costs one pass even when
+    # two targets resolved to the same param.
+    lanes: dict[tuple[int, int], tuple] = {}
+
+    cache = PlanExecutionCache()
     records: list[RunRecord] = []
     for config in configs:
-        if config.name in grouped_names:
-            estimator = None
-            optimizer = None
-        else:
-            estimator = config.build(statistics)
-            if tracer is not None:
-                estimator.tracer = tracer
-            optimizer = Optimizer(database, estimator, cost_model, tracer=tracer)
-        for param, selectivity in params:
-            pending = None
-            if config.name in grouped_names:
-                plan = group_plans[(config.name, param)]
-                if tracer is not None:
-                    pending = group_traces[(config.name, param)]
+        lane = next((i for i, arm in enumerate(vector) if arm is config), None)
+        optimizer = (
+            vector_optimizer if lane is not None else optimizer_for(config)
+        )
+        for index, (param, selectivity) in enumerate(params):
+            if lane is not None and (lane, index) not in lanes:
+                query = template.instantiate(param)
+                started = time.perf_counter()
+                planned_grid = optimizer.optimize_many(query, grid)
+                elapsed = time.perf_counter() - started
+                perf.optimize_seconds += elapsed
+                perf.vector_passes += 1
+                # One pass gathered the evidence for every lane: each
+                # lane's trace links the same estimation spans plus its
+                # own optimizer span.
+                spans = drain()
+                for other, planned in enumerate(planned_grid):
+                    lanes[(other, index)] = (planned, elapsed, spans)
+            if lane is not None:
+                planned, elapsed, spans = lanes.pop((lane, index))
             else:
                 query = template.instantiate(param)
                 started = time.perf_counter()
-                if config.policy is None:
-                    planned = optimizer.optimize(query)
-                else:
-                    planned = config.policy.plan(
-                        optimizer,
-                        query,
-                        query_key=query_fingerprint(query),
-                        statistics_token=statistics.sampling_token(),
-                    )
+                planned = config.plan(optimizer, query, statistics)
                 elapsed = time.perf_counter() - started
                 perf.optimize_seconds += elapsed
-                plan = planned.plan
-                if tracer is not None:
-                    pending = {
-                        "estimation": tracer.drain_estimations(),
-                        "optimizer": planned.trace,
-                        "estimated_rows": planned.estimated_rows,
-                        "estimated_cost": planned.estimated_cost,
-                        "optimize_seconds": elapsed,
-                    }
+                spans = drain()
 
             hits_before = cache.hits
             started = time.perf_counter()
             simulated, actual_rows, operator_record = cache.execute(
-                database, cost_model, param, plan
+                database, cost_model, param, planned.plan
             )
             exec_elapsed = time.perf_counter() - started
             perf.execute_seconds += exec_elapsed
@@ -491,7 +456,7 @@ def _run_seed(
                     selectivity=selectivity,
                     seed=seed,
                     time=simulated,
-                    plan=plan_shape(plan),
+                    plan=plan_shape(planned.plan),
                     actual_rows=actual_rows,
                 )
             )
@@ -503,30 +468,28 @@ def _run_seed(
                         seed=seed,
                         param=param,
                         selectivity=selectivity,
-                        estimation=pending["estimation"],
-                        optimizer=pending["optimizer"],
+                        estimation=spans,
+                        optimizer=planned.trace,
                         execution=execution_span(
-                            plan,
+                            planned.plan,
                             operator_record,
                             cost_model,
-                            estimated_rows=pending["estimated_rows"],
-                            estimated_cost=pending["estimated_cost"],
+                            estimated_rows=planned.estimated_rows,
+                            estimated_cost=planned.estimated_cost,
                             cache_hit=cache.hits > hits_before,
                         ),
                         timing={
-                            "optimize_seconds": pending["optimize_seconds"],
+                            "optimize_seconds": elapsed,
                             "execute_wall_seconds": exec_elapsed,
                         },
                     ).as_dict()
                 )
-        if estimator is not None:
-            perf.lut_hits += getattr(estimator, "lut_hits", 0)
-            perf.estimate_cache_hits += getattr(
-                estimator, "estimate_cache_hits", 0
-            )
-            perf.estimate_cache_misses += getattr(
-                estimator, "estimate_cache_misses", 0
-            )
+    for estimator in estimators:
+        perf.lut_hits += getattr(estimator, "lut_hits", 0)
+        perf.estimate_cache_hits += getattr(estimator, "estimate_cache_hits", 0)
+        perf.estimate_cache_misses += getattr(
+            estimator, "estimate_cache_misses", 0
+        )
     perf.exec_cache_hits = cache.hits
     perf.exec_cache_misses = cache.misses
     perf.scan_cache_hits, perf.scan_cache_misses = cache.scan_stats()
@@ -559,20 +522,6 @@ class ExperimentRunner:
         uses ``os.cpu_count()``. ``workers=1`` is the exact serial
         path; any N produces an identical :class:`ExperimentResult`,
         merged in seed order.
-    execution_cache:
-        Reuse plan executions within a seed across estimator
-        configurations that chose the same plan (on by default; the
-        records are identical either way).
-    scan_cache:
-        Share base-table scan results across plan executions within a
-        seed, so two different plans over the same parameter reuse
-        their common leaves (on by default; counters are replayed on
-        hits, so the records are identical either way).
-    vectorize_thresholds:
-        Plan threshold-grouped configs with one multi-threshold
-        ``optimize_many`` pass per (group, param) instead of one
-        ``optimize`` per config (on by default; the records are
-        identical either way).
     trace:
         Collect end-to-end query traces (estimation, optimizer, and
         execution spans) on ``ExperimentResult.traces``, JSON-ready
@@ -590,10 +539,7 @@ class ExperimentRunner:
         histogram_buckets: int = 250,
         seeds: Sequence[int] = tuple(range(12)),
         workers: int | None = None,
-        execution_cache: bool = True,
-        vectorize_thresholds: bool = True,
         trace: bool = False,
-        scan_cache: bool = True,
     ) -> None:
         self.database = database
         self.template = template
@@ -602,10 +548,7 @@ class ExperimentRunner:
         self.histogram_buckets = histogram_buckets
         self.seeds = list(seeds)
         self.workers = workers
-        self.execution_cache = execution_cache
-        self.vectorize_thresholds = vectorize_thresholds
         self.trace = trace
-        self.scan_cache = scan_cache
 
     def run(
         self,
@@ -626,10 +569,7 @@ class ExperimentRunner:
             "histogram_buckets": self.histogram_buckets,
             "params": list(params),
             "configs": configs,
-            "execution_cache": self.execution_cache,
-            "vectorize_thresholds": self.vectorize_thresholds,
             "trace": self.trace,
-            "scan_cache": self.scan_cache,
         }
         workers = self._resolve_workers(payload)
 
@@ -651,9 +591,6 @@ class ExperimentRunner:
 
         result = ExperimentResult(template=self.template.name)
         result.perf.workers = workers
-        result.perf.execution_cache = self.execution_cache
-        result.perf.vectorize_thresholds = self.vectorize_thresholds
-        result.perf.scan_cache = self.scan_cache
         for records, perf, traces in seed_outputs:
             result.records.extend(records)
             result.perf.merge(perf)

@@ -15,6 +15,7 @@ from repro.catalog import Database
 from repro.core import CardinalityEstimator, ExactCardinalityEstimator
 from repro.cost import CostModel
 from repro.experiments.perf import PlanExecutionCache
+from repro.obs.trace import plan_shape
 from repro.optimizer import Optimizer
 from repro.workloads.templates import QueryTemplate
 
@@ -72,11 +73,6 @@ class SensitivityReport:
                     (current.selectivity, previous.plan, current.plan)
                 )
         return switches
-
-
-def plan_shape(plan) -> str:
-    """Compact signature of an operator tree."""
-    return ">".join(type(op).__name__ for op in plan.walk())
 
 
 def sensitivity_sweep(

@@ -76,7 +76,8 @@ def run_workload_mix(
 
     The same query sequence (template choices and parameters) is used
     for every configuration, so profiles differ only through plan
-    choices. Returns one :class:`LatencyProfile` per configuration.
+    choices, each made by :meth:`EstimatorConfig.plan` as in the grid
+    runner. Returns one :class:`LatencyProfile` per configuration.
     """
     if not components:
         raise ReproError("workload mix needs at least one component")
@@ -105,10 +106,10 @@ def run_workload_mix(
     cache = PlanExecutionCache()
     profiles: dict[str, LatencyProfile] = {}
     for config in configs:
-        optimizer = Optimizer(database, config.build(statistics), model)
+        optimizer = Optimizer(database, config.estimator(statistics), model)
         times = []
         for index, query in enumerate(queries):
-            planned = optimizer.optimize(query)
+            planned = config.plan(optimizer, query, statistics)
             simulated = cache.execute(database, model, index, planned.plan)[0]
             times.append(simulated)
         profiles[config.name] = LatencyProfile.from_times(config.name, times)

@@ -45,15 +45,14 @@ from typing import Sequence
 
 from repro.catalog import Database
 from repro.core import (
-    BayesNetCardinalityEstimator,
     CardinalityEstimator,
-    ExactCardinalityEstimator,
-    HistogramCardinalityEstimator,
     JEFFREYS,
     MODERATE,
     Prior,
     RobustCardinalityEstimator,
+    estimator_for,
 )
+from repro.core.factory import hintless_threshold
 from repro.cost import CostModel
 from repro.engine import ExecutionContext, ScanCache
 from repro.errors import EstimationError, ReproError, StatisticsError
@@ -654,41 +653,26 @@ class Session:
     ):
         """A fresh estimator honoring the session config, bound to the
         statistics snapshot in ``state``."""
-        kind = self.config.estimator
-        if kind == "exact":
-            estimator = ExactCardinalityEstimator(self.database)
-        else:
-            statistics = state.manager
-            if kind == "robust":
-                estimator = RobustCardinalityEstimator(
-                    statistics,
-                    prior=self.config.prior,
-                    policy=self._hintless_threshold(),
+        estimator = estimator_for(
+            self.config.policy,
+            self.database,
+            state.manager,
+            prior=self.config.prior,
+        )
+        if isinstance(estimator, RobustCardinalityEstimator):
+            estimator.fallback_listener = self._note_fallback_estimate
+            if self._feedback is not None:
+                # Fenced to this snapshot's epoch: the provider refuses
+                # observations harvested under any other statistics
+                # version.
+                estimator.feedback = self._feedback.provider_for(
+                    state.version
                 )
-                estimator.fallback_listener = self._note_fallback_estimate
-                if self._feedback is not None:
-                    # Fenced to this snapshot's epoch: the provider
-                    # refuses observations harvested under any other
-                    # statistics version.
-                    estimator.feedback = self._feedback.provider_for(
-                        state.version
-                    )
-            elif kind == "bayes":
-                estimator = BayesNetCardinalityEstimator(statistics)
-            else:
-                estimator = HistogramCardinalityEstimator(statistics)
         if tracer is not None:
             estimator.tracer = tracer
         elif self.estimator_decorator is not None:
             estimator = self.estimator_decorator(estimator)
         return estimator
-
-    def _hintless_threshold(self) -> float:
-        """What an estimate without a confidence hint prices at
-        (penalty passes, the degraded path): the default policy's ``q``
-        when it has one, else the paper's moderate level."""
-        policy = self.config.policy
-        return policy.q if isinstance(policy, ThresholdPolicy) else MODERATE
 
     def _note_fallback_estimate(self, tables, source: str) -> None:
         """§3.5 fallback attribution hook wired into robust estimators."""
@@ -710,7 +694,7 @@ class Session:
         estimator = RobustCardinalityEstimator(
             StatisticsManager(self.database),
             prior=self.config.prior,
-            policy=self._hintless_threshold(),
+            policy=hintless_threshold(self.config.policy),
         )
         estimator.fallback_listener = self._note_fallback_estimate
         return estimator
@@ -1125,10 +1109,7 @@ class Session:
         configs=None,
         seeds: Sequence[int] = tuple(range(4)),
         workers: int | None = None,
-        execution_cache: bool = True,
-        vectorize_thresholds: bool = True,
         trace: bool = False,
-        scan_cache: bool = True,
     ):
         """Run a Section-6 style experiment grid against this database.
 
@@ -1150,10 +1131,7 @@ class Session:
             histogram_buckets=self.config.histogram_buckets,
             seeds=seeds,
             workers=workers,
-            execution_cache=execution_cache,
-            vectorize_thresholds=vectorize_thresholds,
             trace=trace,
-            scan_cache=scan_cache,
         )
         result = runner.run(params, configs)
         result.perf.publish(self.metrics)

@@ -53,6 +53,41 @@ class TestExperiment:
         assert "BayesNet" in out and "Exact" in out
         assert "performance vs predictability" in out
 
+    def test_repeated_policy_adds_one_arm(self, tmp_path, capsys):
+        """Regression: a repeated ``--policy`` (or one naming a default
+        arm) duplicated that arm's records."""
+        from repro.obs import read_traces
+
+        out_path = tmp_path / "arms.jsonl"
+        code = main(
+            [
+                "experiment",
+                "exp1",
+                "--scale",
+                "5000",
+                "--seeds",
+                "1",
+                "--points",
+                "2",
+                "--sample-size",
+                "200",
+                "--policy",
+                "bayes",
+                "--policy",
+                "bayes",
+                "--policy",
+                "80",
+                "--trace-out",
+                str(out_path),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        configs = [record["config"] for record in read_traces(out_path)]
+        assert configs.count("BayesNet") == 2  # 1 seed x 2 points
+        assert configs.count("T=80%") == 2
+        assert len(configs) == 7 * 2
+
     def test_exp3_small(self, capsys):
         code = main(
             [

@@ -118,12 +118,6 @@ class TestDeterminismAndCaching:
         assert bayes._trees_version == manager.version
         assert 0.0 <= refreshed.selectivity <= 1.0
 
-    def test_memoization_can_be_disabled(self, tpch_stats):
-        bayes = BayesNetCardinalityEstimator(tpch_stats, memoize_estimates=False)
-        first = bayes.estimate({"lineitem"}, WINDOW)
-        second = bayes.estimate({"lineitem"}, WINDOW)
-        assert first.selectivity == second.selectivity
-
 
 class TestEstimateMany:
     def test_threshold_blind_repetition(self, bayes):

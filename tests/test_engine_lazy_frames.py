@@ -353,34 +353,29 @@ class TestExperimentRecordsUnchanged:
     """The scan cache must be invisible in experiment records."""
 
     def test_runner_records_bit_identical(self, tpch_db):
-        from repro.experiments import ExperimentRunner
-        from repro.workloads import ShippingDatesTemplate
+        from repro.experiments import ExperimentRunner, default_configs
+        from repro.workloads import PartCorrelationTemplate
 
-        template = ShippingDatesTemplate()
-        params = template.params_for_targets(tpch_db, [0.002, 0.008], step=4)
+        from tests.reference_runner import reference_run
 
-        def run(scan_cache):
-            # Disable the plan-execution cache so repeated executions
-            # actually reach the scans — otherwise the exec cache
-            # absorbs every repeat and the scan cache sees no traffic.
-            runner = ExperimentRunner(
-                tpch_db,
-                template,
-                sample_size=200,
-                seeds=[0],
-                workers=1,
-                execution_cache=False,
-                scan_cache=scan_cache,
-            )
-            return runner.run(params)
-
-        cached, uncached = run(True), run(False)
+        # A join grid: arms that pick different join plans for one
+        # parameter still share their base-table leaves.
+        template = PartCorrelationTemplate()
+        low, high = template.param_range()
+        params = [
+            (p, template.true_selectivity(tpch_db, p))
+            for p in (low, (low + high) // 2, high)
+        ]
+        configs = default_configs()
+        cached = ExperimentRunner(
+            tpch_db, template, sample_size=200, seeds=[0], workers=1
+        ).run(params, configs)
+        uncached = reference_run(
+            tpch_db, template, params, configs, seeds=[0], sample_size=200
+        )
         assert cached.records == uncached.records
         assert cached.perf.scan_cache_hits > 0
-        assert uncached.perf.scan_cache_hits == 0
-        d = cached.perf.as_dict()
-        assert d["scan_cache"] is True
-        assert d["scan_cache_hit_rate"] > 0
+        assert cached.perf.as_dict()["scan_cache_hit_rate"] > 0
 
     def test_session_prepared_reexecution_reuses_scans(self, tpch_db):
         from repro.service import Session

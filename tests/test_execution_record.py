@@ -216,7 +216,7 @@ class TestOneExecution:
         assert execute_calls == {op: 1 for op in planned.plan.walk()}
 
 
-def run_part_correlation(tpch_db, *, trace, workers=1, execution_cache=True):
+def run_part_correlation(tpch_db, *, trace, workers=1):
     template = PartCorrelationTemplate()
     low, high = template.param_range()
     params = [
@@ -230,53 +230,34 @@ def run_part_correlation(tpch_db, *, trace, workers=1, execution_cache=True):
         seeds=(0, 1),
         workers=workers,
         trace=trace,
-        execution_cache=execution_cache,
     )
     return runner.run(params, default_configs(thresholds=(0.05, 0.5, 0.95)))
 
 
 def deterministic_lines(traces):
-    """The traces without their clocks, and without the one field that
-    says whether the execution cache was on."""
-    lines = []
-    for trace in traces:
-        trace = strip_timing(trace)
-        trace["execution"] = dict(trace["execution"], cache_hit=False)
-        lines.append(canonical_json(trace))
-    return lines
+    """The traces without their clocks."""
+    return [canonical_json(strip_timing(trace)) for trace in traces]
 
 
 class TestTracedExperimentExecutesWhatTheUntracedOneDoes:
-    @pytest.mark.parametrize("execution_cache", [True, False])
-    def test_one_context_per_execution_cache_miss(
-        self, tpch_db, built_contexts, execution_cache
-    ):
-        untraced = run_part_correlation(
-            tpch_db, trace=False, execution_cache=execution_cache
-        )
+    def test_one_context_per_exec_cache_miss(self, tpch_db, built_contexts):
+        untraced = run_part_correlation(tpch_db, trace=False)
         built_untraced = len(built_contexts)
         built_contexts.clear()
-        traced = run_part_correlation(
-            tpch_db, trace=True, execution_cache=execution_cache
-        )
+        traced = run_part_correlation(tpch_db, trace=True)
         assert traced.records == untraced.records
         assert len(traced.traces) == len(traced.records)
         assert len(built_contexts) == built_untraced
         assert len(built_contexts) == traced.perf.exec_cache_misses
-        if execution_cache:
-            assert 0 < traced.perf.exec_cache_misses < len(traced.records)
-            assert any(t["execution"]["cache_hit"] for t in traced.traces)
+        assert 0 < traced.perf.exec_cache_misses < len(traced.records)
+        assert any(t["execution"]["cache_hit"] for t in traced.traces)
 
-    def test_traces_independent_of_workers_and_execution_cache(self, tpch_db):
-        runs = [
-            run_part_correlation(
-                tpch_db, trace=True, workers=workers, execution_cache=cached
-            )
+    def test_traces_independent_of_workers(self, tpch_db):
+        serial, parallel = (
+            run_part_correlation(tpch_db, trace=True, workers=workers)
             for workers in (1, 2)
-            for cached in (True, False)
-        ]
-        for run in runs[1:]:
-            assert run.records == runs[0].records
-            assert deterministic_lines(run.traces) == deterministic_lines(
-                runs[0].traces
-            )
+        )
+        assert parallel.records == serial.records
+        assert deterministic_lines(parallel.traces) == deterministic_lines(
+            serial.traces
+        )

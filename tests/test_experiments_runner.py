@@ -20,7 +20,12 @@ from repro.core import (
     HistogramCardinalityEstimator,
     RobustCardinalityEstimator,
 )
-from repro.selection import PenaltyPolicy
+from repro.selection import (
+    BayesNetPolicy,
+    HistogramPolicy,
+    PenaltyPolicy,
+    ThresholdPolicy,
+)
 from repro.errors import ReproError
 from repro.workloads import ShippingDatesTemplate
 
@@ -47,35 +52,45 @@ class TestDefaultConfigs:
     def test_builders_independent(self, tpch_stats):
         """Each config builds its own threshold (no closure aliasing)."""
         configs = default_configs(thresholds=(0.05, 0.95))
-        a = configs[0].build(tpch_stats)
-        b = configs[1].build(tpch_stats)
+        a = configs[0].estimator(tpch_stats)
+        b = configs[1].estimator(tpch_stats)
         assert a.policy.default == 0.05
         assert b.policy.default == 0.95
 
     def test_factories_keep_their_arm_fields(self):
-        """Every factory goes through policy_arm; the fields the runner
-        groups and vectorizes by are what they always were."""
+        """Every factory arm but the strawman is a policy and nothing
+        else; the runner plans each through it."""
 
         def fields(configs):
-            return [(c.name, c.threshold, c.group, c.policy) for c in configs]
+            return [(c.name, c.build is None, c.policy) for c in configs]
 
         assert fields(default_configs(thresholds=(0.05, 0.95))) == [
-            ("T=5%", 0.05, "robust", None),
-            ("T=95%", 0.95, "robust", None),
-            ("Histograms", None, None, None),
+            ("T=5%", True, ThresholdPolicy(0.05)),
+            ("T=95%", True, ThresholdPolicy(0.95)),
+            ("Histograms", True, HistogramPolicy()),
         ]
         assert fields(scenario_configs()) == [
-            ("T=80%", 0.8, "robust", None),
-            ("Histograms", None, None, None),
-            ("BayesNet", None, None, None),
-            ("Fixed", None, None, None),
+            ("T=80%", True, ThresholdPolicy(0.8)),
+            ("Histograms", True, HistogramPolicy()),
+            ("BayesNet", True, BayesNetPolicy()),
+            ("Fixed", False, None),
         ]
         expected = PenaltyPolicy(samples=8)
         cvar = PenaltyPolicy(samples=8, risk="cvar", alpha=0.9)
         assert fields(penalty_configs(samples=8)) == [
-            ("E[penalty](m=8)", None, None, expected),
-            ("CVaR(α=0.9, m=8)", None, None, cvar),
+            ("E[penalty](m=8)", True, expected),
+            ("CVaR(α=0.9, m=8)", True, cvar),
         ]
+
+    def test_penalty_arms_price_at_the_median(self, tpch_stats):
+        for arm in penalty_configs(samples=8):
+            estimator = arm.estimator(tpch_stats)
+            assert type(estimator) is RobustCardinalityEstimator
+            assert estimator.policy.default == 0.5
+
+    def test_arm_without_policy_or_build_rejected(self):
+        with pytest.raises(ReproError, match="needs a policy or a build"):
+            EstimatorConfig("nothing")
 
     @pytest.mark.parametrize(
         "spec, name, estimator_class",
@@ -92,7 +107,7 @@ class TestDefaultConfigs:
         histogram arm, which the CLI's name de-dup then dropped."""
         arm = policy_arm(spec)
         assert arm.name == name
-        assert type(arm.build(tpch_stats)) is estimator_class
+        assert type(arm.estimator(tpch_stats)) is estimator_class
         pickle.loads(pickle.dumps(arm))  # fans out to worker processes
 
 

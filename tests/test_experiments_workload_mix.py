@@ -8,8 +8,10 @@ from repro.experiments import (
     MixComponent,
     default_configs,
     format_latency_profiles,
+    penalty_configs,
     run_workload_mix,
 )
+from repro.optimizer import Optimizer
 from repro.workloads import PartCorrelationTemplate, ShippingDatesTemplate
 
 
@@ -83,3 +85,24 @@ class TestWorkloadMix:
             tpch_db, components, num_queries=10, configs=configs, sample_size=200
         )
         assert a["T=50%"].mean == b["T=50%"].mean
+
+    def test_penalty_arms_plan_through_their_policy(self, tpch_db, monkeypatch):
+        """Regression: the mix planned every arm with a plain
+        ``optimize``, so a penalty arm ran at its estimator's T = 50 %."""
+        calls = []
+        original = Optimizer.optimize_penalty
+
+        def counting(self, *args, **kwargs):
+            calls.append(kwargs["risk"])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Optimizer, "optimize_penalty", counting)
+        profiles = run_workload_mix(
+            tpch_db,
+            [MixComponent(ShippingDatesTemplate())],
+            num_queries=5,
+            configs=penalty_configs(samples=8),
+            sample_size=200,
+        )
+        assert len(profiles) == 2
+        assert calls == ["expected"] * 5 + ["cvar"] * 5

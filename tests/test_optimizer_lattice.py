@@ -238,12 +238,16 @@ def test_root_relation_walks_the_closure_once_per_table_set(monkeypatch):
         "root_relation",
         lambda self, tables: asked.append(tables) or root_relation(self, tables),
     )
+    # an estimator that remembers nothing: every estimate is computed
+    monkeypatch.setattr(
+        RobustCardinalityEstimator, "_memoized", lambda self, key, compute: compute()
+    )
 
     def plan() -> tuple[int, int]:
         """(closure walks, distinct table sets asked about) of one plan,
         by an estimator that remembers nothing."""
         del walks[:], asked[:]
-        estimator = RobustCardinalityEstimator(statistics, memoize_estimates=False)
+        estimator = RobustCardinalityEstimator(statistics)
         Optimizer(database, estimator).optimize(query)
         assert all(isinstance(tables, frozenset) for tables in asked)
         return len(walks), len(set(asked))

@@ -21,6 +21,8 @@ from repro.optimizer import Optimizer, keep_best, keep_best_vector
 from repro.optimizer.candidates import PlanCandidate
 from repro.workloads import PartCorrelationTemplate, ShippingDatesTemplate
 
+from tests.reference_runner import reference_run
+
 PAPER_GRID = (0.05, 0.20, 0.50, 0.80, 0.95)
 
 
@@ -246,8 +248,8 @@ class TestHashBuildSideEligibility:
 
 
 class TestRunnerVectorization:
-    """End-to-end: the harness's grouped multi-threshold planning is
-    record-identical to the per-config scalar path."""
+    """End-to-end: the harness's multi-threshold planning is
+    record-identical to planning every arm as a scalar."""
 
     @pytest.fixture(scope="class")
     def arms(self, tpch_db):
@@ -256,27 +258,37 @@ class TestRunnerVectorization:
         configs = default_configs(
             thresholds=(0.05, 0.50, 0.95), include_histogram=False
         )
-        results = {}
-        for vectorize in (False, True):
-            runner = ExperimentRunner(
-                tpch_db,
-                template,
-                sample_size=300,
-                seeds=(0, 1),
-                vectorize_thresholds=vectorize,
-            )
-            results[vectorize] = runner.run(params, configs)
-        return results
+        vectorized = ExperimentRunner(
+            tpch_db, template, sample_size=300, seeds=(0, 1)
+        ).run(params, configs)
+        scalar = reference_run(
+            tpch_db, template, params, configs, seeds=(0, 1), sample_size=300
+        )
+        return {True: vectorized, False: scalar}
 
     def test_records_identical(self, arms):
         assert arms[True].records == arms[False].records
 
     def test_vector_arm_counts_passes_and_lut_hits(self, arms):
-        assert arms[True].perf.vector_passes > 0
+        assert arms[True].perf.vector_passes == 2 * 2  # seeds x params
         assert arms[True].perf.lut_hits > 0
-        assert arms[False].perf.vector_passes == 0
-
-    def test_perf_flag_recorded(self, arms):
-        assert arms[True].perf.vectorize_thresholds is True
-        assert arms[False].perf.vectorize_thresholds is False
         assert "vector_passes" in arms[True].perf.as_dict()
+
+    def test_repeated_param_costs_one_pass_per_entry(self, tpch_db):
+        # Nearby targets can resolve to the same param; each entry of
+        # the grid still costs exactly one vector pass.
+        template = ShippingDatesTemplate()
+        first, second = template.params_for_targets(
+            tpch_db, [0.0, 0.003], step=8
+        )
+        params = [first, first, second]
+        configs = default_configs(
+            thresholds=(0.05, 0.50, 0.95), include_histogram=False
+        )
+        result = ExperimentRunner(
+            tpch_db, template, sample_size=300, seeds=(0,), workers=1
+        ).run(params, configs)
+        assert result.perf.vector_passes == len(params)
+        assert result.records == reference_run(
+            tpch_db, template, params, configs, seeds=(0,), sample_size=300
+        ).records
