@@ -189,6 +189,43 @@ class SortedIndex:
         hi = np.searchsorted(self._keys, value, side="right")
         return self._rids[lo:hi]
 
+    def _range_positions(
+        self,
+        low=None,
+        high=None,
+        low_inclusive: bool = True,
+        high_inclusive: bool = True,
+    ) -> tuple[int, int]:
+        """Sorted positions ``[lo, hi)``, ``lo <= hi``, of the keys in the
+        given (optionally open) range: one binary search per bound.
+
+        ``low=None`` / ``high=None`` leave that side unbounded. The one
+        range descent behind :meth:`lookup_range`, :meth:`count_range`
+        and a sequential scan narrowed by the index
+        (:func:`repro.engine.scans.scan_table`).
+        """
+        lo = 0
+        hi = len(self._keys)
+        if low is not None:
+            lo = self._search(low, "left" if low_inclusive else "right")
+        if high is not None:
+            hi = max(lo, self._search(high, "right" if high_inclusive else "left"))
+        return lo, hi
+
+    def _search(self, bound, side: str) -> int:
+        """``searchsorted(keys, bound, side)``, exact for a Python int past
+        integer keys' dtype range — which numpy compares exactly but
+        searches wrongly (``2**63`` lands before the largest ``int64``
+        key) — by answering such a bound from the range's edge."""
+        keys = self._keys
+        if isinstance(bound, int) and keys.dtype.kind in ("i", "u"):
+            limits = np.iinfo(keys.dtype)
+            if bound < limits.min:
+                return 0
+            if bound > limits.max:
+                return len(keys)
+        return int(np.searchsorted(keys, bound, side=side))
+
     def lookup_range(
         self,
         low=None,
@@ -200,16 +237,7 @@ class SortedIndex:
 
         ``low=None`` / ``high=None`` leave that side unbounded.
         """
-        lo = 0
-        hi = len(self._keys)
-        if low is not None:
-            side = "left" if low_inclusive else "right"
-            lo = int(np.searchsorted(self._keys, low, side=side))
-        if high is not None:
-            side = "right" if high_inclusive else "left"
-            hi = int(np.searchsorted(self._keys, high, side=side))
-        if hi <= lo:
-            return np.empty(0, dtype=np.int64)
+        lo, hi = self._range_positions(low, high, low_inclusive, high_inclusive)
         return self._rids[lo:hi]
 
     def count_range(
@@ -220,15 +248,13 @@ class SortedIndex:
         high_inclusive: bool = True,
     ) -> int:
         """Number of rows in the range, without materializing RIDs."""
-        lo = 0
-        hi = len(self._keys)
-        if low is not None:
-            side = "left" if low_inclusive else "right"
-            lo = int(np.searchsorted(self._keys, low, side=side))
-        if high is not None:
-            side = "right" if high_inclusive else "left"
-            hi = int(np.searchsorted(self._keys, high, side=side))
-        return max(0, hi - lo)
+        lo, hi = self._range_positions(low, high, low_inclusive, high_inclusive)
+        return hi - lo
+
+    def rows_at(self, lo: int, hi: int) -> np.ndarray:
+        """The RIDs at sorted positions ``[lo, hi)`` in ascending order —
+        the rows of a key range as a sequential scan meets them."""
+        return np.sort(self._rids[lo:hi])
 
     def match_many(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Equi-match probe ``values`` against the index (vectorized).

@@ -17,6 +17,7 @@ from repro.catalog.types import coerce_scalar
 from repro.cost import CostModel
 from repro.engine import IndexIntersect, IndexSeek, IndexUnionSeek, SeqScan
 from repro.engine.scans import IndexCondition
+from repro.errors import TypeMismatchError
 from repro.expressions import Expr, col, conjunction
 from repro.expressions.analysis import (
     RangeCondition,
@@ -59,20 +60,20 @@ def range_to_expr(condition: RangeCondition) -> Expr:
 
 def _index_condition(
     database: Database, condition: RangeCondition
-) -> IndexCondition:
-    """Coerce a range condition's bounds into storage representation."""
+) -> IndexCondition | None:
+    """Coerce a range condition's bounds into storage representation;
+    ``None`` when a bound does not coerce exactly (``100.5`` against an
+    integer column) — the index path is then not offered, rather than
+    rounded into a different predicate. The scan still answers it."""
     table = database.table(condition.table)
     column_type = table.schema.column_type(condition.column)
-    low = (
-        coerce_scalar(condition.low, column_type)
-        if condition.low is not None
-        else None
-    )
-    high = (
-        coerce_scalar(condition.high, column_type)
-        if condition.high is not None
-        else None
-    )
+    try:
+        low, high = (
+            coerce_scalar(bound, column_type) if bound is not None else None
+            for bound in (condition.low, condition.high)
+        )
+    except TypeMismatchError:
+        return None
     return IndexCondition(
         condition.column,
         low,
@@ -109,7 +110,10 @@ def _in_list_paths(
         if not database.has_index(table_name, reference.name):
             continue
         column_type = table.schema.column_type(reference.name)
-        coerced = [coerce_scalar(v, column_type) for v in values]
+        try:
+            coerced = [coerce_scalar(v, column_type) for v in values]
+        except TypeMismatchError:
+            continue  # a value the column cannot hold exactly: no seek
         entries = card(tables, conjunct).cardinality
         residual = conjunction(conjuncts[:i] + conjuncts[i + 1 :])
         clustered = clustering == reference.name
@@ -175,22 +179,26 @@ def access_paths(
             [range_to_expr(r) for r in unmergeable]
             + ([residual] if residual is not None else [])
         )
-    indexed = {
-        key: condition
+    # Index paths need bounds the column stores exactly; a range whose
+    # bounds do not coerce is offered no path of its own and, like every
+    # other range in ``merged``, is applied in each path's residual.
+    seekable = {
+        key: index_condition
         for key, condition in merged.items()
         if database.has_index(table_name, condition.column)
+        and (index_condition := _index_condition(database, condition)) is not None
     }
-    if not indexed:
+    if not seekable:
         return candidates
 
-    keys = sorted(indexed, key=lambda key: key[1])
+    keys = sorted(seekable, key=lambda key: key[1])
     # Sargable ranges without a usable index must still be applied —
     # fold them back into every path's residual alongside the
     # non-sargable remainder.
 
     # Single-index seeks: remaining ranges become residual predicate.
     for key in keys:
-        condition = indexed[key]
+        condition = merged[key]
         entries = card(tables, range_to_expr(condition)).cardinality
         others = [range_to_expr(merged[k]) for k in merged if k != key]
         path_residual = conjunction(
@@ -204,9 +212,7 @@ def access_paths(
             table.rows_per_page,
             path_residual is not None,
         )
-        operator = IndexSeek(
-            table_name, _index_condition(database, condition), path_residual
-        )
+        operator = IndexSeek(table_name, seekable[key], path_residual)
         order = f"{table_name}.{condition.column}"
         candidates.append(
             PlanCandidate(operator, tables, out_rows, cost, order).annotated()
@@ -215,7 +221,7 @@ def access_paths(
     # Index intersections over 2..MAX_INTERSECTION_WIDTH indexes.
     for width in range(2, min(len(keys), MAX_INTERSECTION_WIDTH) + 1):
         for subset in combinations(keys, width):
-            conditions = [indexed[key] for key in subset]
+            conditions = [merged[key] for key in subset]
             entry_counts = [
                 card(tables, range_to_expr(c)).cardinality for c in conditions
             ]
@@ -231,7 +237,7 @@ def access_paths(
             )
             operator = IndexIntersect(
                 table_name,
-                [_index_condition(database, c) for c in conditions],
+                [seekable[key] for key in subset],
                 path_residual,
             )
             # RID intersection yields storage order.

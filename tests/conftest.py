@@ -239,11 +239,10 @@ def families(
 
 
 @pytest.fixture(scope="session")
-def planned_trees(families):
-    """``family -> [(query, plan root)]``: every alternative of every
-    statement at three thresholds, plus the chosen plan (which carries
-    the aggregate / sort / limit the alternatives do not)."""
-    trees = {}
+def planned_battery(families):
+    """``family -> [(query, threshold, PlannedQuery)]``: every statement
+    of the family's battery planned at three thresholds."""
+    battery = {}
     for family, (database, statistics) in families.items():
         entries = []
         for threshold in (0.05, 0.5, 0.95):
@@ -251,13 +250,24 @@ def planned_trees(families):
                 database, RobustCardinalityEstimator(statistics, policy=threshold)
             )
             for query in battery_queries(family, database):
-                planned = optimizer.optimize(query)
-                entries.append((query, planned.plan))
-                entries.extend(
-                    (query, candidate.operator)
-                    for candidate in planned.alternatives
-                )
-        trees[family] = entries
+                entries.append((query, threshold, optimizer.optimize(query)))
+        battery[family] = entries
+    return battery
+
+
+@pytest.fixture(scope="session")
+def planned_trees(planned_battery):
+    """``family -> [(query, plan root)]``: every alternative of every
+    statement at three thresholds, plus the chosen plan (which carries
+    the aggregate / sort / limit the alternatives do not)."""
+    trees = {}
+    for family, entries in planned_battery.items():
+        trees[family] = []
+        for query, _, planned in entries:
+            trees[family].append((query, planned.plan))
+            trees[family].extend(
+                (query, candidate.operator) for candidate in planned.alternatives
+            )
     return trees
 
 

@@ -49,6 +49,32 @@ class TestSortedIndex:
         for lo, hi in [(None, None), (3, 7), (0, 0), (8, None)]:
             assert index.count_range(lo, hi) == len(index.lookup_range(lo, hi))
 
+    @pytest.mark.parametrize(
+        "dtype",
+        [np.int8, np.int16, np.int32, np.int64,
+         np.uint8, np.uint16, np.uint32, np.uint64],
+    )
+    def test_bounds_past_the_dtype_range(self, dtype):
+        """A Python-int bound outside the keys' dtype finds what numpy's
+        comparison finds — ``searchsorted`` alone lands ``2**63`` before
+        the largest ``int64`` key."""
+        limits = np.iinfo(dtype)
+        keys = np.array([limits.min, limits.min + 1, 0, limits.max - 1, limits.max],
+                        dtype=dtype)
+        index = SortedIndex(keys)
+        outside = [int(limits.min) - 1, int(limits.max) + 1, 2**63, 2**64,
+                   -(2**63) - 1, 2**70, -(2**70)]
+        for bound in outside + [int(limits.min), int(limits.max), 0]:
+            for inclusive in (True, False):
+                above = keys >= bound if inclusive else keys > bound
+                below = keys <= bound if inclusive else keys < bound
+                for got, want in [
+                    (index.lookup_range(bound, None, inclusive), above),
+                    (index.lookup_range(None, bound, True, inclusive), below),
+                ]:
+                    assert sorted(got.tolist()) == np.flatnonzero(want).tolist()
+                assert index.count_range(bound, None, inclusive) == above.sum()
+
     def test_lookup_many_eq(self, values):
         index = SortedIndex(values)
         rids = index.lookup_many_eq(np.array([3, 9]))

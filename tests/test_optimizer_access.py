@@ -1,5 +1,6 @@
 """Unit tests for access-path generation."""
 
+import numpy as np
 import pytest
 
 from repro.core import ExactCardinalityEstimator
@@ -122,3 +123,55 @@ class TestAccessPaths:
         paths = access_paths(db, MODEL, card, "lineitem", predicate)
         seek = next(p for p in paths if isinstance(p.operator, IndexSeek))
         assert seek.operator.condition.low == 729100
+
+
+class TestUncoercibleBoundsOfferNoIndexPath:
+    """A literal an integer column cannot hold exactly (``100.5``, a
+    fractional IN-list value) used to crash planning in
+    ``coerce_scalar``, although a sequential scan answers it. The index
+    paths are not offered — not rounded into a different predicate —
+    and the statement runs."""
+
+    @pytest.fixture(scope="class")
+    def tpch(self):
+        from repro import Session
+        from repro.workloads import TpchConfig, build_tpch_database
+
+        database = build_tpch_database(TpchConfig(num_lineitem=20_000, seed=1))
+        return database, Session(database, sample_size=400, statistics_seed=11)
+
+    @pytest.mark.parametrize(
+        "condition, truth",
+        [
+            ("lineitem.l_partkey < 100.5", lambda k: k < 100.5),
+            (
+                "lineitem.l_partkey BETWEEN 10.5 AND 300.5",
+                lambda k: (k >= 10.5) & (k <= 300.5),
+            ),
+            ("lineitem.l_partkey IN (3, 4.5)", lambda k: np.isin(k, [3, 4.5])),
+        ],
+    )
+    def test_session_answers_like_numpy(self, tpch, condition, truth):
+        database, session = tpch
+        result = session.execute(
+            f"SELECT COUNT(*) AS n FROM lineitem WHERE {condition}"
+        )
+        keys = database.table("lineitem").column("l_partkey")
+        assert result.column("n")[0] == np.count_nonzero(truth(keys)) > 0
+
+    def test_other_indexes_still_seek(self, db, card):
+        """The fractional range loses its own seek and intersections and
+        rides along as residual; the other range keeps its seek, and
+        every path returns the same rows."""
+        from repro.engine import ExecutionContext
+
+        predicate = DATE_RANGE & (col("lineitem.l_partkey") < 40.5)
+        paths = access_paths(db, MODEL, card, "lineitem", predicate)
+        seeks = [p.operator for p in paths if isinstance(p.operator, IndexSeek)]
+        assert [seek.condition.column for seek in seeks] == ["l_shipdate"]
+        assert not any(isinstance(p.operator, IndexIntersect) for p in paths)
+        results = set()
+        for path in paths:
+            frame = path.operator.execute(ExecutionContext(db))
+            results.add(tuple(sorted(frame.column("lineitem.l_id"))))
+        assert len(results) == 1

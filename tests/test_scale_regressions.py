@@ -25,11 +25,15 @@ scale where it shows (600 k-row ``lineitem``). Counted, not timed:
    its index rather than reading the column — while every plan the optimizer
    considered returns the same columns and ``WorkCounters`` as under the
    sort-based reference matchers.
+4. A sequential scan of a narrow range over an indexed integer column
+   hands no ``lineitem``-long array to the BETWEEN kernel or the mask
+   compaction; one past the crossover still compares every row.
 """
 
 import numpy as np
 import pytest
 
+from repro.catalog import date_ordinal
 from repro.core import ExactCardinalityEstimator
 from repro.cost import CostModel
 from repro.engine import (
@@ -280,11 +284,10 @@ class TestEquiJoinsSortNoInputSide:
         assert max(sorted_lengths) <= frame.num_rows
 
 
-@pytest.fixture
-def matcher_lengths(monkeypatch):
-    """The length of every array handed to a key-matching primitive —
-    the dense key tables' build and probe, ``stable_order``,
-    ``np.searchsorted`` — while the test runs (seeded with 0)."""
+def record_lengths(monkeypatch, targets) -> list[int]:
+    """The length of every array handed to one of ``targets`` —
+    ``(module, function name)`` pairs — while the test runs (seeded
+    with 0 so ``max`` is always defined)."""
     lengths = [0]
 
     def recording(function):
@@ -294,15 +297,26 @@ def matcher_lengths(monkeypatch):
 
         return wrapper
 
-    for module, name in [
-        (kernels, "_unique_key_table"),
-        (kernels, "_probe_key_table"),
-        (sorted_index, "_probe_key_table"),
-        (kernels, "stable_order"),
-        (np, "searchsorted"),
-    ]:
+    for module, name in targets:
         monkeypatch.setattr(module, name, recording(getattr(module, name)))
     return lengths
+
+
+@pytest.fixture
+def matcher_lengths(monkeypatch):
+    """The length of every array handed to a key-matching primitive —
+    the dense key tables' build and probe, ``stable_order``,
+    ``np.searchsorted``."""
+    return record_lengths(
+        monkeypatch,
+        [
+            (kernels, "_unique_key_table"),
+            (kernels, "_probe_key_table"),
+            (sorted_index, "_probe_key_table"),
+            (kernels, "stable_order"),
+            (np, "searchsorted"),
+        ],
+    )
 
 
 class TestEquiJoinsProbeTheBaseSidesIndex:
@@ -332,6 +346,42 @@ class TestEquiJoinsProbeTheBaseSidesIndex:
         lineitem_rows = tpch_10x.table("lineitem").num_rows
         assert 0 < frame.num_rows < lineitem_rows
         assert max(matcher_lengths) < lineitem_rows
+
+
+@pytest.fixture
+def compared_lengths(monkeypatch):
+    """The length of every array handed to ``kernels.eval_between`` or
+    ``np.flatnonzero``."""
+    return record_lengths(
+        monkeypatch, [(kernels, "eval_between"), (np, "flatnonzero")]
+    )
+
+
+class TestNarrowScansReadTheIndex:
+    """A sequential scan is charged every page whatever it keeps, so how
+    it finds its rows is free: a range over an indexed integer column
+    holding at most an eighth of the table is read as the index's RIDs,
+    the other conjuncts evaluated on those rows. Counted, not timed: a
+    narrow ``l_shipdate`` scan hands no array as long as ``lineitem`` to
+    the BETWEEN kernel or the mask compaction; one past the crossover
+    still compares every row."""
+
+    @pytest.mark.parametrize(
+        "days, narrow",
+        [(30, True), (900, False)],
+        ids=["a-month", "past-the-crossover"],
+    )
+    def test_lineitem_long_arrays_at_10x(
+        self, compared_lengths, tpch_10x, days, narrow
+    ):
+        start = date_ordinal("1995-01-01")
+        predicate = col("lineitem.l_shipdate").between(
+            start, start + days
+        ) & col("lineitem.l_receiptdate").between(start, start + days + 60)
+        lineitem_rows = tpch_10x.table("lineitem").num_rows
+        frame = SeqScan("lineitem", predicate).execute(ExecutionContext(tpch_10x))
+        assert 0 < frame.num_rows < lineitem_rows
+        assert (max(compared_lengths) < lineitem_rows) == narrow
 
 
 def _two_search_match_many(index, values):
