@@ -214,10 +214,6 @@ class Database:
         """Whether a sorted index exists on ``table.column``."""
         return (table_name, column) in self._sorted_indexes
 
-    def indexed_columns(self, table_name: str) -> list[str]:
-        """Columns of ``table_name`` that have sorted indexes."""
-        return [c for (t, c) in self._sorted_indexes if t == table_name]
-
     def clustering_column(self, table_name: str) -> str | None:
         """Column the table is clustered on, if declared."""
         return self._clustered_on.get(table_name)

@@ -59,6 +59,7 @@ from repro.analysis import (
     threshold_sweep,
     tradeoff_curve,
 )
+from repro.errors import ReproError
 from repro.experiments import (
     format_selectivity_table,
     format_tradeoff_table,
@@ -234,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--worker-threads", type=int, default=4,
-        help="server worker-pool size",
+        help="operations the server runs at once",
     )
     serve.add_argument("--seed", type=int, default=7)
     serve.add_argument(
@@ -467,6 +468,8 @@ def _cmd_report(args) -> int:
 def _cmd_sql(args) -> int:
     database = _workload_database(args.workload, args.scale)
 
+    # A bad policy or statement (unknown table or column, syntax) is the
+    # user's input: report it, don't print a traceback.
     try:
         session = Session(
             database,
@@ -474,15 +477,15 @@ def _cmd_sql(args) -> int:
             statistics_seed=args.seed,
             policy=args.policy,
         )
-    except PolicyError as exc:
+        prepared = session.prepare(args.query)
+        result = None if args.explain_only else prepared.execute()
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    prepared = session.prepare(args.query)
     print(prepared.explain())
 
     tracing = args.trace or args.trace_out is not None
-    if not args.explain_only:
-        result = prepared.execute()
+    if result is not None:
         frame = result.frame
         print(f"\nrows: {frame.num_rows}")
         for name in frame.column_names[: 8]:

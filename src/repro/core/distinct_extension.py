@@ -3,8 +3,8 @@
 Aggregation output size is the number of distinct grouping-attribute
 combinations among the qualifying rows. We evaluate the predicate on
 the join synopsis, form the distinct-value estimate of the surviving
-sample rows with a standard estimator (GEE or Chao), and scale by the
-estimated qualifying population.
+sample rows with GEE, and scale by the estimated qualifying
+population.
 """
 
 from __future__ import annotations
@@ -16,21 +16,14 @@ import numpy as np
 from repro.core.robust import RobustCardinalityEstimator
 from repro.errors import EstimationError
 from repro.expressions import Expr
-from repro.stats.distinct import chao_estimator, gee_estimator
+from repro.stats.distinct import gee_estimator
 
 
 class GroupCountEstimator:
     """Estimates the number of groups a GROUP BY will produce."""
 
-    def __init__(
-        self,
-        estimator: RobustCardinalityEstimator,
-        method: str = "gee",
-    ) -> None:
-        if method not in ("gee", "chao"):
-            raise EstimationError(f"unknown distinct estimator {method!r}")
+    def __init__(self, estimator: RobustCardinalityEstimator) -> None:
         self.estimator = estimator
-        self.method = method
 
     def estimate_groups(
         self,
@@ -64,9 +57,7 @@ class GroupCountEstimator:
         # threshold semantics as row counts.
         cardinality = self.estimator.estimate(names, predicate, hint).cardinality
         population = max(1, int(round(cardinality)))
-        if self.method == "gee":
-            return gee_estimator(keys, population)
-        return chao_estimator(keys, population)
+        return gee_estimator(keys, population)
 
     def _combined_keys(self, frame, group_by: Sequence[str]) -> np.ndarray:
         """Collapse multi-column group keys into one hashable array."""

@@ -123,9 +123,9 @@ class HistogramCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
                 estimate = self._range_selectivity(owner, condition)
                 if estimate is not None:
                     return estimate
-        membership = in_list_atoms(conjunct)
-        if membership is not None:
-            ref, values = membership
+        in_list = in_list_atoms(conjunct)
+        if in_list is not None:
+            ref, values = in_list
             owner = ref.table or table_name
             histogram = (
                 self.statistics.histogram(owner, ref.name) if owner else None

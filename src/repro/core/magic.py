@@ -34,7 +34,7 @@ class MagicNumbers:
     range: float = 0.25
     inequality: float = 1.0 / 3.0
     string_match: float = 0.1
-    membership: float = 0.15
+    in_list: float = 0.15
     default: float = 1.0 / 9.0
 
     def for_predicate(self, predicate: Expr) -> float:
@@ -48,7 +48,7 @@ class MagicNumbers:
         if isinstance(predicate, Between):
             return self.range
         if isinstance(predicate, InList):
-            return self.membership
+            return self.in_list
         if isinstance(predicate, (StringContains, StringStartsWith)):
             return self.string_match
         if isinstance(predicate, Not):

@@ -70,7 +70,7 @@ class PhysicalOperator:
 
     def label(self) -> str:
         """One-line description used by ``explain``."""
-        return type(self).__name__
+        raise NotImplementedError
 
     def walk(self) -> Iterator["PhysicalOperator"]:
         """Yield this operator and all descendants, pre-order."""

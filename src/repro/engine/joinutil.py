@@ -1,13 +1,12 @@
 """Vectorized equi-join matching shared by the join operators.
 
 :func:`match_frames` computes the row-index pairs of an inner equi-join
-between two frames with no per-row Python work; :func:`semijoin_mask`
-computes membership masks. A right side that is a whole indexed base
-column is matched through that column's index, which already holds the
-column sorted; everything else goes to :mod:`repro.engine.kernels`, which picks
-the fastest numpy formulation for the input's size and key range. Every
-path returns output bit-identical to the reference
-:func:`repro.engine.kernels.match_keys_numpy`.
+between two frames with no per-row Python work. A right side that is a
+whole indexed base column is matched through that column's index, which
+already holds the column sorted; everything else goes to
+:mod:`repro.engine.kernels`, which picks the fastest numpy formulation
+for the input's size and key range. Every path returns output
+bit-identical to the reference :func:`repro.engine.kernels.match_keys_numpy`.
 """
 
 from __future__ import annotations
@@ -56,17 +55,3 @@ def _base_column_index(
         return None
     return index
 
-
-def semijoin_mask(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarray:
-    """Boolean mask over ``left_keys`` marking rows with a match.
-
-    Small inputs use ``np.isin`` exactly as before; large integer
-    inputs with a compact key range (the join-key case) use a dense
-    boolean table instead of sorting. Results are identical on every
-    path.
-    """
-    if not len(left_keys):
-        return np.zeros(0, dtype=bool)
-    if not len(right_keys):
-        return np.zeros(len(left_keys), dtype=bool)
-    return kernels.membership(left_keys, right_keys)

@@ -1,16 +1,16 @@
 """Numpy kernels for the engine's hot paths.
 
 The engine's inner loops — equi-join matching, predicate evaluation,
-membership tests, grouped aggregation — are all numpy already, but at
-paper scale (millions of rows) the remaining overheads matter: extra
-temporaries, concatenate-and-sort membership, per-group Python loops.
+grouped aggregation — are all numpy already, but at paper scale
+(millions of rows) the remaining overheads matter: extra temporaries,
+sorts a key table can replace, per-group Python loops.
 This module concentrates those hot paths behind one dispatch point.
 Each kernel has a reference formulation and faster ones chosen from
 the input (size, dtype, key range, which side's keys are unique) —
 never from a setting.
 
-The sort-free paths for integer keys — membership, equi-join matching,
-COUNT grouping, and a sorted index's equality probes — all index a
+The sort-free paths for integer keys — equi-join matching, COUNT
+grouping, and a sorted index's equality probes — all index a
 dense table by ``key - min``. They share one rule for when the table is
 worth building (its span against ``TABLE_RANGE_FACTOR`` x the rows it
 serves), one shift, :func:`_table_offsets`, which cannot wrap in a
@@ -50,9 +50,9 @@ from repro.indexes.sorted_index import (
     stable_order,
 )
 
-#: Below this combined key count the membership fast path gains nothing
-#: over ``np.isin``; dispatching to numpy keeps small inputs on the
-#: exact code path they always used (hence trivially "no slower").
+#: Below this combined key count :func:`match_keys` gains nothing from a
+#: key table, so small inputs stay on the reference sort
+#: (:func:`match_keys_numpy`) — trivially "no slower".
 SEMIJOIN_SMALL_N = 4096
 
 
@@ -130,9 +130,9 @@ def _match_keys_table(
     """PK–FK matching through a dense key → row table, no sort of a side.
 
     Applies when either side's keys are *unique* integers whose span is
-    at most ``TABLE_RANGE_FACTOR`` x the combined row count (the rule
-    :func:`membership` uses); the table is built on that side and the
-    other side's keys are gathered through it in one streaming pass.
+    at most ``TABLE_RANGE_FACTOR`` x the combined row count; the table
+    is built on that side and the other side's keys are gathered
+    through it in one streaming pass.
 
     Right side unique (a filtered FK side building against its PK side,
     every clustered merge join): each left row has at most one partner,
@@ -185,77 +185,6 @@ def match_keys(
         if result is not None:
             return result
     return match_keys_numpy(left_keys, right_keys)
-
-
-# ----------------------------------------------------------------------
-# Membership (semijoin masks)
-# ----------------------------------------------------------------------
-
-def membership_isin(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarray:
-    """Reference membership: ``np.isin`` (concatenate-and-sort)."""
-    return np.isin(left_keys, right_keys)
-
-
-def membership_sorted(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarray:
-    """Membership via sorting only the right keys + binary search.
-
-    Sorts O(r) instead of ``np.isin``'s O(l + r) concatenation, but the
-    per-element binary search is cache-hostile at scale — measured on
-    multi-million-row arrays it loses to ``np.isin``'s merge, so the
-    dispatcher prefers :func:`membership_table`/``np.isin`` and keeps
-    this as an exactness reference (pure comparisons: bit-identical to
-    ``np.isin``, including NaN never matching).
-    """
-    sorted_right = np.sort(right_keys)
-    pos = np.searchsorted(sorted_right, left_keys, side="left")
-    result = np.zeros(len(left_keys), dtype=bool)
-    inside = pos < len(sorted_right)
-    result[inside] = sorted_right[pos[inside]] == left_keys[inside]
-    return result
-
-
-def membership_table(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarray:
-    """Integer membership through a dense boolean table (open-address
-    hashing degenerated to a perfect hash): mark every right key, then
-    gather. One O(l + r) pass, no sorting.
-
-    numpy's own ``isin`` has a similar fast path but applies a
-    conservative memory heuristic; join keys in this engine are dense
-    row/key universes, so the table is nearly always tiny relative to
-    the inputs. Caller guarantees integer dtypes and a bounded range.
-    """
-    lo = min(int(left_keys.min()), int(right_keys.min()))
-    hi = max(int(left_keys.max()), int(right_keys.max()))
-    table = np.zeros(hi - lo + 1, dtype=bool)
-    table[_table_offsets(right_keys, lo)] = True
-    return table[_table_offsets(left_keys, lo)]
-
-
-def membership(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarray:
-    """Boolean mask over ``left_keys`` marking values present in
-    ``right_keys``, with a size-based crossover.
-
-    Small inputs stay on ``np.isin`` verbatim (identical cost to the
-    historical implementation by construction). Large integer inputs
-    with a compact key range — the join-key case — switch to the dense
-    boolean table. Everything else goes to ``np.isin``, whose
-    merge-based fallback measured fastest for wide-range and float
-    keys at scale.
-    """
-    if not len(left_keys) or not len(right_keys):
-        return np.zeros(len(left_keys), dtype=bool)
-    total = len(left_keys) + len(right_keys)
-    if total <= SEMIJOIN_SMALL_N:
-        return membership_isin(left_keys, right_keys)
-    integral = (
-        left_keys.dtype.kind in ("i", "u") and right_keys.dtype.kind in ("i", "u")
-    )
-    if integral and left_keys.dtype == right_keys.dtype:
-        lo = min(int(left_keys.min()), int(right_keys.min()))
-        hi = max(int(left_keys.max()), int(right_keys.max()))
-        if hi - lo + 1 <= TABLE_RANGE_FACTOR * total:
-            return membership_table(left_keys, right_keys)
-    return membership_isin(left_keys, right_keys)
 
 
 # ----------------------------------------------------------------------

@@ -50,11 +50,6 @@ class Sort(PhysicalOperator):
         if not self.keys:
             raise ExecutionError("Sort requires at least one key column")
 
-    @property
-    def key(self) -> str:
-        """The most significant sort key."""
-        return self.keys[0]
-
     def children(self) -> list[PhysicalOperator]:
         return [self.child]
 

@@ -28,7 +28,6 @@ from repro.experiments.audit import (
     AuditEntry,
     audit_plan,
     format_audit,
-    worst_q_error,
 )
 from repro.experiments.sensitivity import (
     SensitivityReport,
@@ -68,7 +67,6 @@ __all__ = [
     "selectivity_csv",
     "sensitivity_sweep",
     "tradeoff_csv",
-    "worst_q_error",
     "EstimatorConfig",
     "ExperimentResult",
     "ExperimentRunner",

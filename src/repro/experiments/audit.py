@@ -71,9 +71,3 @@ def format_audit(entries: list[AuditEntry]) -> str:
             ]
         )
     )
-
-
-def worst_q_error(entries: list[AuditEntry]) -> float:
-    """The largest per-operator q-error in the audit (1.0 if none)."""
-    errors = [e.q_error for e in entries if e.q_error is not None]
-    return max(errors, default=1.0)

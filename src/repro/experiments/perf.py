@@ -56,11 +56,6 @@ class PerfStats:
     wall_seconds: float = 0.0
 
     @property
-    def executions(self) -> int:
-        """Plans actually executed (cache misses)."""
-        return self.exec_cache_misses
-
-    @property
     def exec_cache_hit_rate(self) -> float:
         total = self.exec_cache_hits + self.exec_cache_misses
         return self.exec_cache_hits / total if total else 0.0

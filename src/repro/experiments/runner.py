@@ -286,14 +286,6 @@ class ExperimentResult:
         self._ensure_index()
         return sorted(set(self._param_selectivity.values()))
 
-    def mean_time_for_param(self, config: str, param: int) -> float:
-        """Mean simulated time over seeds for one grid parameter."""
-        self._ensure_index()
-        times = self._times.get((config, param))
-        if not times:
-            raise ReproError(f"no records for {config!r} at param {param}")
-        return float(np.mean(times))
-
     def mean_time(self, config: str, selectivity: float) -> float:
         """Mean simulated time over seeds for one curve point."""
         self._ensure_index()
@@ -304,17 +296,6 @@ class ExperimentResult:
         if not times:
             raise ReproError(f"no records for {config!r} at {selectivity}")
         return float(np.mean(times))
-
-    def curve(self, config: str) -> list[tuple[float, float]]:
-        """The (selectivity, mean time) series for one configuration."""
-        self._ensure_index()
-        return [
-            (
-                self._param_selectivity[param],
-                self.mean_time_for_param(config, param),
-            )
-            for param in self.params
-        ]
 
     def tradeoff_point(self, config: str) -> TradeoffPoint:
         """Mean/std of time across all runs of one configuration."""

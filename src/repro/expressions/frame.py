@@ -56,9 +56,6 @@ class _Source:
         self.base = base
         self.sel = sel
 
-    def __len__(self) -> int:
-        return len(self.base) if self.sel is None else len(self.sel)
-
     def gather(self) -> np.ndarray:
         """Materialize the column (identity sources return the base)."""
         return self.base if self.sel is None else self.base[self.sel]
@@ -134,16 +131,6 @@ class Frame:
     def column_names(self) -> list[str]:
         """Qualified column names in insertion order."""
         return list(self._sources)
-
-    @property
-    def materialized_columns(self) -> list[str]:
-        """Names of columns whose arrays exist in memory right now.
-
-        Only the columns something has read (or that the frame was built
-        from as arrays). Used by tests and benchmarks to assert
-        projection pruning ("untouched columns are never gathered").
-        """
-        return [name for name in self._sources if name in self._cache]
 
     def _resolve(self, qualified_name: str) -> str:
         """Resolve a (possibly unqualified) name to a stored key."""

@@ -200,10 +200,6 @@ class FeedbackStore:
         with self._lock:
             return sorted(self._namespaces)
 
-    def keys(self, namespace: str) -> list[str]:
-        with self._lock:
-            return sorted(self._namespaces.get(namespace, {}))
-
     def size(self, namespace: str | None = None) -> int:
         """Number of keys in one namespace (or across all of them)."""
         with self._lock:

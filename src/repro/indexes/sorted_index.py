@@ -171,11 +171,6 @@ class SortedIndex:
         self._keys = values[order]
         self._rids = order.astype(np.int64, copy=False)
 
-    @property
-    def num_entries(self) -> int:
-        """Number of indexed rows."""
-        return len(self._keys)
-
     @cached_property
     def in_storage_order(self) -> bool:
         """Whether the column is stored in key order: its stable order
@@ -200,9 +195,9 @@ class SortedIndex:
         given (optionally open) range: one binary search per bound.
 
         ``low=None`` / ``high=None`` leave that side unbounded. The one
-        range descent behind :meth:`lookup_range`, :meth:`count_range`
-        and a sequential scan narrowed by the index
-        (:func:`repro.engine.scans.scan_table`).
+        range descent behind :meth:`lookup_range` and a sequential scan
+        narrowed by the index (:func:`repro.engine.scans.scan_table`),
+        which counts the range before it reads it.
         """
         lo = 0
         hi = len(self._keys)
@@ -239,17 +234,6 @@ class SortedIndex:
         """
         lo, hi = self._range_positions(low, high, low_inclusive, high_inclusive)
         return self._rids[lo:hi]
-
-    def count_range(
-        self,
-        low=None,
-        high=None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> int:
-        """Number of rows in the range, without materializing RIDs."""
-        lo, hi = self._range_positions(low, high, low_inclusive, high_inclusive)
-        return hi - lo
 
     def rows_at(self, lo: int, hi: int) -> np.ndarray:
         """The RIDs at sorted positions ``[lo, hi)`` in ascending order —
@@ -339,15 +323,3 @@ class SortedIndex:
         used by semijoin plans that probe one index with many keys.
         """
         return self.match_many(values)[1]
-
-    def min_key(self):
-        """Smallest indexed key (raises on an empty index)."""
-        if not len(self._keys):
-            raise IndexError_("empty index has no min key")
-        return self._keys[0]
-
-    def max_key(self):
-        """Largest indexed key (raises on an empty index)."""
-        if not len(self._keys):
-            raise IndexError_("empty index has no max key")
-        return self._keys[-1]

@@ -89,20 +89,6 @@ class PlanCache:
         per_stripe = -(-capacity // stripes) if capacity else 0
         self._stripes = [_Stripe(per_stripe) for _ in range(stripes)]
 
-    # Aggregated-at-read counters (kept as properties so callers and
-    # older tests that read ``cache.hits`` keep working).
-    @property
-    def hits(self) -> int:
-        return sum(s.hits for s in self._stripes)
-
-    @property
-    def misses(self) -> int:
-        return sum(s.misses for s in self._stripes)
-
-    @property
-    def evictions(self) -> int:
-        return sum(s.evictions for s in self._stripes)
-
     # ------------------------------------------------------------------
     def _stripe_for(self, key: Hashable) -> _Stripe:
         return self._stripes[hash(key) % len(self._stripes)]

@@ -516,9 +516,9 @@ class Session:
             except StatisticsError as exc:
                 if strict:
                     raise
-                self._record_degradation(
+                self._record_degradation(self._degradation(
                     "statistics-load-failed", str(exc), component="statistics"
-                )
+                ))
                 return self.statistics_version()
         issues = manager.health_issues()
         with self._statistics_lock:
@@ -529,11 +529,9 @@ class Session:
             # builds it under the session lock, as on first use.
             self._state = _StatsState(manager, ready=manager.version > 0)
         if issues:
-            self._record_degradation(
-                "statistics-health",
-                "; ".join(issues),
-                component="statistics",
-            )
+            self._record_degradation(self._degradation(
+                "statistics-health", "; ".join(issues), component="statistics"
+            ))
         else:
             self._set_health(HEALTHY)
         self.metrics.counter(
@@ -561,23 +559,26 @@ class Session:
             "1 while the session is in degraded mode, else 0.",
         ).set(1.0 if state == DEGRADED else 0.0)
 
-    def _record_degradation(
+    def _degradation(
         self, reason: str, detail: str, component: str
     ) -> DegradationEvent:
-        """Attribute one degradation: event list + metrics + state."""
-        event = DegradationEvent(
+        """An event for a degradation seen under the statistics in force."""
+        return DegradationEvent(
             reason=reason,
             detail=detail,
             component=component,
             statistics_version=self.statistics_version(),
         )
+
+    def _record_degradation(self, event: DegradationEvent) -> None:
+        """Attribute one degradation — the session's own, or drift the
+        feedback ledger raised: event list + metrics + state."""
         self._degradations.append(event)
         self.metrics.counter(
             "repro_session_degradations_total",
             "Graceful degradations, by attributed reason.",
-        ).inc(reason=reason)
+        ).inc(reason=event.reason)
         self._set_health(DEGRADED)
-        return event
 
     # ------------------------------------------------------------------
     # Estimation feedback loop
@@ -627,7 +628,7 @@ class Session:
             store=store,
             config=config,
             registry=self.metrics,
-            on_degradation=self._note_estimation_drift,
+            on_degradation=self._record_degradation,
         )
         with self._statistics_lock:
             # Fresh state (sharing the manager) so the memoized
@@ -635,15 +636,6 @@ class Session:
             state = self._state
             self._state = _StatsState(state.manager, ready=state.ready)
         return self._feedback
-
-    def _note_estimation_drift(self, event: DegradationEvent) -> None:
-        """Ledger drift events land in the session degradation log."""
-        self._degradations.append(event)
-        self.metrics.counter(
-            "repro_session_degradations_total",
-            "Graceful degradations, by attributed reason.",
-        ).inc(reason=event.reason)
-        self._set_health(DEGRADED)
 
     # ------------------------------------------------------------------
     # Estimator / optimizer wiring
@@ -862,11 +854,10 @@ class Session:
         degrade to the scalar magic-only plan too: without a working
         posterior there is nothing to sample.
         """
-        event = self._record_degradation(
-            "estimator-failure",
-            f"{type(exc).__name__}: {exc}",
-            component="planner",
+        event = self._degradation(
+            "estimator-failure", f"{type(exc).__name__}: {exc}", component="planner"
         )
+        self._record_degradation(event)
         optimizer = Optimizer(
             self.database,
             self._fallback_estimator(),

@@ -5,8 +5,8 @@ service into something shaped like a deployment: N tenants, each with
 an isolated :class:`~repro.service.Session` bound to its own
 statistics, fronted by admission control (bounded per-tenant queues +
 a global concurrency limit with shed-and-retry semantics) and a bound
-on running operations (``serve`` runs on the caller's thread, ``submit``
-on a pool). Statistics archives hot-swap into live tenants without
+on running operations, each run by ``QueryServer.serve`` on its
+caller's thread. Statistics archives hot-swap into live tenants without
 serving a single stale or cross-tenant plan — the server tracks the
 evidence (per-tenant served-version ledgers, a stale-serving counter)
 so the claim is checked at runtime, not just argued in comments.

@@ -11,24 +11,22 @@ runtime anyway: it records every statistics version it serves per
 tenant, and :meth:`QueryServer.isolation_report` cross-intersects
 them (the intersection must be empty).
 
-Request flow: an operation passes admission control
-(:class:`~repro.serving.admission.AdmissionController` — bounded
-per-tenant queue + global limit), takes one of ``worker_threads``
-execution slots, and drives prepare/execute through the tenant
-session's lock-striped plan cache. ``serve`` does all of that on the
-calling thread — a blocking caller already owns one, and handing its
-work to a pool worker cost about three context switches per request
-(172 µs around a 78 µs cached prepare) for nothing. ``submit`` returns
-a future instead, so its operations run on a worker pool whose threads
-take the same slots: one bound on running operations, not two. Shed
-requests raise :class:`ServerOverloaded` immediately; ``serve`` backs
-off deterministically and retries instead of failing.
+Request flow: :meth:`QueryServer.serve` passes an operation through
+admission control (:class:`~repro.serving.admission.AdmissionController`
+— bounded per-tenant queue + global limit), takes one of
+``worker_threads`` execution slots, and drives prepare/execute through
+the tenant session's lock-striped plan cache, all on the calling
+thread: a blocking caller already owns one, and handing its work to a
+pool worker cost about three context switches per request (172 µs
+around a 78 µs cached prepare) for nothing. A shed request backs off
+deterministically and retries; the last shed raises
+:class:`ServerOverloaded`.
 
 Statistics hot-swap: :meth:`QueryServer.swap_statistics` attaches a
 new archive to a tenant's session *while that tenant is serving
 traffic*. The session's atomic ``_StatsState`` swap guarantees no
 in-flight prepare mixes statistics generations; the server additionally
-tracks a per-tenant version floor at submit time and counts any
+tracks a per-tenant version floor at admission and counts any
 operation served below its floor in
 ``repro_serving_stale_served_total`` (which must stay 0 — the
 swap-under-load test asserts exactly that).
@@ -38,7 +36,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.catalog import Database
@@ -119,7 +116,7 @@ class ServedQuery:
     rows: int | None
     simulated_seconds: float
     #: True when the operation was served below its tenant's statistics
-    #: version floor at submit time. Must never happen; counted in
+    #: version floor at admission. Must never happen; counted in
     #: ``repro_serving_stale_served_total``.
     stale: bool = False
 
@@ -136,7 +133,7 @@ class _Tenant:
         self.session = session
         self.lock = threading.Lock()
         #: The statistics version in force (the stale floor for newly
-        #: submitted operations). 0 until the first build/attach.
+        #: admitted operations). 0 until the first build/attach.
         self.current_version = session.statistics_version()
         #: Every statistics version this tenant has *served* a query
         #: under — the isolation ledger cross-checked across tenants.
@@ -151,7 +148,7 @@ class _Operation:
     query: str
     policy: SelectionPolicy | float | str | None
     execute: bool
-    submitted_at: float
+    admitted_at: float
     version_floor: int
 
 
@@ -163,9 +160,9 @@ class QueryServer:
     tenants:
         :class:`TenantSpec` per tenant (at least one; names unique).
     worker_threads:
-        Maximum number of operations running at once, whichever thread
-        runs them (``serve`` callers or the ``submit`` pool, which has
-        this many workers). Admission bounds queued *plus* running.
+        Maximum number of operations running at once, each on the
+        thread that called :meth:`serve`. Admission bounds waiting
+        *plus* running.
     admission:
         An :class:`AdmissionConfig` (a controller is built over the
         server registry) or a prebuilt :class:`AdmissionController`.
@@ -214,7 +211,7 @@ class QueryServer:
         )
         self._latency = self.metrics.histogram(
             "repro_serving_latency_seconds",
-            "Submit-to-completion latency of served operations.",
+            "Admission-to-completion latency of served operations.",
             buckets=LATENCY_BUCKETS,
         )
         self._completed = self.metrics.counter(
@@ -243,18 +240,14 @@ class QueryServer:
                 version = session.attach_statistics(spec.statistics)
                 tenant.current_version = version
             self._tenants[spec.name] = tenant
-        # One bound on running operations: caller threads and pool
-        # workers alike hold a slot for the length of ``_run``.
+        # The bound on running operations: a caller holds a slot for
+        # the length of ``_run``.
         self._slots = threading.BoundedSemaphore(worker_threads)
-        self._pool = ThreadPoolExecutor(
-            max_workers=worker_threads,
-            thread_name_prefix="repro-serving",
-        )
         self._closed = False
         self._drained = False
 
     # ------------------------------------------------------------------
-    # Submission
+    # Admission
     # ------------------------------------------------------------------
     def _tenant(self, name: str) -> _Tenant:
         tenant = self._tenants.get(name)
@@ -284,40 +277,9 @@ class QueryServer:
             query=query,
             policy=policy,
             execute=execute,
-            submitted_at=time.perf_counter(),
+            admitted_at=time.perf_counter(),
             version_floor=state.current_version,
         )
-
-    def _enqueue(self, op: _Operation) -> Future:
-        future: Future = Future()
-        try:
-            self._pool.submit(self._resolve, op, future)
-        except BaseException:
-            self.admission.release(op.tenant.name)
-            raise
-        return future
-
-    def submit(
-        self,
-        tenant: str,
-        query: str,
-        *,
-        policy: SelectionPolicy | float | str | None = None,
-        execute: bool = True,
-    ) -> Future:
-        """Admit and enqueue one operation; a future of
-        :class:`ServedQuery`.
-
-        The operation runs on a pool worker, which takes the same
-        execution slot a ``serve`` caller would. A per-operation
-        ``policy`` overrides the tenant session's default selection
-        policy for this statement only.
-        Raises :class:`ServerOverloaded` immediately when admission
-        control sheds the request (per-tenant queue full or global
-        limit reached) — nothing is queued in that case. Use
-        :meth:`serve` for blocking shed-and-retry semantics.
-        """
-        return self._enqueue(self._admit(tenant, query, policy, execute))
 
     def serve(
         self,
@@ -329,16 +291,16 @@ class QueryServer:
         max_retries: int = 50,
         backoff_seconds: float = 0.001,
         backoff_cap: float = 0.05,
-        timeout: float | None = None,
     ) -> ServedQuery:
         """Admit and run one operation on the calling thread.
 
-        On :class:`ServerOverloaded`, backs off deterministically
-        (exponential, capped at ``backoff_cap``) and tries again, up to
-        ``max_retries`` times; the final shed propagates. Retries are
-        counted in ``repro_serving_retries_total``. With a ``timeout``
-        the operation goes through the pool instead, because the caller
-        must be able to walk away from it.
+        A per-operation ``policy`` overrides the tenant session's
+        default selection policy for this statement only. When admission
+        control sheds the request (per-tenant queue full or global limit
+        reached), backs off deterministically (exponential, capped at
+        ``backoff_cap``) and tries again, up to ``max_retries`` times;
+        the final :class:`ServerOverloaded` propagates. Retries are
+        counted in ``repro_serving_retries_total``.
         """
         attempt = 0
         while True:
@@ -351,19 +313,11 @@ class QueryServer:
                 time.sleep(min(backoff_seconds * (2 ** attempt), backoff_cap))
                 attempt += 1
                 continue
-            if timeout is None:
-                return self._run(op)
-            return self._enqueue(op).result(timeout=timeout)
+            return self._run(op)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _resolve(self, op: _Operation, future: Future) -> None:
-        try:
-            future.set_result(self._run(op))
-        except BaseException as exc:
-            future.set_exception(exc)
-
     def _run(self, op: _Operation) -> ServedQuery:
         """Run one admitted operation on this thread, inside a slot."""
         tenant = op.tenant
@@ -387,7 +341,7 @@ class QueryServer:
                         tenant.served_versions.add(served_version)
                 if stale:
                     self._stale_served.inc(tenant=tenant.name)
-                latency = time.perf_counter() - op.submitted_at
+                latency = time.perf_counter() - op.admitted_at
                 self._latency.observe(latency, tenant=tenant.name)
                 self._completed.inc(
                     tenant=tenant.name,
@@ -418,11 +372,11 @@ class QueryServer:
         """Hot-swap one tenant's statistics while it serves traffic.
 
         Delegates to the session's atomic attach, then raises the
-        tenant's version floor: operations submitted *after* the swap
+        tenant's version floor: operations admitted *after* the swap
         must be served at (at least) the new version, and ``_run``
         counts any violation in ``repro_serving_stale_served_total``.
         Operations already in flight legitimately finish under the old
-        snapshot — their floor was captured at submit time.
+        snapshot — their floor was captured at admission.
         """
         state = self._tenant(tenant)
         with state.lock:
@@ -538,10 +492,9 @@ class QueryServer:
         if self._closed:
             return
         self._closed = True
-        self._pool.shutdown(wait=True)
-        # Every running operation holds a slot, on whichever thread:
-        # owning all of them means none is left inside a session, and
-        # one admitted earlier that gets a slot later sees ``_drained``.
+        # Every running operation holds a slot: owning all of them means
+        # none is left inside a session, and one admitted earlier that
+        # gets a slot later sees ``_drained``.
         for _ in range(self.worker_threads):
             self._slots.acquire()
         self._drained = True

@@ -15,13 +15,12 @@ from repro.stats.join_synopsis import (
     rebuild_join_synopsis,
 )
 from repro.stats.histogram import EquiDepthHistogram
-from repro.stats.distinct import chao_estimator, gee_estimator, sample_distinct_counts
+from repro.stats.distinct import gee_estimator, sample_distinct_counts
 from repro.stats.manager import StatisticsManager
 from repro.stats.persistence import load_statistics, save_statistics
 from repro.stats.footprint import (
     StatisticsFootprint,
     database_footprint,
-    format_footprint,
     table_footprint,
 )
 
@@ -29,13 +28,11 @@ __all__ = [
     "EquiDepthHistogram",
     "StatisticsFootprint",
     "database_footprint",
-    "format_footprint",
     "table_footprint",
     "JoinSynopsis",
     "StatisticsManager",
     "TableSample",
     "build_join_synopsis",
-    "chao_estimator",
     "gee_estimator",
     "load_statistics",
     "rebuild_join_synopsis",

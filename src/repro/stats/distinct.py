@@ -4,8 +4,8 @@ Implements the extension sketched in paper Section 3.5 ("Incorporating
 other operators"): the result size of GROUP BY aggregation depends on
 the number of distinct attribute combinations, which can be estimated
 from a sample using known estimators — we provide GEE (Charikar et al.)
-and Chao's estimator, plus the frequency-of-frequencies helper both
-are built on (Haas et al., VLDB 1995 lineage).
+plus the frequency-of-frequencies helper it is built on (Haas et al.,
+VLDB 1995 lineage).
 """
 
 from __future__ import annotations
@@ -45,20 +45,3 @@ def gee_estimator(values: np.ndarray, population_size: int) -> float:
     estimate = np.sqrt(population_size / n) * f1 + rest
     return float(min(estimate, population_size))
 
-
-def chao_estimator(values: np.ndarray, population_size: int | None = None) -> float:
-    """Chao's lower-bound estimator: ``d_obs + f1^2 / (2 * f2)``."""
-    n = len(values)
-    if n == 0:
-        return 0.0
-    freq = sample_distinct_counts(values)
-    observed = sum(freq.values())
-    f1 = freq.get(1, 0)
-    f2 = freq.get(2, 0)
-    if f2 > 0:
-        estimate = observed + (f1 * f1) / (2.0 * f2)
-    else:
-        estimate = observed + f1 * (f1 - 1) / 2.0
-    if population_size is not None:
-        estimate = min(estimate, population_size)
-    return float(estimate)

@@ -67,15 +67,3 @@ def database_footprint(manager: StatisticsManager) -> list[StatisticsFootprint]:
         table_footprint(manager, name)
         for name in manager.database.table_names
     ]
-
-
-def format_footprint(footprints: list[StatisticsFootprint]) -> str:
-    """Render the accounting as an aligned text table."""
-    header = f"{'table':<12} {'sample(B)':>10} {'histograms(B)':>14} {'ratio':>7}"
-    lines = [header, "-" * len(header)]
-    for footprint in footprints:
-        lines.append(
-            f"{footprint.table:<12} {footprint.sample_bytes:>10d} "
-            f"{footprint.histogram_bytes:>14d} {footprint.ratio:>7.2f}"
-        )
-    return "\n".join(lines)

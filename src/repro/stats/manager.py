@@ -20,7 +20,7 @@ import weakref
 from typing import Iterable
 
 from repro.catalog import ColumnType, Database, Table
-from repro.errors import CatalogError, StatisticsError
+from repro.errors import CatalogError
 from repro.random_state import RngLike, derive_seed, spawn_rngs
 from repro.stats.histogram import EquiDepthHistogram
 from repro.stats.join_synopsis import JoinSynopsis, build_join_synopsis
@@ -259,10 +259,3 @@ class StatisticsManager:
                     "(cannot be persisted)"
                 )
         return issues
-
-    def require_synopsis(self, root_table: str) -> JoinSynopsis:
-        """Like :meth:`synopsis_for` but raising when missing."""
-        synopsis = self._synopses.get(root_table)
-        if synopsis is None:
-            raise StatisticsError(f"no join synopsis for {root_table!r}")
-        return synopsis

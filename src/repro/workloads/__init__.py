@@ -30,7 +30,7 @@ from repro.workloads.snowflake import (
     SnowflakeConfig,
     build_snowflake_database,
 )
-from repro.workloads.queries import QUERY_BATTERY, parse_battery
+from repro.workloads.queries import QUERY_BATTERY
 from repro.workloads.templates import (
     PartCorrelationTemplate,
     QueryTemplate,
@@ -43,7 +43,6 @@ __all__ = [
     "PriceMarkupTemplate",
     "PromotionBandTemplate",
     "QUERY_BATTERY",
-    "parse_battery",
     "QueryTemplate",
     "ShippingDatesTemplate",
     "SnowflakeChainTemplate",

@@ -8,10 +8,6 @@ tests, and the workload-mix harness. Each entry parses against
 
 from __future__ import annotations
 
-from repro.catalog import Database
-from repro.optimizer import SPJQuery
-from repro.sql import parse_query
-
 #: name -> SQL text. Queries reference only generated columns.
 QUERY_BATTERY: dict[str, str] = {
     # Q1-flavoured: big scan + aggregation over a date cutoff
@@ -62,10 +58,3 @@ QUERY_BATTERY: dict[str, str] = {
         "OPTION (CONFIDENCE 80)"
     ),
 }
-
-
-def parse_battery(database: Database) -> dict[str, SPJQuery]:
-    """Parse every battery query, validated against ``database``."""
-    return {
-        name: parse_query(sql, database) for name, sql in QUERY_BATTERY.items()
-    }

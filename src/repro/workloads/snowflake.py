@@ -436,8 +436,8 @@ class PromotionBandTemplate(QueryTemplate):
         """Exact result rows, computed directly with numpy.
 
         The exact estimator cannot answer here — ``sales`` and
-        ``promotion`` are not FK-joinable — so the ground truth is the
-        band-membership count over the base columns.
+        ``promotion`` are not FK-joinable — so the ground truth counts the
+        sales inside each promotion's price band over the base columns.
         """
         prices = database.table("sales").column("s_price")
         promos = database.table("promotion")

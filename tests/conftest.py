@@ -97,6 +97,12 @@ def execute_recorded(plan, database, scan_cache=None):
     return ctx, ctx.operator_record(plan)
 
 
+def materialized_columns(frame) -> list[str]:
+    """Names of the frame's columns whose arrays exist in memory: the
+    ones read so far, and those the frame was built from as arrays."""
+    return [name for name in frame._sources if name in frame._cache]
+
+
 def assert_rows_from_base_tables(frame, database) -> None:
     """Row provenance: every column of every output row equals, dtype
     included, the base-table row its table's primary-key column names,
@@ -210,10 +216,15 @@ def _spread(template, count=3):
     return [template.instantiate(p) for p in spread_params(template, count)]
 
 
+def parse_battery(database) -> dict:
+    """Every query of ``QUERY_BATTERY`` parsed against ``database``."""
+    return {name: parse_query(sql, database) for name, sql in QUERY_BATTERY.items()}
+
+
 def battery_queries(family: str, database) -> list:
     if family == "tpch":
         return (
-            [parse_query(sql, database) for sql in QUERY_BATTERY.values()]
+            list(parse_battery(database).values())
             + [parse_query(sql, database) for sql in EXTRA_TPCH]
             + _spread(ShippingDatesTemplate())
             + _spread(PartCorrelationTemplate())

@@ -172,6 +172,22 @@ class TestSql:
         )
         assert code == 0
 
+    def test_bad_statements_report_an_error(self, capsys):
+        """An unknown table, a syntax error, an unqualified column and an
+        unknown column each exit 2 with one error line, no traceback."""
+        statements = {
+            "SELECT COUNT(*) FROM nosuch": "nosuch",
+            "SELEC x FROM lineitem": "SELEC",
+            "SELECT COUNT(*) FROM lineitem WHERE l_quantity > 4": "l_quantity",
+            "SELECT COUNT(*) FROM lineitem WHERE lineitem.nope > 4": "nope",
+        }
+        for statement, culprit in statements.items():
+            code = main(["sql", statement, "--scale", "2000", "--sample-size", "100"])
+            err = capsys.readouterr().err
+            assert code == 2, statement
+            assert err.startswith("error: ") and culprit in err, err
+            assert "Traceback" not in err
+
     @pytest.mark.parametrize("flag", ["--threshold", "--estimator"])
     def test_retired_flags_rejected(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:

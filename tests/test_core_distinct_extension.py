@@ -49,17 +49,6 @@ class TestGroupEstimation:
         )
         assert double >= single * 0.9
 
-    def test_chao_method(self, tpch_stats):
-        robust = RobustCardinalityEstimator(tpch_stats, policy=0.5)
-        chao = GroupCountEstimator(robust, method="chao")
-        estimate = chao.estimate_groups({"part"}, ["part.p_size"])
-        assert 10 <= estimate <= 200
-
-    def test_unknown_method_raises(self, tpch_stats):
-        robust = RobustCardinalityEstimator(tpch_stats, policy=0.5)
-        with pytest.raises(EstimationError):
-            GroupCountEstimator(robust, method="magic8ball")
-
     def test_empty_group_by_raises(self, group_estimator):
         with pytest.raises(EstimationError):
             group_estimator.estimate_groups({"lineitem"}, [])

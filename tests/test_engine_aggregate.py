@@ -171,6 +171,9 @@ class TestFilterAndProject:
         plan = Project(SeqScan("lineitem"), ["lineitem.l_id"])
         frame = plan.execute(ExecutionContext(db))
         assert frame.column_names == ["lineitem.l_id"]
+        assert [op.label() for op in plan.walk()] == [
+            "Project(lineitem.l_id)", "SeqScan(lineitem)"
+        ]
 
     def test_explain_renders_tree(self, db):
         plan = Filter(SeqScan("lineitem"), col("lineitem.l_quantity") > 25)

@@ -10,7 +10,6 @@ from repro.engine import (
     MergeJoin,
     SeqScan,
 )
-from repro.engine.joinutil import semijoin_mask
 from repro.engine.kernels import match_keys
 from repro.errors import ExecutionError
 from repro.expressions import Frame, col
@@ -54,14 +53,6 @@ class TestMatchKeys:
     def test_no_matches(self):
         li, ri = match_keys(np.array([1, 2]), np.array([3, 4]))
         assert len(li) == 0
-
-    def test_semijoin_mask(self):
-        mask = semijoin_mask(np.array([1, 2, 3]), np.array([2, 9]))
-        assert list(mask) == [False, True, False]
-
-    def test_semijoin_mask_empty(self):
-        assert list(semijoin_mask(np.array([]), np.array([1]))) == []
-        assert list(semijoin_mask(np.array([1]), np.array([]))) == [False]
 
 
 class TestHashJoin:

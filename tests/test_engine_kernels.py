@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.engine import kernels
-from repro.engine.joinutil import semijoin_mask
 from repro.engine.kernels import match_keys
 from repro.errors import ReproError
 
@@ -201,109 +200,6 @@ class TestStableOrder:
             kernels.lexsort_stable([])
 
 
-class TestMembership:
-    def test_small_inputs_use_isin_verbatim(self, monkeypatch):
-        calls = {"isin": 0, "table": 0}
-        real_isin, real_table = kernels.membership_isin, kernels.membership_table
-
-        def spy_isin(a, b):
-            calls["isin"] += 1
-            return real_isin(a, b)
-
-        def spy_table(a, b):
-            calls["table"] += 1
-            return real_table(a, b)
-
-        monkeypatch.setattr(kernels, "membership_isin", spy_isin)
-        monkeypatch.setattr(kernels, "membership_table", spy_table)
-        small = np.arange(100)
-        kernels.membership(small, small)
-        assert calls == {"isin": 1, "table": 0}
-        big = np.arange(kernels.SEMIJOIN_SMALL_N + 1)
-        kernels.membership(big, big[:10])
-        assert calls == {"isin": 1, "table": 1}  # large + compact: hash path
-
-    def test_wide_range_integers_stay_on_isin(self, monkeypatch):
-        monkeypatch.setattr(
-            kernels, "membership_table", lambda a, b: pytest.fail("table used")
-        )
-        rng = np.random.default_rng(11)
-        left = rng.integers(0, 2**60, 10_000)
-        right = rng.integers(0, 2**60, 1000)
-        np.testing.assert_array_equal(
-            kernels.membership(left, right), np.isin(left, right)
-        )
-
-    def test_one_empty_side_large_other(self):
-        left = np.arange(kernels.SEMIJOIN_SMALL_N + 5)
-        out = kernels.membership(left, np.empty(0, dtype=np.int64))
-        assert out.shape == left.shape and not out.any()
-        assert kernels.membership(np.empty(0, dtype=np.int64), left).shape == (0,)
-
-    def test_table_matches_sorted_reference(self):
-        rng = np.random.default_rng(12)
-        left = rng.integers(0, 30_000, 20_000)
-        right = rng.integers(0, 30_000, 5_000)
-        np.testing.assert_array_equal(
-            kernels.membership_table(left, right),
-            kernels.membership_sorted(left, right),
-        )
-
-    @pytest.mark.parametrize("n_left, n_right", [(10, 5), (5000, 3000), (9000, 40)])
-    def test_bit_identical_to_isin(self, n_left, n_right):
-        rng = np.random.default_rng(n_left)
-        left = rng.integers(0, 4000, n_left)
-        right = rng.integers(0, 4000, n_right)
-        np.testing.assert_array_equal(
-            kernels.membership(left, right), np.isin(left, right)
-        )
-
-    def test_floats_and_nan_match_isin(self):
-        rng = np.random.default_rng(3)
-        left = rng.uniform(0, 100, 6000)
-        left[::7] = np.nan
-        right = np.concatenate([rng.uniform(0, 100, 3000), [np.nan]])
-        np.testing.assert_array_equal(
-            kernels.membership(left, right), np.isin(left, right)
-        )
-
-    def test_semijoin_mask_empty_paths(self):
-        assert semijoin_mask(np.array([]), np.array([1])).shape == (0,)
-        out = semijoin_mask(np.array([1, 2]), np.array([]))
-        assert not out.any() and out.dtype == bool
-
-    def test_semijoin_mask_large_agrees(self):
-        rng = np.random.default_rng(4)
-        left = rng.integers(0, 10_000, 50_000)
-        right = rng.integers(0, 10_000, 8_000)
-        np.testing.assert_array_equal(
-            semijoin_mask(left, right), np.isin(left, right)
-        )
-
-    @pytest.mark.perf
-    def test_dispatched_path_not_slower_than_isin_at_scale(self):
-        import time
-
-        rng = np.random.default_rng(5)
-
-        def best_of(func, a, b, k=5):
-            times = []
-            for _ in range(k):
-                start = time.perf_counter()
-                func(a, b)
-                times.append(time.perf_counter() - start)
-            return min(times)
-
-        # Join-key regime: large arrays over a compact key universe.
-        left = rng.integers(0, 5_000_000, 2_000_000)
-        right = rng.integers(0, 5_000_000, 500_000)
-        dispatched = best_of(kernels.membership, left, right, k=3)
-        isin = best_of(kernels.membership_isin, left, right, k=3)
-        # The hash-table path should win; 1.25x margin absorbs noise
-        # while still failing on a real regression to a slower path.
-        assert dispatched <= isin * 1.25
-
-
 class TestEvalBetween:
     @pytest.mark.parametrize(
         "values, low, high",
@@ -464,9 +360,8 @@ class TestNarrowIntegerKeys:
     """The dense-table kernels shift keys by their minimum. In the keys'
     own dtype that wraps once the span passes the dtype's positive half
     (``int16`` keys spanning −30 000…30 000, ``int8`` keys spanning
-    −100…100): ``membership`` then indexed its table from the
-    wrong end and returned a wrong mask, ``match_keys`` and
-    ``grouped_count_compact`` handed ``bincount`` negative positions.
+    −100…100): ``match_keys`` and ``grouped_count_compact`` then handed
+    ``bincount`` negative positions.
     """
 
     @pytest.fixture(
@@ -480,13 +375,6 @@ class TestNarrowIntegerKeys:
         rng = np.random.default_rng(5)
         universe = np.arange(low, high + 1).astype(dtype)
         return rng.permutation(universe), rng.choice(universe, 20_000)
-
-    def test_membership_equals_isin(self, keys):
-        unique, duplicated = keys
-        present = unique[: len(unique) // 2]
-        np.testing.assert_array_equal(
-            kernels.membership(duplicated, present), np.isin(duplicated, present)
-        )
 
     @pytest.mark.parametrize("unique_side", ["left", "right"])
     def test_match_keys_equals_reference(self, keys, unique_side):

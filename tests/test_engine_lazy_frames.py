@@ -45,7 +45,11 @@ from repro.engine.star import DimensionSpec
 from repro.errors import ExpressionError
 from repro.expressions import Frame, col
 
-from tests.conftest import assert_rows_from_base_tables, make_two_table_db
+from tests.conftest import (
+    assert_rows_from_base_tables,
+    make_two_table_db,
+    materialized_columns,
+)
 
 
 @pytest.fixture(scope="module")
@@ -68,15 +72,15 @@ class TestLazyFrameBasics:
         frame = Frame.from_table_rows(_table(), np.arange(50))
         out = frame.mask(np.arange(50) % 2 == 0)
         assert out.num_rows == 25
-        assert out.materialized_columns == []
+        assert materialized_columns(out) == []
 
     def test_column_read_memoizes_and_matches_eager(self):
         base = _columns()
         rows = np.array([5, 3, 3, 0])
         out = Frame(base).take(rows)
-        assert out.materialized_columns == []
+        assert materialized_columns(out) == []
         np.testing.assert_array_equal(out.column("t.a"), base["t.a"][rows])
-        assert out.materialized_columns == ["t.a"]
+        assert materialized_columns(out) == ["t.a"]
         # Second read returns the memoized array object.
         assert out.column("t.a") is out.column("t.a")
 
@@ -282,7 +286,7 @@ class TestProjectionPruning:
         frame = scan_lineitem().execute(ctx)
         # The predicate read l_quantity on the *input* frame; the
         # output is a fresh composition with no gathered columns.
-        assert frame.materialized_columns == []
+        assert materialized_columns(frame) == []
 
     def test_join_gathers_only_touched_columns(self, db):
         op = HashJoin(
@@ -292,9 +296,9 @@ class TestProjectionPruning:
         result = op.execute(ctx)
         # The join only gathered its key columns on the *inputs*; the
         # merged output starts unmaterialized.
-        assert result.materialized_columns == []
+        assert materialized_columns(result) == []
         result.column("lineitem.l_quantity")
-        assert result.materialized_columns == ["lineitem.l_quantity"]
+        assert materialized_columns(result) == ["lineitem.l_quantity"]
 
 
 class TestScanCache:

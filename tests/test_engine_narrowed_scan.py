@@ -260,7 +260,7 @@ class TestWhichScansReadTheIndex:
         )
         frame = scans._narrowed_scan(database, table, predicate)
         assert ranges_read == [
-            database.sorted_index("t", "k").count_range(100, 109)
+            len(database.sorted_index("t", "k").lookup_range(100, 109))
         ]
         assert_same_frame(frame, full_evaluation(table, predicate))
 

@@ -12,7 +12,6 @@ from repro.experiments import (
     format_audit,
     format_sensitivity,
     sensitivity_sweep,
-    worst_q_error,
 )
 from repro.expressions import col
 from repro.optimizer import Optimizer, SPJQuery
@@ -21,6 +20,11 @@ from repro.workloads import ShippingDatesTemplate
 CORRELATED = col("lineitem.l_shipdate").between("1997-07-01", "1997-09-30") & col(
     "lineitem.l_receiptdate"
 ).between("1997-07-01", "1997-09-30")
+
+
+def worst_q_error(entries) -> float:
+    """The largest per-operator q-error in the audit (1.0 if none)."""
+    return max((e.q_error for e in entries if e.q_error is not None), default=1.0)
 
 
 class TestAudit:

@@ -126,9 +126,12 @@ class TestRunner:
         assert all(r.time > 0 for r in small_result.records)
 
     def test_curve(self, small_result):
-        curve = small_result.curve("T=95%")
+        curve = [
+            small_result.mean_time("T=95%", selectivity)
+            for selectivity in small_result.selectivities
+        ]
         assert len(curve) == 2
-        assert all(time > 0 for _, time in curve)
+        assert all(time > 0 for time in curve)
 
     def test_tradeoff_points(self, small_result):
         points = small_result.tradeoff_points()

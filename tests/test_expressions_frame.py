@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.errors import ExpressionError
 from repro.expressions import Frame
 from repro.expressions.frame import _Source
+from tests.conftest import materialized_columns
 
 
 @pytest.fixture
@@ -112,7 +113,7 @@ class TestTransforms:
         assert "v.x" in merged.column_names
         # Arrays a frame was built from are already in memory; columns
         # behind a selection vector are not until read.
-        assert merged.materialized_columns == ["v.x"]
+        assert materialized_columns(merged) == ["v.x"]
 
     def test_merge_length_mismatch_raises(self, frame):
         with pytest.raises(ExpressionError):

@@ -36,8 +36,8 @@ from repro.workloads import (
     ShippingDatesTemplate,
     SnowflakeChainTemplate,
     StarJoinTemplate,
-    parse_battery,
 )
+from tests.conftest import parse_battery
 from tests.reference_lattice import (
     PairwiseOptimizer,
     assert_lattices_agree,

@@ -78,6 +78,12 @@ class TestValidation:
         with pytest.raises(OptimizationError, match="no column"):
             query.validate(tpch_db)
 
+    def test_columns_under_or_and_not_are_checked(self, tpch_db):
+        typo = col("lineitem.zzz") > 1
+        for predicate in ((col("lineitem.l_quantity") > 1) | typo, ~typo):
+            with pytest.raises(OptimizationError, match="no column"):
+                SPJQuery(["lineitem"], predicate).validate(tpch_db)
+
 
 class TestPredicateRouting:
     def test_per_table(self):

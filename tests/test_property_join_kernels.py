@@ -113,15 +113,6 @@ def test_match_keys_equals_reference(pair):
 
 @settings(max_examples=300, deadline=None)
 @given(pair=key_pairs())
-def test_membership_equals_isin(pair):
-    left, right = pair
-    mask = kernels.membership(left, right)
-    assert mask.dtype == np.bool_
-    np.testing.assert_array_equal(mask, np.isin(left, right))
-
-
-@settings(max_examples=300, deadline=None)
-@given(pair=key_pairs())
 def test_match_many_equals_reference(pair):
     probes, column = pair
     assert_same_pairs(

@@ -220,14 +220,6 @@ class TestServingSignatures:
             ("metrics", "KEYWORD_ONLY", True),
         ]
 
-    def test_submit(self):
-        assert _params(repro.QueryServer.submit) == [
-            ("tenant", "POSITIONAL_OR_KEYWORD", False),
-            ("query", "POSITIONAL_OR_KEYWORD", False),
-            ("policy", "KEYWORD_ONLY", True),
-            ("execute", "KEYWORD_ONLY", True),
-        ]
-
     def test_serve(self):
         assert _params(repro.QueryServer.serve) == [
             ("tenant", "POSITIONAL_OR_KEYWORD", False),
@@ -237,7 +229,6 @@ class TestServingSignatures:
             ("max_retries", "KEYWORD_ONLY", True),
             ("backoff_seconds", "KEYWORD_ONLY", True),
             ("backoff_cap", "KEYWORD_ONLY", True),
-            ("timeout", "KEYWORD_ONLY", True),
         ]
 
     def test_swap_statistics(self):

@@ -10,13 +10,9 @@ from repro.core import (
 )
 from repro.engine import ExecutionContext
 from repro.optimizer import Optimizer
-from repro.stats import (
-    StatisticsManager,
-    database_footprint,
-    format_footprint,
-    table_footprint,
-)
-from repro.workloads import QUERY_BATTERY, parse_battery
+from repro.stats import StatisticsManager, database_footprint, table_footprint
+from repro.workloads import QUERY_BATTERY
+from tests.conftest import parse_battery
 
 
 class TestQueryBattery:
@@ -73,12 +69,6 @@ class TestStorageFootprint:
         manager.update_statistics(sample_size=100, seed=0)
         footprints = database_footprint(manager)
         assert {f.table for f in footprints} == set(tpch_db.table_names)
-
-    def test_format(self, tpch_db):
-        manager = StatisticsManager(tpch_db)
-        manager.update_statistics(sample_size=100, seed=0)
-        text = format_footprint(database_footprint(manager))
-        assert "lineitem" in text and "ratio" in text
 
     def test_no_statistics_zero_bytes(self, tpch_db):
         manager = StatisticsManager(tpch_db)

@@ -55,9 +55,9 @@ from repro.indexes import SortedIndex, sorted_index
 from repro.indexes.sorted_index import expand_runs
 from repro.obs import execution_span, operator_spans
 from repro.optimizer import Optimizer
-from repro.workloads import TpchConfig, build_tpch_database, parse_battery
+from repro.workloads import TpchConfig, build_tpch_database
 
-from tests.conftest import execute_recorded, make_two_table_db
+from tests.conftest import execute_recorded, make_two_table_db, parse_battery
 
 QUERY = "SELECT COUNT(*) FROM lineitem WHERE lineitem.l_quantity > 45"
 JOIN_QUERY = (

@@ -90,6 +90,14 @@ class TestHistogramPolicy:
         assert policy.cache_key() == ("histogram",)
         assert resolve_policy(policy.spec()) == policy
 
+    @pytest.mark.parametrize("policy", [BayesNetPolicy(), ExactPolicy()])
+    def test_other_point_estimate_arms(self, policy):
+        """The other arms without a posterior name their estimator the
+        same way: one word for kind, estimator family, key and spec."""
+        name = policy.spec()
+        assert policy.kind == policy.estimator_kind == name
+        assert policy.cache_key() == (name,)
+
 
 class TestResolvePolicy:
     def test_policy_passthrough(self):

@@ -239,3 +239,31 @@ class TestFallbackAttribution:
         )
         assert total >= 1
         assert counter.value(source="magic") >= 1
+
+
+class TestEstimationDrift:
+    def test_drift_lands_in_the_degradation_log(self, session):
+        """A feedback session's class drifts from an accurate band to a
+        worse one once its statistics are gone and the magic constants
+        answer: the ledger's event is the session's degradation."""
+        session.enable_feedback()
+        session.execute(
+            "SELECT lineitem.l_quantity FROM lineitem WHERE lineitem.l_quantity > 45"
+        )
+        assert session.health == HEALTHY
+        statistics = session._ensure_state().manager
+        statistics.drop_synopsis("lineitem")
+        statistics.drop_sample("lineitem")
+        statistics.drop_histograms("lineitem")
+        session.execute(
+            "SELECT lineitem.l_quantity FROM lineitem WHERE lineitem.l_quantity > 49"
+        )
+        [event] = session.degradations()
+        assert event.reason == "estimation-drift"
+        assert "accurate -> " in event.detail
+        assert session.health == DEGRADED
+        counter = session.metrics.counter(
+            "repro_session_degradations_total",
+            "Graceful degradations, by attributed reason.",
+        )
+        assert counter.value(reason="estimation-drift") == 1

@@ -1,17 +1,15 @@
 """Tests for the multi-tenant serving layer.
 
 Covers admission control (both limits, shed reasons, release pairing),
-the server (caller-thread ``serve`` and pooled ``submit`` semantics, the
-shared execution-slot bound, metrics, retry backoff, close), the seeded
-load generator (deterministic schedules,
-percentile accounting), and the headline concurrency claim: archives
-hot-swapped into tenants *under live load* never produce a stale
-serving or a cross-tenant plan — asserted from the server's own
-runtime evidence (version ledgers + stale counter), not from code
-inspection.
+the server (``serve`` on the caller's thread, the execution-slot bound,
+sheds, errors, metrics, retry backoff, close), the seeded load generator
+(deterministic schedules, percentile accounting), and the headline
+concurrency claim: archives hot-swapped into tenants *under live load*
+never produce a stale serving or a cross-tenant plan — asserted from
+the server's own runtime evidence (version ledgers + stale counter),
+not from code inspection.
 """
 
-import dataclasses
 import sys
 import threading
 import time
@@ -62,6 +60,31 @@ def tenant_specs(tenant_dbs):
 def make_server(tenant_specs, **kwargs):
     kwargs.setdefault("worker_threads", 2)
     return QueryServer(tenant_specs, **kwargs)
+
+
+def admitted(server, tenant, count):
+    """Wait until ``count`` operations of ``tenant`` hold admission."""
+    deadline = time.monotonic() + 10
+    while server.admission.occupancy()["tenants"].get(tenant, 0) < count:
+        assert time.monotonic() < deadline, "operations never admitted"
+        time.sleep(0.001)
+
+
+def serve_in_thread(server, *args, **kwargs):
+    """Start ``server.serve(*args, **kwargs)`` on a client thread; the
+    returned thread's ``outcome`` list gets the reply or the exception."""
+    outcome = []
+
+    def client():
+        try:
+            outcome.append(server.serve(*args, **kwargs))
+        except Exception as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=client)
+    thread.outcome = outcome
+    thread.start()
+    return thread
 
 
 def gate_prepares(server, tenant, until_shed=False):
@@ -197,11 +220,22 @@ class TestQueryServer:
     def test_unknown_tenant(self, tenant_specs):
         with make_server(tenant_specs) as server:
             with pytest.raises(ServingError, match="unknown tenant"):
-                server.submit("nobody", QUERY)
+                server.serve("nobody", QUERY)
+            assert server.admission.occupancy()["global"] == 0
 
     def test_execute_round_trip(self, tenant_specs):
         with make_server(tenant_specs) as server:
+            session = server.session("tenant-0")
+            prepare = session.prepare
+            ran_on = []
+
+            def recording_prepare(*args, **kwargs):
+                ran_on.append(threading.current_thread())
+                return prepare(*args, **kwargs)
+
+            session.prepare = recording_prepare
             served = server.serve("tenant-0", QUERY)
+            assert ran_on == [threading.current_thread()]
             assert served.tenant == "tenant-0"
             assert served.rows == 1
             assert served.statistics_version > 0
@@ -240,18 +274,23 @@ class TestQueryServer:
             assert s0.plan_cache is not s1.plan_cache
             assert s0.metrics is not s1.metrics
 
-    def test_submit_sheds_when_saturated(self, tenant_specs):
+    def test_serve_sheds_when_saturated(self, tenant_specs):
         server = make_server(
             tenant_specs,
             worker_threads=1,
             admission=AdmissionConfig(global_limit=2, tenant_queue_depth=2),
         )
         with server:
+            # Two clients fill the tenant's queue: one holds the only
+            # slot at the gate, the other waits for it.
             gate = gate_prepares(server, "tenant-0")
-            first = server.submit("tenant-0", QUERY, execute=False)
-            second = server.submit("tenant-0", QUERY, execute=False)
+            clients = [
+                serve_in_thread(server, "tenant-0", QUERY, execute=False)
+                for _ in range(2)
+            ]
+            admitted(server, "tenant-0", 2)
             with pytest.raises(ServerOverloaded) as excinfo:
-                server.submit("tenant-0", QUERY, execute=False)
+                server.serve("tenant-0", QUERY, execute=False, max_retries=0)
             assert excinfo.value.tenant == "tenant-0"
             assert excinfo.value.reason == SHED_TENANT
             shed = server.metrics.counter(
@@ -261,8 +300,10 @@ class TestQueryServer:
             )
             assert shed.value(tenant="tenant-0", reason=SHED_TENANT) == 1
             gate.set()
-            assert first.result(timeout=5).tenant == "tenant-0"
-            assert second.result(timeout=5).tenant == "tenant-0"
+            for client in clients:
+                client.join(timeout=10)
+                assert not client.is_alive()
+                assert [reply.tenant for reply in client.outcome] == ["tenant-0"]
 
     def test_serve_retries_through_sheds(self, tenant_specs):
         server = make_server(
@@ -302,9 +343,11 @@ class TestQueryServer:
 
     def test_worker_errors_propagate_and_release(self, tenant_specs):
         with make_server(tenant_specs) as server:
-            future = server.submit("tenant-0", "SELECT nope FROM nowhere")
-            with pytest.raises(Exception):
-                future.result(timeout=5)
+            client = serve_in_thread(server, "tenant-0", "SELECT nope FROM nowhere")
+            client.join(timeout=10)
+            assert not client.is_alive()
+            [error] = client.outcome
+            assert isinstance(error, Exception) and "nowhere" in str(error)
             errors = server.metrics.counter(
                 "repro_serving_errors_total",
                 "Operations that raised inside the worker, by tenant.",
@@ -318,7 +361,8 @@ class TestQueryServer:
         server = make_server(tenant_specs)
         server.close()
         with pytest.raises(ServingError, match="closed"):
-            server.submit("tenant-0", QUERY)
+            server.serve("tenant-0", QUERY)
+        assert server.admission.occupancy()["global"] == 0
 
     def test_stats_schema(self, tenant_specs):
         with make_server(tenant_specs) as server:
@@ -335,52 +379,13 @@ class TestQueryServer:
 
 
 # ----------------------------------------------------------------------
-# Caller-thread serving: one slot bound shared with the submit pool
+# Caller-thread serving and the execution-slot bound
 # ----------------------------------------------------------------------
-def reply_fields(served):
-    fields = dataclasses.asdict(served)
-    del fields["latency_seconds"]
-    return fields
-
-
 class TestCallerThreadServing:
-    def test_serve_runs_on_the_caller_submit_on_the_pool(self, tenant_specs):
-        with make_server(tenant_specs) as server:
-            session = server.session("tenant-0")
-            prepare = session.prepare
-            ran_on = []
-
-            def recording_prepare(*args, **kwargs):
-                ran_on.append(threading.current_thread())
-                return prepare(*args, **kwargs)
-
-            session.prepare = recording_prepare
-            server.serve("tenant-0", QUERY)
-            server.submit("tenant-0", QUERY).result(timeout=5)
-            server.serve("tenant-0", QUERY, timeout=5)
-            assert ran_on[0] is threading.current_thread()
-            assert ran_on[1].name.startswith("repro-serving")
-            assert ran_on[2].name.startswith("repro-serving")
-
-    def test_serve_and_submit_reply_alike(self, tenant_specs):
-        statements = list(QUERY_BATTERY.values())
-        with make_server(tenant_specs) as server:
-            for sql in statements:
-                server.serve("tenant-0", sql)
-            for index, sql in enumerate(statements):
-                execute = bool(index % 2)
-                direct = server.serve("tenant-0", sql, execute=execute)
-                pooled = server.submit(
-                    "tenant-0", sql, execute=execute
-                ).result(timeout=5)
-                assert reply_fields(direct) == reply_fields(pooled)
-                assert direct.plan_cached
-                assert (direct.rows is not None) == execute
-
     def test_at_most_worker_threads_operations_run_at_once(
         self, tenant_specs
     ):
-        """6 threads (4 on ``serve``, 2 on ``submit``) into 2 slots."""
+        """6 client threads on ``serve`` into 2 slots."""
         running = peak = 0
         counter = threading.Lock()
         errors = []
@@ -406,12 +411,7 @@ class TestCallerThreadServing:
             tenant = f"tenant-{index % 2}"
             try:
                 for _ in range(15):
-                    if index < 4:
-                        server.serve(tenant, QUERY, execute=False)
-                    else:
-                        server.submit(
-                            tenant, QUERY, execute=False
-                        ).result(timeout=10)
+                    server.serve(tenant, QUERY, execute=False)
             except Exception as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
 
@@ -450,10 +450,11 @@ class TestCallerThreadServing:
             assert server.admission.occupancy() == {
                 "global": 0, "tenants": {"tenant-0": 0},
             }
-            # A leaked slot (there is only one) would hang both of these;
-            # the pooled one would time out.
-            assert server.serve("tenant-0", QUERY, timeout=5).rows == 1
-            assert server.serve("tenant-0", QUERY).rows == 1
+            # A leaked slot (there is only one) would hang this client.
+            client = serve_in_thread(server, "tenant-0", QUERY)
+            client.join(timeout=10)
+            assert not client.is_alive()
+            assert [reply.rows for reply in client.outcome] == [1]
 
     def test_close_waits_for_caller_thread_operations(self, tenant_specs):
         server = make_server(tenant_specs)
@@ -486,8 +487,6 @@ class TestCallerThreadServing:
         assert [reply.rows for reply in replies] == [1]
         with pytest.raises(ServingError, match="closed"):
             server.serve("tenant-0", QUERY)
-        with pytest.raises(ServingError, match="closed"):
-            server.submit("tenant-0", QUERY)
 
     def test_admitted_before_close_is_refused_after_it(self, tenant_specs):
         server = make_server(tenant_specs)
@@ -604,7 +603,7 @@ class TestSwapUnderLoad:
             assert len(served) > 20
 
             # 1. Zero stale servings: no op completed below the version
-            # floor in force when it was submitted.
+            # floor in force when it was admitted.
             assert all(not op.stale for op in served)
             stale = server.metrics.counter(
                 "repro_serving_stale_served_total",

@@ -214,8 +214,9 @@ def _reindexed(database):
     copy = Database(list(database))
     for name in database.table_names:
         clustering = database.clustering_column(name)
-        for column in database.indexed_columns(name):
-            copy.create_index(name, column, clustered=column == clustering)
+        for column in database.table(name).schema.column_names:
+            if database.has_index(name, column):
+                copy.create_index(name, column, clustered=column == clustering)
     return copy
 
 

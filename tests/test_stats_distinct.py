@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import StatisticsError
-from repro.stats import chao_estimator, gee_estimator, sample_distinct_counts
+from repro.stats import gee_estimator, sample_distinct_counts
 
 
 class TestFrequencyOfFrequencies:
@@ -55,23 +55,3 @@ class TestGee:
         # sqrt(N/n) = 10, and in practice lands within a small factor
         assert 250 <= estimate <= 2500
 
-
-class TestChao:
-    def test_no_singletons_returns_observed(self):
-        sample = np.repeat(np.arange(10), 3)
-        assert chao_estimator(sample) == 10.0
-
-    def test_singleton_correction(self):
-        # 5 singletons, 5 doubletons: 10 + 25/10 = 12.5
-        sample = np.concatenate([np.arange(5), np.repeat(np.arange(100, 105), 2)])
-        assert chao_estimator(sample) == pytest.approx(12.5)
-
-    def test_no_doubletons_fallback(self):
-        sample = np.arange(4)  # f1=4, f2=0 → 4 + 4*3/2 = 10
-        assert chao_estimator(sample) == pytest.approx(10.0)
-
-    def test_capped_by_population(self):
-        assert chao_estimator(np.arange(4), population_size=5) == 5.0
-
-    def test_empty(self):
-        assert chao_estimator(np.array([], dtype=np.int64)) == 0.0

@@ -11,7 +11,6 @@ import pytest
 import repro.stats.manager
 from repro import Session
 from repro.catalog import Column, ColumnType, ForeignKey, Schema, Table
-from repro.errors import StatisticsError
 from repro.stats import (
     EquiDepthHistogram,
     StatisticsManager,
@@ -91,11 +90,6 @@ class TestDropStatistics:
         manager.drop_histograms("part")
         assert manager.histogram("part", "p_size") is None
         assert manager.histogram("lineitem", "l_shipdate") is not None
-
-    def test_require_synopsis_raises_when_missing(self, tpch_db):
-        manager = StatisticsManager(tpch_db)
-        with pytest.raises(StatisticsError):
-            manager.require_synopsis("lineitem")
 
 
 class TestDeterminism:
