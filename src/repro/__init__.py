@@ -31,8 +31,7 @@ Quick tour
 - :mod:`repro.core` — the robust Bayesian estimator (the contribution)
 - :mod:`repro.optimizer` — System-R DP optimizer, estimator-pluggable
 - :mod:`repro.feedback` — the estimation observatory: observed
-  cardinalities folded back into posteriors, drift-aware threshold
-  routing
+  cardinalities folded back into posteriors, q-error and drift ledger
 - :mod:`repro.obs` — query traces, metrics registry, explain
 - :mod:`repro.analysis` — the paper's Section 5 analytical model
 - :mod:`repro.workloads` — TPC-H-shaped and star-schema generators

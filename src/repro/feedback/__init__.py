@@ -14,12 +14,13 @@ and the evidence is discarded. This package closes that loop:
 * :mod:`repro.feedback.provider` — lives in :mod:`.store`:
   :class:`FeedbackProvider` binds one store namespace to an estimator
   and folds observations into the Beta posterior as pseudo-counts;
-* :mod:`repro.feedback.router` — maps observed q-error severity bands
-  to confidence thresholds per query class (accurate → aggressive,
-  catastrophic → conservative);
 * :mod:`repro.feedback.controller` — :class:`SessionFeedback`, the
   object a :class:`~repro.service.session.Session` owns: store +
-  accuracy ledger + router + per-statistics-version providers.
+  accuracy ledger + per-statistics-version providers.
+
+The fold is the loop's only effect on plans. The selection policy
+stays the caller's (hint, per-call, or session default); the ledger
+reports q-error and drift but never picks a threshold.
 """
 
 from repro.feedback.store import (
@@ -35,11 +36,9 @@ from repro.feedback.harvest import (
     harvest_traces,
     plan_observations,
 )
-from repro.feedback.router import DEFAULT_BAND_THRESHOLDS, ThresholdRouter
 from repro.feedback.controller import FeedbackConfig, SessionFeedback
 
 __all__ = [
-    "DEFAULT_BAND_THRESHOLDS",
     "FEEDBACK_FORMAT_VERSION",
     "FeedbackConfig",
     "FeedbackError",
@@ -47,7 +46,6 @@ __all__ = [
     "FeedbackProvider",
     "FeedbackStore",
     "SessionFeedback",
-    "ThresholdRouter",
     "feedback_key",
     "harvest_plan",
     "harvest_traces",

@@ -1,19 +1,20 @@
 """The session-facing feedback controller.
 
-:class:`SessionFeedback` bundles the four moving parts of the
-observatory — store, accuracy ledger, threshold router, and the
-per-statistics-version :class:`FeedbackProvider` bindings — behind
-the narrow interface the :class:`~repro.service.session.Session`
-drives:
+:class:`SessionFeedback` bundles the three moving parts of the
+observatory — store, accuracy ledger, and the per-statistics-version
+:class:`FeedbackProvider` bindings — behind the narrow interface the
+:class:`~repro.service.session.Session` drives:
 
 * ``provider_for(version)`` when (re)building its robust estimator,
   so folds are fenced to the live statistics epoch;
-* ``route(query)`` when resolving an effective threshold (only when
-  neither a per-call threshold nor a query hint was given);
 * ``observe(...)`` after each execution, harvesting the plan's
   observed cardinalities into the epoch's namespace and feeding the
   plan-level q-error to the ledger (which may raise an
   ``estimation-drift`` degradation event through ``on_degradation``).
+
+The fold is the loop's only effect on plans: observations narrow the
+Beta posterior, and the session's one threshold still turns that
+posterior into an estimate (§3.1). The ledger only reports.
 
 Namespacing is the stale-feedback fence: observations harvested under
 statistics version ``v`` land in namespace ``epoch=v`` and only the
@@ -26,48 +27,24 @@ counted (``stale_refused``) rather than silent.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.feedback.harvest import harvest_plan
-from repro.feedback.router import DEFAULT_BAND_THRESHOLDS, ThresholdRouter
 from repro.feedback.store import FeedbackProvider, FeedbackStore
 from repro.obs.ledger import AccuracyLedger
 from repro.obs.trace import q_error
 
 
-def default_query_class(query) -> str:
-    """The default class identity: the query's sorted table set.
-
-    Parameterized instances of one join template share a class — the
-    granularity severity routing wants — while structurally different
-    queries never alias.
-    """
-    return "+".join(sorted(query.tables))
-
-
 @dataclass
 class FeedbackConfig:
-    """Tuning knobs for the feedback loop."""
+    """Tuning knob for the feedback loop."""
 
     #: Pseudo-count mass folded per stored observation.
     weight: float = 64.0
-    #: Observation count cap when scaling the folded mass.
-    max_observations: int = 8
-    #: Accuracy-ledger recent-window length per query class.
-    window: int = 64
-    #: Observations frozen as each class's drift baseline.
-    baseline: int = 16
-    #: Severity band → threshold map for the router.
-    band_thresholds: dict = field(
-        default_factory=lambda: dict(DEFAULT_BAND_THRESHOLDS)
-    )
-    #: Query → class-name function (defaults to the sorted table set).
-    classifier: Callable | None = None
 
 
 class SessionFeedback:
-    """Store + ledger + router, bound to one session."""
+    """Store + ledger + providers, bound to one session."""
 
     def __init__(
         self,
@@ -80,15 +57,8 @@ class SessionFeedback:
         self.config = config or FeedbackConfig()
         self.store = store if store is not None else FeedbackStore()
         self.ledger = AccuracyLedger(
-            registry=registry,
-            window=self.config.window,
-            baseline=self.config.baseline,
-            on_degradation=on_degradation,
+            registry=registry, on_degradation=on_degradation
         )
-        self.router = ThresholdRouter(
-            self.ledger, self.config.band_thresholds
-        )
-        self._classifier = self.config.classifier or default_query_class
         self._lock = threading.Lock()
         self._providers: dict[str, FeedbackProvider] = {}
         #: Executions observed (harvest passes).
@@ -111,22 +81,10 @@ class SessionFeedback:
             provider = self._providers.get(namespace)
             if provider is None:
                 provider = FeedbackProvider(
-                    self.store,
-                    namespace,
-                    weight=self.config.weight,
-                    max_observations=self.config.max_observations,
+                    self.store, namespace, weight=self.config.weight
                 )
                 self._providers[namespace] = provider
             return provider
-
-    # ------------------------------------------------------------------
-    def query_class(self, query) -> str:
-        return self._classifier(query)
-
-    def route(self, query):
-        """The routed :class:`~repro.selection.SelectionPolicy` for a
-        query's class (``None`` = cold)."""
-        return self.router.route(self.query_class(query))
 
     # ------------------------------------------------------------------
     def observe(
@@ -140,7 +98,8 @@ class SessionFeedback:
         statistics_version: int,
         operator_rows=None,
     ) -> None:
-        """Harvest one executed plan and ledger its plan-level q-error.
+        """Harvest one executed plan and ledger its plan-level q-error
+        under the query's class, its sorted table set.
 
         ``operator_rows`` is the ``{operator: output rows}`` mapping the
         plan's execution captured (see :func:`harvest_plan`).
@@ -153,7 +112,7 @@ class SessionFeedback:
         error = q_error(estimated_rows, actual_rows)
         if error is not None:
             self.ledger.ingest(
-                self.query_class(query),
+                "+".join(sorted(query.tables)),
                 error,
                 statistics_version=statistics_version,
             )
@@ -178,7 +137,5 @@ class SessionFeedback:
             "observations": self.observations,
             "store": self.store.report(),
             "ledger": self.ledger.report(),
-            "routing": self.router.routing_table(),
-            "routed_counts": dict(self.router.routed_counts),
             "providers": self.provider_counters(),
         }

@@ -40,6 +40,10 @@ from repro.obs.trace import QERROR_FLOOR
 #: Version stamped on (and required of) every persisted store.
 FEEDBACK_FORMAT_VERSION = 1
 
+#: Observations per key that scale a fold's pseudo-count mass; more
+#: executions of the same key add no further mass.
+MAX_OBSERVATIONS = 8
+
 _RECORD_FIELDS = (
     "tables",
     "observations",
@@ -385,7 +389,7 @@ class FeedbackProvider:
     selectivity by, it returns extra Beta pseudo-counts
     ``(extra_alpha, extra_beta)`` representing the stored
     observations: observed selectivity ``s = mean_rows / total`` with
-    mass ``min(observations, max_observations) * weight``.
+    mass ``min(observations, MAX_OBSERVATIONS) * weight``.
 
     The namespace is the stale-feedback fence: a lookup consults
     exactly the bound namespace and counts any key that exists *only*
@@ -398,14 +402,12 @@ class FeedbackProvider:
         namespace: str,
         *,
         weight: float = 64.0,
-        max_observations: int = 8,
     ) -> None:
         if weight <= 0:
             raise FeedbackError("feedback weight must be positive")
         self.store = store
         self.namespace = namespace
         self.weight = float(weight)
-        self.max_observations = int(max_observations)
         self.folds = 0
         self.misses = 0
         self.stale_refused = 0
@@ -435,7 +437,7 @@ class FeedbackProvider:
                 self.misses += 1
             return None
         selectivity = min(max(obs.mean_rows / float(total_rows), 0.0), 1.0)
-        mass = self.weight * min(obs.observations, self.max_observations)
+        mass = self.weight * min(obs.observations, MAX_OBSERVATIONS)
         extra_alpha = mass * selectivity
         extra_beta = mass * (1.0 - selectivity)
         self.folds += 1

@@ -6,14 +6,13 @@ q-error observation per executed query, groups them by query class
 (for the session layer: the sorted table set of the query — one class
 per join template), and maintains:
 
-* a bounded recent window plus per-``expr_key`` aggregates — the
+* a bounded recent window of :data:`WINDOW` observations — the
   "q-error time series" behind the feedback report;
-* severity classification against :data:`SEVERITY_BANDS`, the
-  decision matrix the adaptive threshold router consumes (accurate
-  classes can afford aggressive thresholds; catastrophic ones cannot);
+* severity classification of the window's p90 against
+  :data:`SEVERITY_BANDS`;
 * a drift score — the log10 shift of the recent window's geometric
-  mean q-error against the class's own baseline — exported as
-  ``repro_feedback_drift_score{class=...}``;
+  mean q-error against the class's first :data:`BASELINE`
+  observations — exported as ``repro_feedback_drift_score{class=...}``;
 * a :class:`~repro.obs.health.DegradationEvent` (reason
   ``"estimation-drift"``) whenever a class's observed severity crosses
   into a *worse* band, which is statistics-staleness detection for
@@ -22,7 +21,7 @@ per join template), and maintains:
 
 Quantile gauges export as ``repro_feedback_qerror{class,quantile}``
 with quantile labels ``p50`` / ``p90`` / ``max`` over the recent
-window.
+window. The ledger reports; it does not steer planning.
 """
 
 from __future__ import annotations
@@ -51,6 +50,13 @@ SEVERITY_ORDER = {name: rank for rank, (name, _) in enumerate(SEVERITY_BANDS)}
 #: Quantiles exported per class through the metrics registry.
 QERROR_QUANTILES = ("p50", "p90", "max")
 
+#: Recent-window length per class: severity and quantiles are computed
+#: over it, so the ledger adapts when the workload shifts.
+WINDOW = 64
+
+#: Initial observations frozen as each class's drift baseline.
+BASELINE = 16
+
 
 def classify_q_error(value: float) -> str:
     """Map one q-error value onto its severity band name."""
@@ -69,26 +75,17 @@ def _window_quantile(values: list[float], fraction: float) -> float:
 
 
 class _ClassSeries:
-    """Mutable per-class state: recent window, baseline, per-expr sums."""
+    """Mutable per-class state: recent window, baseline, running sums."""
 
-    __slots__ = (
-        "window",
-        "baseline",
-        "count",
-        "log_sum",
-        "max_q",
-        "severity",
-        "per_expr",
-    )
+    __slots__ = ("window", "baseline", "count", "log_sum", "max_q", "severity")
 
-    def __init__(self, window_size: int) -> None:
-        self.window: deque[float] = deque(maxlen=window_size)
+    def __init__(self) -> None:
+        self.window: deque[float] = deque(maxlen=WINDOW)
         self.baseline: list[float] = []
         self.count = 0
         self.log_sum = 0.0
         self.max_q = 1.0
         self.severity: str | None = None
-        self.per_expr: dict[str, dict] = {}
 
 
 class AccuracyLedger:
@@ -100,13 +97,6 @@ class AccuracyLedger:
         Optional :class:`~repro.obs.registry.MetricsRegistry`; when
         given, quantile and drift gauges are kept current on every
         ingest.
-    window:
-        Recent-window length per class (severity and quantiles are
-        computed over this window, so the ledger adapts when the
-        workload shifts).
-    baseline:
-        Number of initial observations frozen as the class's baseline
-        for the drift score.
     on_degradation:
         Callback invoked with each :class:`DegradationEvent` the
         ledger raises (the session wires its degradation log here).
@@ -116,17 +106,9 @@ class AccuracyLedger:
         self,
         *,
         registry=None,
-        window: int = 64,
-        baseline: int = 16,
         on_degradation=None,
     ) -> None:
-        if window < 1:
-            raise ValueError("window must be at least 1")
-        if baseline < 1:
-            raise ValueError("baseline must be at least 1")
         self._lock = threading.Lock()
-        self._window_size = int(window)
-        self._baseline_size = int(baseline)
         self._classes: dict[str, _ClassSeries] = {}
         self._on_degradation = on_degradation
         self.events: list[DegradationEvent] = []
@@ -150,7 +132,6 @@ class AccuracyLedger:
         query_class: str,
         q_error: float,
         *,
-        expr_key: str | None = None,
         statistics_version: int = 0,
     ) -> DegradationEvent | None:
         """Record one observed q-error for ``query_class``.
@@ -163,23 +144,18 @@ class AccuracyLedger:
         with self._lock:
             series = self._classes.get(query_class)
             if series is None:
-                series = _ClassSeries(self._window_size)
+                series = _ClassSeries()
                 self._classes[query_class] = series
             series.window.append(q)
-            if len(series.baseline) < self._baseline_size:
+            if len(series.baseline) < BASELINE:
                 series.baseline.append(q)
             series.count += 1
             series.log_sum += math.log10(q)
             series.max_q = max(series.max_q, q)
-            if expr_key is not None:
-                slot = series.per_expr.setdefault(
-                    expr_key, {"count": 0, "log_sum": 0.0, "max": 1.0}
-                )
-                slot["count"] += 1
-                slot["log_sum"] += math.log10(q)
-                slot["max"] = max(slot["max"], q)
 
-            severity = self._severity_locked(series)
+            severity = classify_q_error(
+                _window_quantile(list(series.window), 0.9)
+            )
             previous = series.severity
             series.severity = severity
             event = None
@@ -205,12 +181,7 @@ class AccuracyLedger:
         return event
 
     # ------------------------------------------------------------------
-    def _severity_locked(self, series: _ClassSeries) -> str:
-        return classify_q_error(_window_quantile(list(series.window), 0.9))
-
     def _drift_locked(self, series: _ClassSeries) -> float:
-        if not series.baseline or not series.window:
-            return 0.0
         recent = sum(math.log10(q) for q in series.window) / len(series.window)
         base = sum(math.log10(q) for q in series.baseline) / len(
             series.baseline
@@ -239,36 +210,9 @@ class AccuracyLedger:
         )
 
     # ------------------------------------------------------------------
-    def severity(self, query_class: str) -> str | None:
-        """Current severity band for a class (``None`` before data)."""
-        with self._lock:
-            series = self._classes.get(query_class)
-            if series is None or not series.window:
-                return None
-            return self._severity_locked(series)
-
-    def drift_score(self, query_class: str) -> float:
-        """log10 recent-vs-baseline geometric-mean q-error shift."""
-        with self._lock:
-            series = self._classes.get(query_class)
-            if series is None:
-                return 0.0
-            return self._drift_locked(series)
-
-    def quantile(self, query_class: str, fraction: float) -> float | None:
-        """Nearest-rank q-error quantile over the class's window."""
-        with self._lock:
-            series = self._classes.get(query_class)
-            if series is None or not series.window:
-                return None
-            return _window_quantile(list(series.window), fraction)
-
-    def classes(self) -> list[str]:
-        with self._lock:
-            return sorted(self._classes)
-
     def report(self) -> dict:
-        """JSON-ready summary: per-class stats and per-expr series."""
+        """JSON-ready summary: per-class stats over the whole run and
+        the recent window."""
         with self._lock:
             out: dict = {}
             for name in sorted(self._classes):
@@ -276,44 +220,21 @@ class AccuracyLedger:
                 window = list(series.window)
                 out[name] = {
                     "count": series.count,
-                    "severity": (
-                        self._severity_locked(series) if window else None
-                    ),
+                    "severity": series.severity,
                     "drift_score": self._drift_locked(series),
-                    "geomean_q": 10 ** (series.log_sum / series.count)
-                    if series.count
-                    else 1.0,
+                    "geomean_q": 10 ** (series.log_sum / series.count),
                     "max_q": series.max_q,
-                    "window_p50": (
-                        _window_quantile(window, 0.5) if window else None
-                    ),
-                    "window_p90": (
-                        _window_quantile(window, 0.9) if window else None
-                    ),
-                    "expressions": {
-                        key: {
-                            "count": slot["count"],
-                            "geomean_q": 10
-                            ** (slot["log_sum"] / slot["count"]),
-                            "max_q": slot["max"],
-                        }
-                        for key, slot in sorted(series.per_expr.items())
-                    },
+                    "window_p50": _window_quantile(window, 0.5),
+                    "window_p90": _window_quantile(window, 0.9),
                 }
             return out
-
-    def reset(self, query_class: str | None = None) -> None:
-        """Forget one class's series (or all of them)."""
-        with self._lock:
-            if query_class is None:
-                self._classes.clear()
-            else:
-                self._classes.pop(query_class, None)
 
 
 # Re-exported here so ledger consumers see the same floor the q-error
 # arithmetic uses.
 __all__ = [
+    "BASELINE",
+    "WINDOW",
     "AccuracyLedger",
     "QERROR_FLOOR",
     "QERROR_QUANTILES",

@@ -18,6 +18,11 @@ new Beta posteriors. Prepared handles notice staleness at execution
 time and transparently re-plan, which is the PARQO-style contract:
 plans follow the statistics, callers never see a stale plan.
 
+The selection policy is the query hint, else the per-call policy, else
+the session default. The feedback loop (:meth:`Session.enable_feedback`)
+never changes it: it folds observed cardinalities into the posterior,
+and its generation joins the cache key so new evidence re-plans.
+
 Thread safety: the plan cache is lock-striped with per-key
 singleflight (two threads preparing the same query plan it exactly
 once), statistics builds are serialized by a session lock, and metrics
@@ -600,12 +605,10 @@ class Session:
         (namespaced by the statistics epoch the plan ran under) and
         feeds the plan-level q-error to the accuracy ledger. The next
         prepare folds matching observations into the Beta posterior as
-        extra pseudo-counts, and — when neither a hint nor a per-call
-        policy was given — routes the selection policy by the query
-        class's observed q-error severity. Drift events surface
+        extra pseudo-counts; the selection policy that turns the
+        posterior into an estimate is unchanged. Drift events surface
         through the session degradation log (reason
-        ``"estimation-drift"``) without changing serving behaviour
-        beyond the routed threshold.
+        ``"estimation-drift"``) without changing serving behaviour.
 
         Pass a ``store`` to share (or persist) feedback across
         sessions; by default the controller owns a private in-memory
@@ -745,7 +748,7 @@ class Session:
         query: SPJQuery,
         policy: SelectionPolicy | float | str | None = None,
     ) -> SelectionPolicy:
-        """Hint > per-call override > routed > session default.
+        """Hint > per-call override > session default.
 
         A per-call ``policy`` must match the session's estimator family
         — the estimator is session state, not per-statement state.
@@ -761,14 +764,7 @@ class Session:
                 )
         if query.hint is not None and self.config.estimator == "robust":
             return ThresholdPolicy(query.hint)
-        if policy is not None:
-            return policy
-        # Only robust sessions can enable feedback.
-        if self._feedback is not None:
-            routed = self._feedback.route(query)
-            if routed is not None:
-                return routed
-        return self.config.policy
+        return self.config.policy if policy is None else policy
 
     def _cache_key(
         self, fingerprint: str, policy: SelectionPolicy, version: int
@@ -957,6 +953,7 @@ class Session:
             prepared.planned = fresh.planned
             prepared.statistics_version = fresh.statistics_version
             prepared.from_cache = fresh.from_cache
+            prepared.degraded_reason = fresh.degraded_reason
             self.metrics.counter(
                 "repro_session_replans_total",
                 "Transparent re-plans after a statistics version bump.",

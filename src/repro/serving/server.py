@@ -83,8 +83,10 @@ class TenantSpec:
     first prepare (under the session statistics lock).
 
     ``feedback`` turns on the estimation-feedback loop for this tenant
-    (``True`` for defaults, or a
-    :class:`~repro.feedback.FeedbackConfig`). Each tenant gets its own
+    (``True`` for the default fold weight, or a
+    :class:`~repro.feedback.FeedbackConfig` naming one). It folds
+    observations into the tenant's posteriors and leaves the tenant's
+    policy alone. Each tenant gets its own
     private :class:`~repro.feedback.FeedbackStore` through its own
     session, so one tenant's observed cardinalities can never fold
     into another tenant's posteriors — the same isolation contract the

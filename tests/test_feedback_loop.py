@@ -9,7 +9,10 @@ Covers the tentpole's integration contracts:
   re-plans instead of serving the pre-feedback plan — and a statement's
   own harvest *is* new evidence for its next plan until the
   observation cap is reached;
-* threshold routing slots below hints and per-call overrides;
+* feedback never picks the policy: hints and per-call overrides win,
+  and the session default applies otherwise;
+* a stale handle's re-plan carries the fresh prepare's degraded
+  state, so only plans from the configured estimator are harvested;
 * the epoch fence: across a statistics hot-swap, zero stale-feedback
   folds — a record that would drag its own epoch's estimate 5x off is
   refused by a provider bound to the next epoch;
@@ -20,7 +23,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import AGGRESSIVE, CONSERVATIVE, RobustCardinalityEstimator
+from repro.core import RobustCardinalityEstimator
+from repro.errors import EstimationError
 from repro.expressions import col, expr_key
 from repro.feedback import (
     FeedbackConfig,
@@ -31,6 +35,7 @@ from repro.feedback import (
     plan_observations,
 )
 from repro.feedback.harvest import predicate_for_tables
+from repro.feedback.store import MAX_OBSERVATIONS
 from repro.optimizer import SPJQuery
 from repro.service import Session, SessionError
 from repro.serving import QueryServer, TenantSpec
@@ -47,6 +52,22 @@ JOIN = (
     "SELECT COUNT(*) FROM lineitem, part "
     "WHERE part.p_size <= 10 AND lineitem.l_quantity > 30"
 )
+
+
+class Exploding:
+    """Estimator middleware that fails every estimate."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def estimate(self, tables, predicate, hint=None):
+        raise EstimationError("injected")
+
+    def estimate_many(self, tables, predicate, thresholds):
+        raise EstimationError("injected")
+
+    def describe(self):
+        return "exploding"
 
 
 @pytest.fixture()
@@ -129,12 +150,12 @@ class TestClosedLoop:
         """Why a plan cache validated against the folds the plan *read*
         cannot hit on a hot set between refreshes (ROADMAP item 2): each
         execution's own harvest raises the mass ``weight x
-        min(observations, max_observations)`` of every fold its next
+        min(observations, MAX_OBSERVATIONS)`` of every fold its next
         plan reads, so the read values differ after each of the first
-        ``max_observations`` executions in an epoch — and only from then
+        ``MAX_OBSERVATIONS`` executions in an epoch — and only from then
         on, on unchanged data, are they bit-identical."""
-        feedback = session.enable_feedback()
-        cap = feedback.config.max_observations
+        session.enable_feedback()
+        cap = MAX_OBSERVATIONS
         reads = {}
         pseudo_counts = FeedbackProvider.pseudo_counts
 
@@ -165,21 +186,6 @@ class TestClosedLoop:
         assert report["lineitem"]["count"] == 1
 
     def test_degraded_plans_are_not_harvested(self, session):
-        from repro.errors import EstimationError
-
-        class Exploding:
-            def __init__(self, inner):
-                self.inner = inner
-
-            def estimate(self, tables, predicate, hint=None):
-                raise EstimationError("injected")
-
-            def estimate_many(self, tables, predicate, thresholds):
-                raise EstimationError("injected")
-
-            def describe(self):
-                return "exploding"
-
         feedback = session.enable_feedback()
         session.estimator_decorator = Exploding
         result = session.execute(SELECTION)
@@ -187,33 +193,46 @@ class TestClosedLoop:
         assert feedback.observations == 0
         assert feedback.store.size() == 0
 
-
-class TestThresholdRouting:
-    def seed_class(self, feedback, query_class, q_error, count=4):
-        for _ in range(count):
-            feedback.ledger.ingest(query_class, q_error)
-
-    def test_accurate_class_routes_aggressive(self, session):
+    def test_stale_replan_onto_the_magic_path_is_not_harvested(
+        self, session
+    ):
         feedback = session.enable_feedback()
-        self.seed_class(feedback, "lineitem", 1.1)
         prepared = session.prepare(SELECTION)
-        assert prepared.threshold == AGGRESSIVE
+        prepared.execute()
+        assert feedback.observations == 1
+        session.refresh_statistics(seed=11)
+        session.estimator_decorator = Exploding
+        result = prepared.execute()
+        assert result.prepared.degraded_reason == "estimator-failure"
+        assert feedback.observations == 1
 
-    def test_catastrophic_class_routes_conservative(self, session):
+    def test_stale_replan_off_the_magic_path_is_harvested(self, session):
         feedback = session.enable_feedback()
-        self.seed_class(feedback, "lineitem", 5000.0)
+        session.estimator_decorator = Exploding
         prepared = session.prepare(SELECTION)
-        assert prepared.threshold == CONSERVATIVE
+        assert prepared.degraded_reason == "estimator-failure"
+        session.estimator_decorator = None
+        session.refresh_statistics(seed=11)
+        result = prepared.execute()
+        assert result.prepared.degraded_reason is None
+        assert feedback.observations == 1
 
-    def test_per_call_threshold_beats_routing(self, session):
-        feedback = session.enable_feedback()
-        self.seed_class(feedback, "lineitem", 5000.0)
+
+class TestPolicyPrecedence:
+    """Feedback folds evidence; the policy stays hint > per-call >
+    session default, however badly a class has estimated."""
+
+    def seed_catastrophic(self, feedback):
+        for _ in range(4):
+            feedback.ledger.ingest("lineitem", 5000.0)
+
+    def test_per_call_threshold_wins(self, session):
+        self.seed_catastrophic(session.enable_feedback())
         prepared = session.prepare(SELECTION, policy="50")
         assert prepared.threshold == 0.5
 
-    def test_hint_beats_routing(self, session):
-        feedback = session.enable_feedback()
-        self.seed_class(feedback, "lineitem", 5000.0)
+    def test_hint_wins(self, session):
+        self.seed_catastrophic(session.enable_feedback())
         prepared = session.prepare(
             SELECTION + " OPTION (CONFIDENCE 50)"
         )
@@ -377,8 +396,6 @@ class TestHarvestDeterminism:
             "observations",
             "store",
             "ledger",
-            "routing",
-            "routed_counts",
             "providers",
         }
         assert report["observations"] == 1

@@ -25,6 +25,7 @@ from repro.feedback import (
     FeedbackStore,
     feedback_key,
 )
+from repro.feedback.store import MAX_OBSERVATIONS
 
 OBSERVATIONS = [
     ("epoch=1", ("lineitem",), "k1", 100.0, 80.0),
@@ -276,11 +277,10 @@ class TestProviderFence:
             store.record(
                 "ns", tables=("t",), predicate_key="k", observed_rows=10.0
             )
-        provider = FeedbackProvider(
-            store, "ns", weight=4.0, max_observations=8
-        )
+        provider = FeedbackProvider(store, "ns", weight=4.0)
         _, _, attribution = provider.pseudo_counts(("t",), "k", 100.0)
-        assert attribution["pseudo_mass"] == 4.0 * 8
+        assert attribution["observations"] == 20
+        assert attribution["pseudo_mass"] == 4.0 * MAX_OBSERVATIONS == 32.0
 
     def test_adjusted_prior_folds_counts_and_renames(self):
         provider = FeedbackProvider(FeedbackStore(), "ns")

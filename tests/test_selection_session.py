@@ -1,16 +1,15 @@
 """The SelectionPolicy surface of the Session facade.
 
-Pins the policy resolution order — hint > per-call > routed >
-session default — plus the cache-key separation between policies and
-the conflict/compatibility errors.
+Pins the policy resolution order — hint > per-call > session default,
+with or without the feedback loop — plus the cache-key separation
+between policies and the conflict/compatibility errors.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import CONSERVATIVE, MODERATE
-from repro.feedback import DEFAULT_BAND_THRESHOLDS, FeedbackConfig
+from repro.core import MODERATE
 from repro.selection import (
     ExactPolicy,
     PenaltyPolicy,
@@ -140,7 +139,7 @@ class TestConflictsAndCompatibility:
 
 
 class TestPrecedence:
-    """hint > per-call > routed > session default."""
+    """hint > per-call > session default."""
 
     def seed_catastrophic(self, feedback, query_class="lineitem"):
         for _ in range(4):
@@ -153,26 +152,21 @@ class TestPrecedence:
         assert prepared.policy == ThresholdPolicy(0.5)
         assert prepared.threshold == 0.5
 
-    def test_per_call_policy_beats_routing(self, session):
+    def test_per_call_policy_beats_default(self, session):
         feedback = session.enable_feedback()
         self.seed_catastrophic(feedback)
         prepared = session.prepare(SELECTION, policy="expected:8")
         assert prepared.policy == PenaltyPolicy(samples=8)
 
-    def test_routed_policy_beats_default(self, session):
-        bands = dict(DEFAULT_BAND_THRESHOLDS, catastrophic="cvar:0.9:8")
-        feedback = session.enable_feedback(
-            config=FeedbackConfig(band_thresholds=bands)
-        )
-        self.seed_catastrophic(feedback)
-        prepared = session.prepare(SELECTION)
-        assert prepared.policy == PenaltyPolicy(samples=8, risk="cvar", alpha=0.9)
-
-    def test_routed_threshold_still_routes(self, session):
+    def test_feedback_never_changes_the_policy(self, session):
         feedback = session.enable_feedback()
         self.seed_catastrophic(feedback)
+        assert feedback.ledger.report()["lineitem"]["severity"] == (
+            "catastrophic"
+        )
         prepared = session.prepare(SELECTION)
-        assert prepared.policy == ThresholdPolicy(CONSERVATIVE)
+        assert prepared.policy == session.config.policy
+        assert prepared.threshold == MODERATE
 
     def test_default_policy_when_nothing_overrides(self, session):
         prepared = session.prepare(SELECTION)
