@@ -106,7 +106,6 @@ class RobustCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
         policy: ConfidencePolicy | float | str = MODERATE,
         magic: MagicNumbers | None = None,
         magic_concentration: float = 4.0,
-        cache_conjunct_masks: bool = True,
     ) -> None:
         self.statistics = statistics
         self.prior = prior
@@ -122,7 +121,6 @@ class RobustCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
         # ANDed, instead of re-evaluating whole predicates. Keyed
         # weakly on the synopsis object so rebuilding statistics can
         # never serve stale masks.
-        self.cache_conjunct_masks = cache_conjunct_masks
         self._mask_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         # Whole-estimate memoization on top of the mask cache: the
         # System-R DP re-prices the same (tables, predicate, threshold)
@@ -464,16 +462,13 @@ class RobustCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
     def _count_satisfying(self, synopsis, predicate: Expr | None) -> int:
         """Count synopsis tuples satisfying ``predicate``.
 
-        With conjunct-mask caching, each top-level conjunct is
-        evaluated once per synopsis and its boolean mask reused across
-        the many overlapping subexpressions an optimizer run probes;
-        the conjunction of cached masks equals evaluating the whole
-        predicate directly.
+        Each top-level conjunct is evaluated once per synopsis and its
+        boolean mask reused across the many overlapping subexpressions
+        an optimizer run probes; the conjunction of cached masks equals
+        evaluating the whole predicate directly.
         """
         if predicate is None:
             return synopsis.size
-        if not self.cache_conjunct_masks:
-            return synopsis.count_satisfying(predicate)
         per_synopsis = self._mask_cache.get(synopsis)
         if per_synopsis is None:
             per_synopsis = {}

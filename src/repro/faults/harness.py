@@ -272,8 +272,8 @@ class ChaosHarness:
         # A cached plan must be indistinguishable from planning fresh
         # under the statistics in force right now.
         try:
-            fresh = session._optimizer(session._ensure_state()).optimize(
-                prepared.policy.hinted(prepared.query)
+            fresh = session._plan(
+                session._request(prepared.query)._replace(policy=prepared.policy)
             )
         except ReproError:
             return  # injected estimator fault during the probe: skip

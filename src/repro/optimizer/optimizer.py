@@ -417,8 +417,6 @@ class Optimizer:
         Any :class:`~repro.core.CardinalityEstimator`.
     cost_model:
         Cost coefficients; defaults mirror the paper's analytical model.
-    enable_star_plans:
-        Generate the Experiment-3 semijoin/hybrid star strategies.
     """
 
     def __init__(
@@ -426,13 +424,11 @@ class Optimizer:
         database: Database,
         estimator: CardinalityEstimator,
         cost_model: CostModel | None = None,
-        enable_star_plans: bool = True,
         tracer=None,
     ) -> None:
         self.database = database
         self.estimator = estimator
         self.cost_model = cost_model or CostModel()
-        self.enable_star_plans = enable_star_plans
         #: Optional :class:`repro.obs.Tracer`; when set, every planned
         #: query carries an optimizer span in ``PlannedQuery.trace``.
         self.tracer = tracer
@@ -633,7 +629,7 @@ class Optimizer:
         )
         finalists = list(iter_candidates(best_per_subset[full_set]))
 
-        if self.enable_star_plans and not ctx.dp_conditions:
+        if not ctx.dp_conditions:
             # (star detection assumes one FK component rooted at a fact
             # table; condition-connected components are not star-shaped)
             specs = detect_star(ctx, query)

@@ -10,18 +10,25 @@ estimator configuration, and a bounded plan cache; callers speak SQL
 without ever hand-wiring ``StatisticsManager`` + estimator +
 ``Optimizer`` + engine.
 
-Plan caching is *statistics-versioned*: cache keys include
-``StatisticsManager.version``, so rebuilding statistics (new sample
-seed, different sample size, dropped synopsis) silently invalidates
-every cached plan — the next prepare or execute re-plans against the
-new Beta posteriors. Prepared handles notice staleness at execution
-time and transparently re-plan, which is the PARQO-style contract:
-plans follow the statistics, callers never see a stale plan.
+One request, one key: every call resolves its statement once into an
+immutable :class:`_Request` — the parsed query, its fingerprint, the
+selection policy (the query hint, else the per-call policy, else the
+session default), one :class:`_StatsState` snapshot, and the token
+``(statistics version, feedback generation or None)`` — and plans it
+through :meth:`Session._plan`, the one planning path. The plan-cache key
+is ``(fingerprint, policy.cache_key(), token)`` and nothing else: the
+cache is private to the session, and its configuration cannot change
+without a new statistics version.
 
-The selection policy is the query hint, else the per-call policy, else
-the session default. The feedback loop (:meth:`Session.enable_feedback`)
-never changes it: it folds observed cardinalities into the posterior,
-and its generation joins the cache key so new evidence re-plans.
+So rebuilding statistics (new sample seed, different sample size,
+dropped synopsis) silently invalidates every cached plan, and a feedback
+harvest invalidates the plans whose posteriors it would now fold into.
+Prepared handles notice a statistics change at execution time and
+transparently re-plan under the policy they already resolved — the
+PARQO-style contract: plans follow the statistics, callers never see a
+stale plan. The feedback loop (:meth:`Session.enable_feedback`) never
+changes the policy; it only folds observed cardinalities into the
+posterior.
 
 Thread safety: the plan cache is lock-striped with per-key
 singleflight (two threads preparing the same query plan it exactly
@@ -30,14 +37,14 @@ go through the session's :class:`~repro.obs.MetricsRegistry`.
 
 Statistics hot-swap under load: the session's (manager, estimator)
 pair lives in one immutable-slot :class:`_StatsState` that swaps are a
-*single* attribute assignment of. A prepare takes one snapshot of that
-state and derives both its cache-key version and its estimator from
-it, so a swap landing mid-prepare can never mix old statistics with a
-new version (or vice versa) — the racing prepare plans entirely
-against the old snapshot, whose cache key embeds the old version and
-is structurally unreachable after the swap. ``refresh_statistics`` is
-copy-on-refresh for the same reason: it builds a *fresh* manager and
-swaps it in rather than mutating the one in-flight readers hold.
+*single* attribute assignment of. A request holds one snapshot of that
+state, and both its token and its estimator come from it, so a swap
+landing mid-prepare can never mix old statistics with a new version (or
+vice versa) — the racing prepare plans entirely against the old
+snapshot, whose key embeds the old version and is structurally
+unreachable after the swap. ``refresh_statistics`` is copy-on-refresh
+for the same reason: it builds a *fresh* manager and swaps it in rather
+than mutating the one in-flight readers hold.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.catalog import Database
 from repro.core import (
@@ -96,10 +103,9 @@ DEGRADED = "degraded"
 class SessionConfig:
     """Everything that makes two sessions plan identically.
 
-    The estimator configuration half of the plan-cache key: two
-    sessions over the same database, statistics version, and config
-    would produce byte-identical plans, so their entries are
-    interchangeable.
+    Fixed for a session's statistics: the one field that can change
+    (``sample_size``, through ``refresh_statistics``) changes only
+    together with a new statistics version.
     """
 
     prior: Prior = JEFFREYS
@@ -108,7 +114,6 @@ class SessionConfig:
     statistics_seed: int | None = 0
     plan_cache_size: int = 256
     cache_stripes: int = 8
-    enable_star_plans: bool = True
     #: The default selection policy: a
     #: :class:`~repro.selection.SelectionPolicy`, a bare threshold, or a
     #: spec string (``"95"``, ``"cvar:0.9:32"``, ``"histogram"``,
@@ -128,17 +133,6 @@ class SessionConfig:
     def estimator(self) -> str:
         """The estimator family the policy plans through."""
         return self.policy.estimator_kind
-
-    def cache_key(self) -> tuple:
-        """The config component of every plan-cache key."""
-        return (
-            self.estimator,
-            self.prior.alpha,
-            self.prior.beta,
-            self.sample_size,
-            self.histogram_buckets,
-            self.enable_star_plans,
-        )
 
 
 @dataclass
@@ -165,48 +159,77 @@ class QueryResult:
         return list(self.frame.column_names)
 
 
+class _Request(NamedTuple):
+    """One statement resolved once: everything a plan is keyed on.
+
+    Built by :meth:`Session._request` only. A grid lane or a stale
+    re-plan is ``request._replace(…)`` of one, never a re-resolution.
+    """
+
+    query: SPJQuery
+    fingerprint: str
+    #: The policy the plan is selected under; resolved, never re-read
+    #: from the query hint.
+    policy: SelectionPolicy
+    #: The statistics snapshot the plan's estimator reads.
+    state: _StatsState
+    #: ``(statistics version, feedback generation or None)``, read once.
+    token: tuple
+
+    @property
+    def key(self) -> tuple:
+        """The plan-cache key — the only place one is built."""
+        return (self.fingerprint, self.policy.cache_key(), self.token)
+
+
 class PreparedQuery:
     """A planned statement bound to one session.
 
     Cheap to re-execute: the plan is reused until the session's
     statistics change, at which point :meth:`execute` transparently
-    re-plans (and re-binds this handle to the fresh plan).
+    re-plans under the same policy (and re-binds this handle to the
+    fresh plan).
     """
 
     def __init__(
         self,
         session: "Session",
-        query: SPJQuery,
+        request: _Request,
         planned: PlannedQuery,
-        policy: SelectionPolicy,
-        statistics_version: int,
         from_cache: bool,
         degraded_reason: str | None = None,
-        *,
-        fingerprint: str | None = None,
     ) -> None:
         self.session = session
-        self.query = query
+        self.request = request
         self.planned = planned
-        #: Effective :class:`~repro.selection.SelectionPolicy` the plan
-        #: was selected under.
-        self.policy = policy
-        #: ``StatisticsManager.version`` the plan was produced against.
-        self.statistics_version = statistics_version
         #: Whether this handle was served from the session plan cache.
         self.from_cache = from_cache
         #: Set when the plan came from the degraded (§3.5 magic-only)
         #: path after the configured estimator failed; such plans are
         #: never cached.
         self.degraded_reason = degraded_reason
-        #: ``query_fingerprint(query)``; the session passes the one it
-        #: computed when it parsed the statement.
-        self.fingerprint = (
-            fingerprint if fingerprint is not None
-            else query_fingerprint(query)
-        )
 
     # ------------------------------------------------------------------
+    @property
+    def query(self) -> SPJQuery:
+        return self.request.query
+
+    @property
+    def policy(self) -> SelectionPolicy:
+        """Effective :class:`~repro.selection.SelectionPolicy` the plan
+        was selected under."""
+        return self.request.policy
+
+    @property
+    def fingerprint(self) -> str:
+        """``query_fingerprint(query)``."""
+        return self.request.fingerprint
+
+    @property
+    def statistics_version(self) -> int:
+        """``StatisticsManager.version`` the plan was produced against."""
+        return self.request.token[0]
+
     @property
     def sql(self) -> str:
         """Canonical (hint-free) SQL of the prepared statement."""
@@ -412,14 +435,25 @@ class Session:
         """The current statistics version (0 before any build)."""
         return self._state.version
 
+    def _build_statistics(self, manager: StatisticsManager, seed) -> None:
+        started = time.perf_counter()
+        manager.update_statistics(
+            sample_size=self.config.sample_size,
+            histogram_buckets=self.config.histogram_buckets,
+            seed=seed,
+        )
+        self.metrics.gauge(
+            "repro_session_statistics_build_seconds",
+            "Wall time of the last statistics build.",
+        ).set(time.perf_counter() - started)
+
     def _ensure_state(self) -> _StatsState:
         """The current statistics state, built if need be.
 
-        This is the one read point every planning path goes through:
-        callers hold the returned snapshot for the whole prepare, so
-        the version they key the cache with and the estimator they plan
-        with always come from the same statistics. Ready states are
-        returned lock-free; unbuilt ones funnel through the session
+        Read by :meth:`_request` alone, which holds the snapshot for the
+        whole call, so the version in its token and the estimator it
+        plans with always come from the same statistics. Ready states
+        are returned lock-free; unbuilt ones funnel through the session
         lock until exactly one thread finishes the build.
         """
         state = self._state
@@ -433,16 +467,7 @@ class Session:
             if manager is None:
                 manager = StatisticsManager(self.database)
             if manager.version == 0:
-                started = time.perf_counter()
-                manager.update_statistics(
-                    sample_size=self.config.sample_size,
-                    histogram_buckets=self.config.histogram_buckets,
-                    seed=self.config.statistics_seed,
-                )
-                self.metrics.gauge(
-                    "repro_session_statistics_build_seconds",
-                    "Wall time of the last statistics build.",
-                ).set(time.perf_counter() - started)
+                self._build_statistics(manager, self.config.statistics_seed)
             state = _StatsState(manager, ready=True)
             self._state = state
             return state
@@ -453,8 +478,8 @@ class Session:
         """Rebuild statistics, invalidating every cached plan.
 
         Returns the new statistics version. The plan cache needs no
-        explicit flush: keys embed the version, so old entries can
-        never be served again and age out of the LRU. The rebuild
+        explicit flush: every key's token embeds the version, so old
+        entries can never be served again and age out of the LRU. The rebuild
         re-draws samples and join synopses; the tables are immutable,
         so it reuses the histograms already built over them.
 
@@ -470,16 +495,9 @@ class Session:
             self.config = replace(self.config, sample_size=sample_size)
         with self._statistics_lock:
             fresh = StatisticsManager(self.database)
-            started = time.perf_counter()
-            fresh.update_statistics(
-                sample_size=self.config.sample_size,
-                histogram_buckets=self.config.histogram_buckets,
-                seed=self.config.statistics_seed if seed is None else seed,
+            self._build_statistics(
+                fresh, self.config.statistics_seed if seed is None else seed
             )
-            self.metrics.gauge(
-                "repro_session_statistics_build_seconds",
-                "Wall time of the last statistics build.",
-            ).set(time.perf_counter() - started)
             self.metrics.counter(
                 "repro_session_statistics_refreshes_total",
                 "Statistics rebuilds requested on the session.",
@@ -641,13 +659,23 @@ class Session:
         return self._feedback
 
     # ------------------------------------------------------------------
-    # Estimator / optimizer wiring
+    # Requests and the one planning path
     # ------------------------------------------------------------------
-    def _build_estimator(
+    def _estimator(
         self, state: _StatsState, tracer: Tracer | None = None
-    ):
-        """A fresh estimator honoring the session config, bound to the
-        statistics snapshot in ``state``."""
+    ) -> CardinalityEstimator:
+        """The estimator a plan against ``state`` reads: with a
+        ``tracer`` a fresh traced one, else the snapshot's shared one,
+        built and decorated on first use.
+
+        Benign race: two threads may both build the shared estimator;
+        last write wins and either instance answers identically
+        (estimators are pure functions of statistics + config). The memo
+        lives on the state, so a statistics swap can never pair an old
+        estimator with a new version.
+        """
+        if tracer is None and state.estimator is not None:
+            return state.estimator
         estimator = estimator_for(
             self.config.policy,
             self.database,
@@ -665,8 +693,10 @@ class Session:
                 )
         if tracer is not None:
             estimator.tracer = tracer
-        elif self.estimator_decorator is not None:
+            return estimator
+        if self.estimator_decorator is not None:
             estimator = self.estimator_decorator(estimator)
+        state.estimator = estimator
         return estimator
 
     def _note_fallback_estimate(self, tables, source: str) -> None:
@@ -677,47 +707,68 @@ class Session:
             "by fallback source.",
         ).inc(source=source)
 
-    def _fallback_estimator(self) -> RobustCardinalityEstimator:
-        """The last-resort planner estimator: §3.5 magic-only routing.
+    def _request(
+        self,
+        query: str | SPJQuery,
+        policy: SelectionPolicy | float | str | None = None,
+    ) -> _Request:
+        """Resolve one call: parse the statement, resolve its policy,
+        and read the statistics snapshot and feedback generation — each
+        exactly once, here and nowhere else."""
+        parsed, fingerprint = self._coerce_query(query)
+        effective = self._effective_policy(parsed, policy)
+        state = self._ensure_state()
+        generation = (
+            self._feedback.generation if self._feedback is not None else None
+        )
+        return _Request(
+            parsed, fingerprint, effective, state, (state.version, generation)
+        )
 
-        Built over an *empty* statistics manager, so every estimate
-        takes the fallback path — base-table cardinalities stay exact,
-        predicates price at magic-distribution percentiles. It always
-        answers, which is what keeps the planner total under injected
-        estimator faults.
+    def _plan(
+        self,
+        request: _Request,
+        *,
+        estimator: CardinalityEstimator | None = None,
+        tracer: Tracer | None = None,
+        grid: tuple[float, ...] | None = None,
+        fallback: bool = False,
+    ):
+        """Plan ``request`` under its policy against its snapshot — the
+        session's one planning path, uncached.
+
+        ``estimator`` replaces the snapshot's shared one (a traced
+        build, with its ``tracer``). ``grid`` plans those thresholds in
+        one vectorized pass and returns a plan per lane. ``fallback``
+        plans through the §3.5 magic-only estimator at the policy's
+        scalar hint: built over an *empty* statistics manager, it always
+        answers — base-table cardinalities stay exact, predicates price
+        at magic-distribution percentiles — and a penalty policy has no
+        posterior left to sample.
         """
-        estimator = RobustCardinalityEstimator(
-            StatisticsManager(self.database),
-            prior=self.config.prior,
-            policy=hintless_threshold(self.config.policy),
+        if fallback:
+            estimator = RobustCardinalityEstimator(
+                StatisticsManager(self.database),
+                prior=self.config.prior,
+                policy=hintless_threshold(self.config.policy),
+            )
+            estimator.fallback_listener = self._note_fallback_estimate
+        elif estimator is None:
+            estimator = self._estimator(request.state)
+        optimizer = Optimizer(
+            self.database, estimator, self.cost_model, tracer=tracer
         )
-        estimator.fallback_listener = self._note_fallback_estimate
-        return estimator
-
-    def _shared_estimator(self, state: _StatsState) -> CardinalityEstimator:
-        # Benign race: two threads may both build; last write wins and
-        # either instance answers identically (estimators are pure
-        # functions of statistics + config). The memo lives on the
-        # state, so a statistics swap can never pair an old estimator
-        # with a new version.
-        if state.estimator is None:
-            state.estimator = self._build_estimator(state)
-        return state.estimator
-
-    def _optimizer(
-        self, state: _StatsState, tracer: Tracer | None = None
-    ) -> Optimizer:
-        estimator = (
-            self._build_estimator(state, tracer)
-            if tracer is not None
-            else self._shared_estimator(state)
-        )
-        return Optimizer(
-            self.database,
-            estimator,
-            self.cost_model,
-            enable_star_plans=self.config.enable_star_plans,
-            tracer=tracer,
+        if fallback:
+            return optimizer.optimize(request.policy.hinted(request.query))
+        if grid is not None:
+            return optimizer.optimize_many(
+                replace(request.query, hint=None), grid
+            )
+        return request.policy.plan(
+            optimizer,
+            request.query,
+            query_key=request.fingerprint,
+            statistics_token=request.state.sampling_token,
         )
 
     # ------------------------------------------------------------------
@@ -766,23 +817,6 @@ class Session:
             return ThresholdPolicy(query.hint)
         return self.config.policy if policy is None else policy
 
-    def _cache_key(
-        self, fingerprint: str, policy: SelectionPolicy, version: int
-    ) -> tuple:
-        # The feedback generation keys the cache alongside the
-        # statistics version: a new observation invalidates exactly the
-        # plans whose posteriors it would now fold into.
-        generation = (
-            self._feedback.generation if self._feedback is not None else None
-        )
-        return (
-            fingerprint,
-            self.config.cache_key(),
-            policy.cache_key(),
-            version,
-            generation,
-        )
-
     def prepare(
         self,
         query: str | SPJQuery,
@@ -798,23 +832,15 @@ class Session:
         its own cache entry.
         """
         self._check_open()
-        parsed, fingerprint = self._coerce_query(query)
-        effective = self._effective_policy(parsed, policy)
-        # One snapshot serves the whole prepare: the cache-key version
-        # and the planning estimator both come from it, so a hot-swap
-        # landing mid-prepare can't mix statistics generations.
-        state = self._ensure_state()
-        version = state.version
-        key = self._cache_key(fingerprint, effective, version)
+        return self._prepare(self._request(query, policy))
+
+    def _prepare(self, request: _Request) -> PreparedQuery:
+        """``request``'s plan from the cache, planned on a miss; an
+        estimator failure degrades to an uncached §3.5 plan."""
 
         def plan() -> PlannedQuery:
             started = time.perf_counter()
-            planned = effective.plan(
-                self._optimizer(state),
-                parsed,
-                query_key=fingerprint,
-                statistics_token=state.sampling_token,
-            )
+            planned = self._plan(request)
             self.metrics.gauge(
                 "repro_session_last_plan_seconds",
                 "Wall time of the most recent planning pass.",
@@ -822,49 +848,32 @@ class Session:
             return planned
 
         try:
-            planned, was_cached = self.plan_cache.get_or_create(key, plan)
-        except (EstimationError, StatisticsError) as exc:
-            return self._prepare_degraded(
-                parsed, fingerprint, effective, version, exc
+            planned, was_cached = self.plan_cache.get_or_create(
+                request.key, plan
             )
+        except (EstimationError, StatisticsError) as exc:
+            return self._prepare_degraded(request, exc)
         self._count_prepare(was_cached)
-        return PreparedQuery(
-            self, parsed, planned, effective, version, was_cached,
-            fingerprint=fingerprint,
-        )
+        return PreparedQuery(self, request, planned, was_cached)
 
     def _prepare_degraded(
-        self,
-        parsed: SPJQuery,
-        fingerprint: str,
-        effective: SelectionPolicy,
-        version: int,
-        exc: ReproError,
+        self, request: _Request, exc: ReproError
     ) -> PreparedQuery:
         """Plan through the §3.5 magic-only path after an estimator failure.
 
         The degradation is attributed (event + metrics), and the
         resulting plan is handed back **uncached** — the plan cache
         only ever holds plans produced by the configured estimator, so
-        a transient estimator fault can't poison it. Penalty policies
-        degrade to the scalar magic-only plan too: without a working
-        posterior there is nothing to sample.
+        a transient estimator fault can't poison it.
         """
         event = self._degradation(
             "estimator-failure", f"{type(exc).__name__}: {exc}", component="planner"
         )
         self._record_degradation(event)
-        optimizer = Optimizer(
-            self.database,
-            self._fallback_estimator(),
-            self.cost_model,
-            enable_star_plans=self.config.enable_star_plans,
-        )
-        planned = optimizer.optimize(effective.hinted(parsed))
+        planned = self._plan(request, fallback=True)
         self._count_prepare(False)
         return PreparedQuery(
-            self, parsed, planned, effective, version, False,
-            degraded_reason=event.reason, fingerprint=fingerprint,
+            self, request, planned, False, degraded_reason=event.reason
         )
 
     def prepare_many(
@@ -872,10 +881,12 @@ class Session:
     ) -> list[PreparedQuery]:
         """Prepare one statement across a whole confidence grid.
 
-        Missing grid points are planned together by one vectorized
+        Each threshold is a lane: the statement's request under that
+        :class:`~repro.selection.ThresholdPolicy`. Missing lanes are
+        planned together by one vectorized
         :meth:`~repro.optimizer.Optimizer.optimize_many` pass (per-lane
         plans are bit-identical to scalar ``optimize`` at the same
-        threshold, see PR 2), then cached individually — so a later
+        threshold), then cached individually — so a later
         ``prepare(query, policy=t)`` hits any lane planted here.
         """
         self._check_open()
@@ -885,48 +896,30 @@ class Session:
             )
         if not thresholds:
             raise SessionError("prepare_many needs at least one threshold")
-        parsed, fingerprint = self._coerce_query(query)
-        grid = [ThresholdPolicy(t) for t in thresholds]
-        state = self._ensure_state()
-        version = state.version
-
-        keyed = [
-            (p, self._cache_key(fingerprint, p, version)) for p in grid
-        ]
-        found: dict[ThresholdPolicy, PlannedQuery] = {}
-        hits: set[ThresholdPolicy] = set()
-        for lane_policy, key in keyed:
-            cached = self.plan_cache.get(key)
-            if cached is not None:
-                found[lane_policy] = cached
-                hits.add(lane_policy)
-        missing = [p for p in grid if p not in found]
+        request = self._request(query)
+        lanes = [request._replace(policy=ThresholdPolicy(t)) for t in thresholds]
+        keys = [lane.key for lane in lanes]
+        plans = [self.plan_cache.get(key) for key in keys]
+        hits = [planned is not None for planned in plans]
+        missing = [i for i, hit in enumerate(hits) if not hit]
         if missing:
-            hintless = replace(parsed, hint=None)
             try:
-                planned_grid = self._optimizer(state).optimize_many(
-                    hintless, tuple(p.q for p in missing)
+                fresh = self._plan(
+                    request, grid=tuple(lanes[i].policy.q for i in missing)
                 )
             except (EstimationError, StatisticsError):
                 # Degrade lane by lane through the scalar path (which
                 # attributes the failure and plans uncached via §3.5).
-                return [self.prepare(hintless, policy=p) for p in grid]
-            for lane_policy, planned in zip(missing, planned_grid):
-                key = self._cache_key(fingerprint, lane_policy, version)
-                self.plan_cache.put(key, planned)
-                found[lane_policy] = planned
-
-        prepared = []
-        for lane_policy in grid:
-            was_cached = lane_policy in hits
-            self._count_prepare(was_cached)
-            prepared.append(
-                PreparedQuery(
-                    self, parsed, found[lane_policy], lane_policy, version,
-                    was_cached, fingerprint=fingerprint,
-                )
-            )
-        return prepared
+                return [self._prepare(lane) for lane in lanes]
+            for i, planned in zip(missing, fresh):
+                self.plan_cache.put(keys[i], planned)
+                plans[i] = planned
+        for hit in hits:
+            self._count_prepare(hit)
+        return [
+            PreparedQuery(self, lane, planned, hit)
+            for lane, planned, hit in zip(lanes, plans, hits)
+        ]
 
     def _count_prepare(self, was_cached: bool) -> None:
         self._prepares.inc(result="hit" if was_cached else "miss")
@@ -947,11 +940,15 @@ class Session:
     def _execute_prepared(self, prepared: PreparedQuery) -> QueryResult:
         self._check_open()
         if prepared.is_stale():
-            # Statistics moved: transparently re-plan (a cache miss
-            # under the new version) and re-bind the handle.
-            fresh = self.prepare(prepared.query, policy=prepared.policy)
+            # Statistics moved: re-plan the handle's own query under the
+            # policy it already resolved (never the hint again) against
+            # a fresh snapshot — a cache miss under the new version —
+            # and re-bind the handle.
+            fresh = self._prepare(
+                self._request(prepared.query)._replace(policy=prepared.policy)
+            )
+            prepared.request = fresh.request
             prepared.planned = fresh.planned
-            prepared.statistics_version = fresh.statistics_version
             prepared.from_cache = fresh.from_cache
             prepared.degraded_reason = fresh.degraded_reason
             self.metrics.counter(
@@ -1029,18 +1026,11 @@ class Session:
         """One traced planning pass (and execution): the plan and its
         trace record."""
         self._check_open()
-        parsed, fingerprint = self._coerce_query(query)
-        effective = self._effective_policy(parsed, policy)
-        state = self._ensure_state()
+        request = self._request(query, policy)
         tracer = Tracer()
-        optimizer = self._optimizer(state, tracer)
+        estimator = self._estimator(request.state, tracer)
         started = time.perf_counter()
-        planned = effective.plan(
-            optimizer,
-            parsed,
-            query_key=fingerprint,
-            statistics_token=state.sampling_token,
-        )
+        planned = self._plan(request, estimator=estimator, tracer=tracer)
         optimize_seconds = time.perf_counter() - started
         execution = None
         if execute:
@@ -1057,7 +1047,7 @@ class Session:
             )
         record = QueryTrace(
             template=label or "session",
-            config=optimizer.estimator.describe(),
+            config=estimator.describe(),
             seed=self.config.statistics_seed
             if isinstance(self.config.statistics_seed, int)
             else None,

@@ -381,7 +381,7 @@ class TestHarvestDeterminism:
         record["template"] = "join"
         record["seed"] = 0
         store = FeedbackStore()
-        query, _ = session._coerce_query(JOIN)
+        query = session._request(JOIN).query
         count = harvest_traces(
             store, [record], query_for=lambda r: query
         )

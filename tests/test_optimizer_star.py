@@ -135,11 +135,3 @@ class TestOptimizerChoice:
         ]
         for estimate in estimates:
             assert estimate == pytest.approx(0.001, rel=0.25)
-
-    def test_star_plans_can_be_disabled(self, star_db):
-        optimizer = Optimizer(
-            star_db, ExactCardinalityEstimator(star_db), enable_star_plans=False
-        )
-        planned = optimizer.optimize(star_query(shift=100))
-        kinds = {type(op) for op in planned.plan.walk()}
-        assert StarSemiJoin not in kinds

@@ -204,7 +204,6 @@ class TestSessionSignatures:
             "statistics_seed",
             "plan_cache_size",
             "cache_stripes",
-            "enable_star_plans",
             "policy",
         ]
 

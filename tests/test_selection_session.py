@@ -62,8 +62,7 @@ class TestPolicyIsTotal:
         ) as session:
             assert session.config.policy == expected
             assert session.config.estimator == expected.estimator_kind
-            parsed, _ = session._coerce_query(SELECTION)
-            effective = session._effective_policy(parsed)
+            effective = session._request(SELECTION).policy
             assert isinstance(effective, SelectionPolicy)
             assert effective == expected
             prepared = session.prepare(SELECTION)

@@ -223,7 +223,7 @@ class TestDegradedPlanning:
 
 class TestFallbackAttribution:
     def test_fallback_estimates_counted(self, session):
-        statistics = session._ensure_state().manager
+        statistics = session._request(QUERY).state.manager
         statistics.drop_synopsis("lineitem")
         statistics.drop_sample("lineitem")
         statistics.drop_histograms("lineitem")
@@ -251,7 +251,7 @@ class TestEstimationDrift:
             "SELECT lineitem.l_quantity FROM lineitem WHERE lineitem.l_quantity > 45"
         )
         assert session.health == HEALTHY
-        statistics = session._ensure_state().manager
+        statistics = session._request(QUERY).state.manager
         statistics.drop_synopsis("lineitem")
         statistics.drop_sample("lineitem")
         statistics.drop_histograms("lineitem")

@@ -1,11 +1,12 @@
 """Behavioral tests for the Session/PreparedQuery facade.
 
-The contract under test (ISSUE 4): the plan cache is keyed on
-(query fingerprint, estimator config, statistics version), so the same
-query twice is a hit returning the identical plan, a statistics bump
-invalidates automatically, concurrent prepares plan exactly once, and
-cached plans are byte-identical to what a hand-wired optimizer
-produces from the same statistics.
+The contract under test: the plan cache is keyed on (query
+fingerprint, policy, statistics version and feedback generation), so
+the same query twice is a hit returning the identical plan, a
+statistics bump invalidates automatically, a stale handle re-plans
+under the policy it already resolved, concurrent prepares plan exactly
+once, and cached plans are byte-identical to what a hand-wired
+optimizer produces from the same statistics.
 """
 
 import threading
@@ -151,6 +152,22 @@ class TestStatisticsVersioning:
             "repro_session_replans_total", ""
         ).value()
         assert replans == 1
+
+    def test_stale_lane_replans_under_its_own_policy(self, db, session):
+        """A grid lane of a hinted statement keeps its lane's threshold
+        through a re-plan: the hint never wins it back."""
+        hinted = JOIN_QUERY + " OPTION (CONFIDENCE 95)"
+        handles = session.prepare_many(hinted, [0.5, 0.8])
+        assert handles[0].planned.query.hint == 0.5
+        session.refresh_statistics()
+        handles[0].execute()
+        assert handles[0].threshold == 0.5
+        assert handles[0].planned.query.hint == 0.5
+        fresh = session.prepare_many(hinted, [0.5])[0]
+        assert handles[0].explain() == fresh.explain()
+        other = Session(db, sample_size=400, statistics_seed=11)
+        other.refresh_statistics()
+        assert handles[0].explain() == other.prepare_many(hinted, [0.5])[0].explain()
 
     def test_exact_sessions_have_no_statistics(self, db):
         session = Session(db, policy="exact")
