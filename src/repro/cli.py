@@ -514,13 +514,17 @@ def _cmd_sql(args) -> int:
 
 #: The workload each ``chaos`` sweep drives under every fault plan:
 #: a selection, a second table's selection, and a two-table join, so
-#: the sweep exercises single-table fallbacks and join synopses alike.
+#: the sweep exercises single-table fallbacks and join synopses alike;
+#: the GROUP BY sizes its groups through the (possibly faulty)
+#: estimator too.
 _CHAOS_QUERIES = {
     "tpch": (
         "SELECT COUNT(*) FROM lineitem WHERE lineitem.l_quantity > 45",
         "SELECT COUNT(*) FROM part WHERE part.p_size <= 10",
         "SELECT COUNT(*) FROM lineitem, part "
         "WHERE part.p_size <= 10 AND lineitem.l_quantity > 30",
+        "SELECT part.p_size, COUNT(*) AS n FROM lineitem, part "
+        "WHERE lineitem.l_quantity > 30 GROUP BY part.p_size",
     ),
     "star": (
         "SELECT COUNT(*) FROM dim1 WHERE dim1.d_attr < 100",

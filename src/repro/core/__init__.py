@@ -23,7 +23,6 @@ from repro.core.confidence import (
     AGGRESSIVE,
     CONSERVATIVE,
     MODERATE,
-    ConfidencePolicy,
     resolve_threshold,
 )
 from repro.core.estimate import CardinalityEstimate, VectorCardinalityEstimate
@@ -35,7 +34,6 @@ from repro.core.bayesnet import BayesNetCardinalityEstimator
 from repro.core.robust import RobustCardinalityEstimator
 from repro.core.factory import estimator_for
 from repro.core.sketch import InequalitySketch, pair_fraction
-from repro.core.distinct_extension import GroupCountEstimator
 
 __all__ = [
     "AGGRESSIVE",
@@ -44,10 +42,8 @@ __all__ = [
     "CONSERVATIVE",
     "CardinalityEstimate",
     "CardinalityEstimator",
-    "ConfidencePolicy",
     "ExactCardinalityEstimator",
     "FixedSelectivityEstimator",
-    "GroupCountEstimator",
     "HistogramCardinalityEstimator",
     "InequalitySketch",
     "JEFFREYS",

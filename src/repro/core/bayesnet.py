@@ -27,16 +27,12 @@ star and snowflake scenarios vary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.estimate import CardinalityEstimate
-from repro.core.estimator import CardinalityEstimator
+from repro.core.estimator import PointEstimator
 from repro.core.magic import MagicNumbers
-from repro.core.memo import EstimateCacheMixin
-from repro.errors import EstimationError
-from repro.expressions import Expr, classify_conjuncts, expr_key, split_conjuncts
+from repro.expressions import Expr, split_conjuncts
 from repro.indexes.sorted_index import sorted_unique
 from repro.stats import StatisticsManager
 
@@ -69,8 +65,10 @@ class _ChowLiuTree:
     joints: tuple
 
 
-class BayesNetCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
+class BayesNetCardinalityEstimator(PointEstimator):
     """Chow–Liu tree inference over the per-table samples."""
+
+    source = "bayes"
 
     def __init__(
         self,
@@ -78,83 +76,15 @@ class BayesNetCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
         magic: MagicNumbers | None = None,
         max_bins: int = MAX_BINS,
     ) -> None:
-        self.statistics = statistics
-        self.magic = magic or MagicNumbers()
+        super().__init__(statistics, magic)
         self.max_bins = max_bins
         # Fitted trees per table, keyed behind the statistics version
         # (update_statistics rebuilds the samples the trees are fit to).
         self._trees: dict = {}
         self._trees_version = getattr(statistics, "version", 0)
-        self._init_estimate_cache()
-
-    # ------------------------------------------------------------------
-    # estimator protocol
-    # ------------------------------------------------------------------
-    def estimate(
-        self,
-        tables: Iterable[str],
-        predicate: Expr | None,
-        hint: float | str | None = None,
-    ) -> CardinalityEstimate:
-        names = set(tables)
-        if not names:
-            raise EstimationError("estimate requires at least one table")
-        return self._memoized(
-            (frozenset(names), expr_key(predicate)),
-            lambda: self._estimate_impl(names, predicate),
-        )
-
-    def estimate_many(
-        self,
-        tables: Iterable[str],
-        predicate: Expr | None,
-        thresholds: Sequence[float],
-    ) -> tuple[CardinalityEstimate, ...]:
-        """The network ignores the threshold: one estimate, repeated."""
-        estimate = self.estimate(tables, predicate)
-        return (estimate,) * len(thresholds)
 
     def describe(self) -> str:
         return "bayes-net"
-
-    # ------------------------------------------------------------------
-    def _estimate_impl(
-        self, names: set[str], predicate: Expr | None
-    ) -> CardinalityEstimate:
-        root = self.statistics.database.root_relation(names)
-        total = self.statistics.table_rows(root)
-
-        classes = classify_conjuncts(predicate)
-        selectivity = 1.0
-        for name in sorted(names):
-            table_predicate = classes.per_table.get(name)
-            if table_predicate is not None:
-                selectivity *= self._table_selectivity(name, table_predicate)
-        for condition in classes.join_conditions:
-            selectivity *= self.condition_selectivity(condition)
-        for conjunct in classes.residual:
-            selectivity *= self.magic.for_predicate(conjunct)
-
-        if self.tracer is not None:
-            from repro.obs.trace import EstimationSpan
-
-            self.tracer.record_estimation(
-                EstimationSpan(
-                    tables=tuple(sorted(names)),
-                    source="bayes",
-                    quantile=selectivity,
-                    point_estimate=selectivity * total,
-                    predicate=None if predicate is None else str(predicate),
-                )
-            )
-
-        return CardinalityEstimate(
-            tables=frozenset(names),
-            selectivity=selectivity,
-            cardinality=selectivity * total,
-            root_table=root,
-            source="bayes",
-        )
 
     # ------------------------------------------------------------------
     # per-table inference

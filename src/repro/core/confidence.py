@@ -4,7 +4,8 @@ The confidence threshold ``T`` is the single knob trading performance
 against predictability. The paper envisions a system-wide robustness
 setting — "conservative", "moderate", or "aggressive", i.e. 95 %, 80 %,
 and 50 % — overridable per query by a *query hint* embedded in the
-statement. :class:`ConfidencePolicy` implements exactly that.
+statement. :func:`resolve_threshold` normalizes either spelling; the
+robust estimator holds the resolved default and resolves each hint.
 """
 
 from __future__ import annotations
@@ -47,30 +48,3 @@ def resolve_threshold(value: float | str) -> float:
         )
     return threshold
 
-
-class ConfidencePolicy:
-    """System default threshold plus optional per-query hint.
-
-    >>> policy = ConfidencePolicy("moderate")
-    >>> policy.threshold()
-    0.8
-    >>> policy.threshold(hint=0.5)
-    0.5
-    """
-
-    def __init__(self, default: float | str = MODERATE) -> None:
-        self._default = resolve_threshold(default)
-
-    @property
-    def default(self) -> float:
-        """The system-wide default threshold."""
-        return self._default
-
-    def threshold(self, hint: float | str | None = None) -> float:
-        """The effective threshold, honoring a per-query hint."""
-        if hint is None:
-            return self._default
-        return resolve_threshold(hint)
-
-    def __repr__(self) -> str:
-        return f"ConfidencePolicy(default={self._default:.2f})"

@@ -17,8 +17,10 @@ import numpy as np
 
 from repro.catalog import Database
 from repro.core.estimate import CardinalityEstimate
+from repro.core.magic import MagicNumbers
+from repro.core.memo import EstimateCacheMixin
 from repro.errors import EstimationError
-from repro.expressions import Expr
+from repro.expressions import Expr, classify_conjuncts, expr_key
 from repro.stats.join_synopsis import fk_join_frame
 
 
@@ -28,7 +30,7 @@ class CardinalityEstimator:
     This is the module interface the paper's architecture hinges on
     (§3.1): the optimizer, session service, and experiment harness all
     speak exactly this protocol, so estimators are drop-in
-    replacements for one another. The protocol is three methods with
+    replacements for one another. The protocol is five methods with
     *identical keyword signatures* across every implementation
     (enforced by ``tests/test_estimator_contract.py``):
 
@@ -36,11 +38,14 @@ class CardinalityEstimator:
     - ``estimate_many(tables, predicate, thresholds)`` — one estimate
       per confidence threshold, in grid order, semantically equal to
       looping ``estimate`` with each threshold as the hint;
+    - ``condition_selectivity(condition)`` — one cross-table join
+      condition;
+    - ``estimate_groups(tables, group_by, predicate, rows, hint=None)``
+      — the number of GROUP BY groups;
     - ``describe()`` — a short label for reports.
 
-    Subclasses must implement ``estimate``; ``estimate_many`` has a
-    correct default that threshold-aware estimators override to share
-    evidence gathering across the grid.
+    Subclasses must implement ``estimate``; the others have correct
+    defaults. A decorator wrapping an estimator forwards all five.
     """
 
     #: Optional :class:`repro.obs.Tracer`. When set, estimators record
@@ -113,9 +118,112 @@ class CardinalityEstimator:
             selectivity = sketch.condition_selectivity(condition)
             if selectivity is not None:
                 return selectivity
-        from repro.core.magic import MagicNumbers
-
         return MagicNumbers().for_predicate(condition.expr)
+
+    def estimate_groups(
+        self,
+        tables: Iterable[str],
+        group_by: Sequence[str],
+        predicate: Expr | None,
+        rows: float,
+        hint: float | str | None = None,
+    ) -> float:
+        """Distinct combinations of the qualified ``group_by`` columns
+        among ``rows`` rows. The default is the classical heuristic: the
+        product of the columns' histogram distinct counts (10 without a
+        histogram), capped at ``rows``."""
+        if not group_by:
+            raise EstimationError("group_by must name at least one column")
+        statistics = getattr(self, "statistics", None)
+        distinct = 1.0
+        for column in group_by:
+            table, _, name = column.partition(".")
+            histogram = (
+                statistics.histogram(table, name) if statistics is not None else None
+            )
+            distinct *= histogram.distinct_values if histogram is not None else 10.0
+        return min(rows, distinct)
+
+
+class PointEstimator(EstimateCacheMixin, CardinalityEstimator):
+    """The threshold-blind skeleton the histogram and Bayes-net arms
+    share: per-table selectivities multiply (AVI across tables,
+    containment across FK joins), join conditions go to
+    :meth:`condition_selectivity`, and the product scales the root
+    relation. The hint is ignored, so the base ``estimate_many`` hands
+    back the one memoized estimate in every lane. Subclasses set
+    :attr:`source` and implement :meth:`_table_selectivity`.
+    """
+
+    #: Label of the estimates and of their evidence spans.
+    source = "point"
+
+    def __init__(self, statistics, magic: MagicNumbers | None = None) -> None:
+        self.statistics = statistics
+        self.magic = magic or MagicNumbers()
+        self._init_estimate_cache()
+
+    def estimate(
+        self,
+        tables: Iterable[str],
+        predicate: Expr | None,
+        hint: float | str | None = None,
+    ) -> CardinalityEstimate:
+        names = set(tables)
+        if not names:
+            raise EstimationError("estimate requires at least one table")
+        return self._memoized(
+            (frozenset(names), expr_key(predicate)),
+            lambda: self._estimate_impl(names, predicate),
+        )
+
+    def _estimate_impl(
+        self, names: set[str], predicate: Expr | None
+    ) -> CardinalityEstimate:
+        root = self.statistics.database.root_relation(names)
+        total = self.statistics.table_rows(root)
+
+        # classify_conjuncts (not predicates_by_table) so cross-table
+        # join conditions are priced as joins via the CDF sketch rather
+        # than magicked as unattributable leftover selections.
+        classes = classify_conjuncts(predicate)
+        selectivity = 1.0
+        for name in sorted(names):
+            table_predicate = classes.per_table.get(name)
+            if table_predicate is not None:
+                selectivity *= self._table_selectivity(name, table_predicate)
+        for condition in classes.join_conditions:
+            selectivity *= self.condition_selectivity(condition)
+        for conjunct in classes.residual:
+            # No histogram, sample or tree reads a conjunct spanning
+            # several tables (or none), so both arms charge it alike.
+            selectivity *= self.magic.for_predicate(conjunct)
+
+        if self.tracer is not None:
+            from repro.obs.trace import EstimationSpan
+
+            self.tracer.record_estimation(
+                EstimationSpan(
+                    tables=tuple(sorted(names)),
+                    source=self.source,
+                    quantile=selectivity,
+                    point_estimate=selectivity * total,
+                    predicate=None if predicate is None else str(predicate),
+                )
+            )
+
+        return CardinalityEstimate(
+            tables=frozenset(names),
+            selectivity=selectivity,
+            cardinality=selectivity * total,
+            root_table=root,
+            source=self.source,
+        )
+
+    def _table_selectivity(self, table_name: str, predicate: Expr) -> float:
+        """Selectivity of ``predicate``, all of whose conjuncts read
+        ``table_name`` alone."""
+        raise NotImplementedError
 
 
 class ExactCardinalityEstimator(CardinalityEstimator):

@@ -10,133 +10,45 @@ the failure mode Experiments 1–3 are built around.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 from repro.catalog.types import ColumnType, coerce_scalar
-from repro.core.estimate import CardinalityEstimate
-from repro.core.estimator import CardinalityEstimator
-from repro.core.magic import MagicNumbers
-from repro.core.memo import EstimateCacheMixin
-from repro.errors import EstimationError
-from repro.expressions import Expr, classify_conjuncts, expr_key, split_conjuncts
+from repro.core.estimator import PointEstimator
+from repro.expressions import Expr, split_conjuncts
 from repro.expressions.analysis import as_range_condition, in_list_atoms
-from repro.stats import StatisticsManager
 
 
-class HistogramCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
+class HistogramCardinalityEstimator(PointEstimator):
     """Point estimation from 1-D histograms + AVI + containment."""
 
-    def __init__(
-        self,
-        statistics: StatisticsManager,
-        magic: MagicNumbers | None = None,
-    ) -> None:
-        self.statistics = statistics
-        self.magic = magic or MagicNumbers()
-        # Same whole-estimate memoization as the robust estimator,
-        # minus the threshold key (histograms ignore the hint). Keyed
-        # on the statistics version so rebuilds invalidate the cache.
-        self._init_estimate_cache()
+    source = "histogram"
 
-    def estimate(
-        self,
-        tables: Iterable[str],
-        predicate: Expr | None,
-        hint: float | str | None = None,
-    ) -> CardinalityEstimate:
-        names = set(tables)
-        if not names:
-            raise EstimationError("estimate requires at least one table")
-        return self._memoized(
-            (frozenset(names), expr_key(predicate)),
-            lambda: self._estimate_impl(names, predicate),
-        )
+    def describe(self) -> str:
+        return "histogram-avi"
 
-    def estimate_many(
-        self,
-        tables: Iterable[str],
-        predicate: Expr | None,
-        thresholds: Sequence[float],
-    ) -> tuple[CardinalityEstimate, ...]:
-        """Histograms ignore the threshold: one estimate, repeated."""
-        estimate = self.estimate(tables, predicate)
-        return (estimate,) * len(thresholds)
-
-    def _estimate_impl(
-        self, names: set[str], predicate: Expr | None
-    ) -> CardinalityEstimate:
-        root = self.statistics.database.root_relation(names)
-        total = self.statistics.table_rows(root)
-
-        # classify_conjuncts (not predicates_by_table) so cross-table
-        # join conditions are priced as joins via the CDF sketch rather
-        # than magicked as unattributable leftover selections.
-        classes = classify_conjuncts(predicate)
-
-        selectivity = 1.0
-        for name in sorted(names):
-            table_predicate = classes.per_table.get(name)
-            if table_predicate is not None:
-                selectivity *= self._table_selectivity(name, table_predicate)
-        for condition in classes.join_conditions:
-            selectivity *= self.condition_selectivity(condition)
-        for conjunct in classes.residual:
-            selectivity *= self._avi_product(None, conjunct)
-
-        if self.tracer is not None:
-            from repro.obs.trace import EstimationSpan
-
-            self.tracer.record_estimation(
-                EstimationSpan(
-                    tables=tuple(sorted(names)),
-                    source="histogram",
-                    quantile=selectivity,
-                    point_estimate=selectivity * total,
-                    predicate=None if predicate is None else str(predicate),
-                )
-            )
-
-        return CardinalityEstimate(
-            tables=frozenset(names),
-            selectivity=selectivity,
-            cardinality=selectivity * total,
-            root_table=root,
-            source="histogram",
-        )
-
-    # ------------------------------------------------------------------
     def _table_selectivity(self, table_name: str, predicate: Expr) -> float:
         """AVI product of per-conjunct histogram selectivities."""
-        return self._avi_product(table_name, predicate)
-
-    def _avi_product(self, table_name: str | None, predicate: Expr) -> float:
         selectivity = 1.0
         for conjunct in split_conjuncts(predicate):
             selectivity *= self._conjunct_selectivity(table_name, conjunct)
         return selectivity
 
-    def _conjunct_selectivity(self, table_name: str | None, conjunct: Expr) -> float:
+    def _conjunct_selectivity(self, table_name: str, conjunct: Expr) -> float:
         condition = as_range_condition(conjunct)
         if condition is not None:
-            owner = condition.table or table_name
-            if owner is not None:
-                estimate = self._range_selectivity(owner, condition)
-                if estimate is not None:
-                    return estimate
+            estimate = self._range_selectivity(table_name, condition)
+            if estimate is not None:
+                return estimate
         in_list = in_list_atoms(conjunct)
         if in_list is not None:
             ref, values = in_list
-            owner = ref.table or table_name
-            histogram = (
-                self.statistics.histogram(owner, ref.name) if owner else None
-            )
+            histogram = self.statistics.histogram(table_name, ref.name)
             if histogram is not None:
-                column_type = self._column_type(owner, ref.name)
+                column_type = self._column_type(table_name, ref.name)
                 if column_type is not None:
-                    sel = sum(
-                        histogram.selectivity_eq(coerce_scalar(v, column_type))
-                        for v in values
+                    # A repeated value (``IN (10, 10.0)``) matches once.
+                    distinct = dict.fromkeys(
+                        coerce_scalar(v, column_type) for v in values
                     )
+                    sel = sum(histogram.selectivity_eq(v) for v in distinct)
                     return min(1.0, sel)
         return self.magic.for_predicate(conjunct)
 
@@ -174,6 +86,3 @@ class HistogramCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
         if column not in table:
             return None
         return table.schema.column_type(column)
-
-    def describe(self) -> str:
-        return "histogram-avi"

@@ -31,14 +31,14 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.confidence import ConfidencePolicy, MODERATE, resolve_threshold
+from repro.core.confidence import MODERATE, resolve_threshold
 from repro.core.estimate import CardinalityEstimate, VectorCardinalityEstimate
 from repro.core.estimator import CardinalityEstimator
 from repro.core.magic import MagicDistribution, MagicNumbers
 from repro.core.memo import EstimateCacheMixin
 from repro.core.posterior import SelectivityPosterior
 from repro.core.prior import JEFFREYS, Prior
-from repro.errors import EstimationError
+from repro.errors import EstimationError, ReproError
 from repro.obs.trace import EstimationSpan
 from repro.expressions import (
     Expr,
@@ -47,6 +47,7 @@ from repro.expressions import (
     split_conjuncts,
 )
 from repro.stats import StatisticsManager
+from repro.stats.distinct import gee_estimator
 
 
 class _Factor(NamedTuple):
@@ -90,8 +91,10 @@ class RobustCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
     prior:
         Beta prior over selectivity; the Jeffreys prior by default.
     policy:
-        System-wide confidence threshold, overridable per call via the
-        ``hint`` argument of :meth:`estimate`.
+        System-wide confidence threshold as a fraction, percentage or
+        name (see :func:`~repro.core.confidence.resolve_threshold`),
+        overridable per call via the ``hint`` argument of
+        :meth:`estimate`. Stored resolved, as :attr:`threshold`.
     magic:
         Fallback magic-number table for statistics-free predicates.
     magic_concentration:
@@ -103,15 +106,13 @@ class RobustCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
         self,
         statistics: StatisticsManager,
         prior: Prior = JEFFREYS,
-        policy: ConfidencePolicy | float | str = MODERATE,
+        policy: float | str = MODERATE,
         magic: MagicNumbers | None = None,
         magic_concentration: float = 4.0,
     ) -> None:
         self.statistics = statistics
         self.prior = prior
-        self.policy = (
-            policy if isinstance(policy, ConfidencePolicy) else ConfidencePolicy(policy)
-        )
+        self.threshold = resolve_threshold(policy)
         self.magic = magic or MagicNumbers()
         self.magic_concentration = magic_concentration
         # §6.1 notes the prototype "lacks even basic optimizations such
@@ -170,7 +171,7 @@ class RobustCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
         names = frozenset(tables)
         if not names:
             raise EstimationError("estimate requires at least one table")
-        threshold = self.policy.threshold(hint)
+        threshold = self.threshold if hint is None else resolve_threshold(hint)
         return self._memoized(
             (names, expr_key(predicate), threshold),
             lambda: self._invert(self._gather(names, predicate), threshold),
@@ -460,15 +461,19 @@ class RobustCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
 
     # ------------------------------------------------------------------
     def _count_satisfying(self, synopsis, predicate: Expr | None) -> int:
-        """Count synopsis tuples satisfying ``predicate``.
+        """Count synopsis tuples satisfying ``predicate``."""
+        if predicate is None:
+            return synopsis.size
+        return int(self._synopsis_mask(synopsis, predicate).sum())
+
+    def _synopsis_mask(self, synopsis, predicate: Expr) -> np.ndarray:
+        """Boolean mask of the synopsis tuples satisfying ``predicate``.
 
         Each top-level conjunct is evaluated once per synopsis and its
         boolean mask reused across the many overlapping subexpressions
         an optimizer run probes; the conjunction of cached masks equals
         evaluating the whole predicate directly.
         """
-        if predicate is None:
-            return synopsis.size
         per_synopsis = self._mask_cache.get(synopsis)
         if per_synopsis is None:
             per_synopsis = {}
@@ -483,7 +488,49 @@ class RobustCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
                 )
                 per_synopsis[key] = cached
             mask &= cached
-        return int(mask.sum())
+        return mask
+
+    # ------------------------------------------------------------------
+    # GROUP BY sizing (Section 3.5)
+    # ------------------------------------------------------------------
+    def estimate_groups(
+        self,
+        tables: Iterable[str],
+        group_by: Sequence[str],
+        predicate: Expr | None,
+        rows: float,
+        hint: float | str | None = None,
+    ) -> float:
+        """GEE over the group keys of the covering synopsis's qualifying
+        tuples, scaled to this estimator's own row estimate so groups
+        inherit ``T``; the base heuristic when no synopsis covers
+        ``tables`` or one cannot resolve a column."""
+        try:
+            names = set(tables)
+            synopsis = self.statistics.synopsis_covering(names)
+            if synopsis is not None and group_by:
+                frame = synopsis.frame
+                if predicate is not None:
+                    frame = frame.mask(self._synopsis_mask(synopsis, predicate))
+                keys = _combined_keys(frame, group_by)
+                cardinality = self.estimate(names, predicate, hint).cardinality
+                return gee_estimator(keys, max(1, int(round(cardinality))))
+        except ReproError:
+            # What the estimator and the catalog raise (no root relation,
+            # an unresolvable column); anything else is a bug and propagates.
+            pass
+        return super().estimate_groups(tables, group_by, predicate, rows, hint=hint)
 
     def describe(self) -> str:
-        return f"robust(T={self.policy.default:.0%}, prior={self.prior.name})"
+        return f"robust(T={self.threshold:.0%}, prior={self.prior.name})"
+
+
+def _combined_keys(frame, group_by: Sequence[str]) -> np.ndarray:
+    """Multi-column group keys collapsed into one hashable array."""
+    arrays = [frame.column(name) for name in group_by]
+    if len(arrays) == 1:
+        return arrays[0]
+    combined = arrays[0].astype(np.str_)
+    for array in arrays[1:]:
+        combined = np.char.add(np.char.add(combined, "\x1f"), array.astype(np.str_))
+    return combined

@@ -105,10 +105,12 @@ def apply_archive_fault(
 class FaultyEstimator(CardinalityEstimator):
     """An estimator that deterministically fails or stalls.
 
-    Wraps an inner estimator; each call first pays the configured
-    delay, then fires :class:`~repro.errors.EstimationError` with
-    probability ``error_rate`` (drawn from the seeded ``rng``), and
-    only then delegates. Counters expose how often each fault fired so
+    Wraps an inner estimator and forwards every protocol method (a
+    method left to the base class would answer from the wrapper's own
+    empty state, not the inner estimator's); each call first pays the
+    configured delay, then fires :class:`~repro.errors.EstimationError`
+    with probability ``error_rate`` (drawn from the seeded ``rng``),
+    and only then delegates. Counters expose how often each fault fired so
     the harness can assert the session attributed every degradation.
     """
 
@@ -145,6 +147,16 @@ class FaultyEstimator(CardinalityEstimator):
     def estimate_many(self, tables, predicate, thresholds):
         self._maybe_fault()
         return self.inner.estimate_many(tables, predicate, thresholds)
+
+    def condition_selectivity(self, condition):
+        self._maybe_fault()
+        return self.inner.condition_selectivity(condition)
+
+    def estimate_groups(self, tables, group_by, predicate, rows, hint=None):
+        self._maybe_fault()
+        return self.inner.estimate_groups(
+            tables, group_by, predicate, rows, hint=hint
+        )
 
     def describe(self) -> str:
         return f"faulty({self.inner.describe()})"

@@ -20,15 +20,13 @@ from repro.catalog import Database
 from repro.core import (
     CardinalityEstimate,
     CardinalityEstimator,
-    GroupCountEstimator,
-    RobustCardinalityEstimator,
     VectorCardinalityEstimate,
 )
 from repro.cost import CostModel
 from repro.core.magic import MagicNumbers
 from repro.engine import HashAggregate, Limit, PhysicalOperator, Project, Sort
 from repro.engine.relops import Filter
-from repro.errors import OptimizationError, ReproError
+from repro.errors import OptimizationError
 from repro.expressions import (
     Expr,
     as_join_condition,
@@ -911,7 +909,11 @@ class Optimizer:
             plan.est_rows, plan.est_cost = rows, cost
 
         if query.aggregates or query.group_by:
-            groups = self._estimate_groups(ctx, query, rows)
+            groups = 1.0  # a scalar aggregate: one group
+            if query.group_by:
+                groups = self.estimator.estimate_groups(
+                    query.tables, query.group_by, query.predicate, rows, hint=query.hint
+                )
             cost += self.cost_model.aggregate(rows, groups, bool(query.group_by))
             plan = HashAggregate(plan, list(query.aggregates), list(query.group_by))
             rows = groups
@@ -941,33 +943,3 @@ class Optimizer:
             plan.est_rows, plan.est_cost = rows, cost
 
         return plan, cost, rows
-
-    def _estimate_groups(
-        self, ctx: PlanningContext, query: SPJQuery, rows: float
-    ) -> float:
-        """Estimated GROUP BY output size (1 for scalar aggregates)."""
-        if not query.group_by:
-            return 1.0
-        if isinstance(self.estimator, RobustCardinalityEstimator):
-            try:
-                return GroupCountEstimator(self.estimator).estimate_groups(
-                    set(query.tables),
-                    list(query.group_by),
-                    query.predicate,
-                    hint=query.hint,
-                )
-            except ReproError:
-                # What the estimator and the catalog raise (no covering
-                # synopsis, unresolvable column): fall through to the
-                # histogram heuristic. Anything else is a bug, not a
-                # missing statistic, and propagates.
-                pass
-        distinct = 1.0
-        statistics = getattr(self.estimator, "statistics", None)
-        for column in query.group_by:
-            table, _, name = column.partition(".")
-            histogram = (
-                statistics.histogram(table, name) if statistics is not None else None
-            )
-            distinct *= histogram.distinct_values if histogram is not None else 10.0
-        return min(rows, distinct)

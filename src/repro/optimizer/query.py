@@ -143,13 +143,16 @@ class SPJQuery:
     def validate(self, database: Database) -> None:
         """Check the query is well-formed against the schema.
 
-        Every table must exist and every predicate column must belong
-        to one of the query's tables. Without join conditions in the
-        predicate, the table set must form one connected, rooted FK
-        tree (the classical shape). With join conditions (``t1.a <op>
-        t2.b`` conjuncts), each FK component must be a rooted tree and
-        the FK edges plus the conditions together must connect all
-        tables — band joins between FK-unrelated tables are legal.
+        Every table must exist and every column the query reads must
+        belong to one of its tables. The sort runs on the output, so an
+        ORDER BY item must be a group column or aggregate alias under
+        aggregation, and a selected column under a projection. Without
+        join conditions in the predicate, the table set must form one
+        connected, rooted FK tree (the classical shape). With join
+        conditions (``t1.a <op> t2.b`` conjuncts), each FK component must
+        be a rooted tree and the FK edges plus the conditions together
+        must connect all tables — band joins between FK-unrelated tables
+        are legal.
         """
         for name in self.tables:
             database.table(name)
@@ -165,21 +168,34 @@ class SPJQuery:
                     if len(component) > 1:
                         database.root_relation(component)
                 self._check_connected(edges, conditions)
-        if self.predicate is not None:
-            referenced = self.predicate.tables()
-            unknown = referenced - set(self.tables)
-            if unknown:
+        aliases = {spec.alias for spec in self.aggregates}
+        columns = [] if self.predicate is None else list(self.predicate.columns())
+        for name in (
+            *(self.projection or ()),
+            *(spec.column for spec in self.aggregates if spec.column != "*"),
+            *self.group_by,
+            *(name for name in self.order_by if name not in aliases),
+        ):
+            table, _, column = name.rpartition(".")
+            columns.append((table or None, column))
+        for table, column in columns:
+            if table is None:
                 raise OptimizationError(
-                    f"predicate references tables not in query: {sorted(unknown)}"
+                    f"unqualified column {column!r} in a query; use table.column"
                 )
-            for table, column in self.predicate.columns():
-                if table is None:
-                    raise OptimizationError(
-                        f"unqualified column {column!r} in a query predicate; "
-                        "use table.column"
-                    )
-                if column not in database.table(table):
-                    raise OptimizationError(f"no column {table}.{column}")
+            if table not in self.tables:
+                raise OptimizationError(f"{table}.{column}: table not in query")
+            if column not in database.table(table):
+                raise OptimizationError(f"no column {table}.{column}")
+        if self.aggregates or self.group_by:
+            allowed, what = set(self.group_by) | aliases, "a GROUP BY column or alias"
+        elif self.projection is not None:
+            allowed, what = set(self.projection), "a selected column"
+        else:
+            return
+        for name in self.order_by:
+            if name not in allowed:
+                raise OptimizationError(f"ORDER BY {name} is not {what}")
 
     def _check_connected(self, edges: list[JoinEdge], conditions=()) -> None:
         names = set(self.tables)

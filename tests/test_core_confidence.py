@@ -2,9 +2,15 @@
 
 import pytest
 
-from repro.core import AGGRESSIVE, CONSERVATIVE, MODERATE, ConfidencePolicy
+from repro.core import (
+    AGGRESSIVE,
+    CONSERVATIVE,
+    MODERATE,
+    RobustCardinalityEstimator,
+)
 from repro.core.confidence import resolve_threshold
 from repro.errors import EstimationError
+from repro.expressions import col
 
 
 class TestResolveThreshold:
@@ -32,17 +38,27 @@ class TestResolveThreshold:
 
 
 class TestConfidencePolicy:
-    def test_default(self):
-        assert ConfidencePolicy().threshold() == MODERATE
+    """The paper's policy: a system-wide default threshold, overridable
+    per query by a hint. The robust estimator holds it as ``threshold``."""
 
-    def test_named_default(self):
-        assert ConfidencePolicy("conservative").threshold() == 0.95
+    def test_default(self, two_table_stats):
+        assert RobustCardinalityEstimator(two_table_stats).threshold == MODERATE
 
-    def test_hint_overrides(self):
-        policy = ConfidencePolicy("moderate")
-        assert policy.threshold(hint=0.5) == 0.5
-        assert policy.threshold(hint="conservative") == 0.95
-        assert policy.threshold() == 0.80  # default untouched
+    def test_named_default(self, two_table_stats):
+        estimator = RobustCardinalityEstimator(
+            two_table_stats, policy="conservative"
+        )
+        assert estimator.threshold == 0.95
 
-    def test_repr(self):
-        assert "0.80" in repr(ConfidencePolicy(0.8))
+    def test_hint_overrides(self, two_table_stats):
+        estimator = RobustCardinalityEstimator(two_table_stats, policy="moderate")
+        predicate = col("lineitem.l_quantity") > 30
+        assert estimator.estimate({"lineitem"}, predicate, hint=0.5).threshold == 0.5
+        hinted = estimator.estimate({"lineitem"}, predicate, hint="conservative")
+        assert hinted.threshold == 0.95
+        assert estimator.estimate({"lineitem"}, predicate).threshold == 0.80
+        assert estimator.threshold == 0.80  # default untouched
+
+    def test_repr(self, two_table_stats):
+        estimator = RobustCardinalityEstimator(two_table_stats, policy=0.8)
+        assert "T=80%" in estimator.describe()

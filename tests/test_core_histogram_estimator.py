@@ -32,6 +32,20 @@ class TestSingleTable:
         truth = ExactCardinalityEstimator(tpch_db).estimate({"part"}, predicate)
         assert estimate.selectivity == pytest.approx(truth.selectivity, abs=0.03)
 
+    @pytest.mark.parametrize(
+        "values", [[10], [10, 10], [10, 10.0, 10], [10.0, 10]]
+    )
+    def test_repeated_in_list_value_counts_once(self, estimator, values):
+        """``IN (10, 10.0)`` matches the rows ``= 10`` matches; a value
+        repeated in the list, even spelled differently, adds nothing."""
+        single = estimator.estimate(
+            {"lineitem"}, col("lineitem.l_quantity").isin([10])
+        )
+        repeated = estimator.estimate(
+            {"lineitem"}, col("lineitem.l_quantity").isin(values)
+        )
+        assert repeated.cardinality == single.cardinality
+
     def test_string_predicate_uses_magic(self, estimator):
         predicate = col("part.p_brand").contains("1")
         estimate = estimator.estimate({"part"}, predicate)

@@ -54,8 +54,8 @@ class TestDefaultConfigs:
         configs = default_configs(thresholds=(0.05, 0.95))
         a = configs[0].estimator(tpch_stats)
         b = configs[1].estimator(tpch_stats)
-        assert a.policy.default == 0.05
-        assert b.policy.default == 0.95
+        assert a.threshold == 0.05
+        assert b.threshold == 0.95
 
     def test_factories_keep_their_arm_fields(self):
         """Every factory arm but the strawman is a policy and nothing
@@ -86,7 +86,7 @@ class TestDefaultConfigs:
         for arm in penalty_configs(samples=8):
             estimator = arm.estimator(tpch_stats)
             assert type(estimator) is RobustCardinalityEstimator
-            assert estimator.policy.default == 0.5
+            assert estimator.threshold == 0.5
 
     def test_arm_without_policy_or_build_rejected(self):
         with pytest.raises(ReproError, match="needs a policy or a build"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import Session
 from repro.core import MagicDistribution
 from repro.errors import EstimationError, StatisticsError
 from repro.faults import (
@@ -21,6 +22,7 @@ from repro.faults import (
 )
 from repro.faults.plan import FaultPlanError
 from repro.stats import StatisticsManager, load_statistics, save_statistics
+from repro.workloads import QUERY_BATTERY
 
 from tests.conftest import make_two_table_db
 
@@ -175,6 +177,12 @@ class TestFaultyEstimator:
         def estimate_many(self, tables, predicate, thresholds):
             return "many"
 
+        def condition_selectivity(self, condition):
+            return "condition"
+
+        def estimate_groups(self, tables, group_by, predicate, rows, hint=None):
+            return "groups"
+
         def describe(self):
             return "inner"
 
@@ -208,7 +216,40 @@ class TestFaultyEstimator:
     def test_delegates_and_describes(self):
         estimator = FaultyEstimator(self._Inner(), np.random.default_rng(0))
         assert estimator.estimate_many(set(), None, [0.5]) == "many"
+        assert estimator.condition_selectivity(None) == "condition"
+        assert estimator.estimate_groups(set(), ["t.c"], None, 1.0) == "groups"
         assert estimator.describe() == "faulty(inner)"
+        assert estimator.calls == 3
+
+    @pytest.mark.parametrize("family", ["tpch", "snowflake"])
+    def test_zero_rate_decorator_plans_like_the_bare_estimator(
+        self, families, family
+    ):
+        """A decorator that never fires changes no plan: the band join's
+        condition selectivity and the GROUP BY's group count reach the
+        inner estimator's statistics through it. (Prepared plans, not
+        ``Session.explain``: traced planning builds an undecorated
+        estimator.)"""
+        database, statistics = families[family]
+        statements = {
+            "tpch": [
+                *QUERY_BATTERY.values(),
+                "SELECT orders.o_custkey, COUNT(*) AS n FROM orders "
+                "GROUP BY orders.o_custkey",
+            ],
+            "snowflake": [
+                "SELECT SUM(sales.s_price) AS r FROM sales, promotion "
+                "WHERE promotion.p_kind = 2 AND promotion.p_lo <= sales.s_price "
+                "AND sales.s_price < promotion.p_hi",
+            ],
+        }[family]
+        bare = Session(database, statistics=statistics)
+        decorated = Session(database, statistics=statistics)
+        decorated.estimator_decorator = lambda inner: FaultyEstimator(
+            inner, np.random.default_rng(0), error_rate=0.0
+        )
+        for sql in statements:
+            assert decorated.prepare(sql).explain() == bare.prepare(sql).explain()
 
 
 @pytest.fixture(scope="module")

@@ -174,12 +174,12 @@ class TestFinalization:
     @staticmethod
     def _plan_group_by_with(monkeypatch, tpch_db, tpch_stats, error):
         """Plan a GROUP BY while the sample-based group estimator raises."""
-        from repro.core import GroupCountEstimator
+        import repro.core.robust
 
-        def failing(self, *args, **kwargs):
+        def failing(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(GroupCountEstimator, "estimate_groups", failing)
+        monkeypatch.setattr(repro.core.robust, "gee_estimator", failing)
         optimizer = Optimizer(tpch_db, RobustCardinalityEstimator(tpch_stats))
         return optimizer.optimize(
             SPJQuery(

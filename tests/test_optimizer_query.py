@@ -1,11 +1,17 @@
 """Unit tests for the SPJQuery specification."""
 
+import numpy as np
 import pytest
 
+from bench.statements import FAMILIES
+from repro import Session
 from repro.engine import AggregateSpec
 from repro.errors import OptimizationError
 from repro.expressions import col
 from repro.optimizer import SPJQuery
+from repro.sql import parse_query
+
+from tests.conftest import battery_queries
 
 
 class TestConstruction:
@@ -83,6 +89,76 @@ class TestValidation:
         for predicate in ((col("lineitem.l_quantity") > 1) | typo, ~typo):
             with pytest.raises(OptimizationError, match="no column"):
                 SPJQuery(["lineitem"], predicate).validate(tpch_db)
+
+
+#: Statements that parse but read a column the engine cannot produce;
+#: each must be refused at prepare, before a plan reaches the cache.
+UNRUNNABLE = {
+    "unknown select column": "SELECT orders.o_nope FROM orders",
+    "unknown group column": (
+        "SELECT orders.o_nope, COUNT(*) AS n FROM orders GROUP BY orders.o_nope"
+    ),
+    "unknown aggregate argument": "SELECT SUM(orders.o_nope) AS s FROM orders",
+    "unknown order column": (
+        "SELECT COUNT(*) AS n FROM orders ORDER BY orders.o_nope"
+    ),
+    "unqualified select column": "SELECT o_custkey FROM orders",
+    "select column of another table": "SELECT part.p_size FROM orders",
+    "order by an aggregated-away column": (
+        "SELECT COUNT(*) AS n FROM orders ORDER BY orders.o_orderkey"
+    ),
+    "order by a non-group column": (
+        "SELECT orders.o_custkey, COUNT(*) AS n FROM orders "
+        "GROUP BY orders.o_custkey ORDER BY orders.o_totalprice"
+    ),
+    "order by a projected-away column": (
+        "SELECT orders.o_custkey FROM orders ORDER BY orders.o_totalprice"
+    ),
+}
+
+
+class TestOutputColumns:
+    @pytest.mark.parametrize("policy", ["50", "histogram"])
+    @pytest.mark.parametrize("case", sorted(UNRUNNABLE))
+    def test_refused_at_prepare(self, tpch_db, tpch_stats, case, policy):
+        session = Session(tpch_db, statistics=tpch_stats, policy=policy)
+        query = parse_query(UNRUNNABLE[case])
+        with pytest.raises(OptimizationError):
+            session.prepare(query)
+        assert len(session.plan_cache) == 0
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT orders.o_custkey, SUM(orders.o_totalprice) AS spend "
+            "FROM orders GROUP BY orders.o_custkey ORDER BY spend LIMIT 3",
+            "SELECT DISTINCT orders.o_custkey FROM orders "
+            "ORDER BY orders.o_custkey",
+            "SELECT orders.o_custkey FROM orders ORDER BY orders.o_custkey",
+            "SELECT * FROM orders ORDER BY orders.o_totalprice LIMIT 2",
+        ],
+    )
+    def test_sortable_outputs_run(self, tpch_db, tpch_stats, sql):
+        session = Session(tpch_db, statistics=tpch_stats)
+        assert session.execute(sql).num_rows > 0
+
+    @pytest.mark.parametrize("family", ["tpch", "star", "snowflake"])
+    def test_every_battery_statement_validates(self, families, family):
+        database = families[family][0]
+        for query in battery_queries(family, database):
+            query.validate(database)
+
+    def test_every_benchmark_statement_validates(self, families):
+        databases = {
+            "tpch": families["tpch"][0],
+            "star": families["star"][0],
+            "snow": families["snowflake"][0],
+        }
+        rng = np.random.default_rng(0)
+        for make, dims in FAMILIES.values():
+            for _ in range(5):
+                statement = make(rng.random(dims).tolist())
+                parse_query(statement.sql, databases[statement.database])
 
 
 class TestPredicateRouting:

@@ -92,7 +92,6 @@ DEPRECATED = sorted(
         "MODERATE",
         "JEFFREYS",
         "UNIFORM",
-        "ConfidencePolicy",
         "SelectivityPosterior",
     ]
 )
