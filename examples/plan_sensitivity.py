@@ -1,54 +1,51 @@
 """Plan sensitivity, regret, and cardinality auditing.
 
-Sweeps the Experiment 1 template, comparing estimator configurations
-against an oracle that knows the true cardinalities: where does each
-configuration switch plans, how often does it agree with the oracle,
-and how much simulated time does estimation error cost (regret)?
-Finishes with an EXPLAIN-ANALYZE-style audit of one query.
+Sweeps the Experiment 1 template, comparing experiment arms against an
+oracle that knows the true cardinalities: where does each arm switch
+plans, how often does it agree with the oracle, and how much simulated
+time does estimation error cost (regret)? Finishes with an
+EXPLAIN-ANALYZE-style audit of one query.
 
 Run with:  python examples/plan_sensitivity.py
 """
 
-from repro.core import HistogramCardinalityEstimator, RobustCardinalityEstimator
+from repro import Session
 from repro.experiments import (
     audit_plan,
     format_audit,
     format_sensitivity,
+    policy_arm,
     sensitivity_sweep,
 )
-from repro.optimizer import Optimizer
-from repro.stats import StatisticsManager
 from repro.workloads import ShippingDatesTemplate, TpchConfig, build_tpch_database
 
 
 def main():
     print("generating TPC-H-shaped data (30k lineitem rows)...")
     database = build_tpch_database(TpchConfig(num_lineitem=30_000, seed=21))
-    statistics = StatisticsManager(database)
-    statistics.update_statistics(sample_size=500, seed=2)
 
     template = ShippingDatesTemplate()
-    estimators = {
-        "robust@50": RobustCardinalityEstimator(statistics, policy=0.5),
-        "robust@80": RobustCardinalityEstimator(statistics, policy=0.8),
-        "robust@95": RobustCardinalityEstimator(statistics, policy=0.95),
-        "histograms": HistogramCardinalityEstimator(statistics),
-    }
+    configs = [policy_arm(policy) for policy in (0.5, 0.8, 0.95, "histogram")]
     params = [272, 250, 230, 215, 205, 195, 188]
 
     print("\n== Sensitivity sweep vs the oracle ==")
-    reports = sensitivity_sweep(database, template, estimators, params)
+    reports = sensitivity_sweep(
+        database, template, configs, params, sample_size=500, statistics_seed=2
+    )
     print(format_sensitivity(reports))
 
-    print("\nplan switch points (robust@80):")
-    for selectivity, before, after in reports["robust@80"].switch_points():
+    print("\nplan switch points (T=80%):")
+    for selectivity, before, after in reports["T=80%"].switch_points():
         print(f"  at {selectivity:.3%}: {before}  ->  {after}")
 
     print("\n== Cardinality audit (EXPLAIN ANALYZE) ==")
     query = template.instantiate(210)
-    for name in ("robust@80", "histograms"):
-        planned = Optimizer(database, estimators[name]).optimize(query)
-        print(f"\n[{name}]")
+    for config in (configs[1], configs[3]):
+        with Session(
+            database, policy=config.policy, sample_size=500, statistics_seed=2
+        ) as session:
+            planned = session.prepare(query).planned
+        print(f"\n[{config.name}]")
         print(format_audit(audit_plan(planned, database)))
 
     print(

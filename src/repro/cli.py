@@ -64,14 +64,12 @@ from repro.experiments import (
     format_selectivity_table,
     format_tradeoff_table,
 )
+from repro.experiments.paper_report import PAPER_GRIDS
 from repro.selection import PolicyError
 from repro.service import Session
 from repro.workloads import (
-    PartCorrelationTemplate,
-    ShippingDatesTemplate,
     SnowflakeConfig,
     StarConfig,
-    StarJoinTemplate,
     TpchConfig,
     build_snowflake_database,
     build_star_database,
@@ -111,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "experiment", help="run a Section 6 experiment grid"
     )
     experiment.add_argument(
-        "name", choices=["exp1", "exp2", "exp3"], help="experiment scenario"
+        "name", choices=list(PAPER_GRIDS), help="experiment scenario"
     )
     experiment.add_argument("--scale", type=int, default=30_000)
     experiment.add_argument("--seeds", type=int, default=4)
@@ -387,24 +385,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.name == "exp1":
-        database = build_tpch_database(TpchConfig(num_lineitem=args.scale, seed=7))
-        template = ShippingDatesTemplate()
-        targets = list(np.linspace(0.0, 0.012, args.points))
-        params = template.params_for_targets(database, targets, step=4)
-    elif args.name == "exp2":
-        database = build_tpch_database(TpchConfig(num_lineitem=args.scale, seed=7))
-        template = PartCorrelationTemplate()
-        targets = list(np.linspace(0.0, 0.010, args.points))
-        params = template.params_for_targets(database, targets, step=20)
-    else:
-        config = StarConfig(num_fact=max(args.scale, 1000), seed=7)
-        database = build_star_database(config)
-        template = StarJoinTemplate(config.num_dim)
-        shifts = np.linspace(100, 0, args.points).astype(int)
-        params = [
-            (int(s), template.true_selectivity(database, int(s))) for s in shifts
-        ]
+    grid = PAPER_GRIDS[args.name]
+    # Star plans need a fact table of at least 1000 rows.
+    rows = max(args.scale, 1000) if grid.schema == "star" else args.scale
+    database, params = grid.build(rows, args.points)
 
     configs = None
     if args.policy:
@@ -425,7 +409,7 @@ def _cmd_experiment(args) -> int:
     tracing = args.trace or args.trace_out is not None
     session = Session(database, sample_size=args.sample_size)
     result = session.run_experiment(
-        template,
+        grid.template,
         params,
         configs,
         seeds=range(args.seeds),

@@ -25,11 +25,9 @@ from typing import Sequence
 from repro.analysis.tradeoff import TradeoffPoint, tradeoff_from_times
 from repro.catalog import Database
 from repro.cost import CostModel
-from repro.engine import ExecutionContext
-from repro.core import RobustCardinalityEstimator
 from repro.errors import ReproError
-from repro.optimizer import Optimizer, SPJQuery
-from repro.stats import StatisticsManager
+from repro.experiments.runner import ExperimentRunner, _QueryList, default_configs
+from repro.optimizer import SPJQuery
 
 
 @dataclass(frozen=True)
@@ -61,43 +59,38 @@ def recommend_threshold(
     """Measure each candidate threshold on ``workload`` and recommend one.
 
     ``workload`` is a list of representative queries (e.g. from
-    production templates). Each candidate threshold optimizes and runs
-    the whole workload once per statistics seed; the recommendation
-    minimizes ``mean + risk_aversion · std`` of the simulated latency.
+    production templates). Each candidate threshold is one arm of an
+    :class:`~repro.experiments.ExperimentRunner` run that optimizes and
+    runs the whole workload once per statistics seed; the
+    recommendation minimizes ``mean + risk_aversion · std`` of the
+    simulated latency. A threshold listed twice is measured once.
     """
     if not workload:
         raise ReproError("the advisor needs at least one workload query")
     if risk_aversion < 0:
         raise ReproError("risk_aversion must be non-negative")
-    model = cost_model or CostModel()
+    thresholds = list(dict.fromkeys(candidate_thresholds))
+    if not thresholds:
+        raise ReproError("the advisor needs at least one candidate threshold")
+    configs = default_configs(thresholds, include_histogram=False)
 
-    times: dict[float, list[float]] = {t: [] for t in candidate_thresholds}
-    for seed in seeds:
-        statistics = StatisticsManager(database)
-        statistics.update_statistics(sample_size=sample_size, seed=seed)
-        for threshold in candidate_thresholds:
-            optimizer = Optimizer(
-                database,
-                RobustCardinalityEstimator(statistics, policy=threshold),
-                model,
-            )
-            for query in workload:
-                planned = optimizer.optimize(query)
-                ctx = ExecutionContext(database)
-                planned.plan.execute(ctx)
-                times[threshold].append(model.time_from_counters(ctx.counters))
-
+    template = _QueryList(workload)
+    result = ExperimentRunner(
+        database, template, cost_model, sample_size, seeds=seeds, workers=1
+    ).run(template.calibrate(database), configs)
     profiles = {
-        threshold: tradeoff_from_times(f"T={threshold:.0%}", measured)
-        for threshold, measured in times.items()
+        threshold: tradeoff_from_times(
+            config.name, [record.time for record in result.records_for(config.name)]
+        )
+        for threshold, config in zip(thresholds, configs)
     }
     best = min(
-        candidate_thresholds,
+        thresholds,
         key=lambda t: profiles[t].mean_time + risk_aversion * profiles[t].std_time,
     )
     return ThresholdRecommendation(
         threshold=best,
         risk_aversion=risk_aversion,
         profile=profiles[best],
-        candidates=tuple(profiles[t] for t in candidate_thresholds),
+        candidates=tuple(profiles.values()),
     )

@@ -22,6 +22,7 @@ from repro.analysis import (
     tradeoff_curve,
 )
 from repro.analysis.sweeps import DEFAULT_SELECTIVITIES, PAPER_THRESHOLDS
+from repro.catalog import Database
 from repro.core import SelectivityPosterior
 from repro.experiments.report import (
     format_selectivity_table,
@@ -30,6 +31,7 @@ from repro.experiments.report import (
 from repro.experiments.runner import ExperimentRunner
 from repro.workloads import (
     PartCorrelationTemplate,
+    QueryTemplate,
     ShippingDatesTemplate,
     StarConfig,
     StarJoinTemplate,
@@ -37,6 +39,54 @@ from repro.workloads import (
     build_star_database,
     build_tpch_database,
 )
+
+
+@dataclass(frozen=True)
+class PaperGrid:
+    """One Section 6 experiment grid, on data generated at seed 7.
+
+    A ``"tpch"`` grid picks the params whose true selectivity best
+    matches ``points`` targets spread evenly over ``[0, top]``,
+    calibrating every ``step``-th param. The ``"star"`` grid slides the
+    dimension windows from shift 100 (no overlap) to 0 (full overlap).
+    """
+
+    heading: str
+    schema: str
+    template: QueryTemplate
+    top: float = 0.0
+    step: int = 1
+
+    def build(self, rows: int, points: int) -> tuple[Database, list]:
+        """The database at ``rows`` lineitem or fact rows, and ``points``
+        ``(param, true selectivity)`` pairs on it."""
+        if self.schema == "star":
+            database = build_star_database(StarConfig(num_fact=rows, seed=7))
+            shifts = np.linspace(100, 0, points).astype(int)
+            return database, [
+                (int(s), self.template.true_selectivity(database, int(s)))
+                for s in shifts
+            ]
+        database = build_tpch_database(TpchConfig(num_lineitem=rows, seed=7))
+        targets = list(np.linspace(0.0, self.top, points))
+        return database, self.template.params_for_targets(
+            database, targets, step=self.step
+        )
+
+
+#: Experiments 1–3 (Figures 9–11), read by ``repro experiment`` and by
+#: :func:`generate_report`.
+PAPER_GRIDS = {
+    "exp1": PaperGrid(
+        "Experiment 1 / Figure 9", "tpch", ShippingDatesTemplate(), 0.012, 4
+    ),
+    "exp2": PaperGrid(
+        "Experiment 2 / Figure 10", "tpch", PartCorrelationTemplate(), 0.010, 20
+    ),
+    "exp3": PaperGrid(
+        "Experiment 3 / Figure 11", "star", StarJoinTemplate(StarConfig().num_dim)
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -154,62 +204,22 @@ def _analytical_section() -> str:
 
 def _experiment_sections(config: ReportConfig) -> str:
     lines = ["## Section 6 (simulated system experiments)\n"]
-
-    tpch = build_tpch_database(TpchConfig(num_lineitem=config.lineitem_rows, seed=7))
-
-    exp1 = ShippingDatesTemplate()
-    targets = list(np.linspace(0.0, 0.012, config.points))
-    params = exp1.params_for_targets(tpch, targets, step=4)
-    result = ExperimentRunner(
-        tpch,
-        exp1,
-        sample_size=config.sample_size,
-        seeds=range(config.seeds),
-        workers=config.workers,
-    ).run(params)
-    lines.append("### Experiment 1 / Figure 9\n")
-    lines.append("```")
-    lines.append(format_selectivity_table(result))
-    lines.append("")
-    lines.append(format_tradeoff_table(result))
-    lines.append("```\n")
-
-    exp2 = PartCorrelationTemplate()
-    targets = list(np.linspace(0.0, 0.010, config.points))
-    params = exp2.params_for_targets(tpch, targets, step=20)
-    result = ExperimentRunner(
-        tpch,
-        exp2,
-        sample_size=config.sample_size,
-        seeds=range(config.seeds),
-        workers=config.workers,
-    ).run(params)
-    lines.append("### Experiment 2 / Figure 10\n")
-    lines.append("```")
-    lines.append(format_selectivity_table(result))
-    lines.append("")
-    lines.append(format_tradeoff_table(result))
-    lines.append("```\n")
-
-    star_config = StarConfig(num_fact=config.fact_rows, seed=7)
-    star = build_star_database(star_config)
-    exp3 = StarJoinTemplate(star_config.num_dim)
-    shifts = np.linspace(100, 0, config.points).astype(int)
-    params = [
-        (int(s), exp3.true_selectivity(star, int(s))) for s in shifts
-    ]
-    result = ExperimentRunner(
-        star,
-        exp3,
-        sample_size=config.sample_size,
-        seeds=range(config.seeds),
-        workers=config.workers,
-    ).run(params)
-    lines.append("### Experiment 3 / Figure 11\n")
-    lines.append("```")
-    lines.append(format_selectivity_table(result))
-    lines.append("")
-    lines.append(format_tradeoff_table(result))
-    lines.append("```\n")
-
+    for grid in PAPER_GRIDS.values():
+        database, params = grid.build(
+            config.fact_rows if grid.schema == "star" else config.lineitem_rows,
+            config.points,
+        )
+        result = ExperimentRunner(
+            database,
+            grid.template,
+            sample_size=config.sample_size,
+            seeds=range(config.seeds),
+            workers=config.workers,
+        ).run(params)
+        lines.append(f"### {grid.heading}\n")
+        lines.append("```")
+        lines.append(format_selectivity_table(result))
+        lines.append("")
+        lines.append(format_tradeoff_table(result))
+        lines.append("```\n")
     return "\n".join(lines)

@@ -102,15 +102,12 @@ class EstimatorConfig:
         """Plan ``query`` the way this arm selects: through its policy,
         or a plain ``optimize`` for a build-only arm.
 
-        A penalty policy's draws are seeded by the query fingerprint
-        and the statistics build, so bit-identical across worker
-        counts. Every other policy plans one scalar pass at its hint,
-        which reads neither seed, so the query is not hashed for it.
+        The policy gets the query fingerprint and the statistics build
+        to seed its draws, so a penalty arm's plans are bit-identical
+        across worker counts; the other policies ignore both.
         """
         if self.policy is None:
             return optimizer.optimize(query)
-        if not isinstance(self.policy, PenaltyPolicy):
-            return optimizer.optimize(self.policy.hinted(query))
         return self.policy.plan(
             optimizer,
             query,
@@ -195,6 +192,21 @@ def policy_arm(policy) -> EstimatorConfig:
     policy = resolve_policy(policy)
     name = _POINT_ARM_NAMES.get(policy.estimator_kind, policy.describe())
     return EstimatorConfig(name=name, policy=policy)
+
+
+@dataclass(frozen=True)
+class _QueryList(QueryTemplate):
+    """A fixed list of queries as a template: parameter ``i`` is
+    ``queries[i]``, so ``calibrate`` grids every query with its true
+    selectivity, and the runner's execution cache is scoped per query."""
+
+    queries: Sequence[SPJQuery]
+
+    def instantiate(self, param: int) -> SPJQuery:
+        return self.queries[param]
+
+    def param_range(self) -> tuple[int, int]:
+        return (0, len(self.queries) - 1)
 
 
 @dataclass(frozen=True)
@@ -315,6 +327,10 @@ class ExperimentResult:
         """How often each plan shape was chosen by a configuration."""
         self._ensure_index()
         return dict(self._plans.get(config, {}))
+
+    def records_for(self, config: str) -> list[RunRecord]:
+        """One configuration's records in run order: seed, then param."""
+        return [record for record in self.records if record.config == config]
 
 
 def _vector_arms(configs: Sequence[EstimatorConfig]) -> list[EstimatorConfig]:
@@ -539,9 +555,14 @@ class ExperimentRunner:
         """Execute the full grid.
 
         ``params`` holds ``(parameter, true selectivity)`` pairs, e.g.
-        from :meth:`QueryTemplate.params_for_targets`.
+        from :meth:`QueryTemplate.params_for_targets`. Records are
+        grouped by arm name, so two arms may not share one.
         """
         configs = list(configs) if configs is not None else default_configs()
+        names = [config.name for config in configs]
+        for name in names:
+            if names.count(name) > 1:
+                raise ReproError(f"two experiment arms are named {name!r}")
         payload = {
             "database": self.database,
             "template": self.template,

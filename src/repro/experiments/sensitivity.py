@@ -10,13 +10,12 @@ cost of estimation error from the cost intrinsic to the query.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.catalog import Database
-from repro.core import CardinalityEstimator, ExactCardinalityEstimator
 from repro.cost import CostModel
-from repro.experiments.perf import PlanExecutionCache
-from repro.obs.trace import plan_shape
-from repro.optimizer import Optimizer
+from repro.experiments.runner import EstimatorConfig, ExperimentRunner, policy_arm
+from repro.random_state import RngLike
 from repro.workloads.templates import QueryTemplate
 
 
@@ -78,53 +77,38 @@ class SensitivityReport:
 def sensitivity_sweep(
     database: Database,
     template: QueryTemplate,
-    estimators: dict[str, CardinalityEstimator],
+    configs: Sequence[EstimatorConfig],
     params: list[int],
+    sample_size: int = 500,
+    statistics_seed: RngLike = 0,
     cost_model: CostModel | None = None,
 ) -> dict[str, SensitivityReport]:
-    """Run the sweep for each named estimator against the oracle.
+    """Run the sweep for each arm against the ``Exact`` oracle arm, as
+    one :class:`~repro.experiments.ExperimentRunner` seed whose
+    statistics sample ``sample_size`` tuples at ``statistics_seed``.
 
-    Returns one :class:`SensitivityReport` per estimator name.
+    Returns one :class:`SensitivityReport` per arm name.
     """
-    model = cost_model or CostModel()
-    oracle = Optimizer(database, ExactCardinalityEstimator(database), model)
-    # The oracle pass primes the cache: an estimator that picks the
-    # oracle's plan at a sweep point reuses that execution outright.
-    cache = PlanExecutionCache()
-
-    # Oracle pass: the best achievable plan and time at each parameter.
-    oracle_results: dict[int, tuple[str, float, float]] = {}
-    for param in params:
-        query = template.instantiate(param)
-        planned = oracle.optimize(query)
-        simulated = cache.execute(database, model, param, planned.plan)[0]
-        oracle_results[param] = (
-            plan_shape(planned.plan),
-            simulated,
-            template.true_selectivity(database, param),
+    oracle = policy_arm("exact")
+    result = ExperimentRunner(
+        database, template, cost_model, sample_size, seeds=[statistics_seed], workers=1
+    ).run(
+        [(param, template.true_selectivity(database, param)) for param in params],
+        # The oracle runs first, so an arm that picks the oracle's plan
+        # at a param reuses that execution outright.
+        [oracle, *configs],
+    )
+    best = result.records_for(oracle.name)
+    return {
+        config.name: SensitivityReport(
+            config.name,
+            [
+                SweepPoint(r.param, r.selectivity, r.plan, r.time, o.plan, o.time)
+                for r, o in zip(result.records_for(config.name), best)
+            ],
         )
-
-    reports: dict[str, SensitivityReport] = {}
-    for name, estimator in estimators.items():
-        optimizer = Optimizer(database, estimator, model)
-        report = SensitivityReport(name)
-        for param in params:
-            query = template.instantiate(param)
-            planned = optimizer.optimize(query)
-            simulated = cache.execute(database, model, param, planned.plan)[0]
-            oracle_plan, oracle_time, selectivity = oracle_results[param]
-            report.points.append(
-                SweepPoint(
-                    param=param,
-                    selectivity=selectivity,
-                    plan=plan_shape(planned.plan),
-                    time=simulated,
-                    oracle_plan=oracle_plan,
-                    oracle_time=oracle_time,
-                )
-            )
-        reports[name] = report
-    return reports
+        for config in configs
+    }
 
 
 def format_sensitivity(reports: dict[str, SensitivityReport]) -> str:

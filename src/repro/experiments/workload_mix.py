@@ -20,11 +20,13 @@ import numpy as np
 from repro.catalog import Database
 from repro.cost import CostModel
 from repro.errors import ReproError
-from repro.experiments.perf import PlanExecutionCache
-from repro.experiments.runner import EstimatorConfig, default_configs
-from repro.optimizer import Optimizer
+from repro.experiments.runner import (
+    EstimatorConfig,
+    ExperimentRunner,
+    _QueryList,
+    default_configs,
+)
 from repro.random_state import RngLike, ensure_rng
-from repro.stats import StatisticsManager
 from repro.workloads.templates import QueryTemplate
 
 
@@ -76,18 +78,19 @@ def run_workload_mix(
 
     The same query sequence (template choices and parameters) is used
     for every configuration, so profiles differ only through plan
-    choices, each made by :meth:`EstimatorConfig.plan` as in the grid
-    runner. Returns one :class:`LatencyProfile` per configuration.
+    choices. The sequence runs as one
+    :class:`~repro.experiments.ExperimentRunner` seed at
+    ``statistics_seed``. Returns one :class:`LatencyProfile` per
+    configuration.
     """
     if not components:
         raise ReproError("workload mix needs at least one component")
     configs = list(configs) if configs is not None else default_configs()
-    model = cost_model or CostModel()
     rng = ensure_rng(workload_seed)
 
     weights = np.array([component.weight for component in components], float)
-    if weights.min() <= 0:
-        raise ReproError("component weights must be positive")
+    if not (np.isfinite(weights).all() and (weights > 0).all()):
+        raise ReproError("component weights must be finite and positive")
     weights /= weights.sum()
 
     # One shared query sequence.
@@ -98,22 +101,16 @@ def run_workload_mix(
         param = int(rng.integers(low, high + 1))
         queries.append(component.template.instantiate(param))
 
-    statistics = StatisticsManager(database)
-    statistics.update_statistics(sample_size=sample_size, seed=statistics_seed)
-
-    # Configurations that choose the same plan for the same query share
-    # one execution (the query index scopes the reuse).
-    cache = PlanExecutionCache()
-    profiles: dict[str, LatencyProfile] = {}
-    for config in configs:
-        optimizer = Optimizer(database, config.estimator(statistics), model)
-        times = []
-        for index, query in enumerate(queries):
-            planned = config.plan(optimizer, query, statistics)
-            simulated = cache.execute(database, model, index, planned.plan)[0]
-            times.append(simulated)
-        profiles[config.name] = LatencyProfile.from_times(config.name, times)
-    return profiles
+    template = _QueryList(queries)
+    result = ExperimentRunner(
+        database, template, cost_model, sample_size, seeds=[statistics_seed], workers=1
+    ).run(template.calibrate(database), configs)
+    return {
+        config.name: LatencyProfile.from_times(
+            config.name, [record.time for record in result.records_for(config.name)]
+        )
+        for config in configs
+    }
 
 
 def format_latency_profiles(profiles: dict[str, LatencyProfile]) -> str:

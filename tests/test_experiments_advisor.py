@@ -59,3 +59,20 @@ class TestAdvisor:
                 [ShippingDatesTemplate().instantiate(200)],
                 risk_aversion=-1.0,
             )
+        with pytest.raises(ReproError, match="candidate"):
+            recommend_threshold(
+                tpch_db,
+                [ShippingDatesTemplate().instantiate(200)],
+                candidate_thresholds=(),
+            )
+
+    def test_duplicate_candidates_measured_once(self, tpch_db, workload):
+        recommendation = recommend_threshold(
+            tpch_db,
+            workload,
+            candidate_thresholds=(0.8, 0.95, 0.8),
+            sample_size=300,
+            seeds=(0,),
+        )
+        labels = [point.label for point in recommendation.candidates]
+        assert labels == ["T=80%", "T=95%"]

@@ -7,10 +7,12 @@ from repro.core import (
     HistogramCardinalityEstimator,
     RobustCardinalityEstimator,
 )
+from repro.errors import ReproError
 from repro.experiments import (
     audit_plan,
     format_audit,
     format_sensitivity,
+    policy_arm,
     sensitivity_sweep,
 )
 from repro.expressions import col
@@ -87,40 +89,40 @@ class TestAudit:
 
 class TestSensitivity:
     @pytest.fixture(scope="class")
-    def reports(self, tpch_db, tpch_stats):
+    def reports(self, tpch_db):
         template = ShippingDatesTemplate()
-        estimators = {
-            "robust@80": RobustCardinalityEstimator(tpch_stats, policy=0.8),
-            "histograms": HistogramCardinalityEstimator(tpch_stats),
-        }
+        configs = [policy_arm(0.8), policy_arm("histogram")]
         params = [270, 240, 215, 200, 190]
-        return sensitivity_sweep(tpch_db, template, estimators, params)
+        return sensitivity_sweep(
+            tpch_db, template, configs, params, sample_size=500, statistics_seed=5
+        )
 
     def test_reports_cover_all_points(self, reports):
-        assert len(reports["robust@80"].points) == 5
+        assert list(reports) == ["T=80%", "Histograms"]
+        assert len(reports["T=80%"].points) == 5
 
     def test_oracle_regret_nonnegative(self, reports):
         for report in reports.values():
             assert all(point.regret >= 0 for point in report.points)
 
     def test_robust_has_less_regret_than_histograms(self, reports):
-        assert (
-            reports["robust@80"].total_regret
-            < reports["histograms"].total_regret
-        )
+        assert reports["T=80%"].total_regret < reports["Histograms"].total_regret
 
     def test_robust_switches_plans(self, reports):
         """The robust estimator adapts across the sweep; the histogram
         baseline never does."""
-        assert len(reports["robust@80"].switch_points()) >= 1
-        assert len(reports["histograms"].switch_points()) == 0
+        assert len(reports["T=80%"].switch_points()) >= 1
+        assert len(reports["Histograms"].switch_points()) == 0
 
     def test_agreement_rates(self, reports):
-        assert (
-            reports["robust@80"].agreement_rate
-            >= reports["histograms"].agreement_rate
-        )
+        assert reports["T=80%"].agreement_rate >= reports["Histograms"].agreement_rate
 
     def test_format(self, reports):
         text = format_sensitivity(reports)
-        assert "mean regret" in text and "robust@80" in text
+        assert "mean regret" in text and "T=80%" in text
+
+    def test_an_exact_arm_collides_with_the_oracle(self, tpch_db):
+        with pytest.raises(ReproError, match="Exact"):
+            sensitivity_sweep(
+                tpch_db, ShippingDatesTemplate(), [policy_arm("exact")], [200]
+            )

@@ -119,6 +119,12 @@ class TestRunner:
     def test_config_names_ordered(self, small_result):
         assert small_result.config_names == ["T=5%", "T=95%", "Histograms"]
 
+    def test_records_for_one_arm_in_run_order(self, small_result):
+        records = small_result.records_for("T=95%")
+        assert {r.config for r in records} == {"T=95%"}
+        assert [r.seed for r in records] == [0, 0, 1, 1]
+        assert small_result.records_for("nope") == []
+
     def test_selectivities(self, small_result):
         assert len(small_result.selectivities) == 2
 
@@ -161,6 +167,17 @@ class TestRunner:
         b = runner.run(params, configs)
         assert a.records[0].time == b.records[0].time
         assert a.records[0].plan == b.records[0].plan
+
+    def test_two_arms_sharing_a_name_are_rejected(self, tpch_db):
+        """Regression: records are grouped by arm name, so a second arm
+        of the same name silently merged into the first."""
+        template = ShippingDatesTemplate()
+        params = [(p, template.true_selectivity(tpch_db, p)) for p in (150, 200)]
+        runner = ExperimentRunner(
+            tpch_db, template, sample_size=200, seeds=(0,), workers=1
+        )
+        with pytest.raises(ReproError, match="T=80%"):
+            runner.run(params, [policy_arm(0.8), policy_arm(0.8)])
 
 
 class TestReports:

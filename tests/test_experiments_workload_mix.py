@@ -68,12 +68,16 @@ class TestWorkloadMix:
     def test_validation(self, tpch_db):
         with pytest.raises(ReproError):
             run_workload_mix(tpch_db, [], num_queries=1)
-        with pytest.raises(ReproError):
-            run_workload_mix(
-                tpch_db,
-                [MixComponent(ShippingDatesTemplate(), weight=0.0)],
-                num_queries=1,
-            )
+        for weight in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ReproError, match="finite and positive"):
+                run_workload_mix(
+                    tpch_db,
+                    [
+                        MixComponent(ShippingDatesTemplate(), weight=weight),
+                        MixComponent(PartCorrelationTemplate()),
+                    ],
+                    num_queries=1,
+                )
 
     def test_deterministic(self, tpch_db):
         components = [MixComponent(ShippingDatesTemplate())]

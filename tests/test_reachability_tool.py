@@ -68,6 +68,26 @@ def test_tests_only_and_exemptions(tmp_path):
     ]
 
 
+def test_gates_fail_on_unreached_and_on_too_many_tests_only(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def shipped():\n    return 1\n"
+        "def tested():\n    return 2\n"
+        "def dead():\n    return 3\n"
+    )
+    functions = reachability.defined_functions(tmp_path)
+    reachability.classify(
+        functions, {("mod.py", 1, "shipped")}, {("mod.py", 3, "tested")}
+    )
+    assert reachability.failures(functions, check=False, max_tests_only=None) == []
+    [unreached] = reachability.failures(functions, check=True, max_tests_only=1)
+    assert "1 functions are reached by nothing" in unreached
+    assert "mod.py:5 dead" in unreached
+    assert reachability.failures(functions, check=False, max_tests_only=1) == []
+    [ceiling] = reachability.failures(functions, check=False, max_tests_only=0)
+    assert "1 functions are reached by tests only" in ceiling
+    assert len(reachability.failures(functions, check=True, max_tests_only=0)) == 2
+
+
 def test_every_cli_subcommand_is_driven():
     """A subcommand added to the CLI is added to the traffic too."""
     tree = ast.parse(

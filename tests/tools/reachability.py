@@ -12,13 +12,16 @@ sorts every function defined under ``src/repro`` by what reached it:
 A function is reached by *traffic* when a traffic process called it, by
 *tests only* when only the tier-1 suite did, and by *nothing* otherwise::
 
-    python tests/tools/reachability.py [--out DIR] [--check]
+    python tests/tools/reachability.py [--out DIR] [--check] [--max-tests-only N]
 
 writes ``DIR/reachability.json`` and ``DIR/reachability.txt`` (default
 ``build/reachability``) plus one log per process under ``DIR/logs``.
 ``--check`` exits 1 when a function is reached by nothing, except
 ``__repr__`` / ``__str__`` and abstract stubs (a body of only a
-docstring, ``...`` or ``raise NotImplementedError``). A process that
+docstring, ``...`` or ``raise NotImplementedError``).
+``--max-tests-only N`` exits 1 when more than ``N`` functions are
+reached by tests only, so code that loses its last caller outside the
+tests is deleted or called, not left behind. A process that
 exits non-zero is reported, not fatal: a wall-clock floor in
 ``benchmarks/`` can fail on a loaded machine, and what that process
 reached still counts.
@@ -396,6 +399,26 @@ def unreached(functions: list[dict]) -> list[dict]:
     return [f for f in functions if f["reached"] == "nothing" and not f["exempt"]]
 
 
+def failures(
+    functions: list[dict], *, check: bool, max_tests_only: int | None
+) -> list[str]:
+    """Why the audit fails: one message per broken gate, none if it passes."""
+    messages = []
+    missing = unreached(functions)
+    if check and missing:
+        messages.append(
+            f"FAIL: {len(missing)} functions are reached by nothing:\n"
+            + "\n".join(f"  {f['file']}:{f['line']} {f['qualname']}" for f in missing)
+        )
+    tests_only = summary(functions)["tests_only"]
+    if max_tests_only is not None and tests_only > max_tests_only:
+        messages.append(
+            f"FAIL: {tests_only} functions are reached by tests only, "
+            f"more than the ceiling of {max_tests_only}"
+        )
+    return messages
+
+
 def render(functions: list[dict], runs: list[dict]) -> str:
     counts = summary(functions)
     lines = [
@@ -430,6 +453,10 @@ def main(argv: list[str] | None = None) -> int:
         "--check", action="store_true",
         help="exit 1 if a function is reached by nothing",
     )
+    parser.add_argument(
+        "--max-tests-only", type=int, metavar="N",
+        help="exit 1 if more than N functions are reached by tests only",
+    )
     args = parser.parse_args(argv)
     out = args.out.resolve()
     traffic, tests, runs = collect(out)
@@ -441,13 +468,12 @@ def main(argv: list[str] | None = None) -> int:
     (out / "reachability.txt").write_text(text)
     print(text.split("\n\n", 1)[0])
     print(f"report written to {out}")
-    missing = unreached(functions)
-    if args.check and missing:
-        print(f"FAIL: {len(missing)} functions are reached by nothing:")
-        for f in missing:
-            print(f"  {f['file']}:{f['line']} {f['qualname']}")
-        return 1
-    return 0
+    messages = failures(
+        functions, check=args.check, max_tests_only=args.max_tests_only
+    )
+    for message in messages:
+        print(message)
+    return 1 if messages else 0
 
 
 if __name__ == "__main__":
