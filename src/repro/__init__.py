@@ -22,7 +22,7 @@ Quick tour
 ----------
 - :mod:`repro.service` — the ``Session``/``PreparedQuery`` facade
 - :mod:`repro.serving` — multi-tenant serving: admission control,
-  worker pool, statistics hot-swap, seeded load generation
+  bounded worker slots, statistics hot-swap, seeded load generation
 - :mod:`repro.catalog` — columnar tables, foreign keys, indexes
 - :mod:`repro.expressions` — predicate trees evaluated over frames
 - :mod:`repro.engine` — physical operators with work-counter accounting

@@ -77,6 +77,11 @@ class HashAggregate(PhysicalOperator):
     def _scalar(self, frame: Frame) -> Frame:
         columns: dict[str, np.ndarray] = {}
         for spec in self.aggregates:
+            if spec.func == "count":
+                # The dialect has no NULL: COUNT(col) counts rows, like
+                # COUNT(*), and reads no column.
+                columns[spec.alias] = np.array([float(frame.num_rows)])
+                continue
             values = self._agg_input(frame, spec)
             if spec.func in ("min", "max", "avg") and not len(values):
                 columns[spec.alias] = np.array([np.nan])

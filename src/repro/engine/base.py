@@ -86,14 +86,19 @@ class PhysicalOperator:
         return "\n".join(pieces)
 
     def signature(self, indent: int = 0) -> str:
-        """A deterministic key for the plan's *execution* behaviour.
+        """The plan's tree shape and operator labels, without the
+        optimizer's cost/row annotations.
 
-        Like :meth:`explain` but without the optimizer's cost/row
-        annotations: two plans with equal signatures touch the same
-        tables and indexes with the same predicates in the same tree
-        shape, so they charge identical work into the counters. Used
-        by the experiment harness to reuse executions across estimator
-        configurations that chose the same plan.
+        Equal signatures mean the same operators over the same tables
+        and indexes in the same tree shape — *not* the same predicates:
+        some labels leave them out (``IndexedNLJoin`` omits its
+        residual, ``NonEquiJoin`` prints only "+ residual",
+        ``StarSemiJoin`` omits its dimension and fact predicates). Two
+        plans of one statement differ only in the choices the labels
+        show, so within a statement equal signatures charge identical
+        work; across statements they may not. A cache that reuses
+        executions by signature must scope its key to one statement,
+        as :class:`~repro.experiments.perf.PlanExecutionCache` does.
         """
         pieces = [f"{'  ' * indent}{self.label()}"]
         for child in self.children():

@@ -26,8 +26,9 @@ Correctness rules:
   handing the same frame to many plan executions is safe. Callers that
   re-mask or take from a cached frame get fresh frames.
 * **Concurrency.** One cache may be shared by many executor threads
-  (the serving layer's worker pool drives concurrent plan executions
-  through a session-owned cache). A per-cache mutex guards the entry
+  (the serving layer runs each operation on the thread that called
+  ``serve``, inside one of its ``worker_threads`` slots, so concurrent
+  plan executions meet in a session-owned cache). A per-cache mutex guards the entry
   dict, the database pin, and the hit/miss counters; misses for the
   *same* key are collapsed singleflight-style — the first thread
   materializes the scan while followers wait on an event and share the

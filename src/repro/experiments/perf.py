@@ -173,14 +173,16 @@ class PerfStats:
 class PlanExecutionCache:
     """Reuse plan executions keyed on ``(key, plan signature)``.
 
-    The signature (:meth:`PhysicalOperator.signature`) captures every
-    execution-relevant detail of the operator tree — tables, indexes,
-    predicates, join keys, tree shape — but none of the optimizer's
-    cost annotations, so two estimator configurations that picked the
-    same physical plan share one execution. ``key`` scopes the reuse
-    (the query parameter in grid runs, the query index in mixes); the
-    caller guarantees the underlying data is fixed for the cache's
-    lifetime.
+    The signature (:meth:`PhysicalOperator.signature`) names the
+    operator tree — tables, indexes, join keys, tree shape — but none
+    of the optimizer's cost annotations, so two estimator
+    configurations that picked the same physical plan share one
+    execution. It does not name every predicate (some operator labels
+    omit their residuals), so it identifies a plan only among the plans
+    of one statement: ``key`` scopes the reuse to one (the query
+    parameter in grid runs, the query index in mixes), and is what
+    makes the reuse exact. The caller guarantees the underlying data
+    is fixed for the cache's lifetime.
     """
 
     hits: int = 0

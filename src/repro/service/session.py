@@ -66,7 +66,7 @@ from repro.core import (
 )
 from repro.core.factory import hintless_threshold
 from repro.cost import CostModel
-from repro.engine import ExecutionContext, ScanCache
+from repro.engine import ExecutionContext, ScanCache, scancache
 from repro.errors import EstimationError, ReproError, StatisticsError
 from repro.expressions import Frame
 from repro.feedback import FeedbackConfig, FeedbackStore, SessionFeedback
@@ -97,6 +97,27 @@ class SessionError(ReproError):
 #: Session health states (the degraded-mode state machine).
 HEALTHY = "healthy"
 DEGRADED = "degraded"
+
+
+class _Execution(NamedTuple):
+    """What a planned query's execution computed, kept on the plan
+    (see :meth:`Session._execute_prepared`)."""
+
+    #: Output rows per operator, in ``plan.walk()`` order.
+    operator_rows: tuple
+    #: The result with its columns copied (read-only), so it pins only
+    #: its own rows.
+    frame: Frame
+    simulated_seconds: float
+
+
+#: The ``PlannedQuery`` attribute holding its execution memo: absent
+#: until the plan first runs, then ``_RAN_ONCE``, then the second run's
+#: :class:`_Execution` — or ``_TOO_LARGE`` when that result was over
+#: the bound.
+_MEMO = "_session_execution"
+_RAN_ONCE = "ran once"
+_TOO_LARGE = "too large"
 
 
 @dataclass(frozen=True)
@@ -378,9 +399,27 @@ class Session:
         self._fingerprints: weakref.WeakKeyDictionary = (
             weakref.WeakKeyDictionary()
         )
+        # Per-request metric handles, bound once: a registry lookup
+        # takes the registry lock.
         self._prepares = self.metrics.counter(
             "repro_session_prepares_total",
             "Statements prepared, by plan-cache outcome.",
+        )
+        self._executes = self.metrics.counter(
+            "repro_session_executes_total", "Statements executed."
+        )
+        self._executions_reused = self.metrics.counter(
+            "repro_session_executions_reused_total",
+            "Executes answered from the plan's execution memo (also "
+            "counted in repro_session_executes_total).",
+        )
+        self._simulated_seconds = self.metrics.histogram(
+            "repro_session_simulated_seconds",
+            "Simulated execution time of session statements.",
+        )
+        self._last_execute_wall = self.metrics.gauge(
+            "repro_session_last_execute_wall_seconds",
+            "Wall time of the most recent plan execution.",
         )
         self._state = _StatsState(
             statistics,
@@ -938,6 +977,21 @@ class Session:
         return self._execute_prepared(self.prepare(query, policy=policy))
 
     def _execute_prepared(self, prepared: PreparedQuery) -> QueryResult:
+        """Run a handle's plan, reusing what the plan computed before.
+
+        A planned query's first execution runs and keeps nothing. Its
+        second also records operator rows (by ``walk()`` position) and
+        publishes an :class:`_Execution` — rows, a compacted result
+        frame, simulated seconds — on the ``PlannedQuery``. Every later
+        execution returns that memo, and a harvesting session observes
+        its rows, so the feedback store ends up as if the plan had run.
+        The memo lives and dies with the plan: statistics swaps,
+        feedback generations and stale re-plans produce a new
+        ``PlannedQuery``. Reading it is one attribute lookup and
+        publishing it one store of an immutable tuple, so the hit path
+        takes no lock; two threads on one second run may both execute,
+        and either memo is the same.
+        """
         self._check_open()
         if prepared.is_stale():
             # Statistics moved: re-plan the handle's own query under the
@@ -955,47 +1009,85 @@ class Session:
                 "repro_session_replans_total",
                 "Transparent re-plans after a statistics version bump.",
             ).inc()
+        planned = prepared.planned
         # Degraded (magic-only) plans are not harvested: their estimates
         # say nothing about the configured estimator's accuracy.
         harvest = self._feedback is not None and prepared.degraded_reason is None
-        ctx = ExecutionContext(
-            self.database,
-            scan_cache=self._scan_cache,
-            operator_rows={} if harvest else None,
-        )
-        started = time.perf_counter()
-        frame = prepared.plan.execute(ctx)
-        wall = time.perf_counter() - started
-        simulated = self.cost_model.time_from_counters(ctx.counters)
+        memo = getattr(planned, _MEMO, None)
+        if type(memo) is _Execution:
+            # Table data is immutable and a new plan-cache key gives a
+            # new PlannedQuery, so this run would compute what the
+            # second one did.
+            self._executions_reused.inc()
+            frame, simulated = memo.frame, memo.simulated_seconds
+            operator_rows = (
+                dict(zip(planned.plan.walk(), memo.operator_rows))
+                if harvest
+                else None
+            )
+        else:
+            ctx = ExecutionContext(
+                self.database,
+                scan_cache=self._scan_cache,
+                operator_rows={} if harvest or memo is _RAN_ONCE else None,
+            )
+            started = time.perf_counter()
+            frame = planned.plan.execute(ctx)
+            self._last_execute_wall.set(time.perf_counter() - started)
+            simulated = self.cost_model.time_from_counters(ctx.counters)
+            operator_rows = ctx.operator_rows
+            if memo is None:
+                setattr(planned, _MEMO, _RAN_ONCE)
+            elif memo is _RAN_ONCE:
+                setattr(
+                    planned,
+                    _MEMO,
+                    self._memo(planned, frame, simulated, operator_rows),
+                )
         if harvest:
             # Record the cardinalities this execution observed into the
             # epoch the plan was produced under and ledger its
             # plan-level q-error.
             self._feedback.observe(
                 prepared.query,
-                prepared.plan,
+                planned.plan,
                 self.database,
-                estimated_rows=prepared.estimated_rows,
+                estimated_rows=planned.estimated_rows,
                 actual_rows=frame.num_rows,
                 statistics_version=prepared.statistics_version,
-                operator_rows=ctx.operator_rows,
+                operator_rows=operator_rows,
             )
-        self.metrics.counter(
-            "repro_session_executes_total", "Statements executed."
-        ).inc()
-        self.metrics.histogram(
-            "repro_session_simulated_seconds",
-            "Simulated execution time of session statements.",
-        ).observe(simulated)
-        self.metrics.gauge(
-            "repro_session_last_execute_wall_seconds",
-            "Wall time of the most recent plan execution.",
-        ).set(wall)
+        self._executes.inc()
+        self._simulated_seconds.observe(simulated)
         return QueryResult(
             frame=frame,
             simulated_seconds=simulated,
             prepared=prepared,
             plan_cached=prepared.from_cache,
+        )
+
+    def _memo(
+        self, planned: PlannedQuery, frame: Frame, simulated: float,
+        operator_rows: dict,
+    ) -> _Execution | str:
+        """The memo a plan's second run leaves: the run's
+        :class:`_Execution`, or ``_TOO_LARGE`` when its result is over
+        one plan-cache slot's share of the scan-cache budget (so a full
+        plan cache holds at most one scan-cache budget of results)."""
+        names = frame.column_names
+        columns = [frame.column(name) for name in names]
+        bound = scancache.SCAN_CACHE_BYTES // max(self.config.plan_cache_size, 1)
+        if sum(column.nbytes for column in columns) > bound:
+            return _TOO_LARGE
+        copies = {}
+        for name, column in zip(names, columns):
+            copy = column.copy()
+            copy.flags.writeable = False
+            copies[name] = copy
+        return _Execution(
+            tuple(operator_rows[op] for op in planned.plan.walk()),
+            Frame(copies),
+            simulated,
         )
 
     # ------------------------------------------------------------------

@@ -12,7 +12,8 @@ costs everyone's p99.
 Two limits compose here, checked atomically together:
 
 * **Global concurrency limit** — outstanding (queued + running)
-  operations across all tenants, bounding the worker pool's backlog.
+  operations across all tenants, bounding what waits for and holds
+  the server's ``worker_threads`` slots.
 * **Per-tenant queue depth** — outstanding operations per tenant, so
   one tenant's burst can't starve the others even while the global
   limit still has room (the noisy-neighbour bound).
@@ -46,8 +47,8 @@ class AdmissionConfig:
 
     ``global_limit`` bounds outstanding operations across all tenants;
     ``tenant_queue_depth`` bounds them per tenant. Both count
-    operations from admission until release (queued *and* executing),
-    so they cap the worker pool's total backlog, not just concurrency.
+    operations from admission until release (waiting for a slot *and*
+    executing), so they cap the total backlog, not just concurrency.
     """
 
     global_limit: int = 64

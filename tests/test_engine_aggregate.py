@@ -15,7 +15,7 @@ from repro.engine.base import PhysicalOperator
 from repro.errors import ExecutionError
 from repro.expressions import Frame, col
 
-from tests.conftest import make_two_table_db
+from tests.conftest import make_two_table_db, materialized_columns
 
 
 @pytest.fixture
@@ -40,6 +40,34 @@ class TestScalarAggregates:
         )
         frame = plan.execute(ExecutionContext(db))
         assert frame.column("n")[0] == db.table("lineitem").num_rows
+
+    def test_count_reads_no_column(self, db):
+        """COUNT(*) and COUNT(col) are the row count (no NULLs), bit for
+        bit, and COUNT(col) over a selection frame gathers nothing."""
+        frames = []
+
+        class Captured(PhysicalOperator):
+            def execute(self, ctx):
+                frames.append(
+                    SeqScan("lineitem", col("lineitem.l_quantity") > 25)
+                    .execute(ctx)
+                )
+                return frames[-1]
+
+        plan = HashAggregate(
+            Captured(),
+            [
+                AggregateSpec("count", "*", "n"),
+                AggregateSpec("count", "lineitem.l_shipdate", "n_ship"),
+            ],
+        )
+        frame = plan.execute(ExecutionContext(db))
+        quantity = db.table("lineitem").column("l_quantity")
+        expected = np.array([float(len(quantity[quantity > 25]))])
+        for name in ("n", "n_ship"):
+            assert frame.column(name).dtype == expected.dtype
+            assert frame.column(name).tobytes() == expected.tobytes()
+        assert "lineitem.l_shipdate" not in materialized_columns(frames[0])
 
     def test_min_max_avg(self, db):
         plan = HashAggregate(

@@ -158,6 +158,20 @@ class TestIndexedNLJoin:
         frame = inl.execute(ExecutionContext(db))
         assert (frame.column("lineitem.l_quantity") > 25).all()
 
+    def test_equal_signatures_do_not_mean_equal_predicates(self, db):
+        """The label omits the residual, so ``signature()`` alone cannot
+        key executions across statements."""
+        plans = [
+            IndexedNLJoin(
+                SeqScan("part"), "lineitem", "part.p_partkey", "l_partkey",
+                col("lineitem.l_quantity") > bound,
+            )
+            for bound in (10, 40)
+        ]
+        assert plans[0].signature() == plans[1].signature()
+        rows = [plan.execute(ExecutionContext(db)).num_rows for plan in plans]
+        assert rows[0] != rows[1]
+
     def test_clustered_inner_counts_pages(self, db):
         # join lineitem ids 0..9 against the clustered l_id index
         outer = SeqScan("part", col("part.p_partkey") < 10)

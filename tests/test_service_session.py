@@ -20,6 +20,7 @@ from repro.cost import CostModel
 from repro.engine import scancache
 from repro.optimizer import Optimizer
 from repro.selection import PolicyError
+from repro.service import session as session_module
 from repro.service import (
     Session,
     SessionConfig,
@@ -351,3 +352,125 @@ class TestLifecycle:
         session = Session(db, statistics=statistics)
         session.prepare(QUERY)
         assert statistics.version == version
+
+
+class TestExecutionMemo:
+    """A planned query's second execution is kept on the plan and
+    every later one returns it: same frame bytes, same simulated
+    seconds, same feedback."""
+
+    LIMIT_QUERY = (
+        "SELECT lineitem.l_partkey, COUNT(*) AS n FROM lineitem "
+        "GROUP BY lineitem.l_partkey ORDER BY lineitem.l_partkey LIMIT 3"
+    )
+
+    @staticmethod
+    def memo(prepared):
+        return getattr(prepared.planned, session_module._MEMO, None)
+
+    @staticmethod
+    def assert_same_result(result, expected):
+        assert result.column_names == expected.column_names
+        assert result.simulated_seconds == expected.simulated_seconds
+        for name in expected.column_names:
+            column, want = result.column(name), expected.column(name)
+            assert column.dtype == want.dtype, name
+            assert column.tobytes() == want.tobytes(), name
+
+    def test_second_run_stores_and_third_replays(self, session, built_contexts):
+        prepared = session.prepare(JOIN_QUERY)
+        first = prepared.execute()
+        assert self.memo(prepared) is session_module._RAN_ONCE
+        second = prepared.execute()
+        memo = self.memo(prepared)
+        assert isinstance(memo, session_module._Execution)
+        assert len(memo.operator_rows) == len(list(prepared.plan.walk()))
+        contexts = len(built_contexts)
+        third = prepared.execute()
+        assert len(built_contexts) == contexts  # nothing executed
+        assert third.frame is memo.frame
+        for result in (second, third):
+            self.assert_same_result(result, first)
+        # a fresh handle on the cached plan shares the memo
+        assert session.execute(JOIN_QUERY).frame is memo.frame
+        executes = session.metrics.counter("repro_session_executes_total", "")
+        reused = session.metrics.counter(
+            "repro_session_executions_reused_total", ""
+        )
+        assert executes.value() == 4
+        assert reused.value() == 2
+
+    def test_replayed_rows_feed_the_same_feedback(self, db):
+        statistics = StatisticsManager(db)
+        statistics.update_statistics(sample_size=400, seed=11)
+        memoized, uncached = (Session(db, statistics=statistics) for _ in "ab")
+        handles = []
+        for session in (memoized, uncached):
+            session.enable_feedback()
+            handles.append(session.prepare(JOIN_QUERY))
+        results = []
+        for _ in range(5):
+            results.append(handles[0].execute())
+            vars(handles[1].planned).pop(session_module._MEMO, None)
+            self.assert_same_result(handles[1].execute(), results[-1])
+        assert self.memo(handles[1]) is session_module._RAN_ONCE
+        reused = memoized.metrics.counter(
+            "repro_session_executions_reused_total", ""
+        )
+        assert reused.value() == 3
+        assert memoized.feedback.observations == 5
+        assert (
+            memoized.feedback.store.to_dict()
+            == uncached.feedback.store.to_dict()
+        )
+        assert memoized.feedback.report() == uncached.feedback.report()
+
+    def test_stale_handle_never_serves_the_old_memo(self, session):
+        prepared = session.prepare(JOIN_QUERY)
+        for _ in range(3):
+            prepared.execute()
+        old = prepared.planned
+        old_memo = self.memo(prepared)
+        session.refresh_statistics(seed=12)
+        result = prepared.execute()
+        assert prepared.planned is not old
+        assert self.memo(prepared) is session_module._RAN_ONCE
+        assert result.frame is not old_memo.frame
+        reused = session.metrics.counter(
+            "repro_session_executions_reused_total", ""
+        )
+        assert reused.value() == 1  # the third run before the refresh
+
+    @pytest.mark.parametrize("budget_bytes, kept", [(7, False), (8, True)])
+    def test_results_over_the_bound_are_not_kept(
+        self, session, monkeypatch, budget_bytes, kept
+    ):
+        # COUNT(*) is one float64: 8 bytes against a slot's share
+        per_slot = session.config.plan_cache_size
+        monkeypatch.setattr(scancache, "SCAN_CACHE_BYTES", budget_bytes * per_slot)
+        prepared = session.prepare(QUERY)
+        results = [prepared.execute() for _ in range(3)]
+        memo = self.memo(prepared)
+        if kept:
+            assert results[2].frame is memo.frame
+        else:
+            assert memo is session_module._TOO_LARGE
+            assert len({id(result.frame) for result in results}) == 3
+        for result in results[1:]:
+            self.assert_same_result(result, results[0])
+
+    def test_a_limit_memo_owns_only_its_rows(self, session):
+        prepared = session.prepare(self.LIMIT_QUERY)
+        first = prepared.execute()
+        second = prepared.execute()
+        frame = self.memo(prepared).frame
+        assert frame.num_rows == 3
+        for name in frame.column_names:
+            column = frame.column(name)
+            assert column.base is None and column.flags.owndata
+            assert column.nbytes == 3 * column.itemsize
+            assert not column.flags.writeable
+        # what the memo copied was a take over the whole aggregate
+        source = second.frame._sources[frame.column_names[0]]
+        assert len(source.base) > 3
+        self.assert_same_result(prepared.execute(), first)

@@ -497,6 +497,71 @@ class TestCallerThreadServing:
             server._run(op)
         assert server.admission.occupancy()["global"] == 0
 
+    def test_hot_statements_replay_equal_under_two_clients(
+        self, tenant_specs
+    ):
+        """Two client threads on the execution memo get exactly the
+        replies a single-threaded replay of the same calls gets."""
+        statements = list(QUERY_BATTERY.values())[:4]
+        calls = [
+            [
+                (f"tenant-{(i + number) % 2}", statements[i % len(statements)])
+                for i in range(200)
+            ]
+            for number in range(2)
+        ]
+
+        def reply_facts(reply):
+            return (
+                reply.tenant, reply.rows, reply.simulated_seconds,
+                reply.degraded_reason, reply.stale,
+            )
+
+        with make_server(tenant_specs) as server:
+            replayed = [
+                [reply_facts(server.serve(*call)) for call in client]
+                for client in calls
+            ]
+        replies = [[], []]
+        errors = []
+
+        def client(number):
+            try:
+                for call in calls[number]:
+                    replies[number].append(reply_facts(server.serve(*call)))
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with make_server(tenant_specs) as server:
+                threads = [
+                    threading.Thread(target=client, args=(number,))
+                    for number in range(2)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                stale = server.metrics.counter(
+                    "repro_serving_stale_served_total", ""
+                )
+                assert stale.value(tenant="tenant-0") == 0
+                assert stale.value(tenant="tenant-1") == 0
+                report = server.isolation_report()
+                assert report["isolated"] and report["violations"] == {}
+                for name in server.tenant_names:
+                    reused = server.session(name).metrics.counter(
+                        "repro_session_executions_reused_total", ""
+                    )
+                    assert reused.value() > 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert replies == replayed
+
     def test_warm_statement_is_fingerprinted_once(
         self, tenant_specs, monkeypatch
     ):
