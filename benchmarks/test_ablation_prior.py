@@ -11,45 +11,49 @@ the k=0 plan choice at high thresholds. Away from that boundary
 import pytest
 
 from benchmarks.conftest import render_series, write_result
-from repro.core import JEFFREYS, UNIFORM, RobustCardinalityEstimator
-from repro.experiments import EstimatorConfig, ExperimentRunner
+from repro.core import JEFFREYS, UNIFORM
+from repro.experiments import EstimatorConfig, ExperimentResult, ExperimentRunner
+from repro.selection import ThresholdPolicy
 from repro.workloads import ShippingDatesTemplate
 
 TARGETS = [0.0, 0.002, 0.004, 0.008]
-
-
-def config(name, prior, threshold):
-    return EstimatorConfig(
-        name,
-        lambda stats, p=prior, t=threshold: RobustCardinalityEstimator(
-            stats, prior=p, policy=t
-        ),
-    )
+PRIORS = {"jeffreys": JEFFREYS, "uniform": UNIFORM}
+THRESHOLDS = (50, 80)
+#: Table rows: the two priors side by side at each threshold.
+ROWS = [f"{prior}@{t}" for t in THRESHOLDS for prior in PRIORS]
 
 
 @pytest.fixture(scope="module")
 def setup(bench_tpch_db):
     template = ShippingDatesTemplate()
     params = template.params_for_targets(bench_tpch_db, TARGETS, step=4)
-    configs = [
-        config("jeffreys@50", JEFFREYS, 0.5),
-        config("uniform@50", UNIFORM, 0.5),
-        config("jeffreys@80", JEFFREYS, 0.8),
-        config("uniform@80", UNIFORM, 0.8),
-    ]
-    runner = ExperimentRunner(
-        bench_tpch_db, template, sample_size=500, seeds=range(4)
-    )
-    return runner, params, configs
+    runners = {
+        name: ExperimentRunner(
+            bench_tpch_db, template, sample_size=500, prior=prior, seeds=range(4)
+        )
+        for name, prior in PRIORS.items()
+    }
+    return template, runners, params
+
+
+def run_priors(template, runners, params) -> ExperimentResult:
+    """One runner per prior over the same threshold arms, merged."""
+    result = ExperimentResult(template=template.name)
+    for name, runner in runners.items():
+        arms = [
+            EstimatorConfig(f"{name}@{t}", ThresholdPolicy(t / 100))
+            for t in THRESHOLDS
+        ]
+        result.records.extend(runner.run(params, arms).records)
+    return result
 
 
 def test_ablation_prior_choice(benchmark, setup):
-    runner, params, configs = setup
     result = benchmark.pedantic(
-        lambda: runner.run(params, configs), rounds=1, iterations=1
+        lambda: run_priors(*setup), rounds=1, iterations=1
     )
 
-    points = {name: result.tradeoff_point(name) for name in result.config_names}
+    points = {name: result.tradeoff_point(name) for name in ROWS}
     rows = [
         [p.label, f"{p.mean_time:9.4f}", f"{p.std_time:9.4f}"]
         for p in points.values()

@@ -2,8 +2,8 @@
 
 Every selection policy names the family it plans through
 (:attr:`~repro.selection.SelectionPolicy.estimator_kind`). The session
-and the experiment arms both build that family here, so the
-policy → (family, threshold) decision exists once.
+builds that family here, so the policy → (family, threshold) decision
+exists once.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from repro.catalog import Database
 from repro.core.bayesnet import BayesNetCardinalityEstimator
 from repro.core.confidence import MODERATE
 from repro.core.estimator import CardinalityEstimator, ExactCardinalityEstimator
+from repro.core.fixed import FixedSelectivityEstimator
 from repro.core.histogram_estimator import HistogramCardinalityEstimator
 from repro.core.prior import JEFFREYS, Prior
 from repro.core.robust import RobustCardinalityEstimator
@@ -24,14 +25,12 @@ if TYPE_CHECKING:  # repro.selection imports repro.core
     from repro.selection import SelectionPolicy
 
 
-def hintless_threshold(
-    policy: SelectionPolicy, default: float = MODERATE
-) -> float:
+def hintless_threshold(policy: SelectionPolicy) -> float:
     """What a robust estimator for ``policy`` prices an estimate without
-    a confidence hint at: a threshold policy's ``q``, else ``default``
-    (a penalty policy samples its own quantiles; ``default`` is its
-    reference lane)."""
-    return policy.q if policy.kind == "threshold" else default
+    a confidence hint at: a threshold policy's ``q``, else
+    :data:`~repro.core.MODERATE` (a penalty policy prices every lane it
+    plans on explicitly, its reference lane included)."""
+    return policy.q if policy.kind == "threshold" else MODERATE
 
 
 def estimator_for(
@@ -40,21 +39,18 @@ def estimator_for(
     statistics: StatisticsManager | None,
     *,
     prior: Prior = JEFFREYS,
-    default_threshold: float = MODERATE,
 ) -> CardinalityEstimator:
     """A fresh estimator of the family ``policy`` plans through.
 
     A robust estimator prices at :func:`hintless_threshold` under
     ``prior``; ``"histogram"`` and ``"bayes"`` read ``statistics`` and
-    ignore both; ``"exact"`` reads ``database`` alone, so its
-    ``statistics`` may be ``None``.
+    ignore the prior; ``"exact"`` and ``"fixed"`` read ``database``
+    alone, so their ``statistics`` may be ``None``.
     """
     kind = policy.estimator_kind
     if kind == "robust":
         return RobustCardinalityEstimator(
-            statistics,
-            prior=prior,
-            policy=hintless_threshold(policy, default_threshold),
+            statistics, prior=prior, policy=hintless_threshold(policy)
         )
     if kind == "histogram":
         return HistogramCardinalityEstimator(statistics)
@@ -62,4 +58,6 @@ def estimator_for(
         return BayesNetCardinalityEstimator(statistics)
     if kind == "exact":
         return ExactCardinalityEstimator(database)
+    if kind == "fixed":
+        return FixedSelectivityEstimator(database)
     raise EstimationError(f"unknown estimator family {kind!r}")

@@ -6,7 +6,9 @@ configuration, optimize every query of the selectivity grid with that
 configuration and execute the chosen plan; record the simulated
 execution time. Results are averaged over seeds, because "cardinality
 estimation performance can vary depending on the particular random
-choice of tuples for the samples".
+choice of tuples for the samples". Each arm is a name and a selection
+policy, and plans through a :class:`~repro.service.Session` under that
+policy — the planning path every served statement takes.
 
 Seeds are independent by construction — each rebuilds its own
 :class:`~repro.stats.StatisticsManager` — so the grid fans out over a
@@ -20,38 +22,31 @@ executed once and reused across configurations via
 
 from __future__ import annotations
 
-import functools
 import os
 import pickle
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
 from repro.analysis.tradeoff import TradeoffPoint, tradeoff_from_times
 from repro.catalog import Database
-from repro.core import (
-    CardinalityEstimator,
-    FixedSelectivityEstimator,
-    estimator_for,
-)
+from repro.core import JEFFREYS, Prior
 from repro.cost import CostModel
 from repro.errors import ReproError
 from repro.experiments.perf import PerfStats, PlanExecutionCache
 from repro.obs.execution import execution_span
 from repro.obs.trace import QueryTrace, plan_shape
-from repro.obs.tracer import Tracer
-from repro.optimizer import Optimizer, PlannedQuery, SPJQuery
+from repro.optimizer import SPJQuery
 from repro.selection import (
     PenaltyPolicy,
     SelectionPolicy,
-    ThresholdPolicy,
     resolve_policy,
 )
-from repro.service.fingerprint import query_fingerprint
+from repro.service import Session, SessionConfig
 from repro.stats import StatisticsManager
 from repro.workloads.templates import QueryTemplate
 
@@ -61,65 +56,16 @@ PAPER_THRESHOLDS = (0.05, 0.20, 0.50, 0.80, 0.95)
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """One experiment arm: a name and how it picks a plan.
+    """One experiment arm: a name and the
+    :class:`~repro.selection.SelectionPolicy` that plans every query.
 
-    ``policy`` is the :class:`~repro.selection.SelectionPolicy` that
-    plans every query. With ``build`` left ``None`` the arm's estimator
-    is the family the policy names: a threshold arm prices at its
-    ``q``, a penalty arm at the median (its reference lane; the policy,
-    not the estimator default, decides the plan).
-
-    ``build`` maps fresh statistics to an estimator no policy names —
-    a different prior, the fixed-selectivity strawman. A build-only arm
-    plans with a plain ``optimize``. An arm needs at least one of the
-    two.
+    The runner plans the arm through a :class:`~repro.service.Session`
+    under ``policy``, so an arm picks exactly the plan a session serving
+    that policy would.
     """
 
     name: str
-    build: Callable[[StatisticsManager], CardinalityEstimator] | None = None
-    policy: SelectionPolicy | None = None
-
-    def __post_init__(self) -> None:
-        if self.build is None and self.policy is None:
-            raise ReproError(
-                f"arm {self.name!r} needs a policy or a build function"
-            )
-
-    def estimator(self, statistics: StatisticsManager) -> CardinalityEstimator:
-        """A fresh estimator for this arm over ``statistics``."""
-        if self.build is not None:
-            return self.build(statistics)
-        return estimator_for(
-            self.policy, statistics.database, statistics, default_threshold=0.5
-        )
-
-    def plan(
-        self,
-        optimizer: Optimizer,
-        query: SPJQuery,
-        statistics: StatisticsManager,
-    ) -> PlannedQuery:
-        """Plan ``query`` the way this arm selects: through its policy,
-        or a plain ``optimize`` for a build-only arm.
-
-        The policy gets the query fingerprint and the statistics build
-        to seed its draws, so a penalty arm's plans are bit-identical
-        across worker counts; the other policies ignore both.
-        """
-        if self.policy is None:
-            return optimizer.optimize(query)
-        return self.policy.plan(
-            optimizer,
-            query,
-            query_key=query_fingerprint(query),
-            statistics_token=statistics.sampling_token(),
-        )
-
-
-def _build_fixed(
-    statistics: StatisticsManager, default: float
-) -> CardinalityEstimator:
-    return FixedSelectivityEstimator(statistics.database, default=default)
+    policy: SelectionPolicy
 
 
 def default_configs(
@@ -133,9 +79,7 @@ def default_configs(
     return configs
 
 
-def scenario_configs(
-    threshold: float = 0.8, fixed_default: float = 0.1
-) -> list[EstimatorConfig]:
+def scenario_configs(threshold: float = 0.8) -> list[EstimatorConfig]:
     """The four-arm estimator grid of the scenario-diversity benchmark.
 
     One arm per estimation philosophy: the paper's robust posterior
@@ -149,10 +93,7 @@ def scenario_configs(
         policy_arm(threshold),
         policy_arm("histogram"),
         policy_arm("bayes"),
-        EstimatorConfig(
-            name="Fixed",
-            build=functools.partial(_build_fixed, default=fixed_default),
-        ),
+        policy_arm("fixed"),
     ]
 
 
@@ -178,6 +119,7 @@ _POINT_ARM_NAMES = {
     "histogram": "Histograms",
     "bayes": "BayesNet",
     "exact": "Exact",
+    "fixed": "Fixed",
 }
 
 
@@ -186,8 +128,8 @@ def policy_arm(policy) -> EstimatorConfig:
 
     Accepts anything :func:`~repro.selection.resolve_policy` does — a
     :class:`~repro.selection.SelectionPolicy`, a bare threshold, or a
-    spec string like ``"cvar:0.9:24"``. The arm carries no builder, so
-    it pickles cleanly into worker processes.
+    spec string like ``"cvar:0.9:24"``. Policies are plain values, so
+    the arm pickles cleanly into worker processes.
     """
     policy = resolve_policy(policy)
     name = _POINT_ARM_NAMES.get(policy.estimator_kind, policy.describe())
@@ -333,26 +275,11 @@ class ExperimentResult:
         return [record for record in self.records if record.config == config]
 
 
-def _vector_arms(configs: Sequence[EstimatorConfig]) -> list[EstimatorConfig]:
-    """The threshold arms on the stock estimator, planned together.
-
-    One ``optimize_many`` over their thresholds replaces one
-    ``optimize`` per arm, lane for lane the same plans. Fewer than two
-    such arms gain nothing: a width-1 vector pass is slower than the
-    scalar one.
-    """
-    arms = [
-        config
-        for config in configs
-        if config.build is None and isinstance(config.policy, ThresholdPolicy)
-    ]
-    return arms if len(arms) >= 2 else []
-
-
 def _run_seed(
     database: Database,
     template: QueryTemplate,
     cost_model: CostModel,
+    prior: Prior,
     sample_size: int,
     histogram_buckets: int,
     params: Sequence[tuple[int, float]],
@@ -362,24 +289,25 @@ def _run_seed(
 ) -> tuple[list[RunRecord], PerfStats, list[dict]]:
     """One seed's slice of the grid — the unit of parallelism.
 
-    Records come out in config order, then param order. Every arm's
-    plans come from :meth:`EstimatorConfig.plan`, except that the
-    threshold arms :func:`_vector_arms` picks share one
-    ``optimize_many`` per param, run when the first of them reaches
-    that param. Every execution goes through one
-    :class:`~repro.experiments.perf.PlanExecutionCache`.
+    Records come out in config order, then param order. Every arm plans
+    through a :class:`~repro.service.Session` over the seed's one
+    statistics build, by the session's uncached planning path (no plan
+    cache, no metrics, no degraded fallback: an estimator failure
+    propagates). The robust arms share one session (one estimator),
+    every other arm gets its own. With two or more threshold arms, the
+    first plans each query over all their thresholds in one vectorized
+    pass and the rest take their lanes of it. A query's own confidence
+    hint is dropped: the arm's policy decides. Every execution goes
+    through one :class:`~repro.experiments.perf.PlanExecutionCache`.
 
-    With ``trace=True`` a per-seed :class:`~repro.obs.Tracer` collects
-    estimation, optimizer, and execution spans, and the JSON-ready
-    trace records ride back to the coordinator alongside the run
-    records (sinks never enter worker processes). Tracing does not
-    change the records or execute anything more: the execution span is
-    read off the per-operator record the plan-execution cache keeps
-    beside each ``(time, rows)``, hits included.
+    With ``trace=True`` every pass goes through the session's traced
+    planning instead, and the JSON-ready trace records ride back
+    alongside the run records (sinks never enter worker processes).
+    Tracing changes no record and executes nothing more: the execution
+    span is read off the per-operator record the plan-execution cache
+    keeps beside each ``(time, rows)``, hits included.
     """
     perf = PerfStats()
-    tracer = Tracer() if trace else None
-    drain = tracer.drain_estimations if tracer is not None else lambda: None
     traces: list[dict] = []
     started = time.perf_counter()
     statistics = StatisticsManager(database)
@@ -390,54 +318,73 @@ def _run_seed(
     )
     perf.stats_build_seconds += time.perf_counter() - started
 
-    estimators: list[CardinalityEstimator] = []
+    # Every estimator a session plans with, for the perf counters.
+    estimators: list = []
+    base = SessionConfig(
+        prior=prior, sample_size=sample_size, histogram_buckets=histogram_buckets
+    )
 
-    def optimizer_for(config: EstimatorConfig) -> Optimizer:
-        estimator = config.estimator(statistics)
-        if tracer is not None:
-            estimator.tracer = tracer
+    def keep(estimator):
         estimators.append(estimator)
-        return Optimizer(database, estimator, cost_model, tracer=tracer)
+        return estimator
 
-    vector = _vector_arms(configs)
-    vector_optimizer = optimizer_for(vector[0]) if vector else None
-    grid = tuple(config.policy.q for config in vector)
-    # (lane, position in params) → (planned, optimize seconds,
-    # estimation spans) for the vector lanes not yet consumed. Keyed by
-    # position, so each entry of ``params`` costs one pass even when
-    # two targets resolved to the same param.
-    lanes: dict[tuple[int, int], tuple] = {}
+    def session_for(policy: SelectionPolicy) -> Session:
+        session = Session(
+            database,
+            statistics=statistics,
+            config=base,
+            cost_model=cost_model,
+            policy=policy,
+        )
+        session.estimator_decorator = keep
+        return session
 
+    def plan(session: Session, query, policy, grid=None) -> tuple:
+        """The plan (one per lane of ``grid``) and, traced, the
+        estimation spans it read."""
+        if trace:
+            planned, estimator, spans, _ = session._traced_plan(
+                query, policy, grid
+            )
+            estimators.append(estimator)
+            return planned, spans
+        return session._plan(session._request(query, policy), grid=grid), None
+
+    robust = any(c.policy.estimator_kind == "robust" for c in configs)
+    # Every robust arm passes its own policy, so the shared session's
+    # is the default one.
+    shared = session_for(base.policy) if robust else None
+    # A width-1 vectorized pass is slower than the scalar one.
+    vector = [c for c in configs if c.policy.kind == "threshold"]
+    vector = vector if len(vector) >= 2 else []
+    grid = tuple(c.policy.q for c in vector)
+    # One entry per position in ``params``: the lanes of its pass.
+    lanes: list = [None] * len(params)
+
+    # One query object per param, so a session fingerprints it once.
+    queries = [replace(template.instantiate(p), hint=None) for p, _ in params]
     cache = PlanExecutionCache()
     records: list[RunRecord] = []
     for config in configs:
+        policy = config.policy
         lane = next((i for i, arm in enumerate(vector) if arm is config), None)
-        optimizer = (
-            vector_optimizer if lane is not None else optimizer_for(config)
-        )
-        for index, (param, selectivity) in enumerate(params):
-            if lane is not None and (lane, index) not in lanes:
-                query = template.instantiate(param)
-                started = time.perf_counter()
-                planned_grid = optimizer.optimize_many(query, grid)
-                elapsed = time.perf_counter() - started
-                perf.optimize_seconds += elapsed
-                perf.vector_passes += 1
-                # One pass gathered the evidence for every lane: each
-                # lane's trace links the same estimation spans plus its
-                # own optimizer span.
-                spans = drain()
-                for other, planned in enumerate(planned_grid):
-                    lanes[(other, index)] = (planned, elapsed, spans)
-            if lane is not None:
-                planned, elapsed, spans = lanes.pop((lane, index))
+        robust_arm = policy.estimator_kind == "robust"
+        session = shared if robust_arm else session_for(policy)
+        for index, (query, (param, selectivity)) in enumerate(
+            zip(queries, params)
+        ):
+            started = time.perf_counter()
+            if lane is None:
+                planned, spans = plan(session, query, policy)
             else:
-                query = template.instantiate(param)
-                started = time.perf_counter()
-                planned = config.plan(optimizer, query, statistics)
-                elapsed = time.perf_counter() - started
-                perf.optimize_seconds += elapsed
-                spans = drain()
+                if lane == 0:
+                    # One pass gathers the evidence for every lane: each
+                    # lane's trace links the same estimation spans.
+                    lanes[index] = plan(session, query, None, grid)
+                    perf.vector_passes += 1
+                planned, spans = lanes[index][0][lane], lanes[index][1]
+            elapsed = time.perf_counter() - started
+            perf.optimize_seconds += elapsed
 
             hits_before = cache.hits
             started = time.perf_counter()
@@ -457,7 +404,7 @@ def _run_seed(
                     actual_rows=actual_rows,
                 )
             )
-            if tracer is not None:
+            if trace:
                 traces.append(
                     QueryTrace(
                         template=template.name,
@@ -519,6 +466,9 @@ class ExperimentRunner:
         uses ``os.cpu_count()``. ``workers=1`` is the exact serial
         path; any N produces an identical :class:`ExperimentResult`,
         merged in seed order.
+    prior:
+        The Beta prior every robust arm's posterior starts from, as
+        :attr:`~repro.service.SessionConfig.prior`.
     trace:
         Collect end-to-end query traces (estimation, optimizer, and
         execution spans) on ``ExperimentResult.traces``, JSON-ready
@@ -534,6 +484,7 @@ class ExperimentRunner:
         cost_model: CostModel | None = None,
         sample_size: int = 500,
         histogram_buckets: int = 250,
+        prior: Prior = JEFFREYS,
         seeds: Sequence[int] = tuple(range(12)),
         workers: int | None = None,
         trace: bool = False,
@@ -543,6 +494,7 @@ class ExperimentRunner:
         self.cost_model = cost_model or CostModel()
         self.sample_size = sample_size
         self.histogram_buckets = histogram_buckets
+        self.prior = prior
         self.seeds = list(seeds)
         self.workers = workers
         self.trace = trace
@@ -567,6 +519,7 @@ class ExperimentRunner:
             "database": self.database,
             "template": self.template,
             "cost_model": self.cost_model,
+            "prior": self.prior,
             "sample_size": self.sample_size,
             "histogram_buckets": self.histogram_buckets,
             "params": list(params),
@@ -609,7 +562,7 @@ class ExperimentRunner:
         if workers > 1:
             try:
                 pickle.dumps(payload)
-            except Exception as exc:  # lambda configs, unpicklable models
+            except Exception as exc:  # e.g. a template holding a lambda
                 warnings.warn(
                     "experiment payload is not picklable "
                     f"({exc}); falling back to workers=1",

@@ -21,6 +21,7 @@ from repro.selection.penalty import (
 from repro.selection.policy import (
     BayesNetPolicy,
     ExactPolicy,
+    FixedPolicy,
     HistogramPolicy,
     PenaltyPolicy,
     PolicyError,
@@ -37,6 +38,7 @@ __all__ = [
     "HistogramPolicy",
     "BayesNetPolicy",
     "ExactPolicy",
+    "FixedPolicy",
     "PolicyError",
     "resolve_policy",
     "sample_quantiles",

@@ -16,7 +16,9 @@ CLI:
 * :class:`HistogramPolicy` — the AVI baseline: plan from equi-depth
   histogram point estimates (no posterior, no threshold);
   :class:`BayesNetPolicy` and :class:`ExactPolicy` are the other two
-  point-estimate arms (Chow–Liu tree, ground truth).
+  point-estimate arms (Chow–Liu tree, ground truth), and
+  :class:`FixedPolicy` the estimation-free strawman (one selectivity
+  for every predicate).
 
 Policies are frozen, hashable, and round-trip through a compact string
 ``spec`` (``"threshold:0.80"``, ``"cvar:0.9:32"``, ``"histogram"``)
@@ -193,62 +195,56 @@ class PenaltyPolicy(SelectionPolicy):
 
 
 @dataclass(frozen=True)
-class HistogramPolicy(SelectionPolicy):
-    """Plan from equi-depth histogram point estimates (AVI baseline)."""
+class _PointPolicy(SelectionPolicy):
+    """An arm without a posterior: one word (``NAME``) is its kind, its
+    estimator family, its cache key and its spec."""
+
+    NAME = ""
 
     @property
     def kind(self) -> str:
-        return "histogram"
+        return self.NAME
 
     @property
     def estimator_kind(self) -> str:
-        return "histogram"
+        return self.NAME
 
     def cache_key(self) -> tuple:
-        return ("histogram",)
+        return (self.NAME,)
 
     def spec(self) -> str:
-        return "histogram"
+        return self.NAME
 
 
 @dataclass(frozen=True)
-class BayesNetPolicy(SelectionPolicy):
+class HistogramPolicy(_PointPolicy):
+    """Plan from equi-depth histogram point estimates (AVI baseline)."""
+
+    NAME = "histogram"
+
+
+@dataclass(frozen=True)
+class BayesNetPolicy(_PointPolicy):
     """Plan from Chow–Liu tree point estimates (no posterior, no
     threshold) — the Bayesian-network baseline arm."""
 
-    @property
-    def kind(self) -> str:
-        return "bayes"
-
-    @property
-    def estimator_kind(self) -> str:
-        return "bayes"
-
-    def cache_key(self) -> tuple:
-        return ("bayes",)
-
-    def spec(self) -> str:
-        return "bayes"
+    NAME = "bayes"
 
 
 @dataclass(frozen=True)
-class ExactPolicy(SelectionPolicy):
+class ExactPolicy(_PointPolicy):
     """Plan from ground-truth cardinalities — the oracle arm; there is
     nothing to select *by* when estimates are exact."""
 
-    @property
-    def kind(self) -> str:
-        return "exact"
+    NAME = "exact"
 
-    @property
-    def estimator_kind(self) -> str:
-        return "exact"
 
-    def cache_key(self) -> tuple:
-        return ("exact",)
+@dataclass(frozen=True)
+class FixedPolicy(_PointPolicy):
+    """Plan as if every predicate kept one fixed fraction of its rows —
+    the estimation-free strawman arm (no statistics read)."""
 
-    def spec(self) -> str:
-        return "exact"
+    NAME = "fixed"
 
 
 def resolve_policy(
@@ -265,6 +261,7 @@ def resolve_policy(
     * ``"histogram"`` → :class:`HistogramPolicy`;
     * ``"bayes"`` → :class:`BayesNetPolicy`;
     * ``"exact"`` → :class:`ExactPolicy`;
+    * ``"fixed"`` → :class:`FixedPolicy`;
     * ``"penalty"`` / ``"expected[:SAMPLES]"`` →
       :class:`PenaltyPolicy` with ``risk="expected"``;
     * ``"cvar:ALPHA[:SAMPLES]"`` → :class:`PenaltyPolicy` with
@@ -287,6 +284,7 @@ def resolve_policy(
             "histogram": HistogramPolicy,
             "bayes": BayesNetPolicy,
             "exact": ExactPolicy,
+            "fixed": FixedPolicy,
         }.get(head)
         if point is not None:
             if tail:
@@ -320,8 +318,8 @@ def resolve_policy(
     except ReproError:
         raise PolicyError(
             f"cannot parse selection policy {value!r}; expected a "
-            "threshold, 'histogram', 'bayes', 'exact', 'expected[:SAMPLES]', "
-            "'cvar:ALPHA[:SAMPLES]', or 'threshold:Q'"
+            "threshold, 'histogram', 'bayes', 'exact', 'fixed', "
+            "'expected[:SAMPLES]', 'cvar:ALPHA[:SAMPLES]', or 'threshold:Q'"
         ) from None
 
 

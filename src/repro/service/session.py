@@ -1112,18 +1112,29 @@ class Session:
         """
         return self._traced(query, execute, label, policy)[1]
 
-    def _traced(
-        self, query, execute, label, policy
-    ) -> tuple[PlannedQuery, dict]:
-        """One traced planning pass (and execution): the plan and its
-        trace record."""
+    def _traced_plan(self, query, policy=None, grid=None) -> tuple:
+        """One traced planning pass, uncached: the plan (one per lane of
+        ``grid``, as :meth:`_plan`), the fresh estimator it read, the
+        estimation spans it recorded and its wall seconds."""
         self._check_open()
         request = self._request(query, policy)
         tracer = Tracer()
         estimator = self._estimator(request.state, tracer)
         started = time.perf_counter()
-        planned = self._plan(request, estimator=estimator, tracer=tracer)
-        optimize_seconds = time.perf_counter() - started
+        planned = self._plan(
+            request, estimator=estimator, tracer=tracer, grid=grid
+        )
+        seconds = time.perf_counter() - started
+        return planned, estimator, tracer.drain_estimations(), seconds
+
+    def _traced(
+        self, query, execute, label, policy
+    ) -> tuple[PlannedQuery, dict]:
+        """One traced planning pass (and execution): the plan and its
+        trace record."""
+        planned, estimator, spans, optimize_seconds = self._traced_plan(
+            query, policy
+        )
         execution = None
         if execute:
             ctx = ExecutionContext(
@@ -1143,7 +1154,7 @@ class Session:
             seed=self.config.statistics_seed
             if isinstance(self.config.statistics_seed, int)
             else None,
-            estimation=tracer.drain_estimations(),
+            estimation=spans,
             optimizer=planned.trace,
             execution=execution,
             timing={"optimize_seconds": optimize_seconds},
@@ -1184,8 +1195,9 @@ class Session:
         """Run a Section-6 style experiment grid against this database.
 
         Delegates to :class:`~repro.experiments.ExperimentRunner` with
-        the session's database, cost model, and sample size, then
-        publishes the harness's perf counters into ``session.metrics``.
+        the session's database, cost model, prior, sample size and
+        histogram buckets, then publishes the harness's perf counters
+        into ``session.metrics``.
         Experiment statistics are rebuilt per seed inside the runner
         (the paper's protocol) — the session's own statistics and plan
         cache are untouched.
@@ -1197,6 +1209,7 @@ class Session:
             self.database,
             template,
             self.cost_model,
+            prior=self.config.prior,
             sample_size=self.config.sample_size,
             histogram_buckets=self.config.histogram_buckets,
             seeds=seeds,

@@ -6,21 +6,25 @@ the same plan, shares base-table scans between executions and fans
 seeds out over worker processes. None of that may change a record.
 This is the grid with all of it left out, as the runner ran with every
 cache and vectorization switch off before those switches were removed:
-per seed, per arm, per param, plan the query as a scalar with
-``EstimatorConfig.plan`` and execute the plan in a fresh
-``ExecutionContext`` with no caches. ``tests/test_reference_runner.py``
-holds the runner to it record for record.
+per seed, per arm, per param, plan the query as a scalar through the
+arm's policy on an ``Optimizer`` of its own, and execute the plan in a
+fresh ``ExecutionContext`` with no caches. It shares no code with the
+runner's planning path: no ``Session``, no runner helpers.
+``tests/test_reference_runner.py`` holds the runner to it record for
+record.
 """
 
 from __future__ import annotations
 
 import time
 
+from repro.core import JEFFREYS, Prior, estimator_for
 from repro.cost import CostModel
 from repro.engine import ExecutionContext
 from repro.experiments import ExperimentResult, RunRecord
 from repro.obs import plan_shape
 from repro.optimizer import Optimizer
+from repro.service import query_fingerprint
 from repro.stats import StatisticsManager
 
 
@@ -33,6 +37,7 @@ def reference_run(
     seeds,
     sample_size: int = 500,
     histogram_buckets: int = 250,
+    prior: Prior = JEFFREYS,
     cost_model: CostModel | None = None,
 ) -> ExperimentResult:
     """The records ``ExperimentRunner(...).run(params, configs)`` must
@@ -51,11 +56,19 @@ def reference_run(
         )
         result.perf.stats_build_seconds += time.perf_counter() - started
         for config in configs:
-            optimizer = Optimizer(database, config.estimator(statistics), model)
+            estimator = estimator_for(
+                config.policy, database, statistics, prior=prior
+            )
+            optimizer = Optimizer(database, estimator, model)
             for param, selectivity in params:
                 query = template.instantiate(param)
                 started = time.perf_counter()
-                planned = config.plan(optimizer, query, statistics)
+                planned = config.policy.plan(
+                    optimizer,
+                    query,
+                    query_key=query_fingerprint(query),
+                    statistics_token=statistics.sampling_token(),
+                )
                 result.perf.optimize_seconds += time.perf_counter() - started
                 started = time.perf_counter()
                 ctx = ExecutionContext(database)

@@ -90,17 +90,13 @@ class TestDeterminism:
         assert [c.name for c in rebuilt] == [c.name for c in configs]
 
     def test_lambda_configs_fall_back_to_serial(self, tpch_db, grid):
-        from repro.experiments import EstimatorConfig
+        class LocalTemplate(ShippingDatesTemplate):
+            """Defined in a function body, so pickle cannot find it."""
 
-        template, params, _ = grid
-        configs = [
-            EstimatorConfig(
-                "T=50%",
-                lambda stats: RobustCardinalityEstimator(stats, policy=0.5),
-            )
-        ]
+        _, params, _ = grid
+        configs = default_configs(thresholds=(0.5,), include_histogram=False)
         runner = ExperimentRunner(
-            tpch_db, template, sample_size=300, seeds=(0, 1), workers=4
+            tpch_db, LocalTemplate(), sample_size=300, seeds=(0, 1), workers=4
         )
         with pytest.warns(RuntimeWarning, match="not picklable"):
             result = runner.run(params, configs)

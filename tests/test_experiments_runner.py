@@ -17,17 +17,31 @@ from repro.experiments import (
 from repro.core import (
     BayesNetCardinalityEstimator,
     ExactCardinalityEstimator,
+    FixedSelectivityEstimator,
     HistogramCardinalityEstimator,
+    JEFFREYS,
+    UNIFORM,
     RobustCardinalityEstimator,
+    estimator_for,
 )
+from repro.optimizer import Optimizer
 from repro.selection import (
     BayesNetPolicy,
+    ExactPolicy,
+    FixedPolicy,
     HistogramPolicy,
     PenaltyPolicy,
     ThresholdPolicy,
 )
-from repro.errors import ReproError
-from repro.workloads import ShippingDatesTemplate
+from repro.errors import EstimationError, ReproError
+from repro.service import Session, query_fingerprint
+from repro.workloads import PartCorrelationTemplate, ShippingDatesTemplate
+
+
+class _UnbuildablePolicy(ExactPolicy):
+    """A point policy naming an estimator family nobody builds."""
+
+    NAME = "unbuildable"
 
 
 @pytest.fixture(scope="module")
@@ -49,48 +63,67 @@ class TestDefaultConfigs:
         configs = default_configs(thresholds=(0.5,), include_histogram=False)
         assert [c.name for c in configs] == ["T=50%"]
 
-    def test_builders_independent(self, tpch_stats):
-        """Each config builds its own threshold (no closure aliasing)."""
+    def test_builders_independent(self, tpch_db, tpch_stats):
+        """Each arm's policy prices at its own threshold."""
         configs = default_configs(thresholds=(0.05, 0.95))
-        a = configs[0].estimator(tpch_stats)
-        b = configs[1].estimator(tpch_stats)
+        a, b = (
+            estimator_for(c.policy, tpch_db, tpch_stats) for c in configs[:2]
+        )
         assert a.threshold == 0.05
         assert b.threshold == 0.95
 
     def test_factories_keep_their_arm_fields(self):
-        """Every factory arm but the strawman is a policy and nothing
-        else; the runner plans each through it."""
+        """Every factory arm is a name and a policy; the runner plans
+        each through it."""
 
         def fields(configs):
-            return [(c.name, c.build is None, c.policy) for c in configs]
+            return [(c.name, c.policy) for c in configs]
 
         assert fields(default_configs(thresholds=(0.05, 0.95))) == [
-            ("T=5%", True, ThresholdPolicy(0.05)),
-            ("T=95%", True, ThresholdPolicy(0.95)),
-            ("Histograms", True, HistogramPolicy()),
+            ("T=5%", ThresholdPolicy(0.05)),
+            ("T=95%", ThresholdPolicy(0.95)),
+            ("Histograms", HistogramPolicy()),
         ]
         assert fields(scenario_configs()) == [
-            ("T=80%", True, ThresholdPolicy(0.8)),
-            ("Histograms", True, HistogramPolicy()),
-            ("BayesNet", True, BayesNetPolicy()),
-            ("Fixed", False, None),
+            ("T=80%", ThresholdPolicy(0.8)),
+            ("Histograms", HistogramPolicy()),
+            ("BayesNet", BayesNetPolicy()),
+            ("Fixed", FixedPolicy()),
         ]
         expected = PenaltyPolicy(samples=8)
         cvar = PenaltyPolicy(samples=8, risk="cvar", alpha=0.9)
         assert fields(penalty_configs(samples=8)) == [
-            ("E[penalty](m=8)", True, expected),
-            ("CVaR(α=0.9, m=8)", True, cvar),
+            ("E[penalty](m=8)", expected),
+            ("CVaR(α=0.9, m=8)", cvar),
         ]
 
-    def test_penalty_arms_price_at_the_median(self, tpch_stats):
+    def test_penalty_plans_ignore_the_unhinted_threshold(
+        self, tpch_db, tpch_stats
+    ):
+        """A penalty pass prices every lane it plans on explicitly, its
+        reference lane at the median included, so the threshold its
+        estimator prices unhinted estimates at changes nothing."""
+        shipping, part = ShippingDatesTemplate(), PartCorrelationTemplate()
+        queries = [shipping.instantiate(p) for p in (60, 150, 230)]
+        queries += [part.instantiate(p) for p in (5, 40)]
+        optimizers = [
+            Optimizer(tpch_db, RobustCardinalityEstimator(tpch_stats, policy=t))
+            for t in (0.5, 0.8)
+        ]
         for arm in penalty_configs(samples=8):
-            estimator = arm.estimator(tpch_stats)
-            assert type(estimator) is RobustCardinalityEstimator
-            assert estimator.threshold == 0.5
-
-    def test_arm_without_policy_or_build_rejected(self):
-        with pytest.raises(ReproError, match="needs a policy or a build"):
-            EstimatorConfig("nothing")
+            for query in queries:
+                median, moderate = (
+                    arm.policy.plan(
+                        optimizer,
+                        query,
+                        query_key=query_fingerprint(query),
+                        statistics_token=tpch_stats.sampling_token(),
+                    )
+                    for optimizer in optimizers
+                )
+                assert median.plan.signature() == moderate.plan.signature()
+                assert median.estimated_rows == moderate.estimated_rows
+                assert median.estimated_cost == moderate.estimated_cost
 
     @pytest.mark.parametrize(
         "spec, name, estimator_class",
@@ -98,16 +131,18 @@ class TestDefaultConfigs:
             ("histogram", "Histograms", HistogramCardinalityEstimator),
             ("bayes", "BayesNet", BayesNetCardinalityEstimator),
             ("exact", "Exact", ExactCardinalityEstimator),
+            ("fixed", "Fixed", FixedSelectivityEstimator),
         ],
     )
     def test_policy_arm_builds_the_named_estimator(
-        self, tpch_stats, spec, name, estimator_class
+        self, tpch_db, tpch_stats, spec, name, estimator_class
     ):
         """Regression: every non-robust spec used to come back as the
         histogram arm, which the CLI's name de-dup then dropped."""
         arm = policy_arm(spec)
         assert arm.name == name
-        assert type(arm.estimator(tpch_stats)) is estimator_class
+        estimator = estimator_for(arm.policy, tpch_db, tpch_stats)
+        assert type(estimator) is estimator_class
         pickle.loads(pickle.dumps(arm))  # fans out to worker processes
 
 
@@ -157,16 +192,31 @@ class TestRunner:
     def test_deterministic_given_seeds(self, tpch_db):
         template = ShippingDatesTemplate()
         params = [(150, template.true_selectivity(tpch_db, 150))]
-        configs = [
-            EstimatorConfig(
-                "T=50%", lambda stats: RobustCardinalityEstimator(stats, policy=0.5)
-            )
-        ]
+        configs = [policy_arm(0.5)]
         runner = ExperimentRunner(tpch_db, template, sample_size=200, seeds=(3,))
         a = runner.run(params, configs)
         b = runner.run(params, configs)
         assert a.records[0].time == b.records[0].time
         assert a.records[0].plan == b.records[0].plan
+
+    def test_the_arm_policy_beats_a_template_hint(self, tpch_db):
+        """Every arm plans under its own policy, as ``policy.plan``
+        does: a confidence hint the template puts on its queries
+        changes no record (a session would let the hint win)."""
+        params = ShippingDatesTemplate().params_for_targets(
+            tpch_db, [0.0, 0.003], step=8
+        )
+        configs = [policy_arm(0.05)] + penalty_configs(samples=8)
+        plain, hinted = (
+            ExperimentRunner(
+                tpch_db, template, sample_size=200, seeds=(0,), workers=1
+            ).run(params, configs)
+            for template in (
+                ShippingDatesTemplate(),
+                ShippingDatesTemplate(hint=0.95),
+            )
+        )
+        assert hinted.records == plain.records
 
     def test_two_arms_sharing_a_name_are_rejected(self, tpch_db):
         """Regression: records are grouped by arm name, so a second arm
@@ -178,6 +228,54 @@ class TestRunner:
         )
         with pytest.raises(ReproError, match="T=80%"):
             runner.run(params, [policy_arm(0.8), policy_arm(0.8)])
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_an_estimator_failure_fails_the_run(self, tpch_db, trace):
+        """Regression: planning through the session's cached path
+        turned an arm's estimator failure into a §3.5 magic-number plan
+        recorded under the arm's name. Traced or not, it propagates."""
+        template = ShippingDatesTemplate()
+        params = [(150, template.true_selectivity(tpch_db, 150))]
+        runner = ExperimentRunner(
+            tpch_db, template, sample_size=200, seeds=(0,), workers=1, trace=trace
+        )
+        arms = [policy_arm(0.8), EstimatorConfig("Broken", _UnbuildablePolicy())]
+        with pytest.raises(EstimationError, match="unknown estimator family"):
+            runner.run(params, arms)
+
+
+class TestSessionExperiment:
+    def test_run_experiment_keeps_the_session_prior(self, tpch_db):
+        """Regression: ``Session.run_experiment`` dropped the session's
+        prior and planned under Jeffreys. Records rarely show it, so
+        compare the traced estimates at a zero-count predicate."""
+        template = ShippingDatesTemplate()
+        params = template.params_for_targets(tpch_db, [0.0], step=8)
+        arms = [policy_arm(0.8)]
+
+        def estimates(result):
+            return [trace["estimation"] for trace in result.traces]
+
+        def runner(prior):
+            return ExperimentRunner(
+                tpch_db,
+                template,
+                sample_size=200,
+                prior=prior,
+                seeds=(0,),
+                workers=1,
+                trace=True,
+            ).run(params, arms)
+
+        session = Session(tpch_db, prior=UNIFORM, sample_size=200)
+        result = session.run_experiment(
+            template, params, arms, seeds=(0,), workers=1, trace=True
+        )
+        assert any(
+            span["k"] == 0 for trace in estimates(result) for span in trace
+        )
+        assert estimates(result) == estimates(runner(UNIFORM))
+        assert estimates(result) != estimates(runner(JEFFREYS))
 
 
 class TestReports:

@@ -6,7 +6,8 @@ fresh context without caches, one seed after another. The runner
 vectorizes threshold arms, reuses executions and scans, and fans seeds
 out over processes; over the default, penalty and scenario grids, on
 TPC-H, on the star schema and on a list of mixed TPC-H queries, at one
-and two workers, its records must be exactly the reference's. The
+and two workers, and under either prior, its records must be exactly
+the reference's. The
 sensitivity sweep, the workload mix and the threshold advisor are
 summaries of runner records, so they must equal the same summaries of
 the reference's.
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.tradeoff import tradeoff_from_times
+from repro.core import UNIFORM
 from repro.experiments import (
     ExperimentRunner,
     LatencyProfile,
@@ -102,6 +104,33 @@ def test_runner_records_equal_the_reference(workloads, family, grid):
             # the comparison exercised what the reference leaves out
             assert result.perf.vector_passes == len(SEEDS) * len(params)
             assert result.perf.exec_cache_hits > 0
+
+
+@pytest.mark.parametrize("family", ["tpch", "mix"])
+def test_runner_records_equal_the_reference_under_a_uniform_prior(
+    workloads, family
+):
+    database, template, params = workloads[family]
+    configs = default_configs() + penalty_configs(8)
+    expected = reference_run(
+        database,
+        template,
+        params,
+        configs,
+        seeds=SEEDS,
+        sample_size=SAMPLE_SIZE,
+        prior=UNIFORM,
+    ).records
+    for workers in (1, 2):
+        result = ExperimentRunner(
+            database,
+            template,
+            sample_size=SAMPLE_SIZE,
+            prior=UNIFORM,
+            seeds=SEEDS,
+            workers=workers,
+        ).run(params, configs)
+        assert result.records == expected, f"workers={workers}"
 
 
 def test_helpers_summarize_the_reference(tpch_db):

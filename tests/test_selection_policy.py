@@ -8,6 +8,7 @@ from repro.core import AGGRESSIVE, MODERATE
 from repro.selection import (
     BayesNetPolicy,
     ExactPolicy,
+    FixedPolicy,
     HistogramPolicy,
     PenaltyPolicy,
     PolicyError,
@@ -90,7 +91,9 @@ class TestHistogramPolicy:
         assert policy.cache_key() == ("histogram",)
         assert resolve_policy(policy.spec()) == policy
 
-    @pytest.mark.parametrize("policy", [BayesNetPolicy(), ExactPolicy()])
+    @pytest.mark.parametrize(
+        "policy", [BayesNetPolicy(), ExactPolicy(), FixedPolicy()]
+    )
     def test_other_point_estimate_arms(self, policy):
         """The other arms without a posterior name their estimator the
         same way: one word for kind, estimator family, key and spec."""
@@ -122,6 +125,7 @@ class TestResolvePolicy:
             ("moderate", ThresholdPolicy(MODERATE)),
             ("bayes", BayesNetPolicy()),
             ("exact", ExactPolicy()),
+            ("fixed", FixedPolicy()),
         ],
     )
     def test_spec_strings(self, spec, policy):
@@ -133,6 +137,7 @@ class TestResolvePolicy:
         [
             "histogram:5",
             "exact:1",
+            "fixed:0.1",
             "cvar",
             "cvar:abc",
             "expected:many",

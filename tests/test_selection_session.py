@@ -53,7 +53,8 @@ class TestPolicyIsTotal:
         assert SessionConfig(policy=None) == SessionConfig()
 
     @pytest.mark.parametrize(
-        "spec", ["threshold:0.9", "cvar:0.9:8", "histogram", "bayes", "exact"]
+        "spec",
+        ["threshold:0.9", "cvar:0.9:8", "histogram", "bayes", "exact", "fixed"],
     )
     def test_every_kind_plans_under_its_policy(self, two_table_db, spec):
         expected = resolve_policy(spec)
