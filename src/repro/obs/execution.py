@@ -14,27 +14,18 @@ execution that produced the result is the only one that runs.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.engine import PhysicalOperator
 from repro.engine.counters import WorkCounters
 from repro.obs.trace import plan_shape, q_error
 
 
 def annotation_scalar(value) -> float | None:
-    """JSON-safe scalar from an operator annotation.
+    """JSON-safe scalar from an operator annotation (``None`` if unset).
 
-    The vector planning pass may leave numpy scalars (or, on shared
-    subtrees, whole threshold-axis arrays) in ``est_rows``/``est_cost``;
-    multi-lane arrays have no single scalar meaning, so they serialize
-    as ``None``.
+    The optimizer annotates every tree it builds at one lane, so an
+    annotation is one number (a Python or numpy float).
     """
-    if value is None:
-        return None
-    if isinstance(value, np.ndarray):
-        flat = value.reshape(-1)
-        return float(flat[0]) if flat.size == 1 else None
-    return float(value)
+    return None if value is None else float(value)
 
 
 def operator_tables(op: PhysicalOperator) -> frozenset[str]:

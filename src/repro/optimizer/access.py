@@ -9,6 +9,7 @@ with selectivity; the scan is the stable alternative.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 from typing import Callable
 
@@ -24,7 +25,7 @@ from repro.expressions.analysis import (
     merge_range_conditions,
     split_sargable,
 )
-from repro.optimizer.candidates import PlanCandidate
+from repro.optimizer.candidates import PricedPlans
 
 #: Estimator callback: (tables, predicate) -> CardinalityEstimate.
 CardOracle = Callable[[frozenset, Expr | None], "object"]
@@ -90,8 +91,10 @@ def _in_list_paths(
     table_name: str,
     predicate: Expr | None,
     out_rows: float,
-) -> list[PlanCandidate]:
-    """IndexUnionSeek candidates, one per indexed IN-list conjunct."""
+    paths: tuple[list, list, list],
+) -> None:
+    """IndexUnionSeek paths, one per indexed IN-list conjunct, appended
+    to ``paths``' (costs, orders, makers)."""
     from repro.expressions import split_conjuncts
     from repro.expressions.analysis import in_list_atoms
 
@@ -99,7 +102,7 @@ def _in_list_paths(
     tables = frozenset([table_name])
     clustering = database.clustering_column(table_name)
     conjuncts = split_conjuncts(predicate)
-    candidates: list[PlanCandidate] = []
+    costs, orders, makers = paths
     for i, conjunct in enumerate(conjuncts):
         atom = in_list_atoms(conjunct)
         if atom is None:
@@ -125,11 +128,11 @@ def _in_list_paths(
             table.rows_per_page,
             residual is not None,
         )
-        operator = IndexUnionSeek(table_name, reference.name, coerced, residual)
-        candidates.append(
-            PlanCandidate(operator, tables, out_rows, cost, None).annotated()
+        costs.append(cost)
+        orders.append(None)
+        makers.append(
+            partial(IndexUnionSeek, table_name, reference.name, coerced, residual)
         )
-    return candidates
 
 
 def access_paths(
@@ -138,27 +141,25 @@ def access_paths(
     card: CardOracle,
     table_name: str,
     predicate: Expr | None,
-) -> list[PlanCandidate]:
-    """All costed access paths for ``table_name`` under ``predicate``."""
+) -> PricedPlans:
+    """Every access path for ``table_name`` under ``predicate``, priced
+    (each path's operator is built only if a plan using it is)."""
     table = database.table(table_name)
     tables = frozenset([table_name])
     out_rows = card(tables, predicate).cardinality
     clustering = database.clustering_column(table_name)
-    candidates: list[PlanCandidate] = []
 
     # Sequential scan: the stable plan.
     scan_cost = model.seq_scan(table.num_rows, table.num_pages, out_rows)
     scan_order = f"{table_name}.{clustering}" if clustering else None
-    candidates.append(
-        PlanCandidate(
-            SeqScan(table_name, predicate), tables, out_rows, scan_cost, scan_order
-        ).annotated()
+    costs, orders, makers = paths = (
+        [scan_cost],
+        [scan_order],
+        [partial(SeqScan, table_name, predicate)],
     )
 
     # IN-lists over indexed columns: the index-OR (union) strategy.
-    candidates.extend(
-        _in_list_paths(database, model, card, table_name, predicate, out_rows)
-    )
+    _in_list_paths(database, model, card, table_name, predicate, out_rows, paths)
 
     # Sargability analysis.
     ranges, residual = split_sargable(predicate)
@@ -189,7 +190,7 @@ def access_paths(
         and (index_condition := _index_condition(database, condition)) is not None
     }
     if not seekable:
-        return candidates
+        return PricedPlans.of(tables, out_rows, costs, orders, makers)
 
     keys = sorted(seekable, key=lambda key: key[1])
     # Sargable ranges without a usable index must still be applied —
@@ -212,11 +213,9 @@ def access_paths(
             table.rows_per_page,
             path_residual is not None,
         )
-        operator = IndexSeek(table_name, seekable[key], path_residual)
-        order = f"{table_name}.{condition.column}"
-        candidates.append(
-            PlanCandidate(operator, tables, out_rows, cost, order).annotated()
-        )
+        costs.append(cost)
+        orders.append(f"{table_name}.{condition.column}")
+        makers.append(partial(IndexSeek, table_name, seekable[key], path_residual))
 
     # Index intersections over 2..MAX_INTERSECTION_WIDTH indexes.
     for width in range(2, min(len(keys), MAX_INTERSECTION_WIDTH) + 1):
@@ -235,15 +234,16 @@ def access_paths(
             cost = model.index_intersect(
                 entry_counts, fetched, out_rows, path_residual is not None
             )
-            operator = IndexIntersect(
-                table_name,
-                [seekable[key] for key in subset],
-                path_residual,
-            )
+            costs.append(cost)
             # RID intersection yields storage order.
-            order = f"{table_name}.{clustering}" if clustering else None
-            candidates.append(
-                PlanCandidate(operator, tables, out_rows, cost, order).annotated()
+            orders.append(f"{table_name}.{clustering}" if clustering else None)
+            makers.append(
+                partial(
+                    IndexIntersect,
+                    table_name,
+                    [seekable[key] for key in subset],
+                    path_residual,
+                )
             )
 
-    return candidates
+    return PricedPlans.of(tables, out_rows, costs, orders, makers)

@@ -1,14 +1,16 @@
-"""Join-candidate generation between two planned subsets."""
+"""Join pricing: one partition's candidates at once, built only on demand."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from functools import lru_cache, partial
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.engine import HashJoin, IndexedNLJoin, MergeJoin, NonEquiJoin, Sort
+from repro.engine.relops import Filter
 from repro.expressions import conjunction
-from repro.optimizer.candidates import PlanCandidate, both_active
+from repro.optimizer.candidates import PricedPlans, annotate
 from repro.optimizer.query import JoinEdge
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -17,133 +19,332 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def join_candidates(
     ctx: "PlanningContext",
-    lefts: list[PlanCandidate],
-    rights: list[PlanCandidate],
+    lefts: PricedPlans,
+    rights: PricedPlans,
     edge: JoinEdge,
-    out_rows: float,
-) -> list[PlanCandidate]:
-    """All join methods over one partition, along ``edge``.
+    out_rows,
+    conditions: Sequence = (),
+) -> PricedPlans:
+    """Every join method over one partition, along ``edge``, priced.
 
-    ``lefts`` and ``rights`` are the surviving candidates of the two
-    halves. Every candidate of a half carries that half's ``rows``, so
-    the keys, the cost-model terms and the INL facts are worked out
-    once here; only input costs, orders and ``active`` lanes vary per
-    pair (a join is active where both its inputs are). Hash and
-    merge joins are emitted per pair, an INL join once per *outer*
-    candidate (of the inner it reads only the table), each where a
-    pair-at-a-time walk would first meet it — pruning is first-wins, so
-    the order is part of the result.
+    ``lefts`` and ``rights`` are the survivors of the two halves. Every
+    plan of a half carries that half's ``rows``, so the keys, the
+    cost-model terms and the INL facts are partition constants; only
+    input costs, orders and ``active`` lanes vary per pair. The
+    candidates come in the order a pair-at-a-time walk first meets
+    them — for each left, for each right: the hash join(s), the merge
+    join, the left-outer INL join on the first right, the right-outer
+    INL join on the first left (of the inner it reads only the table)
+    — because pruning is first-wins. Without a grid the costs are
+    Python floats added in a loop; under one every kind is one
+    broadcast over the survivors' cost matrices.
+
+    ``conditions`` are DP join conditions that cross the partition too:
+    each join is then priced at its own output — ``out_rows`` with the
+    conditions undone — and runs under a Filter applying them.
     """
-    left_set, right_set = lefts[0].tables, rights[0].tables
-    left_rows, right_rows = lefts[0].rows, rights[0].rows
-    tables = left_set | right_set
+    left_set, right_set = lefts.tables, rights.tables
+    left_rows, right_rows = lefts.rows, rights.rows
     if edge.child in left_set:
         left_key, right_key = edge.child_column, edge.parent_column
     else:
         left_key, right_key = edge.parent_column, edge.child_column
     model = ctx.model
+    filtered_rows = out_rows
+    if conditions:
+        selectivity = 1.0
+        for condition in conditions:
+            selectivity *= ctx.condition_selectivity(condition)
+        out_rows = filtered_rows / selectivity
 
-    hash_sides = _hash_sides(
-        model, left_rows, right_rows, left_key, right_key, out_rows
-    )
+    hash_sides = _hash_sides(model, left_rows, right_rows, out_rows)
     merge_term = model.merge_join(left_rows, right_rows, out_rows)
-    left_sorted = _sorted_inputs(model, lefts, left_key)
-    right_sorted = _sorted_inputs(model, rights, right_key)
+    left_sort = _sort_costs(ctx, lefts, left_key)
+    right_sort = _sort_costs(ctx, rights, right_key)
     # Indexed nested-loop joins: either side can be the inner base
     # table if it has an index on its join column.
-    inl_left_outer = _indexed_nl(
+    inl_left = _indexed_nl(
         ctx, left_set, left_rows, left_key, right_set, right_key, out_rows
     )
-    inl_right_outer = _indexed_nl(
+    inl_right = _indexed_nl(
         ctx, right_set, right_rows, right_key, left_set, left_key, out_rows
     )
 
-    candidates: list[PlanCandidate] = []
-    for left, (left_op, left_sort) in zip(lefts, left_sorted):
-        for right, (right_op, right_sort) in zip(rights, right_sorted):
-            active = both_active(left.active, right.active)
-            for left_builds, build_key, probe_key, term, side_active in hash_sides:
-                build, probe = (left, right) if left_builds else (right, left)
-                cost = build.cost + probe.cost + term
-                operator = HashJoin(
-                    build.operator, probe.operator, build_key, probe_key
-                )
-                candidates.append(
-                    PlanCandidate(
-                        operator,
-                        tables,
-                        out_rows,
-                        cost,
-                        None,
-                        both_active(active, side_active),
-                    ).annotated()
-                )
+    n_left, n_right, n_hash = len(lefts), len(rights), len(hash_sides)
+    flat, width = _layout(
+        n_left, n_right, n_hash, inl_left is not None, inl_right is not None
+    )
+    orders = _join_orders(lefts, rights, inl_left, inl_right, n_hash, left_key)
+    if not isinstance(lefts.cost, np.ndarray):
+        costs = _scalar_joins(
+            lefts, rights, hash_sides, left_sort, right_sort, merge_term,
+            inl_left, inl_right,
+        )
+        active = None
+    else:
+        costs, active = _vector_joins(
+            lefts, rights, hash_sides, left_sort, right_sort, merge_term,
+            inl_left, inl_right, flat, width,
+        )
 
-            # Merge join over inputs ordered on their join keys (adding
-            # an ordered side's 0.0 sort cost is exact).
-            cost = left.cost + right.cost + left_sort + right_sort + merge_term
-            operator = MergeJoin(left_op, right_op, left_key, right_key)
-            candidates.append(
-                PlanCandidate(
-                    operator, tables, out_rows, cost, left_key, active
-                ).annotated()
-            )
+    under = None
+    if conditions:
+        under = (conjunction([c.expr for c in conditions]), out_rows, costs)
+        filter_cost = model.filter(out_rows, filtered_rows)
+        if isinstance(costs, np.ndarray):
+            costs = costs + filter_cost
+        else:
+            costs = [cost + filter_cost for cost in costs]
+    make = partial(
+        _make_join,
+        lefts,
+        rights,
+        flat,
+        n_right * width,
+        width,
+        tuple(side[0] for side in hash_sides),
+        left_key,
+        right_key,
+        inl_left and inl_left[1],
+        inl_right and inl_right[1],
+        under,
+    )
+    return PricedPlans(
+        left_set | right_set, filtered_rows, costs, orders, active, make
+    )
 
-            if inl_left_outer is not None and right is rights[0]:
-                candidates.append(inl_left_outer(left))
-            if inl_right_outer is not None and left is lefts[0]:
-                candidates.append(inl_right_outer(right))
-    return candidates
+
+def _scalar_joins(
+    lefts, rights, hash_sides, left_sort, right_sort, merge_term,
+    inl_left, inl_right,
+):
+    """A partition's costs on Python floats, pair by pair in emission
+    order (in the pair-at-a-time association order: ``build + probe +
+    term``; ``left + right + left_sort + right_sort + merge``)."""
+    costs: list = []
+    terms = [side[1] for side in hash_sides]
+    for i, left in enumerate(lefts.cost):
+        for j, right in enumerate(rights.cost):
+            base = left + right
+            for term in terms:
+                costs.append(base + term)
+            costs.append(base + left_sort[i] + right_sort[j] + merge_term)
+            if inl_left is not None and j == 0:
+                costs.append(left + inl_left[0])
+            if inl_right is not None and i == 0:
+                costs.append(right + inl_right[0])
+    return costs
+
+
+def _join_orders(lefts, rights, inl_left, inl_right, n_hash, left_key) -> list:
+    """Each candidate's interesting order, in emission order: a hash
+    join has none, a merge join the left key's, an INL join its outer
+    side's."""
+    pattern = [None] * n_hash + [left_key]
+    if inl_left is None and inl_right is None:
+        return pattern * (len(lefts) * len(rights))
+    orders: list = []
+    for i in range(len(lefts)):
+        for j in range(len(rights)):
+            orders += pattern
+            if inl_left is not None and j == 0:
+                orders.append(lefts.orders[i])
+            if inl_right is not None and i == 0:
+                orders.append(rights.orders[j])
+    return orders
+
+
+def _vector_joins(
+    lefts, rights, hash_sides, left_sort, right_sort, merge_term,
+    inl_left, inl_right, flat, width,
+):
+    """``(costs, active)`` of a partition over the grid: each kind one
+    broadcast over the two survivor cost matrices into a pair x kind
+    grid, gathered in emission order (elementwise the scalar pass's
+    additions, in its order; an ordered side's exact ``0.0`` is
+    skipped)."""
+    n_left, n_right, n_hash = len(lefts), len(rights), len(hash_sides)
+    lanes = lefts.cost.shape[1]
+    padded = np.empty((n_left, n_right, width, lanes))
+    base = lefts.cost[:, None] + rights.cost[None]
+    for s, side in enumerate(hash_sides):
+        np.add(base, side[1], out=padded[:, :, s])
+    merge = base
+    if left_sort is not None:
+        merge = merge + (left_sort[:, None] if np.ndim(left_sort) == 2 else left_sort)
+    if right_sort is not None:
+        merge = merge + (right_sort[None] if np.ndim(right_sort) == 2 else right_sort)
+    np.add(merge, merge_term, out=padded[:, :, n_hash])
+    slot = n_hash + 1
+    if inl_left is not None:
+        np.add(lefts.cost, inl_left[0], out=padded[:, 0, slot])
+        slot += 1
+    if inl_right is not None:
+        np.add(rights.cost, inl_right[0], out=padded[0, :, slot])
+    costs = padded.reshape(-1, lanes)
+    if len(flat) < len(costs):
+        costs = costs[flat]
+
+    masks = [side[2] for side in hash_sides]
+    if lefts.active is None and rights.active is None and all(
+        mask is None for mask in masks
+    ):
+        return costs, None
+    both = _both(lefts.active, rights.active, n_left, n_right, lanes)
+    grid = np.empty((n_left, n_right, width, lanes), bool)
+    for s, mask in enumerate(masks):
+        grid[:, :, s] = both if mask is None else both & mask
+    grid[:, :, n_hash] = both
+    slot = n_hash + 1
+    if inl_left is not None:
+        grid[:, 0, slot] = True if lefts.active is None else lefts.active
+        slot += 1
+    if inl_right is not None:
+        grid[0, :, slot] = True if rights.active is None else rights.active
+    return costs, grid.reshape(-1, lanes)[flat]
+
+
+def _make_join(
+    lefts, rights, flat, per_left, width, builds, left_key, right_key,
+    inl_left, inl_right, under, k, lane,
+):
+    """Candidate ``k`` of a :func:`join_candidates` partition, built —
+    under its Filter when ``under`` is ``(residual, unfiltered rows,
+    unfiltered costs)``, the join annotated with the latter two."""
+    join = _join_operator(
+        lefts, rights, flat, per_left, width, builds, left_key,
+        right_key, inl_left, inl_right, k, lane,
+    )
+    if under is None:
+        return join
+    residual, rows, costs = under
+    annotate(join, rows, costs, k, lane)
+    return Filter(join, residual)
+
+
+def _join_operator(
+    lefts, rights, flat, per_left, width, builds, left_key, right_key,
+    inl_left, inl_right, k, lane,
+):
+    """``builds`` holds, per hash orientation, whether the left side
+    builds."""
+    i, rest = divmod(int(flat[k]), per_left)
+    j, s = divmod(rest, width)
+    if s < len(builds):
+        left, right = lefts.tree(i, lane), rights.tree(j, lane)
+        if builds[s]:
+            return HashJoin(left, right, left_key, right_key)
+        return HashJoin(right, left, right_key, left_key)
+    if s == len(builds):
+        left = lefts.tree(i, lane)
+        if lefts.orders[i] != left_key:
+            left = Sort(left, left_key)
+        right = rights.tree(j, lane)
+        if rights.orders[j] != right_key:
+            right = Sort(right, right_key)
+        return MergeJoin(left, right, left_key, right_key)
+    if s == len(builds) + 1 and inl_left is not None:
+        return IndexedNLJoin(lefts.tree(i, lane), *inl_left)
+    return IndexedNLJoin(rights.tree(j, lane), *inl_right)
+
+
+@lru_cache(maxsize=256)
+def _layout(n_left, n_right, n_hash, inl_left, inl_right):
+    """``(flat, width)``: a partition's candidates as positions in an
+    ``(n_left, n_right, width)`` pair x kind grid, in emission order —
+    every pair has its hash and merge kinds, the INL kinds exist only
+    on the first right (left-outer) and the first left (right-outer)."""
+    width = n_hash + 1 + inl_left + inl_right
+    valid = np.zeros((n_left, n_right, width), bool)
+    valid[:, :, : n_hash + 1] = True
+    slot = n_hash + 1
+    if inl_left:
+        valid[:, 0, slot] = True
+        slot += 1
+    if inl_right:
+        valid[0, :, slot] = True
+    flat = np.flatnonzero(valid)
+    flat.flags.writeable = False
+    return flat, width
+
+
+def _both(left_active, right_active, n_left, n_right, lanes):
+    """``(n_left, n_right, lanes)`` lanes where both inputs are active."""
+    if left_active is None:
+        left_active = np.ones((n_left, lanes), bool)
+    if right_active is None:
+        right_active = np.ones((n_right, lanes), bool)
+    return left_active[:, None, :] & right_active[None, :, :]
 
 
 def nonequi_candidates(
     ctx: "PlanningContext",
-    left: PlanCandidate,
-    right: PlanCandidate,
+    lefts: PricedPlans,
+    rights: PricedPlans,
     conditions: list,
-    out_rows: float,
-) -> list[PlanCandidate]:
+    out_rows,
+) -> PricedPlans:
     """NonEquiJoin candidates combining two condition-connected subsets.
 
     The first condition (conjunct order) drives the interval search;
     any further conditions crossing the same partition (band joins)
-    ride along as the operator's residual. Both orientations are
-    emitted — sorting the right side and probing per left row is
+    ride along as the operator's residual. Per pair both orientations
+    are emitted — sorting the right side and probing per left row is
     asymmetric work — and pruning keeps the cheaper one.
     """
     primary = conditions[0]
     residual = conjunction([c.expr for c in conditions[1:]])
     selectivity = ctx.condition_selectivity(primary)
-    candidates: list[PlanCandidate] = []
-    for outer, inner in ((left, right), (right, left)):
-        left_column, op, right_column = primary.oriented(outer.tables)
+    terms = []
+    for outer, inner in ((lefts, rights), (rights, lefts)):
         pairs = outer.rows * inner.rows * selectivity
-        cost = (
-            outer.cost
-            + inner.cost
-            + ctx.model.nonequi_join(
+        terms.append(
+            ctx.model.nonequi_join(
                 outer.rows, inner.rows, pairs, out_rows, residual is not None
             )
         )
-        operator = NonEquiJoin(
-            outer.operator, inner.operator, left_column, op, right_column, residual
-        )
-        candidates.append(
-            PlanCandidate(
-                operator,
-                outer.tables | inner.tables,
-                out_rows,
-                cost,
-                outer.order,
-                both_active(outer.active, inner.active),
-            ).annotated()
-        )
-    return candidates
+    n_left, n_right = len(lefts), len(rights)
+    orders: list = []
+    costs: list = []
+    scalar = not isinstance(lefts.cost, np.ndarray)
+    for i in range(n_left):
+        for j in range(n_right):
+            orders += (lefts.orders[i], rights.orders[j])
+            if scalar:
+                base = lefts.cost[i] + rights.cost[j]
+                costs += (base + terms[0], base + terms[1])
+    active = None
+    if not scalar:
+        lanes = lefts.cost.shape[1]
+        base = lefts.cost[:, None, :] + rights.cost[None, :, :]
+        padded = np.empty((n_left, n_right, 2, lanes))
+        for flipped, term in enumerate(terms):
+            np.add(base, term, out=padded[:, :, flipped])
+        costs = padded.reshape(-1, lanes)
+        if lefts.active is not None or rights.active is not None:
+            both = _both(lefts.active, rights.active, n_left, n_right, lanes)
+            active = np.repeat(both.reshape(-1, lanes), 2, axis=0)
+    make = partial(_make_nonequi, lefts, rights, primary, residual)
+    return PricedPlans(
+        lefts.tables | rights.tables, out_rows, costs, orders, active, make
+    )
 
 
-def _hash_sides(model, left_rows, right_rows, left_key, right_key, out_rows):
-    """``(left builds?, build key, probe key, model term, active lanes)``
-    per hash-join orientation of a partition.
+def _make_nonequi(lefts, rights, primary, residual, k, lane):
+    """Candidate ``k`` of a :func:`nonequi_candidates` partition, built."""
+    pair, flipped = divmod(k, 2)
+    i, j = divmod(pair, len(rights))
+    outer, inner = lefts.tree(i, lane), rights.tree(j, lane)
+    outer_tables = lefts.tables
+    if flipped:
+        outer, inner, outer_tables = inner, outer, rights.tables
+    left_column, op, right_column = primary.oriented(outer_tables)
+    return NonEquiJoin(outer, inner, left_column, op, right_column, residual)
+
+
+def _hash_sides(model, left_rows, right_rows, out_rows):
+    """``(left builds?, model term, active lanes)`` per hash-join
+    orientation of a partition.
 
     Build on the smaller estimated input. On the threshold-vectorized
     path the smaller side can differ per threshold, so both
@@ -153,10 +354,8 @@ def _hash_sides(model, left_rows, right_rows, left_key, right_key, out_rows):
     """
     def side(left_builds: bool, active):
         if left_builds:
-            term = model.hash_join(left_rows, right_rows, out_rows)
-            return True, left_key, right_key, term, active
-        term = model.hash_join(right_rows, left_rows, out_rows)
-        return False, right_key, left_key, term, active
+            return True, model.hash_join(left_rows, right_rows, out_rows), active
+        return False, model.hash_join(right_rows, left_rows, out_rows), active
 
     left_smaller = np.asarray(left_rows <= right_rows)
     if left_smaller.all():
@@ -166,19 +365,20 @@ def _hash_sides(model, left_rows, right_rows, left_key, right_key, out_rows):
     return [side(True, left_smaller), side(False, ~left_smaller)]
 
 
-def _sorted_inputs(model, sides: list[PlanCandidate], key: str) -> list[tuple]:
-    """Each candidate's operator ordered on ``key`` and what that costs:
-    itself at 0.0 when already ordered, else wrapped in a Sort."""
-    sort_cost = None
-    inputs = []
-    for side in sides:
-        if side.order == key:
-            inputs.append((side.operator, 0.0))
-        else:
-            if sort_cost is None:
-                sort_cost = model.sort(side.rows)
-            inputs.append((Sort(side.operator, key), sort_cost))
-    return inputs
+def _sort_costs(ctx: "PlanningContext", side: PricedPlans, key: str):
+    """What ordering each of ``side``'s plans on ``key`` costs: an exact
+    ``0.0`` when already ordered, else one Sort of the side's rows. A
+    list without a grid; under one ``None`` when every plan is ordered,
+    the sort cost itself when none is, else an ``(n, width)`` matrix."""
+    ordered = [order == key for order in side.orders]
+    if all(ordered):
+        return None if isinstance(side.cost, np.ndarray) else [0.0] * len(ordered)
+    sort_cost = ctx.sort_cost(side.tables, side.rows)
+    if not isinstance(side.cost, np.ndarray):
+        return [0.0 if done else sort_cost for done in ordered]
+    if not any(ordered):
+        return sort_cost
+    return np.where(np.asarray(ordered)[:, None], 0.0, sort_cost)
 
 
 def _indexed_nl(
@@ -190,8 +390,9 @@ def _indexed_nl(
     inner_key: str,
     out_rows,
 ):
-    """Maker of the indexed NL join of one outer candidate, probing the
-    base table ``inner_set`` holds; ``None`` when that cannot be done."""
+    """``(term, IndexedNLJoin arguments after the outer)`` of the indexed
+    NL joins whose outer side is ``outer_set``, probing the base table
+    ``inner_set`` holds, or ``None`` when that cannot be done."""
     if len(inner_set) != 1:
         return None
     (inner_table,) = inner_set
@@ -201,8 +402,7 @@ def _indexed_nl(
 
     # Rows fetched through the index: the join of the outer result with
     # the raw inner table — the inner predicate has not yet applied.
-    tables = outer_set | inner_set
-    matched = ctx.rows(tables, filtered=outer_set)
+    matched = ctx.rows(outer_set | inner_set, filtered=outer_set)
     residual = ctx.pred_for(inner_set)
     term = ctx.model.indexed_nl_join(
         outer_rows,
@@ -212,13 +412,4 @@ def _indexed_nl(
         ctx.database.table(inner_table).rows_per_page,
         residual is not None,
     )
-
-    def candidate(outer: PlanCandidate) -> PlanCandidate:
-        operator = IndexedNLJoin(
-            outer.operator, inner_table, outer_key, inner_column, residual
-        )
-        return PlanCandidate(
-            operator, tables, out_rows, outer.cost + term, outer.order, outer.active
-        ).annotated()
-
-    return candidate
+    return term, (inner_table, outer_key, inner_column, residual)

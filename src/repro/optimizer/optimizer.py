@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,15 +37,7 @@ from repro.expressions import (
 )
 from repro.obs.trace import plan_shape
 from repro.optimizer.access import access_paths
-from repro.optimizer.candidates import (
-    PlanCandidate,
-    eligible_costs,
-    iter_candidates,
-    keep_best,
-    keep_best_vector,
-    lane_costs,
-    lane_matrix,
-)
+from repro.optimizer.candidates import PlanCandidate, PricedPlans, prune
 from repro.optimizer.joins import join_candidates, nonequi_candidates
 from repro.optimizer.query import SPJQuery, fk_components
 from repro.optimizer.star import detect_star, star_candidates
@@ -55,18 +47,6 @@ from repro.selection.penalty import (
     risk_scores,
     select_index,
 )
-
-
-def _lanes(value, width: int) -> list[float] | None:
-    """Per-lane list of a threshold-axis annotation (``None`` if unset)."""
-    if value is None:
-        return None
-    if isinstance(value, np.ndarray):
-        flat = value.reshape(-1)
-        if flat.size == 1:
-            return [float(flat[0])] * width
-        return flat.tolist()
-    return [float(value)] * width
 
 
 class PlanningContext:
@@ -146,6 +126,7 @@ class PlanningContext:
             self.cross_predicate = conjunction(leftover)
         self._condition_sels: dict[str, float] = {}
         self._magic = MagicNumbers()
+        self._sort_costs: dict[frozenset, object] = {}
 
     def pred_for(self, tables: frozenset) -> Expr | None:
         """Conjunction of the per-table predicates of ``tables``."""
@@ -179,6 +160,14 @@ class PlanningContext:
         if self.grid is None:
             return dict(self._cache)
         return {key: value.at(lane) for key, value in self._cache.items()}
+
+    def sort_cost(self, tables: frozenset, rows):
+        """What sorting the ``rows`` of ``tables`` costs, priced once
+        however many partitions have ``tables`` as a half."""
+        cost = self._sort_costs.get(tables)
+        if cost is None:
+            cost = self._sort_costs[tables] = self.model.sort(rows)
+        return cost
 
     def condition_selectivity(self, condition) -> float:
         """Memoized point selectivity of one join condition.
@@ -288,7 +277,7 @@ class PlannedQuery:
     estimated_rows: float
     #: Every full-coverage candidate considered, cheapest first (from
     #: ``optimize_many``: those the scalar pass would have built at this
-    #: lane cheapest first, then the rest).
+    #: lane cheapest first, then the rest); a tree is built when read.
     alternatives: list[PlanCandidate]
     #: Number of estimator invocations during planning.
     estimation_calls: int
@@ -332,21 +321,23 @@ class _Selection:
     provenance: dict | None = None
 
 
-# A selector reads the finalists and their ``(len(finalists), len(grid))``
-# cost matrix (``None`` without a grid: the scalar pass stays on Python
-# floats, which is what keeps it ahead of a width-1 vector pass) and
-# yields one _Selection per plan to finalize.
-def _select_cheapest(finalists, costs, grid):
+# A selector reads the finalists (their cost a list of floats without a
+# grid: the scalar pass stays on Python floats, which is what keeps it
+# ahead of a width-1 vector pass; an ``(n, len(grid))`` matrix with one)
+# and yields one _Selection per plan to finalize.
+def _select_cheapest(finalists: PricedPlans, grid):
     """No grid: the cheapest finalist at the query's own threshold."""
-    ranking = sorted(range(len(finalists)), key=lambda i: finalists[i].cost)
+    ranking = sorted(range(len(finalists)), key=finalists.cost.__getitem__)
     yield _Selection("scalar", None, ranking[0], ranking)
 
 
-def _select_per_lane(finalists, costs, grid):
+def _select_per_lane(finalists: PricedPlans, grid):
     """Threshold grid: each lane's argmin, one plan per lane — among
     the finalists the scalar pass would have built at that lane, so lane
     ``i`` is what ``optimize(hint=grid[i])`` returns; the rest rank last."""
-    eligible = eligible_costs(finalists, len(grid))
+    eligible = finalists.cost
+    if finalists.active is not None:
+        eligible = np.where(finalists.active, eligible, np.inf)
     winners = np.argmin(eligible, axis=0)
     for lane in range(len(grid)):
         # Stable argsort == Python's stable sorted(key=cost), so the
@@ -361,17 +352,19 @@ def _select_per_lane(finalists, costs, grid):
         )
 
 
-def _select_by_risk(finalists, costs, grid, *, risk: str, alpha: float):
+def _select_by_risk(finalists: PricedPlans, grid, *, risk: str, alpha: float):
     """Posterior samples: the plan minimizing a risk functional of its
     regret against the per-sample optimum, ties broken by signature.
 
     Column 0 is the reference lane: it never votes, but the plan is
-    finalized and annotated there; penalties live on the samples.
+    finalized and annotated there; penalties live on the samples. Every
+    finalist's tree is built once, at that lane, for its signature.
     """
+    costs = finalists.cost
     penalties = penalty_matrix(costs[:, 1:])
     scores = risk_scores(penalties, risk=risk, alpha=alpha)
-    signatures = [c.operator.signature() for c in finalists]
-    winner = select_index(scores, signatures)
+    trees = [finalists.tree(row, 0) for row in range(len(finalists))]
+    winner = select_index(scores, [tree.signature() for tree in trees])
     ranking = np.argsort(scores, kind="stable").tolist()
     summaries = penalty_summary(penalties)
     provenance = {
@@ -385,7 +378,7 @@ def _select_by_risk(finalists, costs, grid, *, risk: str, alpha: float):
         "winner_score": float(scores[winner]),
         "plans": [
             {
-                "plan_shape": plan_shape(finalists[i].operator),
+                "plan_shape": plan_shape(trees[i]),
                 "score": float(scores[i]),
                 "penalty": summaries[i],
                 "reference_cost": float(costs[i, 0]),
@@ -445,8 +438,9 @@ class Optimizer:
         threshold grid; a final per-threshold argmin picks each grid
         point's winner, which is then finalized by the unchanged scalar
         code against a single-threshold slice of the vector estimates.
-        The per-threshold plans and estimates match what ``optimize``
-        produces with ``hint=t``, one threshold at a time.
+        The per-threshold plans (each lane's tree built for that lane,
+        every node annotated with its numbers) and estimates match what
+        ``optimize`` produces with ``hint=t``, one threshold at a time.
         """
         grid = tuple(thresholds)
         if not grid:
@@ -490,7 +484,7 @@ class Optimizer:
         optimum (what ``optimize(hint=u)`` returns) survives pruning
         and every finalist's cost is its own
         at every sample — where the scalar pass would have built a
-        plan is ``PlanCandidate.active``, which no risk functional
+        plan is ``PricedPlans.active``, which no risk functional
         reads — so penalties are exact; a "hedge" plan that is optimal
         at *no* sample could in principle be pruned before scoring —
         the standard price of reusing the threshold-vectorized lattice.
@@ -510,12 +504,12 @@ class Optimizer:
     ) -> list[PlannedQuery]:
         """The one lattice-to-plan pass behind the three entry points.
 
-        Enumerate the lattice (on floats when ``grid`` is ``None``, on
-        vectors over ``grid`` otherwise), hand the finalists and their
-        per-lane cost matrix to ``select``, and finish every selection
-        the same way: stamp the chosen lane's annotations onto the
-        operators, finalize against that lane's scalar estimates, rank
-        the alternatives, assemble the span.
+        Price and prune the lattice (on floats when ``grid`` is
+        ``None``, on cost matrices over ``grid`` otherwise), hand the
+        finalists to ``select``, and finish every selection the same
+        way: build the winner's tree at the chosen lane, finalize it
+        against that lane's scalar estimates, rank the alternatives
+        (their trees are built when read), assemble the span.
         """
         query.validate(self.database)
         ctx = PlanningContext(
@@ -526,37 +520,18 @@ class Optimizer:
         started = time.perf_counter() if tracing else 0.0
 
         finalists = self._finalists(ctx, query, dp_stats)
-        costs = rows_matrix = None
-        if grid is not None:
-            width = len(grid)
-            costs = lane_costs(finalists, width)
-            rows_matrix = lane_matrix((c.rows for c in finalists), width)
-            stamped = self._snapshot_lane_notes(finalists, width)
-
-        def at_lane(row: int, lane: int | None) -> PlanCandidate:
-            """Finalist ``row`` with its scalar rows and cost at ``lane``."""
-            candidate = finalists[row]
-            if grid is None:
-                return candidate
-            return PlanCandidate(
-                candidate.operator,
-                candidate.tables,
-                float(rows_matrix[row, lane]),
-                float(costs[row, lane]),
-                candidate.order,
-            )
-
         planned: list[PlannedQuery] = []
-        for choice in select(finalists, costs, grid):
+        for choice in select(finalists, grid):
             lane = choice.lane
             view, query_at = ctx, query
             if grid is not None:
-                self._stamp_lane(stamped, lane)
                 view = _ThresholdSlice(ctx, lane)
                 query_at = replace(query, hint=grid[lane])
-            best = at_lane(choice.winner, lane)
+            best = PlanCandidate(finalists, choice.winner, lane)
             plan, cost, rows = self.finalize_candidate(view, query_at, best)
-            alternatives = [at_lane(row, lane) for row in choice.ranking]
+            alternatives = [
+                PlanCandidate(finalists, row, lane) for row in choice.ranking
+            ]
             span = None
             if tracing:
                 winner = {
@@ -568,7 +543,7 @@ class Optimizer:
                 }
                 if grid is not None:
                     winner["cost_vector"] = [
-                        float(c) for c in costs[choice.winner]
+                        float(c) for c in finalists.cost[choice.winner]
                     ]
                 span = self._optimizer_span(
                     strategy=choice.strategy,
@@ -612,20 +587,14 @@ class Optimizer:
 
     def _finalists(
         self, ctx: PlanningContext, query: SPJQuery, dp_stats: list[dict] | None
-    ) -> list[PlanCandidate]:
-        """Full-coverage candidates from one DP pass over the lattice.
+    ) -> PricedPlans:
+        """Full-coverage plans from one pass over the lattice.
 
-        Bellman enumeration (pruned per lane under a grid) and star-plan
-        augmentation. Raises if nothing covers the query.
+        The full set's survivors of Bellman enumeration (pruned per lane
+        under a grid), then the star plans.
         """
         full_set = frozenset(query.tables)
-        prune = keep_best
-        if ctx.grid is not None:
-            prune = partial(keep_best_vector, width=len(ctx.grid))
-        best_per_subset = self._enumerate_joins(
-            ctx, query, prune=prune, dp_stats=dp_stats
-        )
-        finalists = list(iter_candidates(best_per_subset[full_set]))
+        finalists = self._enumerate_joins(ctx, query, dp_stats)[full_set]
 
         if not ctx.dp_conditions:
             # (star detection assumes one FK component rooted at a fact
@@ -633,49 +602,10 @@ class Optimizer:
             specs = detect_star(ctx, query)
             if specs is not None:
                 out_rows = ctx.card(full_set, ctx.pred_for(full_set)).cardinality
-                finalists.extend(star_candidates(ctx, query, specs, out_rows))
-
-        if not finalists:
-            raise OptimizationError(f"no plan found for {query}")
+                finalists = PricedPlans.concat(
+                    [finalists, star_candidates(ctx, query, specs, out_rows)]
+                )
         return finalists
-
-    @staticmethod
-    def _snapshot_lane_notes(
-        finalists: list[PlanCandidate], width: int
-    ) -> list[tuple]:
-        """Per-lane snapshots of the vector pass's operator annotations.
-
-        The vector pass annotated operators with threshold-axis
-        arrays. Snapshot them as per-lane lists so each lane's
-        finalization can stamp its own scalar lane back onto the
-        (shared) subtrees; after stamping, shared nodes carry the last
-        stamped lane's annotations — cosmetic only, since
-        ``signature()`` ignores annotations and execution never reads
-        them.
-        """
-        vector_notes: dict[int, tuple] = {}
-        for candidate in finalists:
-            for node in candidate.operator.walk():
-                if id(node) not in vector_notes:
-                    vector_notes[id(node)] = (
-                        node,
-                        _lanes(node.est_rows, width),
-                        _lanes(node.est_cost, width),
-                    )
-        return [
-            entry
-            for entry in vector_notes.values()
-            if entry[1] is not None or entry[2] is not None
-        ]
-
-    @staticmethod
-    def _stamp_lane(stamped: list[tuple], index: int) -> None:
-        """Stamp lane ``index`` of every snapshot back onto its node."""
-        for node, est_rows, est_cost in stamped:
-            if est_rows is not None:
-                node.est_rows = est_rows[index]
-            if est_cost is not None:
-                node.est_cost = est_cost[index]
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -685,7 +615,7 @@ class Optimizer:
         threshold,
         estimation_calls: int,
         dp_stats: list[dict],
-        finalists: list[PlanCandidate],
+        finalists: PricedPlans,
         winner: dict,
         alternatives: list[dict],
         optimize_seconds: float,
@@ -724,13 +654,14 @@ class Optimizer:
         self,
         ctx: PlanningContext,
         query: SPJQuery,
-        prune: Callable[[list[PlanCandidate]], dict] = keep_best,
         dp_stats: list[dict] | None = None,
-    ) -> dict[frozenset, dict]:
-        """Bottom-up DP; when ``dp_stats`` is a list, one entry per DP
-        level is appended recording subsets evaluated, candidates
-        generated vs. kept after pruning, and the level's wall time
-        (tracing only — the enumeration itself is unchanged)."""
+    ) -> dict[frozenset, PricedPlans]:
+        """Bottom-up DP: every connected subset's candidates priced, then
+        pruned to its survivors (``{subset: survivors}``, in lattice
+        order); no operator is built. When ``dp_stats`` is a list, one
+        entry per DP level is appended recording subsets evaluated,
+        candidates priced vs. kept after pruning, and the level's wall
+        time (tracing only — the enumeration itself is unchanged)."""
         tables = list(query.tables)
         edges = query.join_edges(self.database)
         conditions = ctx.dp_conditions
@@ -742,10 +673,7 @@ class Optimizer:
             adjacency[condition.left_table].add(condition.right_table)
             adjacency[condition.right_table].add(condition.left_table)
 
-        plans: dict[frozenset, dict] = {}
-        # Each subset's pruned mapping, flattened once: what the levels
-        # above join (a winner sits under two slots of its mapping).
-        survivors: dict[frozenset, list[PlanCandidate]] = {}
+        survivors: dict[frozenset, PricedPlans] = {}
         for size in range(1, len(tables) + 1):
             level_started = time.perf_counter() if dp_stats is not None else 0.0
             generated = kept = subsets = 0
@@ -760,17 +688,18 @@ class Optimizer:
                         ctx.pred_for(subset),
                     )
                 elif self._connected(subset, adjacency):
-                    candidates = self._join_subset(
+                    blocks = self._join_subset(
                         ctx, subset, survivors, edges, conditions
                     )
+                    if not blocks:
+                        continue
+                    candidates = PricedPlans.concat(blocks)
                 else:
                     continue
-                if candidates:
-                    plans[subset] = prune(candidates)
-                    survivors[subset] = list(iter_candidates(plans[subset]))
-                    subsets += 1
-                    generated += len(candidates)
-                    kept += len(survivors[subset])
+                survivors[subset] = prune(candidates)
+                subsets += 1
+                generated += len(candidates)
+                kept += len(survivors[subset])
             if dp_stats is not None:
                 dp_stats.append(
                     {
@@ -783,24 +712,24 @@ class Optimizer:
                 )
 
         full_set = frozenset(tables)
-        if full_set not in plans:
+        if full_set not in survivors:
             raise OptimizationError(
                 f"could not connect tables {sorted(full_set)} by FK joins"
             )
-        return plans
+        return survivors
 
     def _join_subset(
         self,
         ctx: PlanningContext,
         subset: frozenset,
-        survivors: dict[frozenset, list[PlanCandidate]],
+        survivors: dict[frozenset, PricedPlans],
         edges: list,
         conditions: list,
-    ) -> list[PlanCandidate]:
-        """Every join producing ``subset`` from two planned halves, in
-        partition order."""
+    ) -> list[PricedPlans]:
+        """Every join producing ``subset`` from two planned halves, one
+        priced set per partition, in partition order."""
         out_rows = ctx.rows(subset)
-        candidates: list[PlanCandidate] = []
+        blocks: list[PricedPlans] = []
         for left_set, right_set in self._partitions(subset):
             lefts, rights = survivors.get(left_set), survivors.get(right_set)
             if lefts is None or rights is None:
@@ -820,43 +749,21 @@ class Optimizer:
                 continue  # nothing joins the halves
             if not crossing:
                 # Pure condition join across FK components.
-                for left in lefts:
-                    for right in rights:
-                        candidates.extend(
-                            nonequi_candidates(
-                                ctx, left, right, crossing_conditions, out_rows
-                            )
-                        )
-            elif crossing_conditions:
-                # The partition crosses one FK edge *and* some
-                # conditions: join along the FK edge, then filter the
-                # crossing conditions. The FK join's own output (before
-                # that filter) is the subset's rows with the conditions
-                # undone.
-                selectivity = 1.0
-                for c in crossing_conditions:
-                    selectivity *= ctx.condition_selectivity(c)
-                pre_rows = out_rows / selectivity
-                residual = conjunction([c.expr for c in crossing_conditions])
-                filter_cost = self.cost_model.filter(pre_rows, out_rows)
-                for cand in join_candidates(
-                    ctx, lefts, rights, crossing[0], pre_rows
-                ):
-                    candidates.append(
-                        PlanCandidate(
-                            Filter(cand.operator, residual),
-                            subset,
-                            out_rows,
-                            cand.cost + filter_cost,
-                            cand.order,
-                            cand.active,
-                        ).annotated()
+                blocks.append(
+                    nonequi_candidates(
+                        ctx, lefts, rights, crossing_conditions, out_rows
                     )
-            else:
-                candidates.extend(
-                    join_candidates(ctx, lefts, rights, crossing[0], out_rows)
                 )
-        return candidates
+            else:
+                # Along the one FK edge; conditions crossing the
+                # partition too filter each join's output.
+                blocks.append(
+                    join_candidates(
+                        ctx, lefts, rights, crossing[0], out_rows,
+                        crossing_conditions,
+                    )
+                )
+        return blocks
 
     def _partitions(self, subset: frozenset):
         """Unordered two-way partitions, with connected halves only."""

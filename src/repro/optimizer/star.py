@@ -9,12 +9,13 @@ sets, fetch, and hash-join any remaining ("hybrid") dimensions.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 from typing import TYPE_CHECKING
 
 from repro.engine.star import DimensionSpec, StarSemiJoin
 from repro.expressions import conjunction
-from repro.optimizer.candidates import PlanCandidate
+from repro.optimizer.candidates import PricedPlans
 from repro.optimizer.query import SPJQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,14 +58,15 @@ def star_candidates(
     query: SPJQuery,
     specs: list[DimensionSpec],
     out_rows: float,
-) -> list[PlanCandidate]:
-    """Costed StarSemiJoin plans for every semi/hash dimension split."""
+) -> PricedPlans:
+    """StarSemiJoin plans for every semi/hash dimension split, priced."""
     names = frozenset(query.tables)
     fact = ctx.database.root_relation(names)
     fact_predicate = ctx.pred_for(frozenset([fact]))
     model = ctx.model
 
-    candidates: list[PlanCandidate] = []
+    costs: list = []
+    makers: list = []
     indices = range(len(specs))
     for semi_width in range(1, len(specs) + 1):
         for semi_ids in combinations(indices, semi_width):
@@ -123,8 +125,6 @@ def star_candidates(
             )
             if fact_predicate is not None:
                 cost += fetched * model.cpu_tuple_cost
-            operator = StarSemiJoin(fact, semi, hybrid, fact_predicate)
-            candidates.append(
-                PlanCandidate(operator, names, out_rows, cost, None).annotated()
-            )
-    return candidates
+            costs.append(cost)
+            makers.append(partial(StarSemiJoin, fact, semi, hybrid, fact_predicate))
+    return PricedPlans.of(names, out_rows, costs, [None] * len(costs), makers)

@@ -16,6 +16,7 @@ from repro.catalog import Column, ColumnType, Database, ForeignKey, Schema, Tabl
 from repro.core import RobustCardinalityEstimator
 from repro.engine import ExecutionContext, PhysicalOperator
 from repro.optimizer import Optimizer
+from repro.optimizer.candidates import PlanCandidate
 from repro.sql import parse_query
 from repro.stats import StatisticsManager
 from repro.workloads import (
@@ -85,6 +86,13 @@ def make_two_table_db(
     database.create_index("lineitem", "l_receiptdate")
     database.create_index("lineitem", "l_partkey")
     return database
+
+
+def built_candidates(plans) -> list:
+    """Every plan of a priced set (``access_paths``, ``join_candidates``,
+    ``star_candidates``) as a ``PlanCandidate``, its tree built — with
+    the plan's own estimates annotated — when read."""
+    return [PlanCandidate(plans, k, None) for k in range(len(plans))]
 
 
 def execute_recorded(plan, database, scan_cache=None):

@@ -110,11 +110,15 @@ class TestOptimizerIntegration:
         """The union path is always *generated* for indexed IN-lists,
         even when the scan ultimately prunes it in the DP."""
         from repro.optimizer.access import access_paths
+        from tests.conftest import built_candidates
 
         exact = ExactCardinalityEstimator(db)
         predicate = col("lineitem.l_shipdate").isin([729100, 729200])
-        paths = access_paths(
-            db, CostModel(), lambda t, p: exact.estimate(t, p), "lineitem", predicate
+        paths = built_candidates(
+            access_paths(
+                db, CostModel(), lambda t, p: exact.estimate(t, p), "lineitem",
+                predicate,
+            )
         )
         kinds = {type(p.operator) for p in paths}
         assert IndexUnionSeek in kinds

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from functools import partial
+
 from repro.engine import SeqScan
-from repro.optimizer.candidates import PlanCandidate, keep_best
+from repro.optimizer.candidates import PricedPlans, keep_best
 from repro.random_state import ensure_rng, spawn_rngs
 
 
@@ -42,37 +44,31 @@ class TestSpawnRngs:
         assert len(children) == 2
 
 
-def candidate(cost, order=None):
-    return PlanCandidate(
-        operator=SeqScan("t"),
-        tables=frozenset(["t"]),
-        rows=1.0,
-        cost=cost,
-        order=order,
-    )
-
-
 class TestKeepBest:
+    """``keep_best(costs, orders)`` files a position per order slot."""
+
     def test_cheapest_kept_per_order(self):
-        best = keep_best(
-            [candidate(5.0, "t.a"), candidate(3.0, "t.a"), candidate(9.0, "t.b")]
-        )
-        assert best["t.a"].cost == 3.0
-        assert best["t.b"].cost == 9.0
+        best = keep_best([5.0, 3.0, 9.0], ["t.a", "t.a", "t.b"])
+        assert best["t.a"] == 1
+        assert best["t.b"] == 2
 
     def test_global_best_in_none_slot(self):
-        best = keep_best([candidate(5.0, "t.a"), candidate(2.0, "t.b")])
-        assert best[None].cost == 2.0
+        best = keep_best([5.0, 2.0], ["t.a", "t.b"])
+        assert best[None] == 1
 
     def test_unordered_candidates(self):
-        best = keep_best([candidate(5.0), candidate(1.0)])
-        assert best[None].cost == 1.0
+        best = keep_best([5.0, 1.0], [None, None])
+        assert best[None] == 1
         assert set(best) == {None}
 
     def test_empty(self):
-        assert keep_best([]) == {}
+        assert keep_best([], []) == {}
 
     def test_annotated_sets_estimates(self):
-        c = candidate(4.0).annotated()
-        assert c.operator.est_cost == 4.0
-        assert c.operator.est_rows == 1.0
+        """A priced plan's tree carries its estimates when it is built."""
+        plans = PricedPlans.of(
+            frozenset(["t"]), 1.0, [4.0], [None], [partial(SeqScan, "t")]
+        )
+        operator = plans.tree(0, None)
+        assert operator.est_cost == 4.0
+        assert operator.est_rows == 1.0

@@ -7,10 +7,16 @@ from repro.core import ExactCardinalityEstimator
 from repro.cost import CostModel
 from repro.engine import IndexIntersect, IndexSeek, SeqScan
 from repro.expressions import col
-from repro.optimizer.access import access_paths, range_to_expr
+from repro.optimizer import access
+from repro.optimizer.access import range_to_expr
 from repro.expressions.analysis import as_range_condition
 
-from tests.conftest import make_two_table_db
+from tests.conftest import built_candidates, make_two_table_db
+
+
+def access_paths(*args):
+    """Every path ``access.access_paths`` prices, built when read."""
+    return built_candidates(access.access_paths(*args))
 
 
 @pytest.fixture

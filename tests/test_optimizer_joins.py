@@ -6,11 +6,14 @@ from repro.core import ExactCardinalityEstimator
 from repro.cost import CostModel
 from repro.engine import HashJoin, IndexedNLJoin, MergeJoin, Sort
 from repro.expressions import col
+from repro.obs.execution import operator_tables
+from repro.optimizer import joins
 from repro.optimizer.access import access_paths
-from repro.optimizer.candidates import keep_best
-from repro.optimizer.joins import join_candidates
+from repro.optimizer.candidates import prune
 from repro.optimizer.optimizer import PlanningContext
 from repro.optimizer.query import SPJQuery
+
+from tests.conftest import built_candidates
 
 
 @pytest.fixture
@@ -24,12 +27,19 @@ def ctx(tpch_db):
 
 
 def best_paths(ctx, table):
+    """``{slot: the survivor filed there}``, each a one-plan priced set."""
     singleton = frozenset([table])
-    return keep_best(
+    survivors = prune(
         access_paths(
             ctx.database, ctx.model, ctx.card, table, ctx.pred_for(singleton)
         )
     )
+    return {slot: survivors.take([k]) for slot, k in survivors.slots.items()}
+
+
+def join_candidates(*args):
+    """Every join ``joins.join_candidates`` prices, built when read."""
+    return built_candidates(joins.join_candidates(*args))
 
 
 @pytest.fixture
@@ -46,7 +56,7 @@ class TestJoinCandidates:
             frozenset(["lineitem", "orders"]),
             ctx.pred_for(frozenset(["lineitem", "orders"])),
         ).cardinality
-        candidates = join_candidates(ctx, [left], [right], edge, out_rows)
+        candidates = join_candidates(ctx, left, right, edge, out_rows)
         kinds = {type(c.operator) for c in candidates}
         assert HashJoin in kinds
         assert MergeJoin in kinds  # direct or via explicit sorts
@@ -55,7 +65,7 @@ class TestJoinCandidates:
     def test_hash_builds_on_smaller(self, ctx, edge):
         left = best_paths(ctx, "lineitem")[None]
         right = best_paths(ctx, "orders")[None]
-        candidates = join_candidates(ctx, [left], [right], edge, 1000.0)
+        candidates = join_candidates(ctx, left, right, edge, 1000.0)
         hash_joins = [c for c in candidates if isinstance(c.operator, HashJoin)]
         for candidate in hash_joins:
             build_rows = candidate.operator.build.est_rows
@@ -66,7 +76,7 @@ class TestJoinCandidates:
         # clustered scans carry the join-key order on both sides
         left = best_paths(ctx, "lineitem")["lineitem.l_orderkey"]
         right = best_paths(ctx, "orders")["orders.o_orderkey"]
-        candidates = join_candidates(ctx, [left], [right], edge, 1000.0)
+        candidates = join_candidates(ctx, left, right, edge, 1000.0)
         merges = [c for c in candidates if isinstance(c.operator, MergeJoin)]
         assert merges
         for candidate in merges:
@@ -76,14 +86,14 @@ class TestJoinCandidates:
     def test_merge_order_propagates(self, ctx, edge):
         left = best_paths(ctx, "lineitem")["lineitem.l_orderkey"]
         right = best_paths(ctx, "orders")["orders.o_orderkey"]
-        candidates = join_candidates(ctx, [left], [right], edge, 1000.0)
+        candidates = join_candidates(ctx, left, right, edge, 1000.0)
         merge = next(c for c in candidates if isinstance(c.operator, MergeJoin))
         assert merge.order == "lineitem.l_orderkey"
 
     def test_inl_directions(self, ctx, edge):
         left = best_paths(ctx, "lineitem")[None]
         right = best_paths(ctx, "orders")[None]
-        candidates = join_candidates(ctx, [left], [right], edge, 1000.0)
+        candidates = join_candidates(ctx, left, right, edge, 1000.0)
         inl = [c for c in candidates if isinstance(c.operator, IndexedNLJoin)]
         inner_tables = {c.operator.inner_table for c in inl}
         # orders has a PK index; lineitem has an FK index on l_orderkey:
@@ -93,7 +103,7 @@ class TestJoinCandidates:
     def test_inl_preserves_outer_order(self, ctx, edge):
         left = best_paths(ctx, "lineitem")["lineitem.l_orderkey"]
         right = best_paths(ctx, "orders")[None]
-        candidates = join_candidates(ctx, [left], [right], edge, 1000.0)
+        candidates = join_candidates(ctx, left, right, edge, 1000.0)
         inl = [
             c
             for c in candidates
@@ -106,11 +116,13 @@ class TestJoinCandidates:
     def test_all_candidates_cover_both_tables(self, ctx, edge):
         left = best_paths(ctx, "lineitem")[None]
         right = best_paths(ctx, "orders")[None]
-        for candidate in join_candidates(ctx, [left], [right], edge, 1000.0):
-            assert candidate.tables == frozenset(["lineitem", "orders"])
+        priced = joins.join_candidates(ctx, left, right, edge, 1000.0)
+        assert priced.tables == frozenset(["lineitem", "orders"])
+        for candidate in built_candidates(priced):
+            assert operator_tables(candidate.operator) == priced.tables
 
     def test_costs_include_children(self, ctx, edge):
         left = best_paths(ctx, "lineitem")[None]
         right = best_paths(ctx, "orders")[None]
-        for candidate in join_candidates(ctx, [left], [right], edge, 1000.0):
-            assert candidate.cost >= max(left.cost, right.cost)
+        for candidate in join_candidates(ctx, left, right, edge, 1000.0):
+            assert candidate.cost >= max(left.cost[0], right.cost[0])

@@ -1,21 +1,25 @@
 """The join lattice against its own parent, and what it may not redo.
 
-``tests/reference_lattice.py`` keeps the lattice as it was: one
-``join_candidates`` call per (left, right) pair, and a slot walk that
-meets a winner under its order slot and again under ``None``. The
-optimizer's lattice walks each survivor once and prices a partition
-once; this module asserts that nothing else changed — every subset's
-pruned mapping equal slot for slot (plan, cost bits, order), every
-``PlannedQuery`` equal lane for lane, the estimator asked the same
-questions in the same order — on the TPC-H / star / snowflake batteries
-and one statement of each ``plan_cold`` family, scalar and under a
-5-lane and a 33-lane grid.
+``tests/reference_lattice.py`` keeps the lattice as it was: every
+(left, right) pair joined on its own into a candidate that carries its
+operator tree, and a slot walk that meets a winner under its order slot
+and again under ``None``. The optimizer's lattice prices a partition at
+once, prunes, walks each survivor once, and builds a tree only for a
+plan it finalizes; this module asserts that nothing else changed —
+every subset's pruned mapping equal slot for slot (trees and their
+annotations at every lane, cost and rows bits, order, active lanes),
+every ``PlannedQuery`` equal lane for lane, the estimator asked the
+same questions in the same order — on the TPC-H / star / snowflake
+batteries and one statement of each ``plan_cold`` family, scalar and
+under a 5-lane and a 33-lane grid.
 
 The saving itself is pinned by counts, not by a clock: no candidate is
 walked twice, a base⋈base partition hands ``prune`` four candidates
 (sixteen before), ``dp_levels[*].generated`` is fixed for one
-statement, and ``Database.root_relation`` walks the FK closure once per
-distinct table set.
+statement, operators are constructed only for the trees a plan
+finalizes (and those penalty selection reads), no prune stacks
+per-candidate rows, and ``Database.root_relation`` walks the FK
+closure once per distinct table set.
 """
 
 import numpy as np
@@ -25,7 +29,9 @@ from repro.core import RobustCardinalityEstimator
 from repro.cost import CostModel
 from repro.obs import Tracer
 from repro.optimizer import Optimizer, SPJQuery
-from repro.optimizer.candidates import iter_candidates, keep_best
+from repro.engine import PhysicalOperator
+from repro.optimizer import optimizer as optimizer_module
+from repro.optimizer.candidates import prune
 from repro.optimizer.optimizer import PlanningContext
 from repro.selection import resolve_policy, sample_quantiles
 from repro.workloads import (
@@ -162,36 +168,36 @@ class TestAgainstPairwiseLattice:
 )
 def test_no_candidate_is_walked_twice(worlds, cases, case, mode):
     world, query = cases[case]
-    mappings, _ = enumerate_with(Optimizer, *worlds[world], query, GRIDS[mode])
+    survivors, _ = enumerate_with(Optimizer, *worlds[world], query, GRIDS[mode])
     aliased = 0
-    for mapping in mappings.values():
-        walked = list(iter_candidates(mapping))
-        assert len({id(c) for c in walked}) == len(walked)
-        every = list(walk_slots(mapping))
-        assert walked == list({id(c): c for c in every}.values())  # first seen
-        aliased += len(every) - len(walked)
+    for plans in survivors.values():
+        every = list(walk_slots(plans.slots))
+        # each survivor is kept once, in the order the slots first meet it
+        assert list(dict.fromkeys(every)) == list(range(len(plans)))
+        aliased += len(every) - len(plans)
     assert aliased  # the mappings do file winners under two slots
 
 
 def _spied_prune(sizes: dict):
-    def prune(candidates):
-        sizes[candidates[0].tables] = len(candidates)
-        return keep_best(candidates)
+    def spied(plans):
+        sizes[plans.tables] = len(plans)
+        return prune(plans)
 
-    return prune
+    return spied
 
 
-def test_base_join_partition_hands_prune_four_candidates(tpch_db, tpch_stats):
+def test_base_join_partition_hands_prune_four_candidates(
+    tpch_db, tpch_stats, monkeypatch
+):
     """Hash, merge, and an indexed NL join each way — not that per
     alias pair (4 x 4 = 16 at the parent)."""
     query = SPJQuery(["lineitem", "orders"])
     pair = frozenset(query.tables)
     estimator = RobustCardinalityEstimator(tpch_stats)
     sizes: dict = {}
+    monkeypatch.setattr(optimizer_module, "prune", _spied_prune(sizes))
     ctx = PlanningContext(tpch_db, CostModel(), estimator, query)
-    Optimizer(tpch_db, estimator)._enumerate_joins(
-        ctx, query, prune=_spied_prune(sizes)
-    )
+    Optimizer(tpch_db, estimator)._enumerate_joins(ctx, query)
     assert sizes[pair] == 4
 
     reference = PairwiseOptimizer(tpch_db, estimator)
@@ -213,6 +219,86 @@ def test_generated_counts_are_pinned(tpch_db, tpch_stats):
     assert [level["subsets"] for level in levels] == [3, 2, 1]
     assert span["candidates_considered"] == 25
     assert span["finalists"] == 4
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """``{id: operator}`` of every ``PhysicalOperator`` constructed while
+    the fixture is live (the operators are kept, so no id is reused)."""
+    built: dict = {}
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    for cls in {PhysicalOperator, *subclasses(PhysicalOperator)}:
+        if "__init__" in vars(cls):
+            def init(self, *args, _init=vars(cls)["__init__"], **kwargs):
+                built[id(self)] = self
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", init)
+    return built
+
+
+def _nodes(*trees) -> set[int]:
+    return {id(node) for tree in trees for node in tree.walk()}
+
+
+def test_operators_are_built_only_for_finalized_trees(
+    worlds, cases, constructed
+):
+    """Pricing and pruning build no operator: a scalar plan constructs
+    exactly its finished tree's nodes, and a 33-lane penalty plan those
+    plus the finalists' trees ``_select_by_risk`` reads for signatures
+    (each once, the winner's reused) — not one per candidate priced."""
+    world, query = cases["family-star4"]
+    database, statistics = worlds[world]
+    optimizer = Optimizer(database, RobustCardinalityEstimator(statistics))
+
+    scalar = optimizer.optimize(query)
+    assert set(constructed) == _nodes(scalar.plan)
+
+    constructed.clear()
+    penalty = optimizer.optimize_penalty(query, SAMPLES, risk="cvar", alpha=0.9)
+    built = set(constructed)
+    finalists = [c.operator for c in penalty.alternatives]  # built: no new ones
+    assert set(constructed) == built == _nodes(penalty.plan, *finalists)
+    assert len(penalty.alternatives) > 1
+    generated = sum(level["generated"] for level in Optimizer(
+        database, RobustCardinalityEstimator(statistics), tracer=Tracer()
+    ).optimize(query).trace["dp_levels"])
+    assert len(constructed) < generated
+
+
+def test_a_prune_stacks_no_per_candidate_rows(worlds, cases, monkeypatch):
+    """Under a grid each subset's candidates arrive at the pruner as the
+    cost matrices their partitions were priced into (one row per
+    candidate priced); nothing re-stacks per-candidate rows."""
+    stacked: list = []
+    for name in ("stack", "vstack"):
+        original = getattr(np, name)
+        monkeypatch.setattr(
+            np, name, lambda *a, _f=original, **k: stacked.append(1) or _f(*a, **k)
+        )
+    handed: list = []
+
+    def spied(plans):
+        handed.append((len(plans), plans.cost))
+        return prune(plans)
+
+    monkeypatch.setattr(optimizer_module, "prune", spied)
+    world, query = cases["family-star4"]
+    database, statistics = worlds[world]
+    Optimizer(database, RobustCardinalityEstimator(statistics)).optimize_penalty(
+        query, SAMPLES, risk="cvar", alpha=0.9
+    )
+    assert stacked == []
+    assert handed and all(
+        isinstance(cost, np.ndarray) and cost.shape == (n, len(SAMPLES) + 1)
+        for n, cost in handed
+    )
 
 
 def test_root_relation_walks_the_closure_once_per_table_set(monkeypatch):

@@ -8,7 +8,15 @@ from repro.cost import CostModel
 from repro.expressions import col
 from repro.optimizer import Optimizer, SPJQuery
 from repro.optimizer.optimizer import PlanningContext
-from repro.optimizer.star import detect_star, star_candidates
+from repro.optimizer import star
+from repro.optimizer.star import detect_star
+
+from tests.conftest import built_candidates
+
+
+def star_candidates(*args):
+    """Every plan ``star.star_candidates`` prices, built when read."""
+    return built_candidates(star.star_candidates(*args))
 
 
 def star_query(shift=0):

@@ -18,7 +18,7 @@ from repro.cost import CostModel
 from repro.errors import OptimizationError
 from repro.experiments import ExperimentRunner, default_configs
 from repro.optimizer import Optimizer, keep_best, keep_best_vector
-from repro.optimizer.candidates import PlanCandidate
+from repro.optimizer.candidates import PricedPlans
 from repro.workloads import PartCorrelationTemplate, ShippingDatesTemplate
 
 from tests.reference_runner import reference_run
@@ -43,50 +43,41 @@ def assert_equivalent(vector_planned, scalar_planned):
 class TestKeepBestVector:
     """Unit-level: vector pruning is the union of per-lane scalar pruning."""
 
-    @staticmethod
-    def _pool():
-        def cand(cost, order=None):
-            return PlanCandidate(None, frozenset({"t"}), 1.0, cost, order)
-
-        return [
-            cand(np.array([3.0, 1.0, 2.0])),
-            cand(np.array([1.0, 2.0, 2.0])),  # ties lane 2: first wins
-            cand(np.array([2.0, 3.0, 4.0]), order="t.a"),
-            cand(np.array([4.0, 4.0, 1.5]), order="t.a"),
+    COSTS = np.array(
+        [
+            [3.0, 1.0, 2.0],
+            [1.0, 2.0, 2.0],  # ties lane 2: first wins
+            [2.0, 3.0, 4.0],
+            [4.0, 4.0, 1.5],
         ]
+    )
+    ORDERS = [None, None, "t.a", "t.a"]
 
     def test_matches_scalar_keep_best_per_lane(self):
-        pool = self._pool()
-        vector_best = keep_best_vector(pool, 3)
+        vector_best = keep_best_vector(self.COSTS, self.ORDERS)
         for lane in range(3):
-            lane_pool = [
-                PlanCandidate(c.operator, c.tables, c.rows, float(c.cost[lane]), c.order)
-                for c in pool
-            ]
-            scalar_best = keep_best(lane_pool)
+            scalar_best = keep_best(self.COSTS[:, lane].tolist(), self.ORDERS)
             for slot, winner in scalar_best.items():
-                kept_costs = [float(c.cost[lane]) for c in vector_best[slot]]
-                assert winner.cost in kept_costs
+                assert winner in vector_best[slot]
 
     def test_tie_takes_first_candidate(self):
         # lane 0 ties at 2.0: scalar keep_best's strict < keeps the
         # first candidate, and argmin's first-index rule must agree.
-        a = PlanCandidate(None, frozenset({"t"}), 1.0, np.array([2.0, 2.0]))
-        b = PlanCandidate(None, frozenset({"t"}), 1.0, np.array([2.0, 3.0]))
-        best = keep_best_vector([a, b], 2)
-        assert best[None] == [a]
+        best = keep_best_vector(np.array([[2.0, 2.0], [2.0, 3.0]]), [None, None])
+        assert best[None] == [0]
 
     def test_scalar_costs_broadcast(self):
-        pool = [
-            PlanCandidate(None, frozenset({"t"}), 1.0, 5.0),
-            PlanCandidate(None, frozenset({"t"}), 1.0, np.array([6.0, 4.0])),
-        ]
-        best = keep_best_vector(pool, 2)
-        kept_ids = {id(c) for c in best[None]}
-        assert kept_ids == {id(c) for c in pool}  # each wins one lane
+        # a threshold-independent (float) cost fills its row at every lane
+        plans = PricedPlans.of(
+            frozenset({"t"}), np.ones(2), [5.0, np.array([6.0, 4.0])],
+            [None, None], [None, None],
+        )
+        assert plans.cost.tolist() == [[5.0, 5.0], [6.0, 4.0]]
+        best = keep_best_vector(plans.cost, plans.orders)
+        assert best[None] == [0, 1]  # each wins one lane
 
     def test_empty_pool(self):
-        assert keep_best_vector([], 4) == {}
+        assert keep_best_vector(np.empty((0, 4)), []) == {}
 
 
 class TestOptimizeManyEquivalence:
@@ -186,36 +177,28 @@ class TestHashBuildSideEligibility:
     GRID = tuple((np.arange(33) + 0.5) / 33)
     INVERTED = CostModel(hash_build_cost=2e-6, hash_probe_cost=8e-6)
 
-    @staticmethod
-    def _cand(cost, active=None, order=None):
-        return PlanCandidate(
-            None, frozenset({"t"}), 1.0, np.array(cost), order,
-            None if active is None else np.array(active),
-        )
-
     def test_pruning_reads_the_mask_and_leaves_the_cost(self):
-        cheap_but_elsewhere = self._cand([1.0, 1.0], active=[True, False])
-        dear = self._cand([2.0, 2.0])
-        best = keep_best_vector([cheap_but_elsewhere, dear], 2)
-        assert best[None] == [cheap_but_elsewhere, dear]  # one lane each
-        assert cheap_but_elsewhere.cost.tolist() == [1.0, 1.0]
-        (only,) = keep_best_vector(
-            [self._cand([1.0, 1.0], active=[False, False]), dear], 2
-        )[None]
-        assert only is dear
+        # row 0 is cheaper everywhere but active only at lane 0
+        costs = np.array([[1.0, 1.0], [2.0, 2.0]])
+        active = np.array([[True, False], [True, True]])
+        best = keep_best_vector(costs, [None, None], active)
+        assert best[None] == [0, 1]  # one lane each
+        assert costs.tolist() == [[1.0, 1.0], [2.0, 2.0]]
+        active[0] = False
+        assert keep_best_vector(costs, [None, None], active)[None] == [1]
 
     def test_per_lane_selection_reads_the_mask(self):
-        from repro.optimizer.candidates import lane_costs
         from repro.optimizer.optimizer import _select_per_lane
 
-        finalists = [
-            self._cand([1.0, 1.0], active=[False, True]),
-            self._cand([3.0, 3.0]),
-            self._cand([2.0, 2.0]),
-        ]
-        lanes = list(
-            _select_per_lane(finalists, lane_costs(finalists, 2), (0.2, 0.8))
+        finalists = PricedPlans(
+            frozenset({"t"}),
+            np.ones(2),
+            np.array([[1.0, 1.0], [3.0, 3.0], [2.0, 2.0]]),
+            [None, None, None],
+            np.array([[False, True], [True, True], [True, True]]),
+            None,
         )
+        lanes = list(_select_per_lane(finalists, (0.2, 0.8)))
         # lane 0: the cheapest plan is one the scalar pass would not
         # have built there — it cannot win and ranks last.
         assert (lanes[0].winner, lanes[0].ranking) == (2, [2, 1, 0])
@@ -240,9 +223,8 @@ class TestHashBuildSideEligibility:
             ctx = PlanningContext(
                 snowflake_db, self.INVERTED, estimator, query, self.GRID
             )
-            flipping += any(
-                c.active is not None for c in optimizer._finalists(ctx, query, None)
-            )
+            active = optimizer._finalists(ctx, query, None).active
+            flipping += active is not None and not active.all()
         # (the guard is vacuous unless some finalist's build side flips)
         assert flipping > 0
 

@@ -364,7 +364,9 @@ def test_the_pinned_example_plans_on_both_lattices(snowflake_worlds, world):
         ) is None
 
 
-def test_the_pinned_example_reaches_both_condition_branches(snowflake_worlds):
+def test_the_pinned_example_reaches_both_condition_branches(
+    snowflake_worlds, monkeypatch
+):
     """``FILTER_BRANCH_QUERY`` has partitions joined by conditions alone
     (``NonEquiJoin``) and by an FK edge plus a condition (a ``Filter``
     over an equi-join), each with several survivors on a side, so the
@@ -372,7 +374,8 @@ def test_the_pinned_example_reaches_both_condition_branches(snowflake_worlds):
     from repro.core import RobustCardinalityEstimator
     from repro.engine import NonEquiJoin
     from repro.engine.relops import Filter
-    from repro.optimizer.candidates import iter_candidates, keep_best
+    from repro.optimizer import optimizer as optimizer_module
+    from repro.optimizer.candidates import prune
     from repro.optimizer.optimizer import PlanningContext
 
     database, statistics = snowflake_worlds["unkeyed"]
@@ -380,12 +383,13 @@ def test_the_pinned_example_reaches_both_condition_branches(snowflake_worlds):
     ctx = PlanningContext(database, CostModel(), estimator, FILTER_BRANCH_QUERY)
     seen = []
 
-    def prune(candidates):
-        seen.extend(type(c.operator) for c in candidates)
-        return keep_best(candidates)
+    def spied(plans):
+        seen.extend(type(plans.tree(k, None)) for k in range(len(plans)))
+        return prune(plans)
 
-    mappings = Optimizer(database, estimator)._enumerate_joins(
-        ctx, FILTER_BRANCH_QUERY, prune=prune
+    monkeypatch.setattr(optimizer_module, "prune", spied)
+    survivors = Optimizer(database, estimator)._enumerate_joins(
+        ctx, FILTER_BRANCH_QUERY
     )
     assert Filter in seen and NonEquiJoin in seen
-    assert max(len(list(iter_candidates(m))) for m in mappings.values()) > 1
+    assert max(len(plans) for plans in survivors.values()) > 1
