@@ -34,6 +34,7 @@ swap-under-load test asserts exactly that).
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
 from dataclasses import dataclass
@@ -242,9 +243,11 @@ class QueryServer:
                 version = session.attach_statistics(spec.statistics)
                 tenant.current_version = version
             self._tenants[spec.name] = tenant
-        # The bound on running operations: a caller holds a slot for
-        # the length of ``_run``.
-        self._slots = threading.BoundedSemaphore(worker_threads)
+        # The bound on running operations: a caller holds a slot token
+        # for the length of ``_run``.
+        self._slots = queue.SimpleQueue()
+        for _ in range(worker_threads):
+            self._slots.put(None)
         self._closed = False
         self._drained = False
 
@@ -324,7 +327,8 @@ class QueryServer:
         """Run one admitted operation on this thread, inside a slot."""
         tenant = op.tenant
         try:
-            with self._slots:
+            self._slots.get()
+            try:
                 if self._drained:
                     # Admitted before close(), reached a slot after it.
                     raise ServingError("server is closed")
@@ -359,6 +363,8 @@ class QueryServer:
                     simulated_seconds=simulated,
                     stale=stale,
                 )
+            finally:
+                self._slots.put(None)
         except BaseException:
             self._errors.inc(tenant=tenant.name)
             raise
@@ -498,14 +504,14 @@ class QueryServer:
         # none is left inside a session, and one admitted earlier that
         # gets a slot later sees ``_drained``.
         for _ in range(self.worker_threads):
-            self._slots.acquire()
+            self._slots.get()
         self._drained = True
         try:
             for tenant in self._tenants.values():
                 tenant.session.close()
         finally:
             for _ in range(self.worker_threads):
-                self._slots.release()
+                self._slots.put(None)
 
     def __enter__(self) -> "QueryServer":
         return self

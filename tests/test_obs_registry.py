@@ -47,6 +47,17 @@ class TestCounter:
 
 
 class TestGauge:
+    def test_nan_and_infinities_use_the_exposition_spelling(self):
+        g = Gauge("g")
+        g.set(float("nan"), a="x")
+        g.set(float("-inf"), a="y")
+        g.set(float("inf"), a="z")
+        assert g.prometheus_lines() == [
+            'g{a="x"} NaN',
+            'g{a="y"} -Inf',
+            'g{a="z"} +Inf',
+        ]
+
     def test_set_moves_both_ways(self):
         g = Gauge("pool_size")
         g.set(5)
@@ -169,18 +180,25 @@ class TestConcurrency:
         assert c.value() == self.THREADS * self.ITERS
 
     def test_labeled_child_creation_is_not_lost(self):
-        # Every thread touches a mix of shared and private label sets;
-        # pre-fix, racing first-touch creations dropped whole series.
+        # Every thread touches a mix of shared and private label sets,
+        # half of them spelled in the other keyword order; pre-fix,
+        # racing first-touch creations dropped whole series.
         c = Counter("labeled_total")
+
+        def spelled(idx: int, i: int) -> dict:
+            labels = {"shard": str(i % 8), "side": "x"}
+            return labels if idx % 2 else dict(reversed(labels.items()))
+
         with _aggressive_preemption():
             _hammer(
                 self.THREADS,
                 lambda idx: [
-                    c.inc(shard=str(i % 8)) for i in range(self.ITERS)
+                    c.inc(**spelled(idx, i)) for i in range(self.ITERS)
                 ],
             )
-        total = sum(c.value(shard=str(s)) for s in range(8))
+        total = sum(c.value(shard=str(s), side="x") for s in range(8))
         assert total == self.THREADS * self.ITERS
+        assert len(c.snapshot()) == 8
 
     def test_histogram_observations_are_not_lost(self):
         h = Histogram("contended_latency", buckets=(0.5, 1.0))
