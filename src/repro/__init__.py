@@ -86,11 +86,9 @@ from repro.service import (
 )
 from repro.serving import (
     AdmissionConfig,
-    LoadConfig,
     QueryServer,
     ServedQuery,
     TenantSpec,
-    run_load,
 )
 from repro.sql import parse_predicate, parse_query, query_to_sql
 from repro.stats import StatisticsManager, load_statistics, save_statistics
@@ -107,11 +105,9 @@ __all__ = [
     "query_fingerprint",
     # multi-tenant serving
     "AdmissionConfig",
-    "LoadConfig",
     "QueryServer",
     "ServedQuery",
     "TenantSpec",
-    "run_load",
     # catalog
     "Column",
     "ColumnType",

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Three subcommands::
+Subcommands::
 
     python -m repro analyze --figure 6
         Print an analytical figure's data series (Figures 1-8).
@@ -23,13 +23,6 @@ Three subcommands::
         session and check the graceful-degradation invariants; see
         :mod:`repro.faults`.
 
-    python -m repro serve-bench --tenants 4 --operations 1200
-        Drive the multi-tenant serving layer with a seeded concurrent
-        load (skewed query/tenant mix, admission control, optional
-        mid-run statistics hot-swaps), print p50/p95/p99 latency and
-        throughput, and optionally write the full JSON report; see
-        :mod:`repro.serving`.
-
     python -m repro feedback report store.json
         Summarize a persisted feedback store (per-namespace key
         counts, observed cardinalities, q-error aggregates); ``reset``
@@ -41,7 +34,9 @@ Three subcommands::
 (estimation evidence → optimizer decision → execution provenance) and
 ``--metrics-out FILE`` writes run metrics in Prometheus text format;
 see :mod:`repro.obs`. Both subcommands run through the
-:class:`~repro.service.Session` facade.
+:class:`~repro.service.Session` facade. The multi-tenant serving
+layer (:mod:`repro.serving`) has no subcommand;
+``examples/multi_tenant_serving.py`` drives it.
 """
 
 from __future__ import annotations
@@ -217,56 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--verbose", action="store_true", help="report passing plans too"
     )
     chaos.set_defaults(handler=_cmd_chaos)
-
-    serve = subparsers.add_parser(
-        "serve-bench",
-        help="benchmark the multi-tenant serving layer under load",
-    )
-    serve.add_argument("--tenants", type=int, default=4)
-    serve.add_argument(
-        "--operations", type=int, default=1200,
-        help="total operations across all tenants",
-    )
-    serve.add_argument(
-        "--load-threads", type=int, default=8,
-        help="client threads submitting through the retry path",
-    )
-    serve.add_argument(
-        "--worker-threads", type=int, default=4,
-        help="operations the server runs at once",
-    )
-    serve.add_argument("--seed", type=int, default=7)
-    serve.add_argument(
-        "--scale", type=int, default=4_000,
-        help="lineitem rows per tenant database",
-    )
-    serve.add_argument("--sample-size", type=int, default=96)
-    serve.add_argument(
-        "--policy",
-        default=None,
-        metavar="SPEC",
-        help="selection policy every tenant session plans under"
-        " (e.g. cvar:0.9:16); default keeps the threshold default",
-    )
-    serve.add_argument(
-        "--swaps", type=int, default=2,
-        help="statistics archives hot-swapped into tenants mid-run",
-    )
-    serve.add_argument(
-        "--execute-fraction", type=float, default=0.5,
-        help="fraction of operations that execute (the rest prepare)",
-    )
-    serve.add_argument("--global-limit", type=int, default=64)
-    serve.add_argument("--tenant-queue-depth", type=int, default=16)
-    serve.add_argument(
-        "--scaling", action="store_true",
-        help="also measure cached-prepare throughput at 1/2/4/8 workers",
-    )
-    serve.add_argument(
-        "--json-out", metavar="FILE", default=None,
-        help="write the full benchmark report as JSON to FILE",
-    )
-    serve.set_defaults(handler=_cmd_serve_bench)
 
     feedback = subparsers.add_parser(
         "feedback", help="inspect or reset a persisted feedback store"
@@ -554,81 +499,6 @@ def _cmd_chaos(args) -> int:
     report = harness.run(plans)
     print(report.format_summary(verbose=args.verbose))
     return 0 if report.passed else 1
-
-
-def _cmd_serve_bench(args) -> int:
-    import json
-
-    from repro.serving import LoadConfig, cached_prepare_scaling, run_load
-
-    try:
-        config = LoadConfig(
-            tenants=args.tenants,
-            operations=args.operations,
-            load_threads=args.load_threads,
-            worker_threads=args.worker_threads,
-            seed=args.seed,
-            num_lineitem=args.scale,
-            sample_size=args.sample_size,
-            policy=args.policy,
-            execute_fraction=args.execute_fraction,
-            swaps=args.swaps,
-            global_limit=args.global_limit,
-            tenant_queue_depth=args.tenant_queue_depth,
-        )
-    except PolicyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    result = run_load(config)
-    report = result.to_dict()
-
-    ops = report["operations"]
-    latency = report["latency"]
-    admission = report["server"]["admission"]
-    print(
-        f"serving load: {ops['completed']}/{ops['requested']} ops across "
-        f"{args.tenants} tenants ({args.load_threads} clients -> "
-        f"{args.worker_threads} workers), "
-        f"{report['swaps_performed']} statistics swaps"
-    )
-    print(
-        f"  latency  p50={latency['p50_ms']:.2f}ms "
-        f"p95={latency['p95_ms']:.2f}ms p99={latency['p99_ms']:.2f}ms"
-    )
-    print(
-        f"  throughput {report['throughput_ops_per_s']:.0f} ops/s, "
-        f"shed {admission['shed']:.0f}, "
-        f"stale served {report['stale_served']}, "
-        f"isolated={report['server']['isolation']['isolated']}"
-    )
-    for tenant, slot in report["per_tenant"].items():
-        print(
-            f"  {tenant}: {slot['completed']} ops, "
-            f"hit rate {slot['cache_hit_rate']:.0%}, "
-            f"p99 {slot['p99_ms']:.2f}ms"
-        )
-
-    if args.scaling:
-        scaling = cached_prepare_scaling(config, operations=args.operations)
-        report["worker_scaling"] = scaling
-        print("  cached-prepare scaling (raw, clients = workers):")
-        for workers, slot in scaling["raw"].items():
-            print(f"    {workers} workers: {slot['ops_per_s']:.0f} ops/s")
-        print(f"    1->8 speedup: {scaling['raw_speedup']:.2f}x "
-              f"(slowest point {scaling['floor_ratio']:.2f}x of 1 worker)")
-
-    ok = (
-        report["stale_served"] == 0
-        and report["server"]["isolation"]["isolated"]
-        and ops["failed"] == 0
-    )
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"report written to {args.json_out}")
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
 
 
 def _cmd_feedback(args) -> int:

@@ -129,6 +129,10 @@ def generate_fault_plans(
     """
     if count < 1:
         raise FaultPlanError(f"count must be >= 1, got {count}")
+    if not 1 <= max_faults <= len(FAULT_KINDS):
+        raise FaultPlanError(
+            f"max_faults must be in [1, {len(FAULT_KINDS)}], got {max_faults}"
+        )
     rng = np.random.default_rng(seed)
     plans = []
     for index in range(count):

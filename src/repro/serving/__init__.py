@@ -10,12 +10,7 @@ caller's thread. Statistics archives hot-swap into live tenants without
 serving a single stale or cross-tenant plan — the server tracks the
 evidence (per-tenant served-version ledgers, a stale-serving counter)
 so the claim is checked at runtime, not just argued in comments.
-
-`loadgen` drives the whole stack with a seeded, skewed multi-tenant
-workload and reports tail latency (p50/p95/p99), throughput scaling
-across worker counts, cache hit rates, and shed counts — the
-``repro serve-bench`` CLI subcommand and the serving benchmark both
-run through it.
+``examples/multi_tenant_serving.py`` runs two tenants through it.
 """
 
 from repro.serving.admission import (
@@ -24,14 +19,6 @@ from repro.serving.admission import (
     AdmissionError,
     SHED_GLOBAL,
     SHED_TENANT,
-)
-from repro.serving.loadgen import (
-    LoadConfig,
-    LoadResult,
-    build_schedule,
-    build_tenants,
-    cached_prepare_scaling,
-    run_load,
 )
 from repro.serving.server import (
     QueryServer,
@@ -45,8 +32,6 @@ __all__ = [
     "AdmissionConfig",
     "AdmissionController",
     "AdmissionError",
-    "LoadConfig",
-    "LoadResult",
     "QueryServer",
     "SHED_GLOBAL",
     "SHED_TENANT",
@@ -54,8 +39,4 @@ __all__ = [
     "ServerOverloaded",
     "ServingError",
     "TenantSpec",
-    "build_schedule",
-    "build_tenants",
-    "cached_prepare_scaling",
-    "run_load",
 ]

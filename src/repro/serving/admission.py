@@ -20,8 +20,8 @@ Two limits compose here, checked atomically together:
 
 Every decision is surfaced in metrics: ``repro_serving_admitted_total``
 (by tenant) and ``repro_serving_shed_total`` (by tenant and reason),
-plus occupancy gauges, so a load test can assert exactly how much work
-was shed and why.
+so a test can assert exactly how much work was shed and why;
+:meth:`AdmissionController.snapshot` reports the current occupancy.
 """
 
 from __future__ import annotations

@@ -404,11 +404,6 @@ class QueryServer:
         """The tenant's underlying session (tests and diagnostics)."""
         return self._tenant(tenant).session
 
-    def feedback_report(self, tenant: str) -> dict | None:
-        """One tenant's feedback-loop snapshot (``None`` if disabled)."""
-        feedback = self._tenant(tenant).session.feedback
-        return feedback.report() if feedback is not None else None
-
     def feedback_isolation_report(self) -> dict:
         """Cross-tenant feedback isolation evidence, JSON-ready.
 

@@ -465,50 +465,3 @@ class TestChaos:
     def test_bad_plan_count_rejected(self, capsys):
         with pytest.raises(Exception, match="count"):
             main(["chaos", "--plans", "0", "--scale", "1500"])
-
-
-class TestServeBench:
-    def test_small_run_passes(self, capsys, tmp_path):
-        out_path = tmp_path / "serve.json"
-        code = main(
-            [
-                "serve-bench",
-                "--tenants", "2",
-                "--operations", "40",
-                "--scale", "1500",
-                "--sample-size", "48",
-                "--swaps", "1",
-                "--json-out", str(out_path),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "serving load: " in out
-        assert "p99=" in out
-        assert "stale served 0" in out
-        assert out.strip().endswith("PASS")
-        import json
-
-        report = json.loads(out_path.read_text())
-        assert report["operations"]["requested"] == 40
-        assert report["stale_served"] == 0
-        assert report["server"]["isolation"]["isolated"]
-        assert report["swaps_performed"] == 1
-
-    def test_scaling_flag_reports_speedup(self, capsys):
-        code = main(
-            [
-                "serve-bench",
-                "--tenants", "2",
-                "--operations", "30",
-                "--scale", "1500",
-                "--sample-size", "48",
-                "--swaps", "0",
-                "--scaling",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "cached-prepare scaling (raw, clients = workers):" in out
-        assert "paced" not in out
-        assert "1->8 speedup:" in out

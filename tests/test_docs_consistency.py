@@ -4,6 +4,7 @@ Docs that point at files which don't exist rot silently; these tests
 keep README/DESIGN/EXPERIMENTS/docs honest.
 """
 
+import glob
 import importlib
 import pathlib
 import re
@@ -84,6 +85,26 @@ class TestReferencedArtifactsExist:
         names = set(re.findall(r"`(repro(?:\.[A-Za-z_]\w*)+)", doc.read_text()))
         missing = sorted(name for name in names if not _resolves(name))
         assert not missing, f"{doc.name} names unresolvable {missing}"
+
+    def test_backticked_repo_paths_exist(self):
+        """Every path under a source, test or docs directory that a doc
+        names in backticks exists. A ``::test`` or ``:line`` suffix is
+        dropped; ``<placeholder>``, ``{a,b}`` and ``*`` match as globs.
+        ``docs/migration.md`` is left out: it names removed files by
+        design."""
+        prefixes = ("src/", "tests/", "benchmarks/", "bench/", "examples/",
+                    "docs/", ".github/")
+        missing = []
+        for doc in DOCS + [ROOT / "docs" / "metrics.md"]:
+            for span in re.findall(r"`([^`\n]+)`", doc.read_text()):
+                for token in span.split():
+                    if not token.startswith(prefixes):
+                        continue
+                    path = token.split(":")[0].rstrip(".,;)")
+                    pattern = re.sub(r"<[^>]*>|\{[^}]*\}", "*", path)
+                    if not glob.glob(str(ROOT / pattern)):
+                        missing.append(f"{doc.name}: {token}")
+        assert not missing, missing
 
     def test_examples_mentioned_in_readme_exist(self):
         text = (ROOT / "README.md").read_text()

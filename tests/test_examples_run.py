@@ -17,6 +17,7 @@ EXPECTED_MARKERS = {
     "plan_sensitivity.py": "Sensitivity sweep",
     "session_service.py": "plan cache",
     "sql_tour.py": "simulated",
+    "multi_tenant_serving.py": "stale_served 0\nisolated True",
 }
 
 

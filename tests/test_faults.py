@@ -87,6 +87,15 @@ class TestGenerateFaultPlans:
         with pytest.raises(FaultPlanError, match="count"):
             generate_fault_plans(0)
 
+    @pytest.mark.parametrize("max_faults", [0, -1, len(FAULT_KINDS) + 1])
+    def test_max_faults_out_of_range_rejected(self, max_faults):
+        with pytest.raises(FaultPlanError, match="max_faults"):
+            generate_fault_plans(4, max_faults=max_faults)
+
+    def test_max_faults_may_name_every_kind(self):
+        plans = generate_fault_plans(50, seed=0, max_faults=len(FAULT_KINDS))
+        assert max(len(plan.specs) for plan in plans) <= len(FAULT_KINDS)
+
 
 class TestMagicEnvelope:
     def test_matches_magic_distribution(self):

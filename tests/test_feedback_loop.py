@@ -434,10 +434,11 @@ class TestServingIsolation:
             server.serve("alpha", SELECTION)
             server.serve("alpha", SELECTION)
             server.serve("gamma", SELECTION)
-            alpha = server.feedback_report("alpha")
+            alpha = server.session("alpha").feedback.report()
             assert alpha["observations"] == 2
-            assert server.feedback_report("beta")["observations"] == 0
-            assert server.feedback_report("gamma") is None
+            beta = server.session("beta").feedback.report()
+            assert beta["observations"] == 0
+            assert server.session("gamma").feedback is None
             isolation = server.feedback_isolation_report()
             assert isolation["isolated"] is True
             assert isolation["stale_hits"] == {"alpha": 0, "beta": 0}

@@ -26,11 +26,9 @@ PUBLIC_API = sorted(
         "query_fingerprint",
         # multi-tenant serving
         "AdmissionConfig",
-        "LoadConfig",
         "QueryServer",
         "ServedQuery",
         "TenantSpec",
-        "run_load",
         # catalog
         "Column",
         "ColumnType",

@@ -2,8 +2,7 @@
 
 Covers admission control (both limits, shed reasons, release pairing),
 the server (``serve`` on the caller's thread, the execution-slot bound,
-sheds, errors, metrics, retry backoff, close), the seeded load generator
-(deterministic schedules, percentile accounting), and the headline
+sheds, errors, metrics, retry backoff, close), and the headline
 concurrency claim: archives hot-swapped into tenants *under live load*
 never produce a stale serving or a cross-tenant plan — asserted from
 the server's own runtime evidence (version ledgers + stale counter),
@@ -21,15 +20,12 @@ from repro.serving import (
     AdmissionConfig,
     AdmissionController,
     AdmissionError,
-    LoadConfig,
     QueryServer,
     SHED_GLOBAL,
     SHED_TENANT,
     ServerOverloaded,
     ServingError,
     TenantSpec,
-    build_schedule,
-    run_load,
 )
 from repro.stats import StatisticsManager
 from repro.workloads import QUERY_BATTERY, TpchConfig, build_tpch_database
@@ -703,53 +699,3 @@ class TestSwapUnderLoad:
                     for op in served if op.tenant == tenant
                 }
                 assert len(tenant_versions) >= 2
-
-
-# ----------------------------------------------------------------------
-# Load generator
-# ----------------------------------------------------------------------
-class TestLoadGenerator:
-    def test_schedule_is_deterministic(self):
-        config = LoadConfig(tenants=3, operations=200)
-        names = ["a", "b", "c"]
-        first = build_schedule(config, names)
-        second = build_schedule(config, names)
-        assert first == second
-        assert len(first) == 200
-        assert {t for t, _, _ in first} == set(names)
-
-    def test_schedule_is_skewed(self):
-        config = LoadConfig(tenants=4, operations=2000, skew=1.2)
-        names = ["a", "b", "c", "d"]
-        schedule = build_schedule(config, names)
-        counts = {n: 0 for n in names}
-        for tenant, _, _ in schedule:
-            counts[tenant] += 1
-        assert counts["a"] > counts["d"] * 2  # hot tenant dominates
-
-    def test_config_validated(self):
-        with pytest.raises(ValueError, match="tenants"):
-            LoadConfig(tenants=0)
-        with pytest.raises(ValueError, match="operations"):
-            LoadConfig(operations=0)
-
-    def test_small_run_end_to_end(self):
-        config = LoadConfig(
-            tenants=2, operations=40, load_threads=4, worker_threads=2,
-            num_lineitem=1200, sample_size=48, swaps=1,
-        )
-        result = run_load(config)
-        report = result.to_dict()
-        ops = report["operations"]
-        assert ops["completed"] + ops["shed_exhausted"] == 40
-        assert ops["failed"] == 0
-        assert report["stale_served"] == 0
-        assert report["swaps_performed"] == 1
-        assert report["server"]["isolation"]["isolated"]
-        latency = report["latency"]
-        assert 0 < latency["p50_ms"] <= latency["p95_ms"] <= latency["p99_ms"]
-        assert report["throughput_ops_per_s"] > 0
-        per_tenant = report["per_tenant"]
-        assert per_tenant
-        for slot in per_tenant.values():
-            assert 0.0 <= slot["cache_hit_rate"] <= 1.0

@@ -305,9 +305,6 @@ def _cli_runs() -> list[list[str]]:
         ["trace", "summarize", "exp1.jsonl"],
         ["trace", "summarize", "sql.jsonl", "--query", "sql/star"],
         ["chaos", "--plans", "4", "--scale", "1500", "--verbose"],
-        ["serve-bench", "--tenants", "2", "--operations", "300", "--scale", "2000",
-         "--sample-size", "64", "--swaps", "1", "--scaling", "--json-out",
-         "serving.json"],
         ["feedback", "report", "feedback.json"],
         ["feedback", "report", "feedback.json", "--json"],
         ["feedback", "reset", "feedback.json"],
