@@ -98,7 +98,9 @@ class PhysicalOperator:
         show, so within a statement equal signatures charge identical
         work; across statements they may not. A cache that reuses
         executions by signature must scope its key to one statement,
-        as :class:`~repro.experiments.perf.PlanExecutionCache` does.
+        as :class:`~repro.experiments.perf.PlanExecutionCache` does
+        and as the session's execution memo does with the statement's
+        fingerprint (``Session._execute_prepared``).
         """
         pieces = [f"{'  ' * indent}{self.label()}"]
         for child in self.children():

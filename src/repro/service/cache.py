@@ -194,6 +194,14 @@ class PlanCache:
             with stripe.lock:
                 stripe.entries.clear()
 
+    def values(self) -> list:
+        """A snapshot of the cached values, stripe by stripe."""
+        held = []
+        for stripe in self._stripes:
+            with stripe.lock:
+                held.extend(stripe.entries.values())
+        return held
+
     def __len__(self) -> int:
         return sum(len(stripe.entries) for stripe in self._stripes)
 

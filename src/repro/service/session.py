@@ -100,8 +100,8 @@ DEGRADED = "degraded"
 
 
 class _Execution(NamedTuple):
-    """What a planned query's execution computed, kept on the plan
-    (see :meth:`Session._execute_prepared`)."""
+    """What a plan's execution computed, kept in the session's
+    execution memo (see :meth:`Session._execute_prepared`)."""
 
     #: Output rows per operator, in ``plan.walk()`` order.
     operator_rows: tuple
@@ -111,10 +111,10 @@ class _Execution(NamedTuple):
     simulated_seconds: float
 
 
-#: The ``PlannedQuery`` attribute holding its execution memo: absent
-#: until the plan first runs, then ``_RAN_ONCE``, then the second run's
-#: :class:`_Execution` — or ``_TOO_LARGE`` when that result was over
-#: the bound.
+#: The ``PlannedQuery`` attribute caching its entry in the session's
+#: execution memo: absent until the plan first runs, then ``_RAN_ONCE``,
+#: then the (fingerprint, signature)'s second run's :class:`_Execution`
+#: — or ``_TOO_LARGE`` when that result was over the bound.
 _MEMO = "_session_execution"
 _RAN_ONCE = "ran once"
 _TOO_LARGE = "too large"
@@ -408,9 +408,14 @@ class Session:
         self._executes = self.metrics.counter(
             "repro_session_executes_total", "Statements executed."
         )
+        # What runs of a (fingerprint, plan signature) left (see
+        # _execute_prepared); sized like the parse cache.
+        self._execution_memo = PlanCache(
+            capacity=base.plan_cache_size, stripes=base.cache_stripes
+        )
         self._executions_reused = self.metrics.counter(
             "repro_session_executions_reused_total",
-            "Executes answered from the plan's execution memo (also "
+            "Executes answered from the session's execution memo (also "
             "counted in repro_session_executes_total).",
         )
         self._simulated_seconds = self.metrics.histogram(
@@ -977,20 +982,24 @@ class Session:
         return self._execute_prepared(self.prepare(query, policy=policy))
 
     def _execute_prepared(self, prepared: PreparedQuery) -> QueryResult:
-        """Run a handle's plan, reusing what the plan computed before.
+        """Run a handle's plan, reusing what its tree computed before.
 
-        A planned query's first execution runs and keeps nothing. Its
-        second also records operator rows (by ``walk()`` position) and
-        publishes an :class:`_Execution` — rows, a compacted result
-        frame, simulated seconds — on the ``PlannedQuery``. Every later
-        execution returns that memo, and a harvesting session observes
-        its rows, so the feedback store ends up as if the plan had run.
-        The memo lives and dies with the plan: statistics swaps,
-        feedback generations and stale re-plans produce a new
-        ``PlannedQuery``. Reading it is one attribute lookup and
-        publishing it one store of an immutable tuple, so the hit path
-        takes no lock; two threads on one second run may both execute,
-        and either memo is the same.
+        The session's execution memo is keyed ``(fingerprint,
+        plan.signature())``: within one statement equal signatures
+        charge identical work, and table data is fixed for the
+        session's lifetime, so the key needs no statistics version or
+        feedback generation and a re-plan that picks a tree that
+        already ran reuses it. A key's first execution runs and keeps
+        nothing. Its second also records operator rows (by ``walk()``
+        position) and stores an :class:`_Execution` — rows, a
+        compacted result frame, simulated seconds. Every later
+        execution returns it, and a harvesting session observes its
+        rows, so the feedback store ends up as if the plan had run.
+        The ``PlannedQuery`` caches its final entry, so a plan holding
+        one is served by one attribute read, with no lock and no
+        ``signature()`` call; publishing it is one store of an
+        immutable tuple. Two threads on one second run may both
+        execute, and either memo is the same.
         """
         self._check_open()
         if prepared.is_stale():
@@ -1014,10 +1023,12 @@ class Session:
         # say nothing about the configured estimator's accuracy.
         harvest = self._feedback is not None and prepared.degraded_reason is None
         memo = getattr(planned, _MEMO, None)
+        if memo is None or memo is _RAN_ONCE:
+            key = (prepared.fingerprint, planned.plan.signature())
+            memo = self._execution_memo.get(key)
+            if memo is not None and memo is not _RAN_ONCE:
+                setattr(planned, _MEMO, memo)
         if type(memo) is _Execution:
-            # Table data is immutable and a new plan-cache key gives a
-            # new PlannedQuery, so this run would compute what the
-            # second one did.
             self._executions_reused.inc()
             frame, simulated = memo.frame, memo.simulated_seconds
             operator_rows = (
@@ -1036,14 +1047,13 @@ class Session:
             self._last_execute_wall.set(time.perf_counter() - started)
             simulated = self.cost_model.time_from_counters(ctx.counters)
             operator_rows = ctx.operator_rows
-            if memo is None:
-                setattr(planned, _MEMO, _RAN_ONCE)
-            elif memo is _RAN_ONCE:
-                setattr(
-                    planned,
-                    _MEMO,
-                    self._memo(planned, frame, simulated, operator_rows),
+            if memo is None or memo is _RAN_ONCE:
+                memo = (
+                    _RAN_ONCE if memo is None
+                    else self._memo(planned, frame, simulated, operator_rows)
                 )
+                self._execution_memo.put(key, memo)
+                setattr(planned, _MEMO, memo)
         if harvest:
             # Record the cardinalities this execution observed into the
             # epoch the plan was produced under and ledger its
@@ -1070,7 +1080,7 @@ class Session:
         self, planned: PlannedQuery, frame: Frame, simulated: float,
         operator_rows: dict,
     ) -> _Execution | str:
-        """The memo a plan's second run leaves: the run's
+        """The memo a key's second run leaves: the run's
         :class:`_Execution`, or ``_TOO_LARGE`` when its result is over
         one plan-cache slot's share of the scan-cache budget (so a full
         plan cache holds at most one scan-cache budget of results)."""
@@ -1224,8 +1234,8 @@ class Session:
     # Introspection / lifecycle
     # ------------------------------------------------------------------
     def cache_stats(self) -> dict:
-        """Plan-cache counters; mirrors them and the scan cache's into
-        ``metrics``."""
+        """Plan-cache counters; mirrors them, the scan cache's and the
+        execution memo's into ``metrics``."""
         stats = self.plan_cache.stats()
         gauge = self.metrics.gauge(
             "repro_session_plan_cache",
@@ -1240,6 +1250,16 @@ class Session:
         )
         for name, value in self._scan_cache.stats().items():
             scan_gauge.set(float(value), stat=name)
+        memo_gauge = self.metrics.gauge(
+            "repro_session_execution_memo",
+            "Execution-memo occupancy (entries, bytes of results held).",
+        )
+        held = self._execution_memo.values()
+        memo_gauge.set(float(len(held)), stat="entries")
+        memo_gauge.set(float(sum(
+            column.nbytes for entry in held if type(entry) is _Execution
+            for column in map(entry.frame.column, entry.frame.column_names)
+        )), stat="bytes")
         return stats
 
     def describe(self) -> str:
@@ -1269,6 +1289,7 @@ class Session:
         self.cache_stats()  # final metrics snapshot
         self.plan_cache.clear()
         self._parse_cache.clear()
+        self._execution_memo.clear()
         self._scan_cache.clear()
         self._closed = True
 

@@ -21,6 +21,7 @@ from repro.engine import scancache
 from repro.optimizer import Optimizer
 from repro.selection import PolicyError
 from repro.service import session as session_module
+from repro.service.cache import PlanCache
 from repro.service import (
     Session,
     SessionConfig,
@@ -355,18 +356,29 @@ class TestLifecycle:
 
 
 class TestExecutionMemo:
-    """A planned query's second execution is kept on the plan and
-    every later one returns it: same frame bytes, same simulated
-    seconds, same feedback."""
+    """The second execution of a (fingerprint, plan signature) is kept
+    in the session's execution memo and every later one returns it:
+    same frame bytes, same simulated seconds, same feedback."""
 
     LIMIT_QUERY = (
         "SELECT lineitem.l_partkey, COUNT(*) AS n FROM lineitem "
         "GROUP BY lineitem.l_partkey ORDER BY lineitem.l_partkey LIMIT 3"
     )
+    #: Its join order flips when statistics move from seed 11 to 12;
+    #: JOIN_QUERY's does not.
+    FLIP_QUERY = (
+        "SELECT COUNT(*) FROM lineitem, part "
+        "WHERE part.p_size <= 10 AND lineitem.l_shipdate >= 729363"
+    )
 
     @staticmethod
     def memo(prepared):
         return getattr(prepared.planned, session_module._MEMO, None)
+
+    @staticmethod
+    def bypass_memo(session):
+        """Give ``session`` an execution memo that keeps nothing."""
+        session._execution_memo = PlanCache(capacity=0)
 
     @staticmethod
     def assert_same_result(result, expected):
@@ -404,6 +416,7 @@ class TestExecutionMemo:
         statistics = StatisticsManager(db)
         statistics.update_statistics(sample_size=400, seed=11)
         memoized, uncached = (Session(db, statistics=statistics) for _ in "ab")
+        self.bypass_memo(uncached)
         handles = []
         for session in (memoized, uncached):
             session.enable_feedback()
@@ -414,10 +427,14 @@ class TestExecutionMemo:
             vars(handles[1].planned).pop(session_module._MEMO, None)
             self.assert_same_result(handles[1].execute(), results[-1])
         assert self.memo(handles[1]) is session_module._RAN_ONCE
+        assert len(uncached._execution_memo) == 0
         reused = memoized.metrics.counter(
             "repro_session_executions_reused_total", ""
         )
         assert reused.value() == 3
+        assert uncached.metrics.counter(
+            "repro_session_executions_reused_total", ""
+        ).value() == 0
         assert memoized.feedback.observations == 5
         assert (
             memoized.feedback.store.to_dict()
@@ -425,21 +442,37 @@ class TestExecutionMemo:
         )
         assert memoized.feedback.report() == uncached.feedback.report()
 
-    def test_stale_handle_never_serves_the_old_memo(self, session):
-        prepared = session.prepare(JOIN_QUERY)
-        for _ in range(3):
-            prepared.execute()
-        old = prepared.planned
-        old_memo = self.memo(prepared)
-        session.refresh_statistics(seed=12)
-        result = prepared.execute()
-        assert prepared.planned is not old
-        assert self.memo(prepared) is session_module._RAN_ONCE
-        assert result.frame is not old_memo.frame
-        reused = session.metrics.counter(
-            "repro_session_executions_reused_total", ""
-        )
-        assert reused.value() == 1  # the third run before the refresh
+    def test_replan_reuses_only_a_matching_signature(self, db):
+        for query, same_tree in ((JOIN_QUERY, True), (self.FLIP_QUERY, False)):
+            sessions = [
+                Session(db, sample_size=400, statistics_seed=11) for _ in "ab"
+            ]
+            self.bypass_memo(sessions[1])
+            handles = [session.prepare(query) for session in sessions]
+            for _ in range(3):
+                for prepared in handles:
+                    prepared.execute()
+            prepared, twin = handles
+            old, old_memo = prepared.planned, self.memo(prepared)
+            for session in sessions:
+                session.refresh_statistics(seed=12)
+            result, expected = prepared.execute(), twin.execute()
+            assert prepared.planned is not old
+            signature = prepared.plan.signature()
+            assert (signature == old.plan.signature()) is same_tree
+            assert signature == twin.plan.signature()
+            reused = sessions[0].metrics.counter(
+                "repro_session_executions_reused_total", ""
+            )
+            if same_tree:
+                assert self.memo(prepared) is old_memo
+                assert result.frame is old_memo.frame
+                assert reused.value() == 2
+            else:
+                assert self.memo(prepared) is session_module._RAN_ONCE
+                assert result.frame is not old_memo.frame
+                assert reused.value() == 1  # the third run before the refresh
+            self.assert_same_result(result, expected)
 
     @pytest.mark.parametrize("budget_bytes, kept", [(7, False), (8, True)])
     def test_results_over_the_bound_are_not_kept(
@@ -474,3 +507,100 @@ class TestExecutionMemo:
         source = second.frame._sources[frame.column_names[0]]
         assert len(source.base) > 3
         self.assert_same_result(prepared.execute(), first)
+
+    def test_replans_under_feedback_churn_reuse_what_already_ran_twice(
+        self, db
+    ):
+        statements = [
+            QUERY, JOIN_QUERY, self.FLIP_QUERY, self.LIMIT_QUERY,
+            "SELECT COUNT(*) FROM lineitem, part "
+            "WHERE part.p_size <= 25 AND lineitem.l_quantity > 49",
+            "SELECT COUNT(*) FROM lineitem "
+            "WHERE lineitem.l_shipdate >= 729300",
+        ]
+
+        def statistics(seed):
+            manager = StatisticsManager(db)
+            manager.update_statistics(sample_size=400, seed=seed)
+            return manager
+
+        # One manager per swap, attached to both sessions, so their
+        # feedback epochs (statistics versions) match.
+        shared = statistics(11)
+        memoized, uncached = (Session(db, statistics=shared) for _ in "ab")
+        self.bypass_memo(uncached)
+        for session in (memoized, uncached):
+            session.enable_feedback()
+        # Per window: every statement prepared under two policies, then
+        # its first handle run again (a harvest leaves that handle's
+        # plan in place but re-plans the next prepare); then a swap.
+        slots = ("threshold:0.8", "threshold:0.95", None)
+        window = len(slots) * len(statements)
+        runs: dict = {}
+        plans, held = [], {}
+        expected_reused = 0
+        for request in range(6 * window):
+            if request and request % window == 0:
+                shared = statistics(request)
+                for session in (memoized, uncached):
+                    session.attach_statistics(shared)
+            sql = statements[request % len(statements)]
+            policy = slots[request % window // len(statements)]
+            if policy is None:
+                prepared, twin = held[sql]
+            else:
+                prepared = memoized.prepare(sql, policy=policy)
+                twin = uncached.prepare(sql, policy=policy)
+                if policy is slots[0]:
+                    held[sql] = (prepared, twin)
+            vars(twin.planned).pop(session_module._MEMO, None)
+            assert prepared.explain() == twin.explain()
+            key = (prepared.fingerprint, prepared.plan.signature())
+            expected_reused += runs.get(key, 0) >= 2
+            runs[key] = runs.get(key, 0) + 1
+            plans.append(prepared.planned)
+            self.assert_same_result(prepared.execute(), twin.execute())
+        # re-plans picked trees that had already run
+        assert len({id(planned) for planned in plans}) > len(runs)
+        reused = memoized.metrics.counter(
+            "repro_session_executions_reused_total", ""
+        )
+        assert 0 < expected_reused == reused.value()
+        assert uncached.metrics.counter(
+            "repro_session_executions_reused_total", ""
+        ).value() == 0
+        assert (
+            memoized.feedback.store.to_dict()
+            == uncached.feedback.store.to_dict()
+        )
+        assert memoized.feedback.report() == uncached.feedback.report()
+
+    def test_statements_run_once_keep_no_result(self, db):
+        session = Session(
+            db, sample_size=400, statistics_seed=11, plan_cache_size=8
+        )
+        gauge = session.metrics.gauge("repro_session_execution_memo", "")
+
+        def held():
+            session.cache_stats()
+            return gauge.value(stat="entries"), gauge.value(stat="bytes")
+
+        for quantity in range(30):
+            session.execute(
+                "SELECT COUNT(*) FROM lineitem "
+                f"WHERE lineitem.l_quantity > {quantity}"
+            )
+            entries, held_bytes = held()
+            assert entries <= session.config.plan_cache_size
+            assert held_bytes == 0
+        assert not any(
+            isinstance(entry, session_module._Execution)
+            for entry in session._execution_memo.values()
+        )
+        for _ in range(2):
+            session.execute(JOIN_QUERY)
+        entries, held_bytes = held()
+        assert entries <= session.config.plan_cache_size
+        assert 0 < held_bytes <= scancache.SCAN_CACHE_BYTES
+        session.close()
+        assert len(session._execution_memo) == 0
