@@ -67,21 +67,27 @@ def classify_q_error(value: float) -> str:
     return SEVERITY_BANDS[-1][0]
 
 
-def _window_quantile(values: list[float], fraction: float) -> float:
-    """Nearest-rank quantile of a non-empty list."""
-    ordered = sorted(values)
+def _nearest_rank(ordered: list[float], fraction: float) -> float:
+    """Nearest-rank quantile of a non-empty sorted list."""
     rank = min(len(ordered) - 1, int(math.ceil(fraction * len(ordered))) - 1)
     return ordered[max(rank, 0)]
 
 
 class _ClassSeries:
-    """Mutable per-class state: recent window, baseline, running sums."""
+    """Mutable per-class state: recent window (and its log10s, in
+    window order), baseline, running sums."""
 
-    __slots__ = ("window", "baseline", "count", "log_sum", "max_q", "severity")
+    __slots__ = (
+        "window", "window_logs", "baseline", "baseline_mean", "count",
+        "log_sum", "max_q", "severity",
+    )
 
     def __init__(self) -> None:
         self.window: deque[float] = deque(maxlen=WINDOW)
+        self.window_logs: deque[float] = deque(maxlen=WINDOW)
         self.baseline: list[float] = []
+        #: The baseline's log10 mean, once it holds BASELINE entries.
+        self.baseline_mean: float | None = None
         self.count = 0
         self.log_sum = 0.0
         self.max_q = 1.0
@@ -146,16 +152,20 @@ class AccuracyLedger:
             if series is None:
                 series = _ClassSeries()
                 self._classes[query_class] = series
+            log_q = math.log10(q)
             series.window.append(q)
+            series.window_logs.append(log_q)
             if len(series.baseline) < BASELINE:
                 series.baseline.append(q)
+                if len(series.baseline) == BASELINE:
+                    series.baseline_mean = _log_mean(series.baseline)
             series.count += 1
-            series.log_sum += math.log10(q)
+            series.log_sum += log_q
             series.max_q = max(series.max_q, q)
 
-            severity = classify_q_error(
-                _window_quantile(list(series.window), 0.9)
-            )
+            ordered = sorted(series.window)
+            p90 = _nearest_rank(ordered, 0.9)
+            severity = classify_q_error(p90)
             previous = series.severity
             series.severity = severity
             event = None
@@ -168,42 +178,41 @@ class AccuracyLedger:
                     detail=(
                         f"query class {query_class!r} drifted "
                         f"{previous} -> {severity} "
-                        f"(window p90 q-error "
-                        f"{_window_quantile(list(series.window), 0.9):.1f})"
+                        f"(window p90 q-error {p90:.1f})"
                     ),
                     component="estimator",
                     statistics_version=statistics_version,
                 )
                 self.events.append(event)
-            self._publish_locked(query_class, series)
+            self._publish_locked(query_class, series, ordered, p90)
         if event is not None and self._on_degradation is not None:
             self._on_degradation(event)
         return event
 
     # ------------------------------------------------------------------
     def _drift_locked(self, series: _ClassSeries) -> float:
-        recent = sum(math.log10(q) for q in series.window) / len(series.window)
-        base = sum(math.log10(q) for q in series.baseline) / len(
-            series.baseline
-        )
+        recent = sum(series.window_logs) / len(series.window_logs)
+        base = series.baseline_mean
+        if base is None:
+            base = _log_mean(series.baseline)
         return recent - base
 
-    def _publish_locked(self, query_class: str, series: _ClassSeries) -> None:
+    def _publish_locked(
+        self, query_class: str, series: _ClassSeries, ordered: list, p90: float
+    ) -> None:
+        """Refresh ``query_class``'s gauges from its sorted window."""
         if self._qerror_gauge is None:
             return
-        window = list(series.window)
         self._qerror_gauge.set(
-            _window_quantile(window, 0.5), **{
+            _nearest_rank(ordered, 0.5), **{
                 "class": query_class, "quantile": "p50",
             }
         )
         self._qerror_gauge.set(
-            _window_quantile(window, 0.9), **{
-                "class": query_class, "quantile": "p90",
-            }
+            p90, **{"class": query_class, "quantile": "p90"}
         )
         self._qerror_gauge.set(
-            max(window), **{"class": query_class, "quantile": "max"}
+            ordered[-1], **{"class": query_class, "quantile": "max"}
         )
         self._drift_gauge.set(
             self._drift_locked(series), **{"class": query_class}
@@ -217,17 +226,22 @@ class AccuracyLedger:
             out: dict = {}
             for name in sorted(self._classes):
                 series = self._classes[name]
-                window = list(series.window)
+                ordered = sorted(series.window)
                 out[name] = {
                     "count": series.count,
                     "severity": series.severity,
                     "drift_score": self._drift_locked(series),
                     "geomean_q": 10 ** (series.log_sum / series.count),
                     "max_q": series.max_q,
-                    "window_p50": _window_quantile(window, 0.5),
-                    "window_p90": _window_quantile(window, 0.9),
+                    "window_p50": _nearest_rank(ordered, 0.5),
+                    "window_p90": _nearest_rank(ordered, 0.9),
                 }
             return out
+
+
+def _log_mean(values: list[float]) -> float:
+    """Mean log10 of ``values``, summed in order."""
+    return sum(math.log10(q) for q in values) / len(values)
 
 
 # Re-exported here so ledger consumers see the same floor the q-error

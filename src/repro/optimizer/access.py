@@ -5,13 +5,15 @@ a sequential scan, an index seek per applicable sorted index, and
 index intersections over subsets of the applicable indexes. The
 seek/intersection candidates are the "risky" plans whose cost grows
 with selectivity; the scan is the stable alternative.
+:func:`access_shape` derives a table's paths before any estimate (a
+statement's lattice shape keeps them); :func:`access_paths` prices them.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.catalog import Database
 from repro.catalog.types import coerce_scalar
@@ -84,25 +86,43 @@ def _index_condition(
     )
 
 
+class AccessShape(NamedTuple):
+    """One table's access paths before any estimate: the ``card``
+    questions each path asks, its cost-model arguments, its order and
+    its maker, in pricing order (the scan, the IN-list unions, the
+    single-index seeks, the intersections).
+
+    ``in_lists`` holds ``(conjunct, distinct values, clustered, has
+    residual)``, ``seeks`` ``(range predicate, clustered, has
+    residual)`` and ``intersections`` ``(range predicates, their
+    conjunction, has residual)`` per path.
+    """
+
+    table: str
+    tables: frozenset
+    predicate: Expr | None
+    num_rows: int
+    num_pages: int
+    rows_per_page: float
+    in_lists: tuple
+    seeks: tuple
+    intersections: tuple
+    orders: tuple
+    makers: tuple
+
+
 def _in_list_paths(
-    database: Database,
-    model: CostModel,
-    card: CardOracle,
-    table_name: str,
-    predicate: Expr | None,
-    out_rows: float,
-    paths: tuple[list, list, list],
+    database: Database, table_name: str, predicate: Expr | None, paths
 ) -> None:
     """IndexUnionSeek paths, one per indexed IN-list conjunct, appended
-    to ``paths``' (costs, orders, makers)."""
+    to ``paths``' (specs, orders, makers)."""
     from repro.expressions import split_conjuncts
     from repro.expressions.analysis import in_list_atoms
 
     table = database.table(table_name)
-    tables = frozenset([table_name])
     clustering = database.clustering_column(table_name)
     conjuncts = split_conjuncts(predicate)
-    costs, orders, makers = paths
+    specs, orders, makers = paths
     for i, conjunct in enumerate(conjuncts):
         atom = in_list_atoms(conjunct)
         if atom is None:
@@ -117,49 +137,37 @@ def _in_list_paths(
             coerced = [coerce_scalar(v, column_type) for v in values]
         except TypeMismatchError:
             continue  # a value the column cannot hold exactly: no seek
-        entries = card(tables, conjunct).cardinality
         residual = conjunction(conjuncts[:i] + conjuncts[i + 1 :])
-        clustered = clustering == reference.name
-        cost = model.index_union(
-            len(set(coerced)),
-            entries,
-            out_rows,
-            clustered,
-            table.rows_per_page,
-            residual is not None,
+        specs.append(
+            (
+                conjunct,
+                len(set(coerced)),
+                clustering == reference.name,
+                residual is not None,
+            )
         )
-        costs.append(cost)
         orders.append(None)
         makers.append(
-            partial(IndexUnionSeek, table_name, reference.name, coerced, residual)
+            partial(
+                IndexUnionSeek, table_name, reference.name, tuple(coerced), residual
+            )
         )
 
 
-def access_paths(
-    database: Database,
-    model: CostModel,
-    card: CardOracle,
-    table_name: str,
-    predicate: Expr | None,
-) -> PricedPlans:
-    """Every access path for ``table_name`` under ``predicate``, priced
-    (each path's operator is built only if a plan using it is)."""
+def access_shape(
+    database: Database, table_name: str, predicate: Expr | None
+) -> AccessShape:
+    """Every access path for ``table_name`` under ``predicate``, unpriced."""
     table = database.table(table_name)
-    tables = frozenset([table_name])
-    out_rows = card(tables, predicate).cardinality
     clustering = database.clustering_column(table_name)
 
     # Sequential scan: the stable plan.
-    scan_cost = model.seq_scan(table.num_rows, table.num_pages, out_rows)
-    scan_order = f"{table_name}.{clustering}" if clustering else None
-    costs, orders, makers = paths = (
-        [scan_cost],
-        [scan_order],
-        [partial(SeqScan, table_name, predicate)],
-    )
+    orders = [f"{table_name}.{clustering}" if clustering else None]
+    makers = [partial(SeqScan, table_name, predicate)]
 
     # IN-lists over indexed columns: the index-OR (union) strategy.
-    _in_list_paths(database, model, card, table_name, predicate, out_rows, paths)
+    in_lists: list = []
+    _in_list_paths(database, table_name, predicate, (in_lists, orders, makers))
 
     # Sargability analysis.
     ranges, residual = split_sargable(predicate)
@@ -189,61 +197,104 @@ def access_paths(
         if database.has_index(table_name, condition.column)
         and (index_condition := _index_condition(database, condition)) is not None
     }
-    if not seekable:
-        return PricedPlans.of(tables, out_rows, costs, orders, makers)
-
+    # One predicate object per merged range, so each key renders once
+    # (none without a seekable range: no path then reads them).
+    exprs = {
+        key: range_to_expr(condition) for key, condition in merged.items()
+    } if seekable else {}
+    rest = [residual] if residual is not None else []
     keys = sorted(seekable, key=lambda key: key[1])
     # Sargable ranges without a usable index must still be applied —
     # fold them back into every path's residual alongside the
     # non-sargable remainder.
 
     # Single-index seeks: remaining ranges become residual predicate.
+    seeks: list = []
     for key in keys:
         condition = merged[key]
-        entries = card(tables, range_to_expr(condition)).cardinality
-        others = [range_to_expr(merged[k]) for k in merged if k != key]
-        path_residual = conjunction(
-            others + ([residual] if residual is not None else [])
+        others = [exprs[k] for k in merged if k != key]
+        path_residual = conjunction(others + rest)
+        seeks.append(
+            (
+                exprs[key],
+                clustering == condition.column,
+                path_residual is not None,
+            )
         )
-        clustered = clustering == condition.column
-        cost = model.index_seek(
-            entries,
-            out_rows,
-            clustered,
-            table.rows_per_page,
-            path_residual is not None,
-        )
-        costs.append(cost)
         orders.append(f"{table_name}.{condition.column}")
         makers.append(partial(IndexSeek, table_name, seekable[key], path_residual))
 
     # Index intersections over 2..MAX_INTERSECTION_WIDTH indexes.
+    intersections: list = []
     for width in range(2, min(len(keys), MAX_INTERSECTION_WIDTH) + 1):
         for subset in combinations(keys, width):
-            conditions = [merged[key] for key in subset]
-            entry_counts = [
-                card(tables, range_to_expr(c)).cardinality for c in conditions
-            ]
-            fetched = card(
-                tables, conjunction([range_to_expr(c) for c in conditions])
-            ).cardinality
-            others = [range_to_expr(merged[k]) for k in merged if k not in subset]
-            path_residual = conjunction(
-                others + ([residual] if residual is not None else [])
+            parts = tuple(exprs[key] for key in subset)
+            others = [exprs[k] for k in merged if k not in subset]
+            path_residual = conjunction(others + rest)
+            intersections.append(
+                (parts, conjunction(list(parts)), path_residual is not None)
             )
-            cost = model.index_intersect(
-                entry_counts, fetched, out_rows, path_residual is not None
-            )
-            costs.append(cost)
             # RID intersection yields storage order.
             orders.append(f"{table_name}.{clustering}" if clustering else None)
             makers.append(
                 partial(
                     IndexIntersect,
                     table_name,
-                    [seekable[key] for key in subset],
+                    tuple(seekable[key] for key in subset),
                     path_residual,
                 )
             )
 
-    return PricedPlans.of(tables, out_rows, costs, orders, makers)
+    return AccessShape(
+        table_name,
+        frozenset([table_name]),
+        predicate,
+        table.num_rows,
+        table.num_pages,
+        table.rows_per_page,
+        tuple(in_lists),
+        tuple(seeks),
+        tuple(intersections),
+        tuple(orders),
+        tuple(makers),
+    )
+
+
+def access_paths(
+    database: Database,
+    model: CostModel,
+    card: CardOracle,
+    table_name: str,
+    predicate: Expr | None,
+    shape: AccessShape | None = None,
+) -> PricedPlans:
+    """Every access path for ``table_name`` under ``predicate``, priced
+    (each path's operator is built only if a plan using it is): every
+    ``card`` question in the order the paths list them, then the cost
+    arithmetic. ``shape`` is those paths as :func:`access_shape` derives
+    them, when a statement's lattice shape already holds them."""
+    if shape is None:
+        shape = access_shape(database, table_name, predicate)
+    tables = shape.tables
+    out_rows = card(tables, shape.predicate).cardinality
+    per_page = shape.rows_per_page
+    costs = [model.seq_scan(shape.num_rows, shape.num_pages, out_rows)]
+    for conjunct, values, clustered, has_residual in shape.in_lists:
+        entries = card(tables, conjunct).cardinality
+        costs.append(
+            model.index_union(
+                values, entries, out_rows, clustered, per_page, has_residual
+            )
+        )
+    for predicate, clustered, has_residual in shape.seeks:
+        entries = card(tables, predicate).cardinality
+        costs.append(
+            model.index_seek(entries, out_rows, clustered, per_page, has_residual)
+        )
+    for parts, both, has_residual in shape.intersections:
+        entry_counts = [card(tables, part).cardinality for part in parts]
+        fetched = card(tables, both).cardinality
+        costs.append(
+            model.index_intersect(entry_counts, fetched, out_rows, has_residual)
+        )
+    return PricedPlans.of(tables, out_rows, costs, shape.orders, shape.makers)

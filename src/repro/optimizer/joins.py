@@ -1,31 +1,103 @@
-"""Join pricing: one partition's candidates at once, built only on demand."""
+"""Join pricing: one partition's candidates at once, built only on demand.
+
+A partition's static facts (:class:`JoinFacts`, :class:`NonEquiFacts`)
+are derived once per statement by the lattice shape; pricing reads
+them, asks the estimator its questions and does the arithmetic.
+"""
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.engine import HashJoin, IndexedNLJoin, MergeJoin, NonEquiJoin, Sort
 from repro.engine.relops import Filter
-from repro.expressions import conjunction
+from repro.expressions import Expr, conjunction
 from repro.optimizer.candidates import PricedPlans, annotate
 from repro.optimizer.query import JoinEdge
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.optimizer.optimizer import PlanningContext
+    from repro.optimizer.shape import LatticeShape
+
+
+class IndexedNLFacts(NamedTuple):
+    """An indexed NL join's static part: the table sets whose rows the
+    index fetches (the join with only the outer side filtered), the
+    cost-model arguments, and the ``IndexedNLJoin`` arguments after the
+    outer."""
+
+    joined: frozenset
+    outer: frozenset
+    clustered: bool
+    rows_per_page: float
+    has_residual: bool
+    args: tuple
+
+
+class JoinFacts(NamedTuple):
+    """One partition along an FK edge: each side's join key, the DP
+    conditions crossing it too (and their conjunction), and the indexed
+    NL join with the left (``inl_left``) or the right side outer."""
+
+    left_key: str
+    right_key: str
+    conditions: tuple
+    residual: Expr | None
+    inl_left: IndexedNLFacts | None
+    inl_right: IndexedNLFacts | None
+
+
+class NonEquiFacts(NamedTuple):
+    """One partition joined by conditions alone: the condition driving
+    the interval search and the conjunction of the rest."""
+
+    primary: object
+    residual: Expr | None
+
+
+def join_facts(
+    shape: "LatticeShape",
+    left_set: frozenset,
+    right_set: frozenset,
+    edge: JoinEdge,
+    conditions: Sequence = (),
+) -> JoinFacts:
+    """The static facts of joining ``left_set`` and ``right_set`` along
+    ``edge``, ``conditions`` crossing the partition too."""
+    if edge.child in left_set:
+        left_key, right_key = edge.child_column, edge.parent_column
+    else:
+        left_key, right_key = edge.parent_column, edge.child_column
+    return JoinFacts(
+        left_key,
+        right_key,
+        tuple(conditions),
+        conjunction([c.expr for c in conditions]),
+        _indexed_nl_facts(shape, left_set, left_key, right_set, right_key),
+        _indexed_nl_facts(shape, right_set, right_key, left_set, left_key),
+    )
+
+
+def nonequi_facts(conditions: Sequence) -> NonEquiFacts:
+    """The static facts of a partition joined by ``conditions`` alone
+    (conjunct order: the first drives the search, band joins ride along
+    as the operator's residual)."""
+    return NonEquiFacts(
+        conditions[0], conjunction([c.expr for c in conditions[1:]])
+    )
 
 
 def join_candidates(
     ctx: "PlanningContext",
     lefts: PricedPlans,
     rights: PricedPlans,
-    edge: JoinEdge,
+    facts: JoinFacts,
     out_rows,
-    conditions: Sequence = (),
 ) -> PricedPlans:
-    """Every join method over one partition, along ``edge``, priced.
+    """Every join method over one partition, along its FK edge, priced.
 
     ``lefts`` and ``rights`` are the survivors of the two halves. Every
     plan of a half carries that half's ``rows``, so the keys, the
@@ -39,21 +111,18 @@ def join_candidates(
     Python floats added in a loop; under one every kind is one
     broadcast over the survivors' cost matrices.
 
-    ``conditions`` are DP join conditions that cross the partition too:
-    each join is then priced at its own output — ``out_rows`` with the
-    conditions undone — and runs under a Filter applying them.
+    When DP join conditions cross the partition too, each join is
+    priced at its own output — ``out_rows`` with the conditions undone
+    — and runs under a Filter applying them.
     """
     left_set, right_set = lefts.tables, rights.tables
     left_rows, right_rows = lefts.rows, rights.rows
-    if edge.child in left_set:
-        left_key, right_key = edge.child_column, edge.parent_column
-    else:
-        left_key, right_key = edge.parent_column, edge.child_column
+    left_key, right_key = facts.left_key, facts.right_key
     model = ctx.model
     filtered_rows = out_rows
-    if conditions:
+    if facts.conditions:
         selectivity = 1.0
-        for condition in conditions:
+        for condition in facts.conditions:
             selectivity *= ctx.condition_selectivity(condition)
         out_rows = filtered_rows / selectivity
 
@@ -63,12 +132,8 @@ def join_candidates(
     right_sort = _sort_costs(ctx, rights, right_key)
     # Indexed nested-loop joins: either side can be the inner base
     # table if it has an index on its join column.
-    inl_left = _indexed_nl(
-        ctx, left_set, left_rows, left_key, right_set, right_key, out_rows
-    )
-    inl_right = _indexed_nl(
-        ctx, right_set, right_rows, right_key, left_set, left_key, out_rows
-    )
+    inl_left = _indexed_nl(ctx, facts.inl_left, left_rows, out_rows)
+    inl_right = _indexed_nl(ctx, facts.inl_right, right_rows, out_rows)
 
     n_left, n_right, n_hash = len(lefts), len(rights), len(hash_sides)
     flat, width = _layout(
@@ -88,8 +153,8 @@ def join_candidates(
         )
 
     under = None
-    if conditions:
-        under = (conjunction([c.expr for c in conditions]), out_rows, costs)
+    if facts.conditions:
+        under = (facts.residual, out_rows, costs)
         filter_cost = model.filter(out_rows, filtered_rows)
         if isinstance(costs, np.ndarray):
             costs = costs + filter_cost
@@ -281,19 +346,18 @@ def nonequi_candidates(
     ctx: "PlanningContext",
     lefts: PricedPlans,
     rights: PricedPlans,
-    conditions: list,
+    facts: NonEquiFacts,
     out_rows,
 ) -> PricedPlans:
     """NonEquiJoin candidates combining two condition-connected subsets.
 
-    The first condition (conjunct order) drives the interval search;
-    any further conditions crossing the same partition (band joins)
-    ride along as the operator's residual. Per pair both orientations
-    are emitted — sorting the right side and probing per left row is
-    asymmetric work — and pruning keeps the cheaper one.
+    The primary condition drives the interval search; any further
+    conditions crossing the same partition (band joins) ride along as
+    the operator's residual. Per pair both orientations are emitted —
+    sorting the right side and probing per left row is asymmetric work
+    — and pruning keeps the cheaper one.
     """
-    primary = conditions[0]
-    residual = conjunction([c.expr for c in conditions[1:]])
+    primary, residual = facts.primary, facts.residual
     selectivity = ctx.condition_selectivity(primary)
     terms = []
     for outer, inner in ((lefts, rights), (rights, lefts)):
@@ -381,35 +445,51 @@ def _sort_costs(ctx: "PlanningContext", side: PricedPlans, key: str):
     return np.where(np.asarray(ordered)[:, None], 0.0, sort_cost)
 
 
-def _indexed_nl(
-    ctx: "PlanningContext",
+def _indexed_nl_facts(
+    shape: "LatticeShape",
     outer_set: frozenset,
-    outer_rows,
     outer_key: str,
     inner_set: frozenset,
     inner_key: str,
-    out_rows,
-):
-    """``(term, IndexedNLJoin arguments after the outer)`` of the indexed
-    NL joins whose outer side is ``outer_set``, probing the base table
-    ``inner_set`` holds, or ``None`` when that cannot be done."""
+) -> IndexedNLFacts | None:
+    """The indexed NL join whose outer side is ``outer_set``, probing
+    the base table ``inner_set`` holds, or ``None`` when that cannot be
+    done."""
     if len(inner_set) != 1:
         return None
     (inner_table,) = inner_set
     inner_column = inner_key.split(".", 1)[1]
-    if not ctx.database.has_index(inner_table, inner_column):
+    database = shape.database
+    if not database.has_index(inner_table, inner_column):
         return None
-
     # Rows fetched through the index: the join of the outer result with
     # the raw inner table — the inner predicate has not yet applied.
-    matched = ctx.rows(outer_set | inner_set, filtered=outer_set)
-    residual = ctx.pred_for(inner_set)
+    joined = outer_set | inner_set
+    shape.rows_question(joined, outer_set)  # filed with the shape
+    residual = shape.pred_for(inner_set)
+    return IndexedNLFacts(
+        joined,
+        outer_set,
+        database.clustering_column(inner_table) == inner_column,
+        database.table(inner_table).rows_per_page,
+        residual is not None,
+        (inner_table, outer_key, inner_column, residual),
+    )
+
+
+def _indexed_nl(
+    ctx: "PlanningContext", facts: IndexedNLFacts | None, outer_rows, out_rows
+):
+    """``(term, IndexedNLJoin arguments after the outer)`` of ``facts``'
+    join, or ``None`` when there is none."""
+    if facts is None:
+        return None
     term = ctx.model.indexed_nl_join(
         outer_rows,
-        matched,
+        ctx.rows(facts.joined, facts.outer),
         out_rows,
-        ctx.database.clustering_column(inner_table) == inner_column,
-        ctx.database.table(inner_table).rows_per_page,
-        residual is not None,
+        facts.clustered,
+        facts.rows_per_page,
+        facts.has_residual,
     )
-    return term, (inner_table, outer_key, inner_column, residual)
+    return term, facts.args

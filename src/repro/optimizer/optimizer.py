@@ -11,7 +11,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -27,20 +26,13 @@ from repro.core.magic import MagicNumbers
 from repro.engine import HashAggregate, Limit, PhysicalOperator, Project, Sort
 from repro.engine.relops import Filter
 from repro.errors import OptimizationError
-from repro.expressions import (
-    Expr,
-    as_join_condition,
-    classify_conjuncts,
-    conjunction,
-    expr_key,
-    split_conjuncts,
-)
+from repro.expressions import Expr, expr_key
 from repro.obs.trace import plan_shape
 from repro.optimizer.access import access_paths
 from repro.optimizer.candidates import PlanCandidate, PricedPlans, prune
-from repro.optimizer.joins import join_candidates, nonequi_candidates
-from repro.optimizer.query import SPJQuery, fk_components
-from repro.optimizer.star import detect_star, star_candidates
+from repro.optimizer.query import SPJQuery
+from repro.optimizer.shape import LatticeShape, connected, partitions
+from repro.optimizer.star import star_candidates
 from repro.selection.penalty import (
     penalty_matrix,
     penalty_summary,
@@ -50,11 +42,13 @@ from repro.selection.penalty import (
 
 
 class PlanningContext:
-    """Per-query state shared by the candidate generators.
+    """Per-plan state shared by the candidate generators.
 
     Wraps the estimator behind a memoizing ``card`` oracle (the paper's
     "subroutine calls to the cardinality estimation module", Section
-    3.4) and routes per-table predicates.
+    3.4) over the statement's :class:`LatticeShape` — ``shape`` when
+    given (a session's stored one), else built here — which routes
+    per-table predicates.
 
     Without a ``grid`` every estimate is a scalar
     :class:`CardinalityEstimate` at the query's hint. With one, each
@@ -72,71 +66,21 @@ class PlanningContext:
         estimator: CardinalityEstimator,
         query: SPJQuery,
         grid: Sequence[float] | None = None,
+        shape: LatticeShape | None = None,
     ) -> None:
         self.database = database
         self.model = model
         self.estimator = estimator
         self.query = query
         self.grid = None if grid is None else tuple(grid)
-        per_table = query.predicates_per_table()
-        self.cross_predicate = per_table.pop("", None)
-        self.per_table = per_table
+        self.shape = shape if shape is not None else LatticeShape(database, query)
+        self.cross_predicate = self.shape.cross_predicate
+        self.dp_conditions = self.shape.dp_conditions
+        self.pred_for = self.shape.pred_for
         self._cache: dict[tuple[frozenset, str], CardinalityEstimate] = {}
-        #: One predicate object per table set, so its ``expr_key`` is
-        #: rendered once however often the lattice asks.
-        self._predicates: dict[frozenset, Expr | None] = {}
         self.estimation_calls = 0
-
-        # Join-condition support. Conditions between tables of one FK
-        # component stay inside ``cross_predicate`` (the estimator can
-        # price them as part of the whole predicate and the top-level
-        # Filter applies them); conditions *between* FK components
-        # become DP join edges driving NonEquiJoin plans. When the
-        # query has no cross-component conditions every path below
-        # reduces exactly to the historical code.
-        edges = query.join_edges(database)
-        self._fk_adjacency: dict[str, set[str]] = {
-            name: set() for name in query.tables
-        }
-        for edge in edges:
-            self._fk_adjacency[edge.child].add(edge.parent)
-            self._fk_adjacency[edge.parent].add(edge.child)
-        components = fk_components(query.tables, edges)
-        component_of = {
-            name: index
-            for index, component in enumerate(components)
-            for name in component
-        }
-        self.dp_conditions = [
-            condition
-            for condition in classify_conjuncts(query.predicate).join_conditions
-            if component_of[condition.left_table]
-            != component_of[condition.right_table]
-        ]
-        if self.dp_conditions:
-            # Rebuild the cross predicate without the DP conditions —
-            # they are executed by the join operators, not the final
-            # Filter — preserving the original conjunct order.
-            dp_exprs = {id(c.expr) for c in self.dp_conditions}
-            leftover = [
-                conjunct
-                for conjunct in split_conjuncts(query.predicate)
-                if len(conjunct.tables()) != 1 and id(conjunct) not in dp_exprs
-            ]
-            self.cross_predicate = conjunction(leftover)
         self._condition_sels: dict[str, float] = {}
-        self._magic = MagicNumbers()
         self._sort_costs: dict[frozenset, object] = {}
-
-    def pred_for(self, tables: frozenset) -> Expr | None:
-        """Conjunction of the per-table predicates of ``tables``."""
-        try:
-            return self._predicates[tables]
-        except KeyError:
-            predicate = self._predicates[tables] = conjunction(
-                [self.per_table.get(name) for name in sorted(tables)]
-            )
-            return predicate
 
     def card(self, tables: frozenset, predicate: Expr | None) -> CardinalityEstimate:
         """Memoized cardinality estimate for an SPJ subexpression."""
@@ -188,30 +132,21 @@ class PlanningContext:
         """Estimated output rows of the joins covering ``tables``, with
         the per-table predicates and conditions of ``filtered`` (default:
         all of ``tables``) applied — an indexed NL join fetches its inner
-        rows before the inner predicate, so it asks with its outer side.
-
-        Single FK component (every query before join conditions
-        existed): exactly the estimator's cardinality, as always.
-        Several components: the estimators' rooted-tree protocol
-        cannot span them, so the estimate is the product of per
-        FK-component cardinalities times the selectivity of every
-        condition internal to ``filtered`` — the independence
-        assumption for condition joins.
-        """
-        if filtered is None:
-            filtered = tables
+        rows before the inner predicate, so it asks with its outer side:
+        the one estimate's cardinality, or the product of per-component
+        cardinalities and condition selectivities
+        (:meth:`LatticeShape.rows_question` says which; a query without
+        DP join conditions is one FK component, so one estimate)."""
         if not self.dp_conditions:
-            return self.card(tables, self.pred_for(filtered)).cardinality
-        components = self._components_within(tables)
-        if len(components) == 1:
-            return self.card(tables, self.pred_for(filtered)).cardinality
+            return self.card(tables, self.pred_for(filtered or tables)).cardinality
+        cards, conditions = self.shape.rows_question(tables, filtered)
+        if len(cards) == 1:
+            return self.card(*cards[0]).cardinality
         rows = 1.0
-        for component in components:
-            predicate = self.pred_for(component & filtered)
+        for component, predicate in cards:
             rows = rows * self.card(component, predicate).cardinality
-        for condition in self.dp_conditions:
-            if condition.left_table in filtered and condition.right_table in filtered:
-                rows = rows * self.condition_selectivity(condition)
+        for condition in conditions:
+            rows = rows * self.condition_selectivity(condition)
         return rows
 
     def cross_filtered_rows(self, rows):
@@ -219,32 +154,17 @@ class PlanningContext:
         queries only (no synopsis spans condition-connected components,
         so the whole-query estimate is assembled per conjunct)."""
         selectivity = 1.0
-        for conjunct in split_conjuncts(self.cross_predicate):
-            condition = as_join_condition(conjunct)
+        for conjunct, condition in self.shape.cross_factors:
             if condition is not None:
                 selectivity *= self.condition_selectivity(condition)
             else:
-                selectivity *= self._magic.for_predicate(conjunct)
+                selectivity *= _MAGIC.for_predicate(conjunct)
         return rows * selectivity
 
-    def _components_within(self, tables: frozenset) -> list[frozenset]:
-        """FK-connected components of ``tables``, smallest member first."""
-        components: list[frozenset] = []
-        seen: set[str] = set()
-        for seed in sorted(tables):
-            if seed in seen:
-                continue
-            component: set[str] = set()
-            frontier = [seed]
-            while frontier:
-                name = frontier.pop()
-                if name in component:
-                    continue
-                component.add(name)
-                frontier.extend((self._fk_adjacency[name] & tables) - component)
-            seen |= component
-            components.append(frozenset(component))
-        return components
+
+#: The §3.5 constants a multi-component query's residual conjuncts
+#: price at.
+_MAGIC = MagicNumbers()
 
 
 class _ThresholdSlice:
@@ -423,6 +343,10 @@ class Optimizer:
         #: Optional :class:`repro.obs.Tracer`; when set, every planned
         #: query carries an optimizer span in ``PlannedQuery.trace``.
         self.tracer = tracer
+        #: Where a plan's :class:`LatticeShape` comes from: ``None``
+        #: builds it per plan; a session lends its store (a callable
+        #: ``query -> LatticeShape``).
+        self._shapes = None
 
     # ------------------------------------------------------------------
     def optimize(self, query: SPJQuery) -> PlannedQuery:
@@ -511,9 +435,13 @@ class Optimizer:
         against that lane's scalar estimates, rank the alternatives
         (their trees are built when read), assemble the span.
         """
-        query.validate(self.database)
         ctx = PlanningContext(
-            self.database, self.cost_model, self.estimator, query, grid
+            self.database,
+            self.cost_model,
+            self.estimator,
+            query,
+            grid,
+            None if self._shapes is None else self._shapes(query),
         )
         tracing = self.tracer is not None
         dp_stats: list[dict] | None = [] if tracing else None
@@ -595,16 +523,12 @@ class Optimizer:
         """
         full_set = frozenset(query.tables)
         finalists = self._enumerate_joins(ctx, query, dp_stats)[full_set]
-
-        if not ctx.dp_conditions:
-            # (star detection assumes one FK component rooted at a fact
-            # table; condition-connected components are not star-shaped)
-            specs = detect_star(ctx, query)
-            if specs is not None:
-                out_rows = ctx.card(full_set, ctx.pred_for(full_set)).cardinality
-                finalists = PricedPlans.concat(
-                    [finalists, star_candidates(ctx, query, specs, out_rows)]
-                )
+        star = ctx.shape.star
+        if star is not None:
+            out_rows = ctx.card(star.tables, star.predicate).cardinality
+            finalists = PricedPlans.concat(
+                [finalists, star_candidates(ctx, star, out_rows)]
+            )
         return finalists
 
     # ------------------------------------------------------------------
@@ -656,50 +580,40 @@ class Optimizer:
         query: SPJQuery,
         dp_stats: list[dict] | None = None,
     ) -> dict[frozenset, PricedPlans]:
-        """Bottom-up DP: every connected subset's candidates priced, then
-        pruned to its survivors (``{subset: survivors}``, in lattice
-        order); no operator is built. When ``dp_stats`` is a list, one
-        entry per DP level is appended recording subsets evaluated,
-        candidates priced vs. kept after pruning, and the level's wall
-        time (tracing only — the enumeration itself is unchanged)."""
-        tables = list(query.tables)
-        edges = query.join_edges(self.database)
-        conditions = ctx.dp_conditions
-        adjacency: dict[str, set[str]] = {name: set() for name in tables}
-        for edge in edges:
-            adjacency[edge.child].add(edge.parent)
-            adjacency[edge.parent].add(edge.child)
-        for condition in conditions:
-            adjacency[condition.left_table].add(condition.right_table)
-            adjacency[condition.right_table].add(condition.left_table)
-
+        """Bottom-up DP over ``ctx.shape``: every connected subset's
+        candidates priced, then pruned to its survivors (``{subset:
+        survivors}``, in lattice order); no operator is built. When
+        ``dp_stats`` is a list, one entry per DP level is appended
+        recording subsets evaluated, candidates priced vs. kept after
+        pruning, and the level's wall time (tracing only — the
+        enumeration itself is unchanged)."""
         survivors: dict[frozenset, PricedPlans] = {}
-        for size in range(1, len(tables) + 1):
+        for size, level in enumerate(ctx.shape.levels, 1):
             level_started = time.perf_counter() if dp_stats is not None else 0.0
             generated = kept = subsets = 0
-            for subset_tuple in combinations(tables, size):
-                subset = frozenset(subset_tuple)
+            for node in level:
                 if size == 1:
                     candidates = access_paths(
-                        self.database,
-                        self.cost_model,
-                        ctx.card,
-                        subset_tuple[0],
-                        ctx.pred_for(subset),
+                        self.database, self.cost_model, ctx.card, node.table,
+                        node.predicate, node,
                     )
-                elif self._connected(subset, adjacency):
-                    blocks = self._join_subset(
-                        ctx, subset, survivors, edges, conditions
-                    )
-                    if not blocks:
-                        continue
-                    candidates = PricedPlans.concat(blocks)
                 else:
-                    continue
-                survivors[subset] = prune(candidates)
+                    out_rows = ctx.rows(node.tables)
+                    if not node.partitions:
+                        continue
+                    candidates = PricedPlans.concat(
+                        [
+                            price(
+                                ctx, survivors[left], survivors[right], facts,
+                                out_rows,
+                            )
+                            for left, right, price, facts in node.partitions
+                        ]
+                    )
+                survivors[node.tables] = prune(candidates)
                 subsets += 1
                 generated += len(candidates)
-                kept += len(survivors[subset])
+                kept += len(survivors[node.tables])
             if dp_stats is not None:
                 dp_stats.append(
                     {
@@ -710,83 +624,11 @@ class Optimizer:
                         "seconds": time.perf_counter() - level_started,
                     }
                 )
-
-        full_set = frozenset(tables)
-        if full_set not in survivors:
-            raise OptimizationError(
-                f"could not connect tables {sorted(full_set)} by FK joins"
-            )
         return survivors
 
-    def _join_subset(
-        self,
-        ctx: PlanningContext,
-        subset: frozenset,
-        survivors: dict[frozenset, PricedPlans],
-        edges: list,
-        conditions: list,
-    ) -> list[PricedPlans]:
-        """Every join producing ``subset`` from two planned halves, one
-        priced set per partition, in partition order."""
-        out_rows = ctx.rows(subset)
-        blocks: list[PricedPlans] = []
-        for left_set, right_set in self._partitions(subset):
-            lefts, rights = survivors.get(left_set), survivors.get(right_set)
-            if lefts is None or rights is None:
-                continue
-            crossing = [
-                e
-                for e in edges
-                if (e.child in left_set and e.parent in right_set)
-                or (e.child in right_set and e.parent in left_set)
-            ]
-            crossing_conditions = [
-                c for c in conditions if c.crosses(left_set, right_set)
-            ]
-            if len(crossing) > 1:
-                continue  # tree partitions cross at most one FK edge
-            if not crossing and not crossing_conditions:
-                continue  # nothing joins the halves
-            if not crossing:
-                # Pure condition join across FK components.
-                blocks.append(
-                    nonequi_candidates(
-                        ctx, lefts, rights, crossing_conditions, out_rows
-                    )
-                )
-            else:
-                # Along the one FK edge; conditions crossing the
-                # partition too filter each join's output.
-                blocks.append(
-                    join_candidates(
-                        ctx, lefts, rights, crossing[0], out_rows,
-                        crossing_conditions,
-                    )
-                )
-        return blocks
-
-    def _partitions(self, subset: frozenset):
-        """Unordered two-way partitions, with connected halves only."""
-        items = sorted(subset)
-        anchor = items[0]
-        rest = items[1:]
-        for size in range(0, len(rest)):
-            for extra in combinations(rest, size):
-                left = frozenset((anchor,) + extra)
-                right = subset - left
-                if right:
-                    yield left, right
-
-    def _connected(self, subset: frozenset, adjacency: dict[str, set[str]]) -> bool:
-        seen: set[str] = set()
-        frontier = [next(iter(subset))]
-        while frontier:
-            name = frontier.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            frontier.extend((adjacency[name] & subset) - seen)
-        return seen == subset
+    #: The lattice's partition and connectivity rules (the shape's).
+    _partitions = staticmethod(partitions)
+    _connected = staticmethod(connected)
 
     # ------------------------------------------------------------------
     # Finalization: cross-table filters, aggregation, projection

@@ -53,6 +53,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple, Sequence
 
 from repro.catalog import Database
@@ -79,6 +80,7 @@ from repro.obs import (
 )
 from repro.obs.summarize import explain_trace
 from repro.optimizer import Optimizer, PlannedQuery, SPJQuery
+from repro.optimizer.shape import LatticeShape
 from repro.selection import (
     SelectionPolicy,
     ThresholdPolicy,
@@ -118,6 +120,10 @@ class _Execution(NamedTuple):
 _MEMO = "_session_execution"
 _RAN_ONCE = "ran once"
 _TOO_LARGE = "too large"
+
+#: What the shape store holds for a fingerprint planned once: its
+#: second plan stores the :class:`LatticeShape` its later ones price.
+_PLANNED_ONCE = "planned once"
 
 
 @dataclass(frozen=True)
@@ -417,6 +423,17 @@ class Session:
             "repro_session_executions_reused_total",
             "Executes answered from the session's execution memo (also "
             "counted in repro_session_executes_total).",
+        )
+        # Each statement's lattice shape, by fingerprint: what planning
+        # derives before any estimate, shared by every policy, lane,
+        # statistics version and feedback generation (see _shape).
+        self._shapes = PlanCache(
+            capacity=base.plan_cache_size, stripes=base.cache_stripes
+        )
+        self._shapes_reused = self.metrics.counter(
+            "repro_session_plan_shapes_reused_total",
+            "Planning passes that priced a stored lattice shape instead "
+            "of deriving the statement's plan space again.",
         )
         self._simulated_seconds = self.metrics.histogram(
             "repro_session_simulated_seconds",
@@ -802,6 +819,7 @@ class Session:
         optimizer = Optimizer(
             self.database, estimator, self.cost_model, tracer=tracer
         )
+        optimizer._shapes = partial(self._shape, request.fingerprint)
         if fallback:
             return optimizer.optimize(request.policy.hinted(request.query))
         if grid is not None:
@@ -814,6 +832,23 @@ class Session:
             query_key=request.fingerprint,
             statistics_token=request.state.sampling_token,
         )
+
+    def _shape(self, fingerprint: str, query: SPJQuery) -> LatticeShape:
+        """``query``'s lattice shape: the one stored under its
+        fingerprint, else built (validating ``query``: a query that
+        fails stores nothing). A fingerprint's first plan leaves
+        ``_PLANNED_ONCE`` and its second stores the shape, so
+        never-repeated statements hold no shape. A shape holds only what the session's fixed catalog and
+        the hint-free statement decide, so its key needs no policy,
+        statistics version or feedback generation. Two threads on one
+        fingerprint may both build, and either shape is the same."""
+        stored = self._shapes.get(fingerprint)
+        if stored is not None and stored is not _PLANNED_ONCE:
+            self._shapes_reused.inc()
+            return stored
+        shape = LatticeShape(self.database, query)
+        self._shapes.put(fingerprint, _PLANNED_ONCE if stored is None else shape)
+        return shape
 
     # ------------------------------------------------------------------
     # Prepare
@@ -1244,6 +1279,12 @@ class Session:
         for name in ("size", "hits", "misses", "evictions"):
             gauge.set(float(stats[name]), stat=name)
         gauge.set(stats["hit_rate"], stat="hit_rate")
+        gauge.set(
+            float(sum(
+                shape is not _PLANNED_ONCE for shape in self._shapes.values()
+            )),
+            stat="shapes",
+        )
         scan_gauge = self.metrics.gauge(
             "repro_session_scan_cache",
             "Scan-cache occupancy (entries, bytes held) and counters.",
@@ -1290,6 +1331,7 @@ class Session:
         self.plan_cache.clear()
         self._parse_cache.clear()
         self._execution_memo.clear()
+        self._shapes.clear()
         self._scan_cache.clear()
         self._closed = True
 

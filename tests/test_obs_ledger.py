@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.obs import MetricsRegistry
@@ -131,3 +134,61 @@ class TestDriftAndDegradation:
         assert gauge.value(**{"class": "q", "quantile": "max"}) == 16.0
         drift = registry.gauge("repro_feedback_drift_score")
         assert drift.value(**{"class": "q"}) == pytest.approx(0.0)
+
+
+class TestArithmeticIsUnchanged:
+    """The report and the gauges are the floats the ledger's first
+    arithmetic gave: every quantile a nearest rank of a freshly sorted
+    window, ``max`` of the window, and both log-means ``log10`` summed
+    over the window and the baseline in order, on every ingest."""
+
+    @staticmethod
+    def rank(values, fraction):
+        ordered = sorted(values)
+        rank = min(len(ordered) - 1, int(math.ceil(fraction * len(ordered))) - 1)
+        return ordered[max(rank, 0)]
+
+    @staticmethod
+    def drift(window, baseline):
+        recent = sum(math.log10(q) for q in window) / len(window)
+        return recent - sum(math.log10(q) for q in baseline) / len(baseline)
+
+    def test_report_and_gauges_are_byte_equal(self):
+        rng = np.random.default_rng(11)
+        registry = MetricsRegistry()
+        ledger = AccuracyLedger(registry=registry)
+        qerror = registry.gauge("repro_feedback_qerror")
+        drift = registry.gauge("repro_feedback_drift_score")
+        seen: dict[str, list[float]] = {"a": [], "b": []}
+        # 3x the window per class, so windows slide and baselines freeze
+        for draw in range(6 * WINDOW):
+            name = "ab"[draw % 2]
+            q = float(10 ** rng.uniform(-0.5, 3.5))
+            ledger.ingest(name, q)
+            seen[name].append(max(q, 1.0))
+            values = seen[name]
+            window, baseline = values[-WINDOW:], values[:BASELINE]
+            for label, expected in (
+                ("p50", self.rank(window, 0.5)),
+                ("p90", self.rank(window, 0.9)),
+                ("max", max(window)),
+            ):
+                got = qerror.value(**{"class": name, "quantile": label})
+                assert got.hex() == expected.hex()
+            expected = self.drift(window, baseline)
+            assert drift.value(**{"class": name}).hex() == expected.hex()
+        report = ledger.report()
+        for name, values in seen.items():
+            window, baseline = values[-WINDOW:], values[:BASELINE]
+            log_sum = 0.0
+            for q in values:
+                log_sum += math.log10(q)
+            assert report[name] == {
+                "count": len(values),
+                "severity": classify_q_error(self.rank(window, 0.9)),
+                "drift_score": self.drift(window, baseline),
+                "geomean_q": 10 ** (log_sum / len(values)),
+                "max_q": max(values),
+                "window_p50": self.rank(window, 0.5),
+                "window_p90": self.rank(window, 0.9),
+            }

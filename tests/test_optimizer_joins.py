@@ -37,9 +37,15 @@ def best_paths(ctx, table):
     return {slot: survivors.take([k]) for slot, k in survivors.slots.items()}
 
 
+def priced_joins(ctx, left, right, edge, out_rows):
+    """``joins.join_candidates`` over the partition's facts along ``edge``."""
+    facts = joins.join_facts(ctx.shape, left.tables, right.tables, edge)
+    return joins.join_candidates(ctx, left, right, facts, out_rows)
+
+
 def join_candidates(*args):
     """Every join ``joins.join_candidates`` prices, built when read."""
-    return built_candidates(joins.join_candidates(*args))
+    return built_candidates(priced_joins(*args))
 
 
 @pytest.fixture
@@ -116,7 +122,7 @@ class TestJoinCandidates:
     def test_all_candidates_cover_both_tables(self, ctx, edge):
         left = best_paths(ctx, "lineitem")[None]
         right = best_paths(ctx, "orders")[None]
-        priced = joins.join_candidates(ctx, left, right, edge, 1000.0)
+        priced = priced_joins(ctx, left, right, edge, 1000.0)
         assert priced.tables == frozenset(["lineitem", "orders"])
         for candidate in built_candidates(priced):
             assert operator_tables(candidate.operator) == priced.tables

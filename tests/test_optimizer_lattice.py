@@ -43,6 +43,7 @@ from repro.workloads import (
     SnowflakeChainTemplate,
     StarJoinTemplate,
 )
+from tests import reference_lattice
 from tests.conftest import parse_battery
 from tests.reference_lattice import (
     PairwiseOptimizer,
@@ -157,6 +158,99 @@ class TestAgainstPairwiseLattice:
     ):
         world, query = cases[case]
         assert_plans_agree(*worlds[world], query, PLANNERS[mode])
+
+
+# ----------------------------------------------------------------------
+# A stored shape, priced again under refreshed statistics
+# ----------------------------------------------------------------------
+#: The statistics seed a warm session refreshes to before the second plan.
+REFRESH_SEED = 23
+
+
+@pytest.fixture(scope="module")
+def warm(worlds, cases):
+    """case -> (stored shape, refreshed statistics): every case prepared
+    through a :class:`Session` in all three modes (its shape stored and
+    priced under the first statistics), then the statistics refreshed."""
+    from repro import Session
+    from repro.service import query_fingerprint
+
+    sessions = {
+        world: Session(database, statistics=statistics)
+        for world, (database, statistics) in worlds.items()
+    }
+    for world, query in cases.values():
+        session = sessions[world]
+        session.prepare(query)
+        session.prepare_many(query, LANES)
+        session.prepare(query, policy="cvar:0.9:32")
+    for session in sessions.values():
+        session.refresh_statistics(seed=REFRESH_SEED)
+    out = {}
+    for case, (world, query) in cases.items():
+        session = sessions[world]
+        shape = session._shapes.get(query_fingerprint(query))
+        assert shape.tables == query.tables
+        out[case] = (shape, session.statistics)
+    return out
+
+
+def stored_shape_optimizer(shape):
+    """An :class:`Optimizer` that prices ``shape`` — handed to its plans
+    as a session hands its stored shapes, and to a context built
+    without one (``enumerate_with``'s) in place of the shape that
+    context derived."""
+
+    class StoredShapeOptimizer(Optimizer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._shapes = self.lend
+
+        @staticmethod
+        def lend(query):
+            assert query.tables == shape.tables
+            return shape
+
+        def _enumerate_joins(self, ctx, query, dp_stats=None):
+            if ctx.shape is not shape:
+                ctx = PlanningContext(
+                    ctx.database, ctx.model, ctx.estimator, ctx.query,
+                    ctx.grid, self.lend(ctx.query),
+                )
+            return super()._enumerate_joins(ctx, query, dp_stats)
+
+    return StoredShapeOptimizer
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("case", CASE_IDS)
+class TestStoredShapeAgainstPairwiseLattice:
+    """The second plan of a statement, through the shape its first plans
+    stored, against the reference over a shape of its own: the same
+    per-subset mappings, plans and estimator questions in the same
+    order, under statistics the first plans never saw."""
+
+    @pytest.fixture(autouse=True)
+    def stored(self, monkeypatch, warm, case):
+        shape, statistics = warm[case]
+        monkeypatch.setattr(
+            reference_lattice, "Optimizer", stored_shape_optimizer(shape)
+        )
+        return statistics
+
+    def test_every_subset_prunes_to_the_same_mapping(
+        self, worlds, cases, case, mode, stored
+    ):
+        world, query = cases[case]
+        database, _ = worlds[world]
+        assert_lattices_agree(database, stored, query, GRIDS[mode])
+
+    def test_planned_queries_are_equal_lane_for_lane(
+        self, worlds, cases, case, mode, stored
+    ):
+        world, query = cases[case]
+        database, _ = worlds[world]
+        assert_plans_agree(database, stored, query, PLANNERS[mode])
 
 
 # ----------------------------------------------------------------------

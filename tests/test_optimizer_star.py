@@ -14,9 +14,10 @@ from repro.optimizer.star import detect_star
 from tests.conftest import built_candidates
 
 
-def star_candidates(*args):
+def star_candidates(ctx, query, specs, out_rows):
     """Every plan ``star.star_candidates`` prices, built when read."""
-    return built_candidates(star.star_candidates(*args))
+    shape = star.star_shape(ctx, query, specs)
+    return built_candidates(star.star_candidates(ctx, shape, out_rows))
 
 
 def star_query(shift=0):

@@ -12,13 +12,17 @@ optimizer produces from the same statistics.
 import threading
 import time
 import weakref
+from dataclasses import replace
 
 import pytest
 
 from repro.core import RobustCardinalityEstimator
 from repro.cost import CostModel
 from repro.engine import scancache
-from repro.optimizer import Optimizer
+from repro.errors import OptimizationError
+from repro.obs import Tracer
+from repro.optimizer import Optimizer, SPJQuery
+from repro.optimizer.shape import LatticeShape
 from repro.selection import PolicyError
 from repro.service import session as session_module
 from repro.service.cache import PlanCache
@@ -31,6 +35,7 @@ from repro.service import (
 )
 from repro.sql import parse_query
 from repro.stats import StatisticsManager
+from repro.workloads import QUERY_BATTERY
 
 from tests.conftest import make_two_table_db
 
@@ -604,3 +609,235 @@ class TestExecutionMemo:
         assert 0 < held_bytes <= scancache.SCAN_CACHE_BYTES
         session.close()
         assert len(session._execution_memo) == 0
+
+
+class TestLatticeShapes:
+    """A statement's lattice shape (``repro.optimizer.shape``) is stored
+    by its second plan, and every later plan of the statement — any
+    policy, lane, statistics version or feedback generation — prices it
+    into exactly what a fresh optimizer plans on the same snapshot."""
+
+    STATEMENTS = (
+        "pricing_summary", "forecast_revenue", "shipping_priority",
+        "promo_parts", "top_customers", "correlated_dates",
+    )
+    LANES = (0.5, 0.65, 0.8, 0.9, 0.95)
+    PENALTY = "cvar:0.9:32"
+
+    @staticmethod
+    def fresh(session, prepared, grid=None, tracer=None):
+        """What an optimizer of its own plans for ``prepared`` on the
+        snapshot it was planned against: its policy's plan, or with
+        ``grid`` one plan per lane."""
+        request = prepared.request
+        optimizer = Optimizer(
+            session.database,
+            session._estimator(request.state),
+            session.cost_model,
+            tracer=tracer,
+        )
+        if grid is not None:
+            return optimizer.optimize_many(replace(request.query, hint=None), grid)
+        return request.policy.plan(
+            optimizer,
+            request.query,
+            query_key=request.fingerprint,
+            statistics_token=request.state.sampling_token,
+        )
+
+    @staticmethod
+    def plan_print(planned) -> tuple:
+        """``explain()``, the alternatives with their costs, every
+        estimate and the estimator-call count of one plan."""
+        return (
+            planned.explain(),
+            [(c.operator.explain(), c.cost, c.order) for c in planned.alternatives],
+            [
+                (key, e.cardinality, e.selectivity, e.source, e.threshold)
+                for key, e in planned.estimates.items()
+            ],
+            planned.estimation_calls,
+        )
+
+    def dp_levels(self, session, prepared, policy):
+        """The ``trace_query`` span's DP levels for ``prepared``'s
+        statement under ``policy``, and a fresh traced optimizer's."""
+        traced = session.trace_query(prepared.query, policy=policy)
+        fresh = self.fresh(session, prepared, tracer=Tracer())
+        return traced["optimizer"]["dp_levels"], fresh.trace["dp_levels"]
+
+    def test_replans_price_the_stored_shape_like_a_fresh_optimizer(
+        self, tpch_db, monkeypatch
+    ):
+        session = Session(tpch_db, sample_size=300, statistics_seed=4)
+        session.enable_feedback()
+        passes = []
+        plan = session._plan
+        monkeypatch.setattr(
+            session, "_plan", lambda *a, **k: passes.append(1) or plan(*a, **k)
+        )
+        queries = [
+            parse_query(QUERY_BATTERY[name], tpch_db) for name in self.STATEMENTS
+        ]
+        planned = 0
+        for round_ in range(4):
+            for query in queries:
+                single = session.prepare(query)
+                penalty = session.prepare(query, policy=self.PENALTY)
+                lanes = session.prepare_many(query, self.LANES)
+                for prepared in (single, penalty):
+                    assert self.plan_print(prepared.planned) == self.plan_print(
+                        self.fresh(session, prepared)
+                    )
+                # (the 0.8 lane is the scalar plan above: one vector pass
+                # planned the other four)
+                missing = [lane for lane in lanes if not lane.from_cache]
+                assert len(missing) == len(self.LANES) - 1
+                fresh_lanes = self.fresh(
+                    session, lanes[0], grid=tuple(p.threshold for p in missing)
+                )
+                for lane, expected in zip(missing, fresh_lanes):
+                    assert self.plan_print(lane.planned) == self.plan_print(
+                        expected
+                    )
+                for prepared, policy in (
+                    (single, None), (penalty, self.PENALTY), (lanes[2], 0.8),
+                ):
+                    traced, expected = self.dp_levels(session, prepared, policy)
+                    assert traced == expected
+                planned += 2 + len(missing)
+                single.execute()  # a harvest: the next round re-plans
+            if round_ % 2:
+                session.refresh_statistics(seed=round_)
+        assert len(session._shapes) == len(self.STATEMENTS)
+        reused = session.metrics.counter(
+            "repro_session_plan_shapes_reused_total", ""
+        ).value()
+        # every planning pass but each statement's first two priced a
+        # stored shape (a harvest that moves no fold re-plans nothing)
+        assert reused == len(passes) - 2 * len(self.STATEMENTS)
+        assert len(passes) > 4 * len(self.STATEMENTS) * 3
+        assert planned == 4 * len(self.STATEMENTS) * 6
+
+    def test_two_workers_preparing_one_statement_plan_identically(
+        self, tpch_db, monkeypatch
+    ):
+        from repro.serving import QueryServer, TenantSpec
+
+        sql = QUERY_BATTERY["shipping_priority"]
+        config = SessionConfig(sample_size=300, statistics_seed=4)
+        with QueryServer(
+            [TenantSpec("t", tpch_db, config)], worker_threads=2
+        ) as server:
+            for policy in (0.5, 0.95):  # the second plan stores the shape
+                server.serve("t", sql, policy=policy, execute=False)
+            session = server.session("t")
+            shape = session._shapes.get(query_fingerprint(parse_query(sql, tpch_db)))
+            assert isinstance(shape, LatticeShape)
+
+            pricing = []
+            enumerate_joins = Optimizer._enumerate_joins
+
+            def slow(self, ctx, query, dp_stats=None):
+                pricing.append(ctx.shape)
+                time.sleep(0.05)  # both workers price the shape meanwhile
+                return enumerate_joins(self, ctx, query, dp_stats)
+
+            monkeypatch.setattr(Optimizer, "_enumerate_joins", slow)
+            barrier = threading.Barrier(2)
+            policies = (0.8, self.PENALTY)
+
+            def client(policy):
+                barrier.wait()
+                server.serve("t", sql, policy=policy, execute=False)
+
+            threads = [
+                threading.Thread(target=client, args=(p,)) for p in policies
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert pricing == [shape, shape]
+            monkeypatch.undo()
+            for policy in policies:
+                prepared = session.prepare(sql, policy=policy)
+                assert prepared.from_cache
+                assert self.plan_print(prepared.planned) == self.plan_print(
+                    self.fresh(session, prepared)
+                )
+
+    def test_threads_sharing_stored_shapes_plan_identically(self, tpch_db):
+        """More threads than cores, switching often, prepare three
+        statements under three policies at once, their shapes stored and
+        shared: every plan is a fresh optimizer's, and each statement
+        keeps one stored shape."""
+        import sys
+
+        names = self.STATEMENTS[1:4]
+        session = Session(tpch_db, sample_size=300, statistics_seed=4)
+        for name in names:  # store every shape before the threads start
+            session.prepare_many(QUERY_BATTERY[name], (0.5,))
+            session.prepare_many(QUERY_BATTERY[name], (0.95,))
+        jobs = [(name, p) for name in names for p in (0.8, 0.65, self.PENALTY)]
+        prepared = {}
+        barrier = threading.Barrier(len(jobs))
+
+        def worker(job):
+            barrier.wait(timeout=10)
+            prepared[job] = session.prepare(QUERY_BATTERY[job[0]], policy=job[1])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(j,)) for j in jobs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert set(prepared) == set(jobs)
+        for handle in prepared.values():
+            assert self.plan_print(handle.planned) == self.plan_print(
+                self.fresh(session, handle)
+            )
+        stored = [v for v in session._shapes.values() if isinstance(v, LatticeShape)]
+        assert len(stored) == len(names)
+        assert session.metrics.counter(
+            "repro_session_plan_shapes_reused_total", ""
+        ).value() == len(jobs)
+
+    def test_store_is_bounded_reported_and_emptied_on_close(self, tpch_db):
+        session = Session(
+            tpch_db, sample_size=300, plan_cache_size=4, cache_stripes=1
+        )
+        gauge = session.metrics.gauge("repro_session_plan_cache", "")
+        session.prepare(QUERY_BATTERY["pricing_summary"])
+        session.cache_stats()
+        assert gauge.value(stat="shapes") == 0  # planned once: a mark
+        for name in self.STATEMENTS:
+            session.prepare(QUERY_BATTERY[name])
+            session.prepare_many(QUERY_BATTERY[name], (0.5, 0.95))
+        assert len(session._shapes) == 4
+        returned = session.cache_stats()
+        assert returned == session.plan_cache.stats()
+        assert gauge.value(stat="shapes") == 4
+        session.close()
+        assert len(session._shapes) == 0
+
+    def test_a_query_failing_validation_raises_and_stores_no_shape(
+        self, tpch_db
+    ):
+        session = Session(tpch_db, sample_size=300)
+        invalid = SPJQuery(
+            ["lineitem"],
+            projection=["lineitem.l_quantity"],
+            order_by=["lineitem.l_partkey"],
+        )
+        for _ in range(2):
+            with pytest.raises(OptimizationError, match="ORDER BY"):
+                session.prepare(invalid)
+        assert len(session._shapes) == 0
+        assert len(session.plan_cache) == 0
