@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro.engine.base import PhysicalOperator
 from repro.engine.context import ExecutionContext
 from repro.errors import ExecutionError
 from repro.expressions import Frame
+from repro.indexes.sorted_index import sorted_unique
 
 _AGG_FUNCS: dict[str, Callable[[np.ndarray], float]] = {
     "sum": lambda a: float(a.sum()) if len(a) else 0.0,
@@ -41,11 +43,34 @@ class AggregateSpec:
             )
 
 
+def _reduce(
+    func: str, values: np.ndarray | None, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """``func`` over each contiguous group ``values[starts[i]:ends[i]]``.
+
+    The kernel reduces every group in a few numpy calls wherever that is
+    bit-identical to reducing each slice on its own, and returns None
+    for the rest (``avg`` over integers), which keeps the reference
+    per-group loop.
+    """
+    aggregated = kernels.grouped_aggregate(func, values, starts, ends)
+    if aggregated is None:
+        reduce = _AGG_FUNCS[func]
+        aggregated = np.array([reduce(values[s:e]) for s, e in zip(starts, ends)])
+    return aggregated
+
+
 class HashAggregate(PhysicalOperator):
     """Group rows by the ``group_by`` columns and compute aggregates.
 
     With an empty ``group_by`` this is a scalar aggregate producing a
     single row (the shape of Experiment 1's ``SELECT SUM(...)``).
+
+    Groups come out in ascending key order. When the plan reads only
+    the first ``k`` of them (``ExecutionContext.prefix_reads``, entered
+    by a :class:`~repro.engine.sort.Limit`) and the key is one compact
+    integer column, each non-COUNT aggregate is a computed column that
+    the reader reduces for the groups it reads.
     """
 
     def __init__(
@@ -64,13 +89,14 @@ class HashAggregate(PhysicalOperator):
         return [self.child]
 
     def execute(self, ctx: ExecutionContext) -> Frame:
+        reads = ctx.prefix_reads.pop(self, None)
         frame = self.child.execute(ctx)
         ctx.counters.cpu_rows += frame.num_rows
         if not self.group_by:
             result = self._scalar(frame)
         else:
             ctx.counters.hash_build_rows += frame.num_rows
-            result = self._grouped(frame)
+            result = self._grouped(frame, reads)
         ctx.counters.rows_output += result.num_rows
         return result
 
@@ -89,21 +115,20 @@ class HashAggregate(PhysicalOperator):
                 columns[spec.alias] = np.array([_AGG_FUNCS[spec.func](values)])
         return Frame(columns)
 
-    def _grouped(self, frame: Frame) -> Frame:
+    def _grouped(self, frame: Frame, reads: int | None) -> Frame:
+        """Group ``frame``; ``reads`` is how many leading groups the
+        plan reads (``None``: all of them)."""
         key_arrays = [frame.column(name) for name in self.group_by]
-        # COUNT-only aggregates over one compact integer key never need
-        # the group sort: counts and sorted unique keys come straight
-        # from one bincount pass, bit-identical to the sorted path.
-        if len(key_arrays) == 1 and all(
-            spec.func == "count" for spec in self.aggregates
-        ):
-            compact = kernels.grouped_count_compact(key_arrays[0])
-            if compact is not None:
-                group_keys, counts = compact
-                columns = {self.group_by[0]: group_keys}
-                for spec in self.aggregates:
-                    columns[spec.alias] = counts.astype(np.float64)
-                return Frame(columns)
+        # Over one compact integer key, keys and counts come straight
+        # from one bincount pass, bit-identical to the sorted path. Any
+        # other aggregate is then reduced only for the groups read, so
+        # this branch serves COUNT-only lists and plans that read fewer
+        # groups than there are; the rest keep the group sort.
+        counting = all(spec.func == "count" for spec in self.aggregates)
+        if len(key_arrays) == 1 and (counting or reads is not None):
+            groups = kernels.compact_groups(key_arrays[0])
+            if groups is not None and (counting or reads < len(groups.keys)):
+                return self._compact(frame, groups)
         # Group via lexicographic sort over the key columns. The
         # kernel's stable radix path returns the same (unique) stable
         # permutation np.lexsort would, in O(n) for integer keys.
@@ -130,21 +155,41 @@ class HashAggregate(PhysicalOperator):
         }
         for spec in self.aggregates:
             # ``count`` reads the group extents only: no input column,
-            # no gather. The kernel reduces every group in a few numpy
-            # calls wherever that is bit-identical to reducing each
-            # slice on its own, and returns None for the rest (``avg``
-            # over integers), which keeps the reference per-group loop.
+            # no gather.
             values = (
                 None if spec.func == "count" else self._agg_input(frame, spec)[order]
             )
-            aggregated = kernels.grouped_aggregate(spec.func, values, starts, ends)
-            if aggregated is None:
-                func = _AGG_FUNCS[spec.func]
-                aggregated = np.array(
-                    [func(values[s:e]) for s, e in zip(starts, ends)]
-                )
-            columns[spec.alias] = aggregated
+            columns[spec.alias] = _reduce(spec.func, values, starts, ends)
         return Frame(columns)
+
+    def _compact(self, frame: Frame, groups: kernels.CompactGroups) -> Frame:
+        """The groups of one compact key, every non-COUNT aggregate a
+        computed column: reading it at some rows reduces those groups
+        only (:meth:`_reduce_groups`)."""
+        columns: dict = {self.group_by[0]: groups.keys}
+        for spec in self.aggregates:
+            columns[spec.alias] = (
+                groups.counts.astype(np.float64)
+                if spec.func == "count"
+                else partial(self._reduce_groups, frame, groups, spec)
+            )
+        return Frame.computed(columns, len(groups.keys))
+
+    def _reduce_groups(
+        self,
+        frame: Frame,
+        groups: kernels.CompactGroups,
+        spec: AggregateSpec,
+        sel: np.ndarray | None,
+    ) -> np.ndarray:
+        """``spec`` over the groups at positions ``sel`` (``None``: all),
+        each group's rows in input order and reduced as the sorted path
+        reduces them, so every value is bit-identical to it."""
+        selected = np.arange(len(groups.keys)) if sel is None else sorted_unique(sel)
+        rows, starts, ends = kernels.compact_group_rows(groups, selected)
+        values = self._agg_input(frame.take(rows), spec)
+        reduced = _reduce(spec.func, values, starts, ends)
+        return reduced if sel is None else reduced[np.searchsorted(selected, sel)]
 
     def _agg_input(self, frame: Frame, spec: AggregateSpec) -> np.ndarray:
         if spec.column == "*":

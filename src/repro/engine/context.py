@@ -20,6 +20,12 @@ class ExecutionContext:
     between its entry and exit (its subtree's total; a snapshot
     difference, so it costs a counter copy and a subtraction per
     operator). Without a mapping that fact is not recorded.
+
+    ``prefix_reads`` maps an operator to how many leading rows of its
+    output the plan reads, where that is known before it runs: a
+    :class:`~repro.engine.sort.Limit` enters the aggregate whose groups
+    it reads in key order, and the aggregate takes the entry when it
+    runs.
     """
 
     def __init__(
@@ -35,6 +41,7 @@ class ExecutionContext:
         self.scan_cache = scan_cache
         self.operator_rows = operator_rows
         self.operator_work = operator_work
+        self.prefix_reads: dict = {}
 
     def operator_record(self, plan) -> list[tuple[int, WorkCounters]]:
         """``(output rows, subtree work)`` per operator of ``plan``, in

@@ -9,8 +9,8 @@ Each kernel has a reference formulation and faster ones chosen from
 the input (size, dtype, key range, which side's keys are unique) —
 never from a setting.
 
-The sort-free paths for integer keys — equi-join matching, COUNT
-grouping, and a sorted index's equality probes — all index a
+The sort-free paths for integer keys — equi-join matching, grouping
+by one compact key, and a sorted index's equality probes — all index a
 dense table by ``key - min``. They share one rule for when the table is
 worth building (its span against ``TABLE_RANGE_FACTOR`` x the rows it
 serves), one shift, :func:`_table_offsets`, which cannot wrap in a
@@ -37,6 +37,8 @@ equivalence for every kernel.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -273,23 +275,33 @@ def _grouped_float_reduce(
     return out
 
 
-#: Hard cap on the bincount table for sort-free grouped counting
+#: Hard cap on the bincount table for sort-free grouping
 #: (2**24 buckets = 128 MiB of int64 counts at worst).
 GROUP_TABLE_MAX_SPAN = 2**24
 
 
-def grouped_count_compact(
-    keys: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Sort-free grouping for COUNT aggregates over one integer key.
+class CompactGroups(NamedTuple):
+    """One integer key's groups, read off one ``np.bincount`` table."""
 
-    Returns ``(group_keys, counts)`` with group keys ascending —
-    exactly the rows the sort-based path produces (sorted unique keys
-    and their run lengths, both exact integers) — or ``None`` when the
-    key is not a compact-range integer array. Skipping the argsort
-    entirely makes ``COUNT(*) ... GROUP BY`` (the paper's experiment
-    query shape) a pure streaming pass: one ``np.bincount`` into a
-    cache-resident table instead of an O(n log n) permutation.
+    #: Distinct keys, ascending, in the keys' own dtype.
+    keys: np.ndarray
+    #: Rows per group.
+    counts: np.ndarray
+    #: Each group's table slot (``key - lo``).
+    slots: np.ndarray
+    #: Each input row's table slot.
+    offsets: np.ndarray
+
+
+def compact_groups(keys: np.ndarray) -> CompactGroups | None:
+    """Sort-free grouping over one integer key of compact span.
+
+    The group keys and counts are exactly the sorted unique keys and
+    run lengths the sort-based path produces (both exact integers), or
+    ``None`` when the key is not a compact-range integer array. One
+    ``np.bincount`` into a cache-resident table replaces the
+    O(n log n) permutation; :func:`compact_group_rows` finds the rows
+    of any subset of the groups from the same table offsets.
     """
     if not len(keys) or keys.dtype.kind not in ("i", "u"):
         return None
@@ -299,11 +311,31 @@ def grouped_count_compact(
         return None
     if span + 1 > TABLE_RANGE_FACTOR * max(len(keys), 2**16):
         return None
-    counts = np.bincount(_table_offsets(keys, lo), minlength=span + 1)
-    present = np.flatnonzero(counts)
+    offsets = _table_offsets(keys, lo)
+    counts = np.bincount(offsets, minlength=span + 1)
+    slots = np.flatnonzero(counts)
     # In the keys' own dtype, where wrapping undoes the shift's widening.
-    group_keys = present.astype(keys.dtype, copy=False) + keys.dtype.type(lo)
-    return group_keys, counts[present]
+    group_keys = slots.astype(keys.dtype, copy=False) + keys.dtype.type(lo)
+    return CompactGroups(group_keys, counts[slots], slots, offsets)
+
+
+def compact_group_rows(
+    groups: CompactGroups, selected: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, starts, ends)`` for the ``selected`` groups (ascending
+    group positions): their input rows laid out as the sort-based path
+    lays them out — group after group, each group's rows in input order
+    — and each group's slice ``[starts[i], ends[i])`` of that layout.
+
+    Only the selected groups' rows are ordered, so reducing ``k`` of
+    the groups costs one pass over the keys plus the ``k`` groups.
+    """
+    wanted = np.zeros(int(groups.slots[-1]) + 1, dtype=bool)
+    wanted[groups.slots[selected]] = True
+    rows = np.flatnonzero(wanted[groups.offsets])
+    rows = rows[stable_order(groups.offsets[rows])]
+    ends = np.cumsum(groups.counts[selected])
+    return rows, ends - groups.counts[selected], ends
 
 
 def describe() -> dict:

@@ -5,6 +5,13 @@ charged as ``n·log₂(n)`` comparisons into a dedicated counter, so the
 cost model stays a linear function of the counters while the sort
 itself is priced super-linearly in its input size. Limit truncates the
 stream and is free under the cost model.
+
+A Limit over a Sort on exactly an aggregate's group keys reads the
+aggregate's groups in key order, so it tells the aggregate how many it
+reads before it runs (``ExecutionContext.prefix_reads``). The
+aggregate may then leave columns to be computed for the rows read, and
+the Limit computes them in its own ``execute``: its output holds plain
+arrays only.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.engine import kernels
+from repro.engine.aggregate import HashAggregate
 from repro.engine.base import PhysicalOperator
 from repro.engine.context import ExecutionContext
 from repro.errors import ExecutionError
@@ -77,10 +85,26 @@ class Limit(PhysicalOperator):
         return [self.child]
 
     def execute(self, ctx: ExecutionContext) -> Frame:
+        aggregate = _groups_in_key_order(self.child)
+        if aggregate is not None:
+            ctx.prefix_reads[aggregate] = self.count
         frame = self.child.execute(ctx)
-        if frame.num_rows <= self.count:
-            return frame
-        return frame.take(np.arange(self.count))
+        if frame.num_rows > self.count:
+            frame = frame.take(np.arange(self.count))
+        return frame.materialized()
 
     def label(self) -> str:
         return f"Limit({self.count})"
+
+
+def _groups_in_key_order(child: PhysicalOperator) -> HashAggregate | None:
+    """The aggregate under ``child`` when ``child`` is a Sort on exactly
+    its group keys: its groups come out in key order, so the sort keeps
+    them where they are."""
+    if (
+        isinstance(child, Sort)
+        and isinstance(child.child, HashAggregate)
+        and child.keys == child.child.group_by
+    ):
+        return child.child
+    return None

@@ -18,6 +18,11 @@ boolean masks are converted to position vectors with ``np.flatnonzero``
 (``a[keep]`` and ``a[np.flatnonzero(keep)]`` agree element-for-element
 and dtype-for-dtype). The test suite checks frames against that.
 
+A column may also be *computed* (:meth:`Frame.computed`): its source is
+a function of the selection vector, so reading it after a ``take`` of
+``k`` rows computes ``k`` values. Its function must return what the
+whole column, gathered at the selection, would hold.
+
 Frames are immutable by contract: no caller may write into an array
 obtained from :meth:`column`. Frames share base arrays (and possibly
 selection vectors) with their inputs, so the contract is what makes
@@ -61,6 +66,16 @@ class _Source:
         return self.base if self.sel is None else self.base[self.sel]
 
 
+class _Computed(_Source):
+    """A column computed when read: ``base`` is a function returning
+    the column at row positions ``sel`` (``None``: every row)."""
+
+    __slots__ = ()
+
+    def gather(self) -> np.ndarray:
+        return self.base(self.sel)
+
+
 class Frame:
     """An ordered mapping of qualified column names to numpy arrays."""
 
@@ -95,6 +110,48 @@ class Frame:
         frame._cache = cache if cache is not None else {}
         frame._num_rows = num_rows
         return frame
+
+    @classmethod
+    def computed(
+        cls,
+        columns: Mapping[str, np.ndarray | Callable[[np.ndarray | None], np.ndarray]],
+        num_rows: int,
+    ) -> "Frame":
+        """A frame of ``num_rows`` rows whose callable columns are
+        computed when read, for the rows read only.
+
+        ``compute(sel)`` returns the column at row positions ``sel``
+        (``None``: every row), exactly as gathering the whole column at
+        ``sel`` would. ``mask`` / ``take`` compose ``sel`` as for any
+        column, so a frame narrowed to ``k`` rows computes ``k`` values.
+        Until it is read or :meth:`materialized`, a computed column
+        holds whatever its function references.
+        """
+        sources: dict[str, _Source] = {}
+        cache: dict[str, np.ndarray] = {}
+        for name, column in columns.items():
+            if callable(column):
+                sources[name] = _Computed(column, None)
+            else:
+                sources[name] = _Source(column, None)
+                cache[name] = column
+        return cls._from_sources(sources, num_rows, cache)
+
+    def materialized(self) -> "Frame":
+        """This frame with every computed column computed: it holds no
+        function and nothing a function referenced (``self`` when it
+        has no computed column)."""
+        if not any(type(src) is _Computed for src in self._sources.values()):
+            return self
+        sources: dict[str, _Source] = {}
+        cache: dict[str, np.ndarray] = dict(self._cache)
+        for name, src in self._sources.items():
+            if type(src) is _Computed:
+                cache[name] = self.column(name)
+                sources[name] = _Source(cache[name], None)
+            else:
+                sources[name] = src
+        return Frame._from_sources(sources, self._num_rows, cache)
 
     @classmethod
     def from_table(cls, table) -> "Frame":
@@ -241,7 +298,7 @@ class Frame:
             if sel is None:
                 sel = row_ids if src.sel is None else src.sel[row_ids]
                 composed[sel_id] = sel
-            sources[name] = _Source(src.base, sel)
+            sources[name] = type(src)(src.base, sel)
         return Frame._from_sources(sources, len(row_ids))
 
     def select(self, names: list[str]) -> "Frame":

@@ -92,7 +92,9 @@ class LatticeShape:
     """The plan space of ``query`` over ``database``, unpriced.
 
     Raises what ``query.validate`` raises, and ``OptimizationError``
-    when no partition chain connects the tables.
+    when no partition chain connects the tables. A caller that has
+    validated ``query`` against ``database`` already passes
+    ``validated=True``.
     """
 
     __slots__ = (
@@ -101,8 +103,11 @@ class LatticeShape:
         "star", "_fk_adjacency", "_predicates", "_questions", "_built",
     )
 
-    def __init__(self, database: Database, query: SPJQuery) -> None:
-        query.validate(database)
+    def __init__(
+        self, database: Database, query: SPJQuery, *, validated: bool = False
+    ) -> None:
+        if not validated:
+            query.validate(database)
         self.database = database
         self.tables = query.tables
         per_table = query.predicates_per_table()

@@ -835,18 +835,20 @@ class Session:
 
     def _shape(self, fingerprint: str, query: SPJQuery) -> LatticeShape:
         """``query``'s lattice shape: the one stored under its
-        fingerprint, else built (validating ``query``: a query that
-        fails stores nothing). A fingerprint's first plan leaves
+        fingerprint, else built. ``_coerce_query`` validated ``query``
+        when it came in, so a query that fails reaches no shape and
+        stores nothing. A fingerprint's first plan leaves
         ``_PLANNED_ONCE`` and its second stores the shape, so
-        never-repeated statements hold no shape. A shape holds only what the session's fixed catalog and
-        the hint-free statement decide, so its key needs no policy,
-        statistics version or feedback generation. Two threads on one
-        fingerprint may both build, and either shape is the same."""
+        never-repeated statements hold no shape. A shape holds only
+        what the session's fixed catalog and the hint-free statement
+        decide, so its key needs no policy, statistics version or
+        feedback generation. Two threads on one fingerprint may both
+        build, and either shape is the same."""
         stored = self._shapes.get(fingerprint)
         if stored is not None and stored is not _PLANNED_ONCE:
             self._shapes_reused.inc()
             return stored
-        shape = LatticeShape(self.database, query)
+        shape = LatticeShape(self.database, query, validated=True)
         self._shapes.put(fingerprint, _PLANNED_ONCE if stored is None else shape)
         return shape
 
@@ -855,7 +857,8 @@ class Session:
     # ------------------------------------------------------------------
     def _coerce_query(self, query: str | SPJQuery) -> tuple[SPJQuery, str]:
         """The parsed statement and its fingerprint, each computed once
-        per distinct statement."""
+        per distinct statement, and the statement validated against the
+        session's database (``parse_query`` validates what it parses)."""
         if isinstance(query, str):
             entry = self._parse_cache.get(query)
             if entry is None:
@@ -866,6 +869,7 @@ class Session:
         if isinstance(query, SPJQuery):
             fingerprint = self._fingerprints.get(query)
             if fingerprint is None:
+                query.validate(self.database)
                 fingerprint = query_fingerprint(query)
                 self._fingerprints[query] = fingerprint
             return query, fingerprint

@@ -332,24 +332,25 @@ class TestGroupedCountCompact:
         ],
     )
     def test_matches_sorted_grouping(self, keys):
-        result = kernels.grouped_count_compact(keys)
+        result = kernels.compact_groups(keys)
         assert result is not None
-        group_keys, counts = result
+        group_keys, counts = result.keys, result.counts
         expected_keys, expected_counts = self._reference(keys)
         np.testing.assert_array_equal(group_keys, expected_keys)
         np.testing.assert_array_equal(counts, expected_counts)
         assert group_keys.dtype == keys.dtype
 
     def test_declines_non_compact_and_non_integer(self):
-        assert kernels.grouped_count_compact(np.empty(0, dtype=np.int64)) is None
-        assert kernels.grouped_count_compact(np.array([0.5, 1.5])) is None
+        assert kernels.compact_groups(np.empty(0, dtype=np.int64)) is None
+        assert kernels.compact_groups(np.array([0.5, 1.5])) is None
         sparse = np.array([0, 2**40], dtype=np.int64)
-        assert kernels.grouped_count_compact(sparse) is None
+        assert kernels.compact_groups(sparse) is None
 
     def test_large_random(self):
         rng = np.random.default_rng(13)
         keys = rng.integers(100, 3000, 200_000)
-        group_keys, counts = kernels.grouped_count_compact(keys)
+        groups = kernels.compact_groups(keys)
+        group_keys, counts = groups.keys, groups.counts
         expected_keys, expected_counts = self._reference(keys)
         np.testing.assert_array_equal(group_keys, expected_keys)
         np.testing.assert_array_equal(counts, expected_counts)
@@ -360,7 +361,7 @@ class TestNarrowIntegerKeys:
     """The dense-table kernels shift keys by their minimum. In the keys'
     own dtype that wraps once the span passes the dtype's positive half
     (``int16`` keys spanning −30 000…30 000, ``int8`` keys spanning
-    −100…100): ``match_keys`` and ``grouped_count_compact`` then handed
+    −100…100): ``match_keys`` and ``compact_groups`` then handed
     ``bincount`` negative positions.
     """
 
@@ -387,7 +388,8 @@ class TestNarrowIntegerKeys:
 
     def test_grouped_count_equals_unique(self, keys):
         _, duplicated = keys
-        group_keys, counts = kernels.grouped_count_compact(duplicated)
+        groups = kernels.compact_groups(duplicated)
+        group_keys, counts = groups.keys, groups.counts
         expected_keys, expected_counts = np.unique(duplicated, return_counts=True)
         assert group_keys.dtype == expected_keys.dtype
         np.testing.assert_array_equal(group_keys, expected_keys)

@@ -121,6 +121,25 @@ class TestLazyFrameBasics:
         keep = base["t.x"] % 3 == 0
         assert_reads_back(Frame(base).mask(keep), base, np.flatnonzero(keep))
 
+    def test_a_computed_column_computes_only_the_rows_read(self):
+        base = _columns()
+        asked = []
+
+        def doubled(sel):
+            asked.append(None if sel is None else sel.tolist())
+            return base["t.a"] * 2 if sel is None else base["t.a"][sel] * 2
+
+        frame = Frame.computed({"t.a": base["t.a"], "t.d": doubled}, 400)
+        rng = np.random.default_rng(2)
+        keep = rng.random(400) < 0.5
+        rows = rng.integers(0, keep.sum(), 9)
+        out = frame.mask(keep).take(rows).select(["t.d", "t.a"]).materialized()
+        positions = np.flatnonzero(keep)[rows]
+        assert asked == [positions.tolist()]
+        assert_reads_back(out, {"t.d": base["t.a"] * 2, "t.a": base["t.a"]}, positions)
+        assert out.materialized() is out and frame.column("t.d") is frame.column("t.d")
+        assert asked[-1] is None
+
 
 def _table():
     return make_two_table_db(n_part=50, n_lineitem=200).table("part")

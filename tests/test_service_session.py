@@ -137,6 +137,70 @@ class TestPrepareCaching:
         assert session.prepare(queries[0]).from_cache is False
 
 
+class TestCanonicalSql:
+    """What the fingerprint's canonical form normalizes, and what it
+    keeps (``repro.service.fingerprint``'s docstring)."""
+
+    BASE = (
+        "SELECT COUNT(*) FROM lineitem, part "
+        "WHERE part.p_size <= 10 AND lineitem.l_quantity > 30"
+    )
+
+    @pytest.mark.parametrize(
+        "spelling",
+        [
+            "select  count(*)\n from lineitem, part where "
+            "part.p_size <= 10 and lineitem.l_quantity > 30",
+            "SELECT COUNT(*) FROM lineitem, part "
+            "WHERE ((part.p_size <= 10) AND (lineitem.l_quantity > 30))",
+            "SELECT COUNT(*) AS count_all FROM lineitem, part "
+            "WHERE part.p_size <= 10 AND lineitem.l_quantity > 30",
+            "SELECT COUNT(*) FROM lineitem JOIN part "
+            "ON lineitem.l_partkey = part.p_partkey "
+            "WHERE part.p_size <= 10 AND lineitem.l_quantity > 30",
+            BASE + " OPTION (CONFIDENCE 95)",
+        ],
+        ids=["case-and-space", "parentheses", "default-alias", "join-on", "hint"],
+    )
+    def test_normalizes(self, db, spelling):
+        base = parse_query(self.BASE, db)
+        assert canonical_sql(parse_query(spelling, db)) == canonical_sql(base)
+        assert query_fingerprint(parse_query(spelling, db)) == query_fingerprint(base)
+
+    @pytest.mark.parametrize(
+        "spelling",
+        [
+            "SELECT COUNT(*) FROM part, lineitem "
+            "WHERE part.p_size <= 10 AND lineitem.l_quantity > 30",
+            "SELECT COUNT(*) FROM lineitem, part "
+            "WHERE lineitem.l_quantity > 30 AND part.p_size <= 10",
+            "SELECT COUNT(*) FROM lineitem, part "
+            "WHERE 10 >= part.p_size AND lineitem.l_quantity > 30",
+            "SELECT COUNT(*) FROM lineitem, part "
+            "WHERE part.p_size <= 10.0 AND lineitem.l_quantity > 30",
+            "SELECT COUNT(*) AS n FROM lineitem, part "
+            "WHERE part.p_size <= 10 AND lineitem.l_quantity > 30",
+        ],
+        ids=["from-order", "conjunct-order", "operand-order", "literal", "alias"],
+    )
+    def test_keeps(self, db, spelling):
+        base = parse_query(self.BASE, db)
+        assert query_fingerprint(parse_query(spelling, db)) != query_fingerprint(base)
+
+    def test_keeps_between_and_in_list_order(self, db):
+        def fingerprint(where):
+            return query_fingerprint(
+                parse_query(f"SELECT COUNT(*) FROM lineitem WHERE {where}", db)
+            )
+
+        assert fingerprint("lineitem.l_partkey BETWEEN 4 AND 9") != fingerprint(
+            "lineitem.l_partkey >= 4 AND lineitem.l_partkey <= 9"
+        )
+        assert fingerprint("lineitem.l_partkey IN (3, 1)") != fingerprint(
+            "lineitem.l_partkey IN (1, 3)"
+        )
+
+
 class TestStatisticsVersioning:
     def test_refresh_invalidates_cached_plans(self, session):
         prepared = session.prepare(QUERY)
@@ -841,3 +905,29 @@ class TestLatticeShapes:
                 session.prepare(invalid)
         assert len(session._shapes) == 0
         assert len(session.plan_cache) == 0
+
+    def test_a_statement_is_validated_once(self, tpch_db, monkeypatch):
+        """Where it comes in: ``parse_query`` validates SQL text, the
+        first prepare an ``SPJQuery`` object, and building the shape
+        (first and second plan) validates nothing again. An optimizer
+        without a session validates what it plans."""
+        validated = []
+        validate = SPJQuery.validate
+        monkeypatch.setattr(
+            SPJQuery,
+            "validate",
+            lambda query, db: validated.append(query) or validate(query, db),
+        )
+        session = Session(tpch_db, sample_size=300)
+        direct = parse_query(QUERY_BATTERY["brand_audit"])
+        for statement in (*(QUERY_BATTERY[n] for n in self.STATEMENTS), direct):
+            for policy in ("threshold:0.5", "threshold:0.95", "threshold:0.5"):
+                session.prepare(statement, policy=policy)
+        assert len(validated) == len(self.STATEMENTS) + 1
+        assert validated[-1] is direct
+        assert len(session._shapes) == len(self.STATEMENTS) + 1
+        optimizer = Optimizer(
+            tpch_db, session._estimator(session._ensure_state()), session.cost_model
+        )
+        optimizer.optimize(direct)
+        assert validated[-1] is direct and len(validated) == len(self.STATEMENTS) + 2
