@@ -44,9 +44,8 @@ def main():
         with Session(
             database, policy=config.policy, sample_size=500, statistics_seed=2
         ) as session:
-            planned = session.prepare(query).planned
-        print(f"\n[{config.name}]")
-        print(format_audit(audit_plan(planned, database)))
+            print(f"\n[{config.name}]")
+            print(format_audit(audit_plan(session.prepare(query))))
 
     print(
         "\nThe histogram plan's top operator shows the AVI underestimate as a"

@@ -97,10 +97,9 @@ class PhysicalOperator:
         plans of one statement differ only in the choices the labels
         show, so within a statement equal signatures charge identical
         work; across statements they may not. A cache that reuses
-        executions by signature must scope its key to one statement,
-        as :class:`~repro.experiments.perf.PlanExecutionCache` does
-        and as the session's execution memo does with the statement's
-        fingerprint (``Session._execute_prepared``).
+        executions by signature must scope its key to one statement:
+        the session's execution memo, the one such cache, keys on
+        ``(statement fingerprint, signature)`` (``Session._run``).
         """
         pieces = [f"{'  ' * indent}{self.label()}"]
         for child in self.children():

@@ -1,12 +1,12 @@
 """Shared scan cache: memoized base-table access paths.
 
-The experiment harness executes many plans over the same database —
-the plan-execution cache already deduplicates *identical plans*, but
-two different plans for one parameter still share their leaves (the
+A session executes many plans over the same database — its execution
+memo already deduplicates *identical plans* of one statement, but two
+different plans for one statement still share their leaves (the
 same ``SeqScan(lineitem, q > 45)`` appears under both the stable and
 the risky join order). A :class:`ScanCache` memoizes those leaf
 results so each distinct (operator kind, table, predicate) combination
-filters the base data once per experiment, not once per plan.
+filters the base data once per session, not once per plan.
 
 Correctness rules:
 

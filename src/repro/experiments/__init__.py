@@ -7,7 +7,7 @@ curves per configuration, and mean/std tradeoff points per
 configuration.
 """
 
-from repro.experiments.perf import PerfStats, PlanExecutionCache
+from repro.experiments.perf import PerfStats
 from repro.experiments.runner import (
     EstimatorConfig,
     ExperimentResult,
@@ -71,7 +71,6 @@ __all__ = [
     "ExperimentResult",
     "ExperimentRunner",
     "PerfStats",
-    "PlanExecutionCache",
     "RunRecord",
     "default_configs",
     "penalty_configs",

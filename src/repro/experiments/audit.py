@@ -1,23 +1,21 @@
 """Cardinality auditing: estimated vs. actual rows per plan operator.
 
 The paper's whole premise is that estimates are uncertain; this module
-makes the error observable. :func:`audit_plan` executes a planned query
-once and reports, per operator, the optimizer's estimate next to the
+makes the error observable. :func:`audit_plan` reports, per operator of
+a prepared statement's plan, the optimizer's estimate next to the
 actual output cardinality and their q-error — the row columns of the
-execution spans :func:`repro.obs.operator_spans` builds from that one
-execution's record.
+execution spans :func:`repro.obs.operator_spans` builds from the record
+its session keeps of the plan's one run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.catalog import Database
-from repro.engine import ExecutionContext
 from repro.obs.execution import operator_spans
 from repro.obs.summarize import operator_table
 from repro.obs.trace import q_error
-from repro.optimizer import PlannedQuery
+from repro.service import PreparedQuery
 
 
 @dataclass(frozen=True)
@@ -35,13 +33,18 @@ class AuditEntry:
         return q_error(self.estimated_rows, self.actual_rows)
 
 
-def audit_plan(planned: PlannedQuery, database: Database) -> list[AuditEntry]:
-    """Execute ``planned`` once and collect one entry per operator.
+def audit_plan(prepared: PreparedQuery) -> list[AuditEntry]:
+    """One entry per operator of ``prepared``'s plan, in pre-order
+    (``explain()`` layout).
 
-    Entries are returned in pre-order, matching ``explain()`` layout.
+    The actuals are the record of the plan's tree in its session's
+    execution memo: a tree the session already ran (an ``execute``,
+    a trace or an earlier audit of the statement) is not run again.
     """
-    ctx = ExecutionContext(database, operator_rows={}, operator_work={})
-    planned.plan.execute(ctx)
+    plan = prepared.plan
+    record = prepared.session._run(
+        prepared.fingerprint, prepared.planned, served=False
+    )[0]
     return [
         AuditEntry(
             label=span["operator"],
@@ -49,9 +52,7 @@ def audit_plan(planned: PlannedQuery, database: Database) -> list[AuditEntry]:
             estimated_rows=span["estimated_rows"],
             actual_rows=span["actual_rows"],
         )
-        for span in operator_spans(
-            planned.plan, ctx.operator_record(planned.plan)
-        )
+        for span in operator_spans(plan, record.operators)
     ]
 
 

@@ -1,28 +1,20 @@
-"""Performance instrumentation and caching for the experiment harness.
+"""Performance instrumentation for the experiment harness.
 
 The paper's prototype "lacks even basic optimizations such as
 memoizing" and pays a 30–40 % estimation overhead (§6.1); the harness
-layer here is where we claw that back at experiment scale:
-
-* :class:`PlanExecutionCache` — simulated execution time is a pure
-  function of (database, physical plan, query parameter), so within
-  one statistics seed every distinct ``(param, plan signature)`` pair
-  is executed once and the ``(time, actual_rows, per-operator
-  record)`` result reused across estimator configurations that chose
-  the same plan.
-* :class:`PerfStats` — cache hit/miss counters and per-phase
-  wall-clock timers (``stats_build``, ``optimize``, ``execute``),
-  merged across seeds/workers and exposed on ``ExperimentResult`` so
-  benchmarks can track the perf trajectory over time.
+claws that back at experiment scale, and :class:`PerfStats` shows what
+each layer bought: cache hit/miss counters and per-phase wall-clock
+timers (``stats_build``, ``optimize``, ``execute``), merged across
+seeds/workers and exposed on ``ExperimentResult`` so benchmarks can
+track the perf trajectory over time. The execution counters are the
+seed session's: its execution memo (a hit is a plan whose tree an
+earlier arm already ran, answered from that run's record) and its
+scan cache (a miss in the memo still shares base-table scans).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.catalog import Database
-from repro.cost import CostModel
-from repro.engine import ExecutionContext, PhysicalOperator, ScanCache
+from dataclasses import dataclass
 
 
 @dataclass
@@ -41,7 +33,7 @@ class PerfStats:
     estimate_cache_hits: int = 0
     estimate_cache_misses: int = 0
     #: Base-table scans answered from the shared scan cache instead of
-    #: re-filtering (plan-execution cache *misses* still share leaves).
+    #: re-filtering (execution-memo *misses* still share leaves).
     scan_cache_hits: int = 0
     scan_cache_misses: int = 0
     #: Posterior inversions answered from a quantile-table row instead
@@ -167,69 +159,3 @@ class PerfStats:
             "execute_seconds": round(self.execute_seconds, 4),
             "wall_seconds": round(self.wall_seconds, 4),
         }
-
-
-@dataclass
-class PlanExecutionCache:
-    """Reuse plan executions keyed on ``(key, plan signature)``.
-
-    The signature (:meth:`PhysicalOperator.signature`) names the
-    operator tree — tables, indexes, join keys, tree shape — but none
-    of the optimizer's cost annotations, so two estimator
-    configurations that picked the same physical plan share one
-    execution. It does not name every predicate (some operator labels
-    omit their residuals), so it identifies a plan only among the plans
-    of one statement: ``key`` scopes the reuse to one (the query
-    parameter in grid runs, the query index in mixes), and is what
-    makes the reuse exact. The caller guarantees the underlying data
-    is fixed for the cache's lifetime.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    _store: dict = field(default_factory=dict, repr=False)
-    #: Base-table scans shared across the plan executions this cache
-    #: performs, so two *different* plans for one key still share their
-    #: leaves. Counter-neutral: operators replay the same
-    #: :class:`WorkCounters` arithmetic on hits.
-    _scans: ScanCache = field(default_factory=ScanCache, repr=False)
-
-    def execute(
-        self,
-        database: Database,
-        cost_model: CostModel,
-        key,
-        plan: PhysicalOperator,
-    ) -> tuple[float, int, list]:
-        """Execute ``plan`` (or reuse), returning ``(time, rows,
-        record)``.
-
-        ``record`` is the execution's
-        :meth:`~repro.engine.ExecutionContext.operator_record`; it is
-        addressed by ``walk()`` position, so on a hit it describes the
-        plan in hand although another plan object was the one executed.
-        """
-        cache_key = (key, plan.signature())
-        cached = self._store.get(cache_key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        ctx = ExecutionContext(
-            database,
-            scan_cache=self._scans,
-            operator_rows={},
-            operator_work={},
-        )
-        frame = plan.execute(ctx)
-        result = (
-            cost_model.time_from_counters(ctx.counters),
-            frame.num_rows,
-            ctx.operator_record(plan),
-        )
-        self._store[cache_key] = result
-        return result
-
-    def scan_stats(self) -> tuple[int, int]:
-        """``(hits, misses)`` of the shared scan cache."""
-        return (self._scans.hits, self._scans.misses)

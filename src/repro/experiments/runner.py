@@ -14,10 +14,10 @@ Seeds are independent by construction — each rebuilds its own
 :class:`~repro.stats.StatisticsManager` — so the grid fans out over a
 process pool (``workers=``), with results merged in seed order so the
 :class:`ExperimentResult` is identical regardless of worker count.
-Within one seed, simulated time is a pure function of (database, plan,
-parameter), so each distinct ``(param, plan signature)`` pair is
-executed once and reused across configurations via
-:class:`~repro.experiments.perf.PlanExecutionCache`.
+Every arm's plans for a seed execute through one session, the path
+every served statement takes: its execution memo runs each distinct
+``(query, plan tree)`` once and answers every later arm that chose the
+same tree from that run's record.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.catalog import Database
 from repro.core import JEFFREYS, Prior
 from repro.cost import CostModel
 from repro.errors import ReproError
-from repro.experiments.perf import PerfStats, PlanExecutionCache
+from repro.experiments.perf import PerfStats
 from repro.obs.execution import execution_span
 from repro.obs.trace import QueryTrace, plan_shape
 from repro.optimizer import SPJQuery
@@ -140,7 +140,7 @@ def policy_arm(policy) -> EstimatorConfig:
 class _QueryList(QueryTemplate):
     """A fixed list of queries as a template: parameter ``i`` is
     ``queries[i]``, so ``calibrate`` grids every query with its true
-    selectivity, and the runner's execution cache is scoped per query."""
+    selectivity."""
 
     queries: Sequence[SPJQuery]
 
@@ -291,21 +291,21 @@ def _run_seed(
 
     Records come out in config order, then param order. Every arm plans
     through a :class:`~repro.service.Session` over the seed's one
-    statistics build, by the session's uncached planning path (no plan
+    statistics build, by the session's uncached planning pass (no plan
     cache, no metrics, no degraded fallback: an estimator failure
     propagates). The robust arms share one session (one estimator),
     every other arm gets its own. With two or more threshold arms, the
     first plans each query over all their thresholds in one vectorized
     pass and the rest take their lanes of it. A query's own confidence
-    hint is dropped: the arm's policy decides. Every execution goes
-    through one :class:`~repro.experiments.perf.PlanExecutionCache`.
+    hint is dropped: the arm's policy decides. Every arm's plans
+    execute through the shared session (execution reads no estimator),
+    whose execution memo and scan cache the perf counters report.
 
-    With ``trace=True`` every pass goes through the session's traced
-    planning instead, and the JSON-ready trace records ride back
-    alongside the run records (sinks never enter worker processes).
-    Tracing changes no record and executes nothing more: the execution
-    span is read off the per-operator record the plan-execution cache
-    keeps beside each ``(time, rows)``, hits included.
+    With ``trace=True`` every pass is a traced one, and the JSON-ready
+    trace records ride back alongside the run records (sinks never
+    enter worker processes). Tracing changes no record and executes
+    nothing more: the execution span is read off the record the memo
+    keeps for the plan's tree, hits included.
     """
     perf = PerfStats()
     traces: list[dict] = []
@@ -318,52 +318,45 @@ def _run_seed(
     )
     perf.stats_build_seconds += time.perf_counter() - started
 
-    # Every estimator a session plans with, for the perf counters.
-    estimators: list = []
     base = SessionConfig(
         prior=prior, sample_size=sample_size, histogram_buckets=histogram_buckets
     )
 
-    def keep(estimator):
-        estimators.append(estimator)
-        return estimator
-
-    def session_for(policy: SelectionPolicy) -> Session:
-        session = Session(
+    def session_for(policy: SelectionPolicy, **overrides) -> Session:
+        return Session(
             database,
             statistics=statistics,
             config=base,
             cost_model=cost_model,
             policy=policy,
+            **overrides,
         )
-        session.estimator_decorator = keep
-        return session
 
-    def plan(session: Session, query, policy, grid=None) -> tuple:
-        """The plan (one per lane of ``grid``) and, traced, the
-        estimation spans it read."""
-        if trace:
-            planned, estimator, spans, _ = session._traced_plan(
-                query, policy, grid
-            )
-            estimators.append(estimator)
-            return planned, spans
-        return session._plan(session._request(query, policy), grid=grid), None
-
-    robust = any(c.policy.estimator_kind == "robust" for c in configs)
     # Every robust arm passes its own policy, so the shared session's
-    # is the default one.
-    shared = session_for(base.policy) if robust else None
+    # is the default one. Its memo, one stripe, holds every (query,
+    # tree) the grid can produce, so no run is evicted before its reuse.
+    shared = session_for(
+        base.policy,
+        plan_cache_size=max(len(params) * len(configs), 1),
+        cache_stripes=1,
+    )
+    # Every estimator a pass read, for the perf counters.
+    estimators: dict = {}
+
+    def plan(session: Session, query, policy, grid=None):
+        planning = session._plan_pass(query, policy, grid=grid, traced=trace)
+        estimators[id(planning.estimator)] = planning.estimator
+        return planning
+
     # A width-1 vectorized pass is slower than the scalar one.
     vector = [c for c in configs if c.policy.kind == "threshold"]
     vector = vector if len(vector) >= 2 else []
     grid = tuple(c.policy.q for c in vector)
-    # One entry per position in ``params``: the lanes of its pass.
+    # One entry per position in ``params``: the pass its lanes came from.
     lanes: list = [None] * len(params)
 
     # One query object per param, so a session fingerprints it once.
     queries = [replace(template.instantiate(p), hint=None) for p, _ in params]
-    cache = PlanExecutionCache()
     records: list[RunRecord] = []
     for config in configs:
         policy = config.policy
@@ -375,24 +368,27 @@ def _run_seed(
         ):
             started = time.perf_counter()
             if lane is None:
-                planned, spans = plan(session, query, policy)
+                planning = plan(session, query, policy)
+                planned = planning.planned
             else:
                 if lane == 0:
                     # One pass gathers the evidence for every lane: each
                     # lane's trace links the same estimation spans.
                     lanes[index] = plan(session, query, None, grid)
                     perf.vector_passes += 1
-                planned, spans = lanes[index][0][lane], lanes[index][1]
+                planning = lanes[index]
+                planned = planning.planned[lane]
             elapsed = time.perf_counter() - started
             perf.optimize_seconds += elapsed
 
-            hits_before = cache.hits
             started = time.perf_counter()
-            simulated, actual_rows, operator_record = cache.execute(
-                database, cost_model, param, planned.plan
+            record, _, simulated, reused = shared._run(
+                planning.request.fingerprint, planned, served=False
             )
             exec_elapsed = time.perf_counter() - started
             perf.execute_seconds += exec_elapsed
+            perf.exec_cache_hits += reused
+            perf.exec_cache_misses += not reused
             records.append(
                 RunRecord(
                     config=config.name,
@@ -401,7 +397,7 @@ def _run_seed(
                     seed=seed,
                     time=simulated,
                     plan=plan_shape(planned.plan),
-                    actual_rows=actual_rows,
+                    actual_rows=record.num_rows,
                 )
             )
             if trace:
@@ -412,15 +408,15 @@ def _run_seed(
                         seed=seed,
                         param=param,
                         selectivity=selectivity,
-                        estimation=spans,
+                        estimation=planning.spans,
                         optimizer=planned.trace,
                         execution=execution_span(
                             planned.plan,
-                            operator_record,
+                            record.operators,
                             cost_model,
                             estimated_rows=planned.estimated_rows,
                             estimated_cost=planned.estimated_cost,
-                            cache_hit=cache.hits > hits_before,
+                            cache_hit=reused,
                         ),
                         timing={
                             "optimize_seconds": elapsed,
@@ -428,15 +424,14 @@ def _run_seed(
                         },
                     ).as_dict()
                 )
-    for estimator in estimators:
+    for estimator in estimators.values():
         perf.lut_hits += getattr(estimator, "lut_hits", 0)
         perf.estimate_cache_hits += getattr(estimator, "estimate_cache_hits", 0)
         perf.estimate_cache_misses += getattr(
             estimator, "estimate_cache_misses", 0
         )
-    perf.exec_cache_hits = cache.hits
-    perf.exec_cache_misses = cache.misses
-    perf.scan_cache_hits, perf.scan_cache_misses = cache.scan_stats()
+    scans = shared._scan_cache
+    perf.scan_cache_hits, perf.scan_cache_misses = scans.hits, scans.misses
     return records, perf, traces
 
 

@@ -272,9 +272,7 @@ class ChaosHarness:
         # A cached plan must be indistinguishable from planning fresh
         # under the statistics in force right now.
         try:
-            fresh = session._plan(
-                session._request(prepared.query)._replace(policy=prepared.policy)
-            )
+            fresh = session._plan_pass(prepared.query, prepared.policy).planned
         except ReproError:
             return  # injected estimator fault during the probe: skip
         if fresh.estimated_cost != prepared.estimated_cost or (

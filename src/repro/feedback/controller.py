@@ -91,23 +91,20 @@ class SessionFeedback:
         self,
         query,
         plan,
-        database,
         *,
         estimated_rows: float | None,
         actual_rows: int,
         statistics_version: int,
-        operator_rows=None,
+        operator_rows,
     ) -> None:
         """Harvest one executed plan and ledger its plan-level q-error
         under the query's class, its sorted table set.
 
-        ``operator_rows`` is the ``{operator: output rows}`` mapping the
-        plan's execution captured (see :func:`harvest_plan`).
+        ``operator_rows`` is the ``{operator: output rows}`` mapping of
+        the plan's execution (see :func:`harvest_plan`).
         """
         namespace = self.namespace_for_version(statistics_version)
-        harvest_plan(
-            self.store, namespace, query, plan, database, operator_rows
-        )
+        harvest_plan(self.store, namespace, query, plan, operator_rows)
         self.observations += 1
         error = q_error(estimated_rows, actual_rows)
         if error is not None:

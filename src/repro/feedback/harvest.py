@@ -17,11 +17,9 @@ Two entry points:
   cardinalities are not computed here: they are the ``{operator: output
   rows}`` mapping an execution fills when its
   :class:`~repro.engine.ExecutionContext` was given one
-  (``operator_rows``). ``Session`` passes the mapping of the execution
-  that produced the statement's result, so harvesting executes nothing.
-  A standalone call without a mapping (tests, hand-built plans) obtains
-  it the same way — one capturing execution of the plan root, which
-  runs every operator ``plan.walk()`` yields exactly once;
+  (``operator_rows``). ``Session`` passes the rows its execution memo
+  recorded on the first run of the plan's tree, so harvesting executes
+  nothing;
 * :func:`harvest_traces` — replays archived trace records (the
   experiment runner's output) through the per-operator execution
   spans, which carry their covered ``tables``. Aggregation in the store
@@ -33,9 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping
 
-from repro.catalog import Database
 from repro.engine import (
-    ExecutionContext,
     HashAggregate,
     Limit,
     PhysicalOperator,
@@ -79,21 +75,18 @@ def _predicate_for(
 def plan_observations(
     query: SPJQuery,
     plan: PhysicalOperator,
-    database: Database,
-    operator_rows: Mapping[PhysicalOperator, int] | None = None,
+    operator_rows: Mapping[PhysicalOperator, int],
 ) -> list[dict]:
     """Observed cardinalities from one executed plan.
 
     Walks the plan pre-order and, for the *topmost* relational
     operator of each distinct table set, emits one observation dict:
     ``{"tables", "predicate_key", "observed_rows", "estimated_rows"}``.
-    ``operator_rows`` is the mapping the plan's execution captured
-    (``ExecutionContext(..., operator_rows={})``); without one the plan
-    root is executed once here to capture it.
+    ``operator_rows`` maps each operator of ``plan`` to its output
+    rows: what an execution given ``ExecutionContext(...,
+    operator_rows={})`` captured, or a session record's
+    ``operator_rows(plan)``. Nothing is executed here.
     """
-    if operator_rows is None:
-        operator_rows = {}
-        plan.execute(ExecutionContext(database, operator_rows=operator_rows))
     per_table = predicates_by_table(query.predicate)
     observations: list[dict] = []
     seen: set[frozenset[str]] = set()
@@ -120,11 +113,10 @@ def harvest_plan(
     namespace: str,
     query: SPJQuery,
     plan: PhysicalOperator,
-    database: Database,
-    operator_rows: Mapping[PhysicalOperator, int] | None = None,
+    operator_rows: Mapping[PhysicalOperator, int],
 ) -> int:
     """Record every observation of one executed plan; returns count."""
-    observations = plan_observations(query, plan, database, operator_rows)
+    observations = plan_observations(query, plan, operator_rows)
     for obs in observations:
         store.record(
             namespace,

@@ -101,25 +101,36 @@ HEALTHY = "healthy"
 DEGRADED = "degraded"
 
 
-class _Execution(NamedTuple):
-    """What a plan's execution computed, kept in the session's
-    execution memo (see :meth:`Session._execute_prepared`)."""
+class _Record(NamedTuple):
+    """What the first run of a (fingerprint, plan signature) recorded,
+    kept in the session's execution memo (see :meth:`Session._run`)."""
 
-    #: Output rows per operator, in ``plan.walk()`` order.
-    operator_rows: tuple
-    #: The result with its columns copied (read-only), so it pins only
-    #: its own rows.
-    frame: Frame
+    #: ``(output rows, subtree WorkCounters)`` per operator, in
+    #: ``plan.walk()`` order: the run's
+    #: :meth:`~repro.engine.ExecutionContext.operator_record`, so it
+    #: describes any plan with the same signature.
+    operators: tuple
     simulated_seconds: float
+    num_rows: int
+
+    def operator_rows(self, plan) -> dict:
+        """``{operator: output rows}`` over ``plan``'s operators."""
+        return {op: rows for op, (rows, _) in zip(plan.walk(), self.operators)}
+
+
+class _Execution(NamedTuple):
+    """A key's record and the result its next served run left."""
+
+    record: _Record
+    #: The result with its columns copied (read-only), so it pins only
+    #: its own rows; ``None`` when it was over the bound.
+    frame: Frame | None
 
 
 #: The ``PlannedQuery`` attribute caching its entry in the session's
-#: execution memo: absent until the plan first runs, then ``_RAN_ONCE``,
-#: then the (fingerprint, signature)'s second run's :class:`_Execution`
-#: — or ``_TOO_LARGE`` when that result was over the bound.
+#: execution memo: absent until the plan first runs, then its key's
+#: :class:`_Record`, then its :class:`_Execution`.
 _MEMO = "_session_execution"
-_RAN_ONCE = "ran once"
-_TOO_LARGE = "too large"
 
 #: What the shape store holds for a fingerprint planned once: its
 #: second plan stores the :class:`LatticeShape` its later ones price.
@@ -207,6 +218,19 @@ class _Request(NamedTuple):
     def key(self) -> tuple:
         """The plan-cache key — the only place one is built."""
         return (self.fingerprint, self.policy.cache_key(), self.token)
+
+
+class _Pass(NamedTuple):
+    """One uncached planning pass (:meth:`Session._plan_pass`)."""
+
+    request: _Request
+    #: The plan, or one per lane of the grid.
+    planned: PlannedQuery | list
+    #: The estimator it read: a fresh traced one, else the snapshot's.
+    estimator: CardinalityEstimator
+    #: The estimation spans it recorded (``None`` untraced).
+    spans: list | None
+    seconds: float
 
 
 class PreparedQuery:
@@ -414,8 +438,8 @@ class Session:
         self._executes = self.metrics.counter(
             "repro_session_executes_total", "Statements executed."
         )
-        # What runs of a (fingerprint, plan signature) left (see
-        # _execute_prepared); sized like the parse cache.
+        # What runs of a (fingerprint, plan signature) left (see _run);
+        # sized like the parse cache.
         self._execution_memo = PlanCache(
             capacity=base.plan_cache_size, stripes=base.cache_stripes
         )
@@ -1021,25 +1045,8 @@ class Session:
         return self._execute_prepared(self.prepare(query, policy=policy))
 
     def _execute_prepared(self, prepared: PreparedQuery) -> QueryResult:
-        """Run a handle's plan, reusing what its tree computed before.
-
-        The session's execution memo is keyed ``(fingerprint,
-        plan.signature())``: within one statement equal signatures
-        charge identical work, and table data is fixed for the
-        session's lifetime, so the key needs no statistics version or
-        feedback generation and a re-plan that picks a tree that
-        already ran reuses it. A key's first execution runs and keeps
-        nothing. Its second also records operator rows (by ``walk()``
-        position) and stores an :class:`_Execution` — rows, a
-        compacted result frame, simulated seconds. Every later
-        execution returns it, and a harvesting session observes its
-        rows, so the feedback store ends up as if the plan had run.
-        The ``PlannedQuery`` caches its final entry, so a plan holding
-        one is served by one attribute read, with no lock and no
-        ``signature()`` call; publishing it is one store of an
-        immutable tuple. Two threads on one second run may both
-        execute, and either memo is the same.
-        """
+        """Run a handle's plan through :meth:`_run`, re-planning it
+        first if statistics moved, and harvest what it observed."""
         self._check_open()
         if prepared.is_stale():
             # Statistics moved: re-plan the handle's own query under the
@@ -1058,53 +1065,24 @@ class Session:
                 "Transparent re-plans after a statistics version bump.",
             ).inc()
         planned = prepared.planned
+        record, frame, simulated, reused = self._run(
+            prepared.fingerprint, planned, served=True
+        )
+        if reused:
+            self._executions_reused.inc()
         # Degraded (magic-only) plans are not harvested: their estimates
         # say nothing about the configured estimator's accuracy.
-        harvest = self._feedback is not None and prepared.degraded_reason is None
-        memo = getattr(planned, _MEMO, None)
-        if memo is None or memo is _RAN_ONCE:
-            key = (prepared.fingerprint, planned.plan.signature())
-            memo = self._execution_memo.get(key)
-            if memo is not None and memo is not _RAN_ONCE:
-                setattr(planned, _MEMO, memo)
-        if type(memo) is _Execution:
-            self._executions_reused.inc()
-            frame, simulated = memo.frame, memo.simulated_seconds
-            operator_rows = (
-                dict(zip(planned.plan.walk(), memo.operator_rows))
-                if harvest
-                else None
-            )
-        else:
-            ctx = ExecutionContext(
-                self.database,
-                scan_cache=self._scan_cache,
-                operator_rows={} if harvest or memo is _RAN_ONCE else None,
-            )
-            started = time.perf_counter()
-            frame = planned.plan.execute(ctx)
-            self._last_execute_wall.set(time.perf_counter() - started)
-            simulated = self.cost_model.time_from_counters(ctx.counters)
-            operator_rows = ctx.operator_rows
-            if memo is None or memo is _RAN_ONCE:
-                memo = (
-                    _RAN_ONCE if memo is None
-                    else self._memo(planned, frame, simulated, operator_rows)
-                )
-                self._execution_memo.put(key, memo)
-                setattr(planned, _MEMO, memo)
-        if harvest:
-            # Record the cardinalities this execution observed into the
+        if self._feedback is not None and prepared.degraded_reason is None:
+            # Record the cardinalities the plan's tree produced into the
             # epoch the plan was produced under and ledger its
             # plan-level q-error.
             self._feedback.observe(
                 prepared.query,
                 planned.plan,
-                self.database,
                 estimated_rows=planned.estimated_rows,
-                actual_rows=frame.num_rows,
+                actual_rows=record.num_rows,
                 statistics_version=prepared.statistics_version,
-                operator_rows=operator_rows,
+                operator_rows=record.operator_rows(planned.plan),
             )
         self._executes.inc()
         self._simulated_seconds.observe(simulated)
@@ -1115,29 +1093,82 @@ class Session:
             plan_cached=prepared.from_cache,
         )
 
-    def _memo(
-        self, planned: PlannedQuery, frame: Frame, simulated: float,
-        operator_rows: dict,
-    ) -> _Execution | str:
-        """The memo a key's second run leaves: the run's
-        :class:`_Execution`, or ``_TOO_LARGE`` when its result is over
-        one plan-cache slot's share of the scan-cache budget (so a full
-        plan cache holds at most one scan-cache budget of results)."""
+    def _run(
+        self, fingerprint: str, planned: PlannedQuery, *, served: bool
+    ) -> tuple[_Record, Frame | None, float, bool]:
+        """Run ``planned``'s tree, or answer from what its earlier runs
+        left: the session's one execution path. Returns the key's
+        :class:`_Record`, the result (``None`` when the record answered
+        a caller that needs no frame), the simulated seconds and whether
+        the memo answered, so that nothing executed.
+
+        The execution memo is keyed ``(fingerprint,
+        plan.signature())``: within one statement equal signatures
+        charge identical work, and table data is fixed for the
+        session's lifetime, so the key needs no statistics version,
+        feedback generation or estimator, and any plan object with the
+        key's tree is answered from it. A key's first run records each
+        operator's rows and work and keeps that :class:`_Record`; a
+        caller that needs no frame (``served=False``: traces, EXPLAIN
+        ANALYZE, audits, the experiment runner) reads it from then on.
+        The next ``served`` run keeps the compacted result beside it
+        (:meth:`_kept`), and every later served run returns that. The
+        ``PlannedQuery`` caches its :class:`_Execution`, so a plan
+        holding one is served by one attribute read, with no lock and
+        no ``signature()`` call; publishing an entry is one store of an
+        immutable tuple. Two threads on one run may both execute, and
+        either entry is the same.
+        """
+        self._check_open()
+        entry = getattr(planned, _MEMO, None)
+        if type(entry) is not _Execution:
+            key = (fingerprint, planned.plan.signature())
+            entry = self._execution_memo.get(key)
+            if type(entry) is _Execution:
+                setattr(planned, _MEMO, entry)
+        record, frame = entry if type(entry) is _Execution else (entry, None)
+        if record is not None and (frame is not None or not served):
+            return record, frame, record.simulated_seconds, True
+        ctx = ExecutionContext(
+            self.database,
+            scan_cache=self._scan_cache,
+            operator_rows={} if record is None else None,
+            operator_work={} if record is None else None,
+        )
+        started = time.perf_counter()
+        frame = planned.plan.execute(ctx)
+        self._last_execute_wall.set(time.perf_counter() - started)
+        simulated = self.cost_model.time_from_counters(ctx.counters)
+        if record is None:
+            entry = record = _Record(
+                tuple(ctx.operator_record(planned.plan)),
+                simulated,
+                frame.num_rows,
+            )
+        elif entry is record:
+            entry = _Execution(record, self._kept(frame))
+        else:  # its result is over the bound: nothing more to keep
+            return record, frame, simulated, False
+        self._execution_memo.put(key, entry)
+        setattr(planned, _MEMO, entry)
+        return record, frame, simulated, False
+
+    def _kept(self, frame: Frame) -> Frame | None:
+        """``frame`` with its columns copied and made read-only, or
+        ``None`` when it is over one plan-cache slot's share of the
+        scan-cache budget (so a full plan cache holds at most one
+        scan-cache budget of results)."""
         names = frame.column_names
         columns = [frame.column(name) for name in names]
         bound = scancache.SCAN_CACHE_BYTES // max(self.config.plan_cache_size, 1)
         if sum(column.nbytes for column in columns) > bound:
-            return _TOO_LARGE
+            return None
         copies = {}
         for name, column in zip(names, columns):
             copy = column.copy()
             copy.flags.writeable = False
             copies[name] = copy
-        return _Execution(
-            tuple(operator_rows[op] for op in planned.plan.walk()),
-            Frame(copies),
-            simulated,
-        )
+        return Frame(copies)
 
     # ------------------------------------------------------------------
     # Explain / trace
@@ -1161,52 +1192,65 @@ class Session:
         """
         return self._traced(query, execute, label, policy)[1]
 
-    def _traced_plan(self, query, policy=None, grid=None) -> tuple:
-        """One traced planning pass, uncached: the plan (one per lane of
-        ``grid``, as :meth:`_plan`), the fresh estimator it read, the
-        estimation spans it recorded and its wall seconds."""
+    def _plan_pass(
+        self,
+        query: str | SPJQuery,
+        policy: SelectionPolicy | float | str | None = None,
+        *,
+        grid: tuple[float, ...] | None = None,
+        traced: bool = False,
+    ) -> _Pass:
+        """One planning pass, uncached: ``query`` under ``policy`` (as
+        :meth:`prepare` resolves it), or under every threshold of
+        ``grid`` in one vectorized pass. ``traced`` plans with a fresh
+        traced estimator and keeps the estimation spans it recorded.
+        Nothing degrades: an estimator failure propagates. The
+        experiment runner, the chaos harness's fresh re-plan and
+        :meth:`trace_query` / :meth:`explain` plan through here."""
         self._check_open()
         request = self._request(query, policy)
-        tracer = Tracer()
+        tracer = Tracer() if traced else None
         estimator = self._estimator(request.state, tracer)
         started = time.perf_counter()
         planned = self._plan(
             request, estimator=estimator, tracer=tracer, grid=grid
         )
         seconds = time.perf_counter() - started
-        return planned, estimator, tracer.drain_estimations(), seconds
+        spans = tracer.drain_estimations() if traced else None
+        return _Pass(request, planned, estimator, spans, seconds)
 
     def _traced(
         self, query, execute, label, policy
     ) -> tuple[PlannedQuery, dict]:
         """One traced planning pass (and execution): the plan and its
-        trace record."""
-        planned, estimator, spans, optimize_seconds = self._traced_plan(
-            query, policy
-        )
+        trace record. The execution span is read off the record of the
+        plan's tree in the execution memo, so a tree the session already
+        ran executes nothing here."""
+        traced = self._plan_pass(query, policy, traced=True)
+        planned = traced.planned
         execution = None
         if execute:
-            ctx = ExecutionContext(
-                self.database, operator_rows={}, operator_work={}
+            record, _, _, reused = self._run(
+                traced.request.fingerprint, planned, served=False
             )
-            planned.plan.execute(ctx)
             execution = execution_span(
                 planned.plan,
-                ctx.operator_record(planned.plan),
+                record.operators,
                 self.cost_model,
                 estimated_rows=planned.estimated_rows,
                 estimated_cost=planned.estimated_cost,
+                cache_hit=reused,
             )
         record = QueryTrace(
             template=label or "session",
-            config=estimator.describe(),
+            config=traced.estimator.describe(),
             seed=self.config.statistics_seed
             if isinstance(self.config.statistics_seed, int)
             else None,
-            estimation=spans,
+            estimation=traced.spans,
             optimizer=planned.trace,
             execution=execution,
-            timing={"optimize_seconds": optimize_seconds},
+            timing={"optimize_seconds": traced.seconds},
         ).as_dict()
         return planned, record
 
@@ -1300,10 +1344,14 @@ class Session:
             "Execution-memo occupancy (entries, bytes of results held).",
         )
         held = self._execution_memo.values()
+        frames = [
+            entry.frame for entry in held
+            if type(entry) is _Execution and entry.frame is not None
+        ]
         memo_gauge.set(float(len(held)), stat="entries")
         memo_gauge.set(float(sum(
-            column.nbytes for entry in held if type(entry) is _Execution
-            for column in map(entry.frame.column, entry.frame.column_names)
+            frame.column(name).nbytes
+            for frame in frames for name in frame.column_names
         )), stat="bytes")
         return stats
 

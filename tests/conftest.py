@@ -15,7 +15,7 @@ import repro.engine
 from repro.catalog import Column, ColumnType, Database, ForeignKey, Schema, Table
 from repro.core import RobustCardinalityEstimator
 from repro.engine import ExecutionContext, PhysicalOperator
-from repro.optimizer import Optimizer
+from repro.optimizer import Optimizer, PlannedQuery
 from repro.optimizer.candidates import PlanCandidate
 from repro.sql import parse_query
 from repro.stats import StatisticsManager
@@ -103,6 +103,11 @@ def execute_recorded(plan, database, scan_cache=None):
     )
     plan.execute(ctx)
     return ctx, ctx.operator_record(plan)
+
+
+def as_planned(query, plan) -> PlannedQuery:
+    """``plan`` as the ``PlannedQuery`` a session runs (no estimates)."""
+    return PlannedQuery(query, plan, 0.0, 0.0, [], 0)
 
 
 def materialized_columns(frame) -> list[str]:

@@ -4,7 +4,7 @@ An execution given ``operator_rows`` / ``operator_work`` mappings fills
 them from the wrapper every operator's ``execute`` carries, and
 ``operator_spans`` / ``execution_span`` / ``audit_plan`` / the traced
 experiment runner read that record instead of executing each subtree
-again. Two kinds of check:
+again; a session keeps it in its execution memo. Two kinds of check:
 
 * differential — spans built from the record equal, field for field,
   the spans of ``tests/reference_attribution.py`` (the walker that was
@@ -12,40 +12,38 @@ again. Two kinds of check:
   alternative of the TPC-H / star / snowflake battery
   (``test_feedback_capture`` asserts that battery reaches every
   operator class), cold, through a scan cache on its fill and on its
-  hits, and on a plan-execution-cache hit served to a second plan
+  hits, and on a session execution-memo hit served to a second plan
   object. Integer counters admit no tolerance. ``sort_comparisons`` is
   a float: an operator entered after another one has sorted sees its
   charge through a non-zero accumulator, and that one case is pinned to
   an ulp of the root's total;
 * counting — a traced statement, an audit and a traced experiment build
   one ``ExecutionContext`` per plan they execute and run each operator
-  once.
+  once, and ``src/`` builds one in a single place, ``Session._run``.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import pathlib
+import tokenize
 
 import pytest
 
 from repro.cost import CostModel
-from repro.core import RobustCardinalityEstimator
 from repro.engine import MergeJoin, ScanCache, SeqScan, Sort
 from repro.experiments import (
     ExperimentRunner,
-    PlanExecutionCache,
     audit_plan,
     default_configs,
 )
 from repro.expressions import col
 from repro.obs import canonical_json, operator_spans, strip_timing
-from repro.optimizer import Optimizer
 from repro.service import Session
-from repro.sql import parse_query
 from repro.workloads import QUERY_BATTERY, PartCorrelationTemplate
 
-from tests.conftest import EXTRA_TPCH, execute_recorded
+from tests.conftest import EXTRA_TPCH, as_planned, execute_recorded
 from tests.reference_attribution import reexecuted_spans
 
 FAMILIES = ["tpch", "star", "snowflake"]
@@ -99,22 +97,29 @@ class TestRecordedSpansEqualReexecutedSpans:
     ):
         database = families[family][0]
         cost_model = CostModel()
-        cache = PlanExecutionCache()
-        for key, (_, plan) in enumerate(planned_trees[family][::3]):
-            executed = cache.execute(database, cost_model, key, plan)
+        session = Session(database, cost_model=cost_model)
+        for key, (query, plan) in enumerate(planned_trees[family][::3]):
+            # a key per tree: the battery's trees of one statement at
+            # different thresholds may share a signature
+            fingerprint = f"statement {key}"
+            executed, _, _, hit = session._run(
+                fingerprint, as_planned(query, plan), served=False
+            )
+            assert not hit
             twin = copy.deepcopy(plan)
             for op in twin.walk():
                 if op.est_rows is not None:
                     op.est_rows = op.est_rows * 3 + 1
             assert twin.signature() == plan.signature()
-            hits_before = cache.hits
-            served = cache.execute(database, cost_model, key, twin)
-            assert cache.hits == hits_before + 1
+            served, _, simulated, hit = session._run(
+                fingerprint, as_planned(query, twin), served=False
+            )
+            assert hit
             assert served is executed
             # actuals from the record, estimates from the plan in hand
             expected = reexecuted_spans(twin, database)
-            assert_record_matches(twin, served[2], expected)
-            assert served[:2] == (
+            assert_record_matches(twin, served.operators, expected)
+            assert (simulated, served.num_rows) == (
                 cost_model.time_from_counters(expected[1]),
                 expected[2],
             )
@@ -183,6 +188,34 @@ class TestSortComparisonsThroughASharedAccumulator:
         assert abs(merge[1] - ref_merge[1]) <= ulp
 
 
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def execution_context_calls() -> list[str]:
+    """``path:line`` of each ``ExecutionContext(`` in ``src/`` code.
+    Docstrings and comments are STRING and COMMENT tokens, so what
+    they say does not count."""
+    skipped = {
+        tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+        tokenize.INDENT, tokenize.DEDENT,
+    }
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        with tokenize.open(path) as source:
+            tokens = [
+                token for token in tokenize.generate_tokens(source.readline)
+                if token.type not in skipped
+            ]
+        for name, after in zip(tokens, tokens[1:]):
+            if (
+                name.type == tokenize.NAME
+                and name.string == "ExecutionContext"
+                and after.string == "("
+            ):
+                sites.append(f"{path.relative_to(SRC)}:{name.start[0]}")
+    return sites
+
+
 class TestOneExecution:
     STATEMENTS = (
         QUERY_BATTERY["shipping_priority"],
@@ -190,6 +223,11 @@ class TestOneExecution:
         QUERY_BATTERY["top_customers"],
         EXTRA_TPCH[1],
     )
+
+    def test_src_builds_an_execution_context_in_one_place(self):
+        sites = execution_context_calls()
+        assert len(sites) == 1, sites
+        assert sites[0].startswith("repro/service/session.py:")
 
     def test_traced_statement_builds_one_context_and_runs_each_operator_once(
         self, tpch_db, built_contexts, execute_calls
@@ -207,13 +245,12 @@ class TestOneExecution:
     def test_audit_builds_one_context(
         self, tpch_db, tpch_stats, built_contexts, execute_calls
     ):
-        planned = Optimizer(
-            tpch_db, RobustCardinalityEstimator(tpch_stats)
-        ).optimize(parse_query(QUERY_BATTERY["shipping_priority"], tpch_db))
-        entries = audit_plan(planned, tpch_db)
-        assert len(entries) == len(list(planned.plan.walk())) > 1
+        with Session(tpch_db, statistics=tpch_stats) as session:
+            prepared = session.prepare(QUERY_BATTERY["shipping_priority"])
+            entries = audit_plan(prepared)
+        assert len(entries) == len(list(prepared.plan.walk())) > 1
         assert len(built_contexts) == 1
-        assert execute_calls == {op: 1 for op in planned.plan.walk()}
+        assert execute_calls == {op: 1 for op in prepared.plan.walk()}
 
 
 def run_part_correlation(tpch_db, *, trace, workers=1):

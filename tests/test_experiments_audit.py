@@ -2,11 +2,6 @@
 
 import pytest
 
-from repro.core import (
-    ExactCardinalityEstimator,
-    HistogramCardinalityEstimator,
-    RobustCardinalityEstimator,
-)
 from repro.errors import ReproError
 from repro.experiments import (
     audit_plan,
@@ -16,7 +11,8 @@ from repro.experiments import (
     sensitivity_sweep,
 )
 from repro.expressions import col
-from repro.optimizer import Optimizer, SPJQuery
+from repro.optimizer import SPJQuery
+from repro.service import Session
 from repro.workloads import ShippingDatesTemplate
 
 CORRELATED = col("lineitem.l_shipdate").between("1997-07-01", "1997-09-30") & col(
@@ -29,48 +25,52 @@ def worst_q_error(entries) -> float:
     return max((e.q_error for e in entries if e.q_error is not None), default=1.0)
 
 
+def audited(database, query, policy, statistics=None):
+    """``audit_plan`` of ``query`` prepared by a ``policy`` session."""
+    with Session(database, statistics=statistics, policy=policy) as session:
+        prepared = session.prepare(query)
+        return prepared, audit_plan(prepared)
+
+
 class TestAudit:
     def test_exact_estimator_audits_clean(self, tpch_db):
-        planned = Optimizer(tpch_db, ExactCardinalityEstimator(tpch_db)).optimize(
-            SPJQuery(["lineitem", "part"], col("part.p_size") <= 10)
+        prepared, entries = audited(
+            tpch_db,
+            SPJQuery(["lineitem", "part"], col("part.p_size") <= 10),
+            "exact",
         )
-        entries = audit_plan(planned, tpch_db)
-        assert len(entries) == len(list(planned.plan.walk()))
+        assert len(entries) == len(list(prepared.plan.walk()))
         # with exact cardinalities every estimate matches reality
         assert worst_q_error(entries) == pytest.approx(1.0, abs=1e-9)
 
     def test_histogram_estimator_shows_error_on_correlation(self, tpch_db, tpch_stats):
-        planned = Optimizer(
-            tpch_db, HistogramCardinalityEstimator(tpch_stats)
-        ).optimize(SPJQuery(["lineitem"], CORRELATED))
-        entries = audit_plan(planned, tpch_db)
+        _, entries = audited(
+            tpch_db, SPJQuery(["lineitem"], CORRELATED), "histogram", tpch_stats
+        )
         # the AVI underestimate is visible as a large q-error
         assert worst_q_error(entries) > 3.0
 
     def test_robust_estimator_much_closer(self, tpch_db, tpch_stats):
-        robust = Optimizer(
-            tpch_db, RobustCardinalityEstimator(tpch_stats, policy=0.5)
-        ).optimize(SPJQuery(["lineitem"], CORRELATED))
-        histogram = Optimizer(
-            tpch_db, HistogramCardinalityEstimator(tpch_stats)
-        ).optimize(SPJQuery(["lineitem"], CORRELATED))
-        assert worst_q_error(audit_plan(robust, tpch_db)) < worst_q_error(
-            audit_plan(histogram, tpch_db)
+        _, robust = audited(
+            tpch_db, SPJQuery(["lineitem"], CORRELATED), 0.5, tpch_stats
         )
+        _, histogram = audited(
+            tpch_db, SPJQuery(["lineitem"], CORRELATED), "histogram", tpch_stats
+        )
+        assert worst_q_error(robust) < worst_q_error(histogram)
 
     def test_depths_match_tree(self, tpch_db):
-        planned = Optimizer(tpch_db, ExactCardinalityEstimator(tpch_db)).optimize(
-            SPJQuery(["lineitem", "orders", "part"], col("part.p_size") <= 10)
+        _, entries = audited(
+            tpch_db,
+            SPJQuery(["lineitem", "orders", "part"], col("part.p_size") <= 10),
+            "exact",
         )
-        entries = audit_plan(planned, tpch_db)
         assert entries[0].depth == 0
         assert max(e.depth for e in entries) >= 1
 
     def test_format(self, tpch_db):
-        planned = Optimizer(tpch_db, ExactCardinalityEstimator(tpch_db)).optimize(
-            SPJQuery(["lineitem"], CORRELATED)
-        )
-        text = format_audit(audit_plan(planned, tpch_db))
+        _, entries = audited(tpch_db, SPJQuery(["lineitem"], CORRELATED), "exact")
+        text = format_audit(entries)
         assert "est rows" in text and "q-err" in text
 
     def test_q_error_none_without_estimate(self):

@@ -2,9 +2,10 @@
 
 The contract: ``workers=N`` fans seeds out over processes but the
 merged :class:`ExperimentResult` is identical to the serial path, and
-the plan-execution cache never changes a recorded time — it only skips
-re-executing plans the grid already ran, so the records equal those of
-``tests/reference_runner.py``, which executes every plan afresh.
+the seed session's execution memo never changes a recorded time — it
+only skips re-executing plans the grid already ran, so the records
+equal those of ``tests/reference_runner.py``, which executes every plan
+afresh.
 """
 
 import pickle
@@ -18,12 +19,13 @@ from repro.core import (
 from repro.engine import SeqScan
 from repro.experiments import (
     ExperimentRunner,
-    PlanExecutionCache,
     default_configs,
 )
+from repro.service import Session
 from repro.stats import StatisticsManager
 from repro.workloads import ShippingDatesTemplate
 
+from tests.conftest import as_planned
 from tests.reference_runner import reference_run
 
 
@@ -202,7 +204,7 @@ class TestEstimateMemoization:
         assert fallback.source != "synopsis"
 
 
-class TestPlanExecutionCache:
+class TestExecutionReuse:
     def test_signature_ignores_cost_annotations(self):
         a = SeqScan("lineitem")
         b = SeqScan("lineitem")
@@ -211,12 +213,13 @@ class TestPlanExecutionCache:
         assert a.explain() != b.explain()
 
     def test_cache_reuses_identical_plans(self, tpch_db):
-        from repro.cost import CostModel
+        session = Session(tpch_db)
 
-        cache = PlanExecutionCache()
-        model = CostModel()
-        first = cache.execute(tpch_db, model, 1, SeqScan("part"))
-        again = cache.execute(tpch_db, model, 1, SeqScan("part"))
-        other_key = cache.execute(tpch_db, model, 2, SeqScan("part"))
-        assert first == again == other_key
-        assert (cache.hits, cache.misses) == (1, 2)
+        def run(key):
+            planned = as_planned(None, SeqScan("part"))
+            return session._run(key, planned, served=False)
+
+        first, again, other_key = run("1"), run("1"), run("2")
+        assert first[0] == again[0] == other_key[0]
+        # hits and misses
+        assert [r[3] for r in (first, again, other_key)] == [False, True, False]

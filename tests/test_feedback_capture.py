@@ -3,7 +3,8 @@
 ``plan_observations`` used to learn each observed cardinality by
 executing the topmost operator of every table set again in a fresh
 context. It now reads the ``{operator: output rows}`` mapping the one
-real execution filled (``ExecutionContext(operator_rows={})``). The old
+real execution filled (``ExecutionContext(operator_rows={})``), which a
+session keeps in the record of its execution memo. The old
 procedure lives on here as ``reexecuted_observations`` — the reference
 every captured result must equal, dict for dict — together with the
 counting wrappers that show nothing runs twice.
@@ -34,7 +35,7 @@ from repro.service import Session
 from repro.sql import parse_query
 from repro.workloads import QUERY_BATTERY
 
-from tests.conftest import EXTRA_TPCH, execute_recorded
+from tests.conftest import EXTRA_TPCH, as_planned, execute_recorded
 
 def reexecuted_observations(query, plan, database) -> list[dict]:
     """The procedure harvest replaced: one fresh execution per subtree."""
@@ -90,16 +91,21 @@ class TestCapturedRowsEqualReexecutedRows:
             assert set(rows) == set(plan.walk())
             assert rows[plan] == frame.num_rows
             expected = reexecuted_observations(query, plan, database)
-            assert plan_observations(query, plan, database, rows) == expected
+            assert plan_observations(query, plan, rows) == expected
 
     @pytest.mark.parametrize("family", ["tpch", "star", "snowflake"])
     def test_standalone_call_captures_for_itself(
         self, family, families, planned_trees
     ):
+        # a standalone call reads the rows a session's record kept
         database = families[family][0]
-        for query, plan in planned_trees[family][::4]:
+        session = Session(database)
+        for key, (query, plan) in enumerate(planned_trees[family][::4]):
+            record = session._run(
+                f"statement {key}", as_planned(query, plan), served=False
+            )[0]
             assert plan_observations(
-                query, plan, database
+                query, plan, record.operator_rows(plan)
             ) == reexecuted_observations(query, plan, database)
 
     @pytest.mark.parametrize("family", ["tpch", "star", "snowflake"])
@@ -115,7 +121,7 @@ class TestCapturedRowsEqualReexecutedRows:
             )
             assert cache.hits > hits_before
             assert plan_observations(
-                query, plan, database, rows
+                query, plan, rows
             ) == reexecuted_observations(query, plan, database)
 
     def test_context_that_did_not_ask_records_nothing(self, tpch_db, tpch_stats):
@@ -150,26 +156,36 @@ class TestNothingRunsTwice:
                 # ... and the capture worked through the wrappers
                 assert feedback.store.generation > generation_before
 
+    @staticmethod
+    def captures(contexts) -> list[tuple[bool, bool]]:
+        """Per context: whether it recorded rows, and work."""
+        return [
+            (ctx.operator_rows is not None, ctx.operator_work is not None)
+            for ctx in contexts
+        ]
+
     def test_session_without_feedback_asks_for_no_capture(
         self, tpch_db, built_contexts
     ):
+        # Only a tree's first run records (the memo keeps that record);
+        # the run that keeps the result asks for nothing, and the third
+        # execute runs nothing.
         with Session(tpch_db, sample_size=300, statistics_seed=3) as session:
-            session.execute(self.STATEMENTS[0])
-        assert built_contexts and all(
-            ctx.operator_rows is None and ctx.operator_work is None
-            for ctx in built_contexts
-        )
+            for _ in range(3):
+                session.execute(self.STATEMENTS[0])
+        assert self.captures(built_contexts) == [(True, True), (False, False)]
 
     def test_harvest_asks_for_rows_but_no_counter_snapshots(
         self, tpch_db, built_contexts
     ):
+        # Harvest asks no run for anything: every execute reads the
+        # rows the first run recorded.
         with Session(tpch_db, sample_size=300, statistics_seed=3) as session:
-            session.enable_feedback()
-            session.execute(self.STATEMENTS[0])
-        assert built_contexts and all(
-            ctx.operator_rows and ctx.operator_work is None
-            for ctx in built_contexts
-        )
+            feedback = session.enable_feedback()
+            for _ in range(3):
+                session.execute(self.STATEMENTS[0])
+            assert feedback.observations == 3
+        assert self.captures(built_contexts) == [(True, True), (False, False)]
 
 
 class TestStoreBytes:
@@ -200,8 +216,9 @@ class TestStoreBytes:
                 namespace = feedback.namespace_for_version(
                     prepared.statistics_version
                 )
+                rows = execute_recorded(prepared.plan, tpch_db)[0].operator_rows
                 for obs in plan_observations(
-                    prepared.query, prepared.plan, tpch_db
+                    prepared.query, prepared.plan, rows
                 ):
                     standalone.record(namespace, **obs)
             assert len(feedback.store.namespaces()) == 4
@@ -218,7 +235,9 @@ class TestHarvestKeysNameTheTablesJoined:
     @staticmethod
     def assert_observed_is_truth(query, plan, database):
         exact = ExactCardinalityEstimator(database)
-        observations = plan_observations(query, plan, database)
+        observations = plan_observations(
+            query, plan, execute_recorded(plan, database)[0].operator_rows
+        )
         for obs in observations:
             tables = frozenset(obs["tables"])
             truth = exact.estimate(

@@ -41,6 +41,8 @@ from repro.service import Session, SessionError
 from repro.serving import QueryServer, TenantSpec
 from repro.stats import StatisticsManager
 
+from tests.conftest import execute_recorded
+
 SELECTION = (
     "SELECT COUNT(*) FROM lineitem WHERE "
     "lineitem.l_shipdate >= '1997-01-01' "
@@ -346,9 +348,8 @@ class TestHarvestDeterminism:
         ) as session:
             prepared = session.prepare(JOIN)
             prepared.execute()
-            return plan_observations(
-                prepared.query, prepared.plan, two_table_db
-            )
+            rows = execute_recorded(prepared.plan, two_table_db)[0].operator_rows
+            return plan_observations(prepared.query, prepared.plan, rows)
 
     def test_plan_observations_cover_table_sets(self, two_table_db):
         observations = self.observations(two_table_db)

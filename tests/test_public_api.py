@@ -205,6 +205,23 @@ class TestSessionSignatures:
         ]
 
 
+class TestExperimentsSurface:
+    """``repro.experiments`` names that changed shape, pinned."""
+
+    def test_audit_plan(self):
+        from repro.experiments import audit_plan
+
+        assert _params(audit_plan) == [
+            ("prepared", "POSITIONAL_OR_KEYWORD", False),
+        ]
+
+    def test_no_plan_execution_cache(self):
+        import repro.experiments
+
+        assert "PlanExecutionCache" not in repro.experiments.__all__
+        assert not hasattr(repro.experiments, "PlanExecutionCache")
+
+
 class TestServingSignatures:
     """The serving layer's call shapes, pinned like the facade's."""
 

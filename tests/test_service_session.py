@@ -425,9 +425,10 @@ class TestLifecycle:
 
 
 class TestExecutionMemo:
-    """The second execution of a (fingerprint, plan signature) is kept
-    in the session's execution memo and every later one returns it:
-    same frame bytes, same simulated seconds, same feedback."""
+    """The first execution of a (fingerprint, plan signature) keeps its
+    record in the session's execution memo, the second its result, and
+    every later one returns it: same frame bytes, same simulated
+    seconds, same feedback."""
 
     LIMIT_QUERY = (
         "SELECT lineitem.l_partkey, COUNT(*) AS n FROM lineitem "
@@ -461,11 +462,11 @@ class TestExecutionMemo:
     def test_second_run_stores_and_third_replays(self, session, built_contexts):
         prepared = session.prepare(JOIN_QUERY)
         first = prepared.execute()
-        assert self.memo(prepared) is session_module._RAN_ONCE
+        assert isinstance(self.memo(prepared), session_module._Record)
         second = prepared.execute()
         memo = self.memo(prepared)
         assert isinstance(memo, session_module._Execution)
-        assert len(memo.operator_rows) == len(list(prepared.plan.walk()))
+        assert len(memo.record.operators) == len(list(prepared.plan.walk()))
         contexts = len(built_contexts)
         third = prepared.execute()
         assert len(built_contexts) == contexts  # nothing executed
@@ -495,7 +496,7 @@ class TestExecutionMemo:
             results.append(handles[0].execute())
             vars(handles[1].planned).pop(session_module._MEMO, None)
             self.assert_same_result(handles[1].execute(), results[-1])
-        assert self.memo(handles[1]) is session_module._RAN_ONCE
+        assert isinstance(self.memo(handles[1]), session_module._Record)
         assert len(uncached._execution_memo) == 0
         reused = memoized.metrics.counter(
             "repro_session_executions_reused_total", ""
@@ -538,10 +539,91 @@ class TestExecutionMemo:
                 assert result.frame is old_memo.frame
                 assert reused.value() == 2
             else:
-                assert self.memo(prepared) is session_module._RAN_ONCE
+                assert isinstance(self.memo(prepared), session_module._Record)
                 assert result.frame is not old_memo.frame
                 assert reused.value() == 1  # the third run before the refresh
             self.assert_same_result(result, expected)
+
+    def test_traces_and_analyze_read_the_served_run(
+        self, session, built_contexts
+    ):
+        prepared = session.prepare(JOIN_QUERY)
+        prepared.execute()
+        rows = [rows for rows, _ in self.memo(prepared).operators]
+        reused = session.metrics.counter(
+            "repro_session_executions_reused_total", ""
+        )
+
+        def traced_rows(record):
+            return [op["actual_rows"] for op in record["execution"]["operators"]]
+
+        built_contexts.clear()
+        record = session.trace_query(JOIN_QUERY, execute=True)
+        assert len(built_contexts) == 0
+        assert record["execution"]["cache_hit"]
+        assert traced_rows(record) == rows
+        # the next served run keeps the result, as without the trace
+        prepared.execute()
+        assert len(built_contexts) == 1
+        text = session.explain(JOIN_QUERY, analyze=True)
+        assert len(built_contexts) == 1
+        assert "[execution cache hit]" in text
+        assert f"actual {rows[0]} " in text
+        # ... and the one after is answered from the memo
+        result = prepared.execute()
+        assert len(built_contexts) == 1
+        assert result.frame is self.memo(prepared).frame
+        assert reused.value() == 1
+
+    def test_threads_executing_and_tracing_agree(self, db):
+        """More threads than cores, switching often, execute and trace
+        two statements through one memo: every result and every traced
+        row count equals an uncached session's."""
+        import sys
+
+        statements = (JOIN_QUERY, self.LIMIT_QUERY)
+        reference = Session(db, sample_size=400, statistics_seed=11)
+        self.bypass_memo(reference)
+
+        def traced_rows(session, sql):
+            record = session.trace_query(sql, execute=True)
+            return [op["actual_rows"] for op in record["execution"]["operators"]]
+
+        expected = {sql: reference.execute(sql) for sql in statements}
+        expected_rows = {sql: traced_rows(reference, sql) for sql in statements}
+        session = Session(db, sample_size=400, statistics_seed=11)
+        results, traces, errors = [], [], []
+        barrier = threading.Barrier(6)
+
+        def worker(index):
+            try:
+                barrier.wait(timeout=10)
+                for step in range(6):
+                    sql = statements[(index + step) % 2]
+                    if (index + step) % 3 == 0:
+                        traces.append((sql, traced_rows(session, sql)))
+                    else:
+                        results.append((sql, session.execute(sql)))
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(results) + len(traces) == 36
+        for sql, result in results:
+            self.assert_same_result(result, expected[sql])
+        for sql, rows in traces:
+            assert rows == expected_rows[sql]
 
     @pytest.mark.parametrize("budget_bytes, kept", [(7, False), (8, True)])
     def test_results_over_the_bound_are_not_kept(
@@ -556,7 +638,8 @@ class TestExecutionMemo:
         if kept:
             assert results[2].frame is memo.frame
         else:
-            assert memo is session_module._TOO_LARGE
+            assert isinstance(memo, session_module._Execution)
+            assert memo.frame is None
             assert len({id(result.frame) for result in results}) == 3
         for result in results[1:]:
             self.assert_same_result(result, results[0])
@@ -662,8 +745,8 @@ class TestExecutionMemo:
             entries, held_bytes = held()
             assert entries <= session.config.plan_cache_size
             assert held_bytes == 0
-        assert not any(
-            isinstance(entry, session_module._Execution)
+        assert all(
+            isinstance(entry, session_module._Record)
             for entry in session._execution_memo.values()
         )
         for _ in range(2):
