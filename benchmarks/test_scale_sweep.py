@@ -195,7 +195,7 @@ def run_sweep(scales) -> dict:
     payload = {
         "scales": list(scales),
         "base_lineitem": TpchConfig().num_lineitem,
-        "kernels": kernels.describe(),
+        "kernels": {"semijoin_small_n": kernels.SEMIJOIN_SMALL_N},
         "per_row_budget": PER_ROW_BUDGET,
         "join_per_row_budget": JOIN_PER_ROW_BUDGET,
         "growth_exponent_budget": GROWTH_EXPONENT_BUDGET,

@@ -33,7 +33,7 @@ from repro.core.histogram_estimator import HistogramCardinalityEstimator
 from repro.core.bayesnet import BayesNetCardinalityEstimator
 from repro.core.robust import RobustCardinalityEstimator
 from repro.core.factory import estimator_for
-from repro.core.sketch import InequalitySketch, pair_fraction
+from repro.core.sketch import pair_fraction
 
 __all__ = [
     "AGGRESSIVE",
@@ -45,7 +45,6 @@ __all__ = [
     "ExactCardinalityEstimator",
     "FixedSelectivityEstimator",
     "HistogramCardinalityEstimator",
-    "InequalitySketch",
     "JEFFREYS",
     "MODERATE",
     "MagicDistribution",

@@ -78,10 +78,6 @@ class BayesNetCardinalityEstimator(PointEstimator):
     ) -> None:
         super().__init__(statistics, magic)
         self.max_bins = max_bins
-        # Fitted trees per table, keyed behind the statistics version
-        # (update_statistics rebuilds the samples the trees are fit to).
-        self._trees: dict = {}
-        self._trees_version = getattr(statistics, "version", 0)
 
     def describe(self) -> str:
         return "bayes-net"
@@ -170,13 +166,13 @@ class BayesNetCardinalityEstimator(PointEstimator):
     # model fitting
     # ------------------------------------------------------------------
     def _tree_for(self, table_name: str) -> _ChowLiuTree | None:
-        version = getattr(self.statistics, "version", 0)
-        if version != self._trees_version:
-            self._trees.clear()
-            self._trees_version = version
-        if table_name not in self._trees:
-            self._trees[table_name] = self._fit_tree(table_name)
-        return self._trees[table_name]
+        """The table's fitted tree, kept in the estimate memo: a
+        statistics refresh re-draws the sample it is fit to."""
+        return self._memoized(
+            ("chow-liu tree", table_name),
+            lambda: self._fit_tree(table_name),
+            counted=False,
+        )
 
     def _fit_tree(self, table_name: str) -> _ChowLiuTree | None:
         sample = self.statistics.sample_for(table_name)

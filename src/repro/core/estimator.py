@@ -44,8 +44,9 @@ class CardinalityEstimator:
       — the number of GROUP BY groups;
     - ``describe()`` — a short label for reports.
 
-    Subclasses must implement ``estimate``; the others have correct
-    defaults. A decorator wrapping an estimator forwards all five.
+    Subclasses must implement ``estimate`` and
+    ``condition_selectivity``; the others have correct defaults. A
+    decorator wrapping an estimator forwards all five.
     """
 
     #: Optional :class:`repro.obs.Tracer`. When set, estimators record
@@ -100,25 +101,12 @@ class CardinalityEstimator:
         :class:`repro.expressions.analysis.JoinCondition` — a
         column-vs-column comparison joining two tables that need not
         share an FK edge, so it cannot be folded into the rooted-tree
-        ``estimate`` protocol. The default implementation answers from
-        the CDF sketch over the per-table samples when the estimator
-        carries a statistics manager (Repas et al.), falling back to
-        the classical magic numbers otherwise. Always a scalar: the
-        sketch is a point statistic, so confidence thresholds act only
-        on the within-component predicates.
+        ``estimate`` protocol. The statistics-backed estimators answer
+        from the CDF sketch over the per-table samples, else the magic
+        number
+        (:meth:`~repro.core.memo.EstimateCacheMixin.condition_selectivity`).
         """
-        statistics = getattr(self, "statistics", None)
-        if statistics is not None:
-            from repro.core.sketch import InequalitySketch
-
-            sketch = getattr(self, "_inequality_sketch", None)
-            if sketch is None or sketch.statistics is not statistics:
-                sketch = InequalitySketch(statistics)
-                self._inequality_sketch = sketch
-            selectivity = sketch.condition_selectivity(condition)
-            if selectivity is not None:
-                return selectivity
-        return MagicNumbers().for_predicate(condition.expr)
+        raise NotImplementedError
 
     def estimate_groups(
         self,

@@ -120,14 +120,14 @@ class RobustCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
         # optimizer run the same conjuncts recur across many subsets,
         # so per-synopsis boolean masks are cached per conjunct and
         # ANDed, instead of re-evaluating whole predicates. Keyed
-        # weakly on the synopsis object so rebuilding statistics can
-        # never serve stale masks.
+        # weakly on the synopsis object (data, not statistics version)
+        # so a harvest keeps them and a rebuild never serves stale ones.
         self._mask_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         # Whole-estimate memoization on top of the mask cache: the
         # System-R DP re-prices the same (tables, predicate, threshold)
         # triple across queries of a grid, and each hit skips a
-        # ``betaincinv`` inversion. Keyed on the statistics version so
-        # ``update_statistics``/``drop_*`` invalidate the cache.
+        # ``betaincinv`` inversion. Keyed behind the memo token
+        # (``core/memo.py``).
         self._init_estimate_cache()
         #: Posterior inversions served from a quantile-table row
         #: instead of per-threshold ``betaincinv`` calls.
@@ -151,15 +151,6 @@ class RobustCardinalityEstimator(EstimateCacheMixin, CardinalityEstimator):
         #: The last threshold grid ``estimate_many`` resolved, as
         #: ``(given, resolved)``: a planner sends one grid per plan.
         self._resolved_grid: tuple = ((), ())
-
-    def _estimate_cache_token(self):
-        # getattr: the mixin initializes (and probes) the token during
-        # __init__, before the feedback attribute exists.
-        version = getattr(self.statistics, "version", 0)
-        feedback = getattr(self, "feedback", None)
-        if feedback is None:
-            return version
-        return (version, feedback.generation)
 
     # ------------------------------------------------------------------
     def estimate(

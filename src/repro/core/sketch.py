@@ -7,7 +7,8 @@ independently drawn ``l``, ``r`` is an exact pair count over the two
 sketches — one sort plus a vectorized binary search, O(n log n)
 instead of the O(n²) pair walk. The per-table samples the statistics
 manager already maintains double as the sketches, so no new statistic
-needs building.
+needs building. The estimators memoize each condition's fraction in
+their estimate memo (``core/memo.py``).
 """
 
 from __future__ import annotations
@@ -50,47 +51,24 @@ def pair_fraction(left_values, op: str, right_values) -> float:
     return float(hits.sum()) / (n_left * n_right)
 
 
-class InequalitySketch:
-    """Serves join-condition selectivities from a statistics manager.
+def sample_pair_fraction(statistics, condition: JoinCondition) -> float | None:
+    """:func:`pair_fraction` of a join condition over the two sides'
+    per-table samples, or ``None`` when either sample (or column) is
+    missing, so the caller can fall back to magic numbers."""
+    left = _sample_values(statistics, condition.left_table, condition.left_column)
+    right = _sample_values(
+        statistics, condition.right_table, condition.right_column
+    )
+    if left is None or right is None:
+        return None
+    return pair_fraction(left, condition.op, right)
 
-    Wraps the per-table samples as CDF sketches; results are cached
-    per condition and invalidated when the statistics version moves.
-    Returns ``None`` when either side's sample (or column) is missing,
-    so callers can fall back to magic numbers.
-    """
 
-    def __init__(self, statistics) -> None:
-        self.statistics = statistics
-        self._version: int | None = None
-        self._cache: dict[tuple[str, str, str, str, str], float] = {}
-
-    def _values(self, table: str, column: str) -> np.ndarray | None:
-        sample = self.statistics.sample_for(table)
-        if sample is None:
-            return None
-        qualified = f"{table}.{column}"
-        if qualified not in sample.frame:
-            return None
-        return sample.frame.column(qualified)
-
-    def condition_selectivity(self, condition: JoinCondition) -> float | None:
-        """Sketch selectivity of one join condition, or ``None``."""
-        if self._version != self.statistics.version:
-            self._cache.clear()
-            self._version = self.statistics.version
-        key = (
-            condition.left_table,
-            condition.left_column,
-            condition.op,
-            condition.right_table,
-            condition.right_column,
-        )
-        if key in self._cache:
-            return self._cache[key]
-        left = self._values(condition.left_table, condition.left_column)
-        right = self._values(condition.right_table, condition.right_column)
-        if left is None or right is None:
-            return None
-        selectivity = pair_fraction(left, condition.op, right)
-        self._cache[key] = selectivity
-        return selectivity
+def _sample_values(statistics, table: str, column: str) -> np.ndarray | None:
+    sample = statistics.sample_for(table)
+    if sample is None:
+        return None
+    qualified = f"{table}.{column}"
+    if qualified not in sample.frame:
+        return None
+    return sample.frame.column(qualified)

@@ -9,6 +9,7 @@ execution deterministic and lets tests assert on the work itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import attrgetter, sub
 
 
 @dataclass
@@ -47,9 +48,7 @@ class WorkCounters:
 
     def __sub__(self, other: "WorkCounters") -> "WorkCounters":
         """The work charged since ``other`` was copied off this set."""
-        return WorkCounters(
-            *[getattr(self, name) - getattr(other, name) for name in _NAMES]
-        )
+        return WorkCounters(*map(sub, _values(self), _values(other)))
 
     def as_dict(self) -> dict[str, int]:
         """The counters as a plain dict (for reports and tests)."""
@@ -66,9 +65,10 @@ class WorkCounters:
 
     def copy(self) -> "WorkCounters":
         """An independent copy of the current totals."""
-        return WorkCounters(*[getattr(self, name) for name in _NAMES])
+        return WorkCounters(*_values(self))
 
 
-#: Field names in declaration order, read once: an execution that records
-#: per-operator work copies and subtracts a counter set per operator.
+#: Field names in declaration order, and one getter of their values, made
+#: once: an execution that records work copies and subtracts per operator.
 _NAMES = tuple(f.name for f in fields(WorkCounters))
+_values = attrgetter(*_NAMES)

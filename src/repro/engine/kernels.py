@@ -336,8 +336,3 @@ def compact_group_rows(
     rows = rows[stable_order(groups.offsets[rows])]
     ends = np.cumsum(groups.counts[selected])
     return rows, ends - groups.counts[selected], ends
-
-
-def describe() -> dict:
-    """JSON-ready snapshot of the kernel configuration (for benches)."""
-    return {"semijoin_small_n": SEMIJOIN_SMALL_N}

@@ -32,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.analysis.sweeps import PAPER_THRESHOLDS
 from repro.analysis.tradeoff import TradeoffPoint, tradeoff_from_times
 from repro.catalog import Database
 from repro.core import JEFFREYS, Prior
@@ -49,9 +50,6 @@ from repro.selection import (
 from repro.service import Session, SessionConfig
 from repro.stats import StatisticsManager
 from repro.workloads.templates import QueryTemplate
-
-#: The thresholds used throughout the paper's experiments.
-PAPER_THRESHOLDS = (0.05, 0.20, 0.50, 0.80, 0.95)
 
 
 @dataclass(frozen=True)
@@ -382,7 +380,7 @@ def _run_seed(
             perf.optimize_seconds += elapsed
 
             started = time.perf_counter()
-            record, _, simulated, reused = shared._run(
+            record, _, reused = shared._run(
                 planning.request.fingerprint, planned, served=False
             )
             exec_elapsed = time.perf_counter() - started
@@ -395,7 +393,7 @@ def _run_seed(
                     param=param,
                     selectivity=selectivity,
                     seed=seed,
-                    time=simulated,
+                    time=record.simulated_seconds,
                     plan=plan_shape(planned.plan),
                     actual_rows=record.num_rows,
                 )

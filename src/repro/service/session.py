@@ -14,7 +14,8 @@ One request, one key: every call resolves its statement once into an
 immutable :class:`_Request` — the parsed query, its fingerprint, the
 selection policy (the query hint, else the per-call policy, else the
 session default), one :class:`_StatsState` snapshot, and the token
-``(statistics version, feedback generation or None)`` — and plans it
+``(statistics version, feedback generation or None)`` (the estimate
+memo's own, :func:`repro.core.memo.cache_token`) — and plans it
 through :meth:`Session._plan`, the one planning path. The plan-cache key
 is ``(fingerprint, policy.cache_key(), token)`` and nothing else: the
 cache is private to the session, and its configuration cannot change
@@ -66,6 +67,7 @@ from repro.core import (
     estimator_for,
 )
 from repro.core.factory import hintless_threshold
+from repro.core.memo import cache_token
 from repro.cost import CostModel
 from repro.engine import ExecutionContext, ScanCache, scancache
 from repro.errors import EstimationError, ReproError, StatisticsError
@@ -803,11 +805,9 @@ class Session:
         parsed, fingerprint = self._coerce_query(query)
         effective = self._effective_policy(parsed, policy)
         state = self._ensure_state()
-        generation = (
-            self._feedback.generation if self._feedback is not None else None
-        )
         return _Request(
-            parsed, fingerprint, effective, state, (state.version, generation)
+            parsed, fingerprint, effective, state,
+            cache_token(state, self._feedback),
         )
 
     def _plan(
@@ -1065,7 +1065,7 @@ class Session:
                 "Transparent re-plans after a statistics version bump.",
             ).inc()
         planned = prepared.planned
-        record, frame, simulated, reused = self._run(
+        record, frame, reused = self._run(
             prepared.fingerprint, planned, served=True
         )
         if reused:
@@ -1085,22 +1085,23 @@ class Session:
                 operator_rows=record.operator_rows(planned.plan),
             )
         self._executes.inc()
-        self._simulated_seconds.observe(simulated)
+        self._simulated_seconds.observe(record.simulated_seconds)
         return QueryResult(
             frame=frame,
-            simulated_seconds=simulated,
+            simulated_seconds=record.simulated_seconds,
             prepared=prepared,
             plan_cached=prepared.from_cache,
         )
 
     def _run(
         self, fingerprint: str, planned: PlannedQuery, *, served: bool
-    ) -> tuple[_Record, Frame | None, float, bool]:
+    ) -> tuple[_Record, Frame | None, bool]:
         """Run ``planned``'s tree, or answer from what its earlier runs
         left: the session's one execution path. Returns the key's
         :class:`_Record`, the result (``None`` when the record answered
-        a caller that needs no frame), the simulated seconds and whether
-        the memo answered, so that nothing executed.
+        a caller that needs no frame) and whether the memo answered, so
+        that nothing executed. The simulated seconds are the record's:
+        a re-execution charges the same work.
 
         The execution memo is keyed ``(fingerprint,
         plan.signature())``: within one statement equal signatures
@@ -1128,7 +1129,7 @@ class Session:
                 setattr(planned, _MEMO, entry)
         record, frame = entry if type(entry) is _Execution else (entry, None)
         if record is not None and (frame is not None or not served):
-            return record, frame, record.simulated_seconds, True
+            return record, frame, True
         ctx = ExecutionContext(
             self.database,
             scan_cache=self._scan_cache,
@@ -1138,6 +1139,8 @@ class Session:
         started = time.perf_counter()
         frame = planned.plan.execute(ctx)
         self._last_execute_wall.set(time.perf_counter() - started)
+        # A re-execution is priced too, though its price is the record's:
+        # bench/traced.py reads each execution's work from this call.
         simulated = self.cost_model.time_from_counters(ctx.counters)
         if record is None:
             entry = record = _Record(
@@ -1148,10 +1151,10 @@ class Session:
         elif entry is record:
             entry = _Execution(record, self._kept(frame))
         else:  # its result is over the bound: nothing more to keep
-            return record, frame, simulated, False
+            return record, frame, False
         self._execution_memo.put(key, entry)
         setattr(planned, _MEMO, entry)
-        return record, frame, simulated, False
+        return record, frame, False
 
     def _kept(self, frame: Frame) -> Frame | None:
         """``frame`` with its columns copied and made read-only, or
@@ -1230,7 +1233,7 @@ class Session:
         planned = traced.planned
         execution = None
         if execute:
-            record, _, _, reused = self._run(
+            record, _, reused = self._run(
                 traced.request.fingerprint, planned, served=False
             )
             execution = execution_span(

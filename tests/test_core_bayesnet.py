@@ -112,10 +112,11 @@ class TestDeterminismAndCaching:
         bayes = BayesNetCardinalityEstimator(manager)
         predicate = col("lineitem.l_quantity") > 25
         bayes.estimate({"lineitem"}, predicate)
-        assert "lineitem" in bayes._trees
+        fitted = bayes._tree_for("lineitem")
+        assert bayes._tree_for("lineitem") is fitted
         manager.update_statistics(sample_size=300, seed=2)
         refreshed = bayes.estimate({"lineitem"}, predicate)
-        assert bayes._trees_version == manager.version
+        assert bayes._tree_for("lineitem") is not fitted
         assert 0.0 <= refreshed.selectivity <= 1.0
 
 
@@ -131,7 +132,7 @@ class TestEstimateMany:
 class TestModelShape:
     def test_tree_spans_numeric_columns(self, tpch_stats, bayes):
         bayes.estimate({"lineitem"}, WINDOW)  # force a fit
-        tree = bayes._trees["lineitem"]
+        tree = bayes._tree_for("lineitem")
         assert "l_shipdate" in tree.nodes
         assert "l_receiptdate" in tree.nodes
         # a spanning tree: every non-root node is someone's child once
@@ -142,7 +143,7 @@ class TestModelShape:
 
     def test_marginals_normalized(self, tpch_stats, bayes):
         bayes.estimate({"lineitem"}, WINDOW)
-        tree = bayes._trees["lineitem"]
+        tree = bayes._tree_for("lineitem")
         for marginal in tree.marginals:
             assert float(np.sum(marginal)) == pytest.approx(1.0)
         for joint in tree.joints:

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import InequalitySketch, pair_fraction
+from repro.core import (
+    BayesNetCardinalityEstimator,
+    MagicNumbers,
+    RobustCardinalityEstimator,
+    memo,
+    pair_fraction,
+)
+from repro.core.sketch import sample_pair_fraction
 from repro.errors import EstimationError
 from repro.expressions import col
 from repro.expressions.analysis import as_join_condition
@@ -54,40 +61,83 @@ class TestPairFraction:
 
 MARKUP = as_join_condition(col("sales.s_price") < col("item.i_price"))
 
+#: The statistics-backed arms that price a join condition by the sketch.
+ARMS = (RobustCardinalityEstimator, BayesNetCardinalityEstimator)
+
+
+def sample_column(manager, table, column):
+    return manager.sample_for(table).frame.column(f"{table}.{column}")
+
+
+@pytest.fixture()
+def sketch_calls(monkeypatch):
+    """Every pair fraction the estimate memo computes (not serves)."""
+    calls = []
+
+    def counting(statistics, condition):
+        calls.append(condition)
+        return sample_pair_fraction(statistics, condition)
+
+    monkeypatch.setattr(memo, "sample_pair_fraction", counting)
+    return calls
+
 
 class TestInequalitySketch:
+    """The estimators' sketch path: a join condition's pair fraction
+    over the two samples, kept in the estimate memo."""
+
     def test_matches_pair_fraction_over_samples(self, snowflake_stats):
-        sketch = InequalitySketch(snowflake_stats)
-        selectivity = sketch.condition_selectivity(MARKUP)
-        left = snowflake_stats.sample_for("sales").frame.column("sales.s_price")
-        right = snowflake_stats.sample_for("item").frame.column("item.i_price")
-        assert selectivity == pair_fraction(left, "<", right)
-        assert 0.0 < selectivity < 1.0
+        left = sample_column(snowflake_stats, "sales", "s_price")
+        right = sample_column(snowflake_stats, "item", "i_price")
+        for arm in ARMS:
+            selectivity = arm(snowflake_stats).condition_selectivity(MARKUP)
+            assert selectivity == pair_fraction(left, "<", right)
+            assert 0.0 < selectivity < 1.0
 
-    def test_cached_within_a_version(self, snowflake_stats):
-        sketch = InequalitySketch(snowflake_stats)
-        first = sketch.condition_selectivity(MARKUP)
-        assert len(sketch._cache) == 1
-        assert sketch.condition_selectivity(MARKUP) == first
-        assert len(sketch._cache) == 1
+    def test_cached_within_a_version(self, snowflake_stats, sketch_calls):
+        estimator = RobustCardinalityEstimator(snowflake_stats)
+        first = estimator.condition_selectivity(MARKUP)
+        assert estimator.condition_selectivity(MARKUP) == first
+        assert sketch_calls == [MARKUP]
+        # A pair fraction is not an estimate: the counters skip it.
+        assert estimator.estimate_cache_hits == 0
+        assert estimator.estimate_cache_misses == 0
 
-    def test_missing_column_returns_none(self, snowflake_stats):
-        sketch = InequalitySketch(snowflake_stats)
+    def test_missing_column_falls_back_to_magic(self, snowflake_stats):
         condition = as_join_condition(col("sales.s_nope") < col("item.i_price"))
-        assert sketch.condition_selectivity(condition) is None
+        for arm in ARMS:
+            assert arm(snowflake_stats).condition_selectivity(
+                condition
+            ) == MagicNumbers().for_predicate(condition.expr)
 
-    def test_version_bump_invalidates(self):
-        manager = StatisticsManager(make_two_table_db())
-        manager.update_statistics(sample_size=200, seed=1)
-        sketch = InequalitySketch(manager)
+    def test_version_bump_invalidates(self, sketch_calls):
         condition = as_join_condition(
             col("lineitem.l_shipdate") < col("part.p_size")
         )
-        sketch.condition_selectivity(condition)
-        assert sketch._version == manager.version
-        manager.update_statistics(sample_size=300, seed=2)
-        refreshed = sketch.condition_selectivity(condition)
-        assert sketch._version == manager.version
-        left = manager.sample_for("lineitem").frame.column("lineitem.l_shipdate")
-        right = manager.sample_for("part").frame.column("part.p_size")
-        assert refreshed == pair_fraction(left, "<", right)
+        for arm in ARMS:
+            manager = StatisticsManager(make_two_table_db())
+            manager.update_statistics(sample_size=200, seed=1)
+            estimator = arm(manager)
+            estimator.condition_selectivity(condition)
+            manager.update_statistics(sample_size=300, seed=2)
+            refreshed = estimator.condition_selectivity(condition)
+            left = sample_column(manager, "lineitem", "l_shipdate")
+            right = sample_column(manager, "part", "p_size")
+            assert refreshed == pair_fraction(left, "<", right)
+        assert len(sketch_calls) == 2 * len(ARMS)
+
+    def test_drop_sample_invalidates(self):
+        condition = as_join_condition(
+            col("lineitem.l_shipdate") < col("part.p_size")
+        )
+        for arm in ARMS:
+            manager = StatisticsManager(make_two_table_db())
+            manager.update_statistics(sample_size=200, seed=1)
+            estimator = arm(manager)
+            assert estimator.condition_selectivity(
+                condition
+            ) != MagicNumbers().for_predicate(condition.expr)
+            manager.drop_sample("part")
+            assert estimator.condition_selectivity(
+                condition
+            ) == MagicNumbers().for_predicate(condition.expr)

@@ -26,17 +26,6 @@ def reference_match_keys(left, right):
     return np.array(li, dtype=np.int64), np.array(ri, dtype=np.int64)
 
 
-class TestBackendSelection:
-    """One backend (numpy), dispatched by input size: ``describe``
-    reports the threshold so benchmark records carry it."""
-
-    def test_describe_is_json_ready(self):
-        import json
-
-        snapshot = json.loads(json.dumps(kernels.describe()))
-        assert snapshot == {"semijoin_small_n": kernels.SEMIJOIN_SMALL_N}
-
-
 class TestMatchKeys:
     @pytest.mark.parametrize(
         "left, right",

@@ -102,7 +102,7 @@ class TestRecordedSpansEqualReexecutedSpans:
             # a key per tree: the battery's trees of one statement at
             # different thresholds may share a signature
             fingerprint = f"statement {key}"
-            executed, _, _, hit = session._run(
+            executed, _, hit = session._run(
                 fingerprint, as_planned(query, plan), served=False
             )
             assert not hit
@@ -111,7 +111,7 @@ class TestRecordedSpansEqualReexecutedSpans:
                 if op.est_rows is not None:
                     op.est_rows = op.est_rows * 3 + 1
             assert twin.signature() == plan.signature()
-            served, _, simulated, hit = session._run(
+            served, _, hit = session._run(
                 fingerprint, as_planned(query, twin), served=False
             )
             assert hit
@@ -119,10 +119,43 @@ class TestRecordedSpansEqualReexecutedSpans:
             # actuals from the record, estimates from the plan in hand
             expected = reexecuted_spans(twin, database)
             assert_record_matches(twin, served.operators, expected)
-            assert (simulated, served.num_rows) == (
+            assert (served.simulated_seconds, served.num_rows) == (
                 cost_model.time_from_counters(expected[1]),
                 expected[2],
             )
+
+
+class TestReexecutionChargesTheRecord:
+    """A served key executes again on its second run, and on every run
+    while its result is over the byte bound. ``Session._run`` reports
+    the record's simulated seconds for those runs without pricing them
+    again: the re-execution charges exactly the recorded work."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_reexecuted_counters_price_to_the_record(
+        self, family, families, planned_trees, built_contexts, monkeypatch
+    ):
+        # Every result over the byte bound: each served run executes.
+        monkeypatch.setattr(Session, "_kept", lambda self, frame: None)
+        database = families[family][0]
+        cost_model = CostModel()
+        session = Session(database, cost_model=cost_model)
+        for key, (query, plan) in enumerate(planned_trees[family][::3]):
+            built_contexts.clear()
+            planned = as_planned(query, plan)
+            runs = [
+                session._run(f"statement {key}", planned, served=True)
+                for _ in range(3)
+            ]
+            record = runs[0][0]
+            assert all(run[0] is record and not run[2] for run in runs)
+            assert len(built_contexts) == 3
+            for ctx in built_contexts:
+                assert ctx.counters == built_contexts[0].counters
+                assert (
+                    cost_model.time_from_counters(ctx.counters)
+                    == record.simulated_seconds
+                )
 
 
 class TestSortComparisonsThroughASharedAccumulator:

@@ -222,4 +222,4 @@ class TestExecutionReuse:
         first, again, other_key = run("1"), run("1"), run("2")
         assert first[0] == again[0] == other_key[0]
         # hits and misses
-        assert [r[3] for r in (first, again, other_key)] == [False, True, False]
+        assert [r[2] for r in (first, again, other_key)] == [False, True, False]
