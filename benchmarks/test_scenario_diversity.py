@@ -1,10 +1,10 @@
-"""The scenario-diversity grid: 4 estimator arms × 4 workloads
+"""The scenario-diversity grid: 3 estimator arms × 4 workloads
 (BENCH_scenarios).
 
 One :func:`~repro.experiments.scenario_configs` arm per estimation
-philosophy — robust posterior quantile (T=80 %), AVI histograms, the
-Chow–Liu Bayesian network, and the fixed-selectivity strawman — run
-through the unchanged ``ExperimentRunner`` over four scenarios:
+philosophy — robust posterior quantile (T=80 %), AVI histograms, and
+the fixed-selectivity strawman — run through the unchanged
+``ExperimentRunner`` over four scenarios:
 
 * ``star`` — the paper's three-dimension star join (cross-table
   correlation through FK joins);
@@ -17,7 +17,7 @@ through the unchanged ``ExperimentRunner`` over four scenarios:
 
 Every scenario runs every arm with 1 and 2 workers and the benchmark
 asserts the record streams are byte-identical — non-equi planning and
-the new estimator arms inherit the harness's determinism contract.
+every estimator arm inherit the harness's determinism contract.
 Results land in ``benchmarks/results/BENCH_scenarios.json``.
 
 ``REPRO_SCENARIO_SMOKE=1`` runs a reduced grid (CI): fewer seeds and
@@ -48,7 +48,7 @@ SMOKE = os.environ.get("REPRO_SCENARIO_SMOKE") == "1"
 
 SAMPLE_SIZE = 400
 SEEDS = (0,) if SMOKE else (0, 1)
-ARM_NAMES = ("T=80%", "Histograms", "BayesNet", "Fixed")
+ARM_NAMES = ("T=80%", "Histograms", "Fixed")
 
 
 def _scenarios(star_config):

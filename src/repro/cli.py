@@ -161,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="selection policy: a confidence threshold (percentage or"
         " named level, e.g. 95), expected:24, cvar:0.9, histogram,"
-        " bayes, exact, or fixed (default: the moderate threshold, 80)",
+        " exact, or fixed (default: the moderate threshold, 80)",
     )
     sql.add_argument(
         "--explain-only", action="store_true", help="print the plan, don't run"

@@ -30,14 +30,12 @@ from repro.core.estimator import CardinalityEstimator, ExactCardinalityEstimator
 from repro.core.fixed import FixedSelectivityEstimator
 from repro.core.magic import MagicDistribution, MagicNumbers
 from repro.core.histogram_estimator import HistogramCardinalityEstimator
-from repro.core.bayesnet import BayesNetCardinalityEstimator
 from repro.core.robust import RobustCardinalityEstimator
 from repro.core.factory import estimator_for
 from repro.core.sketch import pair_fraction
 
 __all__ = [
     "AGGRESSIVE",
-    "BayesNetCardinalityEstimator",
     "BetaQuantileTable",
     "CONSERVATIVE",
     "CardinalityEstimate",

@@ -17,10 +17,8 @@ import numpy as np
 
 from repro.catalog import Database
 from repro.core.estimate import CardinalityEstimate
-from repro.core.magic import MagicNumbers
-from repro.core.memo import EstimateCacheMixin
 from repro.errors import EstimationError
-from repro.expressions import Expr, classify_conjuncts, expr_key
+from repro.expressions import Expr
 from repro.stats.join_synopsis import fk_join_frame
 
 
@@ -131,87 +129,6 @@ class CardinalityEstimator:
             )
             distinct *= histogram.distinct_values if histogram is not None else 10.0
         return min(rows, distinct)
-
-
-class PointEstimator(EstimateCacheMixin, CardinalityEstimator):
-    """The threshold-blind skeleton the histogram and Bayes-net arms
-    share: per-table selectivities multiply (AVI across tables,
-    containment across FK joins), join conditions go to
-    :meth:`condition_selectivity`, and the product scales the root
-    relation. The hint is ignored, so the base ``estimate_many`` hands
-    back the one memoized estimate in every lane. Subclasses set
-    :attr:`source` and implement :meth:`_table_selectivity`.
-    """
-
-    #: Label of the estimates and of their evidence spans.
-    source = "point"
-
-    def __init__(self, statistics, magic: MagicNumbers | None = None) -> None:
-        self.statistics = statistics
-        self.magic = magic or MagicNumbers()
-        self._init_estimate_cache()
-
-    def estimate(
-        self,
-        tables: Iterable[str],
-        predicate: Expr | None,
-        hint: float | str | None = None,
-    ) -> CardinalityEstimate:
-        names = set(tables)
-        if not names:
-            raise EstimationError("estimate requires at least one table")
-        return self._memoized(
-            (frozenset(names), expr_key(predicate)),
-            lambda: self._estimate_impl(names, predicate),
-        )
-
-    def _estimate_impl(
-        self, names: set[str], predicate: Expr | None
-    ) -> CardinalityEstimate:
-        root = self.statistics.database.root_relation(names)
-        total = self.statistics.table_rows(root)
-
-        # classify_conjuncts (not predicates_by_table) so cross-table
-        # join conditions are priced as joins via the CDF sketch rather
-        # than magicked as unattributable leftover selections.
-        classes = classify_conjuncts(predicate)
-        selectivity = 1.0
-        for name in sorted(names):
-            table_predicate = classes.per_table.get(name)
-            if table_predicate is not None:
-                selectivity *= self._table_selectivity(name, table_predicate)
-        for condition in classes.join_conditions:
-            selectivity *= self.condition_selectivity(condition)
-        for conjunct in classes.residual:
-            # No histogram, sample or tree reads a conjunct spanning
-            # several tables (or none), so both arms charge it alike.
-            selectivity *= self.magic.for_predicate(conjunct)
-
-        if self.tracer is not None:
-            from repro.obs.trace import EstimationSpan
-
-            self.tracer.record_estimation(
-                EstimationSpan(
-                    tables=tuple(sorted(names)),
-                    source=self.source,
-                    quantile=selectivity,
-                    point_estimate=selectivity * total,
-                    predicate=None if predicate is None else str(predicate),
-                )
-            )
-
-        return CardinalityEstimate(
-            tables=frozenset(names),
-            selectivity=selectivity,
-            cardinality=selectivity * total,
-            root_table=root,
-            source=self.source,
-        )
-
-    def _table_selectivity(self, table_name: str, predicate: Expr) -> float:
-        """Selectivity of ``predicate``, all of whose conjuncts read
-        ``table_name`` alone."""
-        raise NotImplementedError
 
 
 class ExactCardinalityEstimator(CardinalityEstimator):

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.catalog import Database
-from repro.core.bayesnet import BayesNetCardinalityEstimator
 from repro.core.confidence import MODERATE
 from repro.core.estimator import CardinalityEstimator, ExactCardinalityEstimator
 from repro.core.fixed import FixedSelectivityEstimator
@@ -43,8 +42,8 @@ def estimator_for(
     """A fresh estimator of the family ``policy`` plans through.
 
     A robust estimator prices at :func:`hintless_threshold` under
-    ``prior``; ``"histogram"`` and ``"bayes"`` read ``statistics`` and
-    ignore the prior; ``"exact"`` and ``"fixed"`` read ``database``
+    ``prior``; ``"histogram"`` reads ``statistics`` and ignores the
+    prior; ``"exact"`` and ``"fixed"`` read ``database``
     alone, so their ``statistics`` may be ``None``.
     """
     kind = policy.estimator_kind
@@ -54,8 +53,6 @@ def estimator_for(
         )
     if kind == "histogram":
         return HistogramCardinalityEstimator(statistics)
-    if kind == "bayes":
-        return BayesNetCardinalityEstimator(statistics)
     if kind == "exact":
         return ExactCardinalityEstimator(database)
     if kind == "fixed":

@@ -1,7 +1,7 @@
 """The estimators' one cache-versioning rule.
 
 Everything an estimator derives from statistics (finished estimates,
-CDF-sketch pair fractions, Chow–Liu trees) sits in one memo behind
+CDF-sketch pair fractions) sits in one memo behind
 :func:`cache_token`, ``(statistics version, feedback generation or
 None)``, which every ``update_statistics``/``drop_*`` and feedback
 harvest moves, dropping the memo. The session's plan-cache key reads
@@ -13,7 +13,6 @@ immutable object they read instead.
 
 from __future__ import annotations
 
-from repro.core.magic import MagicNumbers
 from repro.core.sketch import sample_pair_fraction
 
 #: Marks a memo miss, so that ``None`` can be a memoized value.
@@ -32,8 +31,9 @@ def cache_token(statistics, feedback) -> tuple:
 class EstimateCacheMixin:
     """Token-checked memoization of statistics-derived values, always on.
 
-    Hosts set ``self.statistics`` (and, when feedback folds into their
-    estimates, ``self.feedback``) before calling
+    Hosts set ``self.statistics``, ``self.magic`` (the fallback of
+    :meth:`condition_selectivity`) and, when feedback folds into their
+    estimates, ``self.feedback`` before calling
     :meth:`_init_estimate_cache`, and route lookups through
     :meth:`_memoized`. The hit/miss counters the experiment harness
     reports count estimate lookups only.
@@ -89,4 +89,4 @@ class EstimateCacheMixin:
         )
         if fraction is not None:
             return fraction
-        return MagicNumbers().for_predicate(condition.expr)
+        return self.magic.for_predicate(condition.expr)

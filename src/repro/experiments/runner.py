@@ -78,19 +78,18 @@ def default_configs(
 
 
 def scenario_configs(threshold: float = 0.8) -> list[EstimatorConfig]:
-    """The four-arm estimator grid of the scenario-diversity benchmark.
+    """The three-arm estimator grid of the scenario-diversity benchmark.
 
     One arm per estimation philosophy: the paper's robust posterior
-    quantile, the AVI histogram product, the Chow-Liu Bayesian network,
-    and the fixed-selectivity strawman. Run over the star, snowflake,
-    and inequality-join workloads this grid separates *within-table*
-    correlation (bayes beats histogram), *cross-table* correlation
-    (only robust sees it), and estimation-free planning (fixed).
+    quantile, the AVI histogram product, and the fixed-selectivity
+    strawman. Run over the star, snowflake, and inequality-join
+    workloads this grid separates *cross-table* correlation (only
+    robust sees it), the independence assumption (histogram), and
+    estimation-free planning (fixed).
     """
     return [
         policy_arm(threshold),
         policy_arm("histogram"),
-        policy_arm("bayes"),
         policy_arm("fixed"),
     ]
 
@@ -115,7 +114,6 @@ def penalty_configs(
 #: arms are named by the policy's ``describe()``).
 _POINT_ARM_NAMES = {
     "histogram": "Histograms",
-    "bayes": "BayesNet",
     "exact": "Exact",
     "fixed": "Fixed",
 }

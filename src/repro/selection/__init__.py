@@ -19,7 +19,6 @@ from repro.selection.penalty import (
     select_index,
 )
 from repro.selection.policy import (
-    BayesNetPolicy,
     ExactPolicy,
     FixedPolicy,
     HistogramPolicy,
@@ -36,7 +35,6 @@ __all__ = [
     "ThresholdPolicy",
     "PenaltyPolicy",
     "HistogramPolicy",
-    "BayesNetPolicy",
     "ExactPolicy",
     "FixedPolicy",
     "PolicyError",

@@ -15,8 +15,7 @@ CLI:
   its CVaR-α tail average.
 * :class:`HistogramPolicy` — the AVI baseline: plan from equi-depth
   histogram point estimates (no posterior, no threshold);
-  :class:`BayesNetPolicy` and :class:`ExactPolicy` are the other two
-  point-estimate arms (Chow–Liu tree, ground truth), and
+  :class:`ExactPolicy` is the ground-truth oracle arm, and
   :class:`FixedPolicy` the estimation-free strawman (one selectivity
   for every predicate).
 
@@ -224,14 +223,6 @@ class HistogramPolicy(_PointPolicy):
 
 
 @dataclass(frozen=True)
-class BayesNetPolicy(_PointPolicy):
-    """Plan from Chow–Liu tree point estimates (no posterior, no
-    threshold) — the Bayesian-network baseline arm."""
-
-    NAME = "bayes"
-
-
-@dataclass(frozen=True)
 class ExactPolicy(_PointPolicy):
     """Plan from ground-truth cardinalities — the oracle arm; there is
     nothing to select *by* when estimates are exact."""
@@ -259,7 +250,6 @@ def resolve_policy(
       ``"moderate"``) → :class:`ThresholdPolicy`;
     * ``"threshold[:Q]"`` → :class:`ThresholdPolicy`;
     * ``"histogram"`` → :class:`HistogramPolicy`;
-    * ``"bayes"`` → :class:`BayesNetPolicy`;
     * ``"exact"`` → :class:`ExactPolicy`;
     * ``"fixed"`` → :class:`FixedPolicy`;
     * ``"penalty"`` / ``"expected[:SAMPLES]"`` →
@@ -282,7 +272,6 @@ def resolve_policy(
     try:
         point = {
             "histogram": HistogramPolicy,
-            "bayes": BayesNetPolicy,
             "exact": ExactPolicy,
             "fixed": FixedPolicy,
         }.get(head)
@@ -318,7 +307,7 @@ def resolve_policy(
     except ReproError:
         raise PolicyError(
             f"cannot parse selection policy {value!r}; expected a "
-            "threshold, 'histogram', 'bayes', 'exact', 'fixed', "
+            "threshold, 'histogram', 'exact', 'fixed', "
             "'expected[:SAMPLES]', 'cvar:ALPHA[:SAMPLES]', or 'threshold:Q'"
         ) from None
 

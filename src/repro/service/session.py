@@ -157,7 +157,7 @@ class SessionConfig:
     #: The default selection policy: a
     #: :class:`~repro.selection.SelectionPolicy`, a bare threshold, or a
     #: spec string (``"95"``, ``"cvar:0.9:32"``, ``"histogram"``,
-    #: ``"bayes"``, ``"exact"``); ``None`` is the paper's moderate
+    #: ``"exact"``); ``None`` is the paper's moderate
     #: threshold. Resolved at construction, so it always reads back as a
     #: :class:`~repro.selection.SelectionPolicy`.
     policy: SelectionPolicy | float | str | None = None

@@ -42,15 +42,13 @@ class TestExperiment:
                 "--sample-size",
                 "200",
                 "--policy",
-                "bayes",
-                "--policy",
                 "exact",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "Histograms" in out
-        assert "BayesNet" in out and "Exact" in out
+        assert "Exact" in out
         assert "performance vs predictability" in out
 
     def test_repeated_policy_adds_one_arm(self, tmp_path, capsys):
@@ -72,9 +70,9 @@ class TestExperiment:
                 "--sample-size",
                 "200",
                 "--policy",
-                "bayes",
+                "exact",
                 "--policy",
-                "bayes",
+                "exact",
                 "--policy",
                 "80",
                 "--trace-out",
@@ -84,7 +82,7 @@ class TestExperiment:
         assert code == 0
         capsys.readouterr()
         configs = [record["config"] for record in read_traces(out_path)]
-        assert configs.count("BayesNet") == 2  # 1 seed x 2 points
+        assert configs.count("Exact") == 2  # 1 seed x 2 points
         assert configs.count("T=80%") == 2
         assert len(configs) == 7 * 2
 

@@ -1,17 +1,17 @@
 """One cache-versioning rule for the estimators (``core/memo.py``).
 
 Every statistics-derived value an estimator keeps — a finished
-estimate, a join condition's pair fraction, a Chow–Liu tree — sits in
-the estimate memo behind ``cache_token``, which the session's plan-cache
-key reads too. Two kinds of check:
+estimate or a join condition's pair fraction — sits in the estimate
+memo behind ``cache_token``, which the session's plan-cache key reads
+too. Two kinds of check:
 
 * structural — no module of ``repro.core`` other than ``memo.py`` reads
   a statistics version or a feedback generation, tokenized so that
   docstrings and comments do not count;
 * counting — the memo's hit/miss counters count estimate lookups only:
-  over a fixed battery (three families, three arms, one statistics
-  refresh) they read what they read before pair fractions and trees
-  moved into the memo.
+  over a fixed battery (three families, two arms, one statistics
+  refresh) they read what they read before pair fractions moved into
+  the memo.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import tokenize
 import pytest
 
 from repro.core import (
-    BayesNetCardinalityEstimator,
     HistogramCardinalityEstimator,
     RobustCardinalityEstimator,
 )
@@ -42,22 +41,18 @@ CORE = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro" / "core"
 ARMS = {
     "robust": RobustCardinalityEstimator,
     "histogram": HistogramCardinalityEstimator,
-    "bayes": BayesNetCardinalityEstimator,
 }
 
 #: ``(estimate_cache_hits, estimate_cache_misses)`` per family and arm
-#: after :func:`memo_counts`, as counted before the pair fractions and
-#: the Chow–Liu trees shared the memo.
+#: after :func:`memo_counts`, as counted before the pair fractions
+#: shared the memo.
 COUNTS = {
     ("tpch", "robust"): (74, 194),
     ("tpch", "histogram"): (426, 94),
-    ("tpch", "bayes"): (426, 94),
     ("star", "robust"): (112, 164),
     ("star", "histogram"): (470, 82),
-    ("star", "bayes"): (470, 82),
     ("snowflake", "robust"): (112, 140),
     ("snowflake", "histogram"): (434, 70),
-    ("snowflake", "bayes"): (434, 70),
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    BayesNetCardinalityEstimator,
+    HistogramCardinalityEstimator,
     MagicNumbers,
     RobustCardinalityEstimator,
     memo,
@@ -62,7 +62,7 @@ class TestPairFraction:
 MARKUP = as_join_condition(col("sales.s_price") < col("item.i_price"))
 
 #: The statistics-backed arms that price a join condition by the sketch.
-ARMS = (RobustCardinalityEstimator, BayesNetCardinalityEstimator)
+ARMS = (RobustCardinalityEstimator, HistogramCardinalityEstimator)
 
 
 def sample_column(manager, table, column):

@@ -11,7 +11,7 @@ template and a parameter from its ``param_range``, and every case
 builds fresh statistics under its own seed. Each case is priced on
 every evidence rung of the robust estimator's ladder (§3.3 join
 synopsis, §3.5 single-table sample, ``sample-avi``, ``mixed``,
-``magic``) plus the threshold-blind ``histogram`` and ``bayes`` arms,
+``magic``) plus the threshold-blind ``histogram`` arm,
 and counted as covered at ``T`` when the exact cardinality is at most
 the estimate.
 
@@ -37,7 +37,6 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from repro.core import (
-    BayesNetCardinalityEstimator,
     ExactCardinalityEstimator,
     HistogramCardinalityEstimator,
     RobustCardinalityEstimator,
@@ -57,7 +56,7 @@ SAMPLE_SIZE = 500
 EXAMPLES = 600
 BAND = 0.999
 GATED = ("synopsis", "single-table sample")
-REPORTED = ("sample-avi", "mixed", "magic", "histogram", "bayes")
+REPORTED = ("sample-avi", "mixed", "magic", "histogram")
 
 #: (database, template). The band-join template is left out: its tables
 #: share no FK edge, so no rung (and no exact estimator) prices it.
@@ -137,12 +136,9 @@ class _Oracle:
         )
         self.robust("synopsis", database, statistics, tables, predicate,
                     SAMPLE_SIZE)
-        for name, arm in (
-            ("histogram", HistogramCardinalityEstimator),
-            ("bayes", BayesNetCardinalityEstimator),
-        ):
-            self.record(name, database, tables, predicate,
-                        arm(statistics).estimate(tables, predicate))
+        self.record("histogram", database, tables, predicate,
+                    HistogramCardinalityEstimator(statistics).estimate(
+                        tables, predicate))
 
         # The §3.5 ladder below the synopsis, built the way
         # tests/test_estimator_contract.py's shaped statistics are.

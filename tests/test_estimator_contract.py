@@ -5,15 +5,16 @@ import inspect
 import pytest
 
 from repro.core import (
-    BayesNetCardinalityEstimator,
     CardinalityEstimator,
     ExactCardinalityEstimator,
     FixedSelectivityEstimator,
     HistogramCardinalityEstimator,
+    MagicNumbers,
     RobustCardinalityEstimator,
 )
-from repro.core.estimator import PointEstimator
+from repro.core.memo import EstimateCacheMixin
 from repro.expressions import col, expr_key
+from repro.expressions.analysis import as_join_condition
 from repro.faults import FaultyEstimator
 from repro.feedback.store import FeedbackProvider, FeedbackStore
 from repro.obs.tracer import Tracer
@@ -25,7 +26,6 @@ def estimator_instances(tpch_db, tpch_stats):
         "exact": ExactCardinalityEstimator(tpch_db),
         "robust": RobustCardinalityEstimator(tpch_stats, policy=0.8),
         "histogram": HistogramCardinalityEstimator(tpch_stats),
-        "bayes": BayesNetCardinalityEstimator(tpch_stats),
         "fixed": FixedSelectivityEstimator(tpch_db, default=0.05),
     }
 
@@ -49,7 +49,7 @@ CASES = [
 
 @pytest.mark.parametrize("case_index", range(len(CASES)))
 @pytest.mark.parametrize(
-    "name", ["exact", "robust", "histogram", "bayes", "fixed"]
+    "name", ["exact", "robust", "histogram", "fixed"]
 )
 class TestEstimatorContract:
     def test_selectivity_in_unit_interval(
@@ -91,7 +91,6 @@ class TestEstimatorContract:
 
 
 ALL_ESTIMATORS = (
-    BayesNetCardinalityEstimator,
     CardinalityEstimator,
     ExactCardinalityEstimator,
     FixedSelectivityEstimator,
@@ -165,31 +164,25 @@ class TestProtocolParity:
             ], name
 
     def test_point_estimators_share_one_estimate_path(self):
-        """Histogram and Bayes-net own only their per-table pricing: the
-        estimate, its memo and every lane come from ``PointEstimator``."""
-        for cls in (HistogramCardinalityEstimator, BayesNetCardinalityEstimator):
-            assert issubclass(cls, PointEstimator)
-            assert "estimate" not in vars(cls)
-            assert cls.estimate_many is CardinalityEstimator.estimate_many
+        """The histogram arm is the one memoized point estimator: its
+        threshold-blind lanes come from the base ``estimate_many``."""
+        cls = HistogramCardinalityEstimator
+        assert issubclass(cls, EstimateCacheMixin)
+        assert cls.estimate_many is CardinalityEstimator.estimate_many
 
     def test_point_estimator_lanes_are_one_memoized_estimate(self, tpch_stats):
         tables, predicate = CASES[3]
-        for estimator in (
-            HistogramCardinalityEstimator(tpch_stats),
-            BayesNetCardinalityEstimator(tpch_stats),
-        ):
-            lanes = estimator.estimate_many(tables, predicate, GRID)
-            assert all(lane is lanes[0] for lane in lanes)
-            assert estimator.estimate(tables, predicate) is lanes[0]
+        estimator = HistogramCardinalityEstimator(tpch_stats)
+        lanes = estimator.estimate_many(tables, predicate, GRID)
+        assert all(lane is lanes[0] for lane in lanes)
+        assert estimator.estimate(tables, predicate) is lanes[0]
 
-    @pytest.mark.parametrize(
-        "cls", [HistogramCardinalityEstimator, BayesNetCardinalityEstimator]
-    )
+    @pytest.mark.parametrize("cls", [HistogramCardinalityEstimator])
     def test_point_estimators_charge_a_residual_conjunct_its_magic_number(
         self, tpch_stats, cls
     ):
         """A conjunct no single table owns (a cross-table OR, or one on
-        an unqualified column) reaches no histogram, sample or tree."""
+        an unqualified column) reaches no histogram."""
         estimator = cls(tpch_stats)
         for residual in (
             (col("part.p_size") <= 10) | (col("lineitem.l_quantity") > 45),
@@ -197,6 +190,19 @@ class TestProtocolParity:
         ):
             estimate = estimator.estimate({"lineitem", "part"}, residual)
             assert estimate.selectivity == estimator.magic.for_predicate(residual)
+
+    @pytest.mark.parametrize(
+        "cls", [RobustCardinalityEstimator, HistogramCardinalityEstimator]
+    )
+    def test_join_condition_fallback_reads_the_estimators_own_magic(
+        self, snowflake_db, cls
+    ):
+        """Without samples a join condition is priced at the magic
+        number of the estimator's own table, not the default one."""
+        magic = MagicNumbers(range=0.9, inequality=0.9)
+        estimator = cls(StatisticsManager(snowflake_db), magic=magic)
+        condition = as_join_condition(col("sales.s_price") < col("item.i_price"))
+        assert estimator.condition_selectivity(condition) == 0.9
 
     def test_every_estimator_has_estimate_many(self):
         """The base default makes threshold-blind estimators (exact,
@@ -281,7 +287,7 @@ def _lane(span: dict, index: int) -> dict:
 
 
 @pytest.mark.parametrize(
-    "name", ["exact", "robust", "histogram", "bayes", "fixed", *ROBUST_SHAPES]
+    "name", ["exact", "robust", "histogram", "fixed", *ROBUST_SHAPES]
 )
 class TestEstimateManyConsistency:
     """estimate_many == looping estimate with each threshold as hint,

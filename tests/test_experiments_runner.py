@@ -15,7 +15,6 @@ from repro.experiments import (
     scenario_configs,
 )
 from repro.core import (
-    BayesNetCardinalityEstimator,
     ExactCardinalityEstimator,
     FixedSelectivityEstimator,
     HistogramCardinalityEstimator,
@@ -26,7 +25,6 @@ from repro.core import (
 )
 from repro.optimizer import Optimizer
 from repro.selection import (
-    BayesNetPolicy,
     ExactPolicy,
     FixedPolicy,
     HistogramPolicy,
@@ -87,7 +85,6 @@ class TestDefaultConfigs:
         assert fields(scenario_configs()) == [
             ("T=80%", ThresholdPolicy(0.8)),
             ("Histograms", HistogramPolicy()),
-            ("BayesNet", BayesNetPolicy()),
             ("Fixed", FixedPolicy()),
         ]
         expected = PenaltyPolicy(samples=8)
@@ -129,7 +126,6 @@ class TestDefaultConfigs:
         "spec, name, estimator_class",
         [
             ("histogram", "Histograms", HistogramCardinalityEstimator),
-            ("bayes", "BayesNet", BayesNetCardinalityEstimator),
             ("exact", "Exact", ExactCardinalityEstimator),
             ("fixed", "Fixed", FixedSelectivityEstimator),
         ],

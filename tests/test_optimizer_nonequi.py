@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    BayesNetCardinalityEstimator,
     HistogramCardinalityEstimator,
     RobustCardinalityEstimator,
 )
@@ -59,13 +58,12 @@ class TestBandJoinExecution:
     def truth(self, snowflake_db):
         return PromotionBandTemplate().true_rows(snowflake_db, 2)
 
-    @pytest.mark.parametrize("kind", ["histogram", "bayes", "robust"])
+    @pytest.mark.parametrize("kind", ["histogram", "robust"])
     def test_every_arm_plans_and_matches_truth(
         self, snowflake_db, snowflake_stats, kind, truth
     ):
         estimator = {
             "histogram": HistogramCardinalityEstimator(snowflake_stats),
-            "bayes": BayesNetCardinalityEstimator(snowflake_stats),
             "robust": RobustCardinalityEstimator(snowflake_stats, policy=0.8),
         }[kind]
         optimizer = Optimizer(snowflake_db, estimator)
@@ -166,20 +164,6 @@ class TestSessionNonEqui:
         assert trace["execution"] is not None
         assert "NonEquiJoin" in trace["execution"]["plan_shape"]
         assert trace["estimation"], "expected estimation spans"
-
-    def test_bayes_estimator_session(self, snowflake_db):
-        from repro.service import Session
-
-        session = Session(
-            snowflake_db,
-            policy="bayes",
-            sample_size=300,
-            statistics_seed=11,
-        )
-        result = session.execute(self.SQL)
-        truth = PromotionBandTemplate().true_rows(snowflake_db, 2)
-        assert int(result.column("hits")[0]) == truth
-        assert session.describe()
 
 
 class TestFKJoinOverABandJoin:

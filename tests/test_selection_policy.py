@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import AGGRESSIVE, MODERATE
 from repro.selection import (
-    BayesNetPolicy,
     ExactPolicy,
     FixedPolicy,
     HistogramPolicy,
@@ -92,7 +91,7 @@ class TestHistogramPolicy:
         assert resolve_policy(policy.spec()) == policy
 
     @pytest.mark.parametrize(
-        "policy", [BayesNetPolicy(), ExactPolicy(), FixedPolicy()]
+        "policy", [ExactPolicy(), FixedPolicy()]
     )
     def test_other_point_estimate_arms(self, policy):
         """The other arms without a posterior name their estimator the
@@ -123,7 +122,7 @@ class TestResolvePolicy:
             ("cvar:0.9:16", PenaltyPolicy(samples=16, risk="cvar", alpha=0.9)),
             ("80", ThresholdPolicy(0.8)),
             ("moderate", ThresholdPolicy(MODERATE)),
-            ("bayes", BayesNetPolicy()),
+            ("EXACT", ExactPolicy()),
             ("exact", ExactPolicy()),
             ("fixed", FixedPolicy()),
         ],
@@ -138,6 +137,7 @@ class TestResolvePolicy:
             "histogram:5",
             "exact:1",
             "fixed:0.1",
+            "bayes",
             "cvar",
             "cvar:abc",
             "expected:many",

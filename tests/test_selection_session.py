@@ -54,7 +54,7 @@ class TestPolicyIsTotal:
 
     @pytest.mark.parametrize(
         "spec",
-        ["threshold:0.9", "cvar:0.9:8", "histogram", "bayes", "exact", "fixed"],
+        ["threshold:0.9", "cvar:0.9:8", "histogram", "exact", "fixed"],
     )
     def test_every_kind_plans_under_its_policy(self, two_table_db, spec):
         expected = resolve_policy(spec)

@@ -22,8 +22,6 @@ ones to them:
   databases build, their statistics refresh and the battery executes.
 """
 
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +29,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from repro.catalog import Database
-from repro.core import BayesNetCardinalityEstimator, RobustCardinalityEstimator
+from repro.core import HistogramCardinalityEstimator, RobustCardinalityEstimator
 from repro.engine import ExecutionContext, scans, star
 from repro.indexes import SortedIndex, intersect_rid_sets, sorted_index, union_rid_lists
 from repro.indexes.sorted_index import sorted_unique
@@ -270,17 +268,13 @@ class TestPlansIdenticalUnderReferenceFormulations:
 # ----------------------------------------------------------------------
 
 class TestNoHashedSetRoutine:
-    """Both routines raise for every caller but one: ``np.quantile``
-    (the BayesNet arm's bin edges) de-duplicates its handful of partition
-    indices with ``np.unique``, which costs nothing worth sorting for.
-    ``np.isin``'s sort path is *not* exempt — it calls ``np.unique`` on
-    its inputs, and no measured path may reach it."""
+    """Both routines raise for every caller. ``np.isin``'s sort path
+    calls ``np.unique`` on its inputs, so no measured path may reach it
+    either."""
 
     def test_build_refresh_and_battery_without_unique(self, monkeypatch, star_config):
         def refusing(original):
             def refuse(*args, **kwargs):
-                if sys._getframe(1).f_code.co_name == "_quantile":
-                    return original(*args, **kwargs)
                 raise AssertionError(f"np.{original.__name__} was called")
 
             return refuse
@@ -300,7 +294,7 @@ class TestNoHashedSetRoutine:
             statistics.update_statistics(sample_size=300, seed=11)
             for estimator in (
                 RobustCardinalityEstimator(statistics, policy=0.5),
-                BayesNetCardinalityEstimator(statistics),
+                HistogramCardinalityEstimator(statistics),
             ):
                 optimizer = Optimizer(database, estimator)
                 for query in battery_queries(family, database):

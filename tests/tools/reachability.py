@@ -290,11 +290,11 @@ def _cli_runs() -> list[list[str]]:
         ["experiment", "exp2", "--scale", "8000", "--seeds", "2", "--points", "3",
          "--policy", "cvar:0.9:16"],
         ["experiment", "exp3", "--scale", "2000", "--seeds", "2", "--points", "3",
-         "--policy", "bayes", "--trace"],
+         "--policy", "exact", "--trace"],
         ["report", "--output", "report.md", "--scale", "6000", "--fact-rows", "5000",
          "--seeds", "2"],
     ]
-    for policy in (None, "95", "histogram", "bayes", "exact", "cvar:0.9", "expected:24"):
+    for policy in (None, "95", "histogram", "exact", "cvar:0.9", "expected:24"):
         runs.append(["sql", _QUERY, *sql] + (["--policy", policy] if policy else []))
     runs += [
         ["sql", "SELECT COUNT(*) FROM fact, dim1 WHERE dim1.d_attr < 100",
