@@ -36,27 +36,39 @@ Correctness rules:
   reached it simultaneously. ``compute`` runs outside the mutex, so
   distinct keys never serialize on each other's materialization.
 
+* **Admission.** A value is kept on its key's second sight, the rule
+  the session's execution memo and shape store follow. The first sight
+  computes and weighs the value (an unsizable one still raises),
+  returns it and keeps only a value-less *seen once* entry, charged its
+  key's bytes (:func:`_key_nbytes`) in the same recency order and
+  budget as every other entry. The second sight computes again and
+  keeps the value; later sights hit. A never-repeated statement's
+  filtered leaves therefore hold nothing once it has run: on
+  ``plan_cold`` 4 397 of 4 475 keys (seed 7, 20 s) were never asked
+  for again, yet held 69 MiB under first-sight admission.
+
 * **Memory.** The cache keeps at most :data:`SCAN_CACHE_BYTES` of
-  arrays that only it keeps alive: entries sit in recency order with a
-  running byte total, and whenever the total passes the budget the
-  least recently used entries are dropped until it fits. *Counted* is
-  what is reachable only through the entry — the cached frame's distinct
-  selection vectors, the gathers memoized through one
-  (:meth:`Frame.owned_nbytes`), and the RID array of a ``star-semi``
-  entry; an unfiltered scan aliases the table's own columns and weighs
-  nothing. Most of a frame's weight arrives *after* it is stored (the
-  join and the aggregate above a scan read their columns from the cached
-  frame, which memoizes them: 142 of the 245 MiB ``exec_scale`` used to
-  retain), so an entry is measured once, when inserted, and then charged
-  on growth: the cache watches the frame it stores
-  (:meth:`Frame.watch_gathers`) and is told each newly memoized array's
-  size. No lookup re-measures anything; a hit is one recency move.
-  Eviction only drops the cache's reference — a frame already handed
-  out stays valid, and a would-be hit that became a miss replays the
-  same counters every miss does. The entry used last is never the
-  victim, so one entry larger than the whole budget is served and kept
-  until the next insertion displaces it. A value the cache cannot size
-  is an error, not zero.
+  arrays that only it keeps alive, plus its seen-once keys: entries sit
+  in recency order with a running byte total, and whenever the total
+  passes the budget the least recently used entries are dropped until
+  it fits. *Counted* is what is reachable only through the entry — the
+  cached frame's distinct selection vectors, the gathers memoized
+  through one (:meth:`Frame.owned_nbytes`), the RID array of a
+  ``star-semi`` entry, and a seen-once entry's key; an unfiltered scan
+  aliases the table's own columns and weighs nothing. Most of a kept
+  frame's weight arrives *after* it is stored (the join and the
+  aggregate above a scan read their columns from the cached frame,
+  which memoizes them: 142 of the 245 MiB ``exec_scale`` retained with
+  no budget and first-sight admission), so an entry is measured once,
+  when its value is kept, and then charged on growth: the cache
+  watches the frame it stores (:meth:`Frame.watch_gathers`) and is
+  told each newly memoized array's size. No lookup re-measures
+  anything; a hit is one recency move. Eviction only drops the cache's
+  reference — a frame already handed out stays valid, and a would-be
+  hit that became a miss replays the same counters every miss does.
+  The entry used last is never the victim, so one entry larger than
+  the whole budget is served and kept until the next insertion
+  displaces it. A value the cache cannot size is an error, not zero.
 
 Keys are plain tuples built by the operators from table names and
 ``expr_key`` predicate signatures.
@@ -64,6 +76,7 @@ Keys are plain tuples built by the operators from table names and
 
 from __future__ import annotations
 
+import sys
 import threading
 import weakref
 from collections import OrderedDict
@@ -76,11 +89,21 @@ from repro.catalog import Database
 from repro.errors import ExecutionError
 from repro.expressions import Frame
 
-#: Bytes of selection vectors, memoized gathers and RID arrays one cache
-#: may keep alive. Separates the measured working sets: ``plan_cold``'s
-#: largest session ends at 42 MiB and never evicts, ``exec_scale``'s
-#: never-repeating stream reached 245 MiB. A constant, not an option.
+#: Bytes of selection vectors, memoized gathers, RID arrays and
+#: seen-once keys one cache may keep alive. A constant, not an option:
+#: DESIGN §13 has the working sets it was chosen against.
 SCAN_CACHE_BYTES = 64 << 20
+
+#: The value a key seen once holds: nothing (see *Admission*).
+_SEEN_ONCE = object()
+
+
+def _key_nbytes(key: object) -> int:
+    """What a seen-once entry is charged: ``key``'s own bytes, its
+    nested tuples' and their items' included."""
+    if isinstance(key, tuple):
+        return sys.getsizeof(key) + sum(_key_nbytes(part) for part in key)
+    return sys.getsizeof(key)
 
 
 def _weigh(value: object) -> tuple[int, Frame | None]:
@@ -104,7 +127,8 @@ def _weigh(value: object) -> tuple[int, Frame | None]:
 
 
 class _Entry:
-    """One cached value and the bytes charged for it so far."""
+    """One cached value (or :data:`_SEEN_ONCE`) and the bytes charged
+    for it so far."""
 
     __slots__ = ("value", "frame", "nbytes")
 
@@ -193,17 +217,19 @@ class ScanCache:
     def get_or_compute(self, key: tuple, compute: Callable[[], object]) -> object:
         """Return the memoized value for ``key``, computing it on miss.
 
-        ``compute`` runs at most once per key per generation: the first
-        thread to miss becomes the leader and materializes outside the
-        lock, followers wait and share the leader's result (counted as
-        hits — they did no scan work). A leader failure is propagated
-        to the leader and releases followers to retry as fresh leaders,
-        so an exception is never cached.
+        A key's first miss keeps only that it was seen; its second keeps
+        the value (see *Admission*). ``compute`` runs at most once per
+        miss: the first thread to miss becomes the leader and
+        materializes outside the lock, followers wait and share the
+        leader's result (counted as hits — they did no scan work). A
+        leader failure is propagated to the leader and releases
+        followers to retry as fresh leaders, so an exception is never
+        cached.
         """
         while True:
             with self._lock:
                 entry = self._entries.get(key)
-                if entry is not None:
+                if entry is not None and entry.value is not _SEEN_ONCE:
                     self._hits += 1
                     self._entries.move_to_end(key)
                     return entry.value
@@ -212,6 +238,7 @@ class ScanCache:
                     flight = _InFlightScan()
                     self._inflight[key] = flight
                     leader = True
+                    keep = entry is not None
                 else:
                     leader = False
             if leader:
@@ -236,16 +263,23 @@ class ScanCache:
                     del self._inflight[key]
             flight.event.set()
             raise
-        if frame is not None:
-            # Nobody else holds the frame yet, so nothing it memoizes can
-            # fall between the measurement above and this.
-            frame.watch_gathers(
-                partial(_charge, weakref.ref(self), key, id(frame))
-            )
+        if keep:
+            if frame is not None:
+                # Nobody else holds the frame yet, so nothing it memoizes
+                # can fall between the measurement above and this.
+                frame.watch_gathers(
+                    partial(_charge, weakref.ref(self), key, id(frame))
+                )
+            entry = _Entry(value, frame, nbytes)
+        else:
+            entry = _Entry(_SEEN_ONCE, None, _key_nbytes(key))
         with self._lock:
             self._misses += 1
-            self._entries[key] = _Entry(value, frame, nbytes)
-            self._bytes += nbytes
+            seen = self._entries.pop(key, None)
+            if seen is not None:
+                self._release(seen)
+            self._entries[key] = entry
+            self._bytes += entry.nbytes
             self._evict()
             if self._inflight.get(key) is flight:
                 del self._inflight[key]
@@ -267,8 +301,12 @@ class ScanCache:
             entry.frame.watch_gathers(None)
 
     def __len__(self) -> int:
+        """Keys whose value is kept (seen-once keys are not)."""
         with self._lock:
-            return len(self._entries)
+            return len(self._entries) - self._count_seen_once()
+
+    def _count_seen_once(self) -> int:
+        return sum(entry.value is _SEEN_ONCE for entry in self._entries.values())
 
     def clear(self) -> None:
         """Unpin and drop every entry; the counters survive."""
@@ -279,12 +317,16 @@ class ScanCache:
             self._entries.clear()
 
     def stats(self) -> dict:
-        """Occupancy and hit / miss / eviction counts for reporting."""
+        """Occupancy and hit / miss / eviction counts for reporting:
+        ``entries`` keys whose value is kept, ``seen_once`` keys seen
+        once, and the ``bytes`` charged for both."""
         with self._lock:
+            seen_once = self._count_seen_once()
             return {
                 "hits": self._hits,
                 "misses": self._misses,
-                "entries": len(self._entries),
+                "entries": len(self._entries) - seen_once,
+                "seen_once": seen_once,
                 "bytes": self._bytes,
                 "evictions": self._evictions,
             }

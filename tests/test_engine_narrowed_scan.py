@@ -286,4 +286,7 @@ class TestWhichScansReadTheIndex:
         scans.scan_table(ctx, "t", predicate)
         with mock.patch.object(scans, "_narrowed_scan", lambda *args: None):
             scans.scan_table(ctx, "t", predicate)
+        # The full scan was the narrowed one's second sight, so it kept.
+        assert cache.stats()["entries"] == 1 and cache.stats()["seen_once"] == 0
+        scans.scan_table(ctx, "t", predicate)
         assert cache.hits == 1

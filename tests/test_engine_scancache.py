@@ -14,6 +14,10 @@ with no cache, the default budget, 64 KiB and 0); the running total
 equals a walk over the entries that shares no code with the cache,
 gathers memoized after insertion included; and neither survives less
 under eight threads evicting on every insert.
+
+A key's value is kept on its second sight (``TestSecondSightAdmission``):
+its first keeps a seen-once entry charged its key's bytes, so tests that
+warm the cache run a leaf twice.
 """
 
 import sys
@@ -28,18 +32,31 @@ from repro.cost import CostModel
 from repro.engine import ExecutionContext, ScanCache, SeqScan, scancache
 from repro.errors import ExecutionError
 from repro.expressions import Frame, col
+from repro.service import Session
 
 from tests.conftest import make_two_table_db
 
 FAMILIES = ["tpch", "star", "snowflake"]
 
 
+def key_bytes(key) -> int:
+    """A seen-once entry's charge, measured here: the key tuple, its
+    nested tuples and every item."""
+    if isinstance(key, tuple):
+        return sys.getsizeof(key) + sum(key_bytes(part) for part in key)
+    return sys.getsizeof(key)
+
+
 def walk_bytes(cache: ScanCache) -> int:
     """What the cache alone keeps alive, found without its bookkeeping:
     every distinct array, by ``id``, behind a selection vector of a
-    stored frame, plus stored RID arrays."""
-    arrays = {}
-    for entry in cache._entries.values():
+    stored frame, plus stored RID arrays, plus the keys of entries
+    seen once."""
+    arrays, keys = {}, 0
+    for key, entry in cache._entries.items():
+        if entry.value is scancache._SEEN_ONCE:
+            keys += key_bytes(key)
+            continue
         value = entry.value[-1] if isinstance(entry.value, tuple) else entry.value
         if isinstance(value, np.ndarray):
             arrays[id(value)] = value
@@ -50,7 +67,7 @@ def walk_bytes(cache: ScanCache) -> int:
                 arrays[id(source.sel)] = source.sel
                 if name in value._cache:
                     arrays[id(value._cache[name])] = value._cache[name]
-    return sum(array.nbytes for array in arrays.values())
+    return keys + sum(array.nbytes for array in arrays.values())
 
 
 def run_battery(plans, database, cache):
@@ -66,6 +83,16 @@ def filtered_scan(threshold: int) -> SeqScan:
     return SeqScan("lineitem", col("lineitem.l_quantity") > threshold)
 
 
+def kept_scan(cache: ScanCache, database, threshold: int) -> Frame:
+    """``filtered_scan(threshold)`` run twice through ``cache``: the
+    frame of its second sight, the one the cache keeps."""
+    for _ in range(2):
+        frame = filtered_scan(threshold).execute(
+            ExecutionContext(database, scan_cache=cache)
+        )
+    return frame
+
+
 class TestComputeOnce:
     def test_concurrent_same_key_materializes_once(self):
         """Two threads scanning the same leaf must share one compute."""
@@ -79,11 +106,12 @@ class TestComputeOnce:
             time.sleep(0.05)  # wide race window: pre-fix, all 6 compute
             return np.zeros(1)
 
+        key = ("seqscan", "lineitem", "q>45")
+        cache.get_or_compute(key, lambda: np.zeros(1))  # its first sight
+
         def worker():
             barrier.wait()
-            results.append(
-                cache.get_or_compute(("seqscan", "lineitem", "q>45"), slow_scan)
-            )
+            results.append(cache.get_or_compute(key, slow_scan))
 
         threads = [threading.Thread(target=worker) for _ in range(6)]
         for t in threads:
@@ -94,11 +122,14 @@ class TestComputeOnce:
         assert len(calls) == 1, "followers must wait, not re-materialize"
         assert all(r is results[0] for r in results)
         assert cache.stats() == {
-            "hits": 5, "misses": 1, "entries": 1, "bytes": 8, "evictions": 0,
+            "hits": 5, "misses": 2, "entries": 1, "seen_once": 0, "bytes": 8,
+            "evictions": 0,
         }
 
     def test_distinct_keys_do_not_serialize(self):
         cache = ScanCache()
+        for key in (("a",), ("b",)):  # their first sight
+            cache.get_or_compute(key, lambda: np.zeros(1))
         started = threading.Barrier(2)
         release = threading.Event()
 
@@ -170,10 +201,11 @@ class TestCounterAccuracy:
         finally:
             sys.setswitchinterval(previous)
 
+        # Each key misses twice: on its first sight and on its second.
         stats = cache.stats()
         assert stats["entries"] == 16
-        assert stats["misses"] == 16
-        assert stats["hits"] == n_threads * iters - 16
+        assert stats["misses"] == 32
+        assert stats["hits"] == n_threads * iters - 32
 
 
 class TestDatabasePinning:
@@ -236,18 +268,19 @@ class TestEvictionChangesNothingButMemory:
         for budget in (scancache.SCAN_CACHE_BYTES, 64 << 10, 0):
             monkeypatch.setattr(scancache, "SCAN_CACHE_BYTES", budget)
             cache = caches[budget] = ScanCache()
-            for (frame, counters), (want, want_counters) in zip(
-                run_battery(plans, database, cache), expected
-            ):
-                assert frame.column_names == want.column_names
-                for name in want.column_names:
-                    got, ref = frame.column(name), want.column(name)
-                    assert got.dtype == ref.dtype
-                    assert np.array_equal(got, ref)
-                assert counters.as_dict() == want_counters.as_dict()
-                assert cost_model.time_from_counters(
-                    counters
-                ) == cost_model.time_from_counters(want_counters)
+            for _ in range(2):  # the second battery keeps what repeats
+                for (frame, counters), (want, want_counters) in zip(
+                    run_battery(plans, database, cache), expected
+                ):
+                    assert frame.column_names == want.column_names
+                    for name in want.column_names:
+                        got, ref = frame.column(name), want.column(name)
+                        assert got.dtype == ref.dtype
+                        assert np.array_equal(got, ref)
+                    assert counters.as_dict() == want_counters.as_dict()
+                    assert cost_model.time_from_counters(
+                        counters
+                    ) == cost_model.time_from_counters(want_counters)
         default, small, none = (cache.stats() for cache in caches.values())
         assert default["evictions"] == 0
         for squeezed in (small, none):
@@ -268,7 +301,8 @@ class TestAccountingIsExact:
         self, family, families, planned_trees
     ):
         cache = ScanCache()
-        run_battery(planned_trees[family], families[family][0], cache)
+        for _ in range(2):  # kept on their second sight, then gathered
+            run_battery(planned_trees[family], families[family][0], cache)
         stats = cache.stats()
         assert stats["evictions"] == 0
         assert stats["bytes"] == walk_bytes(cache) > 0
@@ -284,17 +318,17 @@ class TestAccountingIsExact:
         monkeypatch.setattr(scancache, "SCAN_CACHE_BYTES", budget)
         database, cache = families[family][0], ScanCache()
         for _, plan in planned_trees[family]:
-            plan.execute(ExecutionContext(database, scan_cache=cache))
-            held = cache.stats()["bytes"]
-            assert held == walk_bytes(cache)
-            latest = next(reversed(cache._entries.values()))
-            assert held <= budget + latest.nbytes
+            for _ in range(2):  # the second run keeps the plan's leaves
+                plan.execute(ExecutionContext(database, scan_cache=cache))
+                held = cache.stats()["bytes"]
+                assert held == walk_bytes(cache)
+                latest = next(reversed(cache._entries.values()))
+                assert held <= budget + latest.nbytes
         assert cache.stats()["evictions"] > 0
 
     def test_a_gather_is_charged_once_at_the_cached_frame(self, two_table_db):
         cache = ScanCache()
-        ctx = ExecutionContext(two_table_db, scan_cache=cache)
-        frame = filtered_scan(20).execute(ctx)
+        frame = kept_scan(cache, two_table_db, 20)
         # The predicate read l_quantity from the whole table's frame;
         # the filtered one so far holds its selection vector alone.
         selection = cache.stats()["bytes"]
@@ -318,8 +352,10 @@ class TestAccountingIsExact:
 
     def test_an_unfiltered_scan_weighs_nothing(self, two_table_db):
         cache = ScanCache()
-        ctx = ExecutionContext(two_table_db, scan_cache=cache)
-        frame = SeqScan("lineitem").execute(ctx)
+        for _ in range(2):  # kept on its second sight
+            frame = SeqScan("lineitem").execute(
+                ExecutionContext(two_table_db, scan_cache=cache)
+            )
         frame.column("lineitem.l_shipdate")
         assert cache.stats()["entries"] == 1
         assert cache.stats()["bytes"] == 0 == walk_bytes(cache)
@@ -327,11 +363,10 @@ class TestAccountingIsExact:
     def test_an_evicted_frame_stops_reporting(self, two_table_db, monkeypatch):
         monkeypatch.setattr(scancache, "SCAN_CACHE_BYTES", 0)
         cache = ScanCache()
+        # 30's first sight evicts 20; its second replaces its own
+        # seen-once entry, which is no eviction.
         first, second = (
-            filtered_scan(quantity).execute(
-                ExecutionContext(two_table_db, scan_cache=cache)
-            )
-            for quantity in (20, 30)
+            kept_scan(cache, two_table_db, quantity) for quantity in (20, 30)
         )
         assert cache.stats()["evictions"] == 1
         assert first._on_gather is None and second._on_gather is not None
@@ -358,10 +393,9 @@ class TestAccountingIsExact:
         self, two_table_db
     ):
         cache = ScanCache()
-        ctx = ExecutionContext(two_table_db, scan_cache=cache)
-        frame = filtered_scan(20).execute(ctx)
+        frame = kept_scan(cache, two_table_db, 20)
         selection = weakref.ref(frame._sources["lineitem.l_partkey"].sel)
-        del frame, cache, ctx
+        del frame, cache
         assert selection() is None
 
 
@@ -419,7 +453,8 @@ class TestBudgetUnderContention:
         they receive is the value, whatever the cache kept."""
         monkeypatch.setattr(scancache, "SCAN_CACHE_BYTES", 0)
         cache = ScanCache()
-        cache.get_or_compute(("older",), lambda: np.zeros(4))
+        for _ in range(2):  # kept on its second sight
+            cache.get_or_compute(("older",), lambda: np.zeros(4))
         calls, results = [], []
         barrier = threading.Barrier(8)
 
@@ -440,6 +475,128 @@ class TestBudgetUnderContention:
         assert not any(t.is_alive() for t in threads)
         assert len(calls) == 1 and len(results) == 8
         assert all(r is results[0] and r is not None for r in results)
+        # The burst is ("burst",)'s first sight: its leader's seen-once
+        # entry evicted "older", and the value went to the followers only.
         assert cache.stats() == {
-            "hits": 7, "misses": 2, "entries": 1, "bytes": 128, "evictions": 1,
+            "hits": 7, "misses": 3, "entries": 0, "seen_once": 1,
+            "bytes": key_bytes(("burst",)), "evictions": 1,
         }
+
+
+def sighted_run(plan, database, cache):
+    """``(frame, counters, rows per operator in walk order, simulated
+    seconds)`` of one execution of ``plan`` through ``cache``."""
+    rows = {}
+    ctx = ExecutionContext(database, scan_cache=cache, operator_rows=rows)
+    frame = plan.execute(ctx)
+    return (
+        frame,
+        ctx.counters.as_dict(),
+        [rows[op] for op in plan.walk()],
+        CostModel().time_from_counters(ctx.counters),
+    )
+
+
+class TestSecondSightAdmission:
+    """A key's first sight keeps no value, its second keeps it, and
+    its third hits; no sight changes what an execution returns or
+    charges."""
+
+    def test_first_sight_keeps_no_array(self, two_table_db):
+        cache = ScanCache()
+        scan = filtered_scan(20)
+
+        def run():
+            return scan.execute(ExecutionContext(two_table_db, scan_cache=cache))
+
+        first = run()
+        first.column("lineitem.l_shipdate")  # a gather nobody is charged
+        (key,) = cache._entries
+        assert cache.stats() == {
+            "hits": 0, "misses": 1, "entries": 0, "seen_once": 1,
+            "bytes": key_bytes(key), "evictions": 0,
+        }
+        assert first._on_gather is None
+        second = run()
+        assert second is not first
+        assert cache.stats()["entries"] == 1 and cache.stats()["seen_once"] == 0
+        assert cache.stats()["bytes"] == second.num_rows * 8 == walk_bytes(cache)
+        assert run() is second
+        assert (cache.hits, cache.misses) == (1, 2)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_sight_runs_like_no_cache(self, family, families, planned_trees):
+        database = families[family][0]
+        for _, plan in planned_trees[family]:
+            frame, counters, rows, seconds = sighted_run(plan, database, None)
+            cache = ScanCache()
+            for sight in (1, 2, 3):
+                hits_before = cache.hits
+                got, got_counters, got_rows, got_seconds = sighted_run(
+                    plan, database, cache
+                )
+                assert got.column_names == frame.column_names
+                for name in frame.column_names:
+                    assert got.column(name).dtype == frame.column(name).dtype
+                    assert np.array_equal(got.column(name), frame.column(name))
+                assert got_counters == counters, sight
+                assert got_rows == rows, sight
+                assert got_seconds == seconds, sight
+                if sight == 1:
+                    assert cache.stats()["entries"] == 0
+            assert cache.hits > hits_before  # the third sight hit
+
+    def test_threads_on_a_first_sight_key_compute_once(self):
+        cache = ScanCache()
+        n_threads, calls, results = 6, [], []
+        barrier = threading.Barrier(n_threads)
+
+        def slow_scan():
+            calls.append(1)
+            time.sleep(0.05)
+            return np.zeros(1)
+
+        def worker():
+            barrier.wait(timeout=30)
+            results.append(cache.get_or_compute(("first",), slow_scan))
+
+        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert len(calls) == 1 and len(results) == n_threads
+        assert all(r is results[0] for r in results)
+        assert cache.stats() == {
+            "hits": n_threads - 1, "misses": 1, "entries": 0, "seen_once": 1,
+            "bytes": key_bytes(("first",)), "evictions": 0,
+        }
+
+    def test_a_stream_of_distinct_keys_stays_within_budget(self, monkeypatch):
+        budget = 2 << 10
+        monkeypatch.setattr(scancache, "SCAN_CACHE_BYTES", budget)
+        cache = ScanCache()
+        for i in range(500):
+            cache.get_or_compute(("stream", i), lambda: np.zeros(1024))
+            held = cache.stats()["bytes"]
+            assert held <= budget
+            assert held == walk_bytes(cache)
+        stats = cache.stats()
+        assert stats["entries"] == 0 and stats["evictions"] > 0
+        assert stats["seen_once"] == len(cache._entries) > 1
+
+    def test_never_repeated_statements_end_holding_no_arrays(self, tpch_db):
+        session = Session(tpch_db, sample_size=200)
+        for i in range(200):
+            session.execute(
+                "SELECT COUNT(*) FROM lineitem "
+                f"WHERE lineitem.l_shipdate >= {727300 + 10 * i}"
+            )
+        stats = session._scan_cache.stats()
+        assert stats["misses"] >= 200 and stats["hits"] == 0
+        assert stats["entries"] == 0 and stats["evictions"] == 0
+        assert stats["bytes"] == walk_bytes(session._scan_cache)
+        assert stats["bytes"] == sum(
+            key_bytes(key) for key in session._scan_cache._entries
+        )
+        session.close()

@@ -84,10 +84,13 @@ class TestRecordedSpansEqualReexecutedSpans:
         database = families[family][0]
         for (_, plan), expected in zip(planned_trees[family], reference[family]):
             cache = ScanCache()
-            _, filling = execute_recorded(plan, database, cache)
+            _, seeing = execute_recorded(plan, database, cache)
             assert cache.hits == 0 and cache.misses > 0
+            _, filling = execute_recorded(plan, database, cache)
+            hits_before = cache.hits
             _, hitting = execute_recorded(plan, database, cache)
-            assert cache.hits > 0
+            assert cache.hits > hits_before
+            assert_record_matches(plan, seeing, expected)
             assert_record_matches(plan, filling, expected)
             assert_record_matches(plan, hitting, expected)
 

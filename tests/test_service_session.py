@@ -372,7 +372,8 @@ class TestLifecycle:
         assert session._closed
 
     def test_close_releases_the_scan_cache(self, session):
-        session.execute(QUERY)
+        for _ in range(2):  # the scan is kept on its second sight
+            session.execute(QUERY)
         cache = session._scan_cache
         frame = next(
             entry.frame
@@ -400,7 +401,9 @@ class TestLifecycle:
         assert returned == session.plan_cache.stats()  # the plan cache's, as ever
         gauge = session.metrics.gauge("repro_session_scan_cache", "")
         stats = session._scan_cache.stats()
-        assert sorted(stats) == ["bytes", "entries", "evictions", "hits", "misses"]
+        assert sorted(stats) == [
+            "bytes", "entries", "evictions", "hits", "misses", "seen_once",
+        ]
         for name, value in stats.items():
             assert gauge.value(stat=name) == value
         assert (stats["evictions"] > 0) == evicts
