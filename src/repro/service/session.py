@@ -67,7 +67,7 @@ from repro.core import (
     estimator_for,
 )
 from repro.core.factory import hintless_threshold
-from repro.core.memo import cache_token
+from repro.core.memo import EstimateCacheMixin, cache_token
 from repro.cost import CostModel
 from repro.engine import ExecutionContext, ScanCache, scancache
 from repro.errors import EstimationError, ReproError, StatisticsError
@@ -1320,8 +1320,9 @@ class Session:
     # Introspection / lifecycle
     # ------------------------------------------------------------------
     def cache_stats(self) -> dict:
-        """Plan-cache counters; mirrors them, the scan cache's and the
-        execution memo's into ``metrics``."""
+        """Plan-cache counters; mirrors them, the scan cache's, the
+        execution memo's and the shared estimator's estimate memo's
+        into ``metrics``."""
         stats = self.plan_cache.stats()
         gauge = self.metrics.gauge(
             "repro_session_plan_cache",
@@ -1356,6 +1357,19 @@ class Session:
             frame.column(name).nbytes
             for frame in frames for name in frame.column_names
         )), stat="bytes")
+        estimate_gauge = self.metrics.gauge(
+            "repro_session_estimate_memo",
+            "Estimate-memo occupancy (values kept, keys seen once) and "
+            "counters of the shared estimator.",
+        )
+        estimator = self._state.estimator
+        estimate_stats = (
+            estimator.estimate_memo_stats()
+            if isinstance(estimator, EstimateCacheMixin)
+            else dict.fromkeys(("entries", "seen_once", "hits", "misses"), 0)
+        )
+        for name, value in estimate_stats.items():
+            estimate_gauge.set(float(value), stat=name)
         return stats
 
     def describe(self) -> str:

@@ -245,6 +245,7 @@ class TestConjunctMaskCache:
         manager = StatisticsManager(tpch_db)
         manager.update_statistics(sample_size=300, seed=1)
         estimator = RobustCardinalityEstimator(manager, policy=0.5)
+        estimator.estimate({"lineitem"}, CORRELATED)  # kept on the second sight
         first = estimator.estimate({"lineitem"}, CORRELATED).posterior.k
 
         manager.update_statistics(sample_size=300, seed=2)

@@ -173,6 +173,7 @@ class TestProtocolParity:
     def test_point_estimator_lanes_are_one_memoized_estimate(self, tpch_stats):
         tables, predicate = CASES[3]
         estimator = HistogramCardinalityEstimator(tpch_stats)
+        estimator.estimate(tables, predicate)  # a first sight keeps nothing
         lanes = estimator.estimate_many(tables, predicate, GRID)
         assert all(lane is lanes[0] for lane in lanes)
         assert estimator.estimate(tables, predicate) is lanes[0]

@@ -54,6 +54,7 @@ def test_arrays_are_the_stacked_scalar_results(
 def test_a_lane_read_twice_is_one_object(tpch_stats):
     estimator = RobustCardinalityEstimator(tpch_stats)
     tables, predicate = CASES[3]
+    estimator.estimate_many(tables, predicate, GRID)  # a first sight keeps nothing
     many = estimator.estimate_many(tables, predicate, GRID)
     lane = many[4]
     assert lane is many[4] is many.at(4) is list(many)[4]
@@ -132,6 +133,7 @@ class _Forwarding:
 def test_wrappers_pass_the_value_through(tpch_db, tpch_stats):
     inner = RobustCardinalityEstimator(tpch_stats)
     tables, predicate = CASES[4]
+    inner.estimate_many(tables, predicate, GRID)  # a first sight keeps nothing
     direct = inner.estimate_many(tables, predicate, GRID)
     faulty = FaultyEstimator(inner, np.random.default_rng(0))
     assert faulty.estimate_many(tables, predicate, GRID) is direct
@@ -195,7 +197,10 @@ def test_grid_spans_are_what_they_were(
             assert span["point_estimate"] is None
         assert span["lut_hit"] is (span["source"] != "magic")
     assert product.tobytes() == many.selectivity.tobytes()
-    # a memo hit records nothing new, and reading lanes records nothing
+    # the sight that keeps the value records the same spans again; a
+    # memo hit records nothing new, and reading lanes records nothing
+    estimator.estimate_many(tables, predicate, GRID)
+    assert estimator.tracer.drain_estimations() == spans
     estimator.estimate_many(tables, predicate, GRID)
     list(many)
     assert estimator.tracer.drain_estimations() == []

@@ -411,6 +411,20 @@ class TestLifecycle:
         session.close()  # the final snapshot is taken before the clear
         assert gauge.value(stat="bytes") == stats["bytes"]
 
+    def test_cache_stats_mirrors_the_estimate_memo(self, session):
+        gauge = session.metrics.gauge("repro_session_estimate_memo", "")
+        names = ("entries", "seen_once", "hits", "misses")
+        session.cache_stats()  # no estimator built yet
+        assert [gauge.value(stat=name) for name in names] == [0.0] * 4
+        for quantity in (5, 15, 25, 35, 45):
+            session.prepare(QUERY.replace("45", str(quantity)))
+        session.cache_stats()
+        stats = session._state.estimator.estimate_memo_stats()
+        assert sorted(stats) == sorted(names)
+        for name, value in stats.items():
+            assert gauge.value(stat=name) == value
+        assert stats["seen_once"] >= 5 and stats["misses"] > 0
+
     def test_metrics_track_prepares_by_outcome(self, session):
         session.prepare(QUERY)
         session.prepare(QUERY)
